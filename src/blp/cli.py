@@ -10,16 +10,18 @@ Subcommands:
 
 Exit codes: 0 success, 1 tolerance failure, 2 configuration error.
 Reports are deterministic: keys sorted, floats printed with shortest
-round-trip repr.  BLP_THREADS caps grid-evaluation parallelism.
+round-trip repr.  A report passes only when every residual is finite;
+non-finite ones are counted under ``nonfinite``.  Grid points are
+evaluated one after another in this process; BLP_THREADS is accepted
+and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -80,7 +82,7 @@ def _coerce_bindings(family_id: str, params: dict) -> dict:
     return out
 
 
-def _evaluate_grid(s, grid, workers: int):
+def _evaluate_grid(s, grid):
     def one(p):
         if not s.validity(p):
             return (p, None)
@@ -96,9 +98,6 @@ def _evaluate_grid(s, grid, workers: int):
                 reductions.WindowError):
             return (p, None)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(one, grid))
     return [one(p) for p in grid]
 
 
@@ -110,18 +109,28 @@ def _report(family, params, grid_spec, rows):
     def rms(a):
         return float(np.sqrt(np.mean(np.square(a)))) if a else 0.0
 
-    return {
+    report = {
         "family": family,
         "params": {k: (v if isinstance(v, (int, float)) else str(v))
                    for k, v in params.items()},
         "grid_spec": grid_spec,
-        "r1_max": max(r1) if r1 else 0.0,
-        "r2_max": max(r2) if r2 else 0.0,
+        "r1_max": system.residual_sup(r1),
+        "r2_max": system.residual_sup(r2),
         "r1_rms": rms(r1),
         "r2_rms": rms(r2),
         "skipped": skipped,
         "evaluated": len(rows) - skipped,
     }
+    nonfinite = system.count_nonfinite(r1, r2)
+    if nonfinite:
+        report["nonfinite"] = nonfinite
+    return report
+
+
+def _within(report: dict, tol: float) -> bool:
+    """Both residual sups within ``tol`` and every residual finite."""
+    return (report["r1_max"] <= tol and report["r2_max"] <= tol
+            and "nonfinite" not in report)
 
 
 def _write_outputs(report: dict, rows, report_path, csv_path):
@@ -159,6 +168,20 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(args, cfg: dict):
+    """``--tol``, else the config's ``tol``, else 1e-6: a finite number > 0."""
+    raw = cfg.get("tol", 1e-6) if args.tol is None else args.tol
+    try:
+        tol = float(raw) if isinstance(raw, str) else raw
+    except ValueError:
+        tol = None
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
+            or not math.isfinite(tol) or tol <= 0:
+        raise ConfigError(
+            f"tolerance must be a finite number > 0, got {raw!r}")
+    return tol
+
+
 def _load_config(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
@@ -174,9 +197,7 @@ def cmd_verify(args) -> int:
         raise ConfigError("a family id is required")
     params = dict(cfg.get("params", {}))
     params.update(_parse_params(args.param))
-    tol = args.tol if args.tol is not None else cfg.get("tol", 1e-6)
-    if tol <= 0:
-        raise ConfigError("tolerance must be positive")
+    tol = _tolerance(args, cfg)
     grid_spec = cfg.get("grid") or _default_grid(family)
     if args.grid:
         grid_spec = json.loads(args.grid)
@@ -188,11 +209,10 @@ def cmd_verify(args) -> int:
         raise ConfigError(str(exc)) from exc
     if args.perturb:
         field = system.perturb_v(field, eps=args.perturb)
-    rows = _evaluate_grid(field, grid, _workers())
+    rows = _evaluate_grid(field, grid)
     report = _report(family, field.params, grid_spec, rows)
     report["tolerance"] = tol
-    passed = report["r1_max"] <= tol and report["r2_max"] <= tol \
-        and report["evaluated"] > 0
+    passed = _within(report, tol) and report["evaluated"] > 0
     report["passed"] = bool(passed)
     _write_outputs(report, rows, args.report, args.csv)
     return EXIT_OK if passed else EXIT_TOLERANCE
@@ -253,7 +273,7 @@ def cmd_transform(args) -> int:
         raise ConfigError("the chain must be a nonempty list of ops")
     base = Point(*(cfg.get("base") or
                    (json.loads(args.base) if args.base else (1.0, 0.0, 0.0))))
-    tol = args.tol if args.tol is not None else cfg.get("tol", 1e-6)
+    tol = _tolerance(args, cfg)
     try:
         field = _seed_field(family, params)
     except (catalog.UnknownFamily, catalog.BadBinding,
@@ -285,13 +305,12 @@ def cmd_transform(args) -> int:
     if args.grid:
         grid_spec = json.loads(args.grid)
     grid = _grid_from_spec(grid_spec)
-    rows = _evaluate_grid(field, grid, _workers())
+    rows = _evaluate_grid(field, grid)
     report = _report(field.family_id, field.params, grid_spec, rows)
     report["tolerance"] = tol
     undefined_fraction = report["skipped"] / max(len(rows), 1)
     report["undefined_fraction"] = undefined_fraction
-    passed = (report["r1_max"] <= tol and report["r2_max"] <= tol
-              and undefined_fraction <= 0.05)
+    passed = _within(report, tol) and undefined_fraction <= 0.05
     report["passed"] = bool(passed)
     _write_outputs(report, rows, args.report, args.csv)
     return EXIT_OK if passed else EXIT_TOLERANCE
@@ -358,13 +377,6 @@ def cmd_algebra(args) -> int:
     return EXIT_OK if not failures and not norm_fails else EXIT_TOLERANCE
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("BLP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="blp",
@@ -383,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         vp.add_argument("--param", action="append",
                         help="name=value (value JSON or expression text)")
         vp.add_argument("--grid", help="JSON grid spec")
-        vp.add_argument("--tol", type=float)
+        vp.add_argument("--tol", help="finite number > 0 (default 1e-6)")
         vp.add_argument("--config", help="JSON config file")
         vp.add_argument("--report", help="write the JSON report here")
         vp.add_argument("--csv", help="write a grid dump here")

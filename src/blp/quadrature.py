@@ -13,6 +13,8 @@ remaining slice is integrated coefficient-wise.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from .jets import Jet3, JetMap, Point, jet_size, _tables
@@ -23,6 +25,9 @@ __all__ = ["QuadratureError", "gauss_kronrod_15", "adaptive_quadrature",
 
 class QuadratureError(ArithmeticError):
     """Adaptive subdivision failed to reach the requested tolerance."""
+
+
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 # 15-point Kronrod nodes and weights with the embedded 7-point Gauss rule
@@ -76,6 +81,15 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-10,
                         max_panels: int = 2000):
     """Integrate ``f`` (scalar- or vector-valued) from a to b.
 
+    Panels are refined in heap order: the panel with the largest error
+    estimate is split first, the older one on ties.  The error total is
+    kept as a running sum with a rigorous bound on its roundoff drift; it
+    is re-summed exactly, in creation order, wherever that bound cannot
+    settle the comparison with ``tol``, and always before stopping or
+    giving up.  The panel values are summed in creation order.  So the
+    same panels run, and the same value and failures come out, as when
+    every panel is rescanned and re-summed on each split.
+
     Raises :class:`QuadratureError` when the panel budget is exhausted or
     a panel shrinks below floating-point resolution (the usual symptom of
     an integrand pole inside the interval).
@@ -84,28 +98,47 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-10,
         probe = np.asarray(f(a), dtype=float)
         return probe * 0.0
     val, err = gauss_kronrod_15(f, a, b)
-    panels = [(err, a, b, val)]
+    live = {0: (err, a, b, val)}   # creation index -> panel, in that order
+    heap = [(-float(err), 0)]
+    created = 1
     width_floor = 1e-14 * (1.0 + abs(a) + abs(b))
-    while sum(p[0] for p in panels) > tol:
-        if len(panels) >= max_panels:
-            raise QuadratureError("panel budget exhausted")
-        worst = max(range(len(panels)), key=lambda i: panels[i][0])
-        err, lo, hi, _ = panels.pop(worst)
+    total = float(err)  # running error total
+    drift = 0.0         # bound on |total - exact sum of the live errors|
+    while True:
+        n = len(live)
+        # |exact sum - total| <= drift + gamma_n * (real sum), and the real
+        # sum is at most total + drift; the factor 2 covers the rounding
+        # of this bound itself
+        gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+        slack = 2.0 * (drift + gamma * (total + drift))
+        if n >= max_panels or not total - slack > tol:
+            exact = sum(p[0] for p in live.values())
+            if not exact > tol:
+                break
+            if n >= max_panels:
+                raise QuadratureError("panel budget exhausted")
+            total = float(exact)
+            drift = 2.0 * gamma * total
+        _, worst = heapq.heappop(heap)
+        err, lo, hi, _ = live.pop(worst)
         if abs(hi - lo) < width_floor:
             raise QuadratureError(
                 f"panel [{lo}, {hi}] below width floor with error {err:g}")
+        total -= float(err)
+        drift += 2.0 * _UNIT_ROUNDOFF * abs(total)
         mid = 0.5 * (lo + hi)
-        panels.append((*_panel(f, lo, mid),))
-        panels.append((*_panel(f, mid, hi),))
-    total = panels[0][3] * 0.0
-    for _, _, _, v in panels:
-        total = total + v
-    return total
-
-
-def _panel(f, lo, hi):
-    v, e = gauss_kronrod_15(f, lo, hi)
-    return e, lo, hi, v
+        for left, right in ((lo, mid), (mid, hi)):
+            v, e = gauss_kronrod_15(f, left, right)
+            live[created] = (e, left, right, v)
+            heapq.heappush(heap, (-float(e), created))
+            created += 1
+            total += float(e)
+            drift += 2.0 * _UNIT_ROUNDOFF * abs(total)
+    values = [p[3] for p in live.values()]
+    result = values[0] * 0.0
+    for v in values:
+        result = result + v
+    return result
 
 
 _AXIS_NUM = {"t": 0, "x": 1, "y": 2}

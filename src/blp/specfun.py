@@ -8,7 +8,10 @@ on the real line: in terms of the Weierstrass P-function when F has no
 multiple roots, and in elementary functions otherwise.
 
 P is evaluated on real, pole-free arguments by summing its Laurent series
-on a small seed disc and extending with the duplication formula; the
+on a small seed disc and extending with the duplication formula.  The
+series constants (Laurent coefficients and seed radius) depend only on
+(g2, g3), so they are computed once per :class:`EllipticInvariants` and
+shared by every evaluation on that lattice.  The
 companion zeta function here follows the convention zeta' = P (so
 zeta ~ -1/z near the origin), which is the sign the reduced-equation
 antiderivatives use.  Additive constants in zeta shift the reconstructed
@@ -55,13 +58,26 @@ class NotDegenerate(ValueError):
 
 @dataclass(frozen=True)
 class EllipticInvariants:
+    """Lattice invariants (g2, g3) and the constants derived from them.
+
+    ``laurent`` and ``seed_radius`` feed :func:`weierstrass_p`; they are
+    functions of (g2, g3), so they take no part in equality, hashing or
+    repr.
+    """
     g2: float
     g3: float
     discriminant: float = field(init=False)
+    laurent: tuple[float, ...] = field(init=False, compare=False,
+                                       repr=False)
+    seed_radius: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "discriminant",
                            self.g2 ** 3 - 27.0 * self.g3 ** 2)
+        object.__setattr__(self, "laurent", tuple(
+            float(c) for c in _laurent_coeffs(self.g2, self.g3)))
+        object.__setattr__(self, "seed_radius",
+                           _seed_radius(self.g2, self.g3))
 
 
 @dataclass(frozen=True)
@@ -125,7 +141,7 @@ def _seed_radius(g2: float, g3: float) -> float:
     return min(0.5, 0.35 / scale)
 
 
-def _series_eval(z: float, c: np.ndarray):
+def _series_eval(z: float, c: tuple[float, ...]):
     z2 = z * z
     p = 1.0 / z2
     dp = -2.0 / (z2 * z)
@@ -143,7 +159,7 @@ def _series_eval(z: float, c: np.ndarray):
 def weierstrass_p(z: float, inv: EllipticInvariants
                   ) -> tuple[float, float, float]:
     """(P(z), P'(z), zeta(z)) with zeta' = P; real pole-free arguments only."""
-    g2, g3 = inv.g2, inv.g3
+    g2 = inv.g2
     if not math.isfinite(z):
         raise NonFiniteError("non-finite argument")
     sign = 1.0
@@ -151,7 +167,7 @@ def weierstrass_p(z: float, inv: EllipticInvariants
         z, sign = -z, -1.0
     if z < 1e-8:
         raise PoleError("argument at the origin pole")
-    r0 = _seed_radius(g2, g3)
+    r0 = inv.seed_radius
     m = 0
     zs = z
     while zs > r0:
@@ -159,8 +175,7 @@ def weierstrass_p(z: float, inv: EllipticInvariants
         m += 1
         if m > 60:
             raise NonFiniteError("halving did not converge")
-    c = _laurent_coeffs(g2, g3)
-    p, dp, zeta = _series_eval(zs, c)
+    p, dp, zeta = _series_eval(zs, inv.laurent)
     for _ in range(m):
         if abs(dp) < 1e-12 * (1.0 + abs(p) ** 1.5):
             raise PoleError("duplication hit a half-period: target is a pole")
@@ -187,17 +202,26 @@ def weierstrass_series(z: float, inv: EllipticInvariants, order: int
     """
     p, dp, zeta = weierstrass_p(z, inv)
     n = order
-    u = np.zeros(n + 3)
-    u[0], u[1] = p, dp
-    for k in range(0, n + 1):
-        conv = float(np.dot(u[: k + 1], u[k::-1]))
-        rhs = 6.0 * conv - (0.5 * inv.g2 if k == 0 else 0.0)
-        u[k + 2] = rhs / ((k + 2) * (k + 1))
+    u = _p_series(p, dp, inv.g2, n)
     zser = np.zeros(n + 1)
     zser[0] = zeta
     for k in range(1, n + 1):
         zser[k] = u[k - 1] / k
     return u[: n + 1], zser
+
+
+def _p_series(p: float, dp: float, g2: float, n: int) -> np.ndarray:
+    """Taylor coefficients 0..n+2 of P from its value and slope there.
+
+    The tail follows from P'' = 6 P^2 - g2/2.
+    """
+    u = np.zeros(n + 3)
+    u[0], u[1] = p, dp
+    for k in range(0, n + 1):
+        conv = float(np.dot(u[: k + 1], u[k::-1]))
+        rhs = 6.0 * conv - (0.5 * g2 if k == 0 else 0.0)
+        u[k + 2] = rhs / ((k + 2) * (k + 1))
+    return u
 
 
 def _as_quartic(q) -> QuarticODE:
@@ -261,8 +285,8 @@ def quartic_particular_solution(q: QuarticODE, a: float):
     # the cancellation is carried by the explicit ratio G1/D1, which stays
     # well conditioned down to a tiny neighborhood of the crossing.
 
-    def _classify(zv: float) -> str:
-        p, dp, _ = weierstrass_p(zv, inv)
+    def _classify(p: float, dp: float) -> str:
+        """State of the representation where (P, P') = (p, dp)."""
         d1 = 24.0 * p - Fpp - 12.0 * sqrtFa
         d2 = 24.0 * p - Fpp + 12.0 * sqrtFa
         vsm = min(abs(d1), abs(d2))
@@ -288,18 +312,20 @@ def quartic_particular_solution(q: QuarticODE, a: float):
         return a + 6.0 * fsgn * Fp / big \
             + 72.0 * sqrtFa * (gsm / small) / big
 
-    def _value_and_slope(zv: float) -> tuple[float, float]:
+    def _value_and_slope(zv: float, p: float, dp: float
+                         ) -> tuple[float, float]:
         from .jets import Point, lift_variable
         probe = lift_variable("x", Point(0.0, zv, 0.0), 1)
-        pser, _ = weierstrass_series(zv, inv, 2)
+        pser = _p_series(p, dp, inv.g2, 0)
         pj = apply_taylor(pser[:2], probe)
         dpj = apply_taylor(np.array([(k + 1) * pser[k + 1]
                                      for k in range(2)]), probe)
         out = _assemble(pj, dpj)
         return out.value, out.extract((0, 1, 0))
 
-    def _series(zv: float, n: int) -> np.ndarray:
-        """Taylor coefficients of phi at zv, projected onto the invariant.
+    def _series(zv: float, n: int, p: float, dp: float) -> np.ndarray:
+        """Taylor coefficients of phi at zv, where (P, P') = (p, dp),
+        projected onto the invariant.
 
         The raw slope inherits P-evaluation noise amplified near the
         phi = a crossings; replacing it by +-sqrt(F(phi)) and rebuilding
@@ -308,16 +334,17 @@ def quartic_particular_solution(q: QuarticODE, a: float):
         disk around a crossing the expansion anchors at a nearby argument
         and is recentred.
         """
-        state = _classify(zv)
+        state = _classify(p, dp)
         if state == "pole":
             raise PoleError("pole of the particular solution")
         if state == "crossing":
             for shift in (0.01, -0.01, 0.03, -0.03, 0.08, -0.08):
-                if _classify(zv + shift) == "ok":
-                    c = _series(zv + shift, n + 8)
+                ps, dps, _ = weierstrass_p(zv + shift, inv)
+                if _classify(ps, dps) == "ok":
+                    c = _series(zv + shift, n + 8, ps, dps)
                     return _ser_shift(c, -shift)[: n + 1]
             raise PoleError("no safe expansion point near the crossing")
-        v0, d_raw = _value_and_slope(zv)
+        v0, d_raw = _value_and_slope(zv, p, dp)
         fv = q.F(v0)
         d0 = math.copysign(math.sqrt(max(fv, 0.0)), d_raw) \
             if fv > 0.0 else d_raw
@@ -333,15 +360,17 @@ def quartic_particular_solution(q: QuarticODE, a: float):
         return c[: n + 1]
 
     def phi(z):
+        # one P evaluation per argument: it both classifies and assembles
+        zv = z.value if isinstance(z, Jet3) else z
+        p, dp, _ = weierstrass_p(zv, inv)
         if isinstance(z, Jet3):
-            return apply_taylor(_series(z.value, max(z.order, 1)), z)
-        state = _classify(z)
+            return apply_taylor(_series(zv, max(z.order, 1), p, dp), z)
+        state = _classify(p, dp)
         if state == "pole":
             raise PoleError("pole of the particular solution")
         if state == "crossing":
-            return float(np.polynomial.polynomial.polyval(0.0,
-                                                          _series(z, 0)))
-        p, dp, _ = weierstrass_p(z, inv)
+            return float(np.polynomial.polynomial.polyval(
+                0.0, _series(z, 0, p, dp)))
         return _assemble(p, dp)
 
     return phi

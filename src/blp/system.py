@@ -31,7 +31,7 @@ __all__ = [
     "SolutionField", "ResidualReport", "GaugeError",
     "residual", "residual_uq", "covering_residual",
     "conserved_current_divergence", "convert", "residual_report",
-    "perturb_v",
+    "residual_sup", "count_nonfinite", "perturb_v",
 ]
 
 
@@ -83,6 +83,7 @@ class ResidualReport:
     r1_rms: float
     r2_rms: float
     skipped: int
+    nonfinite: int = 0
 
     def to_json(self) -> str:
         payload = {
@@ -95,6 +96,8 @@ class ResidualReport:
             "r2_rms": self.r2_rms,
             "skipped": self.skipped,
         }
+        if self.nonfinite:
+            payload["nonfinite"] = self.nonfinite
         return json.dumps(payload, sort_keys=True)
 
 
@@ -305,6 +308,22 @@ def convert(s: SolutionField, to: str, basepoint: Point,
 # grid reports
 # ----------------------------------------------------------------------
 
+def residual_sup(values) -> float:
+    """Largest of ``values`` (0.0 if none); NaN if any of them is NaN.
+
+    Python's ``max`` keeps or drops a NaN depending on where it sits.
+    """
+    if any(math.isnan(x) for x in values):
+        return math.nan
+    return max(values) if values else 0.0
+
+
+def count_nonfinite(r1s, r2s) -> int:
+    """Number of points whose residual pair is not all finite."""
+    return sum(1 for r1, r2 in zip(r1s, r2s)
+               if not (math.isfinite(r1) and math.isfinite(r2)))
+
+
 def residual_report(s: SolutionField, grid: list[Point],
                     order: int = 4) -> ResidualReport:
     r1s, r2s, skipped = [], [], 0
@@ -319,12 +338,11 @@ def residual_report(s: SolutionField, grid: list[Point],
             continue
         r1s.append(abs(r1))
         r2s.append(abs(r2))
-    def _mx(a):
-        return max(a) if a else 0.0
     def _rms(a):
         return math.sqrt(sum(x * x for x in a) / len(a)) if a else 0.0
     return ResidualReport(
         family=s.family_id, params={k: str(v) for k, v in s.params.items()},
         grid_spec={"n": len(grid)},
-        r1_max=_mx(r1s), r2_max=_mx(r2s),
-        r1_rms=_rms(r1s), r2_rms=_rms(r2s), skipped=skipped)
+        r1_max=residual_sup(r1s), r2_max=residual_sup(r2s),
+        r1_rms=_rms(r1s), r2_rms=_rms(r2s), skipped=skipped,
+        nonfinite=count_nonfinite(r1s, r2s))

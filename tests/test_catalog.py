@@ -184,6 +184,18 @@ def test_elliptic_profile_satisfies_quartic():
         assert abs(res) < 1e-7 * (1.0 + abs(q.F(out.value)))
 
 
+def test_elliptic_antiderivative_slow_binding():
+    # C0=1, delta=1, C2=3, omega0=0.85: the segment [1.075, 1.15] stalls
+    # at the 1e-11 noise floor and succeeds at 1e-9 after 4000 GK15
+    # panels; the value is the one the list-scan quadrature and per-call
+    # Laurent constants gave, to the last bit
+    from blp.specfun import QuarticODE, quartic_particular_solution
+    phi = quartic_particular_solution(
+        QuarticODE(1.0, 0.0, 1.0 / 3.0, 1.0, 3.0), 0.0)
+    anti = catalog._Antiderivative(lambda s: phi(s) ** 2, 0.85)
+    assert anti(1.15) == 0.6831222033566408
+
+
 def test_universal_residual_gate(rng):
     worst = {}
     for d in list_families():

@@ -1,8 +1,13 @@
 import json
+import math
 import subprocess
 import sys
 
+import pytest
+
+from blp import catalog, system
 from blp.cli import main
+from blp.jets import Jet3
 
 
 def run_cli(args, capsys):
@@ -186,3 +191,60 @@ def test_reduce_r24(tmp_path, capsys):
     info = json.loads(out)
     assert info["id"] == "R2_4" and info["nodes"] > 50
     assert path.exists()
+
+
+_BAD_TOL_FLAGS = ["nan", "inf", "-inf", "0", "-1", "abc"]
+_BAD_TOL_CONFIGS = [math.nan, math.inf, 0, -1, "abc", None, True, [1e-6]]
+
+
+@pytest.mark.parametrize("command", ["verify", "transform"])
+@pytest.mark.parametrize("tol", _BAD_TOL_FLAGS)
+def test_bad_tol_flag_is_config_error(command, tol, capsys):
+    args = [command, "--family", "F_UY0_TRIV", f"--tol={tol}"]
+    if command == "transform":
+        args += ["--chain", '[{"op": "laplace_fwd_uv"}]']
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert "tolerance" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("command", ["verify", "transform"])
+@pytest.mark.parametrize("tol", _BAD_TOL_CONFIGS,
+                         ids=[repr(t) for t in _BAD_TOL_CONFIGS])
+def test_bad_tol_config_is_config_error(command, tol, tmp_path, capsys):
+    cfg = {"family": "F_UY0_TRIV", "tol": tol,
+           "chain": [{"op": "laplace_fwd_uv"}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli([command, "--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "tolerance" in json.loads(err)["error"]
+
+
+def _nan_at(bad):
+    """A zero (u,v) field except for a NaN value of u at one point."""
+    def u(p, n):
+        return Jet3.constant(math.nan if p == bad else 0.0, p, n)
+
+    def v(p, n):
+        return Jet3.constant(0.0, p, n)
+    return system.SolutionField(u=u, v=v, coords="UV", family_id="nan_at")
+
+
+def test_nan_residual_never_passes(monkeypatch, capsys):
+    # the NaN sits at the last grid point, where Python's max drops it
+    grid = {"t": [0.5, 1.0, 2], "x": [0.0, 1.0, 2], "y": [0.0, 1.0, 2]}
+    field = _nan_at((1.0, 1.0, 1.0))
+    monkeypatch.setattr(catalog, "instantiate", lambda fid, b: field)
+    code, out, _ = run_cli(["verify", "--family", "F_UY0_TRIV",
+                            "--grid", json.dumps(grid)], capsys)
+    report = json.loads(out)
+    assert code == 1
+    assert report["passed"] is False
+    assert report["nonfinite"] == 1 and report["evaluated"] == 8
+    assert math.isnan(report["r1_max"])
+
+
+def test_finite_report_has_no_nonfinite_key(capsys):
+    code, out, _ = run_cli(["verify", "--family", "F_UY0_TRIV"], capsys)
+    assert code == 0 and "nonfinite" not in json.loads(out)

@@ -81,3 +81,132 @@ def test_integrate_field_along_t():
               (0, 1, 0), (1, 1, 0), (3, 0, 0)]:
         assert F.extract(m) == pytest.approx(
             central_diff(f, p, m), rel=1e-6, abs=1e-6), m
+
+
+# -- heap-ordered refinement against the list-scan original ----------------
+
+def _list_scan_quadrature(f, a, b, tol=1e-10, max_panels=2000):
+    """Reference: every panel rescanned and re-summed on each split."""
+    if a == b:
+        probe = np.asarray(f(a), dtype=float)
+        return probe * 0.0
+    val, err = gauss_kronrod_15(f, a, b)
+    panels = [(err, a, b, val)]
+    width_floor = 1e-14 * (1.0 + abs(a) + abs(b))
+    while sum(p[0] for p in panels) > tol:
+        if len(panels) >= max_panels:
+            raise QuadratureError("panel budget exhausted")
+        worst = max(range(len(panels)), key=lambda i: panels[i][0])
+        err, lo, hi, _ = panels.pop(worst)
+        if abs(hi - lo) < width_floor:
+            raise QuadratureError(
+                f"panel [{lo}, {hi}] below width floor with error {err:g}")
+        mid = 0.5 * (lo + hi)
+        panels.append((*_reference_panel(f, lo, mid),))
+        panels.append((*_reference_panel(f, mid, hi),))
+    total = panels[0][3] * 0.0
+    for _, _, _, v in panels:
+        total = total + v
+    return total
+
+
+def _reference_panel(f, lo, hi):
+    v, e = gauss_kronrod_15(f, lo, hi)
+    return e, lo, hi, v
+
+
+def _noisy_exp(s):
+    # exp plus deterministic noise near 1e-12: refinement stalls
+    return math.exp(s) + 1e-12 * math.sin(1e9 * s)
+
+
+def _nan_below(s):
+    return math.sqrt(s) if s > 0.3 else math.nan
+
+
+_DIFFERENTIAL_CASES = [
+    ("exp", math.exp, 0.0, 1.0, {}),
+    ("sqrt_endpoint", math.sqrt, 0.0, 1.0, {}),
+    ("sqrt_tight", math.sqrt, 0.0, 1.0, {"tol": 1e-13}),
+    ("lorentzian", lambda s: 1 / (1 + s * s), 0.0, 1.0, {}),
+    ("symmetric_ties", lambda s: abs(s) ** 0.5, -1.0, 1.0, {}),
+    ("vector", lambda s: np.array([1.0, s, s * s]), 0.0, 3.0, {}),
+    ("vector_mixed",
+     lambda s: np.array([math.sqrt(abs(s)), math.sin(10 * s)]),
+     -0.5, 2.0, {"tol": 1e-12}),
+    ("reversed", math.cos, 1.0, 0.0, {}),
+    ("reversed_sqrt", math.sqrt, 2.0, 0.0, {"tol": 1e-12}),
+    ("empty", math.exp, 0.5, 0.5, {}),
+    ("nan", _nan_below, 0.0, 1.0, {}),
+    ("pole_budget", lambda s: 1.0 / (s - 1 / 3), 0.0, 1.0,
+     {"max_panels": 32}),
+    ("pole_width", lambda s: 1.0 / (s - 1 / 3), 0.0, 1.0, {}),
+    ("noise_floor", _noisy_exp, 0.0, 1.0,
+     {"tol": 1e-15, "max_panels": 300}),
+    ("loose_tol", math.sqrt, 0.0, 1.0, {"tol": 1e-3}),
+]
+
+
+def _run_counted(quad, f, a, b, kw):
+    calls = [0]
+
+    def counted(s):
+        calls[0] += 1
+        return f(s)
+
+    try:
+        out = ("value", np.asarray(quad(counted, a, b, **kw)).tobytes())
+    except QuadratureError as exc:
+        out = ("error", str(exc))
+    return out, calls[0]
+
+
+@pytest.mark.parametrize("name,f,a,b,kw", _DIFFERENTIAL_CASES,
+                         ids=[c[0] for c in _DIFFERENTIAL_CASES])
+def test_heap_order_matches_list_scan(name, f, a, b, kw):
+    # same integrand calls, bit-identical values, same failures
+    got, got_calls = _run_counted(adaptive_quadrature, f, a, b, kw)
+    want, want_calls = _run_counted(_list_scan_quadrature, f, a, b, kw)
+    assert got_calls == want_calls
+    assert got == want
+
+
+class _RecordingTol:
+    """A tolerance that records every error total compared with it."""
+
+    def __init__(self, value):
+        self.value = value
+        self.seen = []
+
+    def __lt__(self, total):  # reflected from ``total > tol``
+        self.seen.append(float(total))
+        return self.value < total
+
+
+@pytest.mark.parametrize("f,tol", [
+    (lambda s: math.cos(60 * s), 1e-13),
+    (lambda s: np.array([math.cos(200 * s), 1.0]), 1e-12),
+], ids=["scalar", "vector"])
+def test_heap_order_matches_list_scan_at_boundary_tolerances(f, tol):
+    # tolerances equal to, and one ulp either side of, each error total
+    # the list scan meets; on these integrands the running total drifts
+    # from that exact sum, below it (scalar) or above it (vector)
+    rec = _RecordingTol(tol)
+    _list_scan_quadrature(f, 0.0, 1.0, tol=rec)
+    assert len(rec.seen) > 25
+    for total in rec.seen:
+        for t in (total, math.nextafter(total, 0.0),
+                  math.nextafter(total, math.inf)):
+            kw = {"tol": t}
+            assert _run_counted(adaptive_quadrature, f, 0.0, 1.0, kw) == \
+                _run_counted(_list_scan_quadrature, f, 0.0, 1.0, kw)
+
+
+def test_differential_cases_reach_each_outcome():
+    out = {name: _run_counted(adaptive_quadrature, f, a, b, kw)[0]
+           for name, f, a, b, kw in _DIFFERENTIAL_CASES}
+    assert out["noise_floor"] == ("error", "panel budget exhausted")
+    assert out["pole_budget"] == ("error", "panel budget exhausted")
+    assert out["pole_width"][0] == "error"
+    assert "below width floor" in out["pole_width"][1]
+    assert math.isnan(np.frombuffer(out["nan"][1])[0])

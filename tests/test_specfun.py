@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from blp import jets
+from blp import jets, specfun
 from blp.jets import Point
 from blp.specfun import (
-    DegenerateError, EllipticInvariants, NegativeRadicand, NotDegenerate,
-    PoleError, QuarticODE, degenerate_solutions, invariants_from_quartic,
-    quartic_particular_solution, weierstrass_p, weierstrass_series,
+    DegenerateError, EllipticInvariants, NegativeRadicand, NonFiniteError,
+    NotDegenerate, PoleError, QuarticODE, degenerate_solutions,
+    invariants_from_quartic, quartic_particular_solution, weierstrass_p,
+    weierstrass_series,
 )
 
 
@@ -37,6 +38,95 @@ def test_invariants_reduction_identity(rng):
         assert inv.g2 == pytest.approx(C2 + C0 ** 2 / 3.0, abs=1e-12)
         assert inv.g3 == pytest.approx(
             C0 * C2 / 3.0 - C0 ** 3 / 27.0 - delta ** 2, abs=1e-12)
+
+
+def test_invariants_equality_hash_repr_unchanged():
+    # the series constants are derived data: (g2, g3, discriminant) alone
+    # decide equality, hashing and repr
+    a, b = EllipticInvariants(2.0, -0.3), EllipticInvariants(2.0, -0.3)
+    disc = 2.0 ** 3 - 27.0 * (-0.3) ** 2
+    assert a == b and a is not b
+    assert a != EllipticInvariants(2.0, 0.3)
+    assert hash(a) == hash(b) == hash((2.0, -0.3, disc))
+    assert {a: 1}[b] == 1
+    assert repr(a) == f"EllipticInvariants(g2=2.0, g3=-0.3, " \
+        f"discriminant={disc!r})"
+
+
+def _p_rebuilding_constants(z, inv):
+    """P, P', zeta with the series constants rebuilt on every call."""
+    g2, g3 = inv.g2, inv.g3
+    if not math.isfinite(z):
+        raise NonFiniteError("non-finite argument")
+    sign = 1.0
+    if z < 0.0:
+        z, sign = -z, -1.0
+    if z < 1e-8:
+        raise PoleError("argument at the origin pole")
+    r0 = specfun._seed_radius(g2, g3)
+    m = 0
+    zs = z
+    while zs > r0:
+        zs *= 0.5
+        m += 1
+        if m > 60:
+            raise NonFiniteError("halving did not converge")
+    c = specfun._laurent_coeffs(g2, g3)
+    p, dp, zeta = specfun._series_eval(zs, c)
+    for _ in range(m):
+        if abs(dp) < 1e-12 * (1.0 + abs(p) ** 1.5):
+            raise PoleError("duplication hit a half-period: target is a pole")
+        ppp = 6.0 * p * p - 0.5 * g2
+        a = ppp / (2.0 * dp)
+        aprime = (12.0 * p * dp * dp - ppp * ppp) / (2.0 * dp * dp)
+        zeta = 2.0 * zeta - a
+        p2 = a * a - 2.0 * p
+        dp = a * aprime - dp
+        p = p2
+        if not (math.isfinite(p) and math.isfinite(dp)):
+            raise NonFiniteError("overflow in duplication chain")
+        if abs(p) > 1e12:
+            raise PoleError("value beyond pole guard")
+    return p, sign * dp, sign * zeta
+
+
+def _outcome(fn, *args):
+    try:
+        return tuple(repr(float(v)) for v in fn(*args))
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_p_bit_identical_with_shared_constants():
+    for g2, g3 in [(0.0, 0.0), (5.0, 0.0), (2.2, 0.7), (3.1, 0.6),
+                   (1.7, -0.6), (1.0 / 3.0 + 3.0, 1.0 - 1.0 / 27.0),
+                   (1e-6, 0.0), (40.0, -25.0)]:
+        inv = EllipticInvariants(g2, g3)
+        for z in np.concatenate([np.linspace(-3.0, 3.0, 61),
+                                 [1e-9, 0.013, 7.5, math.inf]]):
+            assert _outcome(weierstrass_p, float(z), inv) == \
+                _outcome(_p_rebuilding_constants, float(z), inv), (g2, g3, z)
+
+
+def test_phi_evaluates_p_once_per_argument(monkeypatch):
+    seen = []
+    real = specfun.weierstrass_p
+
+    def counted(z, inv):
+        seen.append(z)
+        return real(z, inv)
+
+    monkeypatch.setattr(specfun, "weierstrass_p", counted)
+    phi = quartic_particular_solution(quartic_from_reduction(1.0, 1.0, 3.0),
+                                      0.0)
+    # phi stays well away from a = 0 here, outside the crossing band
+    for z in (0.3, 0.85, 1.0, 1.1, 1.15, 2.0):
+        seen.clear()
+        phi(z)
+        assert seen == [z]
+        seen.clear()
+        phi(jets.lift_variable("x", Point(0.0, z, 0.0), 3))
+        assert seen == [z]
 
 
 def test_p_equianharmonic_degenerate_zero():

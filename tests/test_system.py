@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -157,6 +158,18 @@ def test_report_serialization():
     assert rep.skipped == 0
     assert '"family": "trivial"' in rep.to_json()
     assert rep.r1_rms <= rep.r1_max + 1e-15
+
+
+def test_report_nonfinite_residual():
+    bad = Point(1.0, 0.2, 0.4)
+    nan_u = SolutionField(
+        u=lambda p, n: Jet3.constant(math.nan if p == bad else 0.0, p, n),
+        v=TRIVIAL.v, coords="UV", family_id="nan_at")
+    grid = [Point(1.0, 0.1 * i, 0.2 * j) for i in range(3) for j in range(3)]
+    rep = residual_report(nan_u, grid)
+    assert math.isnan(rep.r1_max) and rep.nonfinite == 1
+    assert json.loads(rep.to_json())["nonfinite"] == 1
+    assert "nonfinite" not in residual_report(TRIVIAL, grid).to_json()
 
 
 def test_convert_uw_paths():
