@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .exprdsl import Expr, Num, eval_jet, parse
 from .jets import DomainError, Jet3, JetMap, Point
 from .quadrature import (QuadratureError, adaptive_quadrature,
     integrate_field_along)
-from .system import SolutionField
+from .system import SolutionField, defined_where
 
 __all__ = [
     "FamilyDescriptor", "HeatWitness", "UnknownFamily", "BadBinding",
@@ -197,13 +198,30 @@ def _is_zero_potential(H) -> bool:
 # descriptors
 # ----------------------------------------------------------------------
 
+#: the (t, x, y) sampling box of a family that declares none
+_COMMON_BOX = ((0.6, 1.4), (0.3, 1.3), (0.2, 1.2))
+
+
+def _no_bindings(rng) -> dict:
+    return {}
+
+
 @dataclass(frozen=True)
 class FamilyDescriptor:
+    """Metadata of one family, declared next to its constructor.
+
+    ``box`` is a (t, x, y) sampling box on which the family's charts are
+    healthy; ``sampler(rng)`` draws random but chart-safe bindings for
+    randomized residual sweeps.
+    """
     id: str
     coords: str
     required_params: tuple
     constraint_tag: str
     notes: str
+    box: tuple = _COMMON_BOX
+    sampler: Callable = field(default=_no_bindings, repr=False,
+                              compare=False)
 
 
 def _exprify(value, var: str) -> Expr:
@@ -225,6 +243,22 @@ def _jt(e: Expr, p: Point, n: int) -> Jet3:
 
 
 MARGIN = 0.15
+
+_Y_POOL = ["sin(y)", "0.3*y", "0.2*y^2", "cos(y)", "0.5+0.1*y",
+           "exp(0.2*y)"]
+_T_POOL = ["t", "0.5*t", "0.3*t^2", "sin(t)", "1+0.2*t"]
+
+
+def _pick(rng, pool):
+    return pool[rng.integers(0, len(pool))]
+
+
+def _ypick(rng) -> str:
+    return _pick(rng, _Y_POOL)
+
+
+def _tpick(rng) -> str:
+    return _pick(rng, _T_POOL)
 
 
 # each entry: id -> (constructor, descriptor); populated below
@@ -254,7 +288,7 @@ def instantiate(family_id: str, bindings: dict) -> SolutionField:
     if extra:
         raise BadBinding(f"unknown parameters {sorted(extra)} "
                          f"for {family_id}")
-    return ctor(dict(bindings))
+    return ctor(family_id, dict(bindings))
 
 
 def _field(fid, bindings, u, v, validity=lambda p: True) -> SolutionField:
@@ -262,63 +296,80 @@ def _field(fid, bindings, u, v, validity=lambda p: True) -> SolutionField:
                          params=bindings, validity=validity)
 
 
+def default_box(family_id: str) -> tuple:
+    """The family's (t, x, y) sampling box; the common box for other ids."""
+    entry = _FAMILIES.get(family_id)
+    return entry[1].box if entry else _COMMON_BOX
+
+
+def sample_bindings(family_id: str, rng) -> dict:
+    """Random but chart-safe bindings for randomized residual sweeps."""
+    entry = _FAMILIES.get(family_id)
+    return entry[1].sampler(rng) if entry else {}
+
+
+def _witness_off_zero(w: HeatWitness) -> JetMap:
+    """``w.Phi``, raising DomainError near the witness's zero set."""
+    def phi(p, n):
+        f = w.Phi(p, n)
+        if abs(f.value) < MARGIN * 0.2:
+            raise DomainError("witness zero")
+        return f
+    return phi
+
+
 # -- v_x = 0: backward-heat Hopf-Cole --------------------------------------
 
 @_register(FamilyDescriptor(
     "F_VX0", "UV", (("Phi", "heat_witness_backward"),),
-    "v_x=0", "u=-Phi_x/Phi, v=0 with Phi_t+Phi_xx-H*Phi=0"))
-def _f_vx0(b):
+    "v_x=0", "u=-Phi_x/Phi, v=0 with Phi_t+Phi_xx-H*Phi=0",
+    sampler=lambda rng: {"Phi": heat_witness_library(
+        "plane_exp", k=float(rng.uniform(0.5, 1.5)), direction="backward")}))
+def _f_vx0(fid, b):
     w = _require_witness(b.get("Phi") or heat_witness_library(
         "plane_exp", k=1.0, direction="backward"), "backward")
+    phi = _witness_off_zero(w)
 
     def u(p, n):
-        f = w.Phi(p, n + 1)
-        if abs(f.value) < MARGIN * 0.2:
-            raise DomainError("witness zero")
+        f = phi(p, n + 1)
         return -f.derive("x") / f.truncate(n)
 
     def v(p, n):
         return Jet3.constant(0.0, p, n)
-
-    def ok(p):
-        try:
-            return abs(w.Phi(p, 0).value) > MARGIN * 0.2
-        except DomainError:
-            return False
-    return _field("F_VX0", {"Phi": w.label}, u, v, ok)
+    return _field(fid, {"Phi": w.label}, u, v, defined_where(phi))
 
 
 # -- u_y = v_x: two-dimensional Hopf-Cole ----------------------------------
 
+def _hopfcole_sample(rng) -> dict:
+    k = float(rng.uniform(0.5, 1.5))
+    return {"Phi": combine_witnesses(
+        [heat_witness_library("plane_exp", k=k),
+         heat_witness_library("heat_polynomial", n=2)],
+        [parse("1+0.25*y^2", "y"), parse(_ypick(rng), "y")])}
+
+
 @_register(FamilyDescriptor(
     "F_HOPFCOLE2D", "UV", (("Phi", "heat_witness_forward"),),
-    "u_y=v_x", "u=Phi_x/Phi, v=Phi_y/Phi with Phi_t-Phi_xx+H*Phi=0"))
-def _f_hopfcole(b):
+    "u_y=v_x", "u=Phi_x/Phi, v=Phi_y/Phi with Phi_t-Phi_xx+H*Phi=0",
+    sampler=_hopfcole_sample))
+def _f_hopfcole(fid, b):
     w = b.get("Phi")
     if w is None:
         w = combine_witnesses(
             [heat_witness_library("plane_exp", k=1.0)],
             [parse("1+y^2", "y")])
     _require_witness(w, "forward")
+    phi = _witness_off_zero(w)
 
     def u(p, n):
-        f = w.Phi(p, n + 1)
-        if abs(f.value) < MARGIN * 0.2:
-            raise DomainError("witness zero")
+        f = phi(p, n + 1)
         return f.derive("x") / f.truncate(n)
 
     def v(p, n):
-        f = w.Phi(p, n + 1)
-        if abs(f.value) < MARGIN * 0.2:
-            raise DomainError("witness zero")
+        f = phi(p, n + 1)
         return f.derive("y") / f.truncate(n)
-
-    def ok(p):
-        try:
-            return abs(w.Phi(p, 0).value) > MARGIN * 0.2
-        except DomainError:
-            return False
-    return _field("F_HOPFCOLE2D", {"Phi": w.label}, u, v, ok)
+    return _field(fid, {"Phi": w.label}, u, v, defined_where(phi))
 
 
 # -- stationary solutions with u_y = v_x, v != 0 ---------------------------
@@ -326,8 +377,10 @@ def _f_hopfcole(b):
 @_register(FamilyDescriptor(
     "F_STATLIOUVILLE", "UV", (("zeta", "expr_of_x"),),
     "u_y=v_x stationary",
-    "u=-zeta_xx/(2 zeta_x)+zeta_x/(y+zeta), v=1/(y+zeta)"))
-def _f_statliouville(b):
+    "u=-zeta_xx/(2 zeta_x)+zeta_x/(y+zeta), v=1/(y+zeta)",
+    sampler=lambda rng: {"zeta": _pick(rng, [
+        "exp(x)", "exp(0.7*x)", "x+0.2*x^3+4", "2*x+sin(x)+5"])}))
+def _f_statliouville(fid, b):
     ze = _exprify(b.get("zeta", "exp(x)"), "x")
 
     def parts(p, n):
@@ -348,33 +401,27 @@ def _f_statliouville(b):
     def v(p, n):
         _, _, den = parts(p, n)
         return 1.0 / den
-
-    def ok(p):
-        try:
-            parts(p, 0)
-            return True
-        except DomainError:
-            return False
-    return _field("F_STATLIOUVILLE", {"zeta": ze.pretty()}, u, v, ok)
+    return _field(fid, {"zeta": ze.pretty()}, u, v, defined_where(parts))
 
 
 # -- u_y = 0 trio -----------------------------------------------------------
 
 @_register(FamilyDescriptor(
     "F_UY0_TRIV", "UV", (), "u_y=0", "u=0, v=x"))
-def _f_uy0_triv(b):
+def _f_uy0_triv(fid, b):
     def u(p, n):
         return Jet3.constant(0.0, p, n)
 
     def v(p, n):
         return jets.lift_variable("x", p, n)
-    return _field("F_UY0_TRIV", {}, u, v)
+    return _field(fid, {}, u, v)
 
 
 @_register(FamilyDescriptor(
     "F_UY0_QA", "UV", (("zeta", "expr_of_y"),),
-    "u_y=0", "u=0, v=x^2+zeta(y)*x+2t"))
-def _f_uy0_qa(b):
+    "u_y=0", "u=0, v=x^2+zeta(y)*x+2t",
+    sampler=lambda rng: {"zeta": _ypick(rng)}))
+def _f_uy0_qa(fid, b):
     ze = _exprify(b.get("zeta", "sin(y)"), "y")
 
     def u(p, n):
@@ -383,13 +430,15 @@ def _f_uy0_qa(b):
     def v(p, n):
         t, x, _ = jets.coordinate_jets(p, n)
         return x * x + _jy(ze, p, n) * x + 2.0 * t
-    return _field("F_UY0_QA", {"zeta": ze.pretty()}, u, v)
+    return _field(fid, {"zeta": ze.pretty()}, u, v)
 
 
 @_register(FamilyDescriptor(
     "F_UY0_QB", "UV", (("theta", "expr_of_t"),),
-    "u_y=0", "u=(theta_t-1)/(2x), v=x^2+2*theta(t)"))
-def _f_uy0_qb(b):
+    "u_y=0", "u=(theta_t-1)/(2x), v=x^2+2*theta(t)",
+    box=((0.2, 1.2), (0.6, 1.6), (0.1, 1.0)),
+    sampler=lambda rng: {"theta": _tpick(rng)}))
+def _f_uy0_qb(fid, b):
     th = _exprify(b.get("theta", "t^2"), "t")
     dth = th.diff()
 
@@ -402,7 +451,7 @@ def _f_uy0_qb(b):
     def v(p, n):
         _, x, _ = jets.coordinate_jets(p, n)
         return x * x + 2.0 * _jt(th, p, n)
-    return _field("F_UY0_QB", {"theta": th.pretty()}, u, v,
+    return _field(fid, {"theta": th.pretty()}, u, v,
                   lambda p: abs(p.x) > MARGIN)
 
 
@@ -417,13 +466,20 @@ def _vx_parts(al, be, p, n):
     return xi, T
 
 
+def _alpha_beta_gamma(rng) -> dict:
+    return {"alpha": _ypick(rng), "beta": "2+" + _ypick(rng),
+            "gamma": _ypick(rng)}
+
+
 @_register(FamilyDescriptor(
     "F_VXXX_1", "UV",
     (("alpha", "expr_of_y"), ("beta", "expr_of_y"), ("gamma", "expr_of_y"),
      ("delta", "flag01")),
     "v_xxx=0",
-    "u=-(x+alpha)/(2(t+beta)), v=delta*r^2+gamma*r-2delta/(t+beta)"))
-def _f_vxxx1(b):
+    "u=-(x+alpha)/(2(t+beta)), v=delta*r^2+gamma*r-2delta/(t+beta)",
+    sampler=lambda rng: {**_alpha_beta_gamma(rng),
+                         "delta": int(rng.integers(0, 2))}))
+def _f_vxxx1(fid, b):
     al = _exprify(b.get("alpha", "sin(y)"), "y")
     be = _exprify(b.get("beta", "2+cos(y)"), "y")
     ga = _exprify(b.get("gamma", "y"), "y")
@@ -439,24 +495,21 @@ def _f_vxxx1(b):
         xi, T = _vx_parts(al, be, p, n)
         r = xi / T
         return de * r * r + _jy(ga, p, n) * r - 2.0 * de / T
-
-    def ok(p):
-        try:
-            _vx_parts(al, be, p, 0)
-            return True
-        except DomainError:
-            return False
-    return _field("F_VXXX_1",
+    return _field(fid,
                   {"alpha": al.pretty(), "beta": be.pretty(),
-                   "gamma": ga.pretty(), "delta": de}, u, v, ok)
+                   "gamma": ga.pretty(), "delta": de}, u, v,
+                  defined_where(partial(_vx_parts, al, be)))
 
 
 @_register(FamilyDescriptor(
     "F_VXXX_2", "UV",
     (("beta", "expr_of_y"), ("theta", "expr_of_t"), ("t0", "real")),
     "v_xxx=0",
-    "u=-x/(2(t+beta))+theta/x, v=x^2/(t+beta)^2+2*int((2theta+1)/(t'+beta)^2)"))
-def _f_vxxx2(b):
+    "u=-x/(2(t+beta))+theta/x, v=x^2/(t+beta)^2+2*int((2theta+1)/(t'+beta)^2)",
+    box=((0.8, 1.4), (0.6, 1.6), (0.1, 1.0)),
+    sampler=lambda rng: {"beta": "2+" + _ypick(rng), "theta": _tpick(rng),
+                         "t0": 1.0}))
+def _f_vxxx2(fid, b):
     be = _exprify(b.get("beta", "2+cos(y)"), "y")
     th = _exprify(b.get("theta", "t"), "t")
     t0 = float(b.get("t0", 1.0))
@@ -502,7 +555,7 @@ def _f_vxxx2(b):
             return False
         lo, hi = min(t0, p.t), max(t0, p.t)
         return min(lo + bv, hi + bv) > MARGIN or max(lo + bv, hi + bv) < -MARGIN
-    return _field("F_VXXX_2",
+    return _field(fid,
                   {"beta": be.pretty(), "theta": th.pretty(), "t0": t0},
                   u, v, ok)
 
@@ -512,8 +565,9 @@ def _f_vxxx2(b):
     (("alpha", "expr_of_y"), ("beta", "expr_of_y"), ("gamma", "expr_of_y")),
     "v_xxx=0",
     "u=-(x+alpha)/(2(t+beta))-1/(x+alpha+gamma(t+beta)), "
-    "v=(r+gamma)^2+2/(t+beta)"))
-def _f_vxxx3(b):
+    "v=(r+gamma)^2+2/(t+beta)",
+    sampler=_alpha_beta_gamma))
+def _f_vxxx3(fid, b):
     al = _exprify(b.get("alpha", "sin(y)"), "y")
     be = _exprify(b.get("beta", "2+cos(y)"), "y")
     ga = _exprify(b.get("gamma", "y"), "y")
@@ -534,23 +588,17 @@ def _f_vxxx3(b):
         xi, T, g, om = parts(p, n)
         r = xi / T + g
         return r * r + 2.0 / T
-
-    def ok(p):
-        try:
-            parts(p, 0)
-            return True
-        except DomainError:
-            return False
-    return _field("F_VXXX_3",
+    return _field(fid,
                   {"alpha": al.pretty(), "beta": be.pretty(),
-                   "gamma": ga.pretty()}, u, v, ok)
+                   "gamma": ga.pretty()}, u, v, defined_where(parts))
 
 
 @_register(FamilyDescriptor(
     "F_VXXX_4", "UV", (("alpha", "expr_of_y"), ("gamma", "expr_of_y")),
     "v_xxx=0",
-    "u=alpha, v=alpha*(x+2 alpha t)^2+gamma*(x+2 alpha t)-x"))
-def _f_vxxx4(b):
+    "u=alpha, v=alpha*(x+2 alpha t)^2+gamma*(x+2 alpha t)-x",
+    sampler=lambda rng: {"alpha": _ypick(rng), "gamma": _ypick(rng)}))
+def _f_vxxx4(fid, b):
     al = _exprify(b.get("alpha", "sin(y)"), "y")
     ga = _exprify(b.get("gamma", "y"), "y")
 
@@ -562,15 +610,15 @@ def _f_vxxx4(b):
         a = _jy(al, p, n)
         e = x + 2.0 * a * t
         return a * e * e + _jy(ga, p, n) * e - x
-    return _field("F_VXXX_4", {"alpha": al.pretty(), "gamma": ga.pretty()},
-                  u, v)
+    return _field(fid, {"alpha": al.pretty(), "gamma": ga.pretty()}, u, v)
 
 
 @_register(FamilyDescriptor(
     "F_VXXX_5", "UV", (("alpha", "expr_of_y"), ("beta", "expr_of_y")),
     "v_xxx=0",
-    "u=alpha-1/(x+2 alpha t+beta), v=(x+2 alpha t+beta)^2-2t"))
-def _f_vxxx5(b):
+    "u=alpha-1/(x+2 alpha t+beta), v=(x+2 alpha t+beta)^2-2t",
+    sampler=lambda rng: {"alpha": _ypick(rng), "beta": "3+" + _ypick(rng)}))
+def _f_vxxx5(fid, b):
     al = _exprify(b.get("alpha", "sin(y)"), "y")
     be = _exprify(b.get("beta", "2+cos(y)"), "y")
 
@@ -588,15 +636,8 @@ def _f_vxxx5(b):
         t, _, _ = jets.coordinate_jets(p, n)
         w = om(p, n)
         return w * w - 2.0 * t
-
-    def ok(p):
-        try:
-            om(p, 0)
-            return True
-        except DomainError:
-            return False
-    return _field("F_VXXX_5", {"alpha": al.pretty(), "beta": be.pretty()},
-                  u, v, ok)
+    return _field(fid, {"alpha": al.pretty(), "beta": be.pretty()},
+                  u, v, defined_where(om))
 
 
 # -- u_xx = v_4x = 0 pair ---------------------------------------------------
@@ -605,8 +646,10 @@ def _f_vxxx5(b):
     "F_UXXV4X_A", "UV",
     (("alpha", "expr_of_y"), ("beta", "expr_of_y"), ("gamma", "expr_of_y")),
     "u_xx=0, v_4x=0",
-    "u=12ty+alpha, v=E^3+(6t+gamma)E, E=x+12t^2 y+2t alpha+beta"))
-def _f_uxxv4x_a(b):
+    "u=12ty+alpha, v=E^3+(6t+gamma)E, E=x+12t^2 y+2t alpha+beta",
+    sampler=lambda rng: {"alpha": _ypick(rng), "beta": _ypick(rng),
+                         "gamma": _ypick(rng)}))
+def _f_uxxv4x_a(fid, b):
     al = _exprify(b.get("alpha", "sin(y)"), "y")
     be = _exprify(b.get("beta", "y"), "y")
     ga = _exprify(b.get("gamma", "cos(y)"), "y")
@@ -619,7 +662,7 @@ def _f_uxxv4x_a(b):
         t, x, y = jets.coordinate_jets(p, n)
         e = x + 12.0 * t * t * y + 2.0 * t * _jy(al, p, n) + _jy(be, p, n)
         return e * e * e + (6.0 * t + _jy(ga, p, n)) * e
-    return _field("F_UXXV4X_A",
+    return _field(fid,
                   {"alpha": al.pretty(), "beta": be.pretty(),
                    "gamma": ga.pretty()}, u, v)
 
@@ -630,8 +673,9 @@ def _f_uxxv4x_a(b):
      ("lam", "expr_of_y")),
     "u_xx=0, v_4x=0",
     "u=-w/2+6/(t+beta), v=beta_y w^3+gamma w^2+lam w-6 beta_y w/(t+beta)"
-    "-2 gamma/(t+beta); w=(x+alpha)/(t+beta)+12 ln|t+beta|/(t+beta)"))
-def _f_uxxv4x_b(b):
+    "-2 gamma/(t+beta); w=(x+alpha)/(t+beta)+12 ln|t+beta|/(t+beta)",
+    sampler=lambda rng: {**_alpha_beta_gamma(rng), "lam": _ypick(rng)}))
+def _f_uxxv4x_b(fid, b):
     al = _exprify(b.get("alpha", "sin(y)"), "y")
     be = _exprify(b.get("beta", "2+cos(y)"), "y")
     ga = _exprify(b.get("gamma", "y"), "y")
@@ -657,16 +701,10 @@ def _f_uxxv4x_b(b):
         g = _jy(ga, p, n)
         return (by * w * w * w + g * w * w + _jy(la, p, n) * w
                 - 6.0 * by * w / T - 2.0 * g / T)
-
-    def ok(p):
-        try:
-            parts(p, 0)
-            return True
-        except DomainError:
-            return False
-    return _field("F_UXXV4X_B",
+    return _field(fid,
                   {"alpha": al.pretty(), "beta": be.pretty(),
-                   "gamma": ga.pretty(), "lam": la.pretty()}, u, v, ok)
+                   "gamma": ga.pretty(), "lam": la.pretty()}, u, v,
+                  defined_where(parts))
 
 
 # -- u_xx = 0 Bernoulli branch ----------------------------------------------
@@ -678,8 +716,13 @@ def _f_uxxv4x_b(b):
     "u_xx=0",
     "chi=(1/8)sqrt(beta_y/(t-beta)); w=(x+psi)sqrt(chi_t); "
     "u=w_t/(2 sqrt(chi_t)); v=w^4+(12chi+alpha2)w^2+alpha1 w"
-    "+2chi(6chi+alpha2)"))
-def _f_uxx_bernoulli(b):
+    "+2chi(6chi+alpha2)",
+    box=((0.6, 1.1), (-0.5, 0.5), (-2.1, -1.5)),
+    sampler=lambda rng: {
+        "beta": _pick(rng, ["-y", "-y-0.1*y^2", "-1.2*y"]),
+        "alpha2": _ypick(rng), "alpha1": _ypick(rng),
+        "lam1": _ypick(rng), "lam0": _ypick(rng), "y0": -2.0}))
+def _f_uxx_bernoulli(fid, b):
     be = _exprify(b.get("beta", "-y"), "y")
     a2 = _exprify(b.get("alpha2", "0"), "y")
     a1 = _exprify(b.get("alpha1", "0"), "y")
@@ -739,7 +782,7 @@ def _f_uxx_bernoulli(b):
             return True
         except DomainError:
             return False
-    return _field("F_UXX_BERNOULLI",
+    return _field(fid,
                   {"beta": be.pretty(), "alpha2": a2.pretty(),
                    "alpha1": a1.pretty(), "lam1": l1.pretty(),
                    "lam0": l0.pretty(), "y0": y0}, u, v, ok)
@@ -749,8 +792,10 @@ def _f_uxx_bernoulli(b):
 
 @_register(FamilyDescriptor(
     "F_UEQV", "UV", (("alpha", "expr_of_y"),),
-    "u=v", "u=v=1/(x+y)+(x+y)/(-2t+alpha)"))
-def _f_ueqv(b):
+    "u=v", "u=v=1/(x+y)+(x+y)/(-2t+alpha)",
+    box=((0.8, 1.6), (0.4, 1.2), (0.3, 1.1)),
+    sampler=lambda rng: {"alpha": "4+" + _ypick(rng)}))
+def _f_ueqv(fid, b):
     al = _exprify(b.get("alpha", "sin(y)"), "y")
 
     def u(p, n):
@@ -762,14 +807,7 @@ def _f_ueqv(b):
         if abs(den.value) < MARGIN:
             raise DomainError("alpha - 2t near zero")
         return 1.0 / z + z / den
-
-    def ok(p):
-        try:
-            u(p, 0)
-            return True
-        except DomainError:
-            return False
-    return _field("F_UEQV", {"alpha": al.pretty()}, u, u, ok)
+    return _field(fid, {"alpha": al.pretty()}, u, u, defined_where(u))
 
 
 # -- reduction 2.9, elliptic and elementary branches ------------------------
@@ -803,19 +841,6 @@ class _Antiderivative:
         return val
 
 
-def _phi_series_from_jetfn(phi, w0: float, order: int, base: Point):
-    """Univariate Taylor coefficients of a jet-capable callable at w0."""
-    probe = jets.lift_variable("x", Point(base.t, w0, base.y), order)
-    out = phi(probe)
-    # x-power coefficients are exactly the univariate Taylor coefficients
-    coeffs = np.zeros(order + 1)
-    tab = jets._tables(order)
-    for m, e in enumerate(tab.exps):
-        if e[0] == 0 and e[2] == 0:
-            coeffs[e[1]] = out.coeffs[m]
-    return coeffs
-
-
 def _r29_field(fid, bindings, phi, C0: float, delta: float, omega0: float,
                pole_probe) -> SolutionField:
     """Lift a reduced profile phi(omega), omega = x+y, to a (u,v) field."""
@@ -833,7 +858,8 @@ def _r29_field(fid, bindings, phi, C0: float, delta: float, omega0: float,
         t = jets.lift_variable("t", p, n)
         wj = omega_jet(p, n)
         w0 = wj.value
-        pser = _phi_series_from_jetfn(phi, w0, n + 1, p)
+        pser = jets.axis_series(
+            phi(jets.lift_variable("x", Point(p.t, w0, p.y), n + 1)), "x")
         q = np.zeros(n + 1)
         q[0] = anti(w0)
         sq = np.convolve(pser, pser)[: n + 1]
@@ -856,14 +882,23 @@ def _r29_field(fid, bindings, phi, C0: float, delta: float, omega0: float,
     return _field(fid, bindings, u, v, ok)
 
 
+def _r29_elliptic_sample(rng) -> dict:
+    # tuples with a verified pole-free window over omega in (0.05, 1.35)
+    C0, de, C2 = _pick(rng, [(1.0, 1.0, 3.0), (0.6, 0.8, 2.0),
+                             (0.5, 1.2, 3.5), (0.9, 1.1, 1.8)])
+    return {"C0": C0, "delta": de, "C2": C2, "a": None, "omega0": 0.85}
+
+
 @_register(FamilyDescriptor(
     "F_R29_ELLIPTIC", "UV",
     (("C0", "real"), ("delta", "real"), ("C2", "real"), ("a", "real"),
      ("omega0", "real")),
     "codim-2 reduction, omega=x+y",
     "u=phi(omega) with phi'^2=phi^4+2C0 phi^2+4 delta phi+C2; "
-    "v=-int(phi^2)/2+phi/2-C0 omega/2+delta t"))
-def _f_r29_elliptic(b):
+    "v=-int(phi^2)/2+phi/2-C0 omega/2+delta t",
+    box=((0.1, 1.0), (0.25, 0.55), (0.3, 0.6)),
+    sampler=_r29_elliptic_sample))
+def _f_r29_elliptic(fid, b):
     from .specfun import QuarticODE, quartic_particular_solution
     C0 = float(b.get("C0", 1.0))
     delta = float(b.get("delta", 1.0))
@@ -878,7 +913,7 @@ def _f_r29_elliptic(b):
         a = 2.0 * abs(C0) + abs(C2) + 1.0
     phi = quartic_particular_solution(q, a)
     return _r29_field(
-        "F_R29_ELLIPTIC",
+        fid,
         {"C0": C0, "delta": delta, "C2": C2, "a": a, "omega0": omega0},
         phi, C0, delta, omega0, phi)
 
@@ -886,8 +921,9 @@ def _f_r29_elliptic(b):
 @_register(FamilyDescriptor(
     "F_R29_ELEM_1", "UV", (),
     "codim-2 reduction, omega=x+y",
-    "u=1/(w-1)-1/(w+1)+1/2, v=1/(w-1)+(w+t)/4"))
-def _f_r29_elem1(b):
+    "u=1/(w-1)-1/(w+1)+1/2, v=1/(w-1)+(w+t)/4",
+    box=((0.1, 1.0), (1.3, 2.2), (0.3, 1.2))))
+def _f_r29_elem1(fid, b):
     def u(p, n):
         x, y = jets.lift_variable("x", p, n), jets.lift_variable("y", p, n)
         w = x + y
@@ -905,15 +941,17 @@ def _f_r29_elem1(b):
     def ok(p):
         w = p.x + p.y
         return abs(w - 1.0) > MARGIN and abs(w + 1.0) > MARGIN
-    return _field("F_R29_ELEM_1", {}, u, v, ok)
+    return _field(fid, {}, u, v, ok)
 
 
 @_register(FamilyDescriptor(
     "F_R29_ELEM_2", "UV", (("kappa", "real"),),
     "codim-2 reduction, omega=x+y",
     "u=4e^w/(4(e^w+kappa)^2-1)-kappa, "
-    "v=-(2kappa-1)/(2e^w+2kappa-1)+((4kappa^2-1)/4)(w-2kappa t)"))
-def _f_r29_elem2(b):
+    "v=-(2kappa-1)/(2e^w+2kappa-1)+((4kappa^2-1)/4)(w-2kappa t)",
+    box=((0.1, 1.0), (0.2, 1.0), (0.3, 1.2)),
+    sampler=lambda rng: {"kappa": float(rng.uniform(0.4, 1.0))}))
+def _f_r29_elem2(fid, b):
     ka = float(b.get("kappa", 0.7))
 
     def parts(p, n):
@@ -934,22 +972,17 @@ def _f_r29_elem2(b):
         t, w, _, _, d2 = parts(p, n)
         return (-(2.0 * ka - 1.0) / d2
                 + (4.0 * ka * ka - 1.0) / 4.0 * (w - 2.0 * ka * t))
-
-    def ok(p):
-        try:
-            parts(p, 0)
-            return True
-        except DomainError:
-            return False
-    return _field("F_R29_ELEM_2", {"kappa": ka}, u, v, ok)
+    return _field(fid, {"kappa": ka}, u, v, defined_where(parts))
 
 
 @_register(FamilyDescriptor(
     "F_R29_ELEM_3", "UV", (("nu", "real"),),
     "codim-2 reduction, omega=x+y",
     "u=sin(nu)/(sin w+cos nu)+cot(nu)/2, "
-    "v=(1-sin(w-nu))/(2cos(w-nu))+(w+t cot nu)/(4 sin^2 nu)"))
-def _f_r29_elem3(b):
+    "v=(1-sin(w-nu))/(2cos(w-nu))+(w+t cot nu)/(4 sin^2 nu)",
+    box=((0.1, 1.0), (0.2, 0.8), (0.3, 0.9)),
+    sampler=lambda rng: {"nu": float(rng.uniform(0.6, 1.2))}))
+def _f_r29_elem3(fid, b):
     nu = float(b.get("nu", 0.9))
     if abs(math.sin(nu)) < 1e-9:
         raise BadBinding("sin(nu) must be nonzero")
@@ -972,14 +1005,7 @@ def _f_r29_elem3(b):
         t, w, _, d2 = parts(p, n)
         return ((1.0 - jets.sin(w - nu)) / (2.0 * d2)
                 + (w + t * cot) / (4.0 * math.sin(nu) ** 2))
-
-    def ok(p):
-        try:
-            parts(p, 0)
-            return True
-        except DomainError:
-            return False
-    return _field("F_R29_ELEM_3", {"nu": nu}, u, v, ok)
+    return _field(fid, {"nu": nu}, u, v, defined_where(parts))
 
 
 # -- reduction 2.2, elementary trio; tau = ln|x| + ln|y|/2 -------------------
@@ -993,42 +1019,48 @@ def _tau(p, n):
     return jets.ln(jets.abs_signed(x)) + 0.5 * jets.ln(jets.abs_signed(y)), x, y
 
 
+_R22_BOX = ((0.1, 1.0), (1.4, 2.4), (1.3, 2.3))
+
+
+def _eps1(rng) -> int:
+    return int(rng.choice([-1, 1]))
+
+
 @_register(FamilyDescriptor(
     "F_R22_ELEM_1", "UV", (("eps1", "sign"),),
     "codim-2 reduction, tau=ln|x|+ln|y|/2",
-    "u=-e1/(x tau)-e1/(2x), v=(1-e1)/(4y tau)+(1-2e1)/(16y)"))
-def _f_r22_elem1(b):
+    "u=-e1/(x tau)-e1/(2x), v=(1-e1)/(4y tau)+(1-2e1)/(16y)",
+    box=_R22_BOX, sampler=lambda rng: {"eps1": _eps1(rng)}))
+def _f_r22_elem1(fid, b):
     e1 = float(b.get("eps1", -1))
     if e1 not in (1.0, -1.0):
         raise BadBinding("eps1 must be +1 or -1")
 
-    def u(p, n):
-        tau, x, _ = _tau(p, n)
+    def parts(p, n):
+        tau, x, y = _tau(p, n)
         if abs(tau.value) < MARGIN:
             raise DomainError("tau near zero")
+        return tau, x, y
+
+    def u(p, n):
+        tau, x, _ = parts(p, n)
         return -e1 / (x * tau) - e1 / (2.0 * x)
 
     def v(p, n):
-        tau, _, y = _tau(p, n)
-        if abs(tau.value) < MARGIN:
-            raise DomainError("tau near zero")
+        tau, _, y = parts(p, n)
         return (1.0 - e1) / (4.0 * y * tau) + (1.0 - 2.0 * e1) / (16.0 * y)
-
-    def ok(p):
-        try:
-            tau, _, _ = _tau(p, 0)
-            return abs(tau.value) > MARGIN
-        except DomainError:
-            return False
-    return _field("F_R22_ELEM_1", {"eps1": e1}, u, v, ok)
+    return _field(fid, {"eps1": e1}, u, v, defined_where(parts))
 
 
 @_register(FamilyDescriptor(
     "F_R22_ELEM_2", "UV", (("eps1", "sign"), ("kappa", "real")),
     "codim-2 reduction, tau=ln|x|+ln|y|/2",
     "u=e1 kappa tan(kappa tau)/x-e1/(2x), "
-    "v=-(1-e1)kappa tan(kappa tau)/(4y)+(1-2e1-4kappa^2)/(16y)"))
-def _f_r22_elem2(b):
+    "v=-(1-e1)kappa tan(kappa tau)/(4y)+(1-2e1-4kappa^2)/(16y)",
+    box=_R22_BOX,
+    sampler=lambda rng: {"eps1": _eps1(rng),
+                         "kappa": float(rng.uniform(0.3, 0.8))}))
+def _f_r22_elem2(fid, b):
     e1 = float(b.get("eps1", -1))
     ka = float(b.get("kappa", 0.7))
     if e1 not in (1.0, -1.0):
@@ -1048,13 +1080,11 @@ def _f_r22_elem2(b):
         return (-(1.0 - e1) * ka * tn / (4.0 * y)
                 + (1.0 - 2.0 * e1 - 4.0 * ka * ka) / (16.0 * y))
 
-    def ok(p):
-        try:
-            tau, _, _ = _tau(p, 0)
-            return abs(math.cos(ka * tau.value)) > MARGIN
-        except DomainError:
-            return False
-    return _field("F_R22_ELEM_2", {"eps1": e1, "kappa": ka}, u, v, ok)
+    def chart(p, n):
+        tau, _, _ = _tau(p, n)
+        if abs(math.cos(ka * tau.value)) <= MARGIN:
+            raise DomainError("near a pole of tan")
+    return _field(fid, {"eps1": e1, "kappa": ka}, u, v, defined_where(chart))
 
 
 @_register(FamilyDescriptor(
@@ -1062,8 +1092,12 @@ def _f_r22_elem2(b):
                            ("nu", "real")),
     "codim-2 reduction, tau=ln|x|+ln|y|/2",
     "u=-e1 kappa (E-nu)/(x(E+nu))-e1/(2x), E=e^(2 kappa tau); "
-    "v=-(1-e1)kappa nu/(2y(E+nu))+(1-2e1+4kappa(kappa+1-e1))/(16y)"))
-def _f_r22_elem3(b):
+    "v=-(1-e1)kappa nu/(2y(E+nu))+(1-2e1+4kappa(kappa+1-e1))/(16y)",
+    box=_R22_BOX,
+    sampler=lambda rng: {"eps1": _eps1(rng),
+                         "kappa": float(rng.uniform(0.3, 0.8)),
+                         "nu": float(rng.uniform(0.5, 1.3))}))
+def _f_r22_elem3(fid, b):
     e1 = float(b.get("eps1", -1))
     ka = float(b.get("kappa", 0.7))
     nu = float(b.get("nu", 0.9))
@@ -1085,26 +1119,27 @@ def _f_r22_elem3(b):
         E, _, y = parts(p, n)
         return (-(1.0 - e1) * ka * nu / (2.0 * y * (E + nu))
                 + (1.0 - 2.0 * e1 + 4.0 * ka * (ka + 1.0 - e1)) / (16.0 * y))
-
-    def ok(p):
-        try:
-            parts(p, 0)
-            return True
-        except DomainError:
-            return False
-    return _field("F_R22_ELEM_3", {"eps1": e1, "kappa": ka, "nu": nu},
-                  u, v, ok)
+    return _field(fid, {"eps1": e1, "kappa": ka, "nu": nu},
+                  u, v, defined_where(parts))
 
 
 # -- Painleve-backed reductions ---------------------------------------------
+
+def _r24_sample(rng) -> dict:
+    # (C1, phi0) pairs verified free of movable poles on the span
+    C1, f0 = _pick(rng, [(0.8, 0.88), (1.1, 0.88), (1.4, 1.06), (1.7, 1.06)])
+    return {"C0": 0.125, "C1": C1, "eps": 1,
+            "init": (0.0, f0, 0.0), "span": (-1.2, 1.2)}
+
 
 @_register(FamilyDescriptor(
     "F_R24_PAINLEVE4", "UV",
     (("C0", "real"), ("C1", "real"), ("eps", "sign"), ("init", "triple"),
      ("span", "pair")),
     "codim-2 reduction, w=(x+y)/(2 sqrt|t|)",
-    "u=-eps phi(w)/(2 sqrt|t|)-(x+y)/(2t), v=psi(w)/sqrt|t|"))
-def _f_r24(b):
+    "u=-eps phi(w)/(2 sqrt|t|)-(x+y)/(2t), v=psi(w)/sqrt|t|",
+    box=((0.5, 1.2), (-0.4, 0.4), (-0.4, 0.4)), sampler=_r24_sample))
+def _f_r24(fid, b):
     from . import reductions
     spec = reductions.ReductionSpec(
         id="R2_4", C0=float(b.get("C0", 0.125)), C1=float(b.get("C1", 1.0)),
@@ -1121,8 +1156,11 @@ def _f_r24(b):
      ("init", "triple"), ("span", "pair")),
     "codim-2 reduction, omega=x+y",
     "u=phi(omega) via the second Painleve transcendent; "
-    "v=(phi_w^2-(phi^2+C1 w+C0)^2-4 delta phi-C2)/(4C1)+delta t"))
-def _f_r29p2(b):
+    "v=(phi_w^2-(phi^2+C1 w+C0)^2-4 delta phi-C2)/(4C1)+delta t",
+    box=((0.1, 1.0), (-0.75, -0.45), (-0.35, 0.0)),
+    sampler=lambda rng: {"C0": 0.0, "C1": 2.0, "delta": 1, "C2": 0.0,
+                         "init": (-2.0, 0.5, 0.25), "span": (-2.5, -0.5)}))
+def _f_r29p2(fid, b):
     from . import reductions
     spec = reductions.ReductionSpec(
         id="R2_9", C0=float(b.get("C0", 0.0)), C1=float(b.get("C1", 2.0)),
@@ -1153,8 +1191,12 @@ def sinh_gordon_kink(a: float = 2.0) -> JetMap:
     "F_SINHGORDON", "UV",
     (("theta", "jet_map"), ("variant", "sinh|cosh"), ("x0", "real")),
     "stationary, u_y=v_x",
-    "u=-theta_x/2, v=int_x0^x exp(theta) dx'; theta_xy=-4 sinh/cosh theta"))
-def _f_sinhgordon(b):
+    "u=-theta_x/2, v=int_x0^x exp(theta) dx'; theta_xy=-4 sinh/cosh theta",
+    box=((0.1, 1.0), (-1.6, -0.9), (0.2, 1.0)),
+    sampler=lambda rng: {
+        "theta": sinh_gordon_kink(float(rng.uniform(1.5, 2.5))),
+        "variant": "sinh", "x0": -1.8}))
+def _f_sinhgordon(fid, b):
     theta = b.get("theta") or sinh_gordon_kink()
     variant = b.get("variant", "sinh")
     x0 = float(b.get("x0", -1.0))
@@ -1199,7 +1241,7 @@ def _f_sinhgordon(b):
             return True
         except DomainError:
             return False
-    return _field("F_SINHGORDON", {"variant": variant, "x0": x0}, u, v, ok)
+    return _field(fid, {"variant": variant, "x0": x0}, u, v, ok)
 
 
 # -- directly catalogued Laplace-transform images ----------------------------
@@ -1212,8 +1254,9 @@ def _f_sinhgordon(b):
     "F_LAPLACE_IMG_FWD1", "UV",
     (("alpha", "expr_of_y"), ("beta", "expr_of_y"), ("gamma", "expr_of_y")),
     "forward Laplace image of F_VXXX_1 (delta=1)",
-    "u=-xi/(2T)+2/(2xi+gamma T); v has leading (beta_y+4)/4 (xi/T)^2"))
-def _f_img_fwd1(b):
+    "u=-xi/(2T)+2/(2xi+gamma T); v has leading (beta_y+4)/4 (xi/T)^2",
+    sampler=_alpha_beta_gamma))
+def _f_img_fwd1(fid, b):
     al = _exprify(b.get("alpha", "sin(y)"), "y")
     be = _exprify(b.get("beta", "2+cos(y)"), "y")
     ga = _exprify(b.get("gamma", "y"), "y")
@@ -1239,24 +1282,19 @@ def _f_img_fwd1(b):
                 + (2.0 * g - _jy(dal, p, n)) / 2.0 * r
                 - 1.5 * (by + 4.0) / T
                 + (2.0 * _jy(dal, p, n) + g * by + _jy(dga, p, n) * T) / den)
-
-    def ok(p):
-        try:
-            parts(p, 0)
-            return True
-        except DomainError:
-            return False
-    return _field("F_LAPLACE_IMG_FWD1",
+    return _field(fid,
                   {"alpha": al.pretty(), "beta": be.pretty(),
-                   "gamma": ga.pretty()}, u, v, ok)
+                   "gamma": ga.pretty()}, u, v, defined_where(parts))
 
 
 @_register(FamilyDescriptor(
     "F_LAPLACE_IMG_FWD4", "UV",
     (("alpha", "expr_of_y"), ("gamma", "expr_of_y")),
     "forward Laplace image of F_VXXX_4",
-    "u=alpha+2 alpha/(2 alpha E+gamma-1)"))
-def _f_img_fwd4(b):
+    "u=alpha+2 alpha/(2 alpha E+gamma-1)",
+    sampler=lambda rng: {"alpha": "1+0.3*" + _ypick(rng),
+                         "gamma": _ypick(rng)}))
+def _f_img_fwd4(fid, b):
     al = _exprify(b.get("alpha", "sin(y)"), "y")
     ga = _exprify(b.get("gamma", "y/2"), "y")
     dal, dga = al.diff(), ga.diff()
@@ -1283,23 +1321,18 @@ def _f_img_fwd4(b):
         num = 4.0 * t * A * A * Ay + A * _jy(dga, p, n) - Ay * (G - 1.0)
         return (A * e * e + G * e - x + Ay * x
                 + (2.0 * A * Ay + 4.0 * A) * t + num / (A * den))
-
-    def ok(p):
-        try:
-            parts(p, 0)
-            return True
-        except DomainError:
-            return False
-    return _field("F_LAPLACE_IMG_FWD4",
-                  {"alpha": al.pretty(), "gamma": ga.pretty()}, u, v, ok)
+    return _field(fid, {"alpha": al.pretty(), "gamma": ga.pretty()}, u, v,
+                  defined_where(parts))
 
 
 @_register(FamilyDescriptor(
     "F_LAPLACE_IMG_INV3", "UV",
     (("alpha", "expr_of_y"), ("beta", "expr_of_y"), ("gamma", "expr_of_y")),
     "inverse Laplace image of F_VXXX_3",
-    "rational in omega=x+alpha+gamma(t+beta) with cubic denominators"))
-def _f_img_inv3(b):
+    "rational in omega=x+alpha+gamma(t+beta) with cubic denominators",
+    sampler=lambda rng: {"alpha": _ypick(rng), "beta": "2+" + _ypick(rng),
+                         "gamma": "1+0.2*" + _ypick(rng)}))
+def _f_img_inv3(fid, b):
     al = _exprify(b.get("alpha", "sin(y)"), "y")
     be = _exprify(b.get("beta", "2+cos(y)"), "y")
     ga = _exprify(b.get("gamma", "y"), "y")
@@ -1336,23 +1369,17 @@ def _f_img_inv3(b):
         if not gamma_is_zero:
             out = out - (_jy(dga, p, n) / g) * (xi / om)
         return out
-
-    def ok(p):
-        try:
-            u(p, 4)
-            return True
-        except DomainError:
-            return False
-    return _field("F_LAPLACE_IMG_INV3",
+    return _field(fid,
                   {"alpha": al.pretty(), "beta": be.pretty(),
-                   "gamma": ga.pretty()}, u, v, ok)
+                   "gamma": ga.pretty()}, u, v, defined_where(u, order=4))
 
 
 @_register(FamilyDescriptor(
     "F_LAPLACE_IMG_INV3X", "UV", (),
     "inverse Laplace image of F_VXXX_3 at (gamma,alpha_y,beta_y)=(0,0,4)",
-    "u=1/x-2x/(x^2-2(t+4y))-x/(2(t+4y)), v=0"))
-def _f_img_inv3x(b):
+    "u=1/x-2x/(x^2-2(t+4y))-x/(2(t+4y)), v=0",
+    box=((0.2, 0.8), (2.6, 3.4), (0.3, 1.0))))
+def _f_img_inv3x(fid, b):
     def parts(p, n):
         t, x, y = jets.coordinate_jets(p, n)
         T = t + 4.0 * y
@@ -1369,14 +1396,7 @@ def _f_img_inv3x(b):
 
     def v(p, n):
         return Jet3.constant(0.0, p, n)
-
-    def ok(p):
-        try:
-            parts(p, 0)
-            return True
-        except DomainError:
-            return False
-    return _field("F_LAPLACE_IMG_INV3X", {}, u, v, ok)
+    return _field(fid, {}, u, v, defined_where(parts))
 
 
 @_register(FamilyDescriptor(
@@ -1385,8 +1405,9 @@ def _f_img_inv3x(b):
     "inverse Laplace image of F_VXXX_5",
     "u=alpha+(4w^3-alpha_y w^2+2 alpha_y t+beta_y)"
     "/(w(alpha_y w^2-2w^3+2 alpha_y t+beta_y)); "
-    "v=w^2-alpha_y(x+2 alpha t)-6t+(2 alpha_y t+beta_y)/w"))
-def _f_img_inv5(b):
+    "v=w^2-alpha_y(x+2 alpha t)-6t+(2 alpha_y t+beta_y)/w",
+    sampler=lambda rng: {"alpha": _ypick(rng), "beta": "4+" + _ypick(rng)}))
+def _f_img_inv5(fid, b):
     al = _exprify(b.get("alpha", "sin(y)"), "y")
     be = _exprify(b.get("beta", "2+cos(y)"), "y")
     dal, dbe = al.diff(), be.diff()
@@ -1413,134 +1434,5 @@ def _f_img_inv5(b):
         Ay, By = _jy(dal, p, n), _jy(dbe, p, n)
         return (om * om - Ay * (x + 2.0 * A * t) - 6.0 * t
                 + (2.0 * Ay * t + By) / om)
-
-    def ok(p):
-        try:
-            u(p, 4)
-            return True
-        except DomainError:
-            return False
-    return _field("F_LAPLACE_IMG_INV5",
-                  {"alpha": al.pretty(), "beta": be.pretty()}, u, v, ok)
-
-
-# ----------------------------------------------------------------------
-# binding samplers for randomized verification
-# ----------------------------------------------------------------------
-
-_Y_POOL = ["sin(y)", "0.3*y", "0.2*y^2", "cos(y)", "0.5+0.1*y",
-           "exp(0.2*y)"]
-_T_POOL = ["t", "0.5*t", "0.3*t^2", "sin(t)", "1+0.2*t"]
-
-
-def default_box(family_id: str) -> tuple:
-    """A (t, x, y) sampling box on which the family's charts are healthy."""
-    boxes = {
-        "F_R29_ELEM_1": ((0.1, 1.0), (1.3, 2.2), (0.3, 1.2)),
-        "F_R29_ELEM_2": ((0.1, 1.0), (0.2, 1.0), (0.3, 1.2)),
-        "F_R29_ELEM_3": ((0.1, 1.0), (0.2, 0.8), (0.3, 0.9)),
-        "F_R29_ELLIPTIC": ((0.1, 1.0), (0.25, 0.55), (0.3, 0.6)),
-        "F_R29_PAINLEVE2": ((0.1, 1.0), (-0.75, -0.45), (-0.35, 0.0)),
-        "F_R24_PAINLEVE4": ((0.5, 1.2), (-0.4, 0.4), (-0.4, 0.4)),
-        "F_R22_ELEM_1": ((0.1, 1.0), (1.4, 2.4), (1.3, 2.3)),
-        "F_R22_ELEM_2": ((0.1, 1.0), (1.4, 2.4), (1.3, 2.3)),
-        "F_R22_ELEM_3": ((0.1, 1.0), (1.4, 2.4), (1.3, 2.3)),
-        "F_UXX_BERNOULLI": ((0.6, 1.1), (-0.5, 0.5), (-2.1, -1.5)),
-        "F_SINHGORDON": ((0.1, 1.0), (-1.6, -0.9), (0.2, 1.0)),
-        "F_LAPLACE_IMG_INV3X": ((0.2, 0.8), (2.6, 3.4), (0.3, 1.0)),
-        "F_UY0_QB": ((0.2, 1.2), (0.6, 1.6), (0.1, 1.0)),
-        "F_VXXX_2": ((0.8, 1.4), (0.6, 1.6), (0.1, 1.0)),
-        "F_UEQV": ((0.8, 1.6), (0.4, 1.2), (0.3, 1.1)),
-    }
-    return boxes.get(family_id, ((0.6, 1.4), (0.3, 1.3), (0.2, 1.2)))
-
-
-def sample_bindings(family_id: str, rng) -> dict:
-    """Random but chart-safe bindings for randomized residual sweeps."""
-    def ypick():
-        return _Y_POOL[rng.integers(0, len(_Y_POOL))]
-
-    def tpick():
-        return _T_POOL[rng.integers(0, len(_T_POOL))]
-
-    if family_id in ("F_VX0",):
-        k = float(rng.uniform(0.5, 1.5))
-        return {"Phi": heat_witness_library("plane_exp", k=k,
-                                            direction="backward")}
-    if family_id == "F_HOPFCOLE2D":
-        k = float(rng.uniform(0.5, 1.5))
-        w = combine_witnesses(
-            [heat_witness_library("plane_exp", k=k),
-             heat_witness_library("heat_polynomial", n=2)],
-            [parse("1+0.25*y^2", "y"), parse(ypick(), "y")])
-        return {"Phi": w}
-    if family_id == "F_STATLIOUVILLE":
-        pool = ["exp(x)", "exp(0.7*x)", "x+0.2*x^3+4", "2*x+sin(x)+5"]
-        return {"zeta": pool[rng.integers(0, len(pool))]}
-    if family_id == "F_UY0_QA":
-        return {"zeta": ypick()}
-    if family_id == "F_UY0_QB":
-        return {"theta": tpick()}
-    if family_id == "F_VXXX_1":
-        return {"alpha": ypick(), "beta": "2+" + ypick(), "gamma": ypick(),
-                "delta": int(rng.integers(0, 2))}
-    if family_id == "F_VXXX_2":
-        return {"beta": "2+" + ypick(), "theta": tpick(), "t0": 1.0}
-    if family_id == "F_VXXX_3":
-        return {"alpha": ypick(), "beta": "2+" + ypick(), "gamma": ypick()}
-    if family_id == "F_VXXX_4":
-        return {"alpha": ypick(), "gamma": ypick()}
-    if family_id == "F_VXXX_5":
-        return {"alpha": ypick(), "beta": "3+" + ypick()}
-    if family_id == "F_UXXV4X_A":
-        return {"alpha": ypick(), "beta": ypick(), "gamma": ypick()}
-    if family_id == "F_UXXV4X_B":
-        return {"alpha": ypick(), "beta": "2+" + ypick(), "gamma": ypick(),
-                "lam": ypick()}
-    if family_id == "F_UXX_BERNOULLI":
-        return {"beta": ["-y", "-y-0.1*y^2", "-1.2*y"][rng.integers(0, 3)],
-                "alpha2": ypick(), "alpha1": ypick(),
-                "lam1": ypick(), "lam0": ypick(), "y0": -2.0}
-    if family_id == "F_UEQV":
-        return {"alpha": "4+" + ypick()}
-    if family_id == "F_R29_ELLIPTIC":
-        # tuples with a verified pole-free window over omega in (0.05, 1.35)
-        pool = [(1.0, 1.0, 3.0), (0.6, 0.8, 2.0), (0.5, 1.2, 3.5),
-                (0.9, 1.1, 1.8)]
-        C0, de, C2 = pool[rng.integers(0, len(pool))]
-        return {"C0": C0, "delta": de, "C2": C2, "a": None, "omega0": 0.85}
-    if family_id == "F_R29_ELEM_2":
-        return {"kappa": float(rng.uniform(0.4, 1.0))}
-    if family_id == "F_R29_ELEM_3":
-        return {"nu": float(rng.uniform(0.6, 1.2))}
-    if family_id == "F_R22_ELEM_1":
-        return {"eps1": int(rng.choice([-1, 1]))}
-    if family_id == "F_R22_ELEM_2":
-        return {"eps1": int(rng.choice([-1, 1])),
-                "kappa": float(rng.uniform(0.3, 0.8))}
-    if family_id == "F_R22_ELEM_3":
-        return {"eps1": int(rng.choice([-1, 1])),
-                "kappa": float(rng.uniform(0.3, 0.8)),
-                "nu": float(rng.uniform(0.5, 1.3))}
-    if family_id == "F_R24_PAINLEVE4":
-        # (C1, phi0) pairs verified free of movable poles on the span
-        pool = [(0.8, 0.88), (1.1, 0.88), (1.4, 1.06), (1.7, 1.06)]
-        C1, f0 = pool[rng.integers(0, len(pool))]
-        return {"C0": 0.125, "C1": C1, "eps": 1,
-                "init": (0.0, f0, 0.0), "span": (-1.2, 1.2)}
-    if family_id == "F_R29_PAINLEVE2":
-        return {"C0": 0.0, "C1": 2.0, "delta": 1,
-                "C2": 0.0, "init": (-2.0, 0.5, 0.25), "span": (-2.5, -0.5)}
-    if family_id == "F_SINHGORDON":
-        return {"theta": sinh_gordon_kink(float(rng.uniform(1.5, 2.5))),
-                "variant": "sinh", "x0": -1.8}
-    if family_id == "F_LAPLACE_IMG_FWD1":
-        return {"alpha": ypick(), "beta": "2+" + ypick(), "gamma": ypick()}
-    if family_id == "F_LAPLACE_IMG_FWD4":
-        return {"alpha": "1+0.3*" + ypick(), "gamma": ypick()}
-    if family_id == "F_LAPLACE_IMG_INV3":
-        return {"alpha": ypick(), "beta": "2+" + ypick(),
-                "gamma": "1+0.2*" + ypick()}
-    if family_id == "F_LAPLACE_IMG_INV5":
-        return {"alpha": ypick(), "beta": "4+" + ypick()}
-    return {}
+    return _field(fid, {"alpha": al.pretty(), "beta": be.pretty()}, u, v,
+                  defined_where(u, order=4))

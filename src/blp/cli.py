@@ -8,9 +8,11 @@ Subcommands:
   blp reduce      integrate a reduced profile equation, export CSV
   blp algebra     run the bundled subalgebra closure / normalizer checks
 
-Exit codes: 0 success, 1 tolerance failure, 2 configuration error.
+Exit codes: 0 success, 1 tolerance failure, 2 configuration error (a
+one-line JSON ``{"error": ...}`` on stderr, also for usage errors).
 Reports are deterministic: keys sorted, floats printed with shortest
-round-trip repr.  A report passes only when every residual is finite;
+round-trip repr, non-finite floats as the strings "NaN", "Infinity" and
+"-Infinity".  A report passes only when every residual is finite;
 non-finite ones are counted under ``nonfinite``.  Grid points are
 evaluated one after another in this process; BLP_THREADS is accepted
 and ignored.
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import catalog, liealg, reductions, system, transforms
 from .exprdsl import ParseError, parse
-from .jets import DomainError, Point
+from .jets import Point
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -38,13 +40,26 @@ class ConfigError(ValueError):
     pass
 
 
-def _grid_from_spec(spec: dict) -> list[Point]:
+def _finite_real(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _grid_from_spec(spec) -> list[Point]:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"the grid must be a JSON object, got {spec!r}")
     axes = []
     for name in ("t", "x", "y"):
-        lo, hi, n = spec[name]
-        n = int(n)
-        if n < 1 or not lo < hi:
-            raise ConfigError(f"bad grid spec for {name}: {spec[name]}")
+        axis = spec.get(name)
+        try:
+            lo, hi, n = axis
+            n = int(n)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"grid axis {name} must be [lo, hi, n], "
+                              f"got {axis!r}") from None
+        if not (_finite_real(lo) and _finite_real(hi)) or n < 1 \
+                or not lo < hi:
+            raise ConfigError(f"bad grid spec for {name}: {axis}")
         axes.append(np.linspace(lo, hi, n))
     return [Point(float(t), float(x), float(y))
             for t in axes[0] for x in axes[1] for y in axes[2]]
@@ -82,73 +97,40 @@ def _coerce_bindings(family_id: str, params: dict) -> dict:
     return out
 
 
-def _evaluate_grid(s, grid):
-    def one(p):
-        if not s.validity(p):
-            return (p, None)
-        try:
-            if s.coords == "UV":
-                r = system.residual(s, p)
-            else:
-                r = system.residual_uq(s, p)
-            uj = s.u(p, 0).value
-            vj = s.v(p, 0).value
-            return (p, (r[0], r[1], uj, vj))
-        except (DomainError, transforms.UndefinedTransform,
-                reductions.WindowError):
-            return (p, None)
-
-    return [one(p) for p in grid]
-
-
-def _report(family, params, grid_spec, rows):
-    r1 = [abs(r[0]) for (_, r) in rows if r is not None]
-    r2 = [abs(r[1]) for (_, r) in rows if r is not None]
-    skipped = sum(1 for (_, r) in rows if r is None)
-
-    def rms(a):
-        return float(np.sqrt(np.mean(np.square(a)))) if a else 0.0
-
-    report = {
-        "family": family,
-        "params": {k: (v if isinstance(v, (int, float)) else str(v))
-                   for k, v in params.items()},
-        "grid_spec": grid_spec,
-        "r1_max": system.residual_sup(r1),
-        "r2_max": system.residual_sup(r2),
-        "r1_rms": rms(r1),
-        "r2_rms": rms(r2),
-        "skipped": skipped,
-        "evaluated": len(rows) - skipped,
-    }
-    nonfinite = system.count_nonfinite(r1, r2)
-    if nonfinite:
-        report["nonfinite"] = nonfinite
-    return report
-
-
 def _within(report: dict, tol: float) -> bool:
     """Both residual sups within ``tol`` and every residual finite."""
     return (report["r1_max"] <= tol and report["r2_max"] <= tol
             and "nonfinite" not in report)
 
 
-def _write_outputs(report: dict, rows, report_path, csv_path):
-    text = json.dumps(report, sort_keys=True)
-    if report_path:
-        with open(report_path, "w") as fh:
+def _check_grid(field, family: str, grid, grid_spec: dict, tol: float):
+    """The JSON report of ``field`` over ``grid``, and its residual rows."""
+    rep = system.residual_report(field, grid)
+    report = {
+        "family": family,
+        "params": {k: (v if isinstance(v, (int, float)) else str(v))
+                   for k, v in field.params.items()},
+        "grid_spec": grid_spec,
+        **rep.summary(),
+        "evaluated": len(rep.rows),
+        "tolerance": tol,
+    }
+    return report, rep.rows
+
+
+def _write_outputs(report: dict, rows, args) -> int:
+    text = system.report_json(report)
+    if args.report:
+        with open(args.report, "w") as fh:
             fh.write(text + "\n")
     print(text)
-    if csv_path:
-        with open(csv_path, "w", newline="") as fh:
+    if args.csv:
+        with open(args.csv, "w", newline="") as fh:
             fh.write("t,x,y,u,v,r1,r2\n")
-            for (p, r) in rows:
-                if r is None:
-                    continue
-                r1v, r2v, uv, vv = r
-                fh.write(",".join(repr(float(z))
-                                  for z in (p.t, p.x, p.y, uv, vv,
-                                            r1v, r2v)) + "\n")
+            for (p, *values) in rows:
+                fh.write(",".join(repr(float(z)) for z in (*p, *values))
+                         + "\n")
+    return EXIT_OK if report["passed"] else EXIT_TOLERANCE
 
 
 def cmd_list(args) -> int:
@@ -209,13 +191,9 @@ def cmd_verify(args) -> int:
         raise ConfigError(str(exc)) from exc
     if args.perturb:
         field = system.perturb_v(field, eps=args.perturb)
-    rows = _evaluate_grid(field, grid)
-    report = _report(family, field.params, grid_spec, rows)
-    report["tolerance"] = tol
-    passed = _within(report, tol) and report["evaluated"] > 0
-    report["passed"] = bool(passed)
-    _write_outputs(report, rows, args.report, args.csv)
-    return EXIT_OK if passed else EXIT_TOLERANCE
+    report, rows = _check_grid(field, family, grid, grid_spec, tol)
+    report["passed"] = _within(report, tol) and report["evaluated"] > 0
+    return _write_outputs(report, rows, args)
 
 
 _CHAIN_OPS = ("laplace_fwd_uv", "laplace_inv_uv", "laplace_fwd_uq",
@@ -231,34 +209,48 @@ def _seed_field(name: str, params: dict):
             coords="UQ", family_id="zero_uq")
     if name in ("seed_qy0", "seed_uyqy"):
         spec = params.get("Phi", {"kind": "plane_exp", "k": 1.0})
-        if name == "seed_qy0":
-            spec.setdefault("direction", "backward")
-            w = catalog.heat_witness_library(**spec)
-            return transforms.uq_seed(w, constraint="q_y=0")
-        w = catalog.heat_witness_library(**spec)
-        return transforms.uq_seed(w, constraint="u_y=q_y")
+        if name == "seed_qy0" and isinstance(spec, dict):
+            spec = {"direction": "backward", **spec}
+        return transforms.uq_seed(
+            _witness(spec, "Phi"),
+            constraint="q_y=0" if name == "seed_qy0" else "u_y=q_y")
     return catalog.instantiate(name, _coerce_bindings(name, params))
+
+
+def _point(value, what: str) -> Point:
+    if not (isinstance(value, (list, tuple)) and len(value) == 3
+            and all(_finite_real(c) for c in value)):
+        raise ConfigError(f"{what} must be [t, x, y], got {value!r}")
+    return Point(*value)
+
+
+def _witness(spec, what: str) -> catalog.HeatWitness:
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigError(f"{what} must be an object with a kind, "
+                          f"got {spec!r}")
+    try:
+        return catalog.heat_witness_library(**spec)
+    except (TypeError, catalog.BadBinding) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _build_phi(field, spec: dict):
     constraint = spec.get("constraint", "q_y=0")
     theta = spec.get("theta")
-    if isinstance(theta, dict):
-        kind = dict(theta)
-        witness = catalog.heat_witness_library(kind.pop("kind"), **kind)
-        theta_map = witness.Phi
-    else:
-        theta_map = None
+    theta_map = _witness(theta, "theta").Phi if theta is not None else None
     zeta_src = spec.get("zeta")
     zeta = parse(zeta_src, "y") if zeta_src else None
-    base = Point(*spec.get("base", (1.0, 0.0, 0.0)))
+    base = _point(spec.get("base", (1.0, 0.0, 0.0)), "phi base")
     witness_spec = dict(spec.get("witness", {"kind": "plane_exp", "k": 1.0}))
     if constraint == "q_y=0":
         witness_spec.setdefault("direction", "backward")
-    seed_witness = catalog.heat_witness_library(**witness_spec)
-    return transforms.covering_solutions_for_constraint(
-        constraint, field, seed_witness, theta=theta_map, zeta=zeta,
-        base=base)
+    seed_witness = _witness(witness_spec, "witness")
+    try:
+        return transforms.covering_solutions_for_constraint(
+            constraint, field, seed_witness, theta=theta_map, zeta=zeta,
+            base=base)
+    except ValueError as exc:  # unknown constraint or a failed probe
+        raise ConfigError(f"bad eigenfunction: {exc}") from exc
 
 
 def cmd_transform(args) -> int:
@@ -271,8 +263,9 @@ def cmd_transform(args) -> int:
     chain = json.loads(args.chain) if args.chain else cfg.get("chain", [])
     if not isinstance(chain, list) or not chain:
         raise ConfigError("the chain must be a nonempty list of ops")
-    base = Point(*(cfg.get("base") or
-                   (json.loads(args.base) if args.base else (1.0, 0.0, 0.0))))
+    base = _point(cfg.get("base") or
+                  (json.loads(args.base) if args.base else (1.0, 0.0, 0.0)),
+                  "base")
     tol = _tolerance(args, cfg)
     try:
         field = _seed_field(family, params)
@@ -280,7 +273,7 @@ def cmd_transform(args) -> int:
             catalog.WitnessViolation) as exc:
         raise ConfigError(str(exc)) from exc
     for step in chain:
-        op = step.get("op")
+        op = step.get("op") if isinstance(step, dict) else None
         if op not in _CHAIN_OPS:
             raise ConfigError(f"unknown chain op {op!r}")
         if op.endswith("_uq") and field.coords == "UV":
@@ -305,15 +298,11 @@ def cmd_transform(args) -> int:
     if args.grid:
         grid_spec = json.loads(args.grid)
     grid = _grid_from_spec(grid_spec)
-    rows = _evaluate_grid(field, grid)
-    report = _report(field.family_id, field.params, grid_spec, rows)
-    report["tolerance"] = tol
-    undefined_fraction = report["skipped"] / max(len(rows), 1)
-    report["undefined_fraction"] = undefined_fraction
-    passed = _within(report, tol) and undefined_fraction <= 0.05
-    report["passed"] = bool(passed)
-    _write_outputs(report, rows, args.report, args.csv)
-    return EXIT_OK if passed else EXIT_TOLERANCE
+    report, rows = _check_grid(field, field.family_id, grid, grid_spec, tol)
+    report["undefined_fraction"] = report["skipped"] / len(grid)
+    report["passed"] = (_within(report, tol)
+                        and report["undefined_fraction"] <= 0.05)
+    return _write_outputs(report, rows, args)
 
 
 def cmd_reduce(args) -> int:
@@ -323,17 +312,31 @@ def cmd_reduce(args) -> int:
         raise ConfigError("reduction id must be R2_4 or R2_9")
     params = dict(cfg.get("params", {}))
     params.update(_parse_params(args.param))
+    r29 = rid == "R2_9"
+
+    def number(name, default, kind=float):
+        value = params.get(name, default)
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{name} must be a number, got {value!r}") \
+                from None
+
+    def reals(name, default):
+        value = params.get(name, default)
+        if not (isinstance(value, (list, tuple))
+                and len(value) == len(default)
+                and all(_finite_real(z) for z in value)):
+            raise ConfigError(f"{name} must be a list of {len(default)} "
+                              f"numbers, got {value!r}")
+        return tuple(value)
+
     spec = reductions.ReductionSpec(
-        id=rid, C0=float(params.get("C0", 0.0)),
-        C1=float(params.get("C1", 2.0 if rid == "R2_9" else 1.0)),
-        C2=float(params.get("C2", 0.0)),
-        delta=float(params.get("delta", 1 if rid == "R2_9" else 0)),
-        eps=int(params.get("eps", 1)),
-        init=tuple(params.get("init",
-                              (-2.0, 0.5, 0.25) if rid == "R2_9"
-                              else (0.0, 1.0, 0.0))))
-    span = tuple(params.get("span",
-                            (-2.4, -0.6) if rid == "R2_9" else (-1.2, 1.2)))
+        id=rid, C0=number("C0", 0.0), C1=number("C1", 2.0 if r29 else 1.0),
+        C2=number("C2", 0.0), delta=number("delta", 1 if r29 else 0),
+        eps=number("eps", 1, int),
+        init=reals("init", (-2.0, 0.5, 0.25) if r29 else (0.0, 1.0, 0.0)))
+    span = reals("span", (-2.4, -0.6) if r29 else (-1.2, 1.2))
     try:
         if rid == "R2_9":
             traj = reductions.integrate_painleve2(spec, span=span)
@@ -377,8 +380,15 @@ def cmd_algebra(args) -> int:
     return EXIT_OK if not failures and not norm_fails else EXIT_TOLERANCE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as a ConfigError, like every other bad input."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="blp",
         description="Exact solutions and transformations of the "
                     "Boiti-Leon-Pempinelli system")
@@ -420,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ConfigError, ParseError, json.JSONDecodeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True),

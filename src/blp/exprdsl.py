@@ -93,10 +93,6 @@ class Call(Expr):
     var_name: str
 
 
-def const(value: float, var_name: str = "") -> Num:
-    return Num(float(value), var_name)
-
-
 # ----------------------------------------------------------------------
 # tokenizer / recursive-descent parser
 # ----------------------------------------------------------------------

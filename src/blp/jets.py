@@ -34,6 +34,8 @@ __all__ = [
     "derive",
     "compose3",
     "coordinate_jets",
+    "restrict",
+    "axis_series",
     "exp", "ln", "sin", "cos", "tan", "sinh", "cosh", "sqrt", "recip",
     "abs_signed", "power",
 ]
@@ -99,6 +101,14 @@ class _Tables:
              for (i, j, k) in exps],
             dtype=float,
         )
+        # per axis: monomials carrying a power of it, and its pure powers
+        self.with_axis = [
+            np.asarray([m for m, e in enumerate(exps) if e[a]], dtype=np.intp)
+            for a in range(3)]
+        self.axis_powers = [
+            np.asarray([self.index[tuple(d if b == a else 0 for b in range(3))]
+                        for d in range(order + 1)], dtype=np.intp)
+            for a in range(3)]
 
 
 _TABLES: dict[int, _Tables] = {}
@@ -303,6 +313,24 @@ def coordinate_jets(p: Point, order: int) -> tuple[Jet3, Jet3, Jet3]:
     return (lift_variable("t", p, order),
             lift_variable("x", p, order),
             lift_variable("y", p, order))
+
+
+def restrict(a: Jet3, axis: str, at: Point) -> Jet3:
+    """Jet at ``at`` of ``a`` restricted to the plane ``axis`` = const.
+
+    Dropping every coefficient that carries a power of ``axis`` leaves a
+    germ that no longer depends on ``axis``, so it is also the jet at any
+    ``at`` that differs from the base only in that coordinate.
+    """
+    out = a.coeffs.copy()
+    out[_tables(a.order).with_axis[_AXES[axis]]] = 0.0
+    return Jet3(at, a.order, out)
+
+
+def axis_series(a: Jet3, axis: str) -> np.ndarray:
+    """Univariate Taylor coefficients of ``a`` along ``axis`` alone, as a
+    new array."""
+    return a.coeffs[_tables(a.order).axis_powers[_AXES[axis]]]
 
 
 # ----------------------------------------------------------------------

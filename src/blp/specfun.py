@@ -230,18 +230,6 @@ def _as_quartic(q) -> QuarticODE:
     return QuarticODE(*q)
 
 
-def _ser_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    return np.convolve(a, b)[: n + 1]
-
-
-def _ser_recip(a: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(n + 1)
-    out[0] = 1.0 / a[0]
-    for k in range(1, n + 1):
-        out[k] = -np.dot(a[1: k + 1], out[k - 1:: -1]) / a[0]
-    return out
-
-
 def _ser_shift(c: np.ndarray, dz: float) -> np.ndarray:
     """Recenter a Taylor polynomial sum c_k s^k to the point s = dz."""
     n = len(c) - 1

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+import numpy as np
+
 from . import jets
 from .exprdsl import Expr
 from .jets import DomainError, Jet3, JetMap, Point
@@ -31,7 +33,8 @@ __all__ = [
     "SolutionField", "ResidualReport", "GaugeError",
     "residual", "residual_uq", "covering_residual",
     "conserved_current_divergence", "convert", "residual_report",
-    "residual_sup", "count_nonfinite", "perturb_v",
+    "residual_sup", "count_nonfinite", "report_json", "perturb_v",
+    "defined_where",
 ]
 
 
@@ -73,6 +76,22 @@ class SolutionField:
         return SolutionField(**data)
 
 
+def defined_where(part: JetMap, errors: tuple = (DomainError,),
+                  order: int = 0, within: Callable[[Point], bool] | None = None
+                  ) -> Callable[[Point], bool]:
+    """Validity predicate: ``within(p)`` holds (when given) and evaluating
+    ``part(p, order)`` raises none of ``errors``."""
+    def ok(p: Point) -> bool:
+        if within is not None and not within(p):
+            return False
+        try:
+            part(p, order)
+        except errors:
+            return False
+        return True
+    return ok
+
+
 @dataclass
 class ResidualReport:
     family: str
@@ -84,29 +103,24 @@ class ResidualReport:
     r2_rms: float
     skipped: int
     nonfinite: int = 0
+    #: (point, u, v, r1, r2) for each evaluated point; residuals signed
+    rows: list = field(default_factory=list, repr=False)
+
+    def summary(self) -> dict:
+        """Residual statistics; ``nonfinite`` appears only when above 0."""
+        out = {"r1_max": self.r1_max, "r2_max": self.r2_max,
+               "r1_rms": self.r1_rms, "r2_rms": self.r2_rms,
+               "skipped": self.skipped}
+        if self.nonfinite:
+            out["nonfinite"] = self.nonfinite
+        return out
 
     def to_json(self) -> str:
-        payload = {
-            "family": self.family,
-            "params": self.params,
-            "grid_spec": self.grid_spec,
-            "r1_max": self.r1_max,
-            "r2_max": self.r2_max,
-            "r1_rms": self.r1_rms,
-            "r2_rms": self.r2_rms,
-            "skipped": self.skipped,
-        }
-        if self.nonfinite:
-            payload["nonfinite"] = self.nonfinite
-        return json.dumps(payload, sort_keys=True)
+        return report_json({"family": self.family, "params": self.params,
+                            "grid_spec": self.grid_spec, **self.summary()})
 
 
-def residual(s: SolutionField, p: Point, order: int = 4) -> tuple[float, float]:
-    """Residuals (r1, r2) of the two equations at one point, in UV coords."""
-    if s.coords != "UV":
-        raise ValueError("residual expects a field in (u,v) coordinates")
-    u = s.u(p, order)
-    v = s.v(p, order)
+def _uv_residual(u: Jet3, v: Jet3, order: int) -> tuple[float, float]:
     w = (u * u).truncate(order - 1) - u.derive("x")  # u^2 - u_x
     r1 = (u.extract((1, 0, 1))
           - w.extract((0, 1, 1))
@@ -117,12 +131,7 @@ def residual(s: SolutionField, p: Point, order: int = 4) -> tuple[float, float]:
     return r1, r2
 
 
-def residual_uq(s: SolutionField, p: Point, order: int = 4) -> tuple[float, float]:
-    """Residuals of the (u,q) form at one point."""
-    if s.coords != "UQ":
-        raise ValueError("residual_uq expects a field in (u,q) coordinates")
-    u = s.u(p, order)
-    q = s.v(p, order)
+def _uq_residual(u: Jet3, q: Jet3, order: int) -> tuple[float, float]:
     w = (u * u).truncate(order - 1) - u.derive("x")
     r1 = (u.extract((1, 0, 0))
           - w.extract((0, 1, 0))
@@ -131,6 +140,24 @@ def residual_uq(s: SolutionField, p: Point, order: int = 4) -> tuple[float, floa
              + 2.0 * (u.truncate(order - 1) * q.derive("y")).truncate(order - 2))
     r2 = q.extract((1, 0, 1)) - inner.extract((0, 1, 0))
     return r1, r2
+
+
+#: the residual of each coordinate form, from the jets of its two components
+_RESIDUALS = {"UV": _uv_residual, "UQ": _uq_residual}
+
+
+def residual(s: SolutionField, p: Point, order: int = 4) -> tuple[float, float]:
+    """Residuals (r1, r2) of the two equations at one point, in UV coords."""
+    if s.coords != "UV":
+        raise ValueError("residual expects a field in (u,v) coordinates")
+    return _uv_residual(s.u(p, order), s.v(p, order), order)
+
+
+def residual_uq(s: SolutionField, p: Point, order: int = 4) -> tuple[float, float]:
+    """Residuals of the (u,q) form at one point."""
+    if s.coords != "UQ":
+        raise ValueError("residual_uq expects a field in (u,q) coordinates")
+    return _uq_residual(s.u(p, order), s.v(p, order), order)
 
 
 def covering_residual(s: SolutionField, psi: JetMap, p: Point,
@@ -282,12 +309,7 @@ def convert(s: SolutionField, to: str, basepoint: Point,
                 wj = w_map(pc, nn + 1)
                 uj = u0(pc, nn)
                 g = wj.derive("x") + 2.0 * (uj * wj.truncate(nn))
-                # restriction to x = x0: drop coefficients carrying x-powers
-                out = g.coeffs.copy()
-                for m, e in enumerate(jets._tables(nn).exps):
-                    if e[1] != 0:
-                        out[m] = 0.0
-                return Jet3(pp, nn, out)
+                return jets.restrict(g, "x", pp)
 
             t_part = integrate_field_along(guard(t_integrand), "t",
                                            basepoint.t, p, n, tol=tol)
@@ -308,6 +330,37 @@ def convert(s: SolutionField, to: str, basepoint: Point,
 # grid reports
 # ----------------------------------------------------------------------
 
+def _strict_json(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else \
+            ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
+def report_json(payload: dict) -> str:
+    """``payload`` as strict JSON with sorted keys.
+
+    Non-finite floats are written as the strings "NaN", "Infinity" and
+    "-Infinity", which strict parsers accept and ``float()`` reads back.
+    """
+    return json.dumps(_strict_json(payload), sort_keys=True, allow_nan=False)
+
+
+def _skip_errors() -> tuple:
+    """Errors that leave a grid point unevaluated rather than failed.
+
+    Imported on call because ``transforms`` and ``reductions`` import
+    this module.
+    """
+    from .reductions import WindowError
+    from .transforms import UndefinedTransform
+    return (DomainError, UndefinedTransform, WindowError)
+
+
 def residual_sup(values) -> float:
     """Largest of ``values`` (0.0 if none); NaN if any of them is NaN.
 
@@ -324,25 +377,39 @@ def count_nonfinite(r1s, r2s) -> int:
                if not (math.isfinite(r1) and math.isfinite(r2)))
 
 
+def _rms(values) -> float:
+    return float(np.sqrt(np.mean(np.square(values)))) if values else 0.0
+
+
 def residual_report(s: SolutionField, grid: list[Point],
                     order: int = 4) -> ResidualReport:
-    r1s, r2s, skipped = [], [], 0
+    """Residuals of a (u,v) or (u,q) field over ``grid``.
+
+    A point outside ``s.validity``, or whose evaluation raises
+    ``DomainError``, ``UndefinedTransform`` or ``WindowError``, is
+    skipped; every other point gives one row of ``rows``.
+    """
+    equations = _RESIDUALS.get(s.coords)
+    if equations is None:
+        raise ValueError(f"no grid residual for {s.coords} coordinates")
+    skip_errors = _skip_errors()
+    rows, skipped = [], 0
     for p in grid:
         if not s.validity(p):
             skipped += 1
             continue
         try:
-            r1, r2 = residual(s, p, order)
-        except DomainError:
+            u, v = s.u(p, order), s.v(p, order)
+            r1, r2 = equations(u, v, order)
+        except skip_errors:
             skipped += 1
             continue
-        r1s.append(abs(r1))
-        r2s.append(abs(r2))
-    def _rms(a):
-        return math.sqrt(sum(x * x for x in a) / len(a)) if a else 0.0
+        rows.append((p, u.value, v.value, r1, r2))
+    r1s = [abs(row[3]) for row in rows]
+    r2s = [abs(row[4]) for row in rows]
     return ResidualReport(
         family=s.family_id, params={k: str(v) for k, v in s.params.items()},
         grid_spec={"n": len(grid)},
         r1_max=residual_sup(r1s), r2_max=residual_sup(r2s),
         r1_rms=_rms(r1s), r2_rms=_rms(r2s), skipped=skipped,
-        nonfinite=count_nonfinite(r1s, r2s))
+        nonfinite=count_nonfinite(r1s, r2s), rows=rows)

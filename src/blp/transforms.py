@@ -34,7 +34,7 @@ from . import jets
 from .exprdsl import Bin, Call, Expr, Num, parse
 from .jets import DomainError, Jet3, JetMap, Point
 from .quadrature import integrate_field_along
-from .system import SolutionField, covering_residual
+from .system import SolutionField, covering_residual, defined_where
 
 __all__ = [
     "PointSymmetry", "CoveringEigenfunction", "UndefinedTransform",
@@ -60,6 +60,10 @@ class InverseMapError(RuntimeError):
 
 class SingularWronskian(ArithmeticError):
     pass
+
+
+#: errors that make a transformed field undefined at a point
+_UNDEFINED = (UndefinedTransform, DomainError)
 
 
 # ----------------------------------------------------------------------
@@ -165,16 +169,6 @@ def _invert_monotone(f: Expr, target: float, window: tuple) -> float:
     return 0.5 * (a + b)
 
 
-def _series_of(e: Expr, at: float, order: int) -> np.ndarray:
-    j = e(jets.lift_variable("t", Point(at, 0.0, 0.0), order))
-    out = np.zeros(order + 1)
-    tab = jets._tables(order)
-    for m, ex in enumerate(tab.exps):
-        if ex[1] == 0 and ex[2] == 0:
-            out[ex[0]] = j.coeffs[m]
-    return out
-
-
 def _revert_series(f: np.ndarray) -> np.ndarray:
     """Coefficients of the inverse of s -> sum_{k>=1} f_k s^k."""
     n = len(f) - 1
@@ -199,7 +193,8 @@ def _revert_series(f: np.ndarray) -> np.ndarray:
 def _inverse_jet(e: Expr, new_value: float, old_value: float,
                  axis: str, p: Point, order: int) -> Jet3:
     """Jet (in the new variables) of the inverse function of e at new_value."""
-    fser = _series_of(e, old_value, order)
+    fser = jets.axis_series(
+        e(jets.lift_variable("t", Point(old_value, 0.0, 0.0), order)), "t")
     fser[0] = 0.0
     gser = _revert_series(fser)
     gser[0] = old_value
@@ -279,17 +274,10 @@ def laplace_forward_uq(s: SolutionField) -> SolutionField:
     def q(p, n):
         return s.v(p, n) + s.u(p, n) + correction(p, n)
 
-    def ok(p):
-        if not s.validity(p):
-            return False
-        try:
-            correction(p, 0)
-            return True
-        except (UndefinedTransform, DomainError):
-            return False
     return SolutionField(u=u, v=q, coords="UQ",
-                         family_id=s.family_id + "~Lfwd",
-                         params=s.params, validity=ok)
+                         family_id=s.family_id + "~Lfwd", params=s.params,
+                         validity=defined_where(correction, _UNDEFINED,
+                                                within=s.validity))
 
 
 def laplace_inverse_uq(s: SolutionField) -> SolutionField:
@@ -308,17 +296,10 @@ def laplace_inverse_uq(s: SolutionField) -> SolutionField:
     def q(p, n):
         return s.v(p, n) - s.u(p, n)
 
-    def ok(p):
-        if not s.validity(p):
-            return False
-        try:
-            u(p, 0)
-            return True
-        except (UndefinedTransform, DomainError):
-            return False
     return SolutionField(u=u, v=q, coords="UQ",
-                         family_id=s.family_id + "~Linv",
-                         params=s.params, validity=ok)
+                         family_id=s.family_id + "~Linv", params=s.params,
+                         validity=defined_where(u, _UNDEFINED,
+                                                within=s.validity))
 
 
 def _uv_path_integrals(s: SolutionField, base: Point, memo: dict):
@@ -333,11 +314,7 @@ def _uv_path_integrals(s: SolutionField, base: Point, memo: dict):
         vj = s.v(pc, n + 2)
         g = ((uj * uj).truncate(n + 1) - uj.derive("x")).derive("y") \
             + 2.0 * vj.derive("x").derive("x")
-        out = g.coeffs.copy()
-        for m, e in enumerate(jets._tables(n).exps):
-            if e[1] != 0:
-                out[m] = 0.0
-        return Jet3(p, n, out)
+        return jets.restrict(g, "x", p)
 
     def total(p: Point, n: int) -> Jet3:
         key = (p, n)
@@ -374,17 +351,10 @@ def laplace_forward_uv(s: SolutionField, base: Point) -> SolutionField:
             raise UndefinedTransform("v_x inside guard band")
         return vj.truncate(n) + v_xy / v_x + path(p, n)
 
-    def ok(p):
-        if not s.validity(p):
-            return False
-        try:
-            u(p, 0)
-            return True
-        except (UndefinedTransform, DomainError):
-            return False
     return SolutionField(u=u, v=v, coords="UV",
-                         family_id=s.family_id + "~Lfwd",
-                         params=s.params, validity=ok)
+                         family_id=s.family_id + "~Lfwd", params=s.params,
+                         validity=defined_where(u, _UNDEFINED,
+                                                within=s.validity))
 
 
 def laplace_inverse_uv(s: SolutionField, base: Point) -> SolutionField:
@@ -405,17 +375,10 @@ def laplace_inverse_uv(s: SolutionField, base: Point) -> SolutionField:
     def v(p, n):
         return s.v(p, n) - path(p, n)
 
-    def ok(p):
-        if not s.validity(p):
-            return False
-        try:
-            u(p, 0)
-            return True
-        except (UndefinedTransform, DomainError):
-            return False
     return SolutionField(u=u, v=v, coords="UV",
-                         family_id=s.family_id + "~Linv",
-                         params=s.params, validity=ok)
+                         family_id=s.family_id + "~Linv", params=s.params,
+                         validity=defined_where(u, _UNDEFINED,
+                                                within=s.validity))
 
 
 # ----------------------------------------------------------------------
@@ -535,17 +498,10 @@ def darboux(kind: str, s: SolutionField,
     else:
         raise ValueError("kind must be 'DT1' or 'DT2'")
 
-    def ok(p):
-        if not s.validity(p):
-            return False
-        try:
-            u(p, 0)
-            return True
-        except (UndefinedTransform, DomainError):
-            return False
     return SolutionField(u=u, v=q, coords="UQ",
-                         family_id=s.family_id + f"~{kind}",
-                         params=s.params, validity=ok)
+                         family_id=s.family_id + f"~{kind}", params=s.params,
+                         validity=defined_where(u, _UNDEFINED,
+                                                within=s.validity))
 
 
 def darboux_psi(kind: str, phi_seed: JetMap, psi: JetMap) -> JetMap:
@@ -681,17 +637,12 @@ def darboux_iterated(kind: str, s: SolutionField,
     else:
         raise ValueError("kind must be 'DT1' or 'DT2'")
 
-    def ok(p):
-        if not s.validity(p):
-            return False
-        try:
-            u(p, 0)
-            return True
-        except (UndefinedTransform, SingularWronskian, DomainError):
-            return False
     return SolutionField(u=u, v=q, coords="UQ",
                          family_id=s.family_id + f"~{kind}x{n_fold}",
-                         params=s.params, validity=ok)
+                         params=s.params,
+                         validity=defined_where(
+                             u, _UNDEFINED + (SingularWronskian,),
+                             within=s.validity))
 
 
 def darboux_iterated_psi(kind: str, phis: Sequence[JetMap],
@@ -794,11 +745,7 @@ def covering_solutions_for_constraint(
             else:
                 g = (th.truncate(n) * f.derive("x")
                      - th.derive("x") * f.truncate(n))
-            out = g.coeffs.copy()
-            for m, e in enumerate(jets._tables(n).exps):
-                if e[1] != 0:
-                    out[m] = 0.0
-            return Jet3(p, n, out)
+            return jets.restrict(g, "x", p)
 
         def psi(p, n):
             key = (p, n)

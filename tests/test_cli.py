@@ -16,6 +16,11 @@ def run_cli(args, capsys):
     return code, out, err
 
 
+def reject_constant(name):
+    """``parse_constant`` hook: NaN and Infinity are not strict JSON."""
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def test_list_row_count(capsys):
     code, out, _ = run_cli(["list"], capsys)
     assert code == 0
@@ -238,13 +243,56 @@ def test_nan_residual_never_passes(monkeypatch, capsys):
     monkeypatch.setattr(catalog, "instantiate", lambda fid, b: field)
     code, out, _ = run_cli(["verify", "--family", "F_UY0_TRIV",
                             "--grid", json.dumps(grid)], capsys)
-    report = json.loads(out)
+    report = json.loads(out, parse_constant=reject_constant)
     assert code == 1
     assert report["passed"] is False
     assert report["nonfinite"] == 1 and report["evaluated"] == 8
-    assert math.isnan(report["r1_max"])
+    assert report["r1_max"] == "NaN" and math.isnan(float(report["r1_max"]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_parameter_is_strict_json(capsys):
+    code, out, _ = run_cli(["verify", "--family", "F_R29_ELEM_2",
+                            "--param", "kappa=Infinity"], capsys)
+    report = json.loads(out, parse_constant=reject_constant)
+    assert code == 1 and report["params"]["kappa"] == "Infinity"
 
 
 def test_finite_report_has_no_nonfinite_key(capsys):
     code, out, _ = run_cli(["verify", "--family", "F_UY0_TRIV"], capsys)
     assert code == 0 and "nonfinite" not in json.loads(out)
+
+
+_DT1_BAD_THETA = json.dumps([{"op": "dt1", "phi": {
+    "theta": {"kind": "heat_polynomial", "n": 2, "direction": "forward"}}}])
+_MALFORMED = {
+    "grid_missing_axis": ["verify", "--family", "F_UY0_TRIV", "--grid",
+                          '{"t": [0.5, 1, 2], "x": [0, 1, 2]}'],
+    "grid_not_object": ["verify", "--family", "F_UY0_TRIV", "--grid",
+                        "[1, 2]"],
+    "grid_count_not_int": ["verify", "--family", "F_UY0_TRIV", "--grid",
+                           '{"t": [0.5, 1, 2], "x": [0, 1, 2], '
+                           '"y": [0, 1, "a"]}'],
+    "reduce_short_init": ["reduce", "--id", "R2_9",
+                          "--param", "init=[0.0,1.2]"],
+    "dt1_theta_probe": ["transform", "--family", "zero_uq",
+                        "--chain", _DT1_BAD_THETA],
+    "dt1_witness_kind": ["transform", "--family", "zero_uq", "--chain",
+                         '[{"op": "dt1", "phi": {"witness": {"kind": "x"}}}]'],
+    "seed_phi_not_object": ["transform", "--family", "seed_qy0",
+                            "--param", "Phi=3", "--chain",
+                            '[{"op": "laplace_fwd_uq"}]'],
+    "base_too_short": ["transform", "--family", "zero_uq", "--chain",
+                       '[{"op": "laplace_fwd_uq"}]', "--base", "[1, 2]"],
+    "tol_read_as_option": ["verify", "--family", "F_UY0_TRIV",
+                           "--tol", "-inf"],
+    "unknown_flag": ["verify", "--family", "F_UY0_TRIV", "--bogus"],
+}
+
+
+@pytest.mark.parametrize("args", _MALFORMED.values(), ids=_MALFORMED)
+def test_malformed_input_is_config_error(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert set(json.loads(err)) == {"error"}

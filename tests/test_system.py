@@ -168,7 +168,12 @@ def test_report_nonfinite_residual():
     grid = [Point(1.0, 0.1 * i, 0.2 * j) for i in range(3) for j in range(3)]
     rep = residual_report(nan_u, grid)
     assert math.isnan(rep.r1_max) and rep.nonfinite == 1
-    assert json.loads(rep.to_json())["nonfinite"] == 1
+
+    def reject_constant(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    payload = json.loads(rep.to_json(), parse_constant=reject_constant)
+    assert payload["nonfinite"] == 1
+    assert payload["r1_max"] == "NaN" and payload["r1_rms"] == "NaN"
     assert "nonfinite" not in residual_report(TRIVIAL, grid).to_json()
 
 
