@@ -277,18 +277,49 @@ def list_families() -> list[FamilyDescriptor]:
     return [d for (_, d) in _FAMILIES.values()]
 
 
+def finite_real(value) -> bool:
+    """An int or float, not a bool, that is finite."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+#: binding kinds checked on instantiation: one number, or a tuple of them
+_NUMBER_KINDS = ("real", "sign", "flag01")
+_TUPLE_SIZES = {"pair": 2, "triple": 3}
+
+
+def _check_binding(name: str, kind: str, value):
+    """``value`` as a binding of ``kind``; a pair or triple becomes a tuple."""
+    size = _TUPLE_SIZES.get(kind)
+    if size is not None:
+        if isinstance(value, (list, tuple)) and len(value) == size \
+                and all(finite_real(z) for z in value):
+            return tuple(value)
+        raise BadBinding(f"{name} must be {size} finite numbers, "
+                         f"got {value!r}")
+    if kind in _NUMBER_KINDS and not finite_real(value):
+        raise BadBinding(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 def instantiate(family_id: str, bindings: dict) -> SolutionField:
-    """Build a solution field from a family id and parameter bindings."""
+    """Build a solution field from a family id and parameter bindings.
+
+    Bindings are checked against their declared kinds; a binding of None
+    stands for the family's default.
+    """
     try:
         ctor, desc = _FAMILIES[family_id]
     except KeyError:
         raise UnknownFamily(family_id) from None
-    known = {name for (name, _kind) in desc.required_params}
-    extra = set(bindings) - known
+    kinds = dict(desc.required_params)
+    extra = set(bindings) - set(kinds)
     if extra:
         raise BadBinding(f"unknown parameters {sorted(extra)} "
                          f"for {family_id}")
-    return ctor(family_id, dict(bindings))
+    return ctor(family_id, {name: _check_binding(name, kinds[name], value)
+                            for name, value in bindings.items()
+                            if value is not None})
 
 
 def _field(fid, bindings, u, v, validity=lambda p: True) -> SolutionField:
@@ -360,7 +391,7 @@ def _f_hopfcole(fid, b):
             [heat_witness_library("plane_exp", k=1.0)],
             [parse("1+y^2", "y")])
     _require_witness(w, "forward")
-    phi = _witness_off_zero(w)
+    phi = jets.last_point(_witness_off_zero(w))
 
     def u(p, n):
         f = phi(p, n + 1)

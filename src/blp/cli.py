@@ -40,11 +40,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _finite_real(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 def _grid_from_spec(spec) -> list[Point]:
     if not isinstance(spec, dict):
         raise ConfigError(f"the grid must be a JSON object, got {spec!r}")
@@ -57,8 +52,8 @@ def _grid_from_spec(spec) -> list[Point]:
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"grid axis {name} must be [lo, hi, n], "
                               f"got {axis!r}") from None
-        if not (_finite_real(lo) and _finite_real(hi)) or n < 1 \
-                or not lo < hi:
+        if not (catalog.finite_real(lo) and catalog.finite_real(hi)) \
+                or n < 1 or not lo < hi:
             raise ConfigError(f"bad grid spec for {name}: {axis}")
         axes.append(np.linspace(lo, hi, n))
     return [Point(float(t), float(x), float(y))
@@ -90,10 +85,6 @@ def _coerce_bindings(family_id: str, params: dict) -> dict:
         if isinstance(spec, dict) and "kind" in spec:
             kind = spec.pop("kind")
             out[key] = catalog.heat_witness_library(kind, **spec)
-    if "init" in out and isinstance(out["init"], list):
-        out["init"] = tuple(out["init"])
-    if "span" in out and isinstance(out["span"], list):
-        out["span"] = tuple(out["span"])
     return out
 
 
@@ -219,7 +210,7 @@ def _seed_field(name: str, params: dict):
 
 def _point(value, what: str) -> Point:
     if not (isinstance(value, (list, tuple)) and len(value) == 3
-            and all(_finite_real(c) for c in value)):
+            and all(catalog.finite_real(c) for c in value)):
         raise ConfigError(f"{what} must be [t, x, y], got {value!r}")
     return Point(*value)
 
@@ -326,7 +317,7 @@ def cmd_reduce(args) -> int:
         value = params.get(name, default)
         if not (isinstance(value, (list, tuple))
                 and len(value) == len(default)
-                and all(_finite_real(z) for z in value)):
+                and all(catalog.finite_real(z) for z in value)):
             raise ConfigError(f"{name} must be a list of {len(default)} "
                               f"numbers, got {value!r}")
         return tuple(value)

@@ -10,8 +10,9 @@ Coefficients are Taylor coefficients (partial derivative divided by
 ``i! j! k!``), which keeps truncated products cheap; true partials are
 recovered by :func:`extract_partial`.
 
-All operations are pure and jets are immutable, so values can be
-evaluated on disjoint grid points concurrently.
+All operations are pure and jets are immutable.  A map wrapped by
+:func:`last_point`, as every field component is, remembers its last
+point and is not for concurrent use.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "coordinate_jets",
     "restrict",
     "axis_series",
+    "last_point",
     "exp", "ln", "sin", "cos", "tan", "sinh", "cosh", "sqrt", "recip",
     "abs_signed", "power",
 ]
@@ -577,3 +579,26 @@ def compose3(field_coeffs: np.ndarray, order: int,
 
 
 JetMap = Callable[[Point, int], Jet3]
+
+
+def last_point(fn: JetMap) -> JetMap:
+    """``fn``, remembering its jet at the last point it was asked about.
+
+    The jet is kept at the highest order asked at that point, and a lower
+    order there is answered by truncation.  A new point replaces it; an
+    error is never remembered.  Wrapping a wrapped map returns it as is.
+    """
+    if getattr(fn, "remembers_last_point", False):
+        return fn
+    last_p = last_jet = None
+
+    def remembered(p: Point, order: int) -> Jet3:
+        nonlocal last_p, last_jet
+        if last_p == p and last_jet.order >= order:
+            return last_jet.truncate(order)
+        jet = fn(p, order)
+        last_p, last_jet = p, jet
+        return jet
+
+    remembered.remembers_last_point = True
+    return remembered

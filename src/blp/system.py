@@ -47,7 +47,8 @@ class SolutionField:
     """An immutable pair of jet-evaluable maps with family metadata.
 
     ``coords`` is one of ``"UV"``, ``"UQ"``, ``"UW"``; the second
-    component holds v, q or w accordingly.
+    component holds v, q or w accordingly.  Each component remembers its
+    last point (:func:`jets.last_point`): a field is not for concurrent use.
     """
     u: JetMap
     v: JetMap
@@ -55,6 +56,10 @@ class SolutionField:
     family_id: str = ""
     params: Mapping[str, object] = field(default_factory=dict)
     validity: Callable[[Point], bool] = lambda p: True
+
+    def __post_init__(self):
+        object.__setattr__(self, "u", jets.last_point(self.u))
+        object.__setattr__(self, "v", jets.last_point(self.v))
 
     @property
     def q(self) -> JetMap:

@@ -17,6 +17,8 @@ The Laplace maps act in (u,q) coordinates as
     inverse:  u~ = u - (q_xy-u_xy)/(q_y-u_y),  q~ = q - u
 
 and in (u,v) coordinates with the line-integral reconstruction of v.
+Each map asks its parent for the highest order it needs first; the
+parent's remembered jet (:func:`jets.last_point`) answers lower ones.
 Darboux transformations dress a solution with covering eigenfunctions;
 their n-fold versions are Wronskian ratios, evaluated here by
 fraction-free elimination on jets.
@@ -26,13 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from . import jets
 from .exprdsl import Bin, Call, Expr, Num, parse
-from .jets import DomainError, Jet3, JetMap, Point
+from .jets import DomainError, Jet3, JetMap, Point, last_point
 from .quadrature import integrate_field_along
 from .system import SolutionField, covering_residual, defined_where
 
@@ -268,11 +271,12 @@ def laplace_forward_uq(s: SolutionField) -> SolutionField:
             raise UndefinedTransform("q_y inside guard band")
         return q_xy / q_y
 
+    @last_point
     def u(p, n):
-        return s.u(p, n) + correction(p, n)
+        return correction(p, n) + s.u(p, n)
 
     def q(p, n):
-        return s.v(p, n) + s.u(p, n) + correction(p, n)
+        return u(p, n) + s.v(p, n)
 
     return SolutionField(u=u, v=q, coords="UQ",
                          family_id=s.family_id + "~Lfwd", params=s.params,
@@ -302,7 +306,7 @@ def laplace_inverse_uq(s: SolutionField) -> SolutionField:
                                                 within=s.validity))
 
 
-def _uv_path_integrals(s: SolutionField, base: Point, memo: dict):
+def _uv_path_integrals(s: SolutionField, base: Point) -> JetMap:
     """The two line integrals shared by the forward/inverse (u,v) maps."""
 
     def u_y_field(p: Point, n: int) -> Jet3:
@@ -317,14 +321,8 @@ def _uv_path_integrals(s: SolutionField, base: Point, memo: dict):
         return jets.restrict(g, "x", p)
 
     def total(p: Point, n: int) -> Jet3:
-        key = (p, n)
-        co = memo.get(key)
-        if co is None:
-            xi = integrate_field_along(u_y_field, "x", base.x, p, n)
-            ti = integrate_field_along(t_integrand, "t", base.t, p, n)
-            co = (xi + ti).coeffs
-            memo[key] = co
-        return Jet3(p, n, co)
+        return (integrate_field_along(u_y_field, "x", base.x, p, n)
+                + integrate_field_along(t_integrand, "t", base.t, p, n))
 
     return total
 
@@ -332,8 +330,7 @@ def _uv_path_integrals(s: SolutionField, base: Point, memo: dict):
 def laplace_forward_uv(s: SolutionField, base: Point) -> SolutionField:
     if s.coords != "UV":
         raise ValueError("expects (u,v) coordinates")
-    memo: dict = {}
-    path = _uv_path_integrals(s, base, memo)
+    path = _uv_path_integrals(s, base)
 
     def u(p, n):
         vj = s.v(p, n + 2)
@@ -360,8 +357,7 @@ def laplace_forward_uv(s: SolutionField, base: Point) -> SolutionField:
 def laplace_inverse_uv(s: SolutionField, base: Point) -> SolutionField:
     if s.coords != "UV":
         raise ValueError("expects (u,v) coordinates")
-    memo: dict = {}
-    path = _uv_path_integrals(s, base, memo)
+    path = _uv_path_integrals(s, base)
 
     def u(p, n):
         uj = s.u(p, n + 2)
@@ -397,6 +393,7 @@ class CoveringEigenfunction:
     probe_points: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "phi", last_point(self.phi))
         pts = list(self.probe_points) or \
             [p for p in _COVER_PROBE if self.attached_to.validity(p)]
         worst, used = 0.0, 0
@@ -423,19 +420,17 @@ def uq_seed(witness, L: JetMap | None = None,
     constraint "u_y=q_y": u = Phi_x/Phi, q = u + L with
         Phi_t - Phi_xx - 2 L_x Phi = 0 (forward witness when L = 0).
     """
+    if constraint not in ("q_y=0", "u_y=q_y"):
+        raise ValueError(f"unknown constraint {constraint!r}")
     phi_map = witness.Phi if hasattr(witness, "Phi") else witness
+    sign = -1.0 if constraint == "q_y=0" else 1.0
 
-    def u_minus(p, n):
+    @last_point
+    def u(p, n):
         f = phi_map(p, n + 1)
         if abs(f.value) < 1e-8:
             raise DomainError("witness zero")
-        return -f.derive("x") / f.truncate(n)
-
-    def u_plus(p, n):
-        f = phi_map(p, n + 1)
-        if abs(f.value) < 1e-8:
-            raise DomainError("witness zero")
-        return f.derive("x") / f.truncate(n)
+        return sign * f.derive("x") / f.truncate(n)
 
     def L_jet(p, n):
         if L is None:
@@ -443,14 +438,12 @@ def uq_seed(witness, L: JetMap | None = None,
         return L(p, n)
 
     if constraint == "q_y=0":
-        return SolutionField(u=u_minus, v=L_jet, coords="UQ",
+        return SolutionField(u=u, v=L_jet, coords="UQ",
                              family_id="seed[q_y=0]")
-    if constraint == "u_y=q_y":
-        def q(p, n):
-            return u_plus(p, n) + L_jet(p, n)
-        return SolutionField(u=u_plus, v=q, coords="UQ",
-                             family_id="seed[u_y=q_y]")
-    raise ValueError(f"unknown constraint {constraint!r}")
+
+    def q(p, n):
+        return u(p, n) + L_jet(p, n)
+    return SolutionField(u=u, v=q, coords="UQ", family_id="seed[u_y=q_y]")
 
 
 def darboux(kind: str, s: SolutionField,
@@ -549,18 +542,18 @@ def _bareiss_det(mat: list[list[Jet3]]) -> Jet3:
     return sign * a[n - 1][n - 1]
 
 
-def _derivative_rows(maps: Sequence[JetMap], axis: str, orders: Sequence[int],
-                     p: Point, n: int) -> list[list[Jet3]]:
+def _wronskian(maps: Sequence[JetMap], axis: str, orders: Sequence[int],
+               p: Point, n: int) -> Jet3:
+    """Determinant of the ``orders``-th ``axis``-derivatives of ``maps``."""
     depth = max(orders)
     cols = []
     for m in maps:
-        j = m(p, n + depth)
-        tower = [j]
+        tower = [m(p, n + depth)]
         for _ in range(depth):
             tower.append(tower[-1].derive(axis))
         cols.append(tower)
-    return [[cols[c][k].truncate(n) for c in range(len(maps))]
-            for k in orders]
+    return _bareiss_det([[cols[c][k].truncate(n) for c in range(len(maps))]
+                         for k in orders])
 
 
 def darboux_iterated(kind: str, s: SolutionField,
@@ -577,47 +570,42 @@ def darboux_iterated(kind: str, s: SolutionField,
         raise ValueError("need at least one eigenfunction")
 
     if kind == "DT1":
-        def wronskis(p, n):
-            w = _bareiss_det(_derivative_rows(maps, "y",
-                                              range(n_fold), p, n))
-            wy = _bareiss_det(_derivative_rows(maps, "y",
-                                               range(1, n_fold + 1), p, n))
-            return w, wy
+        w_map = last_point(partial(_wronskian, maps, "y", range(n_fold)))
+        wy_map = last_point(partial(_wronskian, maps, "y",
+                                    range(1, n_fold + 1)))
 
         def u(p, n):
-            w, wy = wronskis(p, n + 1)
+            wy, w = wy_map(p, n + 1), w_map(p, n + 1)
             if abs(w.value) < GUARD or abs(wy.value) < GUARD:
                 raise UndefinedTransform("Wronskian inside guard band")
             return s.u(p, n) - (w.derive("x") / w.truncate(n)
                                 - wy.derive("x") / wy.truncate(n))
 
         def q(p, n):
-            rows = _derivative_rows(maps + [s.v], "y", range(n_fold + 1),
-                                    p, n)
-            wq = _bareiss_det(rows)
-            _, wy = wronskis(p, n)
+            wq = _wronskian(maps + [s.v], "y", range(n_fold + 1), p, n)
+            wy = wy_map(p, n)
             if abs(wy.value) < GUARD:
                 raise UndefinedTransform("Wronskian inside guard band")
             return (-1.0) ** n_fold * wq / wy
 
     elif kind == "DT2":
-        def a_parts(p, n):
-            w = _bareiss_det(_derivative_rows(maps, "x",
-                                              range(n_fold), p, n + 3))
+        w_map = last_point(partial(_wronskian, maps, "x", range(n_fold)))
+        minor_orders = [k for k in range(n_fold + 1) if k != n_fold - 2]
+
+        @last_point
+        def a1_map(p, n):
+            w = w_map(p, n + 1)
             if abs(w.value) < GUARD:
                 raise UndefinedTransform("Wronskian inside guard band")
-            a1 = -(w.derive("x") / w.truncate(n + 2))
+            return -(w.derive("x") / w.truncate(n))
+
+        def u(p, n):
+            a1 = a1_map(p, n + 2)
             if n_fold == 1:
                 a2 = Jet3.constant(0.0, p, n + 1)
             else:
-                orders = [k for k in range(n_fold + 1) if k != n_fold - 2]
-                minor = _bareiss_det(_derivative_rows(maps, "x", orders,
-                                                      p, n + 1))
-                a2 = minor / w.truncate(n + 1)
-            return a1, a2
-
-        def u(p, n):
-            a1, a2 = a_parts(p, n)
+                a2 = _wronskian(maps, "x", minor_orders, p, n + 1) \
+                    / w_map(p, n + 1)
             uj = s.u(p, n + 2)
             qj = s.v(p, n + 2)
             q_y = qj.derive("y").truncate(n)
@@ -632,8 +620,7 @@ def darboux_iterated(kind: str, s: SolutionField,
             return num / den
 
         def q(p, n):
-            a1, _ = a_parts(p, n)
-            return s.v(p, n) - a1.truncate(n)
+            return s.v(p, n) - a1_map(p, n)
     else:
         raise ValueError("kind must be 'DT1' or 'DT2'")
 
@@ -652,22 +639,16 @@ def darboux_iterated_psi(kind: str, phis: Sequence[JetMap],
     n_fold = len(maps)
     if kind == "DT1":
         def out(p, n):
-            rows = _derivative_rows(maps + [psi], "y", range(n_fold + 1),
-                                    p, n)
-            wp = _bareiss_det(rows)
-            wy = _bareiss_det(_derivative_rows(maps, "y",
-                                               range(1, n_fold + 1), p, n))
+            wp = _wronskian(maps + [psi], "y", range(n_fold + 1), p, n)
+            wy = _wronskian(maps, "y", range(1, n_fold + 1), p, n)
             if abs(wy.value) < GUARD:
                 raise UndefinedTransform("Wronskian inside guard band")
             return (-1.0) ** n_fold * wp / wy
         return out
     if kind == "DT2":
         def out(p, n):
-            rows = _derivative_rows(maps + [psi], "x", range(n_fold + 1),
-                                    p, n)
-            wp = _bareiss_det(rows)
-            w = _bareiss_det(_derivative_rows(maps, "x", range(n_fold),
-                                              p, n))
+            wp = _wronskian(maps + [psi], "x", range(n_fold + 1), p, n)
+            w = _wronskian(maps, "x", range(n_fold), p, n)
             if abs(w.value) < GUARD:
                 raise UndefinedTransform("Wronskian inside guard band")
             return wp / w
@@ -697,7 +678,6 @@ def covering_solutions_for_constraint(
     backward heat solution); zeta is an arbitrary function of y.
     """
     phi_map = witness.Phi if hasattr(witness, "Phi") else witness
-    memo: dict = {}
 
     if theta is not None:
         worst = 0.0
@@ -720,15 +700,10 @@ def covering_solutions_for_constraint(
             return zj * phi_map(p, n)
 
         def psi(p, n):
-            key = (p, n)
-            co = memo.get(key)
-            if co is None:
-                out = integrate_field_along(integrand, "y", base.y, p, n)
-                if theta is not None:
-                    out = out + theta(p, n)
-                co = out.coeffs
-                memo[key] = co
-            return Jet3(p, n, co)
+            out = integrate_field_along(integrand, "y", base.y, p, n)
+            if theta is not None:
+                out = out + theta(p, n)
+            return out
 
     elif constraint == "u_y=q_y":
         def x_integrand(p, n):
@@ -748,16 +723,11 @@ def covering_solutions_for_constraint(
             return jets.restrict(g, "x", p)
 
         def psi(p, n):
-            key = (p, n)
-            co = memo.get(key)
-            if co is None:
-                acc = integrate_field_along(x_integrand, "x", base.x, p, n) \
-                    + integrate_field_along(t_integrand, "t", base.t, p, n)
-                if zeta is not None:
-                    acc = acc + zeta(jets.lift_variable("y", p, n))
-                co = (acc / phi_map(p, n)).coeffs
-                memo[key] = co
-            return Jet3(p, n, co)
+            acc = integrate_field_along(x_integrand, "x", base.x, p, n) \
+                + integrate_field_along(t_integrand, "t", base.t, p, n)
+            if zeta is not None:
+                acc = acc + zeta(jets.lift_variable("y", p, n))
+            return acc / phi_map(p, n)
     else:
         raise ValueError(f"unknown constraint {constraint!r}")
 

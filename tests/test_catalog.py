@@ -55,6 +55,13 @@ def test_unknown_family_and_bad_binding():
         instantiate("F_UY0_TRIV", {"bogus": 1})
     with pytest.raises(BadBinding):
         instantiate("F_VXXX_1", {"delta": 2})
+    for fid, bad in [("F_R29_ELEM_2", {"kappa": float("nan")}),
+                     ("F_R29_ELEM_2", {"kappa": True}),
+                     ("F_R22_ELEM_1", {"eps1": "-1"}),
+                     ("F_R24_PAINLEVE4", {"span": [-1.2, float("inf")]}),
+                     ("F_R24_PAINLEVE4", {"init": (0.0, 0.88)})]:
+        with pytest.raises(BadBinding):
+            instantiate(fid, bad)
 
 
 def test_hopf_cole_example():

@@ -252,10 +252,10 @@ def test_nan_residual_never_passes(monkeypatch, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_parameter_is_strict_json(capsys):
-    code, out, _ = run_cli(["verify", "--family", "F_R29_ELEM_2",
-                            "--param", "kappa=Infinity"], capsys)
-    report = json.loads(out, parse_constant=reject_constant)
-    assert code == 1 and report["params"]["kappa"] == "Infinity"
+    code, out, err = run_cli(["verify", "--family", "F_R29_ELEM_2",
+                              "--param", "kappa=Infinity"], capsys)
+    assert code == 2 and out == ""
+    assert set(json.loads(err, parse_constant=reject_constant)) == {"error"}
 
 
 def test_finite_report_has_no_nonfinite_key(capsys):
@@ -287,6 +287,14 @@ _MALFORMED = {
     "tol_read_as_option": ["verify", "--family", "F_UY0_TRIV",
                            "--tol", "-inf"],
     "unknown_flag": ["verify", "--family", "F_UY0_TRIV", "--bogus"],
+    "family_short_init": ["verify", "--family", "F_R24_PAINLEVE4",
+                          "--param", "init=[1,2]"],
+    "family_short_span": ["verify", "--family", "F_R29_PAINLEVE2",
+                          "--param", "span=[-2.4]"],
+    "real_not_numeric": ["verify", "--family", "F_R29_ELEM_2",
+                         "--param", "kappa=abc"],
+    "real_infinite": ["verify", "--family", "F_R29_ELEM_3",
+                      "--param", "nu=-Infinity"],
 }
 
 

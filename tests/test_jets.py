@@ -240,3 +240,37 @@ def test_compose3_recovers_affine_substitution():
     for m in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (0, 0, 1)]:
         assert comp.extract(m) == pytest.approx(
             central_diff(f, base, m), rel=1e-6, abs=1e-7)
+
+
+def test_last_point_truncates_evicts_and_never_keeps_errors():
+    calls = []
+
+    def f(p, n):
+        calls.append((p, n))
+        if p.x < 0:
+            raise DomainError("negative x")
+        t, x, y = jets.coordinate_jets(p, n)
+        return jets.exp(x * y) * jets.sin(t + x) / (1.0 + y * y)
+
+    g = jets.last_point(f)
+    assert jets.last_point(g) is g
+    p, q = Point(0.3, 0.5, 0.7), Point(0.4, 0.5, 0.7)
+    g(p, 6)
+    lower = [g(p, n) for n in range(7)]
+    assert len(calls) == 1
+    for n, jet in enumerate(lower):
+        assert jet.order == n and jet.base == p
+        assert np.array_equal(jet.coeffs, f(p, n).coeffs)
+    calls.clear()
+    g(q, 2)
+    g(p, 2)
+    g(p, 3)
+    g(p, 1)
+    assert calls == [(q, 2), (p, 2), (p, 3)]
+    bad = Point(0.3, -0.5, 0.7)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            g(bad, 2)
+    assert calls[-2:] == [(bad, 2), (bad, 2)]
+    g(p, 1)  # the failed point left the jet at p in place
+    assert len(calls) == 5

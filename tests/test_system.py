@@ -8,7 +8,7 @@ from blp.exprdsl import parse
 from blp.jets import Jet3, Point
 from blp.system import (
     SolutionField, conserved_current_divergence, convert, covering_residual,
-    perturb_v, residual, residual_report, residual_uq,
+    perturb_v, report_json, residual, residual_report, residual_uq,
 )
 
 
@@ -175,6 +175,17 @@ def test_report_nonfinite_residual():
     assert payload["nonfinite"] == 1
     assert payload["r1_max"] == "NaN" and payload["r1_rms"] == "NaN"
     assert "nonfinite" not in residual_report(TRIVIAL, grid).to_json()
+
+
+def test_report_json_writes_nested_nonfinite_as_strings():
+    text = report_json({"params": {"kappa": math.inf, "pair": (math.nan, 1.5)},
+                        "r1_max": -math.inf, "skipped": 0})
+
+    def reject_constant(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    assert json.loads(text, parse_constant=reject_constant) == {
+        "params": {"kappa": "Infinity", "pair": ["NaN", 1.5]},
+        "r1_max": "-Infinity", "skipped": 0}
 
 
 def test_convert_uw_paths():

@@ -5,7 +5,9 @@ import pytest
 
 from blp import catalog, jets, transforms
 from blp.jets import Jet3, Point
-from blp.system import SolutionField, convert, residual, residual_uq
+from blp.system import (
+    SolutionField, convert, residual, residual_report, residual_uq,
+)
 from blp.transforms import (
     CoveringEigenfunction, InverseMapError, PointSymmetry,
     UndefinedTransform, apply_symmetry, covering_solutions_for_constraint,
@@ -557,3 +559,79 @@ def test_convert_roundtrip_families(fid, bindings):
             s.v(p, 2).extract((0, 1, 0)), abs=1e-7)
         r1, r2 = residual(back, p)
         assert abs(r1) < 1e-6 and abs(r2) < 1e-6, fid
+
+
+class _CountingWitness:
+    """Phi = sum_j c_j(y) exp(k_j x + s k_j^2 t) + a y + b; counts calls."""
+
+    def __init__(self, ks, coeffs, sign, linear=(0.0, 0.0)):
+        self.ks, self.coeffs, self.sign = ks, coeffs, sign
+        self.linear = linear
+        self.calls = 0
+
+    def Phi(self, p, n):
+        self.calls += 1
+        t, x, y = jets.coordinate_jets(p, n)
+        acc = self.linear[0] * y + self.linear[1]
+        for k, cs in zip(self.ks, self.coeffs):
+            c = cs[0] + 0.0 * y
+            for power, cp in enumerate(cs[1:], start=1):
+                c = c + cp * y ** power
+            acc = acc + c * jets.exp(k * x + self.sign * k * k * t)
+        return acc
+
+
+def _box_grid(box, shape):
+    axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(box, shape)]
+    return [Point(float(t), float(x), float(y))
+            for t in axes[0] for x in axes[1] for y in axes[2]]
+
+
+def _phi_calls_per_point(witness, field, grid):
+    witness.calls = 0
+    rep = residual_report(field, grid)
+    assert rep.skipped == 0 and rep.r1_max < 1e-6 and rep.r2_max < 1e-6
+    return witness.calls / len(grid)
+
+
+_MODE_KS = (-0.5, 0.5, 1.0, 1.5)
+_MODE_COEFFS = ([1.0], [1.0, 0.0, 1.0], [0.0, 1.0], [0.5, 0.0, 0.0, 0.3])
+
+
+@pytest.mark.parametrize("direction,depth,want", [
+    ("fwd", 1, 2), ("fwd", 2, 3), ("fwd", 3, 4),
+    ("inv", 1, 2), ("inv", 2, 3), ("inv", 3, 4),
+])
+def test_laplace_uq_chain_phi_calls_grow_linearly(direction, depth, want):
+    # each level asks its parent for one jet per point, at the highest
+    # order it needs, plus one lower-order jet for the validity probe
+    if direction == "fwd":
+        w = _CountingWitness(_MODE_KS, _MODE_COEFFS, 1.0)
+        field = uq_seed(w, constraint="u_y=q_y")
+        step, box = laplace_forward_uq, ((0.1, 0.4), (-0.2, 0.2), (0.5, 1.0))
+    else:
+        w = _CountingWitness(_MODE_KS, _MODE_COEFFS, -1.0)
+        field = uq_seed(w, constraint="q_y=0")
+        step, box = laplace_inverse_uq, ((0.6, 1.3), (0.2, 0.8), (0.4, 0.9))
+    for _ in range(depth):
+        field = step(field)
+    assert _phi_calls_per_point(w, field, _box_grid(box, (2, 2, 2))) == want
+
+
+@pytest.mark.parametrize("kind,n_fold,want", [
+    ("DT1", 1, 69), ("DT1", 2, 135), ("DT2", 1, 68), ("DT2", 2, 134),
+])
+def test_darboux_nfold_phi_calls(kind, n_fold, want):
+    # one eigenfunction jet per point for the validity probe and one for
+    # the residual; each is two quadratures over the witness
+    w = _CountingWitness((1.0,), ([1.0],), 1.0, linear=(0.3, 0.1))
+    seed = uq_seed(w, constraint="u_y=q_y")
+    thetas = [jmap(lambda t, x, y: jets.exp(x - t)),
+              jmap(lambda t, x, y: jets.exp(2.0 * x - 4.0 * t))]
+    zetas = [lambda yj: 1.0 + 0.2 * yj * yj, lambda yj: yj]
+    phis = [covering_solutions_for_constraint(
+                "u_y=q_y", seed, w, theta=th, zeta=z)
+            for th, z in zip(thetas[:n_fold], zetas[:n_fold])]
+    field = darboux_iterated(kind, seed, phis)
+    grid = _box_grid(((0.6, 1.3), (0.2, 0.8), (0.4, 0.9)), (2, 1, 1))
+    assert _phi_calls_per_point(w, field, grid) == want
