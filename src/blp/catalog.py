@@ -327,6 +327,37 @@ def _field(fid, bindings, u, v, validity=lambda p: True) -> SolutionField:
                          params=bindings, validity=validity)
 
 
+#: grid lines whose line integral :func:`_line_integral` keeps
+_LINES_KEPT = 4096
+
+
+def _line_integral(integrand: JetMap, axis: str, lower: float,
+                   constant_along: str) -> JetMap:
+    """``integrate_field_along(integrand, axis, lower, p, n)`` for an
+    integrand that does not depend on the coordinate ``constant_along``.
+
+    The integral is then one jet all along each grid line in that
+    direction.  Each line keeps its jet at the highest order computed on
+    it and answers a lower order by truncation (the :func:`jets.last_point`
+    rule, per line).  At most ``_LINES_KEPT`` lines are kept; the one
+    first computed longest ago goes first.
+    """
+    skip = "txy".index(constant_along)
+    known: dict = {}
+
+    def integral(p: Point, n: int) -> Jet3:
+        line = tuple(c for i, c in enumerate(p) if i != skip)
+        size = jets.jet_size(n)
+        co = known.get(line)
+        if co is None or len(co) < size:
+            co = integrate_field_along(integrand, axis, lower, p, n).coeffs
+            if line not in known and len(known) >= _LINES_KEPT:
+                del known[next(iter(known))]
+            known[line] = co
+        return Jet3(p, n, co[:size])
+    return integral
+
+
 def default_box(family_id: str) -> tuple:
     """The family's (t, x, y) sampling box; the common box for other ids."""
     entry = _FAMILIES.get(family_id)
@@ -544,7 +575,6 @@ def _f_vxxx2(fid, b):
     be = _exprify(b.get("beta", "2+cos(y)"), "y")
     th = _exprify(b.get("theta", "t"), "t")
     t0 = float(b.get("t0", 1.0))
-    memo: dict = {}
 
     def integrand(p, n):
         t, _, _ = jets.coordinate_jets(p, n)
@@ -553,13 +583,7 @@ def _f_vxxx2(fid, b):
             raise DomainError("t + beta near zero on the path")
         return (2.0 * _jt(th, p, n) + 1.0) / (T * T)
 
-    def integral(p, n):
-        key = (p.t, p.y, n)
-        co = memo.get(key)
-        if co is None:
-            co = integrate_field_along(integrand, "t", t0, p, n).coeffs
-            memo[key] = co
-        return Jet3(p, n, co)
+    integral = _line_integral(integrand, "t", t0, constant_along="x")
 
     def u(p, n):
         if abs(p.x) < MARGIN:
@@ -761,7 +785,6 @@ def _f_uxx_bernoulli(fid, b):
     l0 = _exprify(b.get("lam0", "0"), "y")
     y0 = float(b.get("y0", -2.0))
     dbe = be.diff()
-    memo: dict = {}
 
     def chi_jet(p, n):
         t, _, _ = jets.coordinate_jets(p, n)
@@ -780,13 +803,7 @@ def _f_uxx_bernoulli(fid, b):
         return (_jy(l1, p, n) * chi_jet(p, n) + _jy(l0, p, n)) \
             / jets.sqrt(ct)
 
-    def psi_tilde(p, n):
-        key = (p.t, p.y, n)
-        co = memo.get(key)
-        if co is None:
-            co = integrate_field_along(psi_integrand, "y", y0, p, n).coeffs
-            memo[key] = co
-        return Jet3(p, n, co)
+    psi_tilde = _line_integral(psi_integrand, "y", y0, constant_along="x")
 
     def omega(p, n):
         _, x, _ = jets.coordinate_jets(p, n)
@@ -863,7 +880,9 @@ class _Antiderivative:
                 break
             except QuadratureError:
                 # integrand noise (e.g. branch switching in special
-                # functions) can stall refinement below ~1e-10
+                # functions) can stall refinement below ~1e-10; the stall
+                # rule of adaptive_quadrature gives up on such a tolerance
+                # in tens of panels, not at the end of the panel budget
                 tol *= 100.0
                 if tol > 1e-7:
                     raise
@@ -1248,7 +1267,6 @@ def _f_sinhgordon(fid, b):
     if probed == 0 or worst > 1e-7:
         raise WitnessViolation(
             f"theta probe failed: {probed} points, residual {worst:g}")
-    memo: dict = {}
 
     def integrand(p, n):
         return jets.exp(theta(p, n))
@@ -1257,13 +1275,7 @@ def _f_sinhgordon(fid, b):
         th = theta(p, n + 1)
         return -0.5 * th.derive("x")
 
-    def v(p, n):
-        key = (p.x, p.y, n)
-        co = memo.get(key)
-        if co is None:
-            co = integrate_field_along(integrand, "x", x0, p, n).coeffs
-            memo[key] = co
-        return Jet3(p, n, co)
+    v = _line_integral(integrand, "x", x0, constant_along="t")
 
     def ok(p):
         try:

@@ -9,6 +9,14 @@ or vector-valued; the error estimate is the usual |K15 - G7| panel bound.
 jet-evaluable field to a jet: the coefficients that carry powers of the
 integration axis follow from the fundamental theorem of calculus, and the
 remaining slice is integrated coefficient-wise.
+
+Refinement stops early when it no longer pays: the roundoff detection of
+QUADPACK (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, *QUADPACK*,
+Springer 1983, routine ``dqage``, counter ``iroff2``) counts the splits
+whose two halves carry more error than their parent, and gives up with
+a "stall" once that has happened often enough.  An integrand whose noise
+floor lies above the tolerance fails in tens of panels, not at the end of
+the panel budget.
 """
 
 from __future__ import annotations
@@ -24,10 +32,23 @@ __all__ = ["QuadratureError", "gauss_kronrod_15", "adaptive_quadrature",
 
 
 class QuadratureError(ArithmeticError):
-    """Adaptive subdivision failed to reach the requested tolerance."""
+    """Adaptive subdivision failed to reach the requested tolerance.
+
+    ``reason`` names the failure: ``"budget"`` (the panel budget ran
+    out), ``"width"`` (a panel shrank below floating-point resolution) or
+    ``"stall"`` (refinement stopped reducing the error).
+    """
+
+    def __init__(self, message: str, reason: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53
+#: splits that are never counted as raising the error (QUADPACK's
+#: ``last > 10``), and the count of later ones that ends refinement
+_STALL_GRACE = 10
+_STALL_LIMIT = 20
 
 
 # 15-point Kronrod nodes and weights with the embedded 7-point Gauss rule
@@ -90,9 +111,17 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-10,
     same panels run, and the same value and failures come out, as when
     every panel is rescanned and re-summed on each split.
 
-    Raises :class:`QuadratureError` when the panel budget is exhausted or
-    a panel shrinks below floating-point resolution (the usual symptom of
-    an integrand pole inside the interval).
+    Stall rule (QUADPACK ``dqage``, counter ``iroff2``): from the split
+    after the ``_STALL_GRACE``-th on, a split whose two halves have a
+    larger error sum than their parent is counted; at the
+    ``_STALL_LIMIT``-th such split the exact error total is taken, and
+    if it is still above ``tol`` refinement has hit the integrand's
+    roundoff or noise floor and gives up.
+
+    Raises :class:`QuadratureError` when the panel budget is exhausted
+    (reason ``"budget"``), a panel shrinks below floating-point
+    resolution (``"width"``, the usual symptom of an integrand pole
+    inside the interval) or refinement stalls (``"stall"``).
     """
     if a == b:
         probe = np.asarray(f(a), dtype=float)
@@ -104,6 +133,7 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-10,
     width_floor = 1e-14 * (1.0 + abs(a) + abs(b))
     total = float(err)  # running error total
     drift = 0.0         # bound on |total - exact sum of the live errors|
+    splits = stalls = 0
     while True:
         n = len(live)
         # |exact sum - total| <= drift + gamma_n * (real sum), and the real
@@ -111,29 +141,40 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-10,
         # of this bound itself
         gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
         slack = 2.0 * (drift + gamma * (total + drift))
-        if n >= max_panels or not total - slack > tol:
+        stalled = stalls == _STALL_LIMIT
+        if n >= max_panels or stalled or not total - slack > tol:
             exact = sum(p[0] for p in live.values())
             if not exact > tol:
                 break
             if n >= max_panels:
-                raise QuadratureError("panel budget exhausted")
+                raise QuadratureError("panel budget exhausted", "budget")
+            if stalled:
+                raise QuadratureError(
+                    f"refinement stalled at error {exact:g} after {splits} "
+                    f"splits", "stall")
             total = float(exact)
             drift = 2.0 * gamma * total
         _, worst = heapq.heappop(heap)
         err, lo, hi, _ = live.pop(worst)
         if abs(hi - lo) < width_floor:
             raise QuadratureError(
-                f"panel [{lo}, {hi}] below width floor with error {err:g}")
+                f"panel [{lo}, {hi}] below width floor with error {err:g}",
+                "width")
         total -= float(err)
         drift += 2.0 * _UNIT_ROUNDOFF * abs(total)
         mid = 0.5 * (lo + hi)
+        halves = 0.0
         for left, right in ((lo, mid), (mid, hi)):
             v, e = gauss_kronrod_15(f, left, right)
             live[created] = (e, left, right, v)
             heapq.heappush(heap, (-float(e), created))
             created += 1
+            halves += float(e)
             total += float(e)
             drift += 2.0 * _UNIT_ROUNDOFF * abs(total)
+        splits += 1
+        if splits > _STALL_GRACE and halves > err:
+            stalls += 1
     values = [p[3] for p in live.values()]
     result = values[0] * 0.0
     for v in values:

@@ -212,12 +212,18 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
     dT, dY = g.T.diff(), g.Y.diff()
     ddT = dT.diff()
     dX0, dV0 = g.X0.diff(), g.V0.diff()
+    last_new = last_old = None
 
     def old_point(pn: Point) -> Point:
+        # validity, u and v ask at the same point in turn: invert it once
+        nonlocal last_new, last_old
+        if pn == last_new:
+            return last_old
         t_old = _invert_monotone(g.T, pn.t, g.t_window)
         y_old = _invert_monotone(g.Y, pn.y, g.y_window)
         x_old = (pn.x - g.X0(t_old)) / (g.eps * math.sqrt(dT(t_old)))
-        return Point(t_old, x_old, y_old)
+        last_new, last_old = pn, Point(t_old, x_old, y_old)
+        return last_old
 
     def inner_jets(pn: Point, n: int):
         po = old_point(pn)

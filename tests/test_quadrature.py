@@ -85,25 +85,39 @@ def test_integrate_field_along_t():
 
 # -- heap-ordered refinement against the list-scan original ----------------
 
-def _list_scan_quadrature(f, a, b, tol=1e-10, max_panels=2000):
-    """Reference: every panel rescanned and re-summed on each split."""
+def _list_scan_quadrature(f, a, b, tol=1e-10, max_panels=2000,
+                          stall_rule=True):
+    """Reference: every panel rescanned and re-summed on each split.
+
+    With ``stall_rule`` off it is the quadrature without QUADPACK's
+    roundoff detection, which runs until the tolerance or a limit."""
     if a == b:
         probe = np.asarray(f(a), dtype=float)
         return probe * 0.0
     val, err = gauss_kronrod_15(f, a, b)
     panels = [(err, a, b, val)]
     width_floor = 1e-14 * (1.0 + abs(a) + abs(b))
+    splits = stalls = 0
     while sum(p[0] for p in panels) > tol:
         if len(panels) >= max_panels:
-            raise QuadratureError("panel budget exhausted")
+            raise QuadratureError("panel budget exhausted", "budget")
+        if stalls == 20:
+            raise QuadratureError(
+                f"refinement stalled at error {sum(p[0] for p in panels):g} "
+                f"after {splits} splits", "stall")
         worst = max(range(len(panels)), key=lambda i: panels[i][0])
         err, lo, hi, _ = panels.pop(worst)
         if abs(hi - lo) < width_floor:
             raise QuadratureError(
-                f"panel [{lo}, {hi}] below width floor with error {err:g}")
+                f"panel [{lo}, {hi}] below width floor with error {err:g}",
+                "width")
         mid = 0.5 * (lo + hi)
         panels.append((*_reference_panel(f, lo, mid),))
         panels.append((*_reference_panel(f, mid, hi),))
+        splits += 1
+        if stall_rule and splits > 10 and \
+                float(panels[-2][0]) + float(panels[-1][0]) > err:
+            stalls += 1
     total = panels[0][3] * 0.0
     for _, _, _, v in panels:
         total = total + v
@@ -141,6 +155,7 @@ _DIFFERENTIAL_CASES = [
     ("pole_budget", lambda s: 1.0 / (s - 1 / 3), 0.0, 1.0,
      {"max_panels": 32}),
     ("pole_width", lambda s: 1.0 / (s - 1 / 3), 0.0, 1.0, {}),
+    ("singular_width", lambda s: 1.0 / math.sqrt(s), 0.0, 1.0, {}),
     ("noise_floor", _noisy_exp, 0.0, 1.0,
      {"tol": 1e-15, "max_panels": 300}),
     ("loose_tol", math.sqrt, 0.0, 1.0, {"tol": 1e-3}),
@@ -157,7 +172,7 @@ def _run_counted(quad, f, a, b, kw):
     try:
         out = ("value", np.asarray(quad(counted, a, b, **kw)).tobytes())
     except QuadratureError as exc:
-        out = ("error", str(exc))
+        out = ("error", exc.reason, str(exc))
     return out, calls[0]
 
 
@@ -205,8 +220,32 @@ def test_heap_order_matches_list_scan_at_boundary_tolerances(f, tol):
 def test_differential_cases_reach_each_outcome():
     out = {name: _run_counted(adaptive_quadrature, f, a, b, kw)[0]
            for name, f, a, b, kw in _DIFFERENTIAL_CASES}
-    assert out["noise_floor"] == ("error", "panel budget exhausted")
-    assert out["pole_budget"] == ("error", "panel budget exhausted")
-    assert out["pole_width"][0] == "error"
-    assert "below width floor" in out["pole_width"][1]
+    assert out["noise_floor"][:2] == ("error", "stall")
+    assert out["noise_floor"][2].startswith("refinement stalled at error")
+    assert out["pole_budget"] == ("error", "budget", "panel budget exhausted")
+    # a pole inside the interval now stalls long before the width floor
+    assert out["pole_width"][:2] == ("error", "stall")
+    assert out["singular_width"][:2] == ("error", "width")
+    assert "below width floor" in out["singular_width"][2]
     assert math.isnan(np.frombuffer(out["nan"][1])[0])
+
+
+def _rule_free(f, a, b, **kw):
+    return _list_scan_quadrature(f, a, b, stall_rule=False, **kw)
+
+
+@pytest.mark.parametrize("f,tol", [
+    (lambda s: 1.0 / math.sqrt(s), 1e-8),
+    (math.log, 1e-10),
+    (lambda s: s ** -0.9, 1e-1),
+    (lambda s: 1.0 if s < 1 / 3 else 2.0, 1e-10),
+], ids=["inv_sqrt", "log", "pow_minus_0.9", "jump"])
+def test_integrable_singularities_do_not_stall(f, tol):
+    # hundreds of panels pile up at the singularity, yet each split still
+    # lowers the error: the same calls and bits as without the stall rule
+    kw = {"tol": tol}
+    got, got_calls = _run_counted(adaptive_quadrature, f, 0.0, 1.0, kw)
+    want, want_calls = _run_counted(_rule_free, f, 0.0, 1.0, kw)
+    assert got[0] == "value"
+    assert got_calls == want_calls > 500
+    assert got == want

@@ -101,6 +101,27 @@ def test_group_action_and_residual(ueqv, rng):
     assert worst_res < 1e-7
 
 
+def test_symmetry_image_inverts_each_point_once(monkeypatch):
+    # the validity probe, u and v of one point share one inverse point
+    # map: two bisections (t and y) per point where there were six
+    calls = [0]
+    bisect = transforms._invert_monotone
+
+    def counted(*args):
+        calls[0] += 1
+        return bisect(*args)
+
+    monkeypatch.setattr(transforms, "_invert_monotone", counted)
+    g = d_transform("t + 0.3*sin(t)").compose(s_transform("y + 0.5*sin(y)"))
+    field = apply_symmetry(g, catalog.instantiate(
+        "F_VXXX_4", {"alpha": "sin(y)", "gamma": "y"}))
+    grid = [Point(t, x, y) for t in (0.6, 1.4) for x in (0.3, 1.3)
+            for y in (0.2, 1.2)]
+    rep = residual_report(field, grid)
+    assert rep.skipped == 0 and max(rep.r1_max, rep.r2_max) < 1e-7
+    assert calls[0] == 2 * len(grid)
+
+
 class _PhiW:
     """Forward witness e^(x+t) + y, nonseparable in (x, y)."""
     @staticmethod
