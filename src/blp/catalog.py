@@ -15,17 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import jets
 from .exprdsl import Expr, Num, eval_jet, parse
-from .jets import DomainError, Jet3, JetMap, Point
+from .jets import BadInput, DomainError, Jet3, JetMap, Point
 from .quadrature import (QuadratureError, adaptive_quadrature,
     integrate_field_along)
-from .system import SolutionField, defined_where
+from .system import SolutionField
 
 __all__ = [
     "FamilyDescriptor", "HeatWitness", "UnknownFamily", "BadBinding",
@@ -35,15 +34,15 @@ __all__ = [
 ]
 
 
-class UnknownFamily(KeyError):
+class UnknownFamily(BadInput, KeyError):
     pass
 
 
-class BadBinding(ValueError):
+class BadBinding(BadInput):
     pass
 
 
-class WitnessViolation(ValueError):
+class WitnessViolation(BadInput):
     pass
 
 
@@ -327,7 +326,8 @@ def _field(fid, bindings, u, v, validity=lambda p: True) -> SolutionField:
                          params=bindings, validity=validity)
 
 
-#: grid lines whose line integral :func:`_line_integral` keeps
+#: grid lines whose line integral :func:`_line_integral` keeps, and
+#: values an :class:`_Antiderivative` keeps
 _LINES_KEPT = 4096
 
 
@@ -398,7 +398,7 @@ def _f_vx0(fid, b):
 
     def v(p, n):
         return Jet3.constant(0.0, p, n)
-    return _field(fid, {"Phi": w.label}, u, v, defined_where(phi))
+    return _field(fid, {"Phi": w.label}, u, v)
 
 
 # -- u_y = v_x: two-dimensional Hopf-Cole ----------------------------------
@@ -431,7 +431,7 @@ def _f_hopfcole(fid, b):
     def v(p, n):
         f = phi(p, n + 1)
         return f.derive("y") / f.truncate(n)
-    return _field(fid, {"Phi": w.label}, u, v, defined_where(phi))
+    return _field(fid, {"Phi": w.label}, u, v)
 
 
 # -- stationary solutions with u_y = v_x, v != 0 ---------------------------
@@ -463,7 +463,7 @@ def _f_statliouville(fid, b):
     def v(p, n):
         _, _, den = parts(p, n)
         return 1.0 / den
-    return _field(fid, {"zeta": ze.pretty()}, u, v, defined_where(parts))
+    return _field(fid, {"zeta": ze.pretty()}, u, v)
 
 
 # -- u_y = 0 trio -----------------------------------------------------------
@@ -559,8 +559,7 @@ def _f_vxxx1(fid, b):
         return de * r * r + _jy(ga, p, n) * r - 2.0 * de / T
     return _field(fid,
                   {"alpha": al.pretty(), "beta": be.pretty(),
-                   "gamma": ga.pretty(), "delta": de}, u, v,
-                  defined_where(partial(_vx_parts, al, be)))
+                   "gamma": ga.pretty(), "delta": de}, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -645,7 +644,7 @@ def _f_vxxx3(fid, b):
         return r * r + 2.0 / T
     return _field(fid,
                   {"alpha": al.pretty(), "beta": be.pretty(),
-                   "gamma": ga.pretty()}, u, v, defined_where(parts))
+                   "gamma": ga.pretty()}, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -691,8 +690,7 @@ def _f_vxxx5(fid, b):
         t, _, _ = jets.coordinate_jets(p, n)
         w = om(p, n)
         return w * w - 2.0 * t
-    return _field(fid, {"alpha": al.pretty(), "beta": be.pretty()},
-                  u, v, defined_where(om))
+    return _field(fid, {"alpha": al.pretty(), "beta": be.pretty()}, u, v)
 
 
 # -- u_xx = v_4x = 0 pair ---------------------------------------------------
@@ -758,8 +756,7 @@ def _f_uxxv4x_b(fid, b):
                 - 6.0 * by * w / T - 2.0 * g / T)
     return _field(fid,
                   {"alpha": al.pretty(), "beta": be.pretty(),
-                   "gamma": ga.pretty(), "lam": la.pretty()}, u, v,
-                  defined_where(parts))
+                   "gamma": ga.pretty(), "lam": la.pretty()}, u, v)
 
 
 # -- u_xx = 0 Bernoulli branch ----------------------------------------------
@@ -855,13 +852,18 @@ def _f_ueqv(fid, b):
         if abs(den.value) < MARGIN:
             raise DomainError("alpha - 2t near zero")
         return 1.0 / z + z / den
-    return _field(fid, {"alpha": al.pretty()}, u, u, defined_where(u))
+    return _field(fid, {"alpha": al.pretty()}, u, u)
 
 
 # -- reduction 2.9, elliptic and elementary branches ------------------------
 
 class _Antiderivative:
-    """Cached antiderivative of a univariate function from an anchor."""
+    """Cached antiderivative of a univariate function from an anchor.
+
+    Each value is integrated from the nearest known one.  At most
+    ``_LINES_KEPT`` values are known; the oldest goes first, except the
+    anchor, which stays.
+    """
 
     def __init__(self, f, anchor: float, tol: float = 1e-11):
         self.f = f
@@ -887,6 +889,10 @@ class _Antiderivative:
                 if tol > 1e-7:
                     raise
         val = self.known[nearest] + step
+        if len(self.known) >= _LINES_KEPT:
+            keys = iter(self.known)
+            next(keys)  # the anchor, first in
+            del self.known[next(keys)]
         self.known[key] = val
         return val
 
@@ -1022,7 +1028,7 @@ def _f_r29_elem2(fid, b):
         t, w, _, _, d2 = parts(p, n)
         return (-(2.0 * ka - 1.0) / d2
                 + (4.0 * ka * ka - 1.0) / 4.0 * (w - 2.0 * ka * t))
-    return _field(fid, {"kappa": ka}, u, v, defined_where(parts))
+    return _field(fid, {"kappa": ka}, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -1055,7 +1061,7 @@ def _f_r29_elem3(fid, b):
         t, w, _, d2 = parts(p, n)
         return ((1.0 - jets.sin(w - nu)) / (2.0 * d2)
                 + (w + t * cot) / (4.0 * math.sin(nu) ** 2))
-    return _field(fid, {"nu": nu}, u, v, defined_where(parts))
+    return _field(fid, {"nu": nu}, u, v)
 
 
 # -- reduction 2.2, elementary trio; tau = ln|x| + ln|y|/2 -------------------
@@ -1099,7 +1105,7 @@ def _f_r22_elem1(fid, b):
     def v(p, n):
         tau, _, y = parts(p, n)
         return (1.0 - e1) / (4.0 * y * tau) + (1.0 - 2.0 * e1) / (16.0 * y)
-    return _field(fid, {"eps1": e1}, u, v, defined_where(parts))
+    return _field(fid, {"eps1": e1}, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -1118,8 +1124,9 @@ def _f_r22_elem2(fid, b):
 
     def parts(p, n):
         tau, x, y = _tau(p, n)
-        tn = jets.tan(ka * tau)
-        return tn, x, y
+        if abs(math.cos(ka * tau.value)) <= MARGIN:
+            raise DomainError("near a pole of tan")
+        return jets.tan(ka * tau), x, y
 
     def u(p, n):
         tn, x, _ = parts(p, n)
@@ -1129,12 +1136,7 @@ def _f_r22_elem2(fid, b):
         tn, _, y = parts(p, n)
         return (-(1.0 - e1) * ka * tn / (4.0 * y)
                 + (1.0 - 2.0 * e1 - 4.0 * ka * ka) / (16.0 * y))
-
-    def chart(p, n):
-        tau, _, _ = _tau(p, n)
-        if abs(math.cos(ka * tau.value)) <= MARGIN:
-            raise DomainError("near a pole of tan")
-    return _field(fid, {"eps1": e1, "kappa": ka}, u, v, defined_where(chart))
+    return _field(fid, {"eps1": e1, "kappa": ka}, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -1169,8 +1171,7 @@ def _f_r22_elem3(fid, b):
         E, _, y = parts(p, n)
         return (-(1.0 - e1) * ka * nu / (2.0 * y * (E + nu))
                 + (1.0 - 2.0 * e1 + 4.0 * ka * (ka + 1.0 - e1)) / (16.0 * y))
-    return _field(fid, {"eps1": e1, "kappa": ka, "nu": nu},
-                  u, v, defined_where(parts))
+    return _field(fid, {"eps1": e1, "kappa": ka, "nu": nu}, u, v)
 
 
 # -- Painleve-backed reductions ---------------------------------------------
@@ -1327,7 +1328,7 @@ def _f_img_fwd1(fid, b):
                 + (2.0 * _jy(dal, p, n) + g * by + _jy(dga, p, n) * T) / den)
     return _field(fid,
                   {"alpha": al.pretty(), "beta": be.pretty(),
-                   "gamma": ga.pretty()}, u, v, defined_where(parts))
+                   "gamma": ga.pretty()}, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -1364,8 +1365,7 @@ def _f_img_fwd4(fid, b):
         num = 4.0 * t * A * A * Ay + A * _jy(dga, p, n) - Ay * (G - 1.0)
         return (A * e * e + G * e - x + Ay * x
                 + (2.0 * A * Ay + 4.0 * A) * t + num / (A * den))
-    return _field(fid, {"alpha": al.pretty(), "gamma": ga.pretty()}, u, v,
-                  defined_where(parts))
+    return _field(fid, {"alpha": al.pretty(), "gamma": ga.pretty()}, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -1414,7 +1414,7 @@ def _f_img_inv3(fid, b):
         return out
     return _field(fid,
                   {"alpha": al.pretty(), "beta": be.pretty(),
-                   "gamma": ga.pretty()}, u, v, defined_where(u, order=4))
+                   "gamma": ga.pretty()}, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -1439,7 +1439,7 @@ def _f_img_inv3x(fid, b):
 
     def v(p, n):
         return Jet3.constant(0.0, p, n)
-    return _field(fid, {}, u, v, defined_where(parts))
+    return _field(fid, {}, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -1477,5 +1477,4 @@ def _f_img_inv5(fid, b):
         Ay, By = _jy(dal, p, n), _jy(dbe, p, n)
         return (om * om - Ay * (x + 2.0 * A * t) - 6.0 * t
                 + (2.0 * Ay * t + By) / om)
-    return _field(fid, {"alpha": al.pretty(), "beta": be.pretty()}, u, v,
-                  defined_where(u, order=4))
+    return _field(fid, {"alpha": al.pretty(), "beta": be.pretty()}, u, v)

@@ -28,15 +28,15 @@ import sys
 import numpy as np
 
 from . import catalog, liealg, reductions, system, transforms
-from .exprdsl import ParseError, parse
-from .jets import Point
+from .exprdsl import parse
+from .jets import BadInput, Point
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 
 
-class ConfigError(ValueError):
+class ConfigError(BadInput):
     pass
 
 
@@ -175,11 +175,7 @@ def cmd_verify(args) -> int:
     if args.grid:
         grid_spec = json.loads(args.grid)
     grid = _grid_from_spec(grid_spec)
-    try:
-        field = catalog.instantiate(family, _coerce_bindings(family, params))
-    except (catalog.UnknownFamily, catalog.BadBinding,
-            catalog.WitnessViolation) as exc:
-        raise ConfigError(str(exc)) from exc
+    field = catalog.instantiate(family, _coerce_bindings(family, params))
     if args.perturb:
         field = system.perturb_v(field, eps=args.perturb)
     report, rows = _check_grid(field, family, grid, grid_spec, tol)
@@ -258,11 +254,7 @@ def cmd_transform(args) -> int:
                   (json.loads(args.base) if args.base else (1.0, 0.0, 0.0)),
                   "base")
     tol = _tolerance(args, cfg)
-    try:
-        field = _seed_field(family, params)
-    except (catalog.UnknownFamily, catalog.BadBinding,
-            catalog.WitnessViolation) as exc:
-        raise ConfigError(str(exc)) from exc
+    field = _seed_field(family, params)
     for step in chain:
         op = step.get("op") if isinstance(step, dict) else None
         if op not in _CHAIN_OPS:
@@ -333,8 +325,6 @@ def cmd_reduce(args) -> int:
             traj = reductions.integrate_painleve2(spec, span=span)
         else:
             traj = reductions.integrate_painleve4_form(spec, span=span)
-    except (reductions.BadSpec, reductions.ZeroCrossing) as exc:
-        raise ConfigError(str(exc)) from exc
     except reductions.PoleAbort as exc:
         print(json.dumps({"error": str(exc),
                           "last_safe": exc.last_safe}, sort_keys=True))
@@ -424,7 +414,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (ConfigError, ParseError, json.JSONDecodeError, OSError) as exc:
+    except (BadInput, json.JSONDecodeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True),
               file=sys.stderr)
         return EXIT_CONFIG

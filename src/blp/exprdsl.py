@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import jets
-from .jets import DomainError, Jet3, Point
+from .jets import BadInput, DomainError, Jet3, Point
 
 __all__ = ["Expr", "ParseError", "parse", "eval_jet",
            "Num", "Var", "Bin", "Neg", "Call"]
@@ -28,7 +28,7 @@ _FUNCTIONS = ("exp", "ln", "sin", "cos", "tan", "sinh", "cosh", "sqrt", "abs")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
-class ParseError(ValueError):
+class ParseError(BadInput):
     def __init__(self, position: int, message: str):
         super().__init__(f"parse error at offset {position}: {message}")
         self.position = position

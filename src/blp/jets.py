@@ -23,7 +23,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 __all__ = [
+    "UndefinedHere",
     "DomainError",
+    "BadInput",
     "Point",
     "Jet3",
     "lift_variable",
@@ -46,8 +48,16 @@ __all__ = [
 GUARD = 1e-12
 
 
-class DomainError(ArithmeticError):
+class UndefinedHere(ArithmeticError):
+    """The field is not defined at this point: a grid check skips it."""
+
+
+class DomainError(UndefinedHere):
     """A jet operation hit (or came too close to) a singular point."""
+
+
+class BadInput(ValueError):
+    """A binding, expression, specification or setting that is rejected."""
 
 
 class Point(NamedTuple):
@@ -586,7 +596,8 @@ def last_point(fn: JetMap) -> JetMap:
 
     The jet is kept at the highest order asked at that point, and a lower
     order there is answered by truncation.  A new point replaces it; an
-    error is never remembered.  Wrapping a wrapped map returns it as is.
+    error is never remembered.  Wrapping a wrapped map returns it as is;
+    ``inspect.unwrap`` returns ``fn``.
     """
     if getattr(fn, "remembers_last_point", False):
         return fn
@@ -601,4 +612,5 @@ def last_point(fn: JetMap) -> JetMap:
         return jet
 
     remembered.remembers_last_point = True
+    remembered.__wrapped__ = fn
     return remembered

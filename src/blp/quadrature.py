@@ -121,7 +121,8 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-10,
     Raises :class:`QuadratureError` when the panel budget is exhausted
     (reason ``"budget"``), a panel shrinks below floating-point
     resolution (``"width"``, the usual symptom of an integrand pole
-    inside the interval) or refinement stalls (``"stall"``).
+    inside the interval) or refinement stalls (``"stall"``, naming the
+    panel with the largest error estimate).
     """
     if a == b:
         probe = np.asarray(f(a), dtype=float)
@@ -149,9 +150,10 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-10,
             if n >= max_panels:
                 raise QuadratureError("panel budget exhausted", "budget")
             if stalled:
+                _, lo, hi, _ = live[heap[0][1]]
                 raise QuadratureError(
                     f"refinement stalled at error {exact:g} after {splits} "
-                    f"splits", "stall")
+                    f"splits, worst panel [{lo}, {hi}]", "stall")
             total = float(exact)
             drift = 2.0 * gamma * total
         _, worst = heapq.heappop(heap)

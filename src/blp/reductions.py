@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets
-from .jets import Jet3, Point
+from .jets import BadInput, Jet3, Point, UndefinedHere
 from .system import SolutionField
 
 __all__ = [
@@ -58,16 +58,16 @@ class PoleAbort(RuntimeError):
         self.last_safe = last_safe
 
 
-class BadSpec(ValueError):
+class BadSpec(BadInput):
     pass
 
 
-class ZeroCrossing(ArithmeticError):
+class ZeroCrossing(BadInput, ArithmeticError):
     pass
 
 
-class WindowError(ValueError):
-    pass
+class WindowError(ValueError, UndefinedHere):
+    """A point outside the window of a reduced profile."""
 
 
 @dataclass(frozen=True)

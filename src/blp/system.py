@@ -26,7 +26,7 @@ import numpy as np
 
 from . import jets
 from .exprdsl import Expr
-from .jets import DomainError, Jet3, JetMap, Point
+from .jets import DomainError, Jet3, JetMap, Point, UndefinedHere
 from .quadrature import integrate_field_along
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "residual", "residual_uq", "covering_residual",
     "conserved_current_divergence", "convert", "residual_report",
     "residual_sup", "count_nonfinite", "report_json", "perturb_v",
-    "defined_where",
 ]
 
 
@@ -49,6 +48,10 @@ class SolutionField:
     ``coords`` is one of ``"UV"``, ``"UQ"``, ``"UW"``; the second
     component holds v, q or w accordingly.  Each component remembers its
     last point (:func:`jets.last_point`): a field is not for concurrent use.
+
+    ``validity`` is the field's domain, a predicate that never evaluates
+    ``u`` or ``v``.  Inside it a component raises
+    :class:`jets.UndefinedHere` where it is not defined.
     """
     u: JetMap
     v: JetMap
@@ -79,22 +82,6 @@ class SolutionField:
                     validity=self.validity)
         data.update(kw)
         return SolutionField(**data)
-
-
-def defined_where(part: JetMap, errors: tuple = (DomainError,),
-                  order: int = 0, within: Callable[[Point], bool] | None = None
-                  ) -> Callable[[Point], bool]:
-    """Validity predicate: ``within(p)`` holds (when given) and evaluating
-    ``part(p, order)`` raises none of ``errors``."""
-    def ok(p: Point) -> bool:
-        if within is not None and not within(p):
-            return False
-        try:
-            part(p, order)
-        except errors:
-            return False
-        return True
-    return ok
 
 
 @dataclass
@@ -355,17 +342,6 @@ def report_json(payload: dict) -> str:
     return json.dumps(_strict_json(payload), sort_keys=True, allow_nan=False)
 
 
-def _skip_errors() -> tuple:
-    """Errors that leave a grid point unevaluated rather than failed.
-
-    Imported on call because ``transforms`` and ``reductions`` import
-    this module.
-    """
-    from .reductions import WindowError
-    from .transforms import UndefinedTransform
-    return (DomainError, UndefinedTransform, WindowError)
-
-
 def residual_sup(values) -> float:
     """Largest of ``values`` (0.0 if none); NaN if any of them is NaN.
 
@@ -390,14 +366,13 @@ def residual_report(s: SolutionField, grid: list[Point],
                     order: int = 4) -> ResidualReport:
     """Residuals of a (u,v) or (u,q) field over ``grid``.
 
-    A point outside ``s.validity``, or whose evaluation raises
-    ``DomainError``, ``UndefinedTransform`` or ``WindowError``, is
-    skipped; every other point gives one row of ``rows``.
+    A point outside the domain ``s.validity``, or whose residual
+    evaluation raises :class:`jets.UndefinedHere`, is skipped; every
+    other point gives one row of ``rows``.
     """
     equations = _RESIDUALS.get(s.coords)
     if equations is None:
         raise ValueError(f"no grid residual for {s.coords} coordinates")
-    skip_errors = _skip_errors()
     rows, skipped = [], 0
     for p in grid:
         if not s.validity(p):
@@ -406,7 +381,7 @@ def residual_report(s: SolutionField, grid: list[Point],
         try:
             u, v = s.u(p, order), s.v(p, order)
             r1, r2 = equations(u, v, order)
-        except skip_errors:
+        except UndefinedHere:
             skipped += 1
             continue
         rows.append((p, u.value, v.value, r1, r2))

@@ -19,6 +19,10 @@ The Laplace maps act in (u,q) coordinates as
 and in (u,v) coordinates with the line-integral reconstruction of v.
 Each map asks its parent for the highest order it needs first; the
 parent's remembered jet (:func:`jets.last_point`) answers lower ones.
+A transformed field keeps its parent's ``validity``, a domain that no
+constructor probes; where a guard of the map fires, evaluation raises
+:class:`UndefinedTransform` (a :class:`jets.UndefinedHere`), and a grid
+check skips that point.
 Darboux transformations dress a solution with covering eigenfunctions;
 their n-fold versions are Wronskian ratios, evaluated here by
 fraction-free elimination on jets.
@@ -35,9 +39,9 @@ import numpy as np
 
 from . import jets
 from .exprdsl import Bin, Call, Expr, Num, parse
-from .jets import DomainError, Jet3, JetMap, Point, last_point
+from .jets import DomainError, Jet3, JetMap, Point, UndefinedHere, last_point
 from .quadrature import integrate_field_along
-from .system import SolutionField, covering_residual, defined_where
+from .system import SolutionField, covering_residual
 
 __all__ = [
     "PointSymmetry", "CoveringEigenfunction", "UndefinedTransform",
@@ -53,7 +57,7 @@ __all__ = [
 GUARD = 1e-10
 
 
-class UndefinedTransform(ArithmeticError):
+class UndefinedTransform(UndefinedHere):
     """Denominator of a transformation inside its guard band."""
 
 
@@ -61,12 +65,8 @@ class InverseMapError(RuntimeError):
     """T or Y could not be inverted on the working window."""
 
 
-class SingularWronskian(ArithmeticError):
-    pass
-
-
-#: errors that make a transformed field undefined at a point
-_UNDEFINED = (UndefinedTransform, DomainError)
+class SingularWronskian(UndefinedTransform):
+    """No usable pivot: the Wronskian is singular at the point."""
 
 
 # ----------------------------------------------------------------------
@@ -269,25 +269,21 @@ def laplace_forward_uq(s: SolutionField) -> SolutionField:
     if s.coords != "UQ":
         raise ValueError("expects (u,q) coordinates")
 
-    def correction(p: Point, n: int) -> Jet3:
+    @last_point
+    def u(p, n):
         q = s.v(p, n + 2)
         q_y = q.derive("y").truncate(n)
         q_xy = q.derive("x").derive("y")
         if abs(q_y.value) < GUARD * (1.0 + abs(q_xy.value)):
             raise UndefinedTransform("q_y inside guard band")
-        return q_xy / q_y
-
-    @last_point
-    def u(p, n):
-        return correction(p, n) + s.u(p, n)
+        return q_xy / q_y + s.u(p, n)
 
     def q(p, n):
         return u(p, n) + s.v(p, n)
 
     return SolutionField(u=u, v=q, coords="UQ",
                          family_id=s.family_id + "~Lfwd", params=s.params,
-                         validity=defined_where(correction, _UNDEFINED,
-                                                within=s.validity))
+                         validity=s.validity)
 
 
 def laplace_inverse_uq(s: SolutionField) -> SolutionField:
@@ -308,8 +304,7 @@ def laplace_inverse_uq(s: SolutionField) -> SolutionField:
 
     return SolutionField(u=u, v=q, coords="UQ",
                          family_id=s.family_id + "~Linv", params=s.params,
-                         validity=defined_where(u, _UNDEFINED,
-                                                within=s.validity))
+                         validity=s.validity)
 
 
 def _uv_path_integrals(s: SolutionField, base: Point) -> JetMap:
@@ -356,8 +351,7 @@ def laplace_forward_uv(s: SolutionField, base: Point) -> SolutionField:
 
     return SolutionField(u=u, v=v, coords="UV",
                          family_id=s.family_id + "~Lfwd", params=s.params,
-                         validity=defined_where(u, _UNDEFINED,
-                                                within=s.validity))
+                         validity=s.validity)
 
 
 def laplace_inverse_uv(s: SolutionField, base: Point) -> SolutionField:
@@ -379,8 +373,7 @@ def laplace_inverse_uv(s: SolutionField, base: Point) -> SolutionField:
 
     return SolutionField(u=u, v=v, coords="UV",
                          family_id=s.family_id + "~Linv", params=s.params,
-                         validity=defined_where(u, _UNDEFINED,
-                                                within=s.validity))
+                         validity=s.validity)
 
 
 # ----------------------------------------------------------------------
@@ -406,7 +399,7 @@ class CoveringEigenfunction:
         for p in pts:
             try:
                 c1, c2 = covering_residual(self.attached_to, self.phi, p)
-            except DomainError:
+            except UndefinedHere:
                 continue
             used += 1
             worst = max(worst, abs(c1), abs(c2))
@@ -499,8 +492,7 @@ def darboux(kind: str, s: SolutionField,
 
     return SolutionField(u=u, v=q, coords="UQ",
                          family_id=s.family_id + f"~{kind}", params=s.params,
-                         validity=defined_where(u, _UNDEFINED,
-                                                within=s.validity))
+                         validity=s.validity)
 
 
 def darboux_psi(kind: str, phi_seed: JetMap, psi: JetMap) -> JetMap:
@@ -632,10 +624,7 @@ def darboux_iterated(kind: str, s: SolutionField,
 
     return SolutionField(u=u, v=q, coords="UQ",
                          family_id=s.family_id + f"~{kind}x{n_fold}",
-                         params=s.params,
-                         validity=defined_where(
-                             u, _UNDEFINED + (SingularWronskian,),
-                             within=s.validity))
+                         params=s.params, validity=s.validity)
 
 
 def darboux_iterated_psi(kind: str, phis: Sequence[JetMap],

@@ -12,7 +12,7 @@ import pytest
 
 from blp import catalog, jets, liealg, reductions, transforms
 from blp.exprdsl import ParseError, parse
-from blp.jets import DomainError, Point
+from blp.jets import Point, UndefinedHere
 from blp.specfun import (
     EllipticInvariants, PoleError, QuarticODE, degenerate_solutions,
     invariants_from_quartic, quartic_particular_solution, weierstrass_p,
@@ -120,13 +120,15 @@ def test_criterion_2_symmetry_action():
         for p in pts:
             if not (out.validity(p) and seq.validity(p)):
                 continue
+            try:
+                r1, r2 = residual(out, p)
+                law = max(abs(out.u(p, 1).value - seq.u(p, 1).value),
+                          abs(out.v(p, 1).value - seq.v(p, 1).value))
+            except UndefinedHere:
+                continue
             applied += 1
-            r1, r2 = residual(out, p)
             worst_res = max(worst_res, abs(r1), abs(r2))
-            worst_law = max(
-                worst_law,
-                abs(out.u(p, 1).value - seq.u(p, 1).value),
-                abs(out.v(p, 1).value - seq.v(p, 1).value))
+            worst_law = max(worst_law, law)
     _stamp("2 (symmetry action)",
            worst_res < 1e-7 and worst_law < 1e-9 and applied > 150,
            f"residual={worst_res:.2e}, composition={worst_law:.2e}, "
@@ -411,7 +413,10 @@ def test_criterion_7_reductions():
         for p in pts:
             if not fld.validity(p):
                 continue
-            worst_f = max(worst_f, *map(abs, residual(fld, p)))
+            try:
+                worst_f = max(worst_f, *map(abs, residual(fld, p)))
+            except UndefinedHere:
+                continue
     # the delta = 1 overdetermined branch is inconsistent
     inconsistent = True
     p0 = Point(0.5, 1.0, 0.3)
@@ -437,8 +442,13 @@ def test_criterion_8_conservation():
     for d in catalog.list_families():
         field = cached_field(
             catalog.instantiate(d.id, catalog.sample_bindings(d.id, rng)))
-        pts = [p for p in _grid(d.id, 2) if field.validity(p)][:6]
-        for p in pts:
+        # the first six points in the domain where the field is defined
+        points = 0
+        for p in _grid(d.id, 2):
+            if points == 6:
+                break
+            if not field.validity(p):
+                continue
             try:
                 for cid, pool in (("F0", t_params), ("F1", t_params),
                                   ("F2", t_params), ("F4", y_params),
@@ -447,8 +457,9 @@ def test_criterion_8_conservation():
                         div = conserved_current_divergence(cid, par, field, p)
                         worst = max(worst, abs(div))
                         checked += 1
-            except (DomainError, reductions.WindowError):
+            except UndefinedHere:
                 continue
+            points += 1
     # detector property
     bad = perturb_v(catalog.instantiate("F_UY0_TRIV", {}), eps=0.05)
     fired = min(abs(conserved_current_divergence("F0", parse("t^2", "t"),

@@ -275,6 +275,7 @@ _MALFORMED = {
                            '"y": [0, 1, "a"]}'],
     "reduce_short_init": ["reduce", "--id", "R2_9",
                           "--param", "init=[0.0,1.2]"],
+    "reduce_bad_eps": ["reduce", "--id", "R2_9", "--param", "eps=3"],
     "dt1_theta_probe": ["transform", "--family", "zero_uq",
                         "--chain", _DT1_BAD_THETA],
     "dt1_witness_kind": ["transform", "--family", "zero_uq", "--chain",

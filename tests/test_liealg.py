@@ -241,7 +241,7 @@ def test_one_parameter_flows_preserve_residuals():
     # the exponential of each basis generator is a group element; applying
     # it must carry solutions to solutions
     from blp import catalog, transforms
-    from blp.jets import Point
+    from blp.jets import Point, UndefinedHere
     from blp.system import residual
 
     field = catalog.instantiate("F_UEQV", {"alpha": "4+sin(y)"})
@@ -262,7 +262,10 @@ def test_one_parameter_flows_preserve_residuals():
         for p in pts:
             if not moved.validity(p):
                 continue
-            r1, r2 = residual(moved, p)
+            try:
+                r1, r2 = residual(moved, p)
+            except UndefinedHere:
+                continue
             assert max(abs(r1), abs(r2)) < 1e-9
 
 

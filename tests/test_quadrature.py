@@ -101,11 +101,12 @@ def _list_scan_quadrature(f, a, b, tol=1e-10, max_panels=2000,
     while sum(p[0] for p in panels) > tol:
         if len(panels) >= max_panels:
             raise QuadratureError("panel budget exhausted", "budget")
+        worst = max(range(len(panels)), key=lambda i: panels[i][0])
         if stalls == 20:
+            _, lo, hi, _ = panels[worst]
             raise QuadratureError(
                 f"refinement stalled at error {sum(p[0] for p in panels):g} "
-                f"after {splits} splits", "stall")
-        worst = max(range(len(panels)), key=lambda i: panels[i][0])
+                f"after {splits} splits, worst panel [{lo}, {hi}]", "stall")
         err, lo, hi, _ = panels.pop(worst)
         if abs(hi - lo) < width_floor:
             raise QuadratureError(
@@ -223,8 +224,12 @@ def test_differential_cases_reach_each_outcome():
     assert out["noise_floor"][:2] == ("error", "stall")
     assert out["noise_floor"][2].startswith("refinement stalled at error")
     assert out["pole_budget"] == ("error", "budget", "panel budget exhausted")
-    # a pole inside the interval now stalls long before the width floor
+    # a pole inside the interval now stalls long before the width floor,
+    # and the message names a worst panel that holds the pole
     assert out["pole_width"][:2] == ("error", "stall")
+    lo, hi = map(float, out["pole_width"][2].split("worst panel [")[1]
+                 .rstrip("]").split(", "))
+    assert lo <= 1 / 3 <= hi
     assert out["singular_width"][:2] == ("error", "width")
     assert "below width floor" in out["singular_width"][2]
     assert math.isnan(np.frombuffer(out["nan"][1])[0])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blp import jets, reductions
-from blp.jets import Point
+from blp.jets import Point, UndefinedHere
 from blp.reductions import (
     BadSpec, ODETrajectory, PoleAbort, ReductionSpec, WindowError,
     ZeroCrossing, elliptic_v_zeta_form, first_integral_2_4,
@@ -114,8 +114,11 @@ def test_reconstruct_2_4_residual(piv_traj):
     for p in pts:
         if not field.validity(p):
             continue
+        try:
+            r1, r2 = residual(field, p)
+        except UndefinedHere:
+            continue
         used += 1
-        r1, r2 = residual(field, p)
         assert abs(r1) < 1e-6 and abs(r2) < 1e-6
     assert used >= 8
     with pytest.raises(WindowError):
@@ -146,7 +149,10 @@ def test_reconstruct_2_9_pii_residual(pii_traj):
     for p in pts:
         if not field.validity(p):
             continue
-        r1, r2 = residual(field, p)
+        try:
+            r1, r2 = residual(field, p)
+        except UndefinedHere:
+            continue
         assert abs(r1) < 1e-6 and abs(r2) < 1e-6
 
 

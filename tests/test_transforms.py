@@ -1,16 +1,18 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from blp import catalog, jets, transforms
-from blp.jets import Jet3, Point
+from blp.jets import Jet3, Point, UndefinedHere
 from blp.system import (
     SolutionField, convert, residual, residual_report, residual_uq,
 )
 from blp.transforms import (
     CoveringEigenfunction, InverseMapError, PointSymmetry,
-    UndefinedTransform, apply_symmetry, covering_solutions_for_constraint,
+    SingularWronskian, UndefinedTransform, apply_symmetry, covering_solutions_for_constraint,
     d_transform, darboux, darboux_iterated, darboux_psi, i_transform,
     identity_symmetry, laplace_forward_uq, laplace_forward_uv,
     laplace_inverse_uq, laplace_inverse_uv, p_transform, s_transform,
@@ -91,11 +93,14 @@ def test_group_action_and_residual(ueqv, rng):
         for p in PTS:
             if not (combined.validity(p) and sequential.validity(p)):
                 continue
-            worst_law = max(
-                worst_law,
-                abs(combined.u(p, 2).value - sequential.u(p, 2).value),
-                abs(combined.v(p, 2).value - sequential.v(p, 2).value))
-            r1, r2 = residual(combined, p)
+            try:
+                law = max(
+                    abs(combined.u(p, 2).value - sequential.u(p, 2).value),
+                    abs(combined.v(p, 2).value - sequential.v(p, 2).value))
+                r1, r2 = residual(combined, p)
+            except UndefinedHere:
+                continue
+            worst_law = max(worst_law, law)
             worst_res = max(worst_res, abs(r1), abs(r2))
     assert worst_law < 1e-9
     assert worst_res < 1e-7
@@ -175,7 +180,7 @@ def test_forward_undefined_on_qy0():
     bad = laplace_forward_uq(seed)
     with pytest.raises(UndefinedTransform):
         bad.u(PTS[0], 0)
-    assert not bad.validity(PTS[0])
+    assert residual_report(bad, PTS[:1]).skipped == 1
 
 
 def test_inverse_undefined_on_uyqy():
@@ -289,8 +294,11 @@ def test_laplace_uv_output_is_solution(rng):
     for p in pts:
         if not fwd.validity(p):
             continue
+        try:
+            r1, r2 = residual(fwd, p)
+        except UndefinedHere:
+            continue
         used += 1
-        r1, r2 = residual(fwd, p)
         assert abs(r1) < 1e-6 and abs(r2) < 1e-6
     assert used > 15
 
@@ -573,8 +581,11 @@ def test_convert_roundtrip_families(fid, bindings):
     for p in [Point(0.9, 0.6, 0.5), Point(1.2, 0.8, 0.7)]:
         if not s.validity(p):
             continue
-        assert back.u(p, 1).value == pytest.approx(s.u(p, 1).value,
-                                                   abs=1e-8)
+        try:
+            u = s.u(p, 1)
+        except UndefinedHere:
+            continue
+        assert back.u(p, 1).value == pytest.approx(u.value, abs=1e-8)
         # v agrees up to an additive function of y: slopes match
         assert back.v(p, 2).extract((0, 1, 0)) == pytest.approx(
             s.v(p, 2).extract((0, 1, 0)), abs=1e-7)
@@ -619,13 +630,15 @@ _MODE_KS = (-0.5, 0.5, 1.0, 1.5)
 _MODE_COEFFS = ([1.0], [1.0, 0.0, 1.0], [0.0, 1.0], [0.5, 0.0, 0.0, 0.3])
 
 
-@pytest.mark.parametrize("direction,depth,want", [
+@pytest.mark.parametrize("direction,depth,probed", [
     ("fwd", 1, 2), ("fwd", 2, 3), ("fwd", 3, 4),
     ("inv", 1, 2), ("inv", 2, 3), ("inv", 3, 4),
 ])
-def test_laplace_uq_chain_phi_calls_grow_linearly(direction, depth, want):
+def test_laplace_uq_chain_phi_calls_grow_linearly(direction, depth, probed):
     # each level asks its parent for one jet per point, at the highest
-    # order it needs, plus one lower-order jet for the validity probe
+    # order it needs, so the witness is asked once per point at every
+    # depth; ``probed`` is the count when each level's validity also
+    # evaluated it at a lower order, one more call per level
     if direction == "fwd":
         w = _CountingWitness(_MODE_KS, _MODE_COEFFS, 1.0)
         field = uq_seed(w, constraint="u_y=q_y")
@@ -636,15 +649,22 @@ def test_laplace_uq_chain_phi_calls_grow_linearly(direction, depth, want):
         step, box = laplace_inverse_uq, ((0.6, 1.3), (0.2, 0.8), (0.4, 0.9))
     for _ in range(depth):
         field = step(field)
-    assert _phi_calls_per_point(w, field, _box_grid(box, (2, 2, 2))) == want
+    calls = _phi_calls_per_point(w, field, _box_grid(box, (2, 2, 2)))
+    assert calls == 1 == probed - depth
 
 
-@pytest.mark.parametrize("kind,n_fold,want", [
+#: Phi calls per point of an n-fold dressing's residual, by (kind, n)
+_DARBOUX_PHI_CALLS = {("DT1", 1): 35, ("DT1", 2): 68,
+                      ("DT2", 1): 34, ("DT2", 2): 67}
+
+
+@pytest.mark.parametrize("kind,n_fold,probed", [
     ("DT1", 1, 69), ("DT1", 2, 135), ("DT2", 1, 68), ("DT2", 2, 134),
 ])
-def test_darboux_nfold_phi_calls(kind, n_fold, want):
-    # one eigenfunction jet per point for the validity probe and one for
-    # the residual; each is two quadratures over the witness
+def test_darboux_nfold_phi_calls(kind, n_fold, probed):
+    # one jet per eigenfunction per point, for the residual; each is two
+    # quadratures over the witness.  ``probed`` is the count when validity
+    # also evaluated the field at order 0, which took about half of it
     w = _CountingWitness((1.0,), ([1.0],), 1.0, linear=(0.3, 0.1))
     seed = uq_seed(w, constraint="u_y=q_y")
     thetas = [jmap(lambda t, x, y: jets.exp(x - t)),
@@ -655,4 +675,94 @@ def test_darboux_nfold_phi_calls(kind, n_fold, want):
             for th, z in zip(thetas[:n_fold], zetas[:n_fold])]
     field = darboux_iterated(kind, seed, phis)
     grid = _box_grid(((0.6, 1.3), (0.2, 0.8), (0.4, 0.9)), (2, 1, 1))
-    assert _phi_calls_per_point(w, field, grid) == want
+    calls = _phi_calls_per_point(w, field, grid)
+    assert calls == _DARBOUX_PHI_CALLS[kind, n_fold]
+    assert 2 * calls <= probed + 1
+
+
+# ----------------------------------------------------------------------
+# validity is a domain: it never evaluates a field
+# ----------------------------------------------------------------------
+
+_THETAS = (jmap(lambda t, x, y: jets.exp(x - t)),
+           jmap(lambda t, x, y: jets.exp(2.0 * x - 4.0 * t)))
+_UV_BASE = Point(1.0, 0.0, 0.5)
+_UV_BUILDS = {
+    "laplace_forward_uv": lambda s: laplace_forward_uv(s, _UV_BASE),
+    "laplace_inverse_uv": lambda s: laplace_inverse_uv(s, _UV_BASE),
+    "convert-UV-UQ": lambda s: convert(s, "UQ", _UV_BASE),
+    "convert-UV-UW": lambda s: convert(s, "UW", _UV_BASE),
+}
+_UQ_BUILDS = {
+    "laplace_forward_uq": lambda s, phis: laplace_forward_uq(s),
+    "laplace_inverse_uq": lambda s, phis: laplace_inverse_uq(s),
+    "darboux-DT1": lambda s, phis: darboux("DT1", s, phis[0]),
+    "darboux-DT2": lambda s, phis: darboux("DT2", s, phis[0]),
+    "darboux_iterated-DT1": lambda s, phis: darboux_iterated("DT1", s, phis),
+    "darboux_iterated-DT2": lambda s, phis: darboux_iterated("DT2", s, phis),
+    "convert-UQ-UV": lambda s, phis: convert(s, "UV", Point(1.0, 0.3, 0.5)),
+}
+_VALIDITY_CASES = [d.id for d in catalog.list_families()] \
+    + list(_UV_BUILDS) + list(_UQ_BUILDS)
+
+
+def _validity_case(case):
+    """The field, the fields below it, the other maps it evaluates (heat
+    witness, eigenfunctions) and a (t, x, y) box to sample."""
+    if case in _UV_BUILDS:
+        fid = "F_VXXX_5" if case == "laplace_inverse_uv" else "F_VXXX_1"
+        s, _, maps, box = _validity_case(fid)
+        return _UV_BUILDS[case](s), [s], maps, box
+    if case in _UQ_BUILDS:
+        w = _PhiB if case == "laplace_inverse_uq" else _PhiW
+        seed = uq_seed(w, constraint="q_y=0" if w is _PhiB else "u_y=q_y")
+        phis = [covering_solutions_for_constraint(
+                    "u_y=q_y", seed, w, theta=th,
+                    zeta=lambda yj: 1.0 + 0.2 * yj * yj)
+                for th in _THETAS] if case.startswith("darboux") else []
+        return (_UQ_BUILDS[case](seed, phis), [seed],
+                [w.Phi, *(f.phi for f in phis)],
+                ((0.6, 1.3), (0.2, 0.8), (0.4, 0.9)))
+    b = catalog.sample_bindings(case, np.random.default_rng(7))
+    maps = [b["Phi"].Phi] if "Phi" in b else []
+    return catalog.instantiate(case, b), [], maps, catalog.default_box(case)
+
+
+@pytest.mark.parametrize("case", _VALIDITY_CASES)
+def test_validity_never_evaluates_a_field(case):
+    # every call of u or v of the field and of each field below it, of
+    # the heat witness and of the eigenfunctions is counted, including
+    # calls through references a validity closure holds itself
+    field, below, maps, box = _validity_case(case)
+    codes = {inspect.unwrap(m).__code__
+             for m in [*maps, *(c for s in (field, *below)
+                                for c in (s.u, s.v))]}
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[0] += 1
+
+    grid = _box_grid(box, (4, 4, 4))
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        inside = [field.validity(p) for p in grid]
+    finally:
+        sys.setprofile(previous)
+    assert calls[0] == 0
+    assert any(inside)
+
+
+def test_singular_wronskian_point_is_skipped():
+    # equal eigenfunctions make every Wronskian minor vanish; three are
+    # needed for the elimination to run out of pivots (with two, the
+    # Wronskian guard fires first)
+    seed = uq_seed(_PhiW, constraint="u_y=q_y")
+    phi = covering_solutions_for_constraint(
+        "u_y=q_y", seed, _PhiW, theta=_THETAS[0], zeta=lambda yj: yj)
+    field = darboux_iterated("DT1", seed, [phi, phi, phi])
+    with pytest.raises(SingularWronskian):
+        field.u(PTS[0], 0)
+    rep = residual_report(field, PTS)
+    assert rep.skipped == len(PTS) and rep.rows == []
