@@ -820,17 +820,10 @@ def _f_uxx_bernoulli(fid, b):
         return (w * w * w * w + (12.0 * c + A2) * w * w
                 + _jy(a1, p, n) * w + 2.0 * c * (6.0 * c + A2))
 
-    def ok(p):
-        try:
-            for yy in np.linspace(y0, p.y, 5):
-                chi_t(Point(p.t, p.x, float(yy)), 0)
-            return True
-        except DomainError:
-            return False
     return _field(fid,
                   {"beta": be.pretty(), "alpha2": a2.pretty(),
                    "alpha1": a1.pretty(), "lam1": l1.pretty(),
-                   "lam0": l0.pretty(), "y0": y0}, u, v, ok)
+                   "lam0": l0.pretty(), "y0": y0}, u, v)
 
 
 # -- u = v -------------------------------------------------------------------
@@ -1277,15 +1270,7 @@ def _f_sinhgordon(fid, b):
         return -0.5 * th.derive("x")
 
     v = _line_integral(integrand, "x", x0, constant_along="t")
-
-    def ok(p):
-        try:
-            for s in np.linspace(x0, p.x, 5):
-                theta(Point(p.t, float(s), p.y), 0)
-            return True
-        except DomainError:
-            return False
-    return _field(fid, {"variant": variant, "x0": x0}, u, v, ok)
+    return _field(fid, {"variant": variant, "x0": x0}, u, v)
 
 
 # -- directly catalogued Laplace-transform images ----------------------------

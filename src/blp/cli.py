@@ -8,8 +8,10 @@ Subcommands:
   blp reduce      integrate a reduced profile equation, export CSV
   blp algebra     run the bundled subalgebra closure / normalizer checks
 
-Exit codes: 0 success, 1 tolerance failure, 2 configuration error (a
-one-line JSON ``{"error": ...}`` on stderr, also for usage errors).
+Exit codes: 0 success, 1 tolerance failure, 2 configuration error or
+any other toolkit error (a :class:`jets.BLPError`, such as a quadrature
+that cannot reach its tolerance), with a one-line JSON ``{"error": ...}``
+on stderr, also for usage errors.
 Reports are deterministic: keys sorted, floats printed with shortest
 round-trip repr, non-finite floats as the strings "NaN", "Infinity" and
 "-Infinity".  A report passes only when every residual is finite;
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import catalog, liealg, reductions, system, transforms
 from .exprdsl import parse
-from .jets import BadInput, Point
+from .jets import BadInput, BLPError, Point
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -414,7 +416,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (BadInput, json.JSONDecodeError, OSError) as exc:
+    except (BLPError, json.JSONDecodeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True),
               file=sys.stderr)
         return EXIT_CONFIG

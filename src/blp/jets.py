@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 __all__ = [
+    "BLPError",
     "UndefinedHere",
     "DomainError",
     "BadInput",
@@ -48,7 +49,15 @@ __all__ = [
 GUARD = 1e-12
 
 
-class UndefinedHere(ArithmeticError):
+class BLPError(Exception):
+    """Root of the toolkit's own errors.
+
+    Each subclass also keeps a builtin base (``ArithmeticError``,
+    ``ValueError``, ``RuntimeError``) that says what kind of failure it is.
+    """
+
+
+class UndefinedHere(BLPError, ArithmeticError):
     """The field is not defined at this point: a grid check skips it."""
 
 
@@ -56,7 +65,7 @@ class DomainError(UndefinedHere):
     """A jet operation hit (or came too close to) a singular point."""
 
 
-class BadInput(ValueError):
+class BadInput(BLPError, ValueError):
     """A binding, expression, specification or setting that is rejected."""
 
 
@@ -120,6 +129,17 @@ class _Tables:
         self.axis_powers = [
             np.asarray([self.index[tuple(d if b == a else 0 for b in range(3))]
                         for d in range(order + 1)], dtype=np.intp)
+            for a in range(3)]
+        # per axis, the derivative as a gather and a scale: its entry m
+        # (one order lower) is entry derive_src[a][m] times derive_scale[a][m]
+        lower = exps[:jet_size(order - 1)]
+        self.derive_src = [
+            np.asarray([self.index[tuple(c + (b == a)
+                                         for b, c in enumerate(e))]
+                        for e in lower], dtype=np.intp)
+            for a in range(3)]
+        self.derive_scale = [
+            np.asarray([e[a] + 1 for e in lower], dtype=float)
             for a in range(3)]
 
 
@@ -274,16 +294,9 @@ class Jet3:
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 jet")
         axis = _AXES[which]
-        src = _tables(self.order)
-        dst = _tables(self.order - 1)
-        out = np.zeros(dst.size)
-        for m, e in enumerate(src.exps):
-            if e[axis] == 0:
-                continue
-            e2 = list(e)
-            e2[axis] -= 1
-            out[dst.index[tuple(e2)]] = e[axis] * self.coeffs[m]
-        return Jet3(self.base, self.order - 1, out)
+        tab = _tables(self.order)
+        return Jet3(self.base, self.order - 1,
+                    self.coeffs[tab.derive_src[axis]] * tab.derive_scale[axis])
 
     def extract(self, multi_index) -> float:
         i, j, k = multi_index

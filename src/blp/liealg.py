@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exprdsl import Bin, Expr, Num, parse
+from .jets import BLPError
 
 __all__ = [
     "LieElement", "Subalgebra", "IllConditioned", "NumericCoeff",
@@ -41,7 +42,7 @@ KINDS = ("D", "S", "P", "Z")
 _VAR_OF = {"D": "t", "S": "y", "P": "t", "Z": "y"}
 
 
-class IllConditioned(ArithmeticError):
+class IllConditioned(BLPError, ArithmeticError):
     """Sampling Gram matrix too close to singular for a span certificate."""
 
 

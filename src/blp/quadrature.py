@@ -8,7 +8,9 @@ or vector-valued; the error estimate is the usual |K15 - G7| panel bound.
 :func:`integrate_field_along` lifts an axis-parallel line integral of a
 jet-evaluable field to a jet: the coefficients that carry powers of the
 integration axis follow from the fundamental theorem of calculus, and the
-remaining slice is integrated coefficient-wise.
+remaining slice is integrated coefficient-wise.  :func:`integrate_xt_path`
+is the two-leg path integral of a potential whose x- and t-derivatives
+are known.
 
 Refinement stops early when it no longer pays: the roundoff detection of
 QUADPACK (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, *QUADPACK*,
@@ -25,13 +27,13 @@ import heapq
 
 import numpy as np
 
-from .jets import Jet3, JetMap, Point, jet_size, _tables
+from .jets import BLPError, Jet3, JetMap, Point, jet_size, restrict, _tables
 
 __all__ = ["QuadratureError", "gauss_kronrod_15", "adaptive_quadrature",
-           "integrate_field_along"]
+           "integrate_field_along", "integrate_xt_path"]
 
 
-class QuadratureError(ArithmeticError):
+class QuadratureError(BLPError, ArithmeticError):
     """Adaptive subdivision failed to reach the requested tolerance.
 
     ``reason`` names the failure: ``"budget"`` (the panel budget ran
@@ -221,3 +223,22 @@ def integrate_field_along(field: JetMap, axis: str, lower: float,
         src[ax] = k - 1
         out[m] = g_at_p.coeffs[_tables(order).index[tuple(src)]] / k
     return Jet3(p, order, out)
+
+
+def integrate_xt_path(x_integrand: JetMap, t_integrand: JetMap, base: Point,
+                      p: Point, order: int, tol: float = 1e-10) -> Jet3:
+    """Jet at ``p`` of the potential F with F_x = f and F(t, x0, y) given
+    by its t-derivative g on the line x = x0:
+
+        F(t, x, y) = int_x0^x f(t, x', y) dx' + int_t0^t g(t', x0, y) dt',
+
+    with ``(t0, x0) = (base.t, base.x)``.  ``t_integrand`` is asked on
+    that line only, and its jet is restricted to it, so the second leg
+    does not depend on x.
+    """
+    def on_base_line(q: Point, n: int) -> Jet3:
+        g = t_integrand(Point(q.t, base.x, q.y), n)
+        return restrict(g, "x", q)
+
+    return (integrate_field_along(x_integrand, "x", base.x, p, order, tol)
+            + integrate_field_along(on_base_line, "t", base.t, p, order, tol))

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets
-from .jets import BadInput, Jet3, Point, UndefinedHere
+from .jets import BadInput, BLPError, Jet3, Point, UndefinedHere
 from .system import SolutionField
 
 __all__ = [
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 
-class PoleAbort(RuntimeError):
+class PoleAbort(BLPError, RuntimeError):
     def __init__(self, message, trajectory=None, last_safe=None):
         super().__init__(message)
         self.trajectory = trajectory

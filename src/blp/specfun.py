@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Jet3, apply_taylor
+from .jets import BLPError, Jet3, apply_taylor
 
 __all__ = [
     "EllipticInvariants", "QuarticODE", "PoleError", "NonFiniteError",
@@ -36,23 +36,23 @@ __all__ = [
 ]
 
 
-class PoleError(ArithmeticError):
+class PoleError(BLPError, ArithmeticError):
     """Argument too close to a lattice point of P."""
 
 
-class NonFiniteError(ArithmeticError):
+class NonFiniteError(BLPError, ArithmeticError):
     """Evaluation overflowed."""
 
 
-class NegativeRadicand(ValueError):
+class NegativeRadicand(BLPError, ValueError):
     """F(a) < 0 where a square root of F(a) is required."""
 
 
-class DegenerateError(ValueError):
+class DegenerateError(BLPError, ValueError):
     """The quartic has multiple roots where simple roots are required."""
 
 
-class NotDegenerate(ValueError):
+class NotDegenerate(BLPError, ValueError):
     """The supplied root fails its multiplicity certificate."""
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import jets
 from .exprdsl import Expr
 from .jets import DomainError, Jet3, JetMap, Point, UndefinedHere
-from .quadrature import integrate_field_along
+from .quadrature import integrate_field_along, integrate_xt_path
 
 __all__ = [
     "SolutionField", "ResidualReport", "GaugeError",
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-class GaugeError(RuntimeError):
+class GaugeError(jets.BLPError, RuntimeError):
     """A conversion path crossed a validity hole of the field."""
 
 
@@ -52,6 +52,13 @@ class SolutionField:
     ``validity`` is the field's domain, a predicate that never evaluates
     ``u`` or ``v``.  Inside it a component raises
     :class:`jets.UndefinedHere` where it is not defined.
+
+    A (u,v) field also answers ``v_x``, the w of the (u,w) form; it
+    remembers its last point too.  By default it is ``v``'s jet one
+    order up, differentiated in x; a field whose v is a path integral
+    gives a local map instead, so a field built on it never runs that
+    integral just to differentiate it.  Other coordinates have no
+    ``v_x``.
     """
     u: JetMap
     v: JetMap
@@ -59,10 +66,21 @@ class SolutionField:
     family_id: str = ""
     params: Mapping[str, object] = field(default_factory=dict)
     validity: Callable[[Point], bool] = lambda p: True
+    v_x: JetMap | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "u", jets.last_point(self.u))
-        object.__setattr__(self, "v", jets.last_point(self.v))
+        v = jets.last_point(self.v)
+        object.__setattr__(self, "v", v)
+        v_x = self.v_x
+        if self.coords != "UV":
+            if v_x is not None:
+                raise ValueError("only a (u,v) field carries v_x")
+            return
+        if v_x is None:
+            def v_x(p: Point, n: int) -> Jet3:
+                return v(p, n + 1).derive("x")
+        object.__setattr__(self, "v_x", jets.last_point(v_x))
 
     @property
     def q(self) -> JetMap:
@@ -77,11 +95,29 @@ class SolutionField:
         return self.v
 
     def with_meta(self, **kw) -> "SolutionField":
+        """A copy with the given attributes replaced.
+
+        ``v_x`` is kept while the coordinates stay and the new ``v``
+        unwraps (``__wrapped__``) to the old one, as a timing wrapper
+        does; another ``v`` gets its own ``v_x``.
+        """
         data = dict(u=self.u, v=self.v, coords=self.coords,
                     family_id=self.family_id, params=self.params,
-                    validity=self.validity)
+                    validity=self.validity, v_x=self.v_x)
         data.update(kw)
+        if "v_x" not in kw and (data["coords"] != self.coords
+                                or not _unwraps_to(data["v"], self.v)):
+            data["v_x"] = None
         return SolutionField(**data)
+
+
+def _unwraps_to(fn, target) -> bool:
+    """Whether ``target`` is ``fn`` or in its ``__wrapped__`` chain."""
+    while fn is not None:
+        if fn is target:
+            return True
+        fn = getattr(fn, "__wrapped__", None)
+    return False
 
 
 @dataclass
@@ -252,6 +288,8 @@ def convert(s: SolutionField, to: str, basepoint: Point,
     Quadrature-based reconstructions integrate along axis-parallel paths
     anchored at ``basepoint``; the potentials carry the gauge
     q(t,x,y0) = 0 (UV->UQ) and v fixed up to a function of y (UQ->UV).
+    From (u,v) both read the field's ``v_x``; a field converted to (u,v)
+    answers ``v_x`` by its w.
     """
     if to == s.coords:
         return s
@@ -267,9 +305,7 @@ def convert(s: SolutionField, to: str, basepoint: Point,
         return wrapped
 
     if s.coords == "UV" and to == "UW":
-        def w(p: Point, n: int) -> Jet3:
-            return second(p, n + 1).derive("x")
-        return s.with_meta(v=w, coords="UW")
+        return s.with_meta(v=s.v_x, coords="UW")
 
     if s.coords == "UQ" and to == "UW":
         def w(p: Point, n: int) -> Jet3:
@@ -278,10 +314,8 @@ def convert(s: SolutionField, to: str, basepoint: Point,
 
     if s.coords == "UV" and to == "UQ":
         def q(p: Point, n: int) -> Jet3:
-            def v_x(pp: Point, nn: int) -> Jet3:
-                return second(pp, nn + 1).derive("x")
-            return integrate_field_along(guard(v_x), "y", basepoint.y, p, n,
-                                         tol=tol)
+            return integrate_field_along(guard(s.v_x), "y", basepoint.y, p,
+                                         n, tol=tol)
         return s.with_meta(v=q, coords="UQ")
 
     if s.coords in ("UQ", "UW") and to == "UV":
@@ -291,23 +325,16 @@ def convert(s: SolutionField, to: str, basepoint: Point,
         else:
             w_map = second
 
+        def v_t(p: Point, n: int) -> Jet3:
+            wj = w_map(p, n + 1)
+            return wj.derive("x") + 2.0 * (u0(p, n) * wj.truncate(n))
+
         def v(p: Point, n: int) -> Jet3:
             # v = int_x0^x w dx' + int_t0^t (w_x + 2 u w)|_(t',x0,y) dt'
-            x_part = integrate_field_along(guard(w_map), "x", basepoint.x,
-                                           p, n, tol=tol)
+            return integrate_xt_path(guard(w_map), guard(v_t), basepoint,
+                                     p, n, tol=tol)
 
-            def t_integrand(pp: Point, nn: int) -> Jet3:
-                pc = Point(pp.t, basepoint.x, pp.y)
-                wj = w_map(pc, nn + 1)
-                uj = u0(pc, nn)
-                g = wj.derive("x") + 2.0 * (uj * wj.truncate(nn))
-                return jets.restrict(g, "x", pp)
-
-            t_part = integrate_field_along(guard(t_integrand), "t",
-                                           basepoint.t, p, n, tol=tol)
-            return x_part + t_part
-
-        return s.with_meta(v=v, coords="UV")
+        return s.with_meta(v=v, v_x=w_map, coords="UV")
 
     if s.coords == "UW" and to == "UQ":
         def q(p: Point, n: int) -> Jet3:

@@ -9,14 +9,27 @@ The complete point-symmetry group acts by
 with smooth T, X0, Y, V0, T_t > 0, Y_y != 0 and eps = +-1.  Applying a
 group element to a field composes the field with the inverse coordinate
 map (computed by bracketed root-finding plus Taylor-series reversion) and
-pushes the components through the formulas above, entirely in jets.
+pushes the components through the formulas above, entirely in jets;
+v~_x = v_x / (eps sqrt(T_t) Y_y) is pushed the same way.
 
 The Laplace maps act in (u,q) coordinates as
 
     forward:  u~ = u + q_xy/q_y,            q~ = q + u~
     inverse:  u~ = u - (q_xy-u_xy)/(q_y-u_y),  q~ = q - u
 
-and in (u,v) coordinates with the line-integral reconstruction of v.
+and in (u,v) coordinates with the line-integral reconstruction of v:
+
+    forward:  u~ = u + v_xx/v_x,  v~ = v + v_xy/v_x + P,
+    inverse:  u~ = u - (u_xy-v_xx)/(u_y-v_x),  v~ = v - P,
+
+where P_x = u_y and P_t = (u^2-u_x)_y + 2 v_xx on the line x = x0.  A
+(u,v) field carries a local v_x map (:class:`system.SolutionField`); an
+image defines its own, v~_x = v_x + (v_xy/v_x)_x + u_y forward and
+v~_x = v_x - u_y inverse.  The maps and P read only u and v_x of the
+parent, so only v itself runs P's path integral, once per point and
+level: a chain's cost grows linearly with its depth.  The jet of v that
+a residual reads, with its t- and x-derivatives, still comes from the
+top field's own integral, so the check stays independent of the maps.
 Each map asks its parent for the highest order it needs first; the
 parent's remembered jet (:func:`jets.last_point`) answers lower ones.
 A transformed field keeps its parent's ``validity``, a domain that no
@@ -40,7 +53,7 @@ import numpy as np
 from . import jets
 from .exprdsl import Bin, Call, Expr, Num, parse
 from .jets import DomainError, Jet3, JetMap, Point, UndefinedHere, last_point
-from .quadrature import integrate_field_along
+from .quadrature import integrate_field_along, integrate_xt_path
 from .system import SolutionField, covering_residual
 
 __all__ = [
@@ -61,7 +74,7 @@ class UndefinedTransform(UndefinedHere):
     """Denominator of a transformation inside its guard band."""
 
 
-class InverseMapError(RuntimeError):
+class InverseMapError(jets.BLPError, RuntimeError):
     """T or Y could not be inverted on the working window."""
 
 
@@ -249,6 +262,13 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
         Vc = jets.compose3(V.coeffs, n, jt, jx, jy)
         return Vc / dY(jy) + g.V0(jy)
 
+    def v_x(pn: Point, n: int) -> Jet3:
+        # only the old x depends on the new x, at the rate 1/(eps sqrt(T_t))
+        po, jt, jx, jy, ttj = inner_jets(pn, n)
+        W = s.v_x(po, n)
+        Wc = jets.compose3(W.coeffs, n, jt, jx, jy)
+        return Wc / (float(g.eps) * jets.sqrt(ttj) * dY(jy))
+
     def ok(pn: Point) -> bool:
         try:
             po = old_point(pn)
@@ -258,7 +278,7 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
 
     return SolutionField(u=u, v=v, coords="UV",
                          family_id=s.family_id + "~sym",
-                         params=s.params, validity=ok)
+                         params=s.params, validity=ok, v_x=v_x)
 
 
 # ----------------------------------------------------------------------
@@ -307,63 +327,73 @@ def laplace_inverse_uq(s: SolutionField) -> SolutionField:
                          validity=s.validity)
 
 
-def _uv_path_integrals(s: SolutionField, base: Point) -> JetMap:
-    """The two line integrals shared by the forward/inverse (u,v) maps."""
+def _uv_path_integrals(s: SolutionField, base: Point):
+    """u_y of ``s``, and the path integral P shared by the (u,v) maps:
+    P_x = u_y, and P_t = (u^2 - u_x)_y + 2 v_xx on the line x = x0.
 
-    def u_y_field(p: Point, n: int) -> Jet3:
+    Both read only ``u`` and ``v_x`` of ``s``, never its ``v``.
+    """
+
+    def u_y(p: Point, n: int) -> Jet3:
         return s.u(p, n + 1).derive("y")
 
-    def t_integrand(p: Point, n: int) -> Jet3:
-        pc = Point(p.t, base.x, p.y)
-        uj = s.u(pc, n + 2)
-        vj = s.v(pc, n + 2)
-        g = ((uj * uj).truncate(n + 1) - uj.derive("x")).derive("y") \
-            + 2.0 * vj.derive("x").derive("x")
-        return jets.restrict(g, "x", p)
+    def p_t(p: Point, n: int) -> Jet3:
+        uj = s.u(p, n + 2)
+        return ((uj * uj).truncate(n + 1) - uj.derive("x")).derive("y") \
+            + 2.0 * s.v_x(p, n + 1).derive("x")
 
-    def total(p: Point, n: int) -> Jet3:
-        return (integrate_field_along(u_y_field, "x", base.x, p, n)
-                + integrate_field_along(t_integrand, "t", base.t, p, n))
+    def path(p: Point, n: int) -> Jet3:
+        return integrate_xt_path(u_y, p_t, base, p, n)
 
-    return total
+    return u_y, path
 
 
 def laplace_forward_uv(s: SolutionField, base: Point) -> SolutionField:
+    """v~ = v + v_xy/v_x + P, so v~_x = v_x + (v_xy/v_x)_x + u_y."""
     if s.coords != "UV":
         raise ValueError("expects (u,v) coordinates")
-    path = _uv_path_integrals(s, base)
+    u_y, path = _uv_path_integrals(s, base)
 
     def u(p, n):
-        vj = s.v(p, n + 2)
-        v_x = vj.derive("x").truncate(n)
-        v_xx = vj.derive("x").derive("x")
+        w = s.v_x(p, n + 1)
+        v_x = w.truncate(n)
+        v_xx = w.derive("x")
         if abs(v_x.value) < GUARD * (1.0 + abs(v_xx.value)):
             raise UndefinedTransform("v_x inside guard band")
         return s.u(p, n) + v_xx / v_x
 
-    def v(p, n):
-        vj = s.v(p, n + 2)
-        v_x = vj.derive("x").truncate(n)
-        v_xy = vj.derive("x").derive("y")
+    def ratio(p, n):
+        # v_xy / v_x
+        w = s.v_x(p, n + 1)
+        v_x = w.truncate(n)
+        v_xy = w.derive("y")
         if abs(v_x.value) < GUARD * (1.0 + abs(v_xy.value)):
             raise UndefinedTransform("v_x inside guard band")
-        return vj.truncate(n) + v_xy / v_x + path(p, n)
+        return v_xy / v_x
+
+    def v(p, n):
+        return s.v(p, n) + ratio(p, n) + path(p, n)
+
+    def v_x(p, n):
+        ratio_x = ratio(p, n + 1).derive("x")
+        return s.v_x(p, n) + ratio_x + u_y(p, n)
 
     return SolutionField(u=u, v=v, coords="UV",
                          family_id=s.family_id + "~Lfwd", params=s.params,
-                         validity=s.validity)
+                         validity=s.validity, v_x=v_x)
 
 
 def laplace_inverse_uv(s: SolutionField, base: Point) -> SolutionField:
+    """v~ = v - P, so v~_x = v_x - u_y."""
     if s.coords != "UV":
         raise ValueError("expects (u,v) coordinates")
-    path = _uv_path_integrals(s, base)
+    u_y, path = _uv_path_integrals(s, base)
 
     def u(p, n):
         uj = s.u(p, n + 2)
-        vj = s.v(p, n + 2)
-        den = (uj.derive("y") - vj.derive("x")).truncate(n)
-        num = uj.derive("x").derive("y") - vj.derive("x").derive("x")
+        w = s.v_x(p, n + 1)
+        den = (uj.derive("y") - w).truncate(n)
+        num = uj.derive("x").derive("y") - w.derive("x")
         if abs(den.value) < GUARD * (1.0 + abs(num.value)):
             raise UndefinedTransform("u_y - v_x inside guard band")
         return uj.truncate(n) - num / den
@@ -371,9 +401,12 @@ def laplace_inverse_uv(s: SolutionField, base: Point) -> SolutionField:
     def v(p, n):
         return s.v(p, n) - path(p, n)
 
+    def v_x(p, n):
+        return s.v_x(p, n) - u_y(p, n)
+
     return SolutionField(u=u, v=v, coords="UV",
                          family_id=s.family_id + "~Linv", params=s.params,
-                         validity=s.validity)
+                         validity=s.validity, v_x=v_x)
 
 
 # ----------------------------------------------------------------------
@@ -707,19 +740,15 @@ def covering_solutions_for_constraint(
             return th * phi_map(p, n)
 
         def t_integrand(p, n):
-            pc = Point(p.t, base.x, p.y)
-            th = theta(pc, n + 1) if theta is not None else None
-            f = phi_map(pc, n + 1)
+            th = theta(p, n + 1) if theta is not None else None
+            f = phi_map(p, n + 1)
             if th is None:
-                g = Jet3.constant(0.0, pc, n)
-            else:
-                g = (th.truncate(n) * f.derive("x")
-                     - th.derive("x") * f.truncate(n))
-            return jets.restrict(g, "x", p)
+                return Jet3.constant(0.0, p, n)
+            return (th.truncate(n) * f.derive("x")
+                    - th.derive("x") * f.truncate(n))
 
         def psi(p, n):
-            acc = integrate_field_along(x_integrand, "x", base.x, p, n) \
-                + integrate_field_along(t_integrand, "t", base.t, p, n)
+            acc = integrate_xt_path(x_integrand, t_integrand, base, p, n)
             if zeta is not None:
                 acc = acc + zeta(jets.lift_variable("y", p, n))
             return acc / phi_map(p, n)

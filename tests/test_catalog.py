@@ -260,6 +260,27 @@ def test_bernoulli_one_line_integral_per_line(monkeypatch):
     assert calls[0] == 25
 
 
+@pytest.mark.parametrize("fid,seed,widen,skipped", [
+    ("F_UXX_BERNOULLI", 1, 0.5, 15), ("F_UXX_BERNOULLI", 0, 3.0, 45),
+    ("F_SINHGORDON", 0, 3.0, 40), ("F_SINHGORDON", 4, 3.0, 30),
+])
+def test_path_families_skip_where_their_path_leaves_the_domain(
+        fid, seed, widen, skipped):
+    # on a box widened by ``widen`` box widths each way, the path integral
+    # meets points where chi_t (Bernoulli) or theta (sinh-Gordon) is
+    # undefined, and the residual's own DomainError skips the point; the
+    # counts are those of a probe at 5 points along each path
+    b = sample_bindings(fid, np.random.default_rng(seed))
+    box = [(lo - widen * (hi - lo), hi + widen * (hi - lo))
+           for lo, hi in catalog.default_box(fid)]
+    grid = [Point(float(t), float(x), float(y))
+            for t in np.linspace(*box[0], 5) for x in np.linspace(*box[1], 5)
+            for y in np.linspace(*box[2], 5)]
+    rep = residual_report(instantiate(fid, b), grid)
+    assert rep.skipped == skipped
+    assert max(rep.r1_max, rep.r2_max) < 1e-6
+
+
 def test_universal_residual_gate(rng):
     worst = {}
     for d in list_families():

@@ -305,3 +305,46 @@ def test_malformed_input_is_config_error(args, capsys):
     assert code == 2 and out == ""
     assert "Traceback" not in err
     assert set(json.loads(err)) == {"error"}
+
+
+def test_stalled_quadrature_is_a_json_error(capsys):
+    # the inverse-then-forward (u,v) chain on F_VXXX_3 with gamma = y: the
+    # forward image's path integral stalls near the pole line of the
+    # inverse image; a toolkit error exits 2 with a JSON error
+    chain = json.dumps([{"op": "laplace_inv_uv"}, {"op": "laplace_fwd_uv"}])
+    grid = json.dumps({"t": [0.9, 1.2, 2], "x": [0.5, 0.9, 2],
+                       "y": [0.45, 0.7, 2]})
+    code, out, err = run_cli(
+        ["transform", "--family", "F_VXXX_3", "--param", "alpha=sin(y)",
+         "--param", "beta=2+cos(y)", "--param", "gamma=y",
+         "--chain", chain, "--grid", grid, "--base", "[1.0, 0.2, 0.5]"],
+        capsys)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert "stalled" in json.loads(err)["error"]
+
+
+def test_every_toolkit_error_is_a_blp_error():
+    from blp import jets, liealg, quadrature, reductions, specfun, transforms
+    errors = {
+        jets.UndefinedHere: ArithmeticError, jets.DomainError: ArithmeticError,
+        jets.BadInput: ValueError, catalog.BadBinding: ValueError,
+        catalog.UnknownFamily: KeyError, catalog.WitnessViolation: ValueError,
+        quadrature.QuadratureError: ArithmeticError,
+        system.GaugeError: RuntimeError,
+        transforms.UndefinedTransform: ArithmeticError,
+        transforms.SingularWronskian: ArithmeticError,
+        transforms.InverseMapError: RuntimeError,
+        reductions.PoleAbort: RuntimeError,
+        reductions.WindowError: ValueError,
+        reductions.ZeroCrossing: ArithmeticError,
+        specfun.PoleError: ArithmeticError,
+        specfun.NonFiniteError: ArithmeticError,
+        specfun.NegativeRadicand: ValueError,
+        specfun.DegenerateError: ValueError,
+        specfun.NotDegenerate: ValueError,
+        liealg.IllConditioned: ArithmeticError,
+    }
+    for cls, builtin in errors.items():
+        assert issubclass(cls, jets.BLPError) and issubclass(cls, builtin), \
+            cls

@@ -274,3 +274,31 @@ def test_last_point_truncates_evicts_and_never_keeps_errors():
     assert calls[-2:] == [(bad, 2), (bad, 2)]
     g(p, 1)  # the failed point left the jet at p in place
     assert len(calls) == 5
+
+
+def _derive_by_monomial_loop(a: Jet3, which: str) -> np.ndarray:
+    """Jet3.derive as a loop over monomials, the reference for the
+    gather-and-scale implementation."""
+    axis = {"t": 0, "x": 1, "y": 2}[which]
+    src = jets._tables(a.order)
+    dst = jets._tables(a.order - 1)
+    out = np.zeros(dst.size)
+    for m, e in enumerate(src.exps):
+        if e[axis] == 0:
+            continue
+        e2 = list(e)
+        e2[axis] -= 1
+        out[dst.index[tuple(e2)]] = e[axis] * a.coeffs[m]
+    return out
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_derive_gather_matches_monomial_loop(order):
+    rng = np.random.default_rng(order)
+    size = jets.jet_size(order)
+    coeffs = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size)
+    a = Jet3(Point(0.3, -0.2, 0.5), order, coeffs)
+    for which in "txy":
+        d = a.derive(which)
+        assert d.order == order - 1 and d.base == a.base
+        assert np.array_equal(d.coeffs, _derive_by_monomial_loop(a, which))

@@ -7,7 +7,7 @@ from blp import jets
 from blp.jets import Point
 from blp.quadrature import (
     QuadratureError, adaptive_quadrature, gauss_kronrod_15,
-    integrate_field_along,
+    integrate_field_along, integrate_xt_path,
 )
 from conftest import central_diff
 
@@ -61,6 +61,33 @@ def test_integrate_field_along_x():
               (0, 1, 1), (2, 0, 1), (1, 0, 1), (0, 2, 0)]:
         assert F.extract(m) == pytest.approx(
             central_diff(f, p, m), rel=1e-6, abs=1e-6), m
+
+
+def test_integrate_xt_path():
+    # F = sin(t*y)*x + t^2*y: F_x = sin(t*y), and on the line x = x0
+    # F_t = y*cos(t*y)*x0 + 2*t*y; the path integral is F - F(t0, x0, y)
+    base = Point(-0.3, 0.4, 2.0)
+
+    def f_x(p, n):
+        t, x, y = jets.coordinate_jets(p, n)
+        return jets.sin(t * y)
+
+    def f_t(p, n):
+        t, x, y = jets.coordinate_jets(p, n)
+        return y * jets.cos(t * y) * x + 2.0 * t * y
+
+    def F(t, x, y):
+        return math.sin(t * y) * x + t * t * y
+
+    def h(t, x, y):
+        return F(t, x, y) - F(base.t, base.x, y)
+
+    p = Point(0.8, -0.5, 0.7)
+    P = integrate_xt_path(f_x, f_t, base, p, 3)
+    for m in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0),
+              (0, 1, 1), (1, 0, 1), (2, 0, 0), (0, 0, 2), (1, 1, 1)]:
+        assert P.extract(m) == pytest.approx(
+            central_diff(h, p, m), rel=1e-6, abs=1e-6), m
 
 
 def test_integrate_field_along_t():

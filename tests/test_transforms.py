@@ -5,10 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from blp import catalog, jets, transforms
+from blp import catalog, jets, quadrature, system, transforms
 from blp.jets import Jet3, Point, UndefinedHere
 from blp.system import (
-    SolutionField, convert, residual, residual_report, residual_uq,
+    SolutionField, convert, perturb_v, residual, residual_report,
+    residual_uq,
 )
 from blp.transforms import (
     CoveringEigenfunction, InverseMapError, PointSymmetry,
@@ -651,6 +652,142 @@ def test_laplace_uq_chain_phi_calls_grow_linearly(direction, depth, probed):
         field = step(field)
     calls = _phi_calls_per_point(w, field, _box_grid(box, (2, 2, 2)))
     assert calls == 1 == probed - depth
+
+
+# ----------------------------------------------------------------------
+# (u,v) Laplace chains: each field answers v_x locally
+# ----------------------------------------------------------------------
+
+#: (source, bindings, path base, steps, point, pinned (u, v, r1, r2) of the
+#: depth-1, -2 and -3 chains, from the nested evaluation the local v_x
+#: maps replaced)
+_UV_CHAINS = {
+    "fwd-inv-fwd": (
+        "F_VXXX_1",
+        {"alpha": "sin(y)", "beta": "2+cos(y)", "gamma": "y", "delta": 1},
+        Point(1.0, 0.0, 0.5), ("fwd", "inv", "fwd"), Point(1.1, 0.6, 0.7),
+        [(0.224106495636739, 1.0567505223529747, 0.0,
+          -1.3877787807814457e-16),
+         (-0.16096616976124217, 1.3881369728632826, -3.767819389821625e-15,
+          -4.718447854656915e-16),
+         (0.224106495636739, 2.633379980214147, 6.661338147750939e-16,
+          -3.760880495917718e-15)]),
+    "inv-fwd-inv": (
+        "F_VXXX_5", {"alpha": "sin(y)", "beta": "4+cos(y)"},
+        Point(1.0, 0.2, 0.5), ("inv", "fwd", "inv"), Point(1.1, 0.7, 0.6),
+        [(0.25854366598207446, 42.702257956723905, -2.0816681711721685e-17,
+          0.0),
+         (0.4168784909444835, 43.844011995848035, 2.6020852139652106e-18,
+          -3.552713678800501e-15),
+         (0.25854366598207446, 42.94654972207894, -1.734723475976807e-17,
+          0.0)]),
+    "fwd-sym-inv": (
+        "F_VXXX_1",
+        {"alpha": "sin(y)", "beta": "2+cos(y)", "gamma": "y", "delta": 1},
+        Point(1.0, 0.0, 0.5), ("fwd", "sym", "inv"), Point(1.1, 0.6, 0.7),
+        [(0.224106495636739, 1.0567505223529747, 0.0,
+          -1.3877787807814457e-16),
+         (0.27094539752192864, 1.0013205662523965, 0.0,
+          -8.326672684688674e-17),
+         (-0.1829571075302034, 1.4163072671279575, -4.017619570362285e-15,
+          3.608224830031759e-16)]),
+}
+_UV_SYMMETRY = s_transform("y+0.2*sin(y)").compose(p_transform("0.1*t"))
+_UV_STEPS = {"fwd": laplace_forward_uv, "inv": laplace_inverse_uv,
+             "sym": lambda s, base: apply_symmetry(_UV_SYMMETRY, s)}
+
+
+def _rewrapped(s):
+    """``s`` with u and v behind pass-through wrappers that keep
+    ``__wrapped__``, as a timing tracer wraps them."""
+    def wrap(fn):
+        def wrapper(p, n):
+            return fn(p, n)
+        wrapper.__wrapped__ = fn
+        return wrapper
+    return s.with_meta(u=wrap(s.u), v=wrap(s.v), validity=s.validity)
+
+
+def _uv_chain(case, depth, rewrap=False):
+    fid, bindings, base, steps, p, _ = _UV_CHAINS[case]
+    field = catalog.instantiate(fid, bindings)
+    for step in steps[:depth]:
+        if rewrap:
+            field = _rewrapped(field)
+        field = _UV_STEPS[step](field, base)
+    return field, p
+
+
+def _count_path_integrals(monkeypatch):
+    calls = [0]
+    inner = quadrature.integrate_field_along
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+    for mod in (quadrature, system, transforms, catalog):
+        if getattr(mod, "integrate_field_along", None) is inner:
+            monkeypatch.setattr(mod, "integrate_field_along", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rewrap", [False, True])
+@pytest.mark.parametrize("case", list(_UV_CHAINS))
+def test_laplace_uv_chain_path_integrals_grow_linearly(case, rewrap,
+                                                        monkeypatch):
+    # only the v of each Laplace level runs its path integral, once per
+    # point: two line integrals per level, none for a symmetry (the nested
+    # evaluation ran 2, 36 and about 600 at depths 1, 2 and 3); a rewrap
+    # that keeps __wrapped__ keeps the local v_x, so a traced chain costs
+    # the same
+    steps = _UV_CHAINS[case][3]
+    calls = _count_path_integrals(monkeypatch)
+    for depth in (1, 2, 3):
+        field, p = _uv_chain(case, depth, rewrap)
+        calls[0] = 0
+        residual(field, p)
+        laplace_levels = sum(step != "sym" for step in steps[:depth])
+        assert calls[0] == 2 * laplace_levels, depth
+
+
+@pytest.mark.parametrize("case", list(_UV_CHAINS))
+def test_laplace_uv_chain_values_pinned(case):
+    pinned = _UV_CHAINS[case][-1]
+    for depth in (1, 2, 3):
+        field, p = _uv_chain(case, depth)
+        r1, r2 = residual(field, p)
+        got = (field.u(p, 4).value, field.v(p, 4).value, r1, r2)
+        assert got == pytest.approx(pinned[depth - 1], rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", list(_UV_CHAINS))
+def test_laplace_uv_local_v_x_is_v_derived(case):
+    # the local map is the x-derivative of the field's own v
+    for depth in (1, 2, 3):
+        field, p = _uv_chain(case, depth)
+        local = field.v_x(p, 3).coeffs
+        derived = field.v(p, 4).derive("x").coeffs
+        assert np.allclose(local, derived, rtol=1e-10, atol=1e-10), depth
+
+
+def test_v_x_kept_by_a_wrapping_rewrap_dropped_with_v():
+    field, p = _uv_chain("fwd-inv-fwd", 2)
+    base = _UV_CHAINS["fwd-inv-fwd"][2]
+    assert _rewrapped(field).v_x is field.v_x
+    assert field.with_meta(family_id="renamed").v_x is field.v_x
+    # a new v brings its own v_x, by default derived from it
+    detector = perturb_v(field, eps=0.05)
+    assert detector.v_x is not field.v_x
+    assert np.array_equal(detector.v_x(p, 2).coeffs,
+                          detector.v(p, 3).derive("x").coeffs)
+    uq = convert(field, "UQ", base)
+    assert uq.v_x is None and convert(field, "UW", base).v_x is None
+    back = convert(uq, "UV", base)
+    assert back.v_x is not field.v_x
+    assert np.allclose(back.v_x(p, 2).coeffs,
+                       back.v(p, 3).derive("x").coeffs, atol=1e-9)
+    with pytest.raises(ValueError):
+        SolutionField(u=field.u, v=field.v, coords="UQ", v_x=field.v_x)
 
 
 #: Phi calls per point of an n-fold dressing's residual, by (kind, n)
