@@ -9,8 +9,7 @@ The complete point-symmetry group acts by
 with smooth T, X0, Y, V0, T_t > 0, Y_y != 0 and eps = +-1.  Applying a
 group element to a field composes the field with the inverse coordinate
 map (computed by bracketed root-finding plus Taylor-series reversion) and
-pushes the components through the formulas above, entirely in jets;
-v~_x = v_x / (eps sqrt(T_t) Y_y) is pushed the same way.
+pushes the components through the formulas above, entirely in jets.
 
 The Laplace maps act in (u,q) coordinates as
 
@@ -262,13 +261,6 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
         Vc = jets.compose3(V.coeffs, n, jt, jx, jy)
         return Vc / dY(jy) + g.V0(jy)
 
-    def v_x(pn: Point, n: int) -> Jet3:
-        # only the old x depends on the new x, at the rate 1/(eps sqrt(T_t))
-        po, jt, jx, jy, ttj = inner_jets(pn, n)
-        W = s.v_x(po, n)
-        Wc = jets.compose3(W.coeffs, n, jt, jx, jy)
-        return Wc / (float(g.eps) * jets.sqrt(ttj) * dY(jy))
-
     def ok(pn: Point) -> bool:
         try:
             po = old_point(pn)
@@ -278,7 +270,7 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
 
     return SolutionField(u=u, v=v, coords="UV",
                          family_id=s.family_id + "~sym",
-                         params=s.params, validity=ok, v_x=v_x)
+                         params=s.params, validity=ok)
 
 
 # ----------------------------------------------------------------------
@@ -362,8 +354,9 @@ def laplace_forward_uv(s: SolutionField, base: Point) -> SolutionField:
             raise UndefinedTransform("v_x inside guard band")
         return s.u(p, n) + v_xx / v_x
 
+    @last_point
     def ratio(p, n):
-        # v_xy / v_x
+        # v_xy / v_x, shared by v and v_x
         w = s.v_x(p, n + 1)
         v_x = w.truncate(n)
         v_xy = w.derive("y")

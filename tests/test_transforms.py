@@ -681,20 +681,8 @@ _UV_CHAINS = {
           -3.552713678800501e-15),
          (0.25854366598207446, 42.94654972207894, -1.734723475976807e-17,
           0.0)]),
-    "fwd-sym-inv": (
-        "F_VXXX_1",
-        {"alpha": "sin(y)", "beta": "2+cos(y)", "gamma": "y", "delta": 1},
-        Point(1.0, 0.0, 0.5), ("fwd", "sym", "inv"), Point(1.1, 0.6, 0.7),
-        [(0.224106495636739, 1.0567505223529747, 0.0,
-          -1.3877787807814457e-16),
-         (0.27094539752192864, 1.0013205662523965, 0.0,
-          -8.326672684688674e-17),
-         (-0.1829571075302034, 1.4163072671279575, -4.017619570362285e-15,
-          3.608224830031759e-16)]),
 }
-_UV_SYMMETRY = s_transform("y+0.2*sin(y)").compose(p_transform("0.1*t"))
-_UV_STEPS = {"fwd": laplace_forward_uv, "inv": laplace_inverse_uv,
-             "sym": lambda s, base: apply_symmetry(_UV_SYMMETRY, s)}
+_UV_STEPS = {"fwd": laplace_forward_uv, "inv": laplace_inverse_uv}
 
 
 def _rewrapped(s):
@@ -735,19 +723,16 @@ def _count_path_integrals(monkeypatch):
 @pytest.mark.parametrize("case", list(_UV_CHAINS))
 def test_laplace_uv_chain_path_integrals_grow_linearly(case, rewrap,
                                                         monkeypatch):
-    # only the v of each Laplace level runs its path integral, once per
-    # point: two line integrals per level, none for a symmetry (the nested
-    # evaluation ran 2, 36 and about 600 at depths 1, 2 and 3); a rewrap
-    # that keeps __wrapped__ keeps the local v_x, so a traced chain costs
-    # the same
-    steps = _UV_CHAINS[case][3]
+    # only the v of each level runs its path integral, once per point:
+    # two line integrals per level (the nested evaluation ran 2, 36 and
+    # about 600 at depths 1, 2 and 3); a rewrap that keeps __wrapped__
+    # keeps the local v_x, so a traced chain costs the same
     calls = _count_path_integrals(monkeypatch)
     for depth in (1, 2, 3):
         field, p = _uv_chain(case, depth, rewrap)
         calls[0] = 0
         residual(field, p)
-        laplace_levels = sum(step != "sym" for step in steps[:depth])
-        assert calls[0] == 2 * laplace_levels, depth
+        assert calls[0] == 2 * depth, depth
 
 
 @pytest.mark.parametrize("case", list(_UV_CHAINS))
