@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import jets
+from . import jets, series
 from .exprdsl import Expr, Num, eval_jet, parse
 from .jets import BadInput, DomainError, Jet3, JetMap, Point
 from .quadrature import (QuadratureError, adaptive_quadrature,
@@ -909,11 +909,7 @@ def _r29_field(fid, bindings, phi, C0: float, delta: float, omega0: float,
         w0 = wj.value
         pser = jets.axis_series(
             phi(jets.lift_variable("x", Point(p.t, w0, p.y), n + 1)), "x")
-        q = np.zeros(n + 1)
-        q[0] = anti(w0)
-        sq = np.convolve(pser, pser)[: n + 1]
-        for k in range(1, n + 1):
-            q[k] = sq[k - 1] / k
+        q = series.integral(series.mul(pser, pser, n), anti(w0), n)
         qj = jets.apply_taylor(q, wj)
         return (-0.5 * qj + 0.5 * phi(wj.truncate(n))
                 - 0.5 * C0 * wj + delta * t)

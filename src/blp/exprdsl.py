@@ -5,7 +5,8 @@ variable (functions of ``t`` or of ``y``, occasionally of ``x``).  Users
 supply them as text, e.g. ``"2*t + sin(t)^2"``.  Parsed expressions
 evaluate over plain floats or over :class:`blp.jets.Jet3` values, and
 support exact symbolic differentiation, which the Lie-algebra layer needs
-for commutators.
+for commutators.  :func:`eval_jet` evaluates one as a univariate Taylor
+series (:mod:`blp.series`) and places it on its axis of a jet.
 
 Grammar: ``+ - * / ^`` with standard precedence (``^`` right-associative,
 binding tighter than unary minus), parentheses, single-argument function
@@ -18,10 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import jets
+import numpy as np
+
+from . import jets, series
 from .jets import BadInput, DomainError, Jet3, Point
 
-__all__ = ["Expr", "ParseError", "parse", "eval_jet",
+__all__ = ["Expr", "ParseError", "parse", "eval_jet", "eval_series",
            "Num", "Var", "Bin", "Neg", "Call"]
 
 _FUNCTIONS = ("exp", "ln", "sin", "cos", "tan", "sinh", "cosh", "sqrt", "abs")
@@ -302,9 +305,68 @@ def _eval(e: Expr, x):
     raise AssertionError(type(e))
 
 
+def _as_series(v, lay: series.Layout) -> np.ndarray:
+    if isinstance(v, np.ndarray):
+        return v
+    c = np.zeros(lay.size)
+    c[0] = v
+    return c
+
+
+def _eval_series(e: Expr, x: np.ndarray, lay: series.Layout):
+    """``e`` of the univariate series ``x``: a float where the subtree is a
+    number, else a coefficient array.  Guards and errors as for jets."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return x
+    if isinstance(e, Neg):
+        return -_eval_series(e.arg, x, lay)
+    if isinstance(e, Call):
+        av = _as_series(_eval_series(e.arg, x, lay), lay)
+        return jets.elementary(_CALL_JET[e.fn], av, lay)
+    if isinstance(e, Bin):
+        lv = _eval_series(e.left, x, lay)
+        rv = _eval_series(e.right, x, lay)
+        if e.op == "*" and not (isinstance(lv, np.ndarray)
+                                and isinstance(rv, np.ndarray)):
+            return lv * rv  # a number scales every coefficient
+        lv, rv = _as_series(lv, lay), _as_series(rv, lay)
+        if e.op == "+":
+            return lv + rv
+        if e.op == "-":
+            return lv - rv
+        if e.op == "*":
+            return lay.mul(lv, rv)
+        if e.op == "/":
+            return jets.quotient(lv, rv, lay)
+        if e.op == "^":
+            # as jets.power: a constant exponent is a power, else exp(r ln x)
+            if not np.any(rv[1:]):
+                return jets.elementary(("pow", float(rv[0])), lv, lay)
+            return jets.elementary(
+                "exp", lay.mul(rv, jets.elementary("ln", lv, lay)), lay)
+        raise AssertionError(e.op)
+    raise AssertionError(type(e))
+
+
+def eval_series(e: Expr, at: float, order: int) -> np.ndarray:
+    """Taylor coefficients 0..``order`` of the univariate function at
+    ``at``."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    lay = series.univariate(order)
+    x = np.zeros(order + 1)
+    x[0] = at
+    if order:
+        x[1] = 1.0
+    return _as_series(_eval_series(e, x, lay), lay)
+
+
 def eval_jet(e: Expr, which: str, at: Point, order: int) -> Jet3:
-    """Jet of the univariate function, constant in the other two variables."""
-    return _eval(e, jets.lift_variable(which, at, order))
+    """Jet of the univariate function, constant in the other two variables:
+    its series in ``which`` on the axis of that variable."""
+    return jets.axis_jet(eval_series(e, getattr(at, which), order), which, at)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

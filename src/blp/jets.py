@@ -10,6 +10,16 @@ Coefficients are Taylor coefficients (partial derivative divided by
 ``i! j! k!``), which keeps truncated products cheap; true partials are
 recovered by :func:`extract_partial`.
 
+Elementary functions of a jet (:func:`apply_unary`) and the quotient of
+two jets are computed degree by degree: each homogeneous-degree part of
+the result follows from the lower ones by a Taylor recurrence derived
+from the Euler operator (Neidinger, "Computing multivariable Taylor
+series to arbitrary order", APL Quote Quad 25, 1995), written once in
+:mod:`blp.series` for jets and univariate series alike.  Their guards
+read the argument's value.  Nonnegative integer powers are products.
+:func:`apply_taylor` composes a univariate series that a caller supplies
+by Horner's rule.
+
 All operations are pure and jets are immutable.  A map wrapped by
 :func:`last_point`, as every field component is, remembers its last
 point and is not for concurrent use.
@@ -21,6 +31,8 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from . import series
 
 __all__ = [
     "BLPError",
@@ -34,12 +46,15 @@ __all__ = [
     "mul",
     "apply_unary",
     "apply_taylor",
+    "elementary",
+    "quotient",
     "extract_partial",
     "derive",
     "compose3",
     "coordinate_jets",
     "restrict",
     "axis_series",
+    "axis_jet",
     "last_point",
     "exp", "ln", "sin", "cos", "tan", "sinh", "cosh", "sqrt", "recip",
     "abs_signed", "power",
@@ -90,7 +105,7 @@ def _check_point(p: Point) -> None:
 # index tables, cached per order
 # ----------------------------------------------------------------------
 
-class _Tables:
+class _Tables(series.Layout):
     """Monomial bookkeeping for one truncation order."""
 
     def __init__(self, order: int):
@@ -99,23 +114,7 @@ class _Tables:
             for i in range(d, -1, -1):
                 for j in range(d - i, -1, -1):
                     exps.append((i, j, d - i - j))
-        self.order = order
-        self.exps = exps
-        self.size = len(exps)
-        self.index = {e: m for m, e in enumerate(exps)}
-        # truncated Cauchy product: out[io] += a[ia] * b[ib]
-        ia, ib, io = [], [], []
-        for ma, (i1, j1, k1) in enumerate(exps):
-            da = i1 + j1 + k1
-            for mb, (i2, j2, k2) in enumerate(exps):
-                if da + i2 + j2 + k2 > order:
-                    continue
-                ia.append(ma)
-                ib.append(mb)
-                io.append(self.index[(i1 + i2, j1 + j2, k1 + k2)])
-        self.mul_a = np.asarray(ia, dtype=np.intp)
-        self.mul_b = np.asarray(ib, dtype=np.intp)
-        self.mul_out = np.asarray(io, dtype=np.intp)
+        super().__init__(exps)
         # factorial rescaling for extract_partial
         self.fact = np.asarray(
             [math.factorial(i) * math.factorial(j) * math.factorial(k)
@@ -256,10 +255,7 @@ class Jet3:
             return NotImplemented
         if o is None:
             return self.copy_with(self.coeffs * float(other))
-        tab = _tables(self.order)
-        prod = self.coeffs[tab.mul_a] * o.coeffs[tab.mul_b]
-        out = np.bincount(tab.mul_out, weights=prod, minlength=tab.size)
-        return self.copy_with(out)
+        return self.copy_with(_tables(self.order).mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -272,11 +268,8 @@ class Jet3:
             if abs(d) < GUARD * (1.0 + abs(self.value)):
                 raise DomainError("division by (near-)zero scalar")
             return self.copy_with(self.coeffs / d)
-        if abs(o.value) < GUARD * (1.0 + abs(self.value)):
-            raise DomainError(
-                f"jet division: denominator value {o.value} inside guard band"
-            )
-        return self * apply_unary("recip", o)
+        return self.copy_with(
+            quotient(self.coeffs, o.coeffs, _tables(self.order)))
 
     def __rtruediv__(self, other):
         return float(other) * apply_unary("recip", self)
@@ -358,93 +351,22 @@ def axis_series(a: Jet3, axis: str) -> np.ndarray:
     return a.coeffs[_tables(a.order).axis_powers[_AXES[axis]]]
 
 
-# ----------------------------------------------------------------------
-# univariate Taylor seeds for the supported elementary functions
-# ----------------------------------------------------------------------
-
-def _series_exp(v, n):
-    out = np.empty(n + 1)
-    out[0] = math.exp(v)
-    for k in range(1, n + 1):
-        out[k] = out[k - 1] / k
-    return out
-
-
-def _series_ln(v, n):
-    if v < GUARD:
-        raise DomainError(f"ln of non-positive value {v}")
-    out = np.empty(n + 1)
-    out[0] = math.log(v)
-    for k in range(1, n + 1):
-        out[k] = (-1.0) ** (k - 1) / (k * v ** k)
-    return out
-
-
-def _series_trig(v, n, hyper: bool):
-    # returns (sin-like, cos-like) pair of coefficient arrays
-    s = np.empty(n + 1)
-    c = np.empty(n + 1)
-    s0 = math.sinh(v) if hyper else math.sin(v)
-    c0 = math.cosh(v) if hyper else math.cos(v)
-    sgn = 1.0 if hyper else -1.0
-    s[0], c[0] = s0, c0
-    for k in range(1, n + 1):
-        s[k] = c[k - 1] / k
-        c[k] = sgn * s[k - 1] / k
-    return s, c
-
-
-def _series_tan(v, n):
-    if abs(math.cos(v)) < GUARD:
-        raise DomainError(f"tan evaluated at (near-)pole {v}")
-    out = np.empty(n + 1)
-    out[0] = math.tan(v)
-    for k in range(n):
-        # s' = 1 + s^2, coefficientwise
-        conv = float(np.dot(out[: k + 1], out[k::-1]))
-        out[k + 1] = ((1.0 if k == 0 else 0.0) + conv) / (k + 1)
-    return out
-
-
-def _series_pow(v, r, n):
-    if float(r).is_integer():
-        ri = int(round(r))
-        if ri >= 0:
-            out = np.zeros(n + 1)
-            for k in range(min(ri, n) + 1):
-                out[k] = math.comb(ri, k) * v ** (ri - k)
-            return out
-        if abs(v) < GUARD:
-            raise DomainError("negative integer power of (near-)zero value")
-    elif v < GUARD:
-        raise DomainError(f"non-integer power of non-positive value {v}")
-    out = np.empty(n + 1)
-    out[0] = v ** r
-    for k in range(1, n + 1):
-        out[k] = out[k - 1] * (r - (k - 1)) / (k * v)
-    return out
-
-
-def _series_recip(v, n):
-    if abs(v) < GUARD:
-        raise DomainError(f"reciprocal of (near-)zero value {v}")
-    out = np.empty(n + 1)
-    out[0] = 1.0 / v
-    for k in range(1, n + 1):
-        out[k] = -out[k - 1] / v
-    return out
-
-
-def _series_sqrt(v, n):
-    if v < GUARD:
-        raise DomainError(f"sqrt of non-positive value {v}")
-    return _series_pow(v, 0.5, n)
+def axis_jet(ser: np.ndarray, axis: str, at: Point) -> Jet3:
+    """Jet at ``at`` of the univariate series ``ser`` along ``axis``,
+    constant in the other two variables: the inverse of :func:`axis_series`."""
+    _check_point(at)
+    order = len(ser) - 1
+    c = np.zeros(jet_size(order))
+    c[_tables(order).axis_powers[_AXES[axis]]] = ser
+    return Jet3(at, order, c)
 
 
 def apply_taylor(coeffs: np.ndarray, a: Jet3) -> Jet3:
     """Compose a univariate Taylor series (around ``a.value``) with ``a``.
 
-    ``coeffs[k]`` is the k-th Taylor coefficient f^(k)(a.value)/k!.
+    ``coeffs[k]`` is the k-th Taylor coefficient f^(k)(a.value)/k!.  Horner
+    costs one product per order; it serves series that a caller builds
+    itself, and the elementary functions use :func:`elementary` instead.
     """
     n = a.order
     shifted = a - a.value
@@ -454,38 +376,73 @@ def apply_taylor(coeffs: np.ndarray, a: Jet3) -> Jet3:
     return out
 
 
-def apply_unary(f, a: Jet3) -> Jet3:
-    """Jet of ``f(a)`` for a supported elementary function.
+# ----------------------------------------------------------------------
+# elementary functions and division, guarded, in any degree layout
+# ----------------------------------------------------------------------
+
+def elementary(f, c: np.ndarray, lay) -> np.ndarray:
+    """Coefficients of ``f`` of the series ``c`` in the degree layout ``lay``
+    (:mod:`blp.series`); every guard reads the value ``c[0]``.
 
     ``f`` is one of the names ``exp, ln, sin, cos, tan, sinh, cosh, sqrt,
     recip, abs_signed`` or a tuple ``("pow", r)``.
     """
-    v, n = a.value, a.order
+    v = float(c[0])
     if isinstance(f, tuple) and f[0] == "pow":
-        return apply_taylor(_series_pow(v, float(f[1]), n), a)
+        r = float(f[1])
+        if r.is_integer():
+            if r >= 0:
+                return series.int_power(c, int(r), lay)
+            if abs(v) < GUARD:
+                raise DomainError(
+                    "negative integer power of (near-)zero value")
+        elif v < GUARD:
+            raise DomainError(f"non-integer power of non-positive value {v}")
+        return series.power(c, r, lay)
     if f == "exp":
-        return apply_taylor(_series_exp(v, n), a)
+        return series.exp(c, lay)
     if f == "ln":
-        return apply_taylor(_series_ln(v, n), a)
-    if f == "sin":
-        return apply_taylor(_series_trig(v, n, False)[0], a)
-    if f == "cos":
-        return apply_taylor(_series_trig(v, n, False)[1], a)
+        if v < GUARD:
+            raise DomainError(f"ln of non-positive value {v}")
+        return series.ln(c, lay)
+    if f in ("sin", "cos", "sinh", "cosh"):
+        sine, cosine = series.sin_cos(c, lay, hyper=f.endswith("h"))
+        return cosine if f.startswith("cos") else sine
     if f == "tan":
-        return apply_taylor(_series_tan(v, n), a)
-    if f == "sinh":
-        return apply_taylor(_series_trig(v, n, True)[0], a)
-    if f == "cosh":
-        return apply_taylor(_series_trig(v, n, True)[1], a)
+        if abs(math.cos(v)) < GUARD:
+            raise DomainError(f"tan evaluated at (near-)pole {v}")
+        return series.tan(c, lay)
     if f == "sqrt":
-        return apply_taylor(_series_sqrt(v, n), a)
+        if v < GUARD:
+            raise DomainError(f"sqrt of non-positive value {v}")
+        return series.power(c, 0.5, lay)
     if f == "recip":
-        return apply_taylor(_series_recip(v, n), a)
+        if abs(v) < GUARD:
+            raise DomainError(f"reciprocal of (near-)zero value {v}")
+        one = np.zeros(lay.size)
+        one[0] = 1.0
+        return series.div(one, c, lay)
     if f == "abs_signed":
         if abs(v) < GUARD:
             raise DomainError("abs_signed is undefined at (near-)zero value")
-        return a if v > 0 else -a
+        return c if v > 0 else -c
     raise ValueError(f"unsupported unary function {f!r}")
+
+
+def quotient(a: np.ndarray, b: np.ndarray, lay) -> np.ndarray:
+    """Coefficients of ``a / b`` in the degree layout ``lay``, guarded by
+    the values."""
+    if abs(b[0]) < GUARD * (1.0 + abs(a[0])):
+        raise DomainError(
+            f"jet division: denominator value {float(b[0])} inside guard band"
+        )
+    return series.div(a, b, lay)
+
+
+def apply_unary(f, a: Jet3) -> Jet3:
+    """Jet of ``f(a)`` for a supported elementary function (see
+    :func:`elementary`)."""
+    return a.copy_with(elementary(f, a.coeffs, _tables(a.order)))
 
 
 # generic float/jet dispatch, convenient for writing closed-form fields

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jets
+from . import jets, series
 from .jets import BadInput, BLPError, Jet3, Point, UndefinedHere
 from .system import SolutionField
 
@@ -294,10 +294,6 @@ def _integrate_profile(rhs, guard, x0, y0, span, tol, method, series_fn,
     return traj
 
 
-def _series_mul(a, b, n):
-    return np.convolve(a, b)[: n + 1]
-
-
 def integrate_painleve2(spec: ReductionSpec, span=(-3.0, 0.0),
                         tol: float = 1e-10) -> ODETrajectory:
     """Integrate the second-Painleve form of the omega = x+y reduction.
@@ -332,8 +328,8 @@ def integrate_painleve2(spec: ReductionSpec, span=(-3.0, 0.0),
         c = np.zeros(order + 3)
         c[0], c[1] = f, d
         for k in range(order + 1):
-            cube = _series_mul(_series_mul(c[: k + 1], c[: k + 1], k),
-                               c[: k + 1], k)
+            cube = series.mul(series.mul(c[: k + 1], c[: k + 1], k),
+                              c[: k + 1], k)
             wf = w * c[k] + (c[k - 1] if k >= 1 else 0.0)
             rhs_k = 2.0 * cube[k] + wf + (nu if k == 0 else 0.0)
             c[k + 2] = rhs_k / ((k + 2) * (k + 1))
@@ -408,14 +404,14 @@ def integrate_painleve4_form(spec: ReductionSpec, span=(-1.0, 1.0),
         q = np.zeros(n + 1)  # series of f''
         for k in range(n + 1):
             cc = c[: k + 2]
-            dser = np.array([(j + 1) * c[j + 1] for j in range(k + 1)])
-            sq = _series_mul(dser, dser, k)
-            f2 = _series_mul(cc, cc, k)
-            f3 = _series_mul(f2, cc, k)
-            f4 = _series_mul(f2, f2, k)
-            w2 = _series_mul(wser[: k + 1], wser[: k + 1], k)
-            num = (0.5 * sq + 1.5 * f4 + 4.0 * _series_mul(wser[: k + 1], f3, k)
-                   + 2.0 * _series_mul(w2, f2, k) - 2.0 * C1 * f2)
+            dser = series.derivative(c[: k + 2])
+            sq = series.mul(dser, dser, k)
+            f2 = series.mul(cc, cc, k)
+            f3 = series.mul(f2, cc, k)
+            f4 = series.mul(f2, f2, k)
+            w2 = series.mul(wser[: k + 1], wser[: k + 1], k)
+            num = (0.5 * sq + 1.5 * f4 + 4.0 * series.mul(wser[: k + 1], f3, k)
+                   + 2.0 * series.mul(w2, f2, k) - 2.0 * C1 * f2)
             num[0] += C0t
             # q = num / f, coefficient k
             acc = num[k]
@@ -470,7 +466,7 @@ def _profile_jet(traj: ODETrajectory, wj: Jet3, order: int,
                  derivative: int = 0) -> Jet3:
     ser = traj.series(wj.value, order + derivative)
     for _ in range(derivative):
-        ser = np.array([(k + 1) * ser[k + 1] for k in range(len(ser) - 1)])
+        ser = series.derivative(ser)
     return jets.apply_taylor(ser[: order + 1], wj)
 
 
@@ -635,7 +631,7 @@ def reduction_2_3_field(delta: int, phi0: float,
     Consistent only for delta = 0 with phi0 = 1/2; the delta = 1 branch
     keeps a nonzero residual for every constant profile.
     """
-    from .exprdsl import Expr
+    from .exprdsl import Expr, eval_jet
 
     def u(p: Point, n: int) -> Jet3:
         _, x, _ = jets.coordinate_jets(p, n)
@@ -646,10 +642,10 @@ def reduction_2_3_field(delta: int, phi0: float,
     def v(p: Point, n: int) -> Jet3:
         _, x, _ = jets.coordinate_jets(p, n)
         out = Jet3.constant(0.0, p, n)
-        if psi_of_y is not None:
-            yj = jets.lift_variable("y", p, n)
-            out = out + (psi_of_y(yj) if not isinstance(psi_of_y, Expr)
-                         else psi_of_y(yj))
+        if isinstance(psi_of_y, Expr):
+            out = out + eval_jet(psi_of_y, "y", p, n)
+        elif psi_of_y is not None:
+            out = out + psi_of_y(jets.lift_variable("y", p, n))
         if delta:
             out = out + 2.0 * float(delta) * jets.ln(jets.abs_signed(x))
         return out

@@ -1,0 +1,216 @@
+"""Truncated Taylor series and the degree recurrences of elementary functions.
+
+A univariate series is a float array ``c`` with ``c[k]`` the k-th Taylor
+coefficient; :func:`mul`, :func:`derivative` and :func:`integral` act on
+such arrays of any length.
+
+A :class:`Layout` holds the coefficients of a truncated series in one or
+more variables as one array, graded by degree.  :func:`univariate` gives
+the layout of one variable; ``jets._Tables`` extends it to trivariate
+jets.
+
+The elementary functions (``exp``, ``ln``, powers, the ``sin``/``cos`` and
+``sinh``/``cosh`` pairs, ``tan``) and division are computed by Taylor
+recurrences on homogeneous-degree parts, derived from the Euler operator
+E, which multiplies the degree-d part by d (Neidinger, "Computing
+multivariable Taylor series to arbitrary order", APL Quote Quad 25, 1995;
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  For
+b = exp(a), E b = b E a gives d b_d = sum_{k=1..d} k a_k b_{d-k}: each
+degree part is the lower parts times a matrix built once from ``a``
+(:meth:`Layout.lower`).  The same code serves every layout.  These
+functions do not guard: a caller checks the value ``a[0]`` first
+(``jets.elementary``, ``jets.quotient``).
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+
+import numpy as np
+
+__all__ = ["mul", "derivative", "integral", "Layout", "univariate",
+           "exp", "ln", "power", "int_power", "div", "sin_cos", "tan"]
+
+
+def mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients 0..n of the product of two univariate series."""
+    return np.convolve(a, b)[: n + 1]
+
+
+def derivative(c: np.ndarray) -> np.ndarray:
+    """Coefficients of the derivative, one fewer."""
+    return c[1:] * np.arange(1, len(c))
+
+
+def integral(c: np.ndarray, c0: float, n: int) -> np.ndarray:
+    """Coefficients 0..n of the antiderivative with constant term ``c0``."""
+    out = np.empty(n + 1)
+    out[0] = c0
+    out[1:] = c[:n] / np.arange(1, n + 1)
+    return out
+
+
+class Layout:
+    """Coefficient layout of truncated Taylor series graded by degree.
+
+    ``exps`` lists the exponent tuples of the monomials, by degree.
+    """
+
+    def __init__(self, exps: list[tuple[int, ...]]):
+        deg = [sum(e) for e in exps]
+        order = deg[-1]
+        self.order = order
+        self.exps = exps
+        self.size = len(exps)
+        self.index = {e: m for m, e in enumerate(exps)}
+        # truncated Cauchy product: out[io] += a[ia] * b[ib]
+        ia, ib, io = [], [], []
+        for ma, ea in enumerate(exps):
+            for mb, eb in enumerate(exps):
+                if deg[ma] + deg[mb] > order:
+                    continue
+                ia.append(ma)
+                ib.append(mb)
+                io.append(self.index[tuple(map(operator.add, ea, eb))])
+        self.mul_a = np.asarray(ia, dtype=np.intp)
+        self.mul_b = np.asarray(ib, dtype=np.intp)
+        self.mul_out = np.asarray(io, dtype=np.intp)
+        # the degree of each coefficient (the Euler operator) and the
+        # slice of each degree part
+        deg = np.asarray(deg, dtype=np.intp)
+        self.euler = deg.astype(float)
+        starts = np.searchsorted(deg, np.arange(order + 2))
+        self.blocks = [slice(int(starts[d]), int(starts[d + 1]))
+                       for d in range(order + 1)]
+        # the product pairs whose first factor has degree >= 1 (all but the
+        # first ``size``, those of the constant term), by the degree d of
+        # their output: entries of a dense (degree d) x (degrees below d)
+        # matrix, all of these matrices in one flat array
+        src, out = self.mul_a[self.size:], self.mul_out[self.size:]
+        deg_out = deg[out]
+        cols = starts[deg_out]
+        sizes = [(b.stop - b.start) * b.start for b in self.blocks]
+        offsets = np.cumsum([0] + sizes)
+        self._low_at = offsets[deg_out] + (out - cols) * cols \
+            + self.mul_b[self.size:]
+        self._low_src = src
+        self._low_len = int(offsets[-1])
+        self._low_views = [(b, int(offsets[d]), int(offsets[d + 1]),
+                            (b.stop - b.start, b.start))
+                           for d, b in enumerate(self.blocks) if d]
+        #: per pair of :meth:`lower`, k/d: the degree of its x factor over
+        #: the degree of its output
+        self.ratio = deg[src] / deg_out
+
+    def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Truncated product of two coefficient arrays."""
+        return np.bincount(self.mul_out, weights=x[self.mul_a] * y[self.mul_b],
+                           minlength=self.size)
+
+    def lower(self, x: np.ndarray, weight=1.0) -> list:
+        """y -> (x - x_0) y, each term scaled by ``weight``, by degree.
+
+        ``weight`` is a scalar or an array over the pairs, like
+        :attr:`ratio`.  Returns ``(blk, m)`` for each degree d >= 1: the
+        degree-d part of the product is ``m @ y[:blk.start]``, where
+        ``blk`` is the slice of degree d.
+        """
+        flat = np.zeros(self._low_len)
+        flat[self._low_at] = x[self._low_src] * weight
+        return [(blk, flat[start:stop].reshape(shape))
+                for blk, start, stop, shape in self._low_views]
+
+
+_UNIVARIATE: dict[int, Layout] = {}
+
+
+def univariate(order: int) -> Layout:
+    """Layout of a univariate series of ``order``, built once."""
+    lay = _UNIVARIATE.get(order)
+    if lay is None:
+        lay = _UNIVARIATE[order] = Layout([(k,) for k in range(order + 1)])
+    return lay
+
+
+# ----------------------------------------------------------------------
+# recurrences; ``a`` is the argument's coefficient array in layout ``lay``
+# ----------------------------------------------------------------------
+
+def exp(a: np.ndarray, lay: Layout) -> np.ndarray:
+    # E b = b E a:  b_d = sum_{k=1..d} (k/d) a_k b_{d-k}
+    b = np.zeros(lay.size)
+    b[0] = math.exp(a[0])
+    for blk, m in lay.lower(a, lay.ratio):
+        b[blk] = m @ b[:blk.start]
+    return b
+
+
+def ln(a: np.ndarray, lay: Layout) -> np.ndarray:
+    # a E b = E a:  a_0 b_d = a_d - sum_{k=1..d} (1 - k/d) a_k b_{d-k}
+    a0 = float(a[0])
+    b = np.zeros(lay.size)
+    b[0] = math.log(a0)
+    c = a / a0
+    for blk, m in lay.lower(a, (lay.ratio - 1.0) / a0):
+        b[blk] = c[blk] + m @ b[:blk.start]
+    return b
+
+
+def power(a: np.ndarray, r: float, lay: Layout) -> np.ndarray:
+    # a E b = r b E a:  a_0 b_d = sum_{k=1..d} ((r+1) k/d - 1) a_k b_{d-k}
+    a0 = float(a[0])
+    b = np.zeros(lay.size)
+    b[0] = a0 ** r
+    for blk, m in lay.lower(a, ((r + 1.0) * lay.ratio - 1.0) / a0):
+        b[blk] = m @ b[:blk.start]
+    return b
+
+
+def int_power(a: np.ndarray, r: int, lay: Layout) -> np.ndarray:
+    """``a`` to a nonnegative integer power, by products (exact at a_0 = 0)."""
+    out = None
+    while r:
+        if r & 1:
+            out = a if out is None else lay.mul(out, a)
+        r >>= 1
+        if r:
+            a = lay.mul(a, a)
+    if out is None:
+        out = np.zeros(lay.size)
+        out[0] = 1.0
+    return out
+
+
+def div(a: np.ndarray, b: np.ndarray, lay: Layout) -> np.ndarray:
+    """Quotient a / b:  b_0 q_d = a_d - sum_{k=1..d} b_k q_{d-k}."""
+    b0 = float(b[0])
+    q = np.zeros(lay.size)
+    c = a / b0
+    q[0] = c[0]
+    for blk, m in lay.lower(b, -1.0 / b0):
+        q[blk] = c[blk] + m @ q[:blk.start]
+    return q
+
+
+#: (s_d, c_d) = (M s, M c) @ rot, for the circular and hyperbolic pairs
+_ROT = {False: np.array([[0.0, -1.0], [1.0, 0.0]]),
+        True: np.array([[0.0, 1.0], [1.0, 0.0]])}
+
+
+def sin_cos(a: np.ndarray, lay: Layout, hyper: bool = False
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """(sin a, cos a), or (sinh a, cosh a) if ``hyper``."""
+    # E s = c E a,  E c = -+ s E a:  (s, c)_d = (M c, -+ M s)
+    a0 = float(a[0])
+    sc = np.zeros((lay.size, 2))
+    sc[0] = ((math.sinh(a0), math.cosh(a0)) if hyper
+             else (math.sin(a0), math.cos(a0)))
+    rot = _ROT[hyper]
+    for blk, m in lay.lower(a, lay.ratio):
+        sc[blk] = m @ sc[:blk.start] @ rot
+    return sc[:, 0].copy(), sc[:, 1].copy()
+
+
+def tan(a: np.ndarray, lay: Layout) -> np.ndarray:
+    return div(*sin_cos(a, lay), lay)

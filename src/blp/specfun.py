@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import series
 from .jets import BLPError, Jet3, apply_taylor
 
 __all__ = [
@@ -203,11 +204,7 @@ def weierstrass_series(z: float, inv: EllipticInvariants, order: int
     p, dp, zeta = weierstrass_p(z, inv)
     n = order
     u = _p_series(p, dp, inv.g2, n)
-    zser = np.zeros(n + 1)
-    zser[0] = zeta
-    for k in range(1, n + 1):
-        zser[k] = u[k - 1] / k
-    return u[: n + 1], zser
+    return u[: n + 1], series.integral(u, zeta, n)
 
 
 def _p_series(p: float, dp: float, g2: float, n: int) -> np.ndarray:
@@ -306,8 +303,7 @@ def quartic_particular_solution(q: QuarticODE, a: float):
         probe = lift_variable("x", Point(0.0, zv, 0.0), 1)
         pser = _p_series(p, dp, inv.g2, 0)
         pj = apply_taylor(pser[:2], probe)
-        dpj = apply_taylor(np.array([(k + 1) * pser[k + 1]
-                                     for k in range(2)]), probe)
+        dpj = apply_taylor(series.derivative(pser[:3]), probe)
         out = _assemble(pj, dpj)
         return out.value, out.extract((0, 1, 0))
 
@@ -340,8 +336,8 @@ def quartic_particular_solution(q: QuarticODE, a: float):
         c[0], c[1] = v0, d0
         for k in range(n - 1):
             head = c[: k + 2]
-            sq = np.convolve(head, head)[: k + 1]
-            cub = np.convolve(sq, head)[: k + 1]
+            sq = series.mul(head, head, k)
+            cub = series.mul(sq, head, k)
             fp_k = (4.0 * q.a0 * cub[k] + 12.0 * q.a1 * sq[k]
                     + 12.0 * q.a2 * c[k] + (4.0 * q.a3 if k == 0 else 0.0))
             c[k + 2] = 0.5 * fp_k / ((k + 2) * (k + 1))

@@ -27,7 +27,8 @@ import numpy as np
 from . import jets
 from .exprdsl import Expr
 from .jets import DomainError, Jet3, JetMap, Point, UndefinedHere
-from .quadrature import integrate_field_along, integrate_xt_path
+from .quadrature import (QuadratureError, integrate_field_along,
+                         integrate_xt_path)
 
 __all__ = [
     "SolutionField", "ResidualReport", "GaugeError",
@@ -395,7 +396,8 @@ def residual_report(s: SolutionField, grid: list[Point],
 
     A point outside the domain ``s.validity``, or whose residual
     evaluation raises :class:`jets.UndefinedHere`, is skipped; every
-    other point gives one row of ``rows``.
+    other point gives one row of ``rows``.  A :class:`QuadratureError`
+    ends the report and names the point where it was raised.
     """
     equations = _RESIDUALS.get(s.coords)
     if equations is None:
@@ -411,6 +413,10 @@ def residual_report(s: SolutionField, grid: list[Point],
         except UndefinedHere:
             skipped += 1
             continue
+        except QuadratureError as exc:
+            raise QuadratureError(
+                f"{exc} at grid point (t, x, y) = ({p.t!r}, {p.x!r}, {p.y!r})",
+                exc.reason) from exc
         rows.append((p, u.value, v.value, r1, r2))
     r1s = [abs(row[3]) for row in rows]
     r2s = [abs(row[4]) for row in rows]

@@ -49,8 +49,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import jets
-from .exprdsl import Bin, Call, Expr, Num, parse
+from . import jets, series
+from .exprdsl import Bin, Call, Expr, Num, eval_jet, eval_series, parse
 from .jets import DomainError, Jet3, JetMap, Point, UndefinedHere, last_point
 from .quadrature import integrate_field_along, integrate_xt_path
 from .system import SolutionField, covering_residual
@@ -200,7 +200,7 @@ def _revert_series(f: np.ndarray) -> np.ndarray:
             if f[k] != 0.0 and k > 0:
                 comp += f[k] * powg
             if k < n:
-                powg = np.convolve(powg, g)[: n + 1]
+                powg = series.mul(powg, g, n)
         g[m] = -comp[m] / f[1]
     return g
 
@@ -208,13 +208,11 @@ def _revert_series(f: np.ndarray) -> np.ndarray:
 def _inverse_jet(e: Expr, new_value: float, old_value: float,
                  axis: str, p: Point, order: int) -> Jet3:
     """Jet (in the new variables) of the inverse function of e at new_value."""
-    fser = jets.axis_series(
-        e(jets.lift_variable("t", Point(old_value, 0.0, 0.0), order)), "t")
+    fser = eval_series(e, old_value, order)
     fser[0] = 0.0
     gser = _revert_series(fser)
     gser[0] = old_value
-    var = jets.lift_variable(axis, p, order)
-    return jets.apply_taylor(gser, var)
+    return jets.axis_jet(gser, axis, p)
 
 
 def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
@@ -683,7 +681,7 @@ def darboux_iterated_psi(kind: str, phis: Sequence[JetMap],
 
 def covering_solutions_for_constraint(
         constraint: str, s: SolutionField, witness, *,
-        theta: JetMap | None = None, zeta: Expr | None = None,
+        theta: JetMap | None = None, zeta=None,
         base: Point = Point(1.0, 0.0, 0.0),
         probe_points: tuple = ()) -> CoveringEigenfunction:
     """Eigenfunctions of the covering system over a constrained seed.
@@ -696,7 +694,8 @@ def covering_solutions_for_constraint(
               + int_t0^t (theta Phi_x - theta_x Phi)|_(x0) dt' + zeta(y)].
 
     theta must solve theta_t + theta_xx + 2 L_x theta = 0 (for L = 0, a
-    backward heat solution); zeta is an arbitrary function of y.
+    backward heat solution); zeta is an arbitrary function of y: an Expr,
+    evaluated as a univariate series, or a map of the lifted y jet.
     """
     phi_map = witness.Phi if hasattr(witness, "Phi") else witness
 
@@ -714,9 +713,14 @@ def covering_solutions_for_constraint(
         if used == 0 or worst > 1e-8:
             raise ValueError(f"theta probe failed: residual {worst:g}")
 
+    def zeta_jet(p, n):
+        if isinstance(zeta, Expr):
+            return eval_jet(zeta, "y", p, n)
+        return zeta(jets.lift_variable("y", p, n))
+
     if constraint == "q_y=0":
         def integrand(p, n):
-            zj = zeta(jets.lift_variable("y", p, n)) if zeta is not None \
+            zj = zeta_jet(p, n) if zeta is not None \
                 else Jet3.constant(1.0, p, n)
             return zj * phi_map(p, n)
 
@@ -743,7 +747,7 @@ def covering_solutions_for_constraint(
         def psi(p, n):
             acc = integrate_xt_path(x_integrand, t_integrand, base, p, n)
             if zeta is not None:
-                acc = acc + zeta(jets.lift_variable("y", p, n))
+                acc = acc + zeta_jet(p, n)
             return acc / phi_map(p, n)
     else:
         raise ValueError(f"unknown constraint {constraint!r}")

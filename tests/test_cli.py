@@ -310,7 +310,8 @@ def test_malformed_input_is_config_error(args, capsys):
 def test_stalled_quadrature_is_a_json_error(capsys):
     # the inverse-then-forward (u,v) chain on F_VXXX_3 with gamma = y: the
     # forward image's path integral stalls near the pole line of the
-    # inverse image; a toolkit error exits 2 with a JSON error
+    # inverse image; a toolkit error exits 2 with a JSON error that names
+    # the grid point where it was raised
     chain = json.dumps([{"op": "laplace_inv_uv"}, {"op": "laplace_fwd_uv"}])
     grid = json.dumps({"t": [0.9, 1.2, 2], "x": [0.5, 0.9, 2],
                        "y": [0.45, 0.7, 2]})
@@ -321,7 +322,9 @@ def test_stalled_quadrature_is_a_json_error(capsys):
         capsys)
     assert code == 2 and out == ""
     assert "Traceback" not in err
-    assert "stalled" in json.loads(err)["error"]
+    message = json.loads(err)["error"]
+    assert "stalled" in message
+    assert message.endswith("at grid point (t, x, y) = (0.9, 0.5, 0.45)")
 
 
 def test_every_toolkit_error_is_a_blp_error():

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blp import exprdsl, jets
+from blp import catalog, exprdsl, jets
 from blp.exprdsl import Bin, Call, Num, ParseError, Var, eval_jet, parse
 from blp.jets import DomainError, Point
 from conftest import central_diff
@@ -169,3 +170,52 @@ def test_jet_valued_exponent():
     assert j2.value == pytest.approx(1.5 ** 1.5, rel=1e-12)
     assert j2.extract((1, 0, 0)) == pytest.approx(
         1.5 ** 1.5 * (math.log(1.5) + 1.0), rel=1e-10)
+
+
+# ----------------------------------------------------------------------
+# univariate eval_jet against the expression evaluated on a lifted variable
+# ----------------------------------------------------------------------
+
+def _trivariate(e, which, p, order):
+    return exprdsl._eval(e, jets.lift_variable(which, p, order))
+
+
+#: the parameter functions of the transform chains, and a variable exponent
+_MORE_Y_EXPRESSIONS = ["sin(y)", "y", "2+sin(y)", "1+0.2*y^2", "2^y"]
+_DIFFERENTIAL_CASES = (
+    [(src, "y") for src in catalog._Y_POOL]
+    + [(src, "t") for src in catalog._T_POOL]
+    + [(src, "y") for src in _MORE_Y_EXPRESSIONS]
+    + [(src, "t") for src in ROUND_TRIP_CASES])
+
+
+@pytest.mark.parametrize("src, which", _DIFFERENTIAL_CASES)
+def test_univariate_eval_jet_matches_trivariate(src, which):
+    e = parse(src, which)
+    for value in (-0.7, 0.4, 1.3):
+        p = Point(value, value - 0.2, value + 0.3)
+        for order in range(9):
+            try:
+                want = _trivariate(e, which, p, order)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    eval_jet(e, which, p, order)
+                continue
+            got = eval_jet(e, which, p, order)
+            assert got.order == order and got.base == p
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= \
+                1e-14 * np.max(np.abs(want.coeffs)), (src, value, order)
+
+
+@pytest.mark.parametrize("src, at", [
+    ("ln(y)", 0.0), ("ln(y)", -0.5), ("1/(y-1)", 1.0), ("tan(y)", math.pi / 2),
+    ("y^-1", 0.0), ("y^0.5", -0.5), ("(-2)^y", 0.3),
+])
+def test_univariate_eval_jet_domain_errors(src, at):
+    e = parse(src, "y")
+    p = Point(0.1, 0.2, at)
+    for order in (0, 3, 8):
+        with pytest.raises(DomainError):
+            _trivariate(e, "y", p, order)
+        with pytest.raises(DomainError):
+            eval_jet(e, "y", p, order)

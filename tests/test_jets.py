@@ -302,3 +302,110 @@ def test_derive_gather_matches_monomial_loop(order):
         d = a.derive(which)
         assert d.order == order - 1 and d.base == a.base
         assert np.array_equal(d.coeffs, _derive_by_monomial_loop(a, which))
+
+
+# ----------------------------------------------------------------------
+# degree recurrences against Horner on closed-form Taylor coefficients
+# ----------------------------------------------------------------------
+
+def _taylor_coefficients(f, v: float, n: int) -> np.ndarray:
+    """f^(k)(v) / k! for k = 0..n, from the closed forms of the derivatives."""
+    k = np.arange(n + 1)
+    fact = np.array([math.factorial(i) for i in k], dtype=float)
+    if f == "exp":
+        return math.exp(v) / fact
+    if f == "ln":
+        c = np.empty(n + 1)
+        c[0] = math.log(v)
+        c[1:] = (-1.0) ** (k[1:] - 1) / (k[1:] * v ** k[1:])
+        return c
+    if f in ("sin", "cos"):
+        cycle = [math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)]
+        first = 0 if f == "sin" else 1
+        return np.array([cycle[(first + i) % 4] for i in k]) / fact
+    if f in ("sinh", "cosh"):
+        cycle = [math.sinh(v), math.cosh(v)]
+        first = 0 if f == "sinh" else 1
+        return np.array([cycle[(first + i) % 2] for i in k]) / fact
+    if f == "tan":
+        # d^k tan / dv^k = P_k(tan v) with P_0(T) = T, P_k+1 = (1 + T^2) P_k'
+        poly, out = np.array([0.0, 1.0]), []
+        for i in k:
+            out.append(np.polynomial.polynomial.polyval(math.tan(v), poly))
+            poly = np.polynomial.polynomial.polymul(
+                [1.0, 0.0, 1.0], np.polynomial.polynomial.polyder(poly))
+        return np.array(out) / fact
+    if f == "recip":
+        return (-1.0) ** k / v ** (k + 1)
+    r = 0.5 if f == "sqrt" else float(f[1])
+    falling = np.cumprod([1.0] + [r - j for j in range(n)])
+    return falling / fact * v ** (r - k)
+
+
+RECURRENCES = ["exp", "ln", "sin", "cos", "tan", "sinh", "cosh", "sqrt",
+               "recip", ("pow", -2), ("pow", -0.5), ("pow", 1.5), ("pow", 3)]
+
+
+def _random_jets(order: int, seed: int, count: int = 6):
+    rng = np.random.default_rng([order, seed])
+    p = Point(0.3, -0.2, 0.5)
+    for _ in range(count):
+        c = rng.uniform(-1.0, 1.0, jets.jet_size(order))
+        c[0] = rng.uniform(0.05, 3.0)
+        yield Jet3(p, order, c)
+
+
+def _assert_matches(got: np.ndarray, ref: np.ndarray):
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("f", RECURRENCES, ids=str)
+def test_recurrences_match_horner(f):
+    for order in range(9):
+        for a in _random_jets(order, RECURRENCES.index(f)):
+            ref = jets.apply_taylor(_taylor_coefficients(f, a.value, order), a)
+            _assert_matches(apply_unary(f, a).coeffs, ref.coeffs)
+
+
+def test_division_matches_horner_reciprocal():
+    for order in range(9):
+        for a, b in zip(_random_jets(order, 100), _random_jets(order, 101)):
+            recip_b = jets.apply_taylor(
+                _taylor_coefficients("recip", b.value, order), b)
+            _assert_matches((a / b).coeffs, (a * recip_b).coeffs)
+            _assert_matches((2.5 / b).coeffs, 2.5 * recip_b.coeffs)
+
+
+@pytest.mark.parametrize("f, value, message", [
+    ("ln", 0.0, "ln of non-positive value"),
+    ("ln", -1.0, "ln of non-positive value"),
+    ("sqrt", 0.5e-12, "sqrt of non-positive value"),
+    ("recip", 0.0, "reciprocal of"),
+    ("recip", -0.5e-12, "reciprocal of"),
+    ("tan", math.pi / 2, "tan evaluated at"),
+    (("pow", -1), 0.0, "negative integer power"),
+    (("pow", 0.5), -0.25, "non-integer power of non-positive value"),
+    (("pow", 1.5), 0.0, "non-integer power of non-positive value"),
+    ("abs_signed", 0.0, "abs_signed is undefined"),
+])
+def test_guards_read_the_value(f, value, message):
+    for order in (0, 4, 8):
+        a = next(_random_jets(order, 7, count=1))
+        c = a.coeffs.copy()
+        c[0] = value
+        with pytest.raises(DomainError, match=message):
+            apply_unary(f, a.copy_with(c))
+
+
+def test_division_guard_and_integer_powers_at_zero():
+    for order in (0, 4, 8):
+        a = next(_random_jets(order, 8, count=1))
+        c = a.coeffs.copy()
+        c[0] = 0.0
+        zero = a.copy_with(c)
+        with pytest.raises(DomainError, match="jet division"):
+            a / zero
+        # nonnegative integer powers are products: defined at value 0
+        assert np.array_equal(apply_unary(("pow", 2), zero).coeffs,
+                              (zero * zero).coeffs)
+        assert apply_unary(("pow", 0), zero).coeffs[0] == 1.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blp import jets, reductions
+from blp.exprdsl import parse
 from blp.jets import Point, UndefinedHere
 from blp.reductions import (
     BadSpec, ODETrajectory, PoleAbort, ReductionSpec, WindowError,
@@ -235,6 +236,13 @@ def test_reduction_2_3():
     ok = reduction_2_3_field(0, 0.5)
     for p in [Point(0.5, 0.8, 0.3), Point(1.0, -1.2, 0.6)]:
         assert residual(ok, p) == pytest.approx((0.0, 0.0), abs=1e-12)
+    # a profile psi(y), as an expression or as a map of the y jet
+    by_expr = reduction_2_3_field(0, 0.5, psi_of_y=parse("sin(y)", "y"))
+    by_map = reduction_2_3_field(0, 0.5, psi_of_y=jets.sin)
+    for p in [Point(0.5, 0.8, 0.3), Point(1.0, -1.2, 0.6)]:
+        assert residual(by_expr, p) == pytest.approx((0.0, 0.0), abs=1e-12)
+        np.testing.assert_allclose(by_expr.v(p, 4).coeffs,
+                                   by_map.v(p, 4).coeffs, rtol=0, atol=1e-14)
     # the delta = 1 branch stays inconsistent for every constant profile
     p = Point(0.5, 1.0, 0.3)
     for phi0 in np.linspace(-2.0, 2.0, 21):

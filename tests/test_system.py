@@ -177,6 +177,24 @@ def test_report_nonfinite_residual():
     assert "nonfinite" not in residual_report(TRIVIAL, grid).to_json()
 
 
+def test_report_names_the_point_where_quadrature_failed():
+    from blp.quadrature import QuadratureError
+    bad = Point(1.0, 0.2, 0.4)
+
+    def u(p, n):
+        if p == bad:
+            raise QuadratureError("refinement stalled", "stall")
+        return Jet3.constant(0.0, p, n)
+
+    stalls = SolutionField(u=u, v=TRIVIAL.v, coords="UV", family_id="stall")
+    grid = [Point(1.0, 0.1 * i, 0.2 * j) for i in range(3) for j in range(3)]
+    with pytest.raises(QuadratureError) as info:
+        residual_report(stalls, grid)
+    assert info.value.reason == "stall"
+    assert str(info.value) == \
+        "refinement stalled at grid point (t, x, y) = (1.0, 0.2, 0.4)"
+
+
 def test_report_json_writes_nested_nonfinite_as_strings():
     text = report_json({"params": {"kappa": math.inf, "pair": (math.nan, 1.5)},
                         "r1_max": -math.inf, "skipped": 0})

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from blp import catalog, jets, quadrature, system, transforms
+from blp import catalog, exprdsl, jets, quadrature, system, transforms
 from blp.jets import Jet3, Point, UndefinedHere
 from blp.system import (
     SolutionField, convert, perturb_v, residual, residual_report,
@@ -487,6 +487,13 @@ def test_covering_solution_examples():
     for p in PTS:
         want = (2.0 + math.sin(p.y)) / W.Phi(p, 0).value
         assert phi2.phi(p, 1).value == pytest.approx(want, abs=1e-9)
+
+    # zeta given as an expression in y: the same eigenfunction, whole jet
+    phi3 = covering_solutions_for_constraint(
+        "u_y=q_y", seed2, W, zeta=exprdsl.parse("2+sin(y)", "y"), base=base)
+    for p in PTS:
+        np.testing.assert_allclose(phi3.phi(p, 3).coeffs,
+                                   phi2.phi(p, 3).coeffs, rtol=0, atol=1e-12)
 
 
 def test_convert_roundtrip_on_catalog_family():
