@@ -795,7 +795,7 @@ def _f_uxx_bernoulli(fid, b):
 
     def psi_integrand(p, n):
         ct = chi_t(p, n)
-        if ct.value < 1e-10:
+        if jets.below_band(ct.value, 1e-10):
             raise DomainError("chi_t must stay positive")
         return (_jy(l1, p, n) * chi_jet(p, n) + _jy(l0, p, n)) \
             / jets.sqrt(ct)
@@ -805,7 +805,7 @@ def _f_uxx_bernoulli(fid, b):
     def omega(p, n):
         _, x, _ = jets.coordinate_jets(p, n)
         ct = chi_t(p, n)
-        if ct.value < 1e-10:
+        if jets.below_band(ct.value, 1e-10):
             raise DomainError("chi_t must stay positive")
         return (x + psi_tilde(p, n)) * jets.sqrt(ct)
 

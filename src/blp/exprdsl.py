@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets, series
-from .jets import BadInput, DomainError, Jet3, Point
+from .jets import BadInput, Jet3, Point
 
 __all__ = ["Expr", "ParseError", "parse", "eval_jet", "eval_series",
            "Num", "Var", "Bin", "Neg", "Call"]
@@ -256,53 +256,37 @@ _CALL_JET = {
     "sinh": "sinh", "cosh": "cosh", "sqrt": "sqrt", "abs": "abs_signed",
 }
 
-_CALL_FLOAT = {
-    "exp": math.exp, "sin": math.sin, "cos": math.cos,
-    "sinh": math.sinh, "cosh": math.cosh,
-}
-
 
 def _eval(e: Expr, x):
-    if isinstance(e, Num):
+    kind = type(e)
+    if kind is Bin:
+        lv = _eval(e.left, x)
+        rv = _eval(e.right, x)
+        op = e.op
+        if op == "+":
+            return lv + rv
+        if op == "-":
+            return lv - rv
+        if op == "*":
+            return lv * rv
+        if op == "/":
+            if not (isinstance(rv, Jet3) or isinstance(lv, Jet3)):
+                jets.check_denominator(rv, lv, "division by (near-)zero value")
+            return lv / rv
+        if op == "^":
+            return jets.power(lv, rv)
+        raise AssertionError(op)
+    if kind is Var:
+        return x
+    if kind is Num:
         if isinstance(x, Jet3):
             return Jet3.constant(e.value, x.base, x.order)
         return e.value
-    if isinstance(e, Var):
-        return x
-    if isinstance(e, Neg):
+    if kind is Call:
+        return jets.call(_CALL_JET[e.fn], _eval(e.arg, x))
+    if kind is Neg:
         return -_eval(e.arg, x)
-    if isinstance(e, Bin):
-        lv = _eval(e.left, x)
-        rv = _eval(e.right, x)
-        if e.op == "+":
-            return lv + rv
-        if e.op == "-":
-            return lv - rv
-        if e.op == "*":
-            return lv * rv
-        if e.op == "/":
-            if isinstance(rv, Jet3) or isinstance(lv, Jet3):
-                return lv / rv
-            if abs(rv) < jets.GUARD * (1.0 + abs(lv)):
-                raise DomainError("division by (near-)zero value")
-            return lv / rv
-        if e.op == "^":
-            return jets.power(lv, rv)
-        raise AssertionError(e.op)
-    if isinstance(e, Call):
-        av = _eval(e.arg, x)
-        if isinstance(av, Jet3):
-            return jets.apply_unary(_CALL_JET[e.fn], av)
-        if e.fn == "ln":
-            return jets.ln(av)
-        if e.fn == "tan":
-            return jets.tan(av)
-        if e.fn == "sqrt":
-            return jets.sqrt(av)
-        if e.fn == "abs":
-            return jets.abs_signed(av)
-        return _CALL_FLOAT[e.fn](av)
-    raise AssertionError(type(e))
+    raise AssertionError(kind)
 
 
 def _as_series(v, lay: series.Layout) -> np.ndarray:

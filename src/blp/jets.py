@@ -15,10 +15,23 @@ two jets are computed degree by degree: each homogeneous-degree part of
 the result follows from the lower ones by a Taylor recurrence derived
 from the Euler operator (Neidinger, "Computing multivariable Taylor
 series to arbitrary order", APL Quote Quad 25, 1995), written once in
-:mod:`blp.series` for jets and univariate series alike.  Their guards
-read the argument's value.  Nonnegative integer powers are products.
-:func:`apply_taylor` composes a univariate series that a caller supplies
-by Horner's rule.
+:mod:`blp.series` for jets and univariate series alike.  Nonnegative
+integer powers are products.  :func:`apply_taylor` composes a univariate
+series that a caller supplies by Horner's rule.
+
+The guard rules of jets, expressions and transformations live here.
+One table gives each elementary function its float form, its series
+form and its value guard, so :func:`call` on a float and
+:func:`elementary` on a series or jet raise :class:`DomainError` at the
+same values.  A denominator is undefined when |den| < band (1 + |scale|)
+(:func:`inside_band`), and :func:`check_denominator` raises that with a
+caller's band and error class.  The bands: :data:`GUARD` = 1e-12 for
+elementary functions and division of floats, series and jets;
+``transforms.GUARD`` = 1e-10 for the denominators of the Laplace and
+Darboux maps (``UndefinedTransform``); 1e-8 for the heat witness that
+``transforms.uq_seed`` divides by.  Two callers pass a band of their own
+to the same rules: series reversion of a point map (1e-14) and the
+positivity of chi_t in F_UXX_BERNOULLI (1e-10, :func:`below_band`).
 
 All operations are pure and jets are immutable.  A map wrapped by
 :func:`last_point`, as every field component is, remembers its last
@@ -27,6 +40,7 @@ point and is not for concurrent use.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -48,6 +62,10 @@ __all__ = [
     "apply_taylor",
     "elementary",
     "quotient",
+    "call",
+    "inside_band",
+    "below_band",
+    "check_denominator",
     "extract_partial",
     "derive",
     "compose3",
@@ -60,7 +78,7 @@ __all__ = [
     "abs_signed", "power",
 ]
 
-#: relative guard band used before dividing / composing near a singularity
+#: guard band of the jet layer: elementary functions and division
 GUARD = 1e-12
 
 
@@ -265,8 +283,7 @@ class Jet3:
             return NotImplemented
         if o is None:
             d = float(other)
-            if abs(d) < GUARD * (1.0 + abs(self.value)):
-                raise DomainError("division by (near-)zero scalar")
+            check_denominator(d, self.value, "division by (near-)zero scalar")
             return self.copy_with(self.coeffs / d)
         return self.copy_with(
             quotient(self.coeffs, o.coeffs, _tables(self.order)))
@@ -377,65 +394,108 @@ def apply_taylor(coeffs: np.ndarray, a: Jet3) -> Jet3:
 
 
 # ----------------------------------------------------------------------
-# elementary functions and division, guarded, in any degree layout
+# the guards, and elementary functions and division in any degree layout
 # ----------------------------------------------------------------------
+
+def inside_band(den: float, scale: float = 0.0, band: float = GUARD) -> bool:
+    """The denominator rule: ``den`` is undefined when
+    |den| < band (1 + |scale|)."""
+    return abs(den) < band * (1.0 + abs(scale))
+
+
+def below_band(value: float, band: float = GUARD) -> bool:
+    """The positivity rule: ``value`` is undefined when value < band."""
+    return value < band
+
+
+def check_denominator(den: float, scale: float, message: str,
+                      band: float = GUARD, error=DomainError) -> None:
+    """Raise ``error(message)`` where :func:`inside_band` holds; ``{}`` in
+    ``message`` shows ``den``."""
+    if inside_band(den, scale, band):
+        raise error(message.format(den))
+
+
+class _Elementary(NamedTuple):
+    real: Callable        # the float form
+    series: Callable      # (coefficients, layout) -> coefficients
+    undefined: Callable | None = None   # value guard
+    message: str = ""
+
+
+def _recip_series(c: np.ndarray, lay) -> np.ndarray:
+    one = np.zeros(lay.size)
+    one[0] = 1.0
+    return series.div(one, c, lay)
+
+
+_ELEMENTARY = {
+    "exp": _Elementary(math.exp, series.exp),
+    "ln": _Elementary(math.log, series.ln, below_band,
+                      "ln of non-positive value {}"),
+    "sin": _Elementary(math.sin, lambda c, lay: series.sin_cos(c, lay)[0]),
+    "cos": _Elementary(math.cos, lambda c, lay: series.sin_cos(c, lay)[1]),
+    "sinh": _Elementary(
+        math.sinh, lambda c, lay: series.sin_cos(c, lay, hyper=True)[0]),
+    "cosh": _Elementary(
+        math.cosh, lambda c, lay: series.sin_cos(c, lay, hyper=True)[1]),
+    "tan": _Elementary(math.tan, series.tan,
+                       lambda v: inside_band(math.cos(v)),
+                       "tan evaluated at (near-)pole {}"),
+    "sqrt": _Elementary(math.sqrt, lambda c, lay: series.power(c, 0.5, lay),
+                        below_band, "sqrt of non-positive value {}"),
+    "recip": _Elementary(lambda v: 1.0 / v, _recip_series, inside_band,
+                         "reciprocal of (near-)zero value {}"),
+    "abs_signed": _Elementary(abs, lambda c, lay: c if c[0] > 0 else -c,
+                              inside_band,
+                              "abs_signed is undefined at (near-)zero value"),
+}
+
+
+# cached: float expressions raise to the same few exponents at every
+# evaluation, and building the forms costs more than the power itself
+@functools.lru_cache(maxsize=64)
+def _power(f) -> _Elementary:
+    """``("pow", r)``: ``x ** r``; nonnegative integer powers are products."""
+    if not (isinstance(f, tuple) and f[0] == "pow"):
+        raise ValueError(f"unsupported unary function {f!r}")
+    r = float(f[1])
+    if r.is_integer() and r >= 0:
+        return _Elementary(lambda v: float(v) ** r,
+                           lambda c, lay: series.int_power(c, int(r), lay))
+    if r.is_integer():
+        guard, message = inside_band, \
+            "negative integer power of (near-)zero value"
+    else:
+        guard, message = below_band, \
+            "non-integer power of non-positive value {}"
+    return _Elementary(lambda v: float(v) ** r,
+                       lambda c, lay: series.power(c, r, lay), guard, message)
+
+
+def _checked(f, v: float) -> _Elementary:
+    """The forms of ``f`` once its value guard has passed at ``v``."""
+    form = _ELEMENTARY.get(f) or _power(f)
+    if form.undefined is not None and form.undefined(v):
+        raise DomainError(form.message.format(v))
+    return form
+
 
 def elementary(f, c: np.ndarray, lay) -> np.ndarray:
     """Coefficients of ``f`` of the series ``c`` in the degree layout ``lay``
-    (:mod:`blp.series`); every guard reads the value ``c[0]``.
+    (:mod:`blp.series`); the guard reads the value ``c[0]``.
 
     ``f`` is one of the names ``exp, ln, sin, cos, tan, sinh, cosh, sqrt,
     recip, abs_signed`` or a tuple ``("pow", r)``.
     """
-    v = float(c[0])
-    if isinstance(f, tuple) and f[0] == "pow":
-        r = float(f[1])
-        if r.is_integer():
-            if r >= 0:
-                return series.int_power(c, int(r), lay)
-            if abs(v) < GUARD:
-                raise DomainError(
-                    "negative integer power of (near-)zero value")
-        elif v < GUARD:
-            raise DomainError(f"non-integer power of non-positive value {v}")
-        return series.power(c, r, lay)
-    if f == "exp":
-        return series.exp(c, lay)
-    if f == "ln":
-        if v < GUARD:
-            raise DomainError(f"ln of non-positive value {v}")
-        return series.ln(c, lay)
-    if f in ("sin", "cos", "sinh", "cosh"):
-        sine, cosine = series.sin_cos(c, lay, hyper=f.endswith("h"))
-        return cosine if f.startswith("cos") else sine
-    if f == "tan":
-        if abs(math.cos(v)) < GUARD:
-            raise DomainError(f"tan evaluated at (near-)pole {v}")
-        return series.tan(c, lay)
-    if f == "sqrt":
-        if v < GUARD:
-            raise DomainError(f"sqrt of non-positive value {v}")
-        return series.power(c, 0.5, lay)
-    if f == "recip":
-        if abs(v) < GUARD:
-            raise DomainError(f"reciprocal of (near-)zero value {v}")
-        one = np.zeros(lay.size)
-        one[0] = 1.0
-        return series.div(one, c, lay)
-    if f == "abs_signed":
-        if abs(v) < GUARD:
-            raise DomainError("abs_signed is undefined at (near-)zero value")
-        return c if v > 0 else -c
-    raise ValueError(f"unsupported unary function {f!r}")
+    return _checked(f, float(c[0])).series(c, lay)
 
 
 def quotient(a: np.ndarray, b: np.ndarray, lay) -> np.ndarray:
     """Coefficients of ``a / b`` in the degree layout ``lay``, guarded by
     the values."""
-    if abs(b[0]) < GUARD * (1.0 + abs(a[0])):
-        raise DomainError(
-            f"jet division: denominator value {float(b[0])} inside guard band"
-        )
+    check_denominator(float(b[0]), a[0],
+                      "jet division: denominator value {} inside guard band")
     return series.div(a, b, lay)
 
 
@@ -445,90 +505,33 @@ def apply_unary(f, a: Jet3) -> Jet3:
     return a.copy_with(elementary(f, a.coeffs, _tables(a.order)))
 
 
-# generic float/jet dispatch, convenient for writing closed-form fields
-
-def _dispatch(name, x, fj, ff):
+def call(f, x):
+    """``f(x)`` for a float or a jet ``x``, under the same guard: the
+    float/jet dispatcher for writing closed-form fields."""
     if isinstance(x, Jet3):
-        return fj(x)
-    return ff(x)
+        return apply_unary(f, x)
+    return _checked(f, x).real(x)
 
 
-def exp(x):
-    return _dispatch("exp", x, lambda a: apply_unary("exp", a), math.exp)
-
-
-def ln(x):
-    if isinstance(x, Jet3):
-        return apply_unary("ln", x)
-    if x < GUARD:
-        raise DomainError(f"ln of non-positive value {x}")
-    return math.log(x)
-
-
-def sin(x):
-    return _dispatch("sin", x, lambda a: apply_unary("sin", a), math.sin)
-
-
-def cos(x):
-    return _dispatch("cos", x, lambda a: apply_unary("cos", a), math.cos)
-
-
-def tan(x):
-    if isinstance(x, Jet3):
-        return apply_unary("tan", x)
-    if abs(math.cos(x)) < GUARD:
-        raise DomainError("tan at (near-)pole")
-    return math.tan(x)
-
-
-def sinh(x):
-    return _dispatch("sinh", x, lambda a: apply_unary("sinh", a), math.sinh)
-
-
-def cosh(x):
-    return _dispatch("cosh", x, lambda a: apply_unary("cosh", a), math.cosh)
-
-
-def sqrt(x):
-    if isinstance(x, Jet3):
-        return apply_unary("sqrt", x)
-    if x < GUARD:
-        raise DomainError(f"sqrt of non-positive value {x}")
-    return math.sqrt(x)
-
-
-def recip(x):
-    if isinstance(x, Jet3):
-        return apply_unary("recip", x)
-    if abs(x) < GUARD:
-        raise DomainError("reciprocal of (near-)zero value")
-    return 1.0 / x
-
-
-def abs_signed(x):
-    if isinstance(x, Jet3):
-        return apply_unary("abs_signed", x)
-    if abs(x) < GUARD:
-        raise DomainError("abs_signed undefined at (near-)zero value")
-    return abs(x)
+exp = functools.partial(call, "exp")
+ln = functools.partial(call, "ln")
+sin = functools.partial(call, "sin")
+cos = functools.partial(call, "cos")
+tan = functools.partial(call, "tan")
+sinh = functools.partial(call, "sinh")
+cosh = functools.partial(call, "cosh")
+sqrt = functools.partial(call, "sqrt")
+recip = functools.partial(call, "recip")
+abs_signed = functools.partial(call, "abs_signed")
 
 
 def power(x, r):
-    if isinstance(r, Jet3) and not np.any(r.coeffs[1:]):
-        r = r.value
-    if isinstance(x, Jet3):
-        if isinstance(r, Jet3):
-            return exp(r * ln(x))
-        return apply_unary(("pow", float(r)), x)
+    """``x ** r``; a jet exponent that is not constant gives exp(r ln x)."""
     if isinstance(r, Jet3):
-        return exp(r * ln(float(x)))
-    if float(r).is_integer():
-        if x == 0 and r < 0:
-            raise DomainError("negative power of zero")
-        return float(x) ** int(r)
-    if x < GUARD:
-        raise DomainError("non-integer power of non-positive value")
-    return float(x) ** float(r)
+        if np.any(r.coeffs[1:]):
+            return exp(r * ln(x))
+        r = r.value
+    return call(("pow", float(r)), x)
 
 
 def compose3(field_coeffs: np.ndarray, order: int,

@@ -23,12 +23,14 @@ import json
 import math
 import re
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .exprdsl import Bin, Expr, Num, parse
 from .jets import BLPError
+from .transforms import _invert_monotone
 
 __all__ = [
     "LieElement", "Subalgebra", "IllConditioned", "NumericCoeff",
@@ -57,31 +59,17 @@ class NumericCoeff:
     def __call__(self, s: float) -> float:
         return self.fn(s)
 
-    def diff(self) -> "NumericCoeff":
-        f = self.fn
-        h = 1e-6
-
-        def d(s: float) -> float:
-            return (f(s + h) - f(s - h)) / (2.0 * h)
-        return NumericCoeff(d)
-
 
 def _c_add(a, b, var):
     if isinstance(a, Expr) and isinstance(b, Expr):
         return Bin("+", a, b, var)
-    fa, fb = _as_callable(a), _as_callable(b)
-    return NumericCoeff(lambda s: fa(s) + fb(s))
+    return NumericCoeff(lambda s: a(s) + b(s))
 
 
 def _c_scale(a, c: float, var):
     if isinstance(a, Expr):
         return Bin("*", Num(float(c), var), a, var)
-    fa = _as_callable(a)
-    return NumericCoeff(lambda s: c * fa(s))
-
-
-def _as_callable(a):
-    return a if not isinstance(a, Expr) else a
+    return NumericCoeff(lambda s: c * a(s))
 
 
 def _is_zero_expr(e) -> bool:
@@ -207,27 +195,6 @@ def commutator(Q1: LieElement, Q2: LieElement) -> LieElement:
 # adjoint actions of elementary transformations
 # ----------------------------------------------------------------------
 
-def _inverse_closure(e: Expr, window=(-6.0, 6.0)) -> Callable[[float], float]:
-    lo, hi = window
-
-    def inv(target: float) -> float:
-        flo, fhi = e(lo), e(hi)
-        increasing = fhi > flo
-        a, b = lo, hi
-        if not (min(flo, fhi) <= target <= max(flo, fhi)):
-            raise ValueError(f"target {target} outside inverse window")
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if abs(b - a) < 1e-15 * (1.0 + abs(mid)):
-                break
-            if (e(mid) < target) == increasing:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-    return inv
-
-
 def pushforward(kind: str, param, Q: LieElement,
                 window=(-6.0, 6.0)) -> LieElement:
     """Adjoint action of one elementary transformation on a generator sum.
@@ -239,7 +206,7 @@ def pushforward(kind: str, param, Q: LieElement,
     if kind == "D":
         T = _coerce(param, "t")
         dT = T.diff()
-        inv = _inverse_closure(T, window)
+        inv = partial(_invert_monotone, T, window=window)
 
         def push(coeff, power):
             ffn = coeff
@@ -258,7 +225,7 @@ def pushforward(kind: str, param, Q: LieElement,
     if kind == "S":
         Y = _coerce(param, "y")
         dY = Y.diff()
-        inv = _inverse_closure(Y, window)
+        inv = partial(_invert_monotone, Y, window=window)
         if "S" in out:
             afn = out["S"]
             out["S"] = NumericCoeff(
@@ -471,17 +438,7 @@ def subalgebras_from_json(source) -> list[Subalgebra]:
 def load_subalgebra_library() -> list[Subalgebra]:
     """All classified one- and two-dimensional subalgebras, with the
     discrete/functional parameters expanded over their bundled domains."""
-    data = _load_json("subalgebras.json")
-    out = []
-    for section in ("one_dimensional", "two_dimensional"):
-        for entry in data[section]:
-            for label, binding in _expand(entry):
-                basis = tuple(_element_from_spec(b, binding)
-                              for b in entry["basis"])
-                basis = tuple(b for b in basis if b.terms)
-                out.append(Subalgebra(basis=basis, label=label,
-                                      params=binding))
-    return out
+    return subalgebras_from_json(_load_json("subalgebras.json"))
 
 
 def load_normalizer_table() -> dict:

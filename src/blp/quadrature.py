@@ -203,25 +203,16 @@ def integrate_field_along(field: JetMap, axis: str, lower: float,
     tab = _tables(order)
     g_at_p = field(p, order)
     out = np.zeros(jet_size(order))
-
-    slice_idx = [m for m, e in enumerate(tab.exps) if e[ax] == 0]
+    free = np.delete(np.arange(jet_size(order)), tab.with_axis[ax])
 
     def slice_values(s: float) -> np.ndarray:
         q = Point(*(s if i == ax else p[i] for i in range(3)))
-        jp = field(q, order)
-        return jp.coeffs[slice_idx]
+        return field(q, order).coeffs[free]
 
-    sliced = adaptive_quadrature(slice_values, lower, upper, tol=tol)
-    for pos, m in enumerate(slice_idx):
-        out[m] = sliced[pos]
-
-    for m, e in enumerate(tab.exps):
-        k = e[ax]
-        if k == 0:
-            continue
-        src = list(e)
-        src[ax] = k - 1
-        out[m] = g_at_p.coeffs[_tables(order).index[tuple(src)]] / k
+    out[free] = adaptive_quadrature(slice_values, lower, upper, tol=tol)
+    # F's monomial e + axis is g's monomial e divided by its new power
+    out[tab.derive_src[ax]] = \
+        g_at_p.coeffs[:jet_size(order - 1)] / tab.derive_scale[ax]
     return Jet3(p, order, out)
 
 

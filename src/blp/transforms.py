@@ -66,11 +66,15 @@ __all__ = [
     "covering_solutions_for_constraint", "uq_seed",
 ]
 
+#: guard band of the maps' denominators (:func:`jets.check_denominator`)
 GUARD = 1e-10
 
 
 class UndefinedTransform(UndefinedHere):
     """Denominator of a transformation inside its guard band."""
+
+
+_guard = partial(jets.check_denominator, band=GUARD, error=UndefinedTransform)
 
 
 class InverseMapError(jets.BLPError, RuntimeError):
@@ -167,17 +171,15 @@ def _invert_monotone(f: Expr, target: float, window: tuple) -> float:
     flo, fhi = f(lo), f(hi)
     increasing = fhi > flo
     a, b = (lo, hi)
-    fa, fb = (flo, fhi) if increasing else (fhi, flo)
     if not (min(flo, fhi) <= target <= max(flo, fhi)):
         raise InverseMapError(
             f"target {target} outside the image [{min(flo, fhi)}, "
             f"{max(flo, fhi)}] of the window")
     for _ in range(200):
         mid = 0.5 * (a + b)
-        fm = f(mid)
         if abs(b - a) < 1e-15 * (1.0 + abs(mid)):
             break
-        if (fm < target) == increasing:
+        if (f(mid) < target) == increasing:
             a = mid
         else:
             b = mid
@@ -187,8 +189,9 @@ def _invert_monotone(f: Expr, target: float, window: tuple) -> float:
 def _revert_series(f: np.ndarray) -> np.ndarray:
     """Coefficients of the inverse of s -> sum_{k>=1} f_k s^k."""
     n = len(f) - 1
-    if abs(f[1]) < 1e-14:
-        raise InverseMapError("vanishing derivative: map not invertible")
+    jets.check_denominator(f[1], 0.0,
+                           "vanishing derivative: map not invertible",
+                           band=1e-14, error=InverseMapError)
     g = np.zeros(n + 1)
     g[1] = 1.0 / f[1]
     for m in range(2, n + 1):
@@ -284,8 +287,7 @@ def laplace_forward_uq(s: SolutionField) -> SolutionField:
         q = s.v(p, n + 2)
         q_y = q.derive("y").truncate(n)
         q_xy = q.derive("x").derive("y")
-        if abs(q_y.value) < GUARD * (1.0 + abs(q_xy.value)):
-            raise UndefinedTransform("q_y inside guard band")
+        _guard(q_y.value, q_xy.value, "q_y inside guard band")
         return q_xy / q_y + s.u(p, n)
 
     def q(p, n):
@@ -305,8 +307,7 @@ def laplace_inverse_uq(s: SolutionField) -> SolutionField:
         qj = s.v(p, n + 2)
         den = (qj.derive("y") - uj.derive("y")).truncate(n)
         num = (qj.derive("x").derive("y") - uj.derive("x").derive("y"))
-        if abs(den.value) < GUARD * (1.0 + abs(num.value)):
-            raise UndefinedTransform("q_y - u_y inside guard band")
+        _guard(den.value, num.value, "q_y - u_y inside guard band")
         return uj.truncate(n) - num / den
 
     def q(p, n):
@@ -348,8 +349,7 @@ def laplace_forward_uv(s: SolutionField, base: Point) -> SolutionField:
         w = s.v_x(p, n + 1)
         v_x = w.truncate(n)
         v_xx = w.derive("x")
-        if abs(v_x.value) < GUARD * (1.0 + abs(v_xx.value)):
-            raise UndefinedTransform("v_x inside guard band")
+        _guard(v_x.value, v_xx.value, "v_x inside guard band")
         return s.u(p, n) + v_xx / v_x
 
     @last_point
@@ -358,8 +358,7 @@ def laplace_forward_uv(s: SolutionField, base: Point) -> SolutionField:
         w = s.v_x(p, n + 1)
         v_x = w.truncate(n)
         v_xy = w.derive("y")
-        if abs(v_x.value) < GUARD * (1.0 + abs(v_xy.value)):
-            raise UndefinedTransform("v_x inside guard band")
+        _guard(v_x.value, v_xy.value, "v_x inside guard band")
         return v_xy / v_x
 
     def v(p, n):
@@ -385,8 +384,7 @@ def laplace_inverse_uv(s: SolutionField, base: Point) -> SolutionField:
         w = s.v_x(p, n + 1)
         den = (uj.derive("y") - w).truncate(n)
         num = uj.derive("x").derive("y") - w.derive("x")
-        if abs(den.value) < GUARD * (1.0 + abs(num.value)):
-            raise UndefinedTransform("u_y - v_x inside guard band")
+        _guard(den.value, num.value, "u_y - v_x inside guard band")
         return uj.truncate(n) - num / den
 
     def v(p, n):
@@ -451,8 +449,7 @@ def uq_seed(witness, L: JetMap | None = None,
     @last_point
     def u(p, n):
         f = phi_map(p, n + 1)
-        if abs(f.value) < 1e-8:
-            raise DomainError("witness zero")
+        jets.check_denominator(f.value, 0.0, "witness zero", band=1e-8)
         return sign * f.derive("x") / f.truncate(n)
 
     def L_jet(p, n):
@@ -482,34 +479,30 @@ def darboux(kind: str, s: SolutionField,
             uj = s.u(p, n)
             f_y = f.derive("y").truncate(n)
             f_xy = f.derive("x").derive("y")
-            if abs(f_y.value) < GUARD * (1.0 + abs(f_xy.value)) or \
-                    abs(f.value) < GUARD:
-                raise UndefinedTransform("phi_y or phi inside guard band")
+            _guard(f_y.value, f_xy.value, "phi_y or phi inside guard band")
+            _guard(f.value, 0.0, "phi_y or phi inside guard band")
             return uj + f_xy / f_y - f.derive("x").truncate(n) / f.truncate(n)
 
         def q(p, n):
             f = pmap(p, n + 1)
             qj = s.v(p, n + 1)
             f_y = f.derive("y")
-            if abs(f_y.value) < GUARD * (1.0 + abs(f.value)):
-                raise UndefinedTransform("phi_y inside guard band")
+            _guard(f_y.value, f.value, "phi_y inside guard band")
             return qj.truncate(n) - (f.truncate(n) / f_y) * qj.derive("y")
 
     elif kind == "DT2":
         def u(p, n):
             f = pmap(p, n + 2)
             uj = s.u(p, n + 1)
-            if abs(f.value) < GUARD:
-                raise UndefinedTransform("phi inside guard band")
+            _guard(f.value, 0.0, "phi inside guard band")
             w = uj + f.derive("x") / f.truncate(n + 1)
-            if abs(w.value) < GUARD * (1.0 + abs(w.derive("x").value)):
-                raise UndefinedTransform("u + phi_x/phi inside guard band")
+            _guard(w.value, w.derive("x").value,
+                   "u + phi_x/phi inside guard band")
             return uj.truncate(n) - w.derive("x") / w.truncate(n)
 
         def q(p, n):
             f = pmap(p, n + 1)
-            if abs(f.value) < GUARD:
-                raise UndefinedTransform("phi inside guard band")
+            _guard(f.value, 0.0, "phi inside guard band")
             return s.v(p, n) + f.derive("x") / f.truncate(n)
     else:
         raise ValueError("kind must be 'DT1' or 'DT2'")
@@ -526,16 +519,14 @@ def darboux_psi(kind: str, phi_seed: JetMap, psi: JetMap) -> JetMap:
             f = phi_seed(p, n + 1)
             g = psi(p, n + 1)
             f_y = f.derive("y")
-            if abs(f_y.value) < GUARD * (1.0 + abs(f.value)):
-                raise UndefinedTransform("phi_y inside guard band")
+            _guard(f_y.value, f.value, "phi_y inside guard band")
             return g.truncate(n) - (f.truncate(n) / f_y) * g.derive("y")
         return out
     if kind == "DT2":
         def out(p, n):
             f = phi_seed(p, n + 1)
             g = psi(p, n + 1)
-            if abs(f.value) < GUARD:
-                raise UndefinedTransform("phi inside guard band")
+            _guard(f.value, 0.0, "phi inside guard band")
             return g.derive("x") - (f.derive("x") / f.truncate(n)) \
                 * g.truncate(n)
         return out
@@ -598,16 +589,15 @@ def darboux_iterated(kind: str, s: SolutionField,
 
         def u(p, n):
             wy, w = wy_map(p, n + 1), w_map(p, n + 1)
-            if abs(w.value) < GUARD or abs(wy.value) < GUARD:
-                raise UndefinedTransform("Wronskian inside guard band")
+            _guard(w.value, 0.0, "Wronskian inside guard band")
+            _guard(wy.value, 0.0, "Wronskian inside guard band")
             return s.u(p, n) - (w.derive("x") / w.truncate(n)
                                 - wy.derive("x") / wy.truncate(n))
 
         def q(p, n):
             wq = _wronskian(maps + [s.v], "y", range(n_fold + 1), p, n)
             wy = wy_map(p, n)
-            if abs(wy.value) < GUARD:
-                raise UndefinedTransform("Wronskian inside guard band")
+            _guard(wy.value, 0.0, "Wronskian inside guard band")
             return (-1.0) ** n_fold * wq / wy
 
     elif kind == "DT2":
@@ -617,8 +607,7 @@ def darboux_iterated(kind: str, s: SolutionField,
         @last_point
         def a1_map(p, n):
             w = w_map(p, n + 1)
-            if abs(w.value) < GUARD:
-                raise UndefinedTransform("Wronskian inside guard band")
+            _guard(w.value, 0.0, "Wronskian inside guard band")
             return -(w.derive("x") / w.truncate(n))
 
         def u(p, n):
@@ -633,8 +622,7 @@ def darboux_iterated(kind: str, s: SolutionField,
             q_y = qj.derive("y").truncate(n)
             q_xy = qj.derive("x").derive("y").truncate(n)
             den = q_y - a1.derive("y").truncate(n)
-            if abs(den.value) < GUARD * (1.0 + abs(q_xy.value)):
-                raise UndefinedTransform("q_y - A_y inside guard band")
+            _guard(den.value, q_xy.value, "q_y - A_y inside guard band")
             num = (q_y * uj.truncate(n) - n_fold * q_xy
                    + a1.derive("x").derive("y").truncate(n)
                    - a1.truncate(n) * a1.derive("y").truncate(n)
@@ -660,16 +648,14 @@ def darboux_iterated_psi(kind: str, phis: Sequence[JetMap],
         def out(p, n):
             wp = _wronskian(maps + [psi], "y", range(n_fold + 1), p, n)
             wy = _wronskian(maps, "y", range(1, n_fold + 1), p, n)
-            if abs(wy.value) < GUARD:
-                raise UndefinedTransform("Wronskian inside guard band")
+            _guard(wy.value, 0.0, "Wronskian inside guard band")
             return (-1.0) ** n_fold * wp / wy
         return out
     if kind == "DT2":
         def out(p, n):
             wp = _wronskian(maps + [psi], "x", range(n_fold + 1), p, n)
             w = _wronskian(maps, "x", range(n_fold), p, n)
-            if abs(w.value) < GUARD:
-                raise UndefinedTransform("Wronskian inside guard band")
+            _guard(w.value, 0.0, "Wronskian inside guard band")
             return wp / w
         return out
     raise ValueError("kind must be 'DT1' or 'DT2'")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blp import jets
+from blp.exprdsl import parse
 from blp.jets import (
     DomainError, Jet3, Point, apply_unary, extract_partial, lift_variable, mul,
 )
@@ -409,3 +410,58 @@ def test_division_guard_and_integer_powers_at_zero():
         assert np.array_equal(apply_unary(("pow", 2), zero).coeffs,
                               (zero * zero).coeffs)
         assert apply_unary(("pow", 0), zero).coeffs[0] == 1.0
+
+
+def _around(edge: float) -> list[float]:
+    """``edge``, its float neighbours and points farther on either side."""
+    return [edge, np.nextafter(edge, -math.inf), np.nextafter(edge, math.inf),
+            0.5 * edge, 2.0 * edge]
+
+
+def _raises(fn) -> bool:
+    try:
+        fn()
+    except DomainError:
+        return True
+    return False
+
+
+_G = jets.GUARD
+_AT_GUARD_EDGES = {
+    "exp": [0.0, -1.0, 1.0], "sin": [0.0, 1.0], "cos": [0.0, 1.0],
+    "sinh": [0.0, -1.0], "cosh": [0.0, 1.0],
+    "ln": [0.0, -1.0] + _around(_G), "sqrt": [0.0, -1.0] + _around(_G),
+    "recip": [0.0] + _around(_G) + _around(-_G),
+    "abs_signed": [0.0] + _around(_G) + _around(-_G),
+    "tan": [math.pi / 2 + k * _G for k in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)],
+    ("pow", -1): [0.0] + _around(_G) + _around(-_G),
+    ("pow", -2): [0.0] + _around(_G) + _around(-_G),
+    ("pow", 0.5): [0.0, -0.25] + _around(_G),
+    ("pow", 1.5): [0.0] + _around(_G),
+    ("pow", 2): [0.0, -1.0, 0.5 * _G],
+}
+
+
+@pytest.mark.parametrize("f", list(_AT_GUARD_EDGES), ids=str)
+def test_float_and_jet_forms_raise_at_the_same_values(f):
+    if isinstance(f, tuple):
+        def float_form(v):
+            return jets.power(v, f[1])
+    else:
+        float_form = getattr(jets, f)
+    for v in _AT_GUARD_EDGES[f]:
+        jet = Jet3.constant(float(v), Point(0.3, -0.2, 0.5), 4)
+        assert _raises(lambda: float_form(float(v))) \
+            == _raises(lambda: apply_unary(f, jet)), (f, v)
+
+
+def test_float_and_jet_division_raise_at_the_same_values():
+    p = Point(0.3, -0.2, 0.5)
+    for a in (0.0, 3.0, -250.0):
+        edge = _G * (1.0 + abs(a))
+        quotient = parse(f"{a!r}/t", "t")
+        for b in _around(edge) + _around(-edge) + [0.0]:
+            num, den = Jet3.constant(a, p, 3), Jet3.constant(b, p, 3)
+            by_float = _raises(lambda: quotient(b))
+            assert _raises(lambda: num / den) == by_float, (a, b)
+            assert _raises(lambda: num / b) == by_float, (a, b)
