@@ -196,7 +196,7 @@ class Jet3:
     def constant(value: float, base: Point, order: int) -> "Jet3":
         c = np.zeros(jet_size(order))
         c[0] = value
-        return Jet3(base, order, c)
+        return _jet(base, order, c)
 
     @staticmethod
     def variable(which: str, base: Point, order: int) -> "Jet3":
@@ -208,7 +208,7 @@ class Jet3:
             e = [0, 0, 0]
             e[axis] = 1
             c[_tables(order).index[tuple(e)]] = 1.0
-        return Jet3(base, order, c)
+        return _jet(base, order, c)
 
     # -- basics ----------------------------------------------------------
 
@@ -217,14 +217,15 @@ class Jet3:
         return float(self.coeffs[0])
 
     def copy_with(self, coeffs: np.ndarray) -> "Jet3":
-        return Jet3(self.base, self.order, coeffs)
+        """A jet of the same base and order; ``coeffs`` has its length."""
+        return _jet(self.base, self.order, coeffs)
 
     def truncate(self, order: int) -> "Jet3":
         if order > self.order:
             raise ValueError("cannot raise jet order by truncation")
         if order == self.order:
             return self
-        return Jet3(self.base, order, self.coeffs[: jet_size(order)].copy())
+        return _jet(self.base, order, self.coeffs[: jet_size(order)].copy())
 
     def _coerce(self, other) -> "Jet3 | None":
         if isinstance(other, Jet3):
@@ -305,7 +306,7 @@ class Jet3:
             raise ValueError("cannot differentiate an order-0 jet")
         axis = _AXES[which]
         tab = _tables(self.order)
-        return Jet3(self.base, self.order - 1,
+        return _jet(self.base, self.order - 1,
                     self.coeffs[tab.derive_src[axis]] * tab.derive_scale[axis])
 
     def extract(self, multi_index) -> float:
@@ -315,6 +316,14 @@ class Jet3:
         tab = _tables(self.order)
         m = tab.index[(i, j, k)]
         return float(self.coeffs[m] * tab.fact[m])
+
+
+def _jet(base: Point, order: int, coeffs: np.ndarray) -> Jet3:
+    """A jet built inside this module, whose ``coeffs`` is known to have
+    the length of ``order``: the public constructor's check is skipped."""
+    jet = object.__new__(Jet3)
+    jet.base, jet.order, jet.coeffs = base, order, coeffs
+    return jet
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +368,7 @@ def restrict(a: Jet3, axis: str, at: Point) -> Jet3:
     """
     out = a.coeffs.copy()
     out[_tables(a.order).with_axis[_AXES[axis]]] = 0.0
-    return Jet3(at, a.order, out)
+    return _jet(at, a.order, out)
 
 
 def axis_series(a: Jet3, axis: str) -> np.ndarray:

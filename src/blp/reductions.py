@@ -22,9 +22,11 @@ Trajectories are produced by an embedded Dormand-Prince 5(4) pair.  The
 nominal step is coupled to the tolerance as h ~ tol^0.55 so that the
 dense-output drift of the first integrals scales at least quartically
 under tolerance halving; the embedded error estimate acts as a safety
-rejection threshold.  Dense output is cubic Hermite on accepted steps,
-and every reconstruction consumes ODE-provided derivatives, never
-numerical differentiation.
+rejection threshold.  A step's dense-output estimate reads the order-5
+Taylor series at both of its ends; each accepted node's series is
+computed once, by degree recurrence on floats.  Dense output is cubic
+Hermite on accepted steps, and every reconstruction consumes
+ODE-provided derivatives, never numerical differentiation.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -158,7 +161,7 @@ class ODETrajectory:
     def series(self, w: float, order: int) -> np.ndarray:
         """Taylor coefficients at w, propagated through the profile ODE."""
         f, d = self(w)
-        return self.meta["series_fn"](w, f, d, order)
+        return np.array(self.meta["series_fn"](w, f, d, order))
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -174,7 +177,7 @@ class ODETrajectory:
 
 
 # Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = [
     [],
     [1 / 5],
@@ -184,23 +187,27 @@ _DP_A = [
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                   11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+          187 / 2100, 1 / 40)
 
 _SAFETY_FACTOR = 300.0
 _BLOWUP = 1e6
 
 
+def _dp_combine(y, h, weights, k):
+    """y + h * sum_i weights[i] k[i] on float lists, summed by stage."""
+    return [yj + h * sum(map(operator.mul, weights, kj))
+            for yj, kj in zip(y, zip(*k))]
+
+
 def _dp_step(f, x, y, h):
     k = [f(x, y)]
     for i in range(1, 7):
-        acc = y + h * sum(a * kk for a, kk in zip(_DP_A[i], k))
-        k.append(f(x + _DP_C[i] * h, acc))
-    y5 = y + h * sum(b * kk for b, kk in zip(_DP_B5, k))
-    y4 = y + h * sum(b * kk for b, kk in zip(_DP_B4, k))
-    err = float(np.max(np.abs(y5 - y4)))
+        k.append(f(x + _DP_C[i] * h, _dp_combine(y, h, _DP_A[i], k)))
+    y5 = _dp_combine(y, h, _DP_B5, k)
+    y4 = _dp_combine(y, h, _DP_B4, k)
+    err = max(abs(a - b) for a, b in zip(y5, y4))
     return y5, err, k[-1]
 
 
@@ -218,12 +225,20 @@ def _integrate_profile(rhs, guard, x0, y0, span, tol, method, series_fn,
     est_tol = _SAFETY_FACTOR * 1e-10 * scale ** 2.75
     dense_tol = 20.0 * 1e-10 * scale ** 2.2
     interp_bound = 6.0 * h_nom ** 4 / 384.0
+    y0 = [float(v) for v in y0]
+
+    def series5(x, y):
+        """Order-5 series at a node, or None where the recurrence fails."""
+        try:
+            return series_fn(x, y[0], y[1], 5)
+        except ArithmeticError:
+            return None
 
     def march(direction, target):
         """Returns (xs, ys, fs, abort_message)."""
-        f0v = rhs(x0, np.array(y0, dtype=float))
-        xs, ys, fs = [x0], [np.array(y0, dtype=float)], [f0v]
-        x, y = x0, np.array(y0, dtype=float)
+        x, y = x0, y0
+        xs, ys, fs = [x], [y], [rhs(x, y)]
+        ca = series5(x, y)
         h = direction * h_nom
         while (x - target) * direction < 0.0:
             if abs(h) > abs(target - x):
@@ -233,21 +248,20 @@ def _integrate_profile(rhs, guard, x0, y0, span, tol, method, series_fn,
             for _ in range(60):
                 try:
                     ytry, err, ftry = _dp_step(rhs, x, y, trial_h)
-                except (ArithmeticError, FloatingPointError):
+                except ArithmeticError:
                     trial_h *= 0.5
                     continue
-                if not np.all(np.isfinite(ytry)):
+                if not all(map(math.isfinite, ytry)):
                     trial_h *= 0.5
                     continue
                 # embedded estimate + cubic-Hermite dense-output estimate,
                 # with the 4th derivative taken from the Taylor recurrence
-                try:
-                    ca = series_fn(x, y[0], y[1], 5)
-                    cb = series_fn(x + trial_h, ytry[0], ytry[1], 5)
+                cb = None if ca is None else series5(x + trial_h, ytry)
+                if cb is None:
+                    f4 = f5 = np.inf
+                else:
                     f4 = 24.0 * max(abs(ca[4]), abs(cb[4]))
                     f5 = 120.0 * max(abs(ca[5]), abs(cb[5]))
-                except (ArithmeticError, ZeroDivisionError):
-                    f4 = f5 = np.inf
                 # cubic-Hermite bounds for the profile and slope channels
                 dense = trial_h ** 4 * max(f4, f5) / 384.0
                 if err <= est_tol and dense <= dense_tol:
@@ -259,22 +273,21 @@ def _integrate_profile(rhs, guard, x0, y0, span, tol, method, series_fn,
                         "(movable singularity)"
             if not ok_step:
                 return xs, ys, fs, "step rejection cascade"
-            if float(np.max(np.abs(ytry))) > _BLOWUP:
+            if max(map(abs, ytry)) > _BLOWUP:
                 return xs, ys, fs, "trajectory blowup"
             try:
                 guard(x + trial_h, ytry)
             except ZeroCrossing as exc:
                 return xs, ys, fs, str(exc)
             x = x + trial_h
-            y = ytry
+            y, ca = ytry, cb
             xs.append(x)
-            ys.append(y.copy())
+            ys.append(y)
             fs.append(ftry)
             h = direction * min(h_nom, abs(trial_h) * 2.0)
         return xs, ys, fs, None
 
-    empty = ([x0], [np.array(y0, dtype=float)],
-             [rhs(x0, np.array(y0, dtype=float))], None)
+    empty = ([x0], [y0], [rhs(x0, y0)], None)
     right = march(+1.0, hi) if hi > x0 else empty
     left = march(-1.0, lo) if lo < x0 else empty
     xs = list(reversed(left[0][1:])) + right[0]
@@ -318,21 +331,21 @@ def integrate_painleve2(spec: ReductionSpec, span=(-3.0, 0.0),
         return (s * s * (fpp - 2.0 * f * d) - spec.C1 / s) / (2.0 * s)
 
     def rhs(x, y):
-        return np.array([y[1], 2.0 * y[0] ** 3 + x * y[0] + nu,
-                         psi_flow(x, y[0], y[1])])
+        return [y[1], 2.0 * y[0] ** 3 + x * y[0] + nu,
+                psi_flow(x, y[0], y[1])]
 
     def guard(x, y):
         return None
 
     def series_fn(w, f, d, order):
-        c = np.zeros(order + 3)
-        c[0], c[1] = f, d
+        # f'' = 2 f^3 + w f + nu by degree, with running coefficients of
+        # f^2; the series w multiplies f as a shift
+        c, f2 = [f, d], []
         for k in range(order + 1):
-            cube = series.mul(series.mul(c[: k + 1], c[: k + 1], k),
-                              c[: k + 1], k)
-            wf = w * c[k] + (c[k - 1] if k >= 1 else 0.0)
-            rhs_k = 2.0 * cube[k] + wf + (nu if k == 0 else 0.0)
-            c[k + 2] = rhs_k / ((k + 2) * (k + 1))
+            f2.append(series.cauchy(c, c, k))
+            wf = w * c[k] + (c[k - 1] if k else 0.0)
+            rhs_k = 2.0 * series.cauchy(f2, c, k) + wf + (0.0 if k else nu)
+            c.append(rhs_k / ((k + 2) * (k + 1)))
         return c[: order + 1]
 
     w0, f0, d0 = spec.init
@@ -386,40 +399,34 @@ def integrate_painleve4_form(spec: ReductionSpec, span=(-1.0, 1.0),
                 - eps * (phi + om * phi_w))
 
     def rhs(x, y):
-        return np.array([y[1], f_second(x, y[0], y[1]),
-                         psi_flow(x, y[0], y[1])])
+        return [y[1], f_second(x, y[0], y[1]), psi_flow(x, y[0], y[1])]
 
     def guard(x, y):
         if abs(y[0]) < 1e-9:
             raise ZeroCrossing(f"profile crossed zero near {x}")
 
     def series_fn(w, f, d, order):
-        n = order
-        c = np.zeros(n + 3)
-        c[0], c[1] = f, d
-        wser = np.zeros(n + 1)
-        wser[0] = w
-        if n >= 1:
-            wser[1] = 1.0
-        q = np.zeros(n + 1)  # series of f''
-        for k in range(n + 1):
-            cc = c[: k + 2]
-            dser = series.derivative(c[: k + 2])
-            sq = series.mul(dser, dser, k)
-            f2 = series.mul(cc, cc, k)
-            f3 = series.mul(f2, cc, k)
-            f4 = series.mul(f2, f2, k)
-            w2 = series.mul(wser[: k + 1], wser[: k + 1], k)
-            num = (0.5 * sq + 1.5 * f4 + 4.0 * series.mul(wser[: k + 1], f3, k)
-                   + 2.0 * series.mul(w2, f2, k) - 2.0 * C1 * f2)
-            num[0] += C0t
-            # q = num / f, coefficient k
-            acc = num[k]
+        # f q = num with q = f'', by degree: running coefficients of f',
+        # f^2 and f^3 give those of f'^2 and f^4; the series w and w^2
+        # multiply f^3 and f^2 as shifts
+        c, dc, q, f2, f3 = [f, d], [], [], [], []
+        for k in range(order + 1):
+            dc.append((k + 1) * c[k + 1])
+            f2.append(series.cauchy(c, c, k))
+            f3.append(series.cauchy(f2, c, k))
+            wf3 = w * f3[k] + (f3[k - 1] if k else 0.0)
+            w2f2 = (w * w * f2[k] + (2.0 * w * f2[k - 1] if k else 0.0)
+                    + (f2[k - 2] if k > 1 else 0.0))
+            num = (0.5 * series.cauchy(dc, dc, k)
+                   + 1.5 * series.cauchy(f2, f2, k) + 4.0 * wf3
+                   + 2.0 * w2f2 - 2.0 * C1 * f2[k])
+            if k == 0:
+                num += C0t
             for j in range(1, k + 1):
-                acc -= c[j] * q[k - j]
-            q[k] = acc / c[0]
-            c[k + 2] = q[k] / ((k + 2) * (k + 1))
-        return c[: n + 1]
+                num -= c[j] * q[k - j]
+            q.append(num / c[0])
+            c.append(q[k] / ((k + 2) * (k + 1)))
+        return c[: order + 1]
 
     # seed psi from its closed expression (consistent with C2 = 0)
     om0 = 2.0 * w0
@@ -462,12 +469,17 @@ def first_integral_2_4(traj: ODETrajectory, spec: ReductionSpec,
 # reconstruction of solution fields
 # ----------------------------------------------------------------------
 
-def _profile_jet(traj: ODETrajectory, wj: Jet3, order: int,
-                 derivative: int = 0) -> Jet3:
-    ser = traj.series(wj.value, order + derivative)
-    for _ in range(derivative):
+def _profile_jets(traj: ODETrajectory, wj: Jet3, order: int,
+                  derivatives=(0,)) -> list[Jet3]:
+    """Jets of the given derivatives of the profile at ``wj``, all read
+    from one series: its coefficients 0..n do not depend on its order."""
+    ser = traj.series(wj.value, order + max(derivatives))
+    out = []
+    for k in range(max(derivatives) + 1):
+        if k in derivatives:
+            out.append(jets.apply_taylor(ser[: order + 1], wj))
         ser = series.derivative(ser)
-    return jets.apply_taylor(ser[: order + 1], wj)
+    return out
 
 
 def reconstruct_2_4(traj: ODETrajectory, spec: ReductionSpec
@@ -497,7 +509,7 @@ def reconstruct_2_4(traj: ODETrajectory, spec: ReductionSpec
             raise WindowError("profile window exceeded")
         t, x, y = jets.coordinate_jets(p, n)
         at = jets.abs_signed(t)
-        fj = _profile_jet(traj, wj, n)
+        fj, = _profile_jets(traj, wj, n)
         return (-0.5 * eps * jets.apply_unary(("pow", -0.5), at) * fj
                 - 0.5 * (x + y) / t)
 
@@ -507,8 +519,7 @@ def reconstruct_2_4(traj: ODETrajectory, spec: ReductionSpec
             raise WindowError("profile window exceeded")
         t, _, _ = jets.coordinate_jets(p, n)
         at = jets.abs_signed(t)
-        fj = _profile_jet(traj, wj, n)
-        fpp = _profile_jet(traj, wj, n, derivative=2)
+        fj, fpp = _profile_jets(traj, wj, n, (0, 2))
         psi = (0.125 * fpp - 0.25 * fj * fj * fj
                - 0.75 * wj * fj * fj
                - (0.5 * wj * wj - 0.5 * C1 + 0.25 * eps) * fj
@@ -548,8 +559,8 @@ def reconstruct_2_9(profile, spec: ReductionSpec,
             wj = s * (x + y + C0 / C1)
             if not (lo + 1e-9 <= wj.value <= hi - 1e-9):
                 raise WindowError("profile window exceeded")
-            fj = _profile_jet(traj, wj, n) * s
-            dj = _profile_jet(traj, wj, n, derivative=1) * (s * s)
+            fj, dj = _profile_jets(traj, wj, n, (0, 1))
+            fj, dj = fj * s, dj * (s * s)
             return t, x, y, fj, dj
 
         def u(p, n):

@@ -2,7 +2,8 @@
 
 A univariate series is a float array ``c`` with ``c[k]`` the k-th Taylor
 coefficient; :func:`mul`, :func:`derivative` and :func:`integral` act on
-such arrays of any length.
+such arrays of any length; :func:`cauchy` gives one coefficient of a
+product, for recurrences on float lists.
 
 A :class:`Layout` holds the coefficients of a truncated series in one or
 more variables as one array, graded by degree.  :func:`univariate` gives
@@ -29,13 +30,20 @@ import operator
 
 import numpy as np
 
-__all__ = ["mul", "derivative", "integral", "Layout", "univariate",
-           "exp", "ln", "power", "int_power", "div", "sin_cos", "tan"]
+__all__ = ["mul", "cauchy", "derivative", "integral", "Layout",
+           "univariate", "exp", "ln", "power", "int_power", "div",
+           "sin_cos", "tan"]
 
 
 def mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Coefficients 0..n of the product of two univariate series."""
     return np.convolve(a, b)[: n + 1]
+
+
+def cauchy(a, b, k: int) -> float:
+    """Coefficient k of the product of two univariate series, summed in
+    order of the index into ``a``; each needs coefficients 0..k."""
+    return sum(map(operator.mul, a[: k + 1], b[k::-1]))
 
 
 def derivative(c: np.ndarray) -> np.ndarray:

@@ -259,3 +259,140 @@ def test_trajectory_csv_roundtrip(tmp_path, pii_traj):
     assert len(rows) == len(pii_traj.grid) + 1
     sidecar = (tmp_path / "traj.csv.json").read_text()
     assert '"C1": 2.0' in sidecar
+
+
+# ----------------------------------------------------------------------
+# the Taylor recurrences of the profile equations and their use per step
+# ----------------------------------------------------------------------
+
+def _trunc(a, b, n):
+    return np.convolve(a, b)[: n + 1]
+
+
+def _pii_series_by_convolution(w, f, d, order, nu):
+    """Reference: every product recomputed by a convolution per degree."""
+    c = np.zeros(order + 3)
+    c[0], c[1] = f, d
+    for k in range(order + 1):
+        cube = _trunc(_trunc(c[: k + 1], c[: k + 1], k), c[: k + 1], k)
+        wf = w * c[k] + (c[k - 1] if k >= 1 else 0.0)
+        rhs_k = 2.0 * cube[k] + wf + (nu if k == 0 else 0.0)
+        c[k + 2] = rhs_k / ((k + 2) * (k + 1))
+    return c[: order + 1]
+
+
+def _piv_series_by_convolution(w, f, d, order, C1, C0t):
+    n = order
+    c = np.zeros(n + 3)
+    c[0], c[1] = f, d
+    wser = np.zeros(n + 1)
+    wser[0] = w
+    if n >= 1:
+        wser[1] = 1.0
+    q = np.zeros(n + 1)
+    for k in range(n + 1):
+        cc = c[: k + 2]
+        dser = c[1: k + 2] * np.arange(1, k + 2)
+        sq = _trunc(dser, dser, k)
+        f2 = _trunc(cc, cc, k)
+        f3 = _trunc(f2, cc, k)
+        f4 = _trunc(f2, f2, k)
+        w2 = _trunc(wser[: k + 1], wser[: k + 1], k)
+        num = (0.5 * sq + 1.5 * f4 + 4.0 * _trunc(wser[: k + 1], f3, k)
+               + 2.0 * _trunc(w2, f2, k) - 2.0 * C1 * f2)
+        num[0] += C0t
+        acc = num[k]
+        for j in range(1, k + 1):
+            acc -= c[j] * q[k - j]
+        q[k] = acc / c[0]
+        c[k + 2] = q[k] / ((k + 2) * (k + 1))
+    return c[: n + 1]
+
+
+def _random_initial_data(rng, count):
+    for _ in range(count):
+        w = float(rng.uniform(-1.5, 1.5))
+        f = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0))
+        yield w, f, float(rng.uniform(-2.0, 2.0))
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_profile_recurrences_solve_their_equations(order, rng, pii_traj,
+                                                   piv_traj):
+    n = order
+    nu = 0.5 + PII_SPEC.delta / PII_SPEC.C1
+    spec, piv = piv_traj
+    C1, C0t = spec.C1, 16.0 * spec.C0 - 2.0
+    pii_fn, piv_fn = pii_traj.meta["series_fn"], piv.meta["series_fn"]
+    for w, f, d in _random_initial_data(rng, 40):
+        ws = np.array([w, 1.0])
+        # second Painleve: f'' = 2 f^3 + w f + nu, coefficients 0..n
+        c = np.array(pii_fn(w, f, d, n + 2))
+        assert c[:2].tolist() == [f, d]
+        fpp = c[2:] * np.arange(2, n + 3) * np.arange(1, n + 2)
+        f3 = _trunc(_trunc(c, c, n), c, n)
+        terms = [2.0 * f3, _trunc(ws, c, n), nu * np.eye(n + 1)[0]]
+        scale = np.abs(fpp) + sum(np.abs(t) for t in terms)
+        assert np.all(np.abs(fpp - sum(terms)) <= 1e-13 * scale)
+        # fourth-Painleve form: f f'' = f'^2/2 + (3/2) f^4 + 4 w f^3
+        #                              + 2 (w^2 - C1) f^2 + C0t
+        c = np.array(piv_fn(w, f, d, n + 2))
+        assert c[:2].tolist() == [f, d]
+        fpp = c[2:] * np.arange(2, n + 3) * np.arange(1, n + 2)
+        fp = c[1:] * np.arange(1, n + 3)
+        f2 = _trunc(c, c, n)
+        lhs = _trunc(c, fpp, n)
+        terms = [0.5 * _trunc(fp, fp, n), 1.5 * _trunc(f2, f2, n),
+                 4.0 * _trunc(ws, _trunc(f2, c, n), n),
+                 2.0 * _trunc(_trunc(ws, ws, n), f2, n), -2.0 * C1 * f2,
+                 C0t * np.eye(n + 1)[0]]
+        scale = np.abs(lhs) + sum(np.abs(t) for t in terms)
+        assert np.all(np.abs(lhs - sum(terms)) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_profile_recurrences_match_convolution_form(order, rng, pii_traj,
+                                                    piv_traj):
+    nu = 0.5 + PII_SPEC.delta / PII_SPEC.C1
+    spec, piv = piv_traj
+    C1, C0t = spec.C1, 16.0 * spec.C0 - 2.0
+    for w, f, d in _random_initial_data(rng, 40):
+        np.testing.assert_allclose(
+            pii_traj.meta["series_fn"](w, f, d, order),
+            _pii_series_by_convolution(w, f, d, order, nu),
+            rtol=1e-13, atol=0)
+        np.testing.assert_allclose(
+            piv.meta["series_fn"](w, f, d, order),
+            _piv_series_by_convolution(w, f, d, order, C1, C0t),
+            rtol=1e-13, atol=0)
+
+
+def test_one_series_per_accepted_node(monkeypatch):
+    # the dense-output estimate of a trial step reads the series at both
+    # ends; the one at its start is the previous accepted trial's
+    counts = {"trials": 0, "series": 0}
+    dp_step, integrate = reductions._dp_step, reductions._integrate_profile
+
+    def counted_step(*args):
+        counts["trials"] += 1
+        return dp_step(*args)
+
+    def counted_integrate(*args):
+        *head, series_fn, spec_meta = args
+
+        def counted_series(*a):
+            counts["series"] += 1
+            return series_fn(*a)
+
+        return integrate(*head, counted_series, spec_meta)
+
+    monkeypatch.setattr(reductions, "_dp_step", counted_step)
+    monkeypatch.setattr(reductions, "_integrate_profile", counted_integrate)
+    piv_spec = ReductionSpec(id="R2_4", C0=0.25, C1=2.0, eps=1,
+                             init=(0.0, 1.2, -1.0))
+    for run in (lambda: integrate_painleve2(PII_SPEC, span=(-2.0, -0.5)),
+                lambda: integrate_painleve4_form(piv_spec, span=(-1.0, 1.0))):
+        counts.update(trials=0, series=0)
+        traj = run()
+        assert counts["trials"] >= len(traj.grid) - 1 > 10
+        assert counts["series"] <= counts["trials"] + 2
