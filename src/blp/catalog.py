@@ -22,8 +22,8 @@ import numpy as np
 from . import jets, series
 from .exprdsl import Expr, Num, eval_jet, parse
 from .jets import BadInput, DomainError, Jet3, JetMap, Point
-from .quadrature import (QuadratureError, adaptive_quadrature,
-    integrate_field_along)
+from .quadrature import (_LINES_KEPT, QuadratureError, adaptive_quadrature,
+                         line_integral)
 from .system import SolutionField
 
 __all__ = [
@@ -326,38 +326,6 @@ def _field(fid, bindings, u, v, validity=lambda p: True) -> SolutionField:
                          params=bindings, validity=validity)
 
 
-#: grid lines whose line integral :func:`_line_integral` keeps, and
-#: values an :class:`_Antiderivative` keeps
-_LINES_KEPT = 4096
-
-
-def _line_integral(integrand: JetMap, axis: str, lower: float,
-                   constant_along: str) -> JetMap:
-    """``integrate_field_along(integrand, axis, lower, p, n)`` for an
-    integrand that does not depend on the coordinate ``constant_along``.
-
-    The integral is then one jet all along each grid line in that
-    direction.  Each line keeps its jet at the highest order computed on
-    it and answers a lower order by truncation (the :func:`jets.last_point`
-    rule, per line).  At most ``_LINES_KEPT`` lines are kept; the one
-    first computed longest ago goes first.
-    """
-    skip = "txy".index(constant_along)
-    known: dict = {}
-
-    def integral(p: Point, n: int) -> Jet3:
-        line = tuple(c for i, c in enumerate(p) if i != skip)
-        size = jets.jet_size(n)
-        co = known.get(line)
-        if co is None or len(co) < size:
-            co = integrate_field_along(integrand, axis, lower, p, n).coeffs
-            if line not in known and len(known) >= _LINES_KEPT:
-                del known[next(iter(known))]
-            known[line] = co
-        return Jet3(p, n, co[:size])
-    return integral
-
-
 def default_box(family_id: str) -> tuple:
     """The family's (t, x, y) sampling box; the common box for other ids."""
     entry = _FAMILIES.get(family_id)
@@ -582,7 +550,7 @@ def _f_vxxx2(fid, b):
             raise DomainError("t + beta near zero on the path")
         return (2.0 * _jt(th, p, n) + 1.0) / (T * T)
 
-    integral = _line_integral(integrand, "t", t0, constant_along="x")
+    integral = line_integral(integrand, "t", t0, constant_along="x")
 
     def u(p, n):
         if abs(p.x) < MARGIN:
@@ -800,7 +768,7 @@ def _f_uxx_bernoulli(fid, b):
         return (_jy(l1, p, n) * chi_jet(p, n) + _jy(l0, p, n)) \
             / jets.sqrt(ct)
 
-    psi_tilde = _line_integral(psi_integrand, "y", y0, constant_along="x")
+    psi_tilde = line_integral(psi_integrand, "y", y0, constant_along="x")
 
     def omega(p, n):
         _, x, _ = jets.coordinate_jets(p, n)
@@ -854,7 +822,8 @@ class _Antiderivative:
     """Cached antiderivative of a univariate function from an anchor.
 
     Each value is integrated from the nearest known one.  At most
-    ``_LINES_KEPT`` values are known; the oldest goes first, except the
+    ``_LINES_KEPT`` values are known, the bound of a line integral's grid
+    lines in :mod:`blp.quadrature`; the oldest goes first, except the
     anchor, which stays.
     """
 
@@ -1265,7 +1234,7 @@ def _f_sinhgordon(fid, b):
         th = theta(p, n + 1)
         return -0.5 * th.derive("x")
 
-    v = _line_integral(integrand, "x", x0, constant_along="t")
+    v = line_integral(integrand, "x", x0, constant_along="t")
     return _field(fid, {"variant": variant, "x0": x0}, u, v)
 
 

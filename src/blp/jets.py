@@ -158,6 +158,9 @@ class _Tables(series.Layout):
         self.derive_scale = [
             np.asarray([e[a] + 1 for e in lower], dtype=float)
             for a in range(3)]
+        # the jets of t, x and y less their values: entries 1, 2, 3 are
+        # the monomials t, x, y
+        self.coordinate_rows = np.eye(3, self.size, 1)
 
 
 _TABLES: dict[int, _Tables] = {}
@@ -202,12 +205,8 @@ class Jet3:
     def variable(which: str, base: Point, order: int) -> "Jet3":
         _check_point(base)
         axis = _AXES[which]
-        c = np.zeros(jet_size(order))
+        c = _tables(order).coordinate_rows[axis].copy()
         c[0] = base[axis]
-        if order >= 1:
-            e = [0, 0, 0]
-            e[axis] = 1
-            c[_tables(order).index[tuple(e)]] = 1.0
         return _jet(base, order, c)
 
     # -- basics ----------------------------------------------------------
@@ -354,9 +353,14 @@ def derive(a: Jet3, which: str) -> Jet3:
 
 
 def coordinate_jets(p: Point, order: int) -> tuple[Jet3, Jet3, Jet3]:
-    return (lift_variable("t", p, order),
-            lift_variable("x", p, order),
-            lift_variable("y", p, order))
+    """The jets of t, x and y at ``p``, with one check of the point."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    _check_point(p)
+    rows = _tables(order).coordinate_rows.copy()
+    rows[:, 0] = p
+    return _jet(p, order, rows[0]), _jet(p, order, rows[1]), \
+        _jet(p, order, rows[2])
 
 
 def restrict(a: Jet3, axis: str, at: Point) -> Jet3:

@@ -8,9 +8,11 @@ or vector-valued; the error estimate is the usual |K15 - G7| panel bound.
 :func:`integrate_field_along` lifts an axis-parallel line integral of a
 jet-evaluable field to a jet: the coefficients that carry powers of the
 integration axis follow from the fundamental theorem of calculus, and the
-remaining slice is integrated coefficient-wise.  :func:`integrate_xt_path`
-is the two-leg path integral of a potential whose x- and t-derivatives
-are known.
+remaining slice is integrated coefficient-wise.  :func:`line_integral`
+caches such integrals, one jet per grid line for an integrand constant
+along that line, and keeps a bounded number of lines.  :func:`xt_path`,
+built once per field, is the two-leg path integral of a potential whose
+x- and t-derivatives are known; its t-leg is a line integral.
 
 Refinement stops early when it no longer pays: the roundoff detection of
 QUADPACK (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, *QUADPACK*,
@@ -30,7 +32,7 @@ import numpy as np
 from .jets import BLPError, Jet3, JetMap, Point, jet_size, restrict, _tables
 
 __all__ = ["QuadratureError", "gauss_kronrod_15", "adaptive_quadrature",
-           "integrate_field_along", "integrate_xt_path"]
+           "integrate_field_along", "line_integral", "xt_path"]
 
 
 class QuadratureError(BLPError, ArithmeticError):
@@ -216,20 +218,59 @@ def integrate_field_along(field: JetMap, axis: str, lower: float,
     return Jet3(p, order, out)
 
 
-def integrate_xt_path(x_integrand: JetMap, t_integrand: JetMap, base: Point,
-                      p: Point, order: int, tol: float = 1e-10) -> Jet3:
-    """Jet at ``p`` of the potential F with F_x = f and F(t, x0, y) given
-    by its t-derivative g on the line x = x0:
+#: grid lines whose integral one :func:`line_integral` keeps
+_LINES_KEPT = 4096
+
+
+def line_integral(integrand: JetMap, axis: str, lower: float,
+                  constant_along: str, tol: float = 1e-10) -> JetMap:
+    """``integrate_field_along(integrand, axis, lower, p, n, tol)`` for an
+    integrand that does not depend on the coordinate ``constant_along``.
+
+    The integral is then one jet all along each grid line in that
+    direction.  Each line keeps its jet at the highest order computed on
+    it and answers a lower order by truncation (the :func:`jets.last_point`
+    rule, per line); a failed integral is never kept.  At most
+    ``_LINES_KEPT`` lines are kept; the one first computed longest ago
+    goes first.
+    """
+    skip = _AXIS_NUM[constant_along]
+    known: dict = {}
+
+    def integral(p: Point, n: int) -> Jet3:
+        line = tuple(c for i, c in enumerate(p) if i != skip)
+        size = jet_size(n)
+        co = known.get(line)
+        if co is None or len(co) < size:
+            co = integrate_field_along(integrand, axis, lower, p, n,
+                                       tol).coeffs
+            if line not in known and len(known) >= _LINES_KEPT:
+                del known[next(iter(known))]
+            known[line] = co
+        return Jet3(p, n, co[:size])
+    return integral
+
+
+def xt_path(x_integrand: JetMap, t_integrand: JetMap, base: Point,
+            tol: float = 1e-10) -> JetMap:
+    """Jet map of the potential F with F_x = f and F(t, x0, y) given by
+    its t-derivative g on the line x = x0:
 
         F(t, x, y) = int_x0^x f(t, x', y) dx' + int_t0^t g(t', x0, y) dt',
 
     with ``(t0, x0) = (base.t, base.x)``.  ``t_integrand`` is asked on
     that line only, and its jet is restricted to it, so the second leg
-    does not depend on x.
+    does not depend on x: it is one :func:`line_integral` per (t, y)
+    line, shared by every point on it.  Build the map once per field.
     """
     def on_base_line(q: Point, n: int) -> Jet3:
         g = t_integrand(Point(q.t, base.x, q.y), n)
         return restrict(g, "x", q)
 
-    return (integrate_field_along(x_integrand, "x", base.x, p, order, tol)
-            + integrate_field_along(on_base_line, "t", base.t, p, order, tol))
+    t_leg = line_integral(on_base_line, "t", base.t, constant_along="x",
+                          tol=tol)
+
+    def path(p: Point, n: int) -> Jet3:
+        return (integrate_field_along(x_integrand, "x", base.x, p, n, tol)
+                + t_leg(p, n))
+    return path

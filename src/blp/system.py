@@ -27,8 +27,7 @@ import numpy as np
 from . import jets
 from .exprdsl import Expr
 from .jets import DomainError, Jet3, JetMap, Point, UndefinedHere
-from .quadrature import (QuadratureError, integrate_field_along,
-                         integrate_xt_path)
+from .quadrature import QuadratureError, integrate_field_along, xt_path
 
 __all__ = [
     "SolutionField", "ResidualReport", "GaugeError",
@@ -294,6 +293,8 @@ def convert(s: SolutionField, to: str, basepoint: Point,
     """
     if to == s.coords:
         return s
+    if not {s.coords, to} <= {"UV", "UQ", "UW"}:
+        raise ValueError(f"unsupported conversion {s.coords} -> {to}")
     u0, second = s.u, s.v
 
     def guard(fn):
@@ -305,45 +306,31 @@ def convert(s: SolutionField, to: str, basepoint: Point,
                     from exc
         return wrapped
 
-    if s.coords == "UV" and to == "UW":
-        return s.with_meta(v=s.v_x, coords="UW")
-
-    if s.coords == "UQ" and to == "UW":
-        def w(p: Point, n: int) -> Jet3:
+    # w = v_x, the second component of the (u,w) form
+    if s.coords == "UV":
+        w_map = s.v_x
+    elif s.coords == "UQ":
+        def w_map(p: Point, n: int) -> Jet3:
             return second(p, n + 1).derive("y")
-        return s.with_meta(v=w, coords="UW")
+    else:
+        w_map = second
 
-    if s.coords == "UV" and to == "UQ":
+    if to == "UW":
+        return s.with_meta(v=w_map, coords="UW")
+
+    if to == "UQ":
         def q(p: Point, n: int) -> Jet3:
-            return integrate_field_along(guard(s.v_x), "y", basepoint.y, p,
+            return integrate_field_along(guard(w_map), "y", basepoint.y, p,
                                          n, tol=tol)
         return s.with_meta(v=q, coords="UQ")
 
-    if s.coords in ("UQ", "UW") and to == "UV":
-        if s.coords == "UQ":
-            def w_map(pp: Point, nn: int) -> Jet3:
-                return second(pp, nn + 1).derive("y")
-        else:
-            w_map = second
+    def v_t(p: Point, n: int) -> Jet3:
+        wj = w_map(p, n + 1)
+        return wj.derive("x") + 2.0 * (u0(p, n) * wj.truncate(n))
 
-        def v_t(p: Point, n: int) -> Jet3:
-            wj = w_map(p, n + 1)
-            return wj.derive("x") + 2.0 * (u0(p, n) * wj.truncate(n))
-
-        def v(p: Point, n: int) -> Jet3:
-            # v = int_x0^x w dx' + int_t0^t (w_x + 2 u w)|_(t',x0,y) dt'
-            return integrate_xt_path(guard(w_map), guard(v_t), basepoint,
-                                     p, n, tol=tol)
-
-        return s.with_meta(v=v, v_x=w_map, coords="UV")
-
-    if s.coords == "UW" and to == "UQ":
-        def q(p: Point, n: int) -> Jet3:
-            return integrate_field_along(guard(second), "y", basepoint.y,
-                                         p, n, tol=tol)
-        return s.with_meta(v=q, coords="UQ")
-
-    raise ValueError(f"unsupported conversion {s.coords} -> {to}")
+    # v = int_x0^x w dx' + int_t0^t (w_x + 2 u w)|_(t',x0,y) dt'
+    v = xt_path(guard(w_map), guard(v_t), basepoint, tol=tol)
+    return s.with_meta(v=v, v_x=w_map, coords="UV")
 
 
 # ----------------------------------------------------------------------

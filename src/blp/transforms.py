@@ -52,7 +52,7 @@ import numpy as np
 from . import jets, series
 from .exprdsl import Bin, Call, Expr, Num, eval_jet, eval_series, parse
 from .jets import DomainError, Jet3, JetMap, Point, UndefinedHere, last_point
-from .quadrature import integrate_field_along, integrate_xt_path
+from .quadrature import integrate_field_along, xt_path
 from .system import SolutionField, covering_residual
 
 __all__ = [
@@ -333,10 +333,7 @@ def _uv_path_integrals(s: SolutionField, base: Point):
         return ((uj * uj).truncate(n + 1) - uj.derive("x")).derive("y") \
             + 2.0 * s.v_x(p, n + 1).derive("x")
 
-    def path(p: Point, n: int) -> Jet3:
-        return integrate_xt_path(u_y, p_t, base, p, n)
-
-    return u_y, path
+    return u_y, xt_path(u_y, p_t, base)
 
 
 def laplace_forward_uv(s: SolutionField, base: Point) -> SolutionField:
@@ -730,8 +727,10 @@ def covering_solutions_for_constraint(
             return (th.truncate(n) * f.derive("x")
                     - th.derive("x") * f.truncate(n))
 
+        path = xt_path(x_integrand, t_integrand, base)
+
         def psi(p, n):
-            acc = integrate_xt_path(x_integrand, t_integrand, base, p, n)
+            acc = path(p, n)
             if zeta is not None:
                 acc = acc + zeta_jet(p, n)
             return acc / phi_map(p, n)

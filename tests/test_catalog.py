@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from blp import catalog, jets
+from blp import catalog, jets, quadrature
 from blp.catalog import (
     BadBinding, HeatWitness, UnknownFamily, WitnessViolation,
     combine_witnesses, heat_witness_library, instantiate, list_families,
@@ -245,13 +245,13 @@ def test_bernoulli_one_line_integral_per_line(monkeypatch):
     # psi~ depends on (t, y) only: u (omega at order 5) and v (order 4)
     # share one integral per (t, y) line of the 5^3 grid
     calls = [0]
-    integrate = catalog.integrate_field_along
+    integrate = quadrature.integrate_field_along
 
     def counted(*args, **kw):
         calls[0] += 1
         return integrate(*args, **kw)
 
-    monkeypatch.setattr(catalog, "integrate_field_along", counted)
+    monkeypatch.setattr(quadrature, "integrate_field_along", counted)
     s = instantiate("F_UXX_BERNOULLI", {})
     grid = grid_for("F_UXX_BERNOULLI", 5)
     rep = residual_report(s, grid)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from blp import catalog, system
+from blp import catalog, quadrature, system
 from blp.cli import main
 from blp.jets import Jet3
 
@@ -174,6 +174,49 @@ def test_transform_laplace_fwd_uv_on_family(capsys):
          "--base", "[1.0, 0.0, 0.5]"], capsys)
     assert code == 0, out
     assert json.loads(out)["passed"]
+
+
+_PATH_CHAINS = {
+    # a DT1 dressing by a u_y=q_y eigenfunction, whose psi is a path
+    # integral
+    "dt1_u_y=q_y": [
+        "--family", "seed_uyqy", "--param",
+        'Phi={"kind": "plane_exp", "k": 1.0}', "--chain", json.dumps([{
+            "op": "dt1",
+            "phi": {"constraint": "u_y=q_y", "zeta": "y",
+                    "theta": {"kind": "plane_exp", "k": 1.0,
+                              "direction": "backward"},
+                    "witness": {"kind": "plane_exp", "k": 1.0}}}]),
+        "--grid", json.dumps({"t": [0.5, 1.0, 3], "x": [0.3, 0.9, 3],
+                              "y": [0.4, 1.0, 3]}), "--tol", "1e-6"],
+    # a (u,v) Laplace image, whose v is a path integral
+    "laplace_fwd_uv": [
+        "--family", "F_VXXX_1", "--param", "alpha=sin(y)",
+        "--param", "beta=2+cos(y)", "--param", "gamma=y",
+        "--param", "delta=1", "--chain", '[{"op": "laplace_fwd_uv"}]',
+        "--grid", json.dumps({"t": [0.9, 1.3, 3], "x": [0.4, 1.0, 3],
+                              "y": [0.4, 0.9, 3]}),
+        "--tol", "1e-6", "--base", "[1.0, 0.0, 0.5]"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PATH_CHAINS))
+def test_transform_stdout_does_not_depend_on_the_line_cache(
+        name, monkeypatch, capsys):
+    # path integrals share their t-leg along grid lines; the report is
+    # byte for byte the one of every line integrated afresh at every point
+    args = ["transform"] + _PATH_CHAINS[name]
+    cached = run_cli(args, capsys)
+
+    def fresh(integrand, axis, lower, constant_along, tol=1e-10):
+        def integral(p, n):
+            return quadrature.integrate_field_along(integrand, axis, lower,
+                                                    p, n, tol)
+        return integral
+
+    monkeypatch.setattr(quadrature, "line_integral", fresh)
+    assert cached[0] == 0 and json.loads(cached[1])["passed"]
+    assert run_cli(args, capsys)[:2] == cached[:2]
 
 
 def test_threads_env(monkeypatch, capsys):

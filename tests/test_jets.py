@@ -33,6 +33,17 @@ def test_lift_y():
     assert j.extract((0, 0, 2)) == 0.0
 
 
+@pytest.mark.parametrize("order", [0, 3, 6])
+def test_coordinate_jets_are_the_lifted_variables(order):
+    p = Point(0.3, -0.7, 1.1)
+    for axis, jet in zip("txy", jets.coordinate_jets(p, order)):
+        lifted = lift_variable(axis, p, order)
+        assert jet.base == p and jet.order == order
+        assert jet.coeffs.tobytes() == lifted.coeffs.tobytes()
+    with pytest.raises(ValueError):
+        jets.coordinate_jets(Point(0.3, math.inf, 1.1), order)
+
+
 def test_mul_square_of_t():
     j = lift_variable("t", Point(2.0, 0.0, 0.0), 1)
     sq = mul(j, j)

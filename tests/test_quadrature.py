@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from blp import jets
+from blp import jets, quadrature
 from blp.jets import Point
 from blp.quadrature import (
     QuadratureError, adaptive_quadrature, gauss_kronrod_15,
-    integrate_field_along, integrate_xt_path,
+    integrate_field_along, line_integral, xt_path,
 )
 from conftest import central_diff
 
@@ -83,11 +83,97 @@ def test_integrate_xt_path():
         return F(t, x, y) - F(base.t, base.x, y)
 
     p = Point(0.8, -0.5, 0.7)
-    P = integrate_xt_path(f_x, f_t, base, p, 3)
+    P = xt_path(f_x, f_t, base)(p, 3)
     for m in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0),
               (0, 1, 1), (1, 0, 1), (2, 0, 0), (0, 0, 2), (1, 1, 1)]:
         assert P.extract(m) == pytest.approx(
             central_diff(h, p, m), rel=1e-6, abs=1e-6), m
+
+
+def _field_t_y(p, n):
+    # depends on t and y only
+    t, _, y = jets.coordinate_jets(p, n)
+    return jets.exp(0.5 * t) * y + t * y * y
+
+
+def test_line_integral_truncates_a_higher_order_bit_for_bit():
+    # a lower order after a higher one, elsewhere on the same x line,
+    # equals a fresh lower-order integral bit for bit
+    integral = line_integral(_field_t_y, "t", -0.4, constant_along="x")
+    high = integral(Point(0.9, 0.3, 0.6), 6)
+    assert high.coeffs.tobytes() == integrate_field_along(
+        _field_t_y, "t", -0.4, Point(0.9, 0.3, 0.6), 6).coeffs.tobytes()
+    for n in range(6):
+        p = Point(0.9, -1.2 + 0.1 * n, 0.6)
+        low = integral(p, n)
+        fresh = integrate_field_along(_field_t_y, "t", -0.4, p, n)
+        assert low.base == p and low.order == n
+        assert low.coeffs.tobytes() == fresh.coeffs.tobytes(), n
+
+
+def test_line_integral_keeps_at_most_lines_kept(monkeypatch):
+    calls = []
+    integrate = quadrature.integrate_field_along
+
+    def counted(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(quadrature, "integrate_field_along", counted)
+    monkeypatch.setattr(quadrature, "_LINES_KEPT", 2)
+    integral = line_integral(_field_t_y, "t", -0.4, constant_along="x")
+    a, b, c = (Point(0.9, 0.1, y) for y in (0.2, 0.5, 0.8))
+    for p in (a, b, a._replace(x=0.7), b._replace(x=-0.3)):
+        integral(p, 3)
+    assert len(calls) == 2
+    integral(c, 3)           # a third line evicts the first
+    assert len(calls) == 3
+    integral(b, 3)
+    integral(c._replace(x=2.0), 3)
+    assert len(calls) == 3
+    integral(a, 3)
+    assert len(calls) == 4
+
+
+def test_line_integral_never_keeps_a_failure():
+    asked = [0]
+
+    def undefined(p, n):
+        asked[0] += 1
+        raise jets.UndefinedHere("nowhere defined")
+
+    integral = line_integral(undefined, "t", 0.0, constant_along="x")
+    for _ in range(2):
+        with pytest.raises(jets.UndefinedHere):
+            integral(Point(0.5, 0.1, 0.2), 2)
+    assert asked[0] == 2
+
+
+def test_xt_path_shares_the_t_leg_bit_for_bit():
+    # at points that share (t, y), every order from 0 to 6 in both
+    # directions: the sum of the two legs, each integrated afresh
+    base = Point(-0.3, 0.4, 2.0)
+
+    def f_x(p, n):
+        t, x, y = jets.coordinate_jets(p, n)
+        return jets.sin(t * y) + x * y
+
+    def f_t(p, n):
+        t, x, y = jets.coordinate_jets(p, n)
+        return y * jets.cos(t * y) * x + 2.0 * t * y
+
+    def on_line(q, n):
+        return jets.restrict(f_t(Point(q.t, base.x, q.y), n), "x", q)
+
+    path = xt_path(f_x, f_t, base)
+    orders = list(range(7)) + list(range(6, -1, -1))
+    for k, n in enumerate(orders):
+        p = Point(0.8, -0.5 + 0.1 * k, 0.7)
+        want = (integrate_field_along(f_x, "x", base.x, p, n)
+                + integrate_field_along(on_line, "t", base.t, p, n))
+        got = path(p, n)
+        assert got.base == p and got.order == n
+        assert got.coeffs.tobytes() == want.coeffs.tobytes(), n
 
 
 def test_integrate_field_along_t():

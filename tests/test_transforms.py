@@ -895,3 +895,28 @@ def test_singular_wronskian_point_is_skipped():
         field.u(PTS[0], 0)
     rep = residual_report(field, PTS)
     assert rep.skipped == len(PTS) and rep.rows == []
+
+
+def test_u_y_q_y_eigenfunction_runs_one_t_leg_per_grid_line(monkeypatch):
+    # psi's path integral has an x-leg per point and a t-leg per (t, y)
+    # line: n^3 + n^2 integrals on an n^3 grid, not 2 n^3
+    calls = [0]
+    integrate = quadrature.integrate_field_along
+
+    def counted(*args, **kw):
+        calls[0] += 1
+        return integrate(*args, **kw)
+
+    monkeypatch.setattr(quadrature, "integrate_field_along", counted)
+    seed = uq_seed(_PhiW, constraint="u_y=q_y")
+    eig = covering_solutions_for_constraint(
+        "u_y=q_y", seed, _PhiW, theta=_THETAS[0], zeta=lambda yj: yj,
+        probe_points=(Point(0.55, 0.25, 0.35), Point(0.65, -0.15, 0.95)))
+    n = 3
+    axis = np.linspace(0.0, 1.0, n)
+    grid = [Point(0.7 + 0.4 * t, 0.1 + 0.4 * x, 0.4 + 0.4 * y)
+            for t in axis for x in axis for y in axis]
+    calls[0] = 0
+    for p in grid:
+        eig.phi(p, 2)
+    assert calls[0] == n ** 3 + n ** 2
