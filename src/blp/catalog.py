@@ -6,6 +6,26 @@ checker can differentiate them exactly.  Families parameterized by
 solutions of the (1+1)-dimensional heat equation consume a
 :class:`HeatWitness`, which carries its own verification probe.
 
+Each family declares a parameter once, in its :class:`FamilyDescriptor`:
+``required_params`` gives its kind and ``defaults`` its default, a value
+a caller could pass.  :func:`instantiate` alone turns a binding, or the
+default of a parameter left unbound or bound to None, into the value the
+constructor reads, by kind: ``expr_of_t``, ``expr_of_x`` and
+``expr_of_y`` take an ``Expr``, expression text or a number (not a
+bool), read by ``exprdsl.as_expr``; ``real`` takes a finite number,
+``sign`` ±1 and ``flag01`` 0 or 1, each read as a float; ``pair`` and
+``triple`` take two or three finite numbers, read as a tuple;
+``heat_witness_forward`` and ``heat_witness_backward`` take a
+:class:`HeatWitness` of that direction or a spec dict for
+:func:`heat_witness_library`, such as ``{"kind": "plane_exp", "k": 1.0}``,
+which gets the kind's direction unless it names one, and the witness
+must pass its heat-equation probe; ``jet_map`` takes a callable
+``(point, order) -> Jet3``; a kind ``a|b``, such as ``sinh|cosh``, takes
+one of the listed words.  A rejected binding raises :class:`BadBinding`
+naming the parameter, or :class:`WitnessViolation` for a witness that
+fails its probe.  Bindings given in Python and ``--param`` values of the
+command line take the same path.
+
 Formula corrections relative to common transcriptions are documented in
 the test-suite; every family here passes the residual gate at build time
 of the tests.
@@ -15,16 +35,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import jets, series
-from .exprdsl import Expr, Num, eval_jet, parse
+from .exprdsl import Expr, Num, as_expr, eval_jet, parse
 from .jets import BadInput, DomainError, Jet3, JetMap, Point
 from .quadrature import (_LINES_KEPT, QuadratureError, adaptive_quadrature,
                          line_integral)
-from .system import SolutionField
+from .system import SolutionField, residual_sup
 
 __all__ = [
     "FamilyDescriptor", "HeatWitness", "UnknownFamily", "BadBinding",
@@ -70,15 +91,15 @@ class HeatWitness:
         return Jet3.constant(float(self.H), p, n)
 
     def probe(self, pts: Sequence[Point], order: int = 2) -> float:
-        worst = 0.0
+        """Largest heat-equation residual over ``pts``; NaN if any is."""
         sign = 1.0 if self.direction == "forward" else -1.0
+        rs = []
         for p in pts:
             f = self.Phi(p, order + 2)
             h = self.h_jet(p, order)
-            r = (f.extract((1, 0, 0)) - sign * f.extract((0, 2, 0))
-                 + sign * h.value * f.value)
-            worst = max(worst, abs(r))
-        return worst
+            rs.append(abs(f.extract((1, 0, 0)) - sign * f.extract((0, 2, 0))
+                          + sign * h.value * f.value))
+        return residual_sup(rs)
 
 
 _PROBE_GRID = [Point(0.2 + 0.3 * i, -0.4 + 0.37 * j, 0.1 + 0.45 * k)
@@ -92,7 +113,7 @@ def _require_witness(w: HeatWitness, direction: str, pts=None) -> HeatWitness:
         raise BadBinding(f"witness direction {w.direction!r}, "
                          f"need {direction!r}")
     r = w.probe(pts or _PROBE_GRID)
-    if r > 1e-9:
+    if not r <= 1e-9:
         raise WitnessViolation(f"heat-equation probe residual {r:g}")
     return w
 
@@ -169,7 +190,7 @@ def combine_witnesses(witnesses: Sequence[HeatWitness],
     """
     if len(witnesses) != len(coeffs):
         raise BadBinding("one coefficient per witness required")
-    coeffs = [parse(c, "y") if isinstance(c, str) else c for c in coeffs]
+    coeffs = [as_expr(c, "y") for c in coeffs]
     direction = witnesses[0].direction
     if any(w.direction != direction for w in witnesses):
         raise BadBinding("cannot mix forward and backward witnesses")
@@ -179,9 +200,7 @@ def combine_witnesses(witnesses: Sequence[HeatWitness],
     def phi(p: Point, n: int) -> Jet3:
         acc = Jet3.constant(0.0, p, n)
         for w, c in zip(witnesses, coeffs):
-            cj = eval_jet(c, "y", p, n) if isinstance(c, Expr) \
-                else Jet3.constant(float(c), p, n)
-            acc = acc + cj * w.Phi(p, n)
+            acc = acc + eval_jet(c, "y", p, n) * w.Phi(p, n)
         return acc
 
     label = "+".join(w.label for w in witnesses)
@@ -209,6 +228,8 @@ def _no_bindings(rng) -> dict:
 class FamilyDescriptor:
     """Metadata of one family, declared next to its constructor.
 
+    ``required_params`` gives each parameter's (name, kind) and
+    ``defaults`` its default, stored as a caller would pass it;
     ``box`` is a (t, x, y) sampling box on which the family's charts are
     healthy; ``sampler(rng)`` draws random but chart-safe bindings for
     randomized residual sweeps.
@@ -221,16 +242,8 @@ class FamilyDescriptor:
     box: tuple = _COMMON_BOX
     sampler: Callable = field(default=_no_bindings, repr=False,
                               compare=False)
-
-
-def _exprify(value, var: str) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, str):
-        return parse(value, var)
-    if isinstance(value, (int, float)):
-        return Num(float(value), var)
-    raise BadBinding(f"cannot interpret {value!r} as an expression of {var}")
+    defaults: Mapping = field(default_factory=dict, repr=False,
+                              compare=False)
 
 
 def _jy(e: Expr, p: Point, n: int) -> Jet3:
@@ -242,6 +255,9 @@ def _jt(e: Expr, p: Point, n: int) -> Jet3:
 
 
 MARGIN = 0.15
+
+#: the denominator rule of the catalog's charts, band MARGIN unless given
+_guard = partial(jets.check_denominator, band=MARGIN)
 
 _Y_POOL = ["sin(y)", "0.3*y", "0.2*y^2", "cos(y)", "0.5+0.1*y",
            "exp(0.2*y)"]
@@ -265,6 +281,11 @@ _FAMILIES: dict[str, tuple] = {}
 
 
 def _register(desc: FamilyDescriptor):
+    for _, kind in desc.required_params:
+        _resolver(kind)
+    if set(desc.defaults) != {name for name, _ in desc.required_params}:
+        raise ValueError(f"{desc.id}: one default per parameter")
+
     def deco(fn):
         _FAMILIES[desc.id] = (fn, desc)
         return fn
@@ -282,48 +303,117 @@ def finite_real(value) -> bool:
             and math.isfinite(value))
 
 
-#: binding kinds checked on instantiation: one number, or a tuple of them
-_NUMBER_KINDS = ("real", "sign", "flag01")
-_TUPLE_SIZES = {"pair": 2, "triple": 3}
+# -- binding kinds: each resolver returns the value a constructor reads ------
+
+def _expression(var: str):
+    return lambda value: as_expr(value, var)
 
 
-def _check_binding(name: str, kind: str, value):
-    """``value`` as a binding of ``kind``; a pair or triple becomes a tuple."""
-    size = _TUPLE_SIZES.get(kind)
-    if size is not None:
+def _number(choices=None):
+    def resolve(value):
+        if finite_real(value) and (choices is None or value in choices):
+            return float(value)
+        want = " or ".join(map(str, choices)) if choices \
+            else "a finite number"
+        raise BadBinding(f"expected {want}, got {value!r}")
+    return resolve
+
+
+def _numbers(size: int):
+    def resolve(value):
         if isinstance(value, (list, tuple)) and len(value) == size \
                 and all(finite_real(z) for z in value):
             return tuple(value)
-        raise BadBinding(f"{name} must be {size} finite numbers, "
-                         f"got {value!r}")
-    if kind in _NUMBER_KINDS and not finite_real(value):
-        raise BadBinding(f"{name} must be a finite number, got {value!r}")
+        raise BadBinding(f"expected {size} finite numbers, got {value!r}")
+    return resolve
+
+
+def _witness(direction: str):
+    def resolve(value):
+        if isinstance(value, dict):
+            value = heat_witness_library(**{"direction": direction, **value})
+        return _require_witness(value, direction)
+    return resolve
+
+
+def _jet_map(value):
+    if not callable(value):
+        raise BadBinding(f"expected a jet map, got {value!r}")
     return value
+
+
+def _choice(choices: tuple):
+    def resolve(value):
+        if value in choices:
+            return value
+        raise BadBinding(f"expected one of {choices}, got {value!r}")
+    return resolve
+
+
+_RESOLVERS = {
+    "expr_of_t": _expression("t"), "expr_of_x": _expression("x"),
+    "expr_of_y": _expression("y"),
+    "real": _number(), "sign": _number((1, -1)), "flag01": _number((0, 1)),
+    "pair": _numbers(2), "triple": _numbers(3),
+    "heat_witness_forward": _witness("forward"),
+    "heat_witness_backward": _witness("backward"),
+    "jet_map": _jet_map,
+}
+
+
+def _resolver(kind: str) -> Callable:
+    rule = _RESOLVERS.get(kind)
+    if rule is None and "|" in kind:
+        rule = _choice(tuple(kind.split("|")))
+    if rule is None:
+        raise ValueError(f"no rule resolves the parameter kind {kind!r}")
+    return rule
 
 
 def instantiate(family_id: str, bindings: dict) -> SolutionField:
     """Build a solution field from a family id and parameter bindings.
 
-    Bindings are checked against their declared kinds; a binding of None
-    stands for the family's default.
+    Every declared parameter is resolved by its kind, from its binding or,
+    where that is missing or None, from the family's default.
     """
     try:
         ctor, desc = _FAMILIES[family_id]
     except KeyError:
         raise UnknownFamily(family_id) from None
-    kinds = dict(desc.required_params)
-    extra = set(bindings) - set(kinds)
+    extra = set(bindings) - set(desc.defaults)
     if extra:
         raise BadBinding(f"unknown parameters {sorted(extra)} "
                          f"for {family_id}")
-    return ctor(family_id, {name: _check_binding(name, kinds[name], value)
-                            for name, value in bindings.items()
-                            if value is not None})
+    resolved = {}
+    for name, kind in desc.required_params:
+        value = bindings.get(name)
+        if value is None:
+            value = desc.defaults[name]
+        if value is not None:
+            try:
+                value = _resolver(kind)(value)
+            except WitnessViolation:
+                raise
+            except (TypeError, ValueError) as exc:
+                raise BadBinding(f"{name}: {exc}") from exc
+        resolved[name] = value
+    return ctor(family_id, resolved)
 
 
 def _field(fid, bindings, u, v, validity=lambda p: True) -> SolutionField:
+    """The field, with its resolved bindings shown as a report shows them:
+    an Expr by its text, a witness by its label; jet maps are not shown."""
+    params = {}
+    for name, value in bindings.items():
+        if isinstance(value, Expr):
+            value = value.pretty()
+        elif isinstance(value, HeatWitness):
+            value = value.label
+        elif callable(value):
+            continue
+        params[name] = value
     return SolutionField(u=u, v=v, coords="UV", family_id=fid,
-                         params=bindings, validity=validity)
+                         params=params, validity=validity)
 
 
 def default_box(family_id: str) -> tuple:
@@ -342,8 +432,7 @@ def _witness_off_zero(w: HeatWitness) -> JetMap:
     """``w.Phi``, raising DomainError near the witness's zero set."""
     def phi(p, n):
         f = w.Phi(p, n)
-        if abs(f.value) < MARGIN * 0.2:
-            raise DomainError("witness zero")
+        _guard(f.value, 0.0, "witness zero", band=MARGIN * 0.2)
         return f
     return phi
 
@@ -354,11 +443,10 @@ def _witness_off_zero(w: HeatWitness) -> JetMap:
     "F_VX0", "UV", (("Phi", "heat_witness_backward"),),
     "v_x=0", "u=-Phi_x/Phi, v=0 with Phi_t+Phi_xx-H*Phi=0",
     sampler=lambda rng: {"Phi": heat_witness_library(
-        "plane_exp", k=float(rng.uniform(0.5, 1.5)), direction="backward")}))
+        "plane_exp", k=float(rng.uniform(0.5, 1.5)), direction="backward")},
+    defaults={"Phi": {"kind": "plane_exp", "k": 1.0}}))
 def _f_vx0(fid, b):
-    w = _require_witness(b.get("Phi") or heat_witness_library(
-        "plane_exp", k=1.0, direction="backward"), "backward")
-    phi = _witness_off_zero(w)
+    phi = _witness_off_zero(b["Phi"])
 
     def u(p, n):
         f = phi(p, n + 1)
@@ -366,7 +454,7 @@ def _f_vx0(fid, b):
 
     def v(p, n):
         return Jet3.constant(0.0, p, n)
-    return _field(fid, {"Phi": w.label}, u, v)
+    return _field(fid, b, u, v)
 
 
 # -- u_y = v_x: two-dimensional Hopf-Cole ----------------------------------
@@ -382,15 +470,11 @@ def _hopfcole_sample(rng) -> dict:
 @_register(FamilyDescriptor(
     "F_HOPFCOLE2D", "UV", (("Phi", "heat_witness_forward"),),
     "u_y=v_x", "u=Phi_x/Phi, v=Phi_y/Phi with Phi_t-Phi_xx+H*Phi=0",
-    sampler=_hopfcole_sample))
+    sampler=_hopfcole_sample,
+    defaults={"Phi": combine_witnesses(
+        [heat_witness_library("plane_exp", k=1.0)], ["1+y^2"])}))
 def _f_hopfcole(fid, b):
-    w = b.get("Phi")
-    if w is None:
-        w = combine_witnesses(
-            [heat_witness_library("plane_exp", k=1.0)],
-            [parse("1+y^2", "y")])
-    _require_witness(w, "forward")
-    phi = jets.last_point(_witness_off_zero(w))
+    phi = jets.last_point(_witness_off_zero(b["Phi"]))
 
     def u(p, n):
         f = phi(p, n + 1)
@@ -399,7 +483,7 @@ def _f_hopfcole(fid, b):
     def v(p, n):
         f = phi(p, n + 1)
         return f.derive("y") / f.truncate(n)
-    return _field(fid, {"Phi": w.label}, u, v)
+    return _field(fid, b, u, v)
 
 
 # -- stationary solutions with u_y = v_x, v != 0 ---------------------------
@@ -409,18 +493,17 @@ def _f_hopfcole(fid, b):
     "u_y=v_x stationary",
     "u=-zeta_xx/(2 zeta_x)+zeta_x/(y+zeta), v=1/(y+zeta)",
     sampler=lambda rng: {"zeta": _pick(rng, [
-        "exp(x)", "exp(0.7*x)", "x+0.2*x^3+4", "2*x+sin(x)+5"])}))
+        "exp(x)", "exp(0.7*x)", "x+0.2*x^3+4", "2*x+sin(x)+5"])},
+    defaults={"zeta": "exp(x)"}))
 def _f_statliouville(fid, b):
-    ze = _exprify(b.get("zeta", "exp(x)"), "x")
+    ze = b["zeta"]
 
     def parts(p, n):
         z = eval_jet(ze, "x", p, n + 2)
         z1 = z.derive("x")
-        if abs(z1.value) < MARGIN * 0.1:
-            raise DomainError("zeta_x too small")
+        _guard(z1.value, 0.0, "zeta_x too small", band=MARGIN * 0.1)
         den = jets.lift_variable("y", p, n) + z.truncate(n)
-        if abs(den.value) < MARGIN:
-            raise DomainError("y + zeta near zero")
+        _guard(den.value, 0.0, "y + zeta near zero")
         return z, z1, den
 
     def u(p, n):
@@ -431,7 +514,7 @@ def _f_statliouville(fid, b):
     def v(p, n):
         _, _, den = parts(p, n)
         return 1.0 / den
-    return _field(fid, {"zeta": ze.pretty()}, u, v)
+    return _field(fid, b, u, v)
 
 
 # -- u_y = 0 trio -----------------------------------------------------------
@@ -444,15 +527,15 @@ def _f_uy0_triv(fid, b):
 
     def v(p, n):
         return jets.lift_variable("x", p, n)
-    return _field(fid, {}, u, v)
+    return _field(fid, b, u, v)
 
 
 @_register(FamilyDescriptor(
     "F_UY0_QA", "UV", (("zeta", "expr_of_y"),),
     "u_y=0", "u=0, v=x^2+zeta(y)*x+2t",
-    sampler=lambda rng: {"zeta": _ypick(rng)}))
+    sampler=lambda rng: {"zeta": _ypick(rng)}, defaults={"zeta": "sin(y)"}))
 def _f_uy0_qa(fid, b):
-    ze = _exprify(b.get("zeta", "sin(y)"), "y")
+    ze = b["zeta"]
 
     def u(p, n):
         return Jet3.constant(0.0, p, n)
@@ -460,29 +543,27 @@ def _f_uy0_qa(fid, b):
     def v(p, n):
         t, x, _ = jets.coordinate_jets(p, n)
         return x * x + _jy(ze, p, n) * x + 2.0 * t
-    return _field(fid, {"zeta": ze.pretty()}, u, v)
+    return _field(fid, b, u, v)
 
 
 @_register(FamilyDescriptor(
     "F_UY0_QB", "UV", (("theta", "expr_of_t"),),
     "u_y=0", "u=(theta_t-1)/(2x), v=x^2+2*theta(t)",
     box=((0.2, 1.2), (0.6, 1.6), (0.1, 1.0)),
-    sampler=lambda rng: {"theta": _tpick(rng)}))
+    sampler=lambda rng: {"theta": _tpick(rng)}, defaults={"theta": "t^2"}))
 def _f_uy0_qb(fid, b):
-    th = _exprify(b.get("theta", "t^2"), "t")
+    th = b["theta"]
     dth = th.diff()
 
     def u(p, n):
         _, x, _ = jets.coordinate_jets(p, n)
-        if abs(p.x) < MARGIN:
-            raise DomainError("x near zero")
+        _guard(p.x, 0.0, "x near zero")
         return (_jt(dth, p, n) - 1.0) / (2.0 * x)
 
     def v(p, n):
         _, x, _ = jets.coordinate_jets(p, n)
         return x * x + 2.0 * _jt(th, p, n)
-    return _field(fid, {"theta": th.pretty()}, u, v,
-                  lambda p: abs(p.x) > MARGIN)
+    return _field(fid, b, u, v, lambda p: abs(p.x) > MARGIN)
 
 
 # -- v_xxx = 0 block --------------------------------------------------------
@@ -491,8 +572,7 @@ def _vx_parts(al, be, p, n):
     t, x, _ = jets.coordinate_jets(p, n)
     xi = x + _jy(al, p, n)
     T = t + _jy(be, p, n)
-    if abs(T.value) < MARGIN:
-        raise DomainError("t + beta near zero")
+    _guard(T.value, 0.0, "t + beta near zero")
     return xi, T
 
 
@@ -508,14 +588,11 @@ def _alpha_beta_gamma(rng) -> dict:
     "v_xxx=0",
     "u=-(x+alpha)/(2(t+beta)), v=delta*r^2+gamma*r-2delta/(t+beta)",
     sampler=lambda rng: {**_alpha_beta_gamma(rng),
-                         "delta": int(rng.integers(0, 2))}))
+                         "delta": int(rng.integers(0, 2))},
+    defaults={"alpha": "sin(y)", "beta": "2+cos(y)", "gamma": "y",
+              "delta": 1}))
 def _f_vxxx1(fid, b):
-    al = _exprify(b.get("alpha", "sin(y)"), "y")
-    be = _exprify(b.get("beta", "2+cos(y)"), "y")
-    ga = _exprify(b.get("gamma", "y"), "y")
-    de = float(b.get("delta", 1))
-    if de not in (0.0, 1.0):
-        raise BadBinding("delta must be 0 or 1")
+    al, be, ga, de = b["alpha"], b["beta"], b["gamma"], b["delta"]
 
     def u(p, n):
         xi, T = _vx_parts(al, be, p, n)
@@ -525,9 +602,7 @@ def _f_vxxx1(fid, b):
         xi, T = _vx_parts(al, be, p, n)
         r = xi / T
         return de * r * r + _jy(ga, p, n) * r - 2.0 * de / T
-    return _field(fid,
-                  {"alpha": al.pretty(), "beta": be.pretty(),
-                   "gamma": ga.pretty(), "delta": de}, u, v)
+    return _field(fid, b, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -537,35 +612,30 @@ def _f_vxxx1(fid, b):
     "u=-x/(2(t+beta))+theta/x, v=x^2/(t+beta)^2+2*int((2theta+1)/(t'+beta)^2)",
     box=((0.8, 1.4), (0.6, 1.6), (0.1, 1.0)),
     sampler=lambda rng: {"beta": "2+" + _ypick(rng), "theta": _tpick(rng),
-                         "t0": 1.0}))
+                         "t0": 1.0},
+    defaults={"beta": "2+cos(y)", "theta": "t", "t0": 1.0}))
 def _f_vxxx2(fid, b):
-    be = _exprify(b.get("beta", "2+cos(y)"), "y")
-    th = _exprify(b.get("theta", "t"), "t")
-    t0 = float(b.get("t0", 1.0))
+    be, th, t0 = b["beta"], b["theta"], b["t0"]
 
     def integrand(p, n):
         t, _, _ = jets.coordinate_jets(p, n)
         T = t + _jy(be, p, n)
-        if abs(T.value) < MARGIN:
-            raise DomainError("t + beta near zero on the path")
+        _guard(T.value, 0.0, "t + beta near zero on the path")
         return (2.0 * _jt(th, p, n) + 1.0) / (T * T)
 
     integral = line_integral(integrand, "t", t0, constant_along="x")
 
     def u(p, n):
-        if abs(p.x) < MARGIN:
-            raise DomainError("x near zero")
+        _guard(p.x, 0.0, "x near zero")
         t, x, _ = jets.coordinate_jets(p, n)
         T = t + _jy(be, p, n)
-        if abs(T.value) < MARGIN:
-            raise DomainError("t + beta near zero")
+        _guard(T.value, 0.0, "t + beta near zero")
         return -0.5 * x / T + _jt(th, p, n) / x
 
     def v(p, n):
         t, x, _ = jets.coordinate_jets(p, n)
         T = t + _jy(be, p, n)
-        if abs(T.value) < MARGIN:
-            raise DomainError("t + beta near zero")
+        _guard(T.value, 0.0, "t + beta near zero")
         return x * x / (T * T) + 2.0 * integral(p, n)
 
     def ok(p):
@@ -577,9 +647,7 @@ def _f_vxxx2(fid, b):
             return False
         lo, hi = min(t0, p.t), max(t0, p.t)
         return min(lo + bv, hi + bv) > MARGIN or max(lo + bv, hi + bv) < -MARGIN
-    return _field(fid,
-                  {"beta": be.pretty(), "theta": th.pretty(), "t0": t0},
-                  u, v, ok)
+    return _field(fid, b, u, v, ok)
 
 
 @_register(FamilyDescriptor(
@@ -588,18 +656,16 @@ def _f_vxxx2(fid, b):
     "v_xxx=0",
     "u=-(x+alpha)/(2(t+beta))-1/(x+alpha+gamma(t+beta)), "
     "v=(r+gamma)^2+2/(t+beta)",
-    sampler=_alpha_beta_gamma))
+    sampler=_alpha_beta_gamma,
+    defaults={"alpha": "sin(y)", "beta": "2+cos(y)", "gamma": "y"}))
 def _f_vxxx3(fid, b):
-    al = _exprify(b.get("alpha", "sin(y)"), "y")
-    be = _exprify(b.get("beta", "2+cos(y)"), "y")
-    ga = _exprify(b.get("gamma", "y"), "y")
+    al, be, ga = b["alpha"], b["beta"], b["gamma"]
 
     def parts(p, n):
         xi, T = _vx_parts(al, be, p, n)
         g = _jy(ga, p, n)
         om = xi + g * T
-        if abs(om.value) < MARGIN:
-            raise DomainError("pole line")
+        _guard(om.value, 0.0, "pole line")
         return xi, T, g, om
 
     def u(p, n):
@@ -610,19 +676,17 @@ def _f_vxxx3(fid, b):
         xi, T, g, om = parts(p, n)
         r = xi / T + g
         return r * r + 2.0 / T
-    return _field(fid,
-                  {"alpha": al.pretty(), "beta": be.pretty(),
-                   "gamma": ga.pretty()}, u, v)
+    return _field(fid, b, u, v)
 
 
 @_register(FamilyDescriptor(
     "F_VXXX_4", "UV", (("alpha", "expr_of_y"), ("gamma", "expr_of_y")),
     "v_xxx=0",
     "u=alpha, v=alpha*(x+2 alpha t)^2+gamma*(x+2 alpha t)-x",
-    sampler=lambda rng: {"alpha": _ypick(rng), "gamma": _ypick(rng)}))
+    sampler=lambda rng: {"alpha": _ypick(rng), "gamma": _ypick(rng)},
+    defaults={"alpha": "sin(y)", "gamma": "y"}))
 def _f_vxxx4(fid, b):
-    al = _exprify(b.get("alpha", "sin(y)"), "y")
-    ga = _exprify(b.get("gamma", "y"), "y")
+    al, ga = b["alpha"], b["gamma"]
 
     def u(p, n):
         return _jy(al, p, n)
@@ -632,23 +696,22 @@ def _f_vxxx4(fid, b):
         a = _jy(al, p, n)
         e = x + 2.0 * a * t
         return a * e * e + _jy(ga, p, n) * e - x
-    return _field(fid, {"alpha": al.pretty(), "gamma": ga.pretty()}, u, v)
+    return _field(fid, b, u, v)
 
 
 @_register(FamilyDescriptor(
     "F_VXXX_5", "UV", (("alpha", "expr_of_y"), ("beta", "expr_of_y")),
     "v_xxx=0",
     "u=alpha-1/(x+2 alpha t+beta), v=(x+2 alpha t+beta)^2-2t",
-    sampler=lambda rng: {"alpha": _ypick(rng), "beta": "3+" + _ypick(rng)}))
+    sampler=lambda rng: {"alpha": _ypick(rng), "beta": "3+" + _ypick(rng)},
+    defaults={"alpha": "sin(y)", "beta": "2+cos(y)"}))
 def _f_vxxx5(fid, b):
-    al = _exprify(b.get("alpha", "sin(y)"), "y")
-    be = _exprify(b.get("beta", "2+cos(y)"), "y")
+    al, be = b["alpha"], b["beta"]
 
     def om(p, n):
         t, x, _ = jets.coordinate_jets(p, n)
         w = x + 2.0 * _jy(al, p, n) * t + _jy(be, p, n)
-        if abs(w.value) < MARGIN:
-            raise DomainError("pole line")
+        _guard(w.value, 0.0, "pole line")
         return w
 
     def u(p, n):
@@ -658,7 +721,7 @@ def _f_vxxx5(fid, b):
         t, _, _ = jets.coordinate_jets(p, n)
         w = om(p, n)
         return w * w - 2.0 * t
-    return _field(fid, {"alpha": al.pretty(), "beta": be.pretty()}, u, v)
+    return _field(fid, b, u, v)
 
 
 # -- u_xx = v_4x = 0 pair ---------------------------------------------------
@@ -669,11 +732,10 @@ def _f_vxxx5(fid, b):
     "u_xx=0, v_4x=0",
     "u=12ty+alpha, v=E^3+(6t+gamma)E, E=x+12t^2 y+2t alpha+beta",
     sampler=lambda rng: {"alpha": _ypick(rng), "beta": _ypick(rng),
-                         "gamma": _ypick(rng)}))
+                         "gamma": _ypick(rng)},
+    defaults={"alpha": "sin(y)", "beta": "y", "gamma": "cos(y)"}))
 def _f_uxxv4x_a(fid, b):
-    al = _exprify(b.get("alpha", "sin(y)"), "y")
-    be = _exprify(b.get("beta", "y"), "y")
-    ga = _exprify(b.get("gamma", "cos(y)"), "y")
+    al, be, ga = b["alpha"], b["beta"], b["gamma"]
 
     def u(p, n):
         t, _, y = jets.coordinate_jets(p, n)
@@ -683,9 +745,7 @@ def _f_uxxv4x_a(fid, b):
         t, x, y = jets.coordinate_jets(p, n)
         e = x + 12.0 * t * t * y + 2.0 * t * _jy(al, p, n) + _jy(be, p, n)
         return e * e * e + (6.0 * t + _jy(ga, p, n)) * e
-    return _field(fid,
-                  {"alpha": al.pretty(), "beta": be.pretty(),
-                   "gamma": ga.pretty()}, u, v)
+    return _field(fid, b, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -695,19 +755,17 @@ def _f_uxxv4x_a(fid, b):
     "u_xx=0, v_4x=0",
     "u=-w/2+6/(t+beta), v=beta_y w^3+gamma w^2+lam w-6 beta_y w/(t+beta)"
     "-2 gamma/(t+beta); w=(x+alpha)/(t+beta)+12 ln|t+beta|/(t+beta)",
-    sampler=lambda rng: {**_alpha_beta_gamma(rng), "lam": _ypick(rng)}))
+    sampler=lambda rng: {**_alpha_beta_gamma(rng), "lam": _ypick(rng)},
+    defaults={"alpha": "sin(y)", "beta": "2+cos(y)", "gamma": "y",
+              "lam": "y^2"}))
 def _f_uxxv4x_b(fid, b):
-    al = _exprify(b.get("alpha", "sin(y)"), "y")
-    be = _exprify(b.get("beta", "2+cos(y)"), "y")
-    ga = _exprify(b.get("gamma", "y"), "y")
-    la = _exprify(b.get("lam", "y^2"), "y")
+    al, be, ga, la = b["alpha"], b["beta"], b["gamma"], b["lam"]
     dbe = be.diff()
 
     def parts(p, n):
         t, x, _ = jets.coordinate_jets(p, n)
         T = t + _jy(be, p, n)
-        if abs(T.value) < MARGIN:
-            raise DomainError("t + beta near zero")
+        _guard(T.value, 0.0, "t + beta near zero")
         w = (x + _jy(al, p, n)) / T \
             + 12.0 * jets.ln(jets.abs_signed(T)) / T
         return T, w
@@ -722,9 +780,7 @@ def _f_uxxv4x_b(fid, b):
         g = _jy(ga, p, n)
         return (by * w * w * w + g * w * w + _jy(la, p, n) * w
                 - 6.0 * by * w / T - 2.0 * g / T)
-    return _field(fid,
-                  {"alpha": al.pretty(), "beta": be.pretty(),
-                   "gamma": ga.pretty(), "lam": la.pretty()}, u, v)
+    return _field(fid, b, u, v)
 
 
 # -- u_xx = 0 Bernoulli branch ----------------------------------------------
@@ -741,20 +797,18 @@ def _f_uxxv4x_b(fid, b):
     sampler=lambda rng: {
         "beta": _pick(rng, ["-y", "-y-0.1*y^2", "-1.2*y"]),
         "alpha2": _ypick(rng), "alpha1": _ypick(rng),
-        "lam1": _ypick(rng), "lam0": _ypick(rng), "y0": -2.0}))
+        "lam1": _ypick(rng), "lam0": _ypick(rng), "y0": -2.0},
+    defaults={"beta": "-y", "alpha2": "0", "alpha1": "0", "lam1": "1",
+              "lam0": "0", "y0": -2.0}))
 def _f_uxx_bernoulli(fid, b):
-    be = _exprify(b.get("beta", "-y"), "y")
-    a2 = _exprify(b.get("alpha2", "0"), "y")
-    a1 = _exprify(b.get("alpha1", "0"), "y")
-    l1 = _exprify(b.get("lam1", "1"), "y")
-    l0 = _exprify(b.get("lam0", "0"), "y")
-    y0 = float(b.get("y0", -2.0))
+    be, a2, a1 = b["beta"], b["alpha2"], b["alpha1"]
+    l1, l0, y0 = b["lam1"], b["lam0"], b["y0"]
     dbe = be.diff()
 
     def chi_jet(p, n):
         t, _, _ = jets.coordinate_jets(p, n)
         ratio = _jy(dbe, p, n) / (t - _jy(be, p, n))
-        if ratio.value < MARGIN * 0.2:
+        if jets.below_band(ratio.value, MARGIN * 0.2):
             raise DomainError("beta_y/(t-beta) must stay positive")
         return 0.125 * jets.sqrt(ratio)
 
@@ -788,10 +842,7 @@ def _f_uxx_bernoulli(fid, b):
         return (w * w * w * w + (12.0 * c + A2) * w * w
                 + _jy(a1, p, n) * w + 2.0 * c * (6.0 * c + A2))
 
-    return _field(fid,
-                  {"beta": be.pretty(), "alpha2": a2.pretty(),
-                   "alpha1": a1.pretty(), "lam1": l1.pretty(),
-                   "lam0": l0.pretty(), "y0": y0}, u, v)
+    return _field(fid, b, u, v)
 
 
 # -- u = v -------------------------------------------------------------------
@@ -800,20 +851,19 @@ def _f_uxx_bernoulli(fid, b):
     "F_UEQV", "UV", (("alpha", "expr_of_y"),),
     "u=v", "u=v=1/(x+y)+(x+y)/(-2t+alpha)",
     box=((0.8, 1.6), (0.4, 1.2), (0.3, 1.1)),
-    sampler=lambda rng: {"alpha": "4+" + _ypick(rng)}))
+    sampler=lambda rng: {"alpha": "4+" + _ypick(rng)},
+    defaults={"alpha": "sin(y)"}))
 def _f_ueqv(fid, b):
-    al = _exprify(b.get("alpha", "sin(y)"), "y")
+    al = b["alpha"]
 
     def u(p, n):
         t, x, y = jets.coordinate_jets(p, n)
         z = x + y
-        if abs(z.value) < MARGIN:
-            raise DomainError("x + y near zero")
+        _guard(z.value, 0.0, "x + y near zero")
         den = _jy(al, p, n) - 2.0 * t
-        if abs(den.value) < MARGIN:
-            raise DomainError("alpha - 2t near zero")
+        _guard(den.value, 0.0, "alpha - 2t near zero")
         return 1.0 / z + z / den
-    return _field(fid, {"alpha": al.pretty()}, u, u)
+    return _field(fid, b, u, u)
 
 
 # -- reduction 2.9, elliptic and elementary branches ------------------------
@@ -911,25 +961,18 @@ def _r29_elliptic_sample(rng) -> dict:
     "u=phi(omega) with phi'^2=phi^4+2C0 phi^2+4 delta phi+C2; "
     "v=-int(phi^2)/2+phi/2-C0 omega/2+delta t",
     box=((0.1, 1.0), (0.25, 0.55), (0.3, 0.6)),
-    sampler=_r29_elliptic_sample))
+    sampler=_r29_elliptic_sample,
+    defaults={"C0": 1.0, "delta": 1.0, "C2": 3.0, "a": None,
+              "omega0": 1.0}))
 def _f_r29_elliptic(fid, b):
     from .specfun import QuarticODE, quartic_particular_solution
-    C0 = float(b.get("C0", 1.0))
-    delta = float(b.get("delta", 1.0))
-    C2 = float(b.get("C2", 3.0))
-    omega0 = float(b.get("omega0", 1.0))
+    C0, delta, C2, a, omega0 = (b[k] for k in ("C0", "delta", "C2", "a",
+                                               "omega0"))
     q = QuarticODE(1.0, 0.0, C0 / 3.0, delta, C2)
-    if "a" in b and b["a"] is not None:
-        a = float(b["a"])
-    elif C2 >= 0.0:
-        a = 0.0
-    else:
-        a = 2.0 * abs(C0) + abs(C2) + 1.0
+    if a is None:
+        a = 0.0 if C2 >= 0.0 else 2.0 * abs(C0) + abs(C2) + 1.0
     phi = quartic_particular_solution(q, a)
-    return _r29_field(
-        fid,
-        {"C0": C0, "delta": delta, "C2": C2, "a": a, "omega0": omega0},
-        phi, C0, delta, omega0, phi)
+    return _r29_field(fid, {**b, "a": a}, phi, C0, delta, omega0, phi)
 
 
 @_register(FamilyDescriptor(
@@ -941,21 +984,20 @@ def _f_r29_elem1(fid, b):
     def u(p, n):
         x, y = jets.lift_variable("x", p, n), jets.lift_variable("y", p, n)
         w = x + y
-        if abs(w.value - 1.0) < MARGIN or abs(w.value + 1.0) < MARGIN:
-            raise DomainError("pole at omega = +-1")
+        _guard(w.value - 1.0, 0.0, "pole at omega = +-1")
+        _guard(w.value + 1.0, 0.0, "pole at omega = +-1")
         return 1.0 / (w - 1.0) - 1.0 / (w + 1.0) + 0.5
 
     def v(p, n):
         t, x, y = jets.coordinate_jets(p, n)
         w = x + y
-        if abs(w.value - 1.0) < MARGIN:
-            raise DomainError("pole at omega = 1")
+        _guard(w.value - 1.0, 0.0, "pole at omega = 1")
         return 1.0 / (w - 1.0) + (w + t) / 4.0
 
     def ok(p):
         w = p.x + p.y
         return abs(w - 1.0) > MARGIN and abs(w + 1.0) > MARGIN
-    return _field(fid, {}, u, v, ok)
+    return _field(fid, b, u, v, ok)
 
 
 @_register(FamilyDescriptor(
@@ -964,9 +1006,10 @@ def _f_r29_elem1(fid, b):
     "u=4e^w/(4(e^w+kappa)^2-1)-kappa, "
     "v=-(2kappa-1)/(2e^w+2kappa-1)+((4kappa^2-1)/4)(w-2kappa t)",
     box=((0.1, 1.0), (0.2, 1.0), (0.3, 1.2)),
-    sampler=lambda rng: {"kappa": float(rng.uniform(0.4, 1.0))}))
+    sampler=lambda rng: {"kappa": float(rng.uniform(0.4, 1.0))},
+    defaults={"kappa": 0.7}))
 def _f_r29_elem2(fid, b):
-    ka = float(b.get("kappa", 0.7))
+    ka = b["kappa"]
 
     def parts(p, n):
         t, x, y = jets.coordinate_jets(p, n)
@@ -974,8 +1017,8 @@ def _f_r29_elem2(fid, b):
         E = jets.exp(w)
         d1 = 4.0 * (E + ka) * (E + ka) - 1.0
         d2 = 2.0 * E + 2.0 * ka - 1.0
-        if abs(d1.value) < MARGIN or abs(d2.value) < MARGIN:
-            raise DomainError("pole of the exponential branch")
+        _guard(d1.value, 0.0, "pole of the exponential branch")
+        _guard(d2.value, 0.0, "pole of the exponential branch")
         return t, w, E, d1, d2
 
     def u(p, n):
@@ -986,7 +1029,7 @@ def _f_r29_elem2(fid, b):
         t, w, _, _, d2 = parts(p, n)
         return (-(2.0 * ka - 1.0) / d2
                 + (4.0 * ka * ka - 1.0) / 4.0 * (w - 2.0 * ka * t))
-    return _field(fid, {"kappa": ka}, u, v)
+    return _field(fid, b, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -995,9 +1038,10 @@ def _f_r29_elem2(fid, b):
     "u=sin(nu)/(sin w+cos nu)+cot(nu)/2, "
     "v=(1-sin(w-nu))/(2cos(w-nu))+(w+t cot nu)/(4 sin^2 nu)",
     box=((0.1, 1.0), (0.2, 0.8), (0.3, 0.9)),
-    sampler=lambda rng: {"nu": float(rng.uniform(0.6, 1.2))}))
+    sampler=lambda rng: {"nu": float(rng.uniform(0.6, 1.2))},
+    defaults={"nu": 0.9}))
 def _f_r29_elem3(fid, b):
-    nu = float(b.get("nu", 0.9))
+    nu = b["nu"]
     if abs(math.sin(nu)) < 1e-9:
         raise BadBinding("sin(nu) must be nonzero")
     cot = math.cos(nu) / math.sin(nu)
@@ -1007,8 +1051,8 @@ def _f_r29_elem3(fid, b):
         w = x + y
         d1 = jets.sin(w) + math.cos(nu)
         d2 = jets.cos(w - nu)
-        if abs(d1.value) < MARGIN or abs(d2.value) < MARGIN:
-            raise DomainError("pole of the trigonometric branch")
+        _guard(d1.value, 0.0, "pole of the trigonometric branch")
+        _guard(d2.value, 0.0, "pole of the trigonometric branch")
         return t, w, d1, d2
 
     def u(p, n):
@@ -1019,7 +1063,7 @@ def _f_r29_elem3(fid, b):
         t, w, _, d2 = parts(p, n)
         return ((1.0 - jets.sin(w - nu)) / (2.0 * d2)
                 + (w + t * cot) / (4.0 * math.sin(nu) ** 2))
-    return _field(fid, {"nu": nu}, u, v)
+    return _field(fid, b, u, v)
 
 
 # -- reduction 2.2, elementary trio; tau = ln|x| + ln|y|/2 -------------------
@@ -1028,8 +1072,8 @@ def _f_r29_elem3(fid, b):
 
 def _tau(p, n):
     x, y = jets.lift_variable("x", p, n), jets.lift_variable("y", p, n)
-    if abs(p.x) < MARGIN or abs(p.y) < MARGIN:
-        raise DomainError("chart excludes the coordinate axes")
+    _guard(p.x, 0.0, "chart excludes the coordinate axes")
+    _guard(p.y, 0.0, "chart excludes the coordinate axes")
     return jets.ln(jets.abs_signed(x)) + 0.5 * jets.ln(jets.abs_signed(y)), x, y
 
 
@@ -1044,16 +1088,14 @@ def _eps1(rng) -> int:
     "F_R22_ELEM_1", "UV", (("eps1", "sign"),),
     "codim-2 reduction, tau=ln|x|+ln|y|/2",
     "u=-e1/(x tau)-e1/(2x), v=(1-e1)/(4y tau)+(1-2e1)/(16y)",
-    box=_R22_BOX, sampler=lambda rng: {"eps1": _eps1(rng)}))
+    box=_R22_BOX, sampler=lambda rng: {"eps1": _eps1(rng)},
+    defaults={"eps1": -1}))
 def _f_r22_elem1(fid, b):
-    e1 = float(b.get("eps1", -1))
-    if e1 not in (1.0, -1.0):
-        raise BadBinding("eps1 must be +1 or -1")
+    e1 = b["eps1"]
 
     def parts(p, n):
         tau, x, y = _tau(p, n)
-        if abs(tau.value) < MARGIN:
-            raise DomainError("tau near zero")
+        _guard(tau.value, 0.0, "tau near zero")
         return tau, x, y
 
     def u(p, n):
@@ -1063,7 +1105,7 @@ def _f_r22_elem1(fid, b):
     def v(p, n):
         tau, _, y = parts(p, n)
         return (1.0 - e1) / (4.0 * y * tau) + (1.0 - 2.0 * e1) / (16.0 * y)
-    return _field(fid, {"eps1": e1}, u, v)
+    return _field(fid, b, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -1073,12 +1115,10 @@ def _f_r22_elem1(fid, b):
     "v=-(1-e1)kappa tan(kappa tau)/(4y)+(1-2e1-4kappa^2)/(16y)",
     box=_R22_BOX,
     sampler=lambda rng: {"eps1": _eps1(rng),
-                         "kappa": float(rng.uniform(0.3, 0.8))}))
+                         "kappa": float(rng.uniform(0.3, 0.8))},
+    defaults={"eps1": -1, "kappa": 0.7}))
 def _f_r22_elem2(fid, b):
-    e1 = float(b.get("eps1", -1))
-    ka = float(b.get("kappa", 0.7))
-    if e1 not in (1.0, -1.0):
-        raise BadBinding("eps1 must be +1 or -1")
+    e1, ka = b["eps1"], b["kappa"]
 
     def parts(p, n):
         tau, x, y = _tau(p, n)
@@ -1094,7 +1134,7 @@ def _f_r22_elem2(fid, b):
         tn, _, y = parts(p, n)
         return (-(1.0 - e1) * ka * tn / (4.0 * y)
                 + (1.0 - 2.0 * e1 - 4.0 * ka * ka) / (16.0 * y))
-    return _field(fid, {"eps1": e1, "kappa": ka}, u, v)
+    return _field(fid, b, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -1106,19 +1146,15 @@ def _f_r22_elem2(fid, b):
     box=_R22_BOX,
     sampler=lambda rng: {"eps1": _eps1(rng),
                          "kappa": float(rng.uniform(0.3, 0.8)),
-                         "nu": float(rng.uniform(0.5, 1.3))}))
+                         "nu": float(rng.uniform(0.5, 1.3))},
+    defaults={"eps1": -1, "kappa": 0.7, "nu": 0.9}))
 def _f_r22_elem3(fid, b):
-    e1 = float(b.get("eps1", -1))
-    ka = float(b.get("kappa", 0.7))
-    nu = float(b.get("nu", 0.9))
-    if e1 not in (1.0, -1.0):
-        raise BadBinding("eps1 must be +1 or -1")
+    e1, ka, nu = b["eps1"], b["kappa"], b["nu"]
 
     def parts(p, n):
         tau, x, y = _tau(p, n)
         E = jets.exp(2.0 * ka * tau)
-        if abs(E.value + nu) < MARGIN:
-            raise DomainError("pole of the exponential branch")
+        _guard(E.value + nu, 0.0, "pole of the exponential branch")
         return E, x, y
 
     def u(p, n):
@@ -1129,7 +1165,7 @@ def _f_r22_elem3(fid, b):
         E, _, y = parts(p, n)
         return (-(1.0 - e1) * ka * nu / (2.0 * y * (E + nu))
                 + (1.0 - 2.0 * e1 + 4.0 * ka * (ka + 1.0 - e1)) / (16.0 * y))
-    return _field(fid, {"eps1": e1, "kappa": ka, "nu": nu}, u, v)
+    return _field(fid, b, u, v)
 
 
 # -- Painleve-backed reductions ---------------------------------------------
@@ -1147,36 +1183,36 @@ def _r24_sample(rng) -> dict:
      ("span", "pair")),
     "codim-2 reduction, w=(x+y)/(2 sqrt|t|)",
     "u=-eps phi(w)/(2 sqrt|t|)-(x+y)/(2t), v=psi(w)/sqrt|t|",
-    box=((0.5, 1.2), (-0.4, 0.4), (-0.4, 0.4)), sampler=_r24_sample))
+    box=((0.5, 1.2), (-0.4, 0.4), (-0.4, 0.4)), sampler=_r24_sample,
+    defaults={"C0": 0.125, "C1": 1.0, "eps": 1, "init": (0.0, 1.0, 0.0),
+              "span": (-1.2, 1.2)}))
 def _f_r24(fid, b):
     from . import reductions
     spec = reductions.ReductionSpec(
-        id="R2_4", C0=float(b.get("C0", 0.125)), C1=float(b.get("C1", 1.0)),
-        C2=0.0, delta=0.0, eps=int(b.get("eps", 1)),
-        init=tuple(b.get("init", (0.0, 1.0, 0.0))))
-    traj = reductions.integrate_painleve4_form(
-        spec, span=tuple(b.get("span", (-1.2, 1.2))))
+        id="R2_4", C0=b["C0"], C1=b["C1"], C2=0.0, delta=0.0,
+        eps=int(b["eps"]), init=b["init"])
+    traj = reductions.integrate_painleve4_form(spec, span=b["span"])
     return reductions.reconstruct_2_4(traj, spec)
 
 
 @_register(FamilyDescriptor(
     "F_R29_PAINLEVE2", "UV",
-    (("C0", "real"), ("C1", "real"), ("C2", "real"), ("delta", "flag01"),
+    (("C0", "real"), ("C1", "real"), ("C2", "real"), ("delta", "real"),
      ("init", "triple"), ("span", "pair")),
     "codim-2 reduction, omega=x+y",
     "u=phi(omega) via the second Painleve transcendent; "
     "v=(phi_w^2-(phi^2+C1 w+C0)^2-4 delta phi-C2)/(4C1)+delta t",
     box=((0.1, 1.0), (-0.75, -0.45), (-0.35, 0.0)),
     sampler=lambda rng: {"C0": 0.0, "C1": 2.0, "delta": 1, "C2": 0.0,
-                         "init": (-2.0, 0.5, 0.25), "span": (-2.5, -0.5)}))
+                         "init": (-2.0, 0.5, 0.25), "span": (-2.5, -0.5)},
+    defaults={"C0": 0.0, "C1": 2.0, "C2": 0.0, "delta": 1,
+              "init": (-2.0, 0.5, 0.25), "span": (-2.4, -0.6)}))
 def _f_r29p2(fid, b):
     from . import reductions
     spec = reductions.ReductionSpec(
-        id="R2_9", C0=float(b.get("C0", 0.0)), C1=float(b.get("C1", 2.0)),
-        C2=float(b.get("C2", 0.0)), delta=float(b.get("delta", 1)),
-        eps=1, init=tuple(b.get("init", (-2.0, 0.5, 0.25))))
-    traj = reductions.integrate_painleve2(
-        spec, span=tuple(b.get("span", (-2.4, -0.6))))
+        id="R2_9", C0=b["C0"], C1=b["C1"], C2=b["C2"], delta=b["delta"],
+        eps=1, init=b["init"])
+    traj = reductions.integrate_painleve2(spec, span=b["span"])
     return reductions.reconstruct_2_9(traj, spec)
 
 
@@ -1204,14 +1240,11 @@ def sinh_gordon_kink(a: float = 2.0) -> JetMap:
     box=((0.1, 1.0), (-1.6, -0.9), (0.2, 1.0)),
     sampler=lambda rng: {
         "theta": sinh_gordon_kink(float(rng.uniform(1.5, 2.5))),
-        "variant": "sinh", "x0": -1.8}))
+        "variant": "sinh", "x0": -1.8},
+    defaults={"theta": sinh_gordon_kink(), "variant": "sinh", "x0": -1.0}))
 def _f_sinhgordon(fid, b):
-    theta = b.get("theta") or sinh_gordon_kink()
-    variant = b.get("variant", "sinh")
-    x0 = float(b.get("x0", -1.0))
-    if variant not in ("sinh", "cosh"):
-        raise BadBinding("variant must be 'sinh' or 'cosh'")
-    fn = jets.sinh if variant == "sinh" else jets.cosh
+    theta, x0 = b["theta"], b["x0"]
+    fn = jets.sinh if b["variant"] == "sinh" else jets.cosh
     # bind-time probe of the Gordon equation
     worst = 0.0
     probed = 0
@@ -1235,7 +1268,7 @@ def _f_sinhgordon(fid, b):
         return -0.5 * th.derive("x")
 
     v = line_integral(integrand, "x", x0, constant_along="t")
-    return _field(fid, {"variant": variant, "x0": x0}, u, v)
+    return _field(fid, b, u, v)
 
 
 # -- directly catalogued Laplace-transform images ----------------------------
@@ -1249,19 +1282,17 @@ def _f_sinhgordon(fid, b):
     (("alpha", "expr_of_y"), ("beta", "expr_of_y"), ("gamma", "expr_of_y")),
     "forward Laplace image of F_VXXX_1 (delta=1)",
     "u=-xi/(2T)+2/(2xi+gamma T); v has leading (beta_y+4)/4 (xi/T)^2",
-    sampler=_alpha_beta_gamma))
+    sampler=_alpha_beta_gamma,
+    defaults={"alpha": "sin(y)", "beta": "2+cos(y)", "gamma": "y"}))
 def _f_img_fwd1(fid, b):
-    al = _exprify(b.get("alpha", "sin(y)"), "y")
-    be = _exprify(b.get("beta", "2+cos(y)"), "y")
-    ga = _exprify(b.get("gamma", "y"), "y")
+    al, be, ga = b["alpha"], b["beta"], b["gamma"]
     dal, dbe, dga = al.diff(), be.diff(), ga.diff()
 
     def parts(p, n):
         xi, T = _vx_parts(al, be, p, n)
         g = _jy(ga, p, n)
         den = 2.0 * xi + g * T
-        if abs(den.value) < MARGIN:
-            raise DomainError("pole line")
+        _guard(den.value, 0.0, "pole line")
         return xi, T, g, den
 
     def u(p, n):
@@ -1276,9 +1307,7 @@ def _f_img_fwd1(fid, b):
                 + (2.0 * g - _jy(dal, p, n)) / 2.0 * r
                 - 1.5 * (by + 4.0) / T
                 + (2.0 * _jy(dal, p, n) + g * by + _jy(dga, p, n) * T) / den)
-    return _field(fid,
-                  {"alpha": al.pretty(), "beta": be.pretty(),
-                   "gamma": ga.pretty()}, u, v)
+    return _field(fid, b, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -1287,22 +1316,21 @@ def _f_img_fwd1(fid, b):
     "forward Laplace image of F_VXXX_4",
     "u=alpha+2 alpha/(2 alpha E+gamma-1)",
     sampler=lambda rng: {"alpha": "1+0.3*" + _ypick(rng),
-                         "gamma": _ypick(rng)}))
+                         "gamma": _ypick(rng)},
+    defaults={"alpha": "sin(y)", "gamma": "y/2"}))
 def _f_img_fwd4(fid, b):
-    al = _exprify(b.get("alpha", "sin(y)"), "y")
-    ga = _exprify(b.get("gamma", "y/2"), "y")
+    al, ga = b["alpha"], b["gamma"]
     dal, dga = al.diff(), ga.diff()
 
     def parts(p, n):
         t, x, _ = jets.coordinate_jets(p, n)
         A = _jy(al, p, n)
-        if abs(A.value) < MARGIN * 0.2:
-            raise DomainError("alpha must stay away from zero")
+        _guard(A.value, 0.0, "alpha must stay away from zero",
+               band=MARGIN * 0.2)
         e = x + 2.0 * A * t
         G = _jy(ga, p, n)
         den = 2.0 * A * e + G - 1.0
-        if abs(den.value) < MARGIN:
-            raise DomainError("pole line")
+        _guard(den.value, 0.0, "pole line")
         return t, x, A, G, e, den
 
     def u(p, n):
@@ -1315,7 +1343,7 @@ def _f_img_fwd4(fid, b):
         num = 4.0 * t * A * A * Ay + A * _jy(dga, p, n) - Ay * (G - 1.0)
         return (A * e * e + G * e - x + Ay * x
                 + (2.0 * A * Ay + 4.0 * A) * t + num / (A * den))
-    return _field(fid, {"alpha": al.pretty(), "gamma": ga.pretty()}, u, v)
+    return _field(fid, b, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -1324,11 +1352,10 @@ def _f_img_fwd4(fid, b):
     "inverse Laplace image of F_VXXX_3",
     "rational in omega=x+alpha+gamma(t+beta) with cubic denominators",
     sampler=lambda rng: {"alpha": _ypick(rng), "beta": "2+" + _ypick(rng),
-                         "gamma": "1+0.2*" + _ypick(rng)}))
+                         "gamma": "1+0.2*" + _ypick(rng)},
+    defaults={"alpha": "sin(y)", "beta": "2+cos(y)", "gamma": "y"}))
 def _f_img_inv3(fid, b):
-    al = _exprify(b.get("alpha", "sin(y)"), "y")
-    be = _exprify(b.get("beta", "2+cos(y)"), "y")
-    ga = _exprify(b.get("gamma", "y"), "y")
+    al, be, ga = b["alpha"], b["beta"], b["gamma"]
     dal, dbe, dga = al.diff(), be.diff(), ga.diff()
     gamma_is_zero = isinstance(ga, Num) and ga.value == 0.0
 
@@ -1336,8 +1363,7 @@ def _f_img_inv3(fid, b):
         xi, T = _vx_parts(al, be, p, n)
         g = _jy(ga, p, n)
         om = xi + g * T
-        if abs(om.value) < MARGIN:
-            raise DomainError("pole line omega = 0")
+        _guard(om.value, 0.0, "pole line omega = 0")
         return xi, T, g, om
 
     def u(p, n):
@@ -1348,8 +1374,7 @@ def _f_img_inv3(fid, b):
         num = (by - 4.0) * om ** 3 - 4.0 * om_y * T * T
         den = ((by - 4.0) * om ** 3 - (ay + by * g) * T * om * om
                + 2.0 * om_y * T * T)
-        if abs(den.value) < MARGIN * (1.0 + abs(num.value)):
-            raise DomainError("cubic denominator near zero")
+        _guard(den.value, num.value, "cubic denominator near zero")
         return -0.5 * xi / T - 1.0 / om - num / (om * den)
 
     def v(p, n):
@@ -1362,9 +1387,7 @@ def _f_img_inv3(fid, b):
         if not gamma_is_zero:
             out = out - (_jy(dga, p, n) / g) * (xi / om)
         return out
-    return _field(fid,
-                  {"alpha": al.pretty(), "beta": be.pretty(),
-                   "gamma": ga.pretty()}, u, v)
+    return _field(fid, b, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -1376,11 +1399,10 @@ def _f_img_inv3x(fid, b):
     def parts(p, n):
         t, x, y = jets.coordinate_jets(p, n)
         T = t + 4.0 * y
-        if abs(p.x) < MARGIN or abs(T.value) < MARGIN:
-            raise DomainError("coordinate pole")
+        _guard(p.x, 0.0, "coordinate pole")
+        _guard(T.value, 0.0, "coordinate pole")
         d = x * x - 2.0 * T
-        if abs(d.value) < MARGIN:
-            raise DomainError("parabola pole")
+        _guard(d.value, 0.0, "parabola pole")
         return x, T, d
 
     def u(p, n):
@@ -1389,7 +1411,7 @@ def _f_img_inv3x(fid, b):
 
     def v(p, n):
         return Jet3.constant(0.0, p, n)
-    return _field(fid, {}, u, v)
+    return _field(fid, b, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -1399,18 +1421,17 @@ def _f_img_inv3x(fid, b):
     "u=alpha+(4w^3-alpha_y w^2+2 alpha_y t+beta_y)"
     "/(w(alpha_y w^2-2w^3+2 alpha_y t+beta_y)); "
     "v=w^2-alpha_y(x+2 alpha t)-6t+(2 alpha_y t+beta_y)/w",
-    sampler=lambda rng: {"alpha": _ypick(rng), "beta": "4+" + _ypick(rng)}))
+    sampler=lambda rng: {"alpha": _ypick(rng), "beta": "4+" + _ypick(rng)},
+    defaults={"alpha": "sin(y)", "beta": "2+cos(y)"}))
 def _f_img_inv5(fid, b):
-    al = _exprify(b.get("alpha", "sin(y)"), "y")
-    be = _exprify(b.get("beta", "2+cos(y)"), "y")
+    al, be = b["alpha"], b["beta"]
     dal, dbe = al.diff(), be.diff()
 
     def parts(p, n):
         t, x, _ = jets.coordinate_jets(p, n)
         A = _jy(al, p, n)
         om = x + 2.0 * A * t + _jy(be, p, n)
-        if abs(om.value) < MARGIN:
-            raise DomainError("pole line omega = 0")
+        _guard(om.value, 0.0, "pole line omega = 0")
         return t, x, A, om
 
     def u(p, n):
@@ -1418,8 +1439,7 @@ def _f_img_inv5(fid, b):
         Ay, By = _jy(dal, p, n), _jy(dbe, p, n)
         num = 4.0 * om ** 3 - Ay * om * om + 2.0 * Ay * t + By
         den = Ay * om * om - 2.0 * om ** 3 + 2.0 * Ay * t + By
-        if abs(den.value) < MARGIN * (1.0 + abs(num.value)):
-            raise DomainError("cubic denominator near zero")
+        _guard(den.value, num.value, "cubic denominator near zero")
         return A + num / (om * den)
 
     def v(p, n):
@@ -1427,4 +1447,4 @@ def _f_img_inv5(fid, b):
         Ay, By = _jy(dal, p, n), _jy(dbe, p, n)
         return (om * om - Ay * (x + 2.0 * A * t) - 6.0 * t
                 + (2.0 * Ay * t + By) / om)
-    return _field(fid, {"alpha": al.pretty(), "beta": be.pretty()}, u, v)
+    return _field(fid, b, u, v)

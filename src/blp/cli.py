@@ -80,16 +80,6 @@ def _parse_params(items) -> dict:
     return out
 
 
-def _coerce_bindings(family_id: str, params: dict) -> dict:
-    out = dict(params)
-    for key in ("Phi", "theta"):
-        spec = out.get(key)
-        if isinstance(spec, dict) and "kind" in spec:
-            kind = spec.pop("kind")
-            out[key] = catalog.heat_witness_library(kind, **spec)
-    return out
-
-
 def _within(report: dict, tol: float) -> bool:
     """Both residual sups within ``tol`` and every residual finite."""
     return (report["r1_max"] <= tol and report["r2_max"] <= tol
@@ -177,7 +167,7 @@ def cmd_verify(args) -> int:
     if args.grid:
         grid_spec = json.loads(args.grid)
     grid = _grid_from_spec(grid_spec)
-    field = catalog.instantiate(family, _coerce_bindings(family, params))
+    field = catalog.instantiate(family, params)
     if args.perturb:
         field = system.perturb_v(field, eps=args.perturb)
     report, rows = _check_grid(field, family, grid, grid_spec, tol)
@@ -203,7 +193,7 @@ def _seed_field(name: str, params: dict):
         return transforms.uq_seed(
             _witness(spec, "Phi"),
             constraint="q_y=0" if name == "seed_qy0" else "u_y=q_y")
-    return catalog.instantiate(name, _coerce_bindings(name, params))
+    return catalog.instantiate(name, params)
 
 
 def _point(value, what: str) -> Point:

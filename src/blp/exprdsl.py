@@ -24,8 +24,8 @@ import numpy as np
 from . import jets, series
 from .jets import BadInput, Jet3, Point
 
-__all__ = ["Expr", "ParseError", "parse", "eval_jet", "eval_series",
-           "Num", "Var", "Bin", "Neg", "Call"]
+__all__ = ["Expr", "ParseError", "parse", "as_expr", "eval_jet",
+           "eval_series", "Num", "Var", "Bin", "Neg", "Call"]
 
 _FUNCTIONS = ("exp", "ln", "sin", "cos", "tan", "sinh", "cosh", "sqrt", "abs")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -245,6 +245,18 @@ def parse(src: str, var_name: str) -> Expr:
     if tok.kind != "end":
         raise ParseError(tok.pos, f"unexpected trailing input {tok.text!r}")
     return node
+
+
+def as_expr(value, var_name: str) -> Expr:
+    """``value`` as an expression of ``var_name``: an Expr as it is, text
+    parsed, a number (not a bool) as a constant."""
+    if isinstance(value, Expr):
+        return value
+    if isinstance(value, str):
+        return parse(value, var_name)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return Num(float(value), var_name)
+    raise BadInput(f"expected an expression of {var_name}, got {value!r}")
 
 
 # ----------------------------------------------------------------------

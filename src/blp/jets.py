@@ -29,9 +29,11 @@ caller's band and error class.  The bands: :data:`GUARD` = 1e-12 for
 elementary functions and division of floats, series and jets;
 ``transforms.GUARD`` = 1e-10 for the denominators of the Laplace and
 Darboux maps (``UndefinedTransform``); 1e-8 for the heat witness that
-``transforms.uq_seed`` divides by.  Two callers pass a band of their own
-to the same rules: series reversion of a point map (1e-14) and the
-positivity of chi_t in F_UXX_BERNOULLI (1e-10, :func:`below_band`).
+``transforms.uq_seed`` divides by.  Other callers pass a band of their
+own to the same rules: series reversion of a point map (1e-14), the
+chart guards of the catalog (``catalog.MARGIN`` = 0.15 or a fraction of
+it) and the positivity of chi_t in F_UXX_BERNOULLI (1e-10,
+:func:`below_band`).
 
 All operations are pure and jets are immutable.  A map wrapped by
 :func:`last_point`, as every field component is, remembers its last
@@ -56,7 +58,6 @@ __all__ = [
     "Point",
     "Jet3",
     "lift_variable",
-    "constant_jet",
     "mul",
     "apply_unary",
     "apply_taylor",
@@ -67,7 +68,6 @@ __all__ = [
     "below_band",
     "check_denominator",
     "extract_partial",
-    "derive",
     "compose3",
     "coordinate_jets",
     "restrict",
@@ -336,20 +336,12 @@ def lift_variable(which: str, at: Point, order: int) -> Jet3:
     return Jet3.variable(which, at, order)
 
 
-def constant_jet(value: float, at: Point, order: int) -> Jet3:
-    return Jet3.constant(value, at, order)
-
-
 def mul(a: Jet3, b: Jet3) -> Jet3:
     return a * b
 
 
 def extract_partial(a: Jet3, multi_index) -> float:
     return a.extract(multi_index)
-
-
-def derive(a: Jet3, which: str) -> Jet3:
-    return a.derive(which)
 
 
 def coordinate_jets(p: Point, order: int) -> tuple[Jet3, Jet3, Jet3]:

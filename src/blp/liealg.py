@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprdsl import Bin, Expr, Num, parse
+from .exprdsl import Bin, Expr, Num, as_expr, parse
 from .jets import BLPError
 from .transforms import _invert_monotone
 
@@ -138,11 +138,7 @@ def Z(b) -> LieElement:
 
 
 def _coerce(c, var: str):
-    if isinstance(c, Expr) or isinstance(c, NumericCoeff):
-        return c
-    if isinstance(c, str):
-        return parse(c, var)
-    return Num(float(c), var)
+    return c if isinstance(c, NumericCoeff) else as_expr(c, var)
 
 
 def _wronsky(a: Expr, b: Expr, var: str) -> Expr:

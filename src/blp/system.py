@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import jets
-from .exprdsl import Expr
+from .exprdsl import as_expr, eval_jet
 from .jets import DomainError, Jet3, JetMap, Point, UndefinedHere
 from .quadrature import QuadratureError, integrate_field_along, xt_path
 
@@ -213,13 +213,6 @@ def covering_residual(s: SolutionField, psi: JetMap, p: Point,
 # conserved currents
 # ----------------------------------------------------------------------
 
-def _param_jet(param, which: str, p: Point, order: int) -> Jet3:
-    if isinstance(param, Expr):
-        from .exprdsl import eval_jet
-        return eval_jet(param, which, p, order)
-    return Jet3.constant(float(param), p, order)
-
-
 def conserved_current_divergence(current_id: str, param, s: SolutionField,
                                  p: Point, order: int = 5) -> float:
     """Total divergence D_t F^t + D_x F^x + D_y F^y of one conserved current.
@@ -244,7 +237,7 @@ def conserved_current_divergence(current_id: str, param, s: SolutionField,
     v_x = tr(v.derive("x"))
     v_xx = tr(v.derive("x").derive("x"))
     if current_id in ("F0", "F1", "F2"):
-        h = _param_jet(param, "t", p, no)
+        h = eval_jet(as_expr(param, "t"), "t", p, no)
         ut_term = u_t - 2.0 * uj * u_x + u_xx
         weight = {"F0": 1.0 + 0.0 * x, "F1": x, "F2": x * x}[current_id]
         if current_id == "F0":
@@ -256,7 +249,7 @@ def conserved_current_divergence(current_id: str, param, s: SolutionField,
         fy = h * weight * ut_term
         return fx.extract((0, 1, 0)) + fy.extract((0, 0, 1))
     if current_id in ("F4", "F5"):
-        g = _param_jet(param, "y", p, no)
+        g = eval_jet(as_expr(param, "y"), "y", p, no)
         if current_id == "F4":
             ft = g * u_y
             fx = g * (u_xy - 2.0 * uj * u_y - 2.0 * v_xx)

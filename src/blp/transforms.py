@@ -43,14 +43,14 @@ fraction-free elimination on jets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 
 from . import jets, series
-from .exprdsl import Bin, Call, Expr, Num, eval_jet, eval_series, parse
+from .exprdsl import (Bin, Call, Expr, Num, as_expr, eval_jet, eval_series,
+                      parse)
 from .jets import DomainError, Jet3, JetMap, Point, UndefinedHere, last_point
 from .quadrature import integrate_field_along, xt_path
 from .system import SolutionField, covering_residual
@@ -62,7 +62,7 @@ __all__ = [
     "i_transform", "apply_symmetry",
     "laplace_forward_uq", "laplace_inverse_uq",
     "laplace_forward_uv", "laplace_inverse_uv",
-    "darboux", "darboux_psi", "darboux_iterated", "darboux_iterated_psi",
+    "darboux", "darboux_psi", "darboux_iterated",
     "covering_solutions_for_constraint", "uq_seed",
 ]
 
@@ -88,14 +88,6 @@ class SingularWronskian(UndefinedTransform):
 # ----------------------------------------------------------------------
 # the point-symmetry group
 # ----------------------------------------------------------------------
-
-def _expr(e, var: str) -> Expr:
-    if isinstance(e, Expr):
-        return e
-    if isinstance(e, str):
-        return parse(e, var)
-    return Num(float(e), var)
-
 
 @dataclass(frozen=True)
 class PointSymmetry:
@@ -141,23 +133,23 @@ def identity_symmetry() -> PointSymmetry:
 
 
 def d_transform(T) -> PointSymmetry:
-    return PointSymmetry(T=_expr(T, "t"), X0=Num(0.0, "t"),
+    return PointSymmetry(T=as_expr(T, "t"), X0=Num(0.0, "t"),
                          Y=parse("y", "y"), V0=Num(0.0, "y"))
 
 
 def s_transform(Y) -> PointSymmetry:
     return PointSymmetry(T=parse("t", "t"), X0=Num(0.0, "t"),
-                         Y=_expr(Y, "y"), V0=Num(0.0, "y"))
+                         Y=as_expr(Y, "y"), V0=Num(0.0, "y"))
 
 
 def p_transform(X0) -> PointSymmetry:
-    return PointSymmetry(T=parse("t", "t"), X0=_expr(X0, "t"),
+    return PointSymmetry(T=parse("t", "t"), X0=as_expr(X0, "t"),
                          Y=parse("y", "y"), V0=Num(0.0, "y"))
 
 
 def z_transform(V0) -> PointSymmetry:
     return PointSymmetry(T=parse("t", "t"), X0=Num(0.0, "t"),
-                         Y=parse("y", "y"), V0=_expr(V0, "y"))
+                         Y=parse("y", "y"), V0=as_expr(V0, "y"))
 
 
 def i_transform(eps: int) -> PointSymmetry:
@@ -634,28 +626,6 @@ def darboux_iterated(kind: str, s: SolutionField,
     return SolutionField(u=u, v=q, coords="UQ",
                          family_id=s.family_id + f"~{kind}x{n_fold}",
                          params=s.params, validity=s.validity)
-
-
-def darboux_iterated_psi(kind: str, phis: Sequence[JetMap],
-                         psi: JetMap) -> JetMap:
-    """Eigenfunction companion of :func:`darboux_iterated`."""
-    maps = list(phis)
-    n_fold = len(maps)
-    if kind == "DT1":
-        def out(p, n):
-            wp = _wronskian(maps + [psi], "y", range(n_fold + 1), p, n)
-            wy = _wronskian(maps, "y", range(1, n_fold + 1), p, n)
-            _guard(wy.value, 0.0, "Wronskian inside guard band")
-            return (-1.0) ** n_fold * wp / wy
-        return out
-    if kind == "DT2":
-        def out(p, n):
-            wp = _wronskian(maps + [psi], "x", range(n_fold + 1), p, n)
-            w = _wronskian(maps, "x", range(n_fold), p, n)
-            _guard(w.value, 0.0, "Wronskian inside guard band")
-            return wp / w
-        return out
-    raise ValueError("kind must be 'DT1' or 'DT2'")
 
 
 # ----------------------------------------------------------------------

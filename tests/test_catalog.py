@@ -60,9 +60,19 @@ def test_unknown_family_and_bad_binding():
                      ("F_R29_ELEM_2", {"kappa": True}),
                      ("F_R22_ELEM_1", {"eps1": "-1"}),
                      ("F_R24_PAINLEVE4", {"span": [-1.2, float("inf")]}),
-                     ("F_R24_PAINLEVE4", {"init": (0.0, 0.88)})]:
+                     ("F_R24_PAINLEVE4", {"init": (0.0, 0.88)}),
+                     ("F_R24_PAINLEVE4", {"eps": 3}),
+                     ("F_UY0_QA", {"zeta": True}),
+                     ("F_SINHGORDON", {"theta": "x"})]:
         with pytest.raises(BadBinding):
             instantiate(fid, bad)
+
+
+def test_every_kind_has_a_rule():
+    desc = catalog.FamilyDescriptor("F_X", "UV", (("c", "bogus"),), "", "",
+                                    defaults={"c": 1.0})
+    with pytest.raises(ValueError, match="bogus"):
+        catalog._register(desc)
 
 
 def test_hopf_cole_example():
@@ -135,6 +145,9 @@ def test_witness_violation_detected():
     bad = HeatWitness(Phi=bogus, H=0, direction="forward", label="bogus")
     with pytest.raises(WitnessViolation):
         instantiate("F_HOPFCOLE2D", {"Phi": bad})
+    # a NaN probe residual is no pass
+    with pytest.raises(WitnessViolation):
+        instantiate("F_VX0", {"Phi": {"kind": "plane_exp", "k": math.nan}})
 
 
 def test_sinh_gordon_probe_rejects_wrong_theta():

@@ -370,6 +370,26 @@ def test_stalled_quadrature_is_a_json_error(capsys):
     assert message.endswith("at grid point (t, x, y) = (0.9, 0.5, 0.45)")
 
 
+@pytest.mark.parametrize("fid,name", [
+    (d.id, name) for d in catalog.list_families()
+    for name, _ in d.required_params])
+def test_every_parameter_rejects_a_malformed_value(fid, name, capsys):
+    code, out, err = run_cli(["verify", "--family", fid,
+                              "--param", f"{name}=@"], capsys)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and set(json.loads(err)) == {"error"}
+
+
+def test_witness_spec_takes_the_direction_of_its_kind(capsys):
+    # F_VX0 needs a backward witness; the spec names no direction
+    code, out, _ = run_cli(["verify", "--family", "F_VX0", "--param",
+                            'Phi={"kind": "plane_exp"}'], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] and report["params"] == {"Phi": "plane_exp(k=1.0)"}
+
+
 def test_every_toolkit_error_is_a_blp_error():
     from blp import jets, liealg, quadrature, reductions, specfun, transforms
     errors = {
