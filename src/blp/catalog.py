@@ -8,23 +8,25 @@ solutions of the (1+1)-dimensional heat equation consume a
 
 Each family declares a parameter once, in its :class:`FamilyDescriptor`:
 ``required_params`` gives its kind and ``defaults`` its default, a value
-a caller could pass.  :func:`instantiate` alone turns a binding, or the
+a caller could pass.  :func:`resolve` alone turns a binding, or the
 default of a parameter left unbound or bound to None, into the value the
 constructor reads, by kind: ``expr_of_t``, ``expr_of_x`` and
-``expr_of_y`` take an ``Expr``, expression text or a number (not a
-bool), read by ``exprdsl.as_expr``; ``real`` takes a finite number,
-``sign`` ±1 and ``flag01`` 0 or 1, each read as a float; ``pair`` and
-``triple`` take two or three finite numbers, read as a tuple;
-``heat_witness_forward`` and ``heat_witness_backward`` take a
-:class:`HeatWitness` of that direction or a spec dict for
-:func:`heat_witness_library`, such as ``{"kind": "plane_exp", "k": 1.0}``,
-which gets the kind's direction unless it names one, and the witness
-must pass its heat-equation probe; ``jet_map`` takes a callable
-``(point, order) -> Jet3``; a kind ``a|b``, such as ``sinh|cosh``, takes
-one of the listed words.  A rejected binding raises :class:`BadBinding`
-naming the parameter, or :class:`WitnessViolation` for a witness that
-fails its probe.  Bindings given in Python and ``--param`` values of the
-command line take the same path.
+``expr_of_y`` take an ``Expr``, expression text or a finite number (not
+a bool), read by ``exprdsl.as_expr``; ``real`` takes a finite number,
+``sign`` ±1 and ``flag01`` 0 or 1, each read as a float; ``degree``
+takes an integer from 0 to 170; ``pair`` and ``triple`` take two or
+three finite numbers, read as a tuple; ``heat_witness_forward`` and
+``heat_witness_backward`` take a :class:`HeatWitness` of that direction
+or a spec dict for :func:`heat_witness_library`, such as
+``{"kind": "plane_exp", "k": 1.0}``, which gets the kind's direction
+unless it names one, and the witness must pass its heat-equation probe;
+``jet_map`` takes a callable ``(point, order) -> Jet3``; a kind ``a|b``,
+such as ``sinh|cosh``, takes one of the listed words.  An undeclared
+name is rejected.  A rejected binding raises :class:`BadBinding` naming
+the parameter, or :class:`WitnessViolation` for a witness spec that
+names no witness or a witness that fails its probe.  :func:`instantiate`,
+the parameters of each witness kind and every input of the command line
+take this one path.
 
 Formula corrections relative to common transcriptions are documented in
 the test-suite; every family here passes the residual gate at build time
@@ -50,8 +52,8 @@ from .system import SolutionField, residual_sup
 __all__ = [
     "FamilyDescriptor", "HeatWitness", "UnknownFamily", "BadBinding",
     "WitnessViolation", "list_families", "instantiate",
-    "heat_witness_library", "combine_witnesses", "sinh_gordon_kink",
-    "sample_bindings", "default_box",
+    "resolve", "heat_witness_library", "combine_witnesses",
+    "sinh_gordon_kink", "sample_bindings", "default_box",
 ]
 
 
@@ -106,16 +108,15 @@ _PROBE_GRID = [Point(0.2 + 0.3 * i, -0.4 + 0.37 * j, 0.1 + 0.45 * k)
                for i in range(3) for j in range(3) for k in range(2)]
 
 
-def _require_witness(w: HeatWitness, direction: str, pts=None) -> HeatWitness:
-    if not isinstance(w, HeatWitness):
-        raise BadBinding("expected a HeatWitness")
-    if w.direction != direction:
-        raise BadBinding(f"witness direction {w.direction!r}, "
-                         f"need {direction!r}")
-    r = w.probe(pts or _PROBE_GRID)
-    if not r <= 1e-9:
-        raise WitnessViolation(f"heat-equation probe residual {r:g}")
-    return w
+#: each witness kind's parameters, as (name, kind) pairs, and their
+#: defaults; every kind also takes a direction, forward by default
+_WITNESS_PARAMS = {
+    "plane_exp": ((("k", "real"),), {"k": 1.0}),
+    "heat_polynomial": ((("n", "degree"),), {"n": 2}),
+    "gaussian": ((("t0", "real"), ("x0", "real")), {"t0": 0.0, "x0": 0.0}),
+    "separable_trig": ((("k", "real"), ("trig", "sin|cos")),
+                       {"k": 1.0, "trig": "sin"}),
+}
 
 
 def heat_witness_library(kind: str, **params) -> HeatWitness:
@@ -123,24 +124,27 @@ def heat_witness_library(kind: str, **params) -> HeatWitness:
 
     kinds: plane_exp(k), heat_polynomial(n), gaussian(t0, x0),
     separable_trig(k, trig); all accept direction="forward"/"backward".
+    The parameters resolve as family parameters do (:func:`resolve`).
     """
-    direction = params.pop("direction", "forward")
-    sign = 1.0 if direction == "forward" else -1.0
+    if not (isinstance(kind, str) and kind in _WITNESS_PARAMS):
+        raise BadBinding(f"unknown witness kind {kind!r}")
+    declared, defaults = _WITNESS_PARAMS[kind]
+    b = resolve(f"witness {kind}",
+                declared + (("direction", "forward|backward"),),
+                {**defaults, "direction": "forward"}, params)
+    sign = 1.0 if b["direction"] == "forward" else -1.0
+    k = b.get("k")
 
     if kind == "plane_exp":
-        k = float(params.pop("k", 1.0))
-
         def phi(p: Point, n: int) -> Jet3:
             t, x, _ = jets.coordinate_jets(p, n)
             return jets.exp(k * x + sign * k * k * t)
         label = f"plane_exp(k={k})"
 
     elif kind == "heat_polynomial":
-        deg = int(params.pop("n", 2))
-        if deg < 0:
-            raise BadBinding("degree must be >= 0")
+        deg = b["n"]
 
-        def phi(p: Point, n: int, deg=deg) -> Jet3:
+        def phi(p: Point, n: int) -> Jet3:
             t, x, _ = jets.coordinate_jets(p, n)
             acc = Jet3.constant(0.0, p, n)
             for k2 in range(deg // 2 + 1):
@@ -153,8 +157,7 @@ def heat_witness_library(kind: str, **params) -> HeatWitness:
         label = f"heat_polynomial({deg})"
 
     elif kind == "gaussian":
-        t0 = float(params.pop("t0", 0.0))
-        x0 = float(params.pop("x0", 0.0))
+        t0, x0 = b["t0"], b["x0"]
 
         def phi(p: Point, n: int) -> Jet3:
             t, x, _ = jets.coordinate_jets(p, n)
@@ -165,21 +168,14 @@ def heat_witness_library(kind: str, **params) -> HeatWitness:
                 * jets.exp(-((x - x0) * (x - x0)) / (4.0 * tau))
         label = f"gaussian(t0={t0},x0={x0})"
 
-    elif kind == "separable_trig":
-        k = float(params.pop("k", 1.0))
-        trig = params.pop("trig", "sin")
-        fn = jets.sin if trig == "sin" else jets.cos
+    else:
+        fn = getattr(jets, b["trig"])
 
         def phi(p: Point, n: int) -> Jet3:
             t, x, _ = jets.coordinate_jets(p, n)
             return fn(k * x) * jets.exp(-sign * k * k * t)
-        label = f"separable_trig({trig},k={k})"
-
-    else:
-        raise BadBinding(f"unknown witness kind {kind!r}")
-    if params:
-        raise BadBinding(f"unused witness parameters {sorted(params)}")
-    return HeatWitness(Phi=phi, H=0, direction=direction, label=label)
+        label = f"separable_trig({b['trig']},k={k})"
+    return HeatWitness(Phi=phi, H=0, direction=b["direction"], label=label)
 
 
 def combine_witnesses(witnesses: Sequence[HeatWitness],
@@ -331,9 +327,28 @@ def _numbers(size: int):
 def _witness(direction: str):
     def resolve(value):
         if isinstance(value, dict):
-            value = heat_witness_library(**{"direction": direction, **value})
-        return _require_witness(value, direction)
+            try:
+                value = heat_witness_library(
+                    **{"direction": direction, **value})
+            except (TypeError, BadBinding) as exc:  # it names no witness
+                raise WitnessViolation(str(exc)) from exc
+        if not isinstance(value, HeatWitness):
+            raise BadBinding("expected a HeatWitness")
+        if value.direction != direction:
+            raise BadBinding(f"witness direction {value.direction!r}, "
+                             f"need {direction!r}")
+        r = value.probe(_PROBE_GRID)
+        if not r <= 1e-9:
+            raise WitnessViolation(f"heat-equation probe residual {r:g}")
+        return value
     return resolve
+
+
+def _degree(value):  # 170! is the largest factorial a float holds
+    if isinstance(value, int) and not isinstance(value, bool) \
+            and 0 <= value <= 170:
+        return value
+    raise BadBinding(f"expected an integer from 0 to 170, got {value!r}")
 
 
 def _jet_map(value):
@@ -354,7 +369,7 @@ _RESOLVERS = {
     "expr_of_t": _expression("t"), "expr_of_x": _expression("x"),
     "expr_of_y": _expression("y"),
     "real": _number(), "sign": _number((1, -1)), "flag01": _number((0, 1)),
-    "pair": _numbers(2), "triple": _numbers(3),
+    "pair": _numbers(2), "triple": _numbers(3), "degree": _degree,
     "heat_witness_forward": _witness("forward"),
     "heat_witness_backward": _witness("backward"),
     "jet_map": _jet_map,
@@ -370,34 +385,47 @@ def _resolver(kind: str) -> Callable:
     return rule
 
 
-def instantiate(family_id: str, bindings: dict) -> SolutionField:
-    """Build a solution field from a family id and parameter bindings.
+def resolve(owner: str, declared: Sequence[tuple[str, str]],
+            defaults: Mapping, bindings) -> dict:
+    """Each declared (name, kind) of ``owner`` resolved by its kind, from
+    its binding or, where that is missing or None, from its default.
 
-    Every declared parameter is resolved by its kind, from its binding or,
-    where that is missing or None, from the family's default.
+    ``bindings`` must be a mapping with no undeclared name.  A rejected
+    value raises :class:`BadBinding` naming it, or a
+    :class:`WitnessViolation` naming it where a witness spec names no
+    witness or a witness fails its probe.
     """
+    if not isinstance(bindings, Mapping):
+        raise BadBinding(f"the parameters of {owner} must be an object, "
+                         f"got {bindings!r}")
+    extra = set(bindings) - set(defaults)
+    if extra:
+        raise BadBinding(f"unknown parameters {sorted(extra)} for {owner}")
+    resolved = {}
+    for name, kind in declared:
+        value = bindings.get(name)
+        if value is None:
+            value = defaults[name]
+        if value is not None:
+            try:
+                value = _resolver(kind)(value)
+            except (TypeError, ValueError) as exc:
+                error = WitnessViolation \
+                    if isinstance(exc, WitnessViolation) else BadBinding
+                raise error(f"{name}: {exc}") from exc
+        resolved[name] = value
+    return resolved
+
+
+def instantiate(family_id: str, bindings: dict) -> SolutionField:
+    """Build a solution field from a family id and parameter bindings,
+    each resolved by :func:`resolve` from the family's descriptor."""
     try:
         ctor, desc = _FAMILIES[family_id]
     except KeyError:
         raise UnknownFamily(family_id) from None
-    extra = set(bindings) - set(desc.defaults)
-    if extra:
-        raise BadBinding(f"unknown parameters {sorted(extra)} "
-                         f"for {family_id}")
-    resolved = {}
-    for name, kind in desc.required_params:
-        value = bindings.get(name)
-        if value is None:
-            value = desc.defaults[name]
-        if value is not None:
-            try:
-                value = _resolver(kind)(value)
-            except WitnessViolation:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise BadBinding(f"{name}: {exc}") from exc
-        resolved[name] = value
-    return ctor(family_id, resolved)
+    return ctor(family_id, resolve(family_id, desc.required_params,
+                                   desc.defaults, bindings))
 
 
 def _field(fid, bindings, u, v, validity=lambda p: True) -> SolutionField:

@@ -18,6 +18,29 @@ round-trip repr, non-finite floats as the strings "NaN", "Infinity" and
 non-finite ones are counted under ``nonfinite``.  Grid points are
 evaluated one after another in this process; BLP_THREADS is accepted
 and ignored.
+
+Every parameter and spec that the commands read is declared as a
+(name, kind) pair with a default and resolved as family parameters are,
+by ``catalog.resolve``: an undeclared key is rejected, a missing or null
+value takes the default, and a value that its kind rejects exits 2
+naming the key.  A config file is a JSON object, and its ``params`` an
+object.  The inputs (key kind = default):
+
+  seeds         zero_uq: none.  seed_qy0: Phi heat_witness_backward,
+                seed_uyqy: Phi heat_witness_forward, = plane_exp(k=1)
+  chain step    op, and phi on dt1 and dt2.  --base triple = [1, 0, 0]
+  phi           constraint q_y=0|u_y=q_y = q_y=0;  zeta expr_of_y = none
+                (1 under q_y=0, 0 under u_y=q_y);  theta
+                heat_witness_backward = none;  witness
+                heat_witness_backward under q_y=0, heat_witness_forward
+                under u_y=q_y, = plane_exp(k=1);  base triple = [1, 0, 0]
+  blp reduce    C0, C1, C2, delta real; eps sign; init triple; span pair;
+                R2_4 = 0, 1, 0, 0, 1, [0, 1, 0], [-1.2, 1.2];
+                R2_9 = 0, 2, 0, 1, 1, [-2, 0.5, 0.25], [-2.4, -0.6]
+  witness spec  plane_exp: k real = 1;  heat_polynomial: n degree = 2;
+                gaussian: t0, x0 real = 0;  separable_trig: k real = 1,
+                trig sin|cos = sin;  every kind: direction
+                forward|backward = that of the parameter it is given for
 """
 
 from __future__ import annotations
@@ -30,8 +53,7 @@ import sys
 import numpy as np
 
 from . import catalog, liealg, reductions, system, transforms
-from .exprdsl import parse
-from .jets import BadInput, BLPError, Point
+from .jets import BadInput, BLPError, Jet3, Point
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -42,7 +64,12 @@ class ConfigError(BadInput):
     pass
 
 
-def _grid_from_spec(spec) -> list[Point]:
+def _grid(args, cfg: dict, family: str) -> tuple[list[Point], dict]:
+    """The points and the spec of ``--grid``, else of the config's grid,
+    else of 4 points per axis over the family's sampling box."""
+    spec = json.loads(args.grid) if args.grid else cfg.get("grid") or {
+        name: [lo, hi, 4]
+        for name, (lo, hi) in zip("txy", catalog.default_box(family))}
     if not isinstance(spec, dict):
         raise ConfigError(f"the grid must be a JSON object, got {spec!r}")
     axes = []
@@ -59,12 +86,7 @@ def _grid_from_spec(spec) -> list[Point]:
             raise ConfigError(f"bad grid spec for {name}: {axis}")
         axes.append(np.linspace(lo, hi, n))
     return [Point(float(t), float(x), float(y))
-            for t in axes[0] for x in axes[1] for y in axes[2]]
-
-
-def _default_grid(family_id: str) -> dict:
-    (t0, t1), (x0, x1), (y0, y1) = catalog.default_box(family_id)
-    return {"t": [t0, t1, 4], "x": [x0, x1, 4], "y": [y0, y1, 4]}
+            for t in axes[0] for x in axes[1] for y in axes[2]], spec
 
 
 def _parse_params(items) -> dict:
@@ -147,26 +169,35 @@ def _tolerance(args, cfg: dict):
     return tol
 
 
-def _load_config(args) -> dict:
+def _load_config(args) -> tuple[dict, dict]:
+    """The config file's object and the parameters of the command: the
+    config's ``params`` object updated by the ``--param`` flags."""
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = json.load(fh)
-    return cfg
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"a config file must be a JSON object, "
+                              f"got {cfg!r}")
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"the config's params must be a JSON object, "
+                          f"got {params!r}")
+    return cfg, {**params, **_parse_params(args.param)}
+
+
+def _family(args, cfg: dict) -> str:
+    family = args.family or cfg.get("family")
+    if not (family and isinstance(family, str)):
+        raise ConfigError(f"a family id is required, got {family!r}")
+    return family
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args)
-    family = args.family or cfg.get("family")
-    if not family:
-        raise ConfigError("a family id is required")
-    params = dict(cfg.get("params", {}))
-    params.update(_parse_params(args.param))
+    cfg, params = _load_config(args)
+    family = _family(args, cfg)
     tol = _tolerance(args, cfg)
-    grid_spec = cfg.get("grid") or _default_grid(family)
-    if args.grid:
-        grid_spec = json.loads(args.grid)
-    grid = _grid_from_spec(grid_spec)
+    grid, grid_spec = _grid(args, cfg, family)
     field = catalog.instantiate(family, params)
     if args.perturb:
         field = system.perturb_v(field, eps=args.perturb)
@@ -179,82 +210,79 @@ _CHAIN_OPS = ("laplace_fwd_uv", "laplace_inv_uv", "laplace_fwd_uq",
               "laplace_inv_uq", "dt1", "dt2")
 
 
+#: the seeds of ``blp transform`` that are not families: their parameters'
+#: (name, kind) pairs and defaults, resolved as family parameters are
+_SEEDS = {
+    "zero_uq": ((), {}),
+    "seed_qy0": ((("Phi", "heat_witness_backward"),),
+                 {"Phi": {"kind": "plane_exp", "k": 1.0}}),
+    "seed_uyqy": ((("Phi", "heat_witness_forward"),),
+                  {"Phi": {"kind": "plane_exp", "k": 1.0}}),
+}
+
+
 def _seed_field(name: str, params: dict):
+    if name not in _SEEDS:
+        return catalog.instantiate(name, params)
+    bound = catalog.resolve(name, *_SEEDS[name], params)
     if name == "zero_uq":
-        from .jets import Jet3
         return system.SolutionField(
             u=lambda p, n: Jet3.constant(0.0, p, n),
             v=lambda p, n: Jet3.constant(0.0, p, n),
             coords="UQ", family_id="zero_uq")
-    if name in ("seed_qy0", "seed_uyqy"):
-        spec = params.get("Phi", {"kind": "plane_exp", "k": 1.0})
-        if name == "seed_qy0" and isinstance(spec, dict):
-            spec = {"direction": "backward", **spec}
-        return transforms.uq_seed(
-            _witness(spec, "Phi"),
-            constraint="q_y=0" if name == "seed_qy0" else "u_y=q_y")
-    return catalog.instantiate(name, params)
+    return transforms.uq_seed(
+        bound["Phi"], constraint="q_y=0" if name == "seed_qy0" else "u_y=q_y")
 
 
-def _point(value, what: str) -> Point:
-    if not (isinstance(value, (list, tuple)) and len(value) == 3
-            and all(catalog.finite_real(c) for c in value)):
-        raise ConfigError(f"{what} must be [t, x, y], got {value!r}")
-    return Point(*value)
+_PHI_DEFAULTS = {"constraint": "q_y=0", "zeta": None, "theta": None,
+                 "witness": {"kind": "plane_exp", "k": 1.0},
+                 "base": (1.0, 0.0, 0.0)}
 
 
-def _witness(spec, what: str) -> catalog.HeatWitness:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"{what} must be an object with a kind, "
-                          f"got {spec!r}")
-    try:
-        return catalog.heat_witness_library(**spec)
-    except (TypeError, catalog.BadBinding) as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
-
-
-def _build_phi(field, spec: dict):
-    constraint = spec.get("constraint", "q_y=0")
-    theta = spec.get("theta")
-    theta_map = _witness(theta, "theta").Phi if theta is not None else None
-    zeta_src = spec.get("zeta")
-    zeta = parse(zeta_src, "y") if zeta_src else None
-    base = _point(spec.get("base", (1.0, 0.0, 0.0)), "phi base")
-    witness_spec = dict(spec.get("witness", {"kind": "plane_exp", "k": 1.0}))
-    if constraint == "q_y=0":
-        witness_spec.setdefault("direction", "backward")
-    seed_witness = _witness(witness_spec, "witness")
+def _build_phi(field, spec):
+    """The eigenfunction of a dt step's ``phi`` object; its witness is
+    backward under q_y=0 and forward under u_y=q_y, as the seed's."""
+    constraint = spec.get("constraint") if isinstance(spec, dict) else None
+    witness = "heat_witness_" + \
+        ("forward" if constraint == "u_y=q_y" else "backward")
+    bound = catalog.resolve(
+        "phi", (("constraint", "q_y=0|u_y=q_y"), ("zeta", "expr_of_y"),
+                ("theta", "heat_witness_backward"), ("witness", witness),
+                ("base", "triple")), _PHI_DEFAULTS, spec)
+    theta = bound["theta"]
     try:
         return transforms.covering_solutions_for_constraint(
-            constraint, field, seed_witness, theta=theta_map, zeta=zeta,
-            base=base)
-    except ValueError as exc:  # unknown constraint or a failed probe
+            bound["constraint"], field, bound["witness"],
+            theta=theta.Phi if theta else None, zeta=bound["zeta"],
+            base=Point(*bound["base"]))
+    except ValueError as exc:  # a failed probe
         raise ConfigError(f"bad eigenfunction: {exc}") from exc
 
 
 def cmd_transform(args) -> int:
-    cfg = _load_config(args)
-    family = args.family or cfg.get("family")
-    if not family:
-        raise ConfigError("a seed family id is required")
-    params = dict(cfg.get("params", {}))
-    params.update(_parse_params(args.param))
+    cfg, params = _load_config(args)
+    family = _family(args, cfg)
     chain = json.loads(args.chain) if args.chain else cfg.get("chain", [])
     if not isinstance(chain, list) or not chain:
         raise ConfigError("the chain must be a nonempty list of ops")
-    base = _point(cfg.get("base") or
-                  (json.loads(args.base) if args.base else (1.0, 0.0, 0.0)),
-                  "base")
+    base = cfg.get("base") or (json.loads(args.base) if args.base else None)
+    base = Point(*catalog.resolve("--base", (("base", "triple"),),
+                                  {"base": (1.0, 0.0, 0.0)},
+                                  {"base": base})["base"])
     tol = _tolerance(args, cfg)
     field = _seed_field(family, params)
     for step in chain:
         op = step.get("op") if isinstance(step, dict) else None
         if op not in _CHAIN_OPS:
             raise ConfigError(f"unknown chain op {op!r}")
-        if op.endswith("_uq") and field.coords == "UV":
-            field = system.convert(field, "UQ", base)
-        if op.endswith("_uv") and field.coords == "UQ":
-            field = system.convert(field, "UV", base)
+        extra = set(step) - ({"op", "phi"} if op in ("dt1", "dt2")
+                             else {"op"})
+        if extra:
+            raise ConfigError(f"unknown keys {sorted(extra)} in chain step "
+                              f"{op}")
+        coords = "UV" if op.endswith("_uv") else "UQ"
+        if field.coords != coords:
+            field = system.convert(field, coords, base)
         if op == "laplace_fwd_uv":
             field = transforms.laplace_forward_uv(field, base)
         elif op == "laplace_inv_uv":
@@ -264,15 +292,10 @@ def cmd_transform(args) -> int:
         elif op == "laplace_inv_uq":
             field = transforms.laplace_inverse_uq(field)
         else:
-            if field.coords == "UV":
-                field = system.convert(field, "UQ", base)
             phi = _build_phi(field, step.get("phi", {}))
             field = transforms.darboux("DT1" if op == "dt1" else "DT2",
                                        field, phi)
-    grid_spec = cfg.get("grid") or _default_grid(family)
-    if args.grid:
-        grid_spec = json.loads(args.grid)
-    grid = _grid_from_spec(grid_spec)
+    grid, grid_spec = _grid(args, cfg, family)
     report, rows = _check_grid(field, field.family_id, grid, grid_spec, tol)
     report["undefined_fraction"] = report["skipped"] / len(grid)
     report["passed"] = (_within(report, tol)
@@ -280,38 +303,28 @@ def cmd_transform(args) -> int:
     return _write_outputs(report, rows, args)
 
 
+#: the parameters of ``blp reduce``, by kind, and their defaults per id
+_REDUCE_PARAMS = (("C0", "real"), ("C1", "real"), ("C2", "real"),
+                  ("delta", "real"), ("eps", "sign"), ("init", "triple"),
+                  ("span", "pair"))
+_REDUCE_DEFAULTS = {
+    "R2_4": {"C0": 0.0, "C1": 1.0, "C2": 0.0, "delta": 0.0, "eps": 1,
+             "init": (0.0, 1.0, 0.0), "span": (-1.2, 1.2)},
+    "R2_9": {"C0": 0.0, "C1": 2.0, "C2": 0.0, "delta": 1.0, "eps": 1,
+             "init": (-2.0, 0.5, 0.25), "span": (-2.4, -0.6)},
+}
+
+
 def cmd_reduce(args) -> int:
-    cfg = _load_config(args)
+    cfg, params = _load_config(args)
     rid = args.id or cfg.get("id")
     if rid not in ("R2_4", "R2_9"):
         raise ConfigError("reduction id must be R2_4 or R2_9")
-    params = dict(cfg.get("params", {}))
-    params.update(_parse_params(args.param))
-    r29 = rid == "R2_9"
-
-    def number(name, default, kind=float):
-        value = params.get(name, default)
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name} must be a number, got {value!r}") \
-                from None
-
-    def reals(name, default):
-        value = params.get(name, default)
-        if not (isinstance(value, (list, tuple))
-                and len(value) == len(default)
-                and all(catalog.finite_real(z) for z in value)):
-            raise ConfigError(f"{name} must be a list of {len(default)} "
-                              f"numbers, got {value!r}")
-        return tuple(value)
-
-    spec = reductions.ReductionSpec(
-        id=rid, C0=number("C0", 0.0), C1=number("C1", 2.0 if r29 else 1.0),
-        C2=number("C2", 0.0), delta=number("delta", 1 if r29 else 0),
-        eps=number("eps", 1, int),
-        init=reals("init", (-2.0, 0.5, 0.25) if r29 else (0.0, 1.0, 0.0)))
-    span = reals("span", (-2.4, -0.6) if r29 else (-1.2, 1.2))
+    bound = catalog.resolve(rid, _REDUCE_PARAMS, _REDUCE_DEFAULTS[rid],
+                            params)
+    span = bound.pop("span")
+    bound["eps"] = int(bound["eps"])  # the CSV sidecar shows it as an int
+    spec = reductions.ReductionSpec(id=rid, **bound)
     try:
         if rid == "R2_9":
             traj = reductions.integrate_painleve2(spec, span=span)

@@ -249,12 +249,13 @@ def parse(src: str, var_name: str) -> Expr:
 
 def as_expr(value, var_name: str) -> Expr:
     """``value`` as an expression of ``var_name``: an Expr as it is, text
-    parsed, a number (not a bool) as a constant."""
+    parsed, a finite number (not a bool) as a constant."""
     if isinstance(value, Expr):
         return value
     if isinstance(value, str):
         return parse(value, var_name)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and math.isfinite(value):
         return Num(float(value), var_name)
     raise BadInput(f"expected an expression of {var_name}, got {value!r}")
 

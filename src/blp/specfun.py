@@ -332,16 +332,16 @@ def quartic_particular_solution(q: QuarticODE, a: float):
         fv = q.F(v0)
         d0 = math.copysign(math.sqrt(max(fv, 0.0)), d_raw) \
             if fv > 0.0 else d_raw
-        c = np.zeros(max(n + 1, 2))
-        c[0], c[1] = v0, d0
+        # phi'' = F'(phi)/2 by degree, with running coefficients of phi^2
+        # and phi^3
+        c, sq, cub = [v0, d0], [], []
         for k in range(n - 1):
-            head = c[: k + 2]
-            sq = series.mul(head, head, k)
-            cub = series.mul(sq, head, k)
+            sq.append(series.cauchy(c, c, k))
+            cub.append(series.cauchy(sq, c, k))
             fp_k = (4.0 * q.a0 * cub[k] + 12.0 * q.a1 * sq[k]
                     + 12.0 * q.a2 * c[k] + (4.0 * q.a3 if k == 0 else 0.0))
-            c[k + 2] = 0.5 * fp_k / ((k + 2) * (k + 1))
-        return c[: n + 1]
+            c.append(0.5 * fp_k / ((k + 2) * (k + 1)))
+        return np.array(c[: n + 1])
 
     def phi(z):
         # one P evaluation per argument: it both classifies and assembles

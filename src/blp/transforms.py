@@ -53,7 +53,7 @@ from .exprdsl import (Bin, Call, Expr, Num, as_expr, eval_jet, eval_series,
                       parse)
 from .jets import DomainError, Jet3, JetMap, Point, UndefinedHere, last_point
 from .quadrature import integrate_field_along, xt_path
-from .system import SolutionField, covering_residual
+from .system import SolutionField, covering_residual, residual_sup
 
 __all__ = [
     "PointSymmetry", "CoveringEigenfunction", "UndefinedTransform",
@@ -184,20 +184,18 @@ def _revert_series(f: np.ndarray) -> np.ndarray:
     jets.check_denominator(f[1], 0.0,
                            "vanishing derivative: map not invertible",
                            band=1e-14, error=InverseMapError)
-    g = np.zeros(n + 1)
-    g[1] = 1.0 / f[1]
+    # coefficient m of f(g(s)) must vanish for m >= 2; it is f_1 g_m plus
+    # f_k times coefficient m of g^k for k = 2..m, which needs g_1..g_m-1
+    # only.  powers[k] holds the running coefficients of g^k.
+    g = [0.0, 1.0 / f[1]]
+    powers = [None, g]
     for m in range(2, n + 1):
-        # coefficient m of f(g(s)) with the current g (g_m = 0) must cancel
-        comp = np.zeros(n + 1)
-        powg = np.zeros(n + 1)
-        powg[0] = 1.0
-        for k in range(0, n + 1):
-            if f[k] != 0.0 and k > 0:
-                comp += f[k] * powg
-            if k < n:
-                powg = series.mul(powg, g, n)
-        g[m] = -comp[m] / f[1]
-    return g
+        g.append(0.0)
+        powers.append([0.0] * m)
+        for k in range(2, m + 1):
+            powers[k].append(series.cauchy(g, powers[k - 1], m))
+        g[m] = -sum(f[k] * powers[k][m] for k in range(2, m + 1)) / f[1]
+    return np.array(g)
 
 
 def _inverse_jet(e: Expr, new_value: float, old_value: float,
@@ -406,17 +404,17 @@ class CoveringEigenfunction:
         object.__setattr__(self, "phi", last_point(self.phi))
         pts = list(self.probe_points) or \
             [p for p in _COVER_PROBE if self.attached_to.validity(p)]
-        worst, used = 0.0, 0
+        rs = []
         for p in pts:
             try:
                 c1, c2 = covering_residual(self.attached_to, self.phi, p)
             except UndefinedHere:
                 continue
-            used += 1
-            worst = max(worst, abs(c1), abs(c2))
-        if used == 0:
+            rs += [abs(c1), abs(c2)]
+        if not rs:
             raise ValueError("no usable probe points for the eigenfunction")
-        if worst > 1e-8:
+        worst = residual_sup(rs)
+        if not worst <= 1e-8:
             raise ValueError(
                 f"covering residual {worst:g} exceeds 1e-8 on the probe")
 
@@ -653,17 +651,15 @@ def covering_solutions_for_constraint(
     phi_map = witness.Phi if hasattr(witness, "Phi") else witness
 
     if theta is not None:
-        worst = 0.0
-        used = 0
+        rs = []
         for p in _COVER_PROBE:
             try:
                 th = theta(p, 2)
             except DomainError:
                 continue
-            used += 1
-            worst = max(worst, abs(th.extract((1, 0, 0))
-                                   + th.extract((0, 2, 0))))
-        if used == 0 or worst > 1e-8:
+            rs.append(abs(th.extract((1, 0, 0)) + th.extract((0, 2, 0))))
+        worst = residual_sup(rs)
+        if not (rs and worst <= 1e-8):
             raise ValueError(f"theta probe failed: residual {worst:g}")
 
     def zeta_jet(p, n):

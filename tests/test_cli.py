@@ -339,6 +339,38 @@ _MALFORMED = {
                          "--param", "kappa=abc"],
     "real_infinite": ["verify", "--family", "F_R29_ELEM_3",
                       "--param", "nu=-Infinity"],
+    "phi_not_object": ["transform", "--family", "seed_qy0", "--chain",
+                       '[{"op": "dt1", "phi": "abc"}]'],
+    "phi_unknown_key": ["transform", "--family", "seed_qy0", "--chain",
+                        '[{"op": "dt1", "phi": {"foo": 1}}]'],
+    "step_unknown_key": ["transform", "--family", "zero_uq", "--chain",
+                         '[{"op": "laplace_fwd_uq", "phi": {}}]'],
+    "seed_unknown_param": ["transform", "--family", "seed_qy0",
+                           "--param", "foo=1", "--chain",
+                           '[{"op": "laplace_inv_uq"}]'],
+    "reduce_eps_not_sign": ["reduce", "--id", "R2_9", "--param", "eps=1.7"],
+    "reduce_real_is_bool": ["reduce", "--id", "R2_9", "--param", "C0=true"],
+    "reduce_real_nan": ["reduce", "--id", "R2_9", "--param", "C0=NaN"],
+    "reduce_unknown_param": ["reduce", "--id", "R2_4", "--param", "foo=1"],
+    "witness_degree_fraction": [
+        "verify", "--family", "F_HOPFCOLE2D", "--param",
+        'Phi={"kind": "heat_polynomial", "n": 1.5}'],
+    "witness_degree_overflow": [
+        "verify", "--family", "F_HOPFCOLE2D", "--param",
+        'Phi={"kind": "heat_polynomial", "n": 1e30}'],
+    "witness_trig_unknown": [
+        "verify", "--family", "F_HOPFCOLE2D", "--param",
+        'Phi={"kind": "separable_trig", "trig": "tan"}'],
+    "witness_real_is_bool": [
+        "verify", "--family", "F_HOPFCOLE2D", "--param",
+        'Phi={"kind": "plane_exp", "k": true}'],
+    "witness_direction_unknown": [
+        "transform", "--family", "seed_uyqy", "--param",
+        'Phi={"kind": "plane_exp", "direction": "sideways"}', "--chain",
+        '[{"op": "laplace_fwd_uq"}]'],
+    "theta_nan": ["transform", "--family", "zero_uq", "--chain",
+                  '[{"op": "dt1", "phi": {"theta": '
+                  '{"kind": "plane_exp", "k": NaN}}}]'],
 }
 
 
@@ -348,6 +380,124 @@ def test_malformed_input_is_config_error(args, capsys):
     assert code == 2 and out == ""
     assert "Traceback" not in err
     assert set(json.loads(err)) == {"error"}
+
+
+_MALFORMED_CONFIGS = {
+    "config_is_a_list": ["verify", [{"family": "F_UY0_TRIV"}]],
+    "params_is_a_list": ["verify", {"family": "F_UY0_TRIV", "params": [1]}],
+    "family_is_a_list": ["verify", {"family": ["F_UY0_TRIV"]}],
+    "reduce_params_is_a_list": ["reduce", {"id": "R2_9", "params": []}],
+    "transform_config_is_a_number": ["transform", 3],
+}
+
+
+@pytest.mark.parametrize("command,cfg", _MALFORMED_CONFIGS.values(),
+                         ids=_MALFORMED_CONFIGS)
+def test_malformed_config_is_config_error(command, cfg, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli([command, "--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert set(json.loads(err)) == {"error"}
+
+
+def _declared_inputs():
+    """(argv builder, key) for every declared key of a CLI or witness spec:
+    the seeds' parameters, the dt step's phi object, both reduce ids and
+    every witness kind (through a family's Phi)."""
+    from blp import cli
+    cases = []
+    for seed, (declared, _) in cli._SEEDS.items():
+        for key, _ in declared:
+            cases.append((f"seed:{seed}", key))
+    for key in cli._PHI_DEFAULTS:
+        cases.append(("phi", key))
+    for rid in cli._REDUCE_DEFAULTS:
+        for key, _ in cli._REDUCE_PARAMS:
+            cases.append((f"reduce:{rid}", key))
+    for kind, (declared, _) in catalog._WITNESS_PARAMS.items():
+        for key, _ in declared + (("direction", ""),):
+            cases.append((f"witness:{kind}", key))
+    return cases
+
+
+def _argv_with(where: str, key: str, bad) -> list:
+    what, _, name = where.partition(":")
+    if what == "seed":
+        return ["transform", "--family", name,
+                "--param", f"{key}={json.dumps(bad)}",
+                "--chain", '[{"op": "laplace_fwd_uv"}]']
+    if what == "phi":
+        return ["transform", "--family", "zero_uq", "--chain",
+                json.dumps([{"op": "dt1", "phi": {key: bad}}])]
+    if what == "reduce":
+        return ["reduce", "--id", name, "--param", f"{key}={json.dumps(bad)}"]
+    return ["verify", "--family", "F_HOPFCOLE2D", "--param",
+            "Phi=" + json.dumps({"kind": name, key: bad})]
+
+
+@pytest.mark.parametrize("bad", ["@", True, math.nan], ids=["@", "true", "NaN"])
+@pytest.mark.parametrize("where,key", _declared_inputs())
+def test_every_declared_input_rejects_a_malformed_value(where, key, bad,
+                                                        capsys):
+    code, out, err = run_cli(_argv_with(where, key, bad), capsys)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and set(json.loads(err)) == {"error"}
+
+
+_GRID_2 = json.dumps({"t": [0.5, 1.0, 2], "x": [0.3, 0.9, 2],
+                      "y": [0.4, 1.0, 2]})
+
+
+def test_theta_without_direction_is_backward(capsys):
+    # every theta of a dt step solves the backward heat equation
+    def dt1(theta):
+        chain = json.dumps([{"op": "dt1", "phi": {
+            "constraint": "u_y=q_y", "zeta": "y", "theta": theta}}])
+        return run_cli(["transform", "--family", "seed_uyqy", "--chain",
+                        chain, "--grid", _GRID_2], capsys)
+
+    code, out, err = dt1({"kind": "plane_exp", "k": 1.0})
+    assert code == 0, err
+    assert json.loads(out)["passed"]
+    assert dt1({"kind": "plane_exp", "k": 1.0,
+                "direction": "backward"})[:2] == (code, out)
+
+
+def test_number_zeta_is_a_constant(capsys):
+    def dt1(zeta):
+        chain = json.dumps([{"op": "dt1", "phi": {"zeta": zeta}}])
+        return run_cli(["transform", "--family", "seed_qy0", "--chain",
+                        chain, "--grid", _GRID_2], capsys)
+
+    code, out, _ = dt1(5)
+    assert code == 0 and json.loads(out)["passed"]
+    assert dt1("5")[:2] == (code, out)
+
+
+_REDUCE_GOLDEN = {
+    "R2_4": ('{"id": "R2_4", "nodes": 416, "tol": 1e-10, '
+             '"window": [-1.2, 1.2]}',
+             '{"C0": 0.0, "C0_tilde": -2.0, "C1": 1.0, "eps": 1, '
+             '"id": "R2_4", "method": "dormand-prince-5(4)", "tol": 1e-10}'),
+    "R2_9": ('{"id": "R2_9", "nodes": 211, "tol": 1e-10, '
+             '"window": [-2.4, -0.6]}',
+             '{"C0": 0.0, "C1": 2.0, "C2": 0.0, "delta": 1.0, "id": "R2_9", '
+             '"method": "dormand-prince-5(4)", "nu": 1.0, "tol": 1e-10}'),
+}
+
+
+@pytest.mark.parametrize("rid", sorted(_REDUCE_GOLDEN))
+def test_reduce_defaults_golden(rid, tmp_path, capsys):
+    path = tmp_path / "traj.csv"
+    code, out, _ = run_cli(["reduce", "--id", rid, "--csv", str(path)],
+                           capsys)
+    stdout, sidecar = _REDUCE_GOLDEN[rid]
+    assert code == 0
+    assert out == stdout + "\n"
+    assert (tmp_path / "traj.csv.json").read_text() == sidecar
 
 
 def test_stalled_quadrature_is_a_json_error(capsys):

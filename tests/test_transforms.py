@@ -334,6 +334,18 @@ def test_eigenfunction_probe_rejects_non_solution():
                               attached_to=ZERO_UQ)
 
 
+def test_eigenfunction_probes_reject_nan():
+    # Python's max drops a NaN residual; neither probe may pass one
+    nan_map = jmap(lambda t, x, y: math.nan * x)
+    with pytest.raises(ValueError):
+        CoveringEigenfunction(phi=nan_map, attached_to=ZERO_UQ)
+    one = jmap(lambda t, x, y: 1.0 + 0.0 * x)
+    with pytest.raises(ValueError, match="theta probe"):
+        covering_solutions_for_constraint(
+            "u_y=q_y", uq_seed(one, constraint="u_y=q_y"), one,
+            theta=nan_map)
+
+
 @pytest.fixture(scope="module")
 def rich_seed():
     class W:
