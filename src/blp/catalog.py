@@ -344,35 +344,51 @@ def _witness(direction: str):
     return resolve
 
 
-def _degree(value):  # 170! is the largest factorial a float holds
-    if isinstance(value, int) and not isinstance(value, bool) \
-            and 0 <= value <= 170:
-        return value
-    raise BadBinding(f"expected an integer from 0 to 170, got {value!r}")
+def _kept(test: Callable, want: str):
+    """The kind of the values that pass ``test``, each kept as given."""
+    def resolve(value):
+        if test(value):
+            return value
+        raise BadBinding(f"expected {want}, got {value!r}")
+    return resolve
 
 
-def _jet_map(value):
-    if not callable(value):
-        raise BadBinding(f"expected a jet map, got {value!r}")
-    return value
+def _integer(value, lo, hi=math.inf) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and lo <= value <= hi
 
 
 def _choice(choices: tuple):
-    def resolve(value):
-        if value in choices:
-            return value
-        raise BadBinding(f"expected one of {choices}, got {value!r}")
-    return resolve
+    return _kept(lambda value: value in choices, f"one of {choices}")
+
+
+def _grid_axis(axis) -> bool:
+    return (isinstance(axis, (list, tuple)) and len(axis) == 3
+            and finite_real(axis[0]) and finite_real(axis[1])
+            and axis[0] < axis[1] and _integer(axis[2], 1))
 
 
 _RESOLVERS = {
     "expr_of_t": _expression("t"), "expr_of_x": _expression("x"),
     "expr_of_y": _expression("y"),
     "real": _number(), "sign": _number((1, -1)), "flag01": _number((0, 1)),
-    "pair": _numbers(2), "triple": _numbers(3), "degree": _degree,
+    "pair": _numbers(2), "triple": _numbers(3),
+    "degree": _kept(lambda v: _integer(v, 0, 170),  # 170! fits a float
+                    "an integer from 0 to 170"),
     "heat_witness_forward": _witness("forward"),
     "heat_witness_backward": _witness("backward"),
-    "jet_map": _jet_map,
+    "jet_map": _kept(callable, "a jet map"),
+    "grid": _kept(lambda v: isinstance(v, dict) and set(v) == set("txy")
+                  and all(map(_grid_axis, v.values())),
+                  "an object of the axes t, x and y, each [lo, hi, count] "
+                  "with finite lo < hi and an integer count >= 1"),
+    "tolerance": _kept(lambda v: finite_real(v) and v > 0,
+                       "a tolerance, a finite number > 0"),
+    "text": _kept(lambda v: isinstance(v, str) and v, "a nonempty string"),
+    "nonempty_list": _kept(lambda v: isinstance(v, list) and v,
+                           "a nonempty list"),
+    "constraint_tag": lambda v: _choice(tuple(sorted(
+        {d.constraint_tag for d in list_families()})))(v),
 }
 
 
@@ -390,17 +406,15 @@ def resolve(owner: str, declared: Sequence[tuple[str, str]],
     """Each declared (name, kind) of ``owner`` resolved by its kind, from
     its binding or, where that is missing or None, from its default.
 
-    ``bindings`` must be a mapping with no undeclared name.  A rejected
-    value raises :class:`BadBinding` naming it, or a
-    :class:`WitnessViolation` naming it where a witness spec names no
-    witness or a witness fails its probe.
+    ``bindings`` must be a mapping with no undeclared name; the declared
+    names are resolved first, so a rejected value is reported before an
+    undeclared name.  A rejected value raises :class:`BadBinding` naming
+    it, or a :class:`WitnessViolation` naming it where a witness spec
+    names no witness or a witness fails its probe.
     """
     if not isinstance(bindings, Mapping):
         raise BadBinding(f"the parameters of {owner} must be an object, "
                          f"got {bindings!r}")
-    extra = set(bindings) - set(defaults)
-    if extra:
-        raise BadBinding(f"unknown parameters {sorted(extra)} for {owner}")
     resolved = {}
     for name, kind in declared:
         value = bindings.get(name)
@@ -414,6 +428,9 @@ def resolve(owner: str, declared: Sequence[tuple[str, str]],
                     if isinstance(exc, WitnessViolation) else BadBinding
                 raise error(f"{name}: {exc}") from exc
         resolved[name] = value
+    extra = set(bindings) - set(defaults)
+    if extra:
+        raise BadBinding(f"unknown parameters {sorted(extra)} for {owner}")
     return resolved
 
 
@@ -1273,20 +1290,18 @@ def sinh_gordon_kink(a: float = 2.0) -> JetMap:
 def _f_sinhgordon(fid, b):
     theta, x0 = b["theta"], b["x0"]
     fn = jets.sinh if b["variant"] == "sinh" else jets.cosh
-    # bind-time probe of the Gordon equation
-    worst = 0.0
-    probed = 0
+    # bind-time probe of the Gordon equation; NaN if any residual is
+    rs = []
     for p in _PROBE_GRID:
         try:
             th = theta(p, 2)
         except DomainError:
             continue
-        probed += 1
-        worst = max(worst, abs(th.extract((0, 1, 1))
-                               + 4.0 * fn(th.value)))
-    if probed == 0 or worst > 1e-7:
+        rs.append(abs(th.extract((0, 1, 1)) + 4.0 * fn(th.value)))
+    worst = residual_sup(rs)
+    if not rs or not worst <= 1e-7:
         raise WitnessViolation(
-            f"theta probe failed: {probed} points, residual {worst:g}")
+            f"theta probe failed: {len(rs)} points, residual {worst:g}")
 
     def integrand(p, n):
         return jets.exp(theta(p, n))

@@ -19,22 +19,33 @@ non-finite ones are counted under ``nonfinite``.  Grid points are
 evaluated one after another in this process; BLP_THREADS is accepted
 and ignored.
 
-Every parameter and spec that the commands read is declared as a
-(name, kind) pair with a default and resolved as family parameters are,
-by ``catalog.resolve``: an undeclared key is rejected, a missing or null
+Every input, parameter and spec that the commands read is declared as
+a (name, kind) pair with a default and resolved as family parameters
+are, by ``catalog.resolve``: an undeclared key is rejected, a missing
 value takes the default, and a value that its kind rejects exits 2
-naming the key.  A config file is a JSON object, and its ``params`` an
-object.  The inputs (key kind = default):
+naming the key.  A command input is read from its flag, else from the
+config key of that name, else from its default; a flag's text, as a
+``--param`` value, is JSON if it parses.  A null command input exits 2;
+a null parameter takes its default.  A config file is a JSON object,
+and its ``params`` an object.  The inputs (key kind = default):
 
+  verify        family text, required;  grid grid = 4 points per axis
+                over the family's box;  tol tolerance = 1e-6;
+                perturb real = 0.0
+  transform     family text (a family or a seed), chain nonempty_list,
+                both required;  grid, tol as for verify;  base triple =
+                [1, 0, 0]
+  reduce        id R2_4|R2_9, required
+  list          constraint constraint_tag = none (no config file)
   seeds         zero_uq: none.  seed_qy0: Phi heat_witness_backward,
                 seed_uyqy: Phi heat_witness_forward, = plane_exp(k=1)
-  chain step    op, and phi on dt1 and dt2.  --base triple = [1, 0, 0]
+  chain step    op, and phi on dt1 and dt2
   phi           constraint q_y=0|u_y=q_y = q_y=0;  zeta expr_of_y = none
                 (1 under q_y=0, 0 under u_y=q_y);  theta
                 heat_witness_backward = none;  witness
                 heat_witness_backward under q_y=0, heat_witness_forward
                 under u_y=q_y, = plane_exp(k=1);  base triple = [1, 0, 0]
-  blp reduce    C0, C1, C2, delta real; eps sign; init triple; span pair;
+  reduce params C0, C1, C2, delta real; eps sign; init triple; span pair;
                 R2_4 = 0, 1, 0, 0, 1, [0, 1, 0], [-1.2, 1.2];
                 R2_9 = 0, 2, 0, 1, 1, [-2, 0.5, 0.25], [-2.4, -0.6]
   witness spec  plane_exp: k real = 1;  heat_polynomial: n degree = 2;
@@ -47,7 +58,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -64,42 +74,72 @@ class ConfigError(BadInput):
     pass
 
 
-def _grid(args, cfg: dict, family: str) -> tuple[list[Point], dict]:
-    """The points and the spec of ``--grid``, else of the config's grid,
-    else of 4 points per axis over the family's sampling box."""
-    spec = json.loads(args.grid) if args.grid else cfg.get("grid") or {
-        name: [lo, hi, 4]
-        for name, (lo, hi) in zip("txy", catalog.default_box(family))}
-    if not isinstance(spec, dict):
-        raise ConfigError(f"the grid must be a JSON object, got {spec!r}")
-    axes = []
-    for name in ("t", "x", "y"):
-        axis = spec.get(name)
-        try:
-            lo, hi, n = axis
-            n = int(n)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"grid axis {name} must be [lo, hi, n], "
-                              f"got {axis!r}") from None
-        if not (catalog.finite_real(lo) and catalog.finite_real(hi)) \
-                or n < 1 or not lo < hi:
-            raise ConfigError(f"bad grid spec for {name}: {axis}")
-        axes.append(np.linspace(lo, hi, n))
-    return [Point(float(t), float(x), float(y))
-            for t in axes[0] for x in axes[1] for y in axes[2]], spec
-
-
 def _parse_params(items) -> dict:
     out = {}
     for item in items or []:
         if "=" not in item:
             raise ConfigError(f"--param expects name=value, got {item!r}")
         name, value = item.split("=", 1)
-        try:
-            out[name] = json.loads(value)
-        except json.JSONDecodeError:
-            out[name] = value
+        out[name] = _json_or_text(value)
     return out
+
+
+def _json_or_text(text: str):
+    """A flag's text: JSON if it parses, else the text itself."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
+#: each command's inputs, as (name, kind) pairs, and their defaults; a
+#: None default is filled in by the command: the grid covers the
+#: family's sampling box, and no constraint filters the list
+_INPUTS = {
+    "list": ((("constraint", "constraint_tag"),), {"constraint": None}),
+    "verify": ((("family", "text"), ("grid", "grid"), ("tol", "tolerance"),
+                ("perturb", "real")),
+               {"family": None, "grid": None, "tol": 1e-6, "perturb": 0.0}),
+    "transform": ((("family", "text"), ("grid", "grid"),
+                   ("tol", "tolerance"), ("chain", "nonempty_list"),
+                   ("base", "triple")),
+                  {"family": None, "grid": None, "tol": 1e-6, "chain": None,
+                   "base": (1.0, 0.0, 0.0)}),
+    "reduce": ((("id", "R2_4|R2_9"),), {"id": None}),
+}
+_REQUIRED = ("family", "chain", "id")
+
+
+def _read(args) -> tuple[dict, dict]:
+    """The command's inputs and its parameters.
+
+    Each declared input is read from its flag, else from the config
+    file's key of that name, else from its default, and resolved by
+    ``catalog.resolve``.  The parameters are the config's ``params``
+    object updated by the ``--param`` flags.
+    """
+    cfg = {}
+    if getattr(args, "config", None):
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"a config file must be a JSON object, "
+                              f"got {cfg!r}")
+    params = cfg.pop("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"the config's params must be a JSON object, "
+                          f"got {params!r}")
+    declared, defaults = _INPUTS[args.command]
+    for name, kind in declared:
+        flag = getattr(args, name)
+        if flag is not None:
+            cfg[name] = _json_or_text(flag)
+        if name in cfg and cfg[name] is None:  # resolve reads it as missing
+            raise ConfigError(f"{name}: expected {kind}, got null")
+        if name in _REQUIRED and name not in cfg:
+            raise ConfigError(f"{name} is required")
+    inputs = catalog.resolve(f"blp {args.command}", declared, defaults, cfg)
+    return inputs, {**params, **_parse_params(getattr(args, "param", None))}
 
 
 def _within(report: dict, tol: float) -> bool:
@@ -108,17 +148,23 @@ def _within(report: dict, tol: float) -> bool:
             and "nonfinite" not in report)
 
 
-def _check_grid(field, family: str, grid, grid_spec: dict, tol: float):
-    """The JSON report of ``field`` over ``grid``, and its residual rows."""
-    rep = system.residual_report(field, grid)
+def _check_grid(field, family: str, inputs: dict):
+    """The JSON report of ``field`` over the grid of ``inputs``, else of 4
+    points per axis over the family's sampling box, and its residual rows."""
+    box = catalog.default_box(inputs["family"])
+    spec = inputs["grid"] or {
+        name: [lo, hi, 4] for name, (lo, hi) in zip("txy", box)}
+    t, x, y = (np.linspace(*spec[name]) for name in "txy")
+    rep = system.residual_report(field, [
+        Point(float(a), float(b), float(c)) for a in t for b in x for c in y])
     report = {
         "family": family,
         "params": {k: (v if isinstance(v, (int, float)) else str(v))
                    for k, v in field.params.items()},
-        "grid_spec": grid_spec,
+        "grid_spec": spec,
         **rep.summary(),
         "evaluated": len(rep.rows),
-        "tolerance": tol,
+        "tolerance": inputs["tol"],
     }
     return report, rep.rows
 
@@ -139,9 +185,10 @@ def _write_outputs(report: dict, rows, args) -> int:
 
 
 def cmd_list(args) -> int:
+    constraint = _read(args)[0]["constraint"]
     rows = catalog.list_families()
-    if args.constraint:
-        rows = [d for d in rows if d.constraint_tag == args.constraint]
+    if constraint is not None:
+        rows = [d for d in rows if d.constraint_tag == constraint]
     if args.json:
         payload = [{"id": d.id, "coords": d.coords,
                     "constraint": d.constraint_tag,
@@ -155,54 +202,14 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _tolerance(args, cfg: dict):
-    """``--tol``, else the config's ``tol``, else 1e-6: a finite number > 0."""
-    raw = cfg.get("tol", 1e-6) if args.tol is None else args.tol
-    try:
-        tol = float(raw) if isinstance(raw, str) else raw
-    except ValueError:
-        tol = None
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
-            or not math.isfinite(tol) or tol <= 0:
-        raise ConfigError(
-            f"tolerance must be a finite number > 0, got {raw!r}")
-    return tol
-
-
-def _load_config(args) -> tuple[dict, dict]:
-    """The config file's object and the parameters of the command: the
-    config's ``params`` object updated by the ``--param`` flags."""
-    cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"a config file must be a JSON object, "
-                              f"got {cfg!r}")
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"the config's params must be a JSON object, "
-                          f"got {params!r}")
-    return cfg, {**params, **_parse_params(args.param)}
-
-
-def _family(args, cfg: dict) -> str:
-    family = args.family or cfg.get("family")
-    if not (family and isinstance(family, str)):
-        raise ConfigError(f"a family id is required, got {family!r}")
-    return family
-
-
 def cmd_verify(args) -> int:
-    cfg, params = _load_config(args)
-    family = _family(args, cfg)
-    tol = _tolerance(args, cfg)
-    grid, grid_spec = _grid(args, cfg, family)
-    field = catalog.instantiate(family, params)
-    if args.perturb:
-        field = system.perturb_v(field, eps=args.perturb)
-    report, rows = _check_grid(field, family, grid, grid_spec, tol)
-    report["passed"] = _within(report, tol) and report["evaluated"] > 0
+    inputs, params = _read(args)
+    field = catalog.instantiate(inputs["family"], params)
+    if inputs["perturb"]:
+        field = system.perturb_v(field, eps=inputs["perturb"])
+    report, rows = _check_grid(field, inputs["family"], inputs)
+    report["passed"] = (_within(report, inputs["tol"])
+                        and report["evaluated"] > 0)
     return _write_outputs(report, rows, args)
 
 
@@ -260,18 +267,10 @@ def _build_phi(field, spec):
 
 
 def cmd_transform(args) -> int:
-    cfg, params = _load_config(args)
-    family = _family(args, cfg)
-    chain = json.loads(args.chain) if args.chain else cfg.get("chain", [])
-    if not isinstance(chain, list) or not chain:
-        raise ConfigError("the chain must be a nonempty list of ops")
-    base = cfg.get("base") or (json.loads(args.base) if args.base else None)
-    base = Point(*catalog.resolve("--base", (("base", "triple"),),
-                                  {"base": (1.0, 0.0, 0.0)},
-                                  {"base": base})["base"])
-    tol = _tolerance(args, cfg)
-    field = _seed_field(family, params)
-    for step in chain:
+    inputs, params = _read(args)
+    base = Point(*inputs["base"])
+    field = _seed_field(inputs["family"], params)
+    for step in inputs["chain"]:
         op = step.get("op") if isinstance(step, dict) else None
         if op not in _CHAIN_OPS:
             raise ConfigError(f"unknown chain op {op!r}")
@@ -295,10 +294,10 @@ def cmd_transform(args) -> int:
             phi = _build_phi(field, step.get("phi", {}))
             field = transforms.darboux("DT1" if op == "dt1" else "DT2",
                                        field, phi)
-    grid, grid_spec = _grid(args, cfg, family)
-    report, rows = _check_grid(field, field.family_id, grid, grid_spec, tol)
-    report["undefined_fraction"] = report["skipped"] / len(grid)
-    report["passed"] = (_within(report, tol)
+    report, rows = _check_grid(field, field.family_id, inputs)
+    report["undefined_fraction"] = \
+        report["skipped"] / (report["skipped"] + report["evaluated"])
+    report["passed"] = (_within(report, inputs["tol"])
                         and report["undefined_fraction"] <= 0.05)
     return _write_outputs(report, rows, args)
 
@@ -316,10 +315,8 @@ _REDUCE_DEFAULTS = {
 
 
 def cmd_reduce(args) -> int:
-    cfg, params = _load_config(args)
-    rid = args.id or cfg.get("id")
-    if rid not in ("R2_4", "R2_9"):
-        raise ConfigError("reduction id must be R2_4 or R2_9")
+    inputs, params = _read(args)
+    rid = inputs["id"]
     bound = catalog.resolve(rid, _REDUCE_PARAMS, _REDUCE_DEFAULTS[rid],
                             params)
     span = bound.pop("span")
@@ -379,36 +376,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact solutions and transformations of the "
                     "Boiti-Leon-Pempinelli system")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    lp = sub.add_parser("list", help="list solution families")
-    lp.add_argument("--constraint", help="filter by constraint tag")
-    lp.add_argument("--json", action="store_true")
-    lp.set_defaults(fn=cmd_list)
-
-    for name, fn in (("verify", cmd_verify), ("transform", cmd_transform)):
-        vp = sub.add_parser(name)
-        vp.add_argument("--family")
-        vp.add_argument("--param", action="append",
-                        help="name=value (value JSON or expression text)")
-        vp.add_argument("--grid", help="JSON grid spec")
-        vp.add_argument("--tol", help="finite number > 0 (default 1e-6)")
-        vp.add_argument("--config", help="JSON config file")
-        vp.add_argument("--report", help="write the JSON report here")
-        vp.add_argument("--csv", help="write a grid dump here")
-        if name == "verify":
-            vp.add_argument("--perturb", type=float, default=0.0,
-                            help="add eps*x^3 to v (detector check)")
+    for command, fn in (("list", cmd_list), ("verify", cmd_verify),
+                        ("transform", cmd_transform), ("reduce", cmd_reduce)):
+        cp = sub.add_parser(command)
+        for name, kind in _INPUTS[command][0]:
+            cp.add_argument(f"--{name}", help=f"kind {kind}")
+        if command == "list":
+            cp.add_argument("--json", action="store_true")
         else:
-            vp.add_argument("--chain", help="JSON list of chain ops")
-            vp.add_argument("--base", help="JSON [t, x, y] base point")
-        vp.set_defaults(fn=fn)
-
-    rp = sub.add_parser("reduce")
-    rp.add_argument("--id", choices=("R2_4", "R2_9"))
-    rp.add_argument("--param", action="append")
-    rp.add_argument("--config")
-    rp.add_argument("--csv")
-    rp.set_defaults(fn=cmd_reduce)
+            cp.add_argument("--param", action="append",
+                            help="name=value (value JSON or expression text)")
+            cp.add_argument("--config", help="JSON config file")
+            cp.add_argument("--csv", help="write a CSV dump here")
+        if command in ("verify", "transform"):
+            cp.add_argument("--report", help="write the JSON report here")
+        cp.set_defaults(fn=fn)
 
     gp = sub.add_parser("algebra")
     gp.set_defaults(fn=cmd_algebra)

@@ -158,6 +158,14 @@ def test_sinh_gordon_probe_rejects_wrong_theta():
         instantiate("F_SINHGORDON", {"theta": theta})
 
 
+def test_sinh_gordon_probe_rejects_nan_theta():
+    # Python's max drops a NaN; the probe's residual must not
+    def theta(p, n):
+        return jets.Jet3.constant(math.nan, p, n)
+    with pytest.raises(WitnessViolation):
+        instantiate("F_SINHGORDON", {"theta": theta})
+
+
 CONSTRAINT_CASES = [
     ("F_VX0", {}),
     ("F_HOPFCOLE2D", {}),

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blp import catalog, quadrature, system
 from blp.cli import main
@@ -306,6 +310,7 @@ def test_finite_report_has_no_nonfinite_key(capsys):
     assert code == 0 and "nonfinite" not in json.loads(out)
 
 
+_GRID_COUNT = '{"t": [0.5, 1, %s], "x": [0, 1, 2], "y": [0, 1, 2]}'
 _DT1_BAD_THETA = json.dumps([{"op": "dt1", "phi": {
     "theta": {"kind": "heat_polynomial", "n": 2, "direction": "forward"}}}])
 _MALFORMED = {
@@ -371,6 +376,30 @@ _MALFORMED = {
     "theta_nan": ["transform", "--family", "zero_uq", "--chain",
                   '[{"op": "dt1", "phi": {"theta": '
                   '{"kind": "plane_exp", "k": NaN}}}]'],
+    "grid_count_fraction": ["verify", "--family", "F_UY0_TRIV",
+                            "--grid", _GRID_COUNT % "2.5"],
+    "grid_count_string": ["verify", "--family", "F_UY0_TRIV",
+                          "--grid", _GRID_COUNT % '"2"'],
+    "grid_count_bool": ["verify", "--family", "F_UY0_TRIV",
+                        "--grid", _GRID_COUNT % "true"],
+    "grid_count_float": ["verify", "--family", "F_UY0_TRIV",
+                         "--grid", _GRID_COUNT % "2.0"],
+    "grid_extra_axis": ["verify", "--family", "F_UY0_TRIV", "--grid",
+                        '{"t": [0.5, 1, 2], "x": [0, 1, 2], "y": [0, 1, 2], '
+                        '"z": [0, 1, 2]}'],
+    "perturb_nan_text": ["verify", "--family", "F_UY0_TRIV",
+                         "--perturb", "nan"],
+    "perturb_not_json": ["verify", "--family", "F_UY0_TRIV",
+                         "--perturb", ".05"],
+    "tol_not_json": ["verify", "--family", "F_UY0_TRIV", "--tol", ".5"],
+    "tol_null": ["verify", "--family", "F_UY0_TRIV", "--tol", "null"],
+    "list_unknown_constraint": ["list", "--constraint", "bogus"],
+    "reduce_unknown_id": ["reduce", "--id", "R2_5"],
+    "reduce_no_id": ["reduce"],
+    "chain_empty": ["transform", "--family", "zero_uq", "--chain", "[]"],
+    "chain_not_json": ["transform", "--family", "zero_uq",
+                       "--chain", "laplace_fwd_uq"],
+    "family_missing": ["verify"],
 }
 
 
@@ -388,6 +417,15 @@ _MALFORMED_CONFIGS = {
     "family_is_a_list": ["verify", {"family": ["F_UY0_TRIV"]}],
     "reduce_params_is_a_list": ["reduce", {"id": "R2_9", "params": []}],
     "transform_config_is_a_number": ["transform", 3],
+    "undeclared_key": ["verify", {"family": "F_UY0_TRIV", "tolerance": 1e-30}],
+    "reduce_undeclared_key": ["reduce", {"id": "R2_9", "span": [-2, -1]}],
+    "grid_empty": ["verify", {"family": "F_UY0_TRIV", "grid": {}}],
+    "grid_null": ["verify", {"family": "F_UY0_TRIV", "grid": None}],
+    "base_null": ["transform", {"family": "zero_uq", "base": None,
+                                "chain": [{"op": "laplace_fwd_uq"}]}],
+    "tol_is_a_string": ["verify", {"family": "F_UY0_TRIV", "tol": "1e-6"}],
+    "family_null": ["verify", {"family": None}],
+    "chain_missing": ["transform", {"family": "zero_uq"}],
 }
 
 
@@ -564,3 +602,159 @@ def test_every_toolkit_error_is_a_blp_error():
     for cls, builtin in errors.items():
         assert issubclass(cls, jets.BLPError) and issubclass(cls, builtin), \
             cls
+
+
+_F_VXXX_1 = ["--param", "alpha=sin(y)", "--param", "beta=2+cos(y)",
+             "--param", "gamma=y", "--param", "delta=1"]
+_PRECEDENCE = {
+    # (command, input): the other arguments, the flag's text and a
+    # config value that gives another output
+    ("verify", "family"): (["--grid", _GRID_2], "F_UY0_TRIV", "F_VXXX_4"),
+    ("verify", "grid"): (["--family", "F_UY0_TRIV"], _GRID_2,
+                         {"t": [0.5, 1.0, 3], "x": [0.3, 0.9, 2],
+                          "y": [0.4, 1.0, 2]}),
+    ("verify", "tol"): (["--family", "F_UY0_TRIV", "--grid", _GRID_2],
+                        "1e-8", 1e-3),
+    ("verify", "perturb"): (["--family", "F_UY0_TRIV", "--grid", _GRID_2],
+                            "0", 0.05),
+    ("transform", "family"): (
+        ["--chain", '[{"op": "laplace_fwd_uq"}]', "--grid", _GRID_2],
+        "seed_qy0", "zero_uq"),
+    ("transform", "grid"): (
+        ["--family", "seed_qy0", "--chain", '[{"op": "laplace_fwd_uq"}]'],
+        _GRID_2, {"t": [0.5, 1.0, 1], "x": [0.3, 0.9, 2],
+                  "y": [0.4, 1.0, 2]}),
+    ("transform", "tol"): (
+        ["--family", "seed_qy0", "--chain", '[{"op": "laplace_inv_uq"}]',
+         "--grid", _GRID_2], "1e-8", 1e-3),
+    ("transform", "chain"): (["--family", "seed_qy0", "--grid", _GRID_2],
+                             '[{"op": "laplace_inv_uq"}]',
+                             [{"op": "laplace_fwd_uq"}]),
+    # the FOUND case: a config's base overrode --base
+    ("transform", "base"): (
+        ["--family", "F_VXXX_1", *_F_VXXX_1,
+         "--chain", '[{"op": "laplace_fwd_uv"}]',
+         "--grid", json.dumps({"t": [0.9, 1.3, 2], "x": [0.4, 1.0, 2],
+                               "y": [0.4, 0.9, 2]})],
+        "[1.0, 0.3, 0.7]", [1.0, 0.0, 0.5]),
+    ("reduce", "id"): ([], "R2_9", "R2_4"),
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(_PRECEDENCE))
+def test_a_flag_beats_the_config_value(command, name, tmp_path, capsys):
+    args, flag, other = _PRECEDENCE[command, name]
+    cfg, dump = tmp_path / "cfg.json", tmp_path / "dump.csv"
+    cfg.write_text(json.dumps({name: other}))
+
+    def run(*extra):
+        dump.unlink(missing_ok=True)
+        code, out, _ = run_cli([command, *args, "--csv", str(dump), *extra],
+                               capsys)
+        return code, out, dump.read_text() if dump.exists() else None
+
+    flagged = run(f"--{name}={flag}")
+    assert flagged[0] in (0, 1)
+    assert run("--config", str(cfg), f"--{name}={flag}") == flagged
+    assert run("--config", str(cfg)) != flagged
+
+
+def test_every_declared_input_has_a_precedence_case():
+    from blp import cli
+    assert set(_PRECEDENCE) == {
+        (command, name) for command, (declared, _) in cli._INPUTS.items()
+        if command != "list" for name, _ in declared}
+
+
+def test_every_flag_is_a_declared_input():
+    import argparse
+
+    from blp import cli
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    other = {"--config", "--param", "--report", "--csv"}
+    for command, parser in commands.choices.items():
+        declared = {f"--{name}"
+                    for name, _ in cli._INPUTS.get(command, ((), {}))[0]}
+        flags = {s for a in parser._actions for s in a.option_strings
+                 if s.startswith("--") and s != "--help"}
+        assert flags - declared - other \
+            <= ({"--json"} if command == "list" else set()), command
+        assert declared <= flags, command
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+_SMALL_GRID = st.builds(
+    lambda nt, nx, ny: {"t": [0.5, 1.0, nt], "x": [0.3, 0.9, nx],
+                        "y": [0.4, 1.0, ny]},
+    *[st.integers(1, 2)] * 3)
+_VALID = {
+    "family": st.sampled_from(["F_UY0_TRIV", "F_VXXX_4", "zero_uq",
+                               "seed_qy0", "seed_uyqy"]),
+    "grid": _SMALL_GRID,
+    "tol": st.sampled_from([1e-6, 1e-8, 1]),
+    "perturb": st.sampled_from([0.0, 0.05]),
+    "chain": st.sampled_from(
+        [[{"op": op}] for op in ("laplace_fwd_uv", "laplace_inv_uv",
+                                 "laplace_fwd_uq", "laplace_inv_uq")]
+        + [[{"op": "dt1", "phi": {}}], [{"op": "dt2", "phi": {}}],
+           [{"op": "dt1", "phi": {"constraint": "u_y=q_y", "zeta": "y"}}]]),
+    "base": st.sampled_from([[1.0, 0.0, 0.0], [1.0, 0.0, 0.5]]),
+    "id": st.sampled_from(["R2_4", "R2_9"]),
+    "constraint": st.sampled_from(sorted(
+        {d.constraint_tag for d in catalog.list_families()})),
+}
+
+
+@st.composite
+def _cli_call(draw):
+    """A command and its inputs, each valid or arbitrary JSON, each in a
+    flag, in the config file or left out; a transform always has a grid,
+    of at most 2 points per axis where it is valid."""
+    from blp import cli
+    command = draw(st.sampled_from(["verify", "transform", "reduce",
+                                    "list"]))
+    flags, cfg = [], {}
+    for name, _ in cli._INPUTS[command][0]:
+        # mostly valid, so that some examples get past their inputs
+        value = draw(_VALID[name] if draw(st.integers(0, 7)) else _JSON)
+        where = draw(st.sampled_from(
+            ["flag"] if command == "list" else
+            ["flag", "config"] if (command, name) == ("transform", "grid")
+            else ["flag", "config", "omit"]))
+        if where == "flag":
+            text = value if isinstance(value, str) else json.dumps(value)
+            flags.append(f"--{name}={text}")
+        elif where == "config":
+            cfg[name] = value
+    return command, flags, cfg
+
+
+@settings(max_examples=80, deadline=None)
+@given(call=_cli_call())
+def test_exit_code_contract(call, tmp_path_factory):
+    command, flags, cfg = call
+    argv = [command, *flags]
+    if command == "list":
+        argv.append("--json")
+    elif cfg:
+        path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv += ["--config", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "error" in json.loads(err)
+    else:
+        assert len(out.splitlines()) == 1
+        json.loads(out)
