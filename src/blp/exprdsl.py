@@ -3,10 +3,13 @@
 Solution families are parameterized by arbitrary smooth functions of one
 variable (functions of ``t`` or of ``y``, occasionally of ``x``).  Users
 supply them as text, e.g. ``"2*t + sin(t)^2"``.  Parsed expressions
-evaluate over plain floats or over :class:`blp.jets.Jet3` values, and
-support exact symbolic differentiation, which the Lie-algebra layer needs
-for commutators.  :func:`eval_jet` evaluates one as a univariate Taylor
-series (:mod:`blp.series`) and places it on its axis of a jet.
+evaluate on plain floats (calling one, or :func:`sample` at many points in
+one walk of the tree) and on univariate Taylor series (:mod:`blp.series`):
+:func:`compose_series` of a series, :func:`eval_series` at a coordinate
+value and :func:`eval_jet`, which places that series on its axis of a
+jet.  They support exact symbolic differentiation, which the Lie-algebra
+layer needs for commutators.  Every form reads the float form and the
+guard of each function from ``jets._ELEMENTARY``.
 
 Grammar: ``+ - * / ^`` with standard precedence (``^`` right-associative,
 binding tighter than unary minus), parentheses, single-argument function
@@ -17,15 +20,18 @@ constants ``pi`` and ``e``.  No implicit multiplication.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import jets, series
 from .jets import BadInput, Jet3, Point
 
-__all__ = ["Expr", "ParseError", "parse", "as_expr", "eval_jet",
-           "eval_series", "Num", "Var", "Bin", "Neg", "Call"]
+__all__ = ["Expr", "ParseError", "parse", "as_expr", "sample", "eval_jet",
+           "eval_series", "compose_series", "Num", "Var", "Bin", "Neg",
+           "Call"]
 
 _FUNCTIONS = ("exp", "ln", "sin", "cos", "tan", "sinh", "cosh", "sqrt", "abs")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -43,7 +49,16 @@ class ParseError(BadInput):
 # ----------------------------------------------------------------------
 
 class Expr:
-    """Base class; concrete nodes below.  Immutable and hashable-free."""
+    """Base class; concrete nodes below.
+
+    Calling an expression evaluates it on a float; :func:`compose_series`,
+    :func:`eval_series` and :func:`eval_jet` evaluate it on univariate
+    series, never on jets.  Nodes are frozen dataclasses, so equality and
+    hashing walk the whole tree; code that looks trees up at run time keys
+    them by identity.  An expression that :func:`eval_series` or
+    :func:`eval_jet` evaluates keeps a bounded memo of its series beside
+    its fields.
+    """
 
     var_name: str
 
@@ -261,7 +276,7 @@ def as_expr(value, var_name: str) -> Expr:
 
 
 # ----------------------------------------------------------------------
-# evaluation (floats and jets), printing, differentiation
+# evaluation (floats and series), printing, differentiation
 # ----------------------------------------------------------------------
 
 _CALL_JET = {
@@ -270,36 +285,69 @@ _CALL_JET = {
 }
 
 
-def _eval(e: Expr, x):
+def _divide(a: float, b: float) -> float:
+    jets.check_denominator(b, a, "division by (near-)zero value")
+    return a / b
+
+
+#: the float form of each binary operator, guards included
+_FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": _divide, "^": jets.power}
+
+
+def _eval(e: Expr, x: float) -> float:
     kind = type(e)
     if kind is Bin:
-        lv = _eval(e.left, x)
-        rv = _eval(e.right, x)
-        op = e.op
-        if op == "+":
-            return lv + rv
-        if op == "-":
-            return lv - rv
-        if op == "*":
-            return lv * rv
-        if op == "/":
-            if not (isinstance(rv, Jet3) or isinstance(lv, Jet3)):
-                jets.check_denominator(rv, lv, "division by (near-)zero value")
-            return lv / rv
-        if op == "^":
-            return jets.power(lv, rv)
-        raise AssertionError(op)
+        return _FLOAT_OPS[e.op](_eval(e.left, x), _eval(e.right, x))
     if kind is Var:
         return x
     if kind is Num:
-        if isinstance(x, Jet3):
-            return Jet3.constant(e.value, x.base, x.order)
         return e.value
     if kind is Call:
         return jets.call(_CALL_JET[e.fn], _eval(e.arg, x))
     if kind is Neg:
         return -_eval(e.arg, x)
     raise AssertionError(kind)
+
+
+def _eval_many(e: Expr, xs: list, seen: dict) -> list:
+    """The values of ``e`` at each of ``xs``, by the operations of
+    :func:`_eval`; ``seen`` holds each subtree already walked, by identity."""
+    out = seen.get(id(e))
+    if out is not None:
+        return out
+    kind = type(e)
+    if kind is Bin:
+        out = list(map(_FLOAT_OPS[e.op], _eval_many(e.left, xs, seen),
+                       _eval_many(e.right, xs, seen)))
+    elif kind is Var:
+        out = xs
+    elif kind is Num:
+        out = [e.value] * len(xs)
+    elif kind is Call:
+        out = list(map(partial(jets.call, _CALL_JET[e.fn]),
+                       _eval_many(e.arg, xs, seen)))
+    elif kind is Neg:
+        out = list(map(operator.neg, _eval_many(e.arg, xs, seen)))
+    else:
+        raise AssertionError(kind)
+    seen[id(e)] = out
+    return out
+
+
+def sample(e: Expr, xs) -> list[float]:
+    """``[e(x) for x in xs]``, in one walk of the tree: each subtree that
+    occurs more than once (the same object) is evaluated once.
+
+    Values are those of calling ``e`` on each float.  Where a point
+    raises, the points are taken one at a time, so the error is the one
+    that calling ``e`` on them in turn raises first.
+    """
+    xs = [float(x) for x in xs]
+    try:
+        return list(_eval_many(e, xs, {}))
+    except (ArithmeticError, ValueError):
+        return [_eval(e, x) for x in xs]
 
 
 def _as_series(v, lay: series.Layout) -> np.ndarray:
@@ -347,23 +395,51 @@ def _eval_series(e: Expr, x: np.ndarray, lay: series.Layout):
     raise AssertionError(type(e))
 
 
-def eval_series(e: Expr, at: float, order: int) -> np.ndarray:
-    """Taylor coefficients 0..``order`` of the univariate function at
-    ``at``."""
+def compose_series(e: Expr, g: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of ``e`` composed with the univariate series
+    ``g``, to the order of ``g``.  The result is ``g`` itself where ``e``
+    is its variable, so neither is written afterwards."""
+    lay = series.univariate(len(g) - 1)
+    return _as_series(_eval_series(e, g, lay), lay)
+
+
+#: series kept in the memo of one expression
+MEMO_SIZE = 256
+
+
+def _memo_series(e: Expr, at: float, order: int) -> np.ndarray:
+    """The series of ``e`` at ``at`` to ``order``, from the memo of ``e``
+    (at most :data:`MEMO_SIZE` entries, the oldest dropped first); an
+    error is never kept.  The array is the memo's own: callers copy it."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    lay = series.univariate(order)
-    x = np.zeros(order + 1)
-    x[0] = at
-    if order:
-        x[1] = 1.0
-    return _as_series(_eval_series(e, x, lay), lay)
+    memo = e.__dict__.setdefault("_memo", {})
+    # -0.0 == 0.0, but the series at -0.0 starts with -0.0
+    key = (at, order) if at else (at, order, math.copysign(1.0, at))
+    ser = memo.get(key)
+    if ser is None:
+        x = np.zeros(order + 1)
+        x[0] = at
+        if order:
+            x[1] = 1.0
+        ser = compose_series(e, x)
+        if len(memo) >= MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = ser
+    return ser
+
+
+def eval_series(e: Expr, at: float, order: int) -> np.ndarray:
+    """Taylor coefficients 0..``order`` of the univariate function at
+    ``at``, as a new array."""
+    return _memo_series(e, at, order).copy()
 
 
 def eval_jet(e: Expr, which: str, at: Point, order: int) -> Jet3:
     """Jet of the univariate function, constant in the other two variables:
     its series in ``which`` on the axis of that variable."""
-    return jets.axis_jet(eval_series(e, getattr(at, which), order), which, at)
+    return jets.axis_jet(_memo_series(e, getattr(at, which), order),
+                         which, at)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
@@ -414,6 +490,21 @@ def _subst(e: Expr, repl: Expr) -> Expr:
 
 
 def _mk(op, l, r, v):
+    """``Bin(op, l, r, v)``, or a node of the same value: two numbers fold
+    into one where their float value is finite and raises no error, and a
+    factor of exactly 1.0 is dropped."""
+    if isinstance(l, Num) and isinstance(r, Num):
+        try:
+            value = _FLOAT_OPS[op](l.value, r.value)
+        except ArithmeticError:
+            return Bin(op, l, r, v)
+        if math.isfinite(value):
+            return Num(value, v)
+    elif op == "*":
+        if isinstance(l, Num) and l.value == 1.0:
+            return r
+        if isinstance(r, Num) and r.value == 1.0:
+            return l
     return Bin(op, l, r, v)
 
 

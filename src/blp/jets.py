@@ -289,6 +289,8 @@ class Jet3:
             quotient(self.coeffs, o.coeffs, _tables(self.order)))
 
     def __rtruediv__(self, other):
+        check_denominator(self.value, other,
+                          "jet division: denominator value {} inside guard band")
         return float(other) * apply_unary("recip", self)
 
     def __pow__(self, r):

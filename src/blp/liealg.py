@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprdsl import Bin, Expr, Num, as_expr, parse
+from .exprdsl import Bin, Expr, Num, as_expr, parse, sample
 from .jets import BLPError
 from .transforms import _invert_monotone
 
@@ -110,6 +110,8 @@ class LieElement:
         c = self.terms.get(kind)
         if c is None:
             return np.zeros(len(pts))
+        if isinstance(c, Expr):
+            return np.array(sample(c, pts))
         return np.array([float(c(float(s))) for s in pts])
 
     def __repr__(self):

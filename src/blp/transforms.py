@@ -49,8 +49,8 @@ from functools import partial
 import numpy as np
 
 from . import jets, series
-from .exprdsl import (Bin, Call, Expr, Num, as_expr, eval_jet, eval_series,
-                      parse)
+from .exprdsl import (Bin, Call, Expr, Num, as_expr, compose_series, eval_jet,
+                      eval_series, parse, sample)
 from .jets import DomainError, Jet3, JetMap, Point, UndefinedHere, last_point
 from .quadrature import integrate_field_along, xt_path
 from .system import SolutionField, covering_residual, residual_sup
@@ -104,11 +104,10 @@ class PointSymmetry:
             raise ValueError("eps must be +1 or -1")
         dT = self.T.diff()
         dY = self.Y.diff()
-        samples = np.linspace(*self.t_window, 17)
-        tvals = [dT(float(s)) for s in samples]
+        tvals = sample(dT, np.linspace(*self.t_window, 17))
         if min(tvals) <= 0.0:
             raise ValueError("T_t must be positive on the working window")
-        yvals = [dY(float(s)) for s in np.linspace(*self.y_window, 17)]
+        yvals = sample(dY, np.linspace(*self.y_window, 17))
         if min(abs(v) for v in yvals) == 0.0 or \
                 (min(yvals) < 0.0 < max(yvals)):
             raise ValueError("Y_y must keep a fixed sign on the window")
@@ -181,6 +180,8 @@ def _invert_monotone(f: Expr, target: float, window: tuple) -> float:
 def _revert_series(f: np.ndarray) -> np.ndarray:
     """Coefficients of the inverse of s -> sum_{k>=1} f_k s^k."""
     n = len(f) - 1
+    if n == 0:
+        return np.zeros(1)
     jets.check_denominator(f[1], 0.0,
                            "vanishing derivative: map not invertible",
                            band=1e-14, error=InverseMapError)
@@ -198,24 +199,38 @@ def _revert_series(f: np.ndarray) -> np.ndarray:
     return np.array(g)
 
 
-def _inverse_jet(e: Expr, new_value: float, old_value: float,
-                 axis: str, p: Point, order: int) -> Jet3:
-    """Jet (in the new variables) of the inverse function of e at new_value."""
+def _inverse_series(e: Expr, old_value: float, order: int) -> np.ndarray:
+    """Taylor coefficients, in the new variable, of the inverse function of
+    ``e`` at e(old_value)."""
     fser = eval_series(e, old_value, order)
     fser[0] = 0.0
     gser = _revert_series(fser)
     gser[0] = old_value
-    return jets.axis_jet(gser, axis, p)
+    return gser
+
+
+def _placed(e: Expr, ser: np.ndarray, axis: str, p: Point) -> Jet3:
+    """Jet at ``p`` of ``e`` composed with the univariate series ``ser``
+    along ``axis``."""
+    return jets.axis_jet(compose_series(e, ser), axis, p)
 
 
 def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
-    """Push a (u,v) solution field forward by a group element."""
+    """Push a (u,v) solution field forward by a group element.
+
+    The coefficient functions of ``g`` are evaluated on the univariate
+    series of the inverse maps and placed on their axes; ``u`` and ``v``
+    at one point and order share the inverse point, both series and
+    the jet of the old x.
+    """
     if s.coords != "UV":
         raise ValueError("apply_symmetry expects (u,v) coordinates")
     dT, dY = g.T.diff(), g.Y.diff()
     ddT = dT.diff()
     dX0, dV0 = g.X0.diff(), g.V0.diff()
+    eps = float(g.eps)
     last_new = last_old = None
+    last_inner = None
 
     def old_point(pn: Point) -> Point:
         # validity, u and v ask at the same point in turn: invert it once
@@ -229,28 +244,33 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
         return last_old
 
     def inner_jets(pn: Point, n: int):
+        # u and v ask at the same point and order in turn: build them once
+        nonlocal last_inner
+        if last_inner is not None and last_inner[0] == (pn, n):
+            return last_inner[1:]
         po = old_point(pn)
-        jt = _inverse_jet(g.T, pn.t, po.t, "t", pn, n)
-        jy = _inverse_jet(g.Y, pn.y, po.y, "y", pn, n)
-        xg = jets.lift_variable("x", pn, n)
-        ttj = dT(jt)
-        jx = (xg - g.X0(jt)) / (float(g.eps) * jets.sqrt(ttj))
-        return po, jt, jx, jy, ttj
+        gt = _inverse_series(g.T, po.t, n)
+        gy = _inverse_series(g.Y, po.y, n)
+        ttj = _placed(dT, gt, "t", pn)
+        rt = jets.sqrt(ttj)
+        jx = (jets.lift_variable("x", pn, n) - _placed(g.X0, gt, "t", pn)) \
+            / (eps * rt)
+        last_inner = ((pn, n), po, gt, gy, jx, ttj, rt)
+        return last_inner[1:]
 
     def u(pn: Point, n: int) -> Jet3:
-        po, jt, jx, jy, ttj = inner_jets(pn, n)
-        U = s.u(po, n)
-        Uc = jets.compose3(U.coeffs, n, jt, jx, jy)
-        rt = jets.sqrt(ttj)
-        return (float(g.eps) * Uc / rt
-                - float(g.eps) * ddT(jt) / (4.0 * ttj * rt) * jx
-                - dX0(jt) / (2.0 * ttj))
+        po, gt, gy, jx, ttj, rt = inner_jets(pn, n)
+        Uc = jets.compose3(s.u(po, n).coeffs, n, jets.axis_jet(gt, "t", pn),
+                           jx, jets.axis_jet(gy, "y", pn))
+        return (eps * Uc / rt
+                - eps * _placed(ddT, gt, "t", pn) / (4.0 * ttj * rt) * jx
+                - _placed(dX0, gt, "t", pn) / (2.0 * ttj))
 
     def v(pn: Point, n: int) -> Jet3:
-        po, jt, jx, jy, _ = inner_jets(pn, n)
-        V = s.v(po, n)
-        Vc = jets.compose3(V.coeffs, n, jt, jx, jy)
-        return Vc / dY(jy) + g.V0(jy)
+        po, gt, gy, jx, _, _ = inner_jets(pn, n)
+        Vc = jets.compose3(s.v(po, n).coeffs, n, jets.axis_jet(gt, "t", pn),
+                           jx, jets.axis_jet(gy, "y", pn))
+        return Vc / _placed(dY, gy, "y", pn) + _placed(g.V0, gy, "y", pn)
 
     def ok(pn: Point) -> bool:
         try:

@@ -1,7 +1,12 @@
 import itertools
+import operator
 
 import numpy as np
 import pytest
+
+from blp import exprdsl, jets
+from blp.exprdsl import Call, Neg, Num, Var
+from blp.jets import Jet3
 
 
 def central_diff(f, p, multi_index, h=None):
@@ -34,6 +39,25 @@ def central_diff(f, p, multi_index, h=None):
 
     g = d1(d1(d1(f, 0, i), 1, j), 2, k)
     return g(*p)
+
+
+def jet_walk(e, x):
+    """The expression ``e`` on the jet ``x`` by jet arithmetic alone:
+    ``jets.call``, ``jets.power`` and the operators of ``Jet3``.  A
+    reference for the univariate-series evaluators."""
+    if isinstance(e, Num):
+        return Jet3.constant(e.value, x.base, x.order)
+    if isinstance(e, Var):
+        return x
+    if isinstance(e, Neg):
+        return -jet_walk(e.arg, x)
+    if isinstance(e, Call):
+        return jets.call(exprdsl._CALL_JET[e.fn], jet_walk(e.arg, x))
+    return _JET_OPS[e.op](jet_walk(e.left, x), jet_walk(e.right, x))
+
+
+_JET_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": operator.truediv, "^": jets.power}
 
 
 @pytest.fixture

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blp import catalog, exprdsl, jets
-from blp.exprdsl import Bin, Call, Num, ParseError, Var, eval_jet, parse
+from blp.exprdsl import (Bin, Call, Num, ParseError, Var, eval_jet,
+                         eval_series, parse)
 from blp.jets import DomainError, Point
-from conftest import central_diff
+from conftest import central_diff, jet_walk
 
 
 def test_parse_valid_tree():
@@ -177,7 +178,7 @@ def test_jet_valued_exponent():
 # ----------------------------------------------------------------------
 
 def _trivariate(e, which, p, order):
-    return exprdsl._eval(e, jets.lift_variable(which, p, order))
+    return jet_walk(e, jets.lift_variable(which, p, order))
 
 
 #: the parameter functions of the transform chains, and a variable exponent
@@ -219,3 +220,197 @@ def test_univariate_eval_jet_domain_errors(src, at):
             _trivariate(e, "y", p, order)
         with pytest.raises(DomainError):
             eval_jet(e, "y", p, order)
+
+
+# ----------------------------------------------------------------------
+# the series memo of eval_series and eval_jet
+# ----------------------------------------------------------------------
+
+def _fresh_series(src, which, at, order):
+    """The series of a newly parsed tree, which has no memo yet."""
+    x = np.zeros(order + 1)
+    x[0] = at
+    if order:
+        x[1] = 1.0
+    return exprdsl.compose_series(parse(src, which), x)
+
+
+@pytest.mark.parametrize("src, which", _DIFFERENTIAL_CASES)
+def test_memo_answer_equals_fresh_evaluation_bit_for_bit(src, which):
+    e = parse(src, which)
+    for value in (-0.7, 0.4, 1.3):
+        for order in range(9):
+            try:
+                fresh = _fresh_series(src, which, value, order)
+            except DomainError:
+                for _ in range(2):
+                    with pytest.raises(DomainError):
+                        eval_series(e, value, order)
+                continue
+            for _ in range(2):  # a miss, then a hit
+                got = eval_series(e, value, order)
+                assert got.tobytes() == fresh.tobytes(), (src, value, order)
+                p = Point(value, value, value)
+                jet = eval_jet(e, which, p, order)
+                assert jet.base == p
+                assert jets.axis_series(jet, which).tobytes() == \
+                    fresh.tobytes()
+
+
+def test_memo_stays_within_its_bound():
+    exprs = [parse(src, "y") for src in ("sin(y)", "y^2 + 1", "exp(-y)")]
+    for k in range(3 * exprdsl.MEMO_SIZE):
+        for e in exprs:
+            eval_series(e, 0.001 * k, 4)
+            eval_jet(e, "y", Point(0.0, 0.0, 0.001 * k), 3)
+    for e in exprs:
+        memo = e.__dict__["_memo"]
+        assert len(memo) == exprdsl.MEMO_SIZE
+        # the newest entries are kept
+        assert (0.001 * (3 * exprdsl.MEMO_SIZE - 1), 3) in memo
+
+
+def test_memo_zero_keeps_its_sign():
+    e = parse("y", "y")
+    assert math.copysign(1.0, eval_series(e, 0.0, 2)[0]) == 1.0
+    assert math.copysign(1.0, eval_series(e, -0.0, 2)[0]) == -1.0
+
+
+def test_mutating_an_answer_leaves_the_memo_alone():
+    e = parse("cos(t) + t^3", "t")
+    want = _fresh_series("cos(t) + t^3", "t", 0.6, 5)
+    got = eval_series(e, 0.6, 5)
+    got[:] = 99.0
+    assert eval_series(e, 0.6, 5).tobytes() == want.tobytes()
+    p = Point(0.6, 0.1, 0.2)
+    jet = eval_jet(e, "t", p, 5)
+    jet.coeffs[:] = -1.0
+    assert jets.axis_series(eval_jet(e, "t", p, 5), "t").tobytes() == \
+        want.tobytes()
+    assert eval_series(e, 0.6, 5).tobytes() == want.tobytes()
+
+
+def test_memo_never_keeps_an_error():
+    e = parse("1/(y-1)", "y")
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            eval_series(e, 1.0, 4)
+        with pytest.raises(DomainError):
+            eval_jet(e, "y", Point(0.0, 0.0, 1.0), 4)
+    assert not e.__dict__["_memo"]
+    # the memo does not change what trees equal or print as
+    assert e == parse("1/(y-1)", "y") and hash(e) == hash(parse("1/(y-1)", "y"))
+    assert repr(e) == repr(parse("1/(y-1)", "y"))
+
+
+# ----------------------------------------------------------------------
+# the batched sampler against calling the expression at each point
+# ----------------------------------------------------------------------
+
+#: includes points where some cases raise: ln(0), 1/0, tan's pole region
+_SAMPLE_POINTS = [-1.3, -0.7, -0.25, 0.0, 0.4, 1.0, 1.3, math.pi / 2, 2.5]
+
+
+def _scalar_samples(e, xs):
+    """The values of calling ``e`` at each point, or the error class that
+    the first failing point raises."""
+    try:
+        return [e(x) for x in xs]
+    except Exception as exc:  # noqa: BLE001 - compared by class
+        return type(exc)
+
+
+def assert_sample_matches_scalar(e, xs):
+    want = _scalar_samples(e, xs)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            exprdsl.sample(e, xs)
+        return
+    got = exprdsl.sample(e, xs)
+    assert np.array(got).tobytes() == np.array(want).tobytes(), e
+
+
+_SAMPLE_CASES = ([(src, "t") for src in ROUND_TRIP_CASES]
+                 + [(src, "y") for src in catalog._Y_POOL]
+                 + [(src, "t") for src in catalog._T_POOL]
+                 + [("ln(t) + 1/(t-1)", "t"), ("sqrt(t)*exp(40*t^2)", "t"),
+                    ("(t-2)^0.5", "t"), ("1/t + ln(t)", "t")])
+
+
+@pytest.mark.parametrize("src, which", _SAMPLE_CASES)
+def test_sample_matches_scalar_calls(src, which):
+    e = parse(src, which)
+    assert_sample_matches_scalar(e, _SAMPLE_POINTS)
+    assert_sample_matches_scalar(e, [0.3, 0.9, 1.7])
+    # a tree that holds one subtree object twice, and its derivatives
+    twice = Bin("*", e, Bin("+", e, Num(1.0, which), which), which)
+    assert_sample_matches_scalar(twice, _SAMPLE_POINTS)
+    assert_sample_matches_scalar(e.diff().diff(), _SAMPLE_POINTS)
+
+
+def test_sample_raises_the_first_points_error_class():
+    # point 0.0 fails first, by the division guard; point 2.0 overflows
+    # in exp, a subtree that the walk reaches before the division
+    e = parse("exp(1000*t*t) + 1/t", "t")
+    with pytest.raises(DomainError):
+        e(0.0)
+    with pytest.raises(OverflowError):
+        e(2.0)
+    with pytest.raises(DomainError):
+        exprdsl.sample(e, [0.0, 2.0])
+    with pytest.raises(OverflowError):
+        exprdsl.sample(e, [2.0, 0.0])
+
+
+# ----------------------------------------------------------------------
+# the folding constructor of _diff against a plain one
+# ----------------------------------------------------------------------
+
+def _plain_diff(e, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(exprdsl, "_mk", lambda op, l, r, v: Bin(op, l, r, v))
+        return e.diff()
+
+
+def _size(e) -> int:
+    if isinstance(e, (Num, Var)):
+        return 1
+    if isinstance(e, Bin):
+        return 1 + _size(e.left) + _size(e.right)
+    return 1 + _size(e.arg)
+
+
+_FOLD_CASES = ([src for src, which in _SAMPLE_CASES if which == "t"]
+               + ["2^3*t", "(1+2)*t^2", "t/(3-3)", "1e200^2*t",
+                  "3^t", "(0-1)^0.5*t", "t*1 + 1*t", "(2*t)^3 - t^2/4",
+                  "exp(2*t)*sin(3*t)"])
+
+
+@pytest.mark.parametrize("src", _FOLD_CASES)
+def test_folded_diff_matches_unfolded(src, monkeypatch):
+    # each fold keeps the value of its node; differentiating a folded tree
+    # again is compared with the plain derivative of that same tree, since
+    # a dropped factor 1.0 also drops a term f*0 of the next product rule
+    e = parse(src, "t")
+    for _ in range(3):
+        folded, plain = e.diff(), _plain_diff(e, monkeypatch)
+        e = folded
+        assert _size(folded) <= _size(plain)
+        want = _scalar_samples(plain, _SAMPLE_POINTS)
+        got = _scalar_samples(folded, _SAMPLE_POINTS)
+        if isinstance(want, type):
+            assert got is want, src
+        else:
+            assert np.array(got).tobytes() == np.array(want).tobytes(), src
+
+
+def test_diff_folds_numbers_and_unit_factors():
+    assert parse("3*t", "t").diff() == Bin("+", Bin("*", Num(0.0, "t"),
+                                                    Var("t"), "t"),
+                                           Num(3.0, "t"), "t")
+    assert parse("sin(t)", "t").diff() == Call("cos", Var("t"), "t")
+    # 1/(3-3) raises, so it stays a tree
+    d = parse("1/(3-3)", "t").diff()
+    assert isinstance(d, Bin)
+    with pytest.raises(DomainError):
+        d(0.5)

@@ -423,6 +423,23 @@ def test_division_guard_and_integer_powers_at_zero():
         assert apply_unary(("pow", 0), zero).coeffs[0] == 1.0
 
 
+def test_float_over_jet_uses_the_division_rule():
+    # |b| < 1e-12 (1 + |a|) as for float/float and jet/jet division; the
+    # reciprocal's own rule |b| < 1e-12 lets 5e-10 through
+    from blp.exprdsl import parse
+    p = Point(0.1, 0.2, 0.3)
+    with pytest.raises(DomainError, match="jet division"):
+        1000.0 / Jet3.constant(5e-10, p, 2)
+    with pytest.raises(DomainError):
+        parse("1000/t", "t")(5e-10)
+    with pytest.raises(DomainError):
+        Jet3.constant(1000.0, p, 2) / Jet3.constant(5e-10, p, 2)
+    # outside the band the value is the product with the reciprocal
+    b = Jet3.constant(2e-9, p, 2)
+    assert np.array_equal((1000.0 / b).coeffs,
+                          (1000.0 * apply_unary("recip", b)).coeffs)
+
+
 def _around(edge: float) -> list[float]:
     """``edge``, its float neighbours and points farther on either side."""
     return [edge, np.nextafter(edge, -math.inf), np.nextafter(edge, math.inf),

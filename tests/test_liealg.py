@@ -292,3 +292,51 @@ def test_normalizer_of_shear_scaling_pair():
     assert normalizer_check(P("sqrt(abs(t))"), sub)
     assert normalizer_check(D("2*t") + S("y"), sub)
     assert not normalizer_check(P("t^2"), sub)
+
+
+# ----------------------------------------------------------------------
+# batched sampling of commutator and Jacobi coefficients
+# ----------------------------------------------------------------------
+
+_TFN = ["1", "t", "t^2", "t^3", "sin(t)", "1/t", "ln(t)"]
+_YFN = ["1", "y", "y^2", "cos(y)", "sqrt(y)"]
+
+
+def _commutator_trees():
+    """20 coefficient trees of brackets and Jacobi sums of random
+    elements, as the certificates build them; they share subtrees."""
+    rng = np.random.default_rng(2024)
+
+    def element():
+        return (D(_TFN[rng.integers(0, len(_TFN))])
+                + P(_TFN[rng.integers(0, len(_TFN))])
+                + S(_YFN[rng.integers(0, len(_YFN))])
+                + Z(_YFN[rng.integers(0, len(_YFN))]))
+
+    trees = []
+    while len(trees) < 20:
+        q1, q2, q3 = element(), element(), element()
+        jac = (commutator(q1, commutator(q2, q3))
+               + commutator(q2, commutator(q3, q1))
+               + commutator(q3, commutator(q1, q2)))
+        for elem in (commutator(q1, q2), jac):
+            trees += [(kind, c) for kind, c in elem.terms.items()]
+    return trees[:20]
+
+
+def test_sample_matches_scalar_on_commutator_trees():
+    # points include 0 and negatives, where 1/t, ln(t) and sqrt(y) raise
+    pts = chebyshev_points(10) + [0.0, -0.5]
+    raised = 0
+    for kind, c in _commutator_trees():
+        elem = liealg.LieElement({kind: c})
+        for xs in (chebyshev_points(10), pts, pts[::-1]):
+            try:
+                want = np.array([float(c(float(s))) for s in xs])
+            except Exception as exc:  # noqa: BLE001 - compared by class
+                raised += 1
+                with pytest.raises(type(exc)):
+                    elem.sample(kind, xs)
+                continue
+            assert elem.sample(kind, xs).tobytes() == want.tobytes(), c
+    assert raised

@@ -19,6 +19,7 @@ from blp.transforms import (
     laplace_inverse_uq, laplace_inverse_uv, p_transform, s_transform,
     uq_seed, z_transform,
 )
+from conftest import jet_walk
 
 PTS = [Point(0.7, 0.3, 0.45), Point(1.0, 0.6, 0.8), Point(1.3, -0.2, 0.6)]
 
@@ -126,6 +127,99 @@ def test_symmetry_image_inverts_each_point_once(monkeypatch):
     rep = residual_report(field, grid)
     assert rep.skipped == 0 and max(rep.r1_max, rep.r2_max) < 1e-7
     assert calls[0] == 2 * len(grid)
+
+
+#: (first, second) elementary kinds, 0..4 = D, S, P, Z, I, as the
+#: composite symmetries of the profiles_symmetry benchmark
+_SYM_KIND_PAIRS = [(i % 5, (i + 1 + i // 5) % 5) for i in range(12)]
+_SYM_FIELDS = [("F_UEQV", {"alpha": "4+sin(y)"}),
+               ("F_VXXX_4", {"alpha": "sin(y)", "gamma": "y"}),
+               ("F_UY0_QA", {"zeta": "cos(y)"})]
+_ELEMENTARY = [lambda: d_transform("t + 0.35*sin(t)"),
+               lambda: s_transform("y + 0.45*sin(y)"),
+               lambda: p_transform("-0.3*t^2"),
+               lambda: z_transform("0.7*cos(y)"),
+               lambda: i_transform(-1)]
+
+
+def _jet_composition_image(g, s):
+    """u and v of the image of ``s`` under ``g`` with every coefficient
+    function evaluated on the trivariate jet of the inverse map."""
+    dT, dY = g.T.diff(), g.Y.diff()
+    ddT, dX0 = dT.diff(), g.X0.diff()
+    eps = float(g.eps)
+
+    def inner(pn, n):
+        t_old = transforms._invert_monotone(g.T, pn.t, g.t_window)
+        y_old = transforms._invert_monotone(g.Y, pn.y, g.y_window)
+        x_old = (pn.x - g.X0(t_old)) / (g.eps * math.sqrt(dT(t_old)))
+        po = Point(t_old, x_old, y_old)
+        jt = jets.axis_jet(transforms._inverse_series(g.T, t_old, n), "t", pn)
+        jy = jets.axis_jet(transforms._inverse_series(g.Y, y_old, n), "y", pn)
+        ttj = jet_walk(dT, jt)
+        jx = (jets.lift_variable("x", pn, n) - jet_walk(g.X0, jt)) \
+            / (eps * jets.sqrt(ttj))
+        return po, jt, jx, jy, ttj
+
+    def u(pn, n):
+        po, jt, jx, jy, ttj = inner(pn, n)
+        Uc = jets.compose3(s.u(po, n).coeffs, n, jt, jx, jy)
+        rt = jets.sqrt(ttj)
+        return (eps * Uc / rt - eps * jet_walk(ddT, jt) / (4.0 * ttj * rt) * jx
+                - jet_walk(dX0, jt) / (2.0 * ttj))
+
+    def v(pn, n):
+        po, jt, jx, jy, _ = inner(pn, n)
+        Vc = jets.compose3(s.v(po, n).coeffs, n, jt, jx, jy)
+        return Vc / jet_walk(dY, jy) + jet_walk(g.V0, jy)
+
+    return u, v
+
+
+@pytest.mark.parametrize("pair", range(len(_SYM_KIND_PAIRS)))
+def test_symmetry_image_matches_jet_composition(pair):
+    k1, k2 = _SYM_KIND_PAIRS[pair]
+    fid, bindings = _SYM_FIELDS[pair % len(_SYM_FIELDS)]
+    field = catalog.instantiate(fid, dict(bindings))
+    g = _ELEMENTARY[k2]().compose(_ELEMENTARY[k1]())
+    image = apply_symmetry(g, field)
+    ref_u, ref_v = _jet_composition_image(g, field)
+    checked = 0
+    for p in _box_grid(((0.8, 1.3), (-0.2, 0.6), (0.5, 0.9)), (2, 2, 2)):
+        for order in range(7):
+            for got_fn, want_fn in ((image.u, ref_u), (image.v, ref_v)):
+                try:
+                    want = want_fn(p, order)
+                except UndefinedHere as exc:
+                    with pytest.raises(type(exc)):
+                        got_fn(p, order)
+                    continue
+                got = got_fn(p, order)
+                assert np.max(np.abs(got.coeffs - want.coeffs)) <= \
+                    1e-13 * np.max(np.abs(want.coeffs)), (pair, p, order)
+                checked += 1
+    assert checked
+
+
+def test_symmetry_image_reverts_each_axis_once_per_point(monkeypatch):
+    calls = []
+    revert = transforms._revert_series
+
+    def counted(f):
+        calls.append(len(f))
+        return revert(f)
+
+    monkeypatch.setattr(transforms, "_revert_series", counted)
+    g = _ELEMENTARY[2]().compose(_ELEMENTARY[0]()).compose(_ELEMENTARY[1]())
+    field = apply_symmetry(g, catalog.instantiate(
+        "F_VXXX_4", {"alpha": "sin(y)", "gamma": "y"}))
+    for p in (Point(1.0, 0.2, 0.6), Point(1.2, 0.4, 0.8)):
+        calls.clear()
+        field.u(p, 4)
+        field.v(p, 4)
+        assert calls == [5, 5]  # one reversion of order 4 for t, one for y
+        residual(field, p)
+        assert len(calls) == 2
 
 
 class _PhiW:
