@@ -189,8 +189,9 @@ def residual_uq(s: SolutionField, p: Point, order: int = 4) -> tuple[float, floa
 
 
 def covering_residual(s: SolutionField, psi: JetMap, p: Point,
-                      order: int = 3) -> tuple[float, float]:
-    """Residuals of the auxiliary linear system in (u,q) coordinates:
+                      order: int = 2) -> tuple[float, float]:
+    """Residuals of the auxiliary linear system in (u,q) coordinates, which
+    read psi to degree 2, q to degree 1 and u to degree 0:
 
         psi_xy + u psi_y + q_y psi = 0,
         psi_t + psi_xx + 2 q_x psi = 0.

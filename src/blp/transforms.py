@@ -37,7 +37,9 @@ constructor probes; where a guard of the map fires, evaluation raises
 check skips that point.
 Darboux transformations dress a solution with covering eigenfunctions;
 their n-fold versions are Wronskian ratios, evaluated here by
-fraction-free elimination on jets.
+fraction-free elimination on jets.  :meth:`CoveringEigenfunction.check`
+tests an eigenfunction against the covering system when it is built and
+wherever a dressing evaluates its ``u``, on the jets that map asked for.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .system import SolutionField, covering_residual, residual_sup
 
 __all__ = [
     "PointSymmetry", "CoveringEigenfunction", "UndefinedTransform",
-    "InverseMapError", "SingularWronskian",
+    "InverseMapError", "SingularWronskian", "CoveringViolation",
     "d_transform", "s_transform", "p_transform", "z_transform",
     "i_transform", "apply_symmetry",
     "laplace_forward_uq", "laplace_inverse_uq",
@@ -83,6 +85,10 @@ class InverseMapError(jets.BLPError, RuntimeError):
 
 class SingularWronskian(UndefinedTransform):
     """No usable pivot: the Wronskian is singular at the point."""
+
+
+class CoveringViolation(jets.BadInput):
+    """An eigenfunction fails the covering system at a point it is used."""
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +233,7 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
         raise ValueError("apply_symmetry expects (u,v) coordinates")
     dT, dY = g.T.diff(), g.Y.diff()
     ddT = dT.diff()
-    dX0, dV0 = g.X0.diff(), g.V0.diff()
+    dX0 = g.X0.diff()
     eps = float(g.eps)
     last_new = last_old = None
     last_inner = None
@@ -415,28 +421,29 @@ _COVER_PROBE = [Point(0.15 + 0.25 * i, -0.35 + 0.3 * j, 0.2 + 0.35 * k)
 
 @dataclass(frozen=True)
 class CoveringEigenfunction:
-    """A solution of the auxiliary linear system over a fixed (u,q) field."""
+    """A solution of the auxiliary linear system over a fixed (u,q) field,
+    checked when built at the first usable point of ``_COVER_PROBE``."""
     phi: JetMap
     attached_to: SolutionField
-    probe_points: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "phi", last_point(self.phi))
-        pts = list(self.probe_points) or \
-            [p for p in _COVER_PROBE if self.attached_to.validity(p)]
-        rs = []
-        for p in pts:
+        for p in filter(self.attached_to.validity, _COVER_PROBE):
             try:
-                c1, c2 = covering_residual(self.attached_to, self.phi, p)
+                return self.check(p)
             except UndefinedHere:
-                continue
-            rs += [abs(c1), abs(c2)]
-        if not rs:
-            raise ValueError("no usable probe points for the eigenfunction")
-        worst = residual_sup(rs)
+                pass
+        raise ValueError("no usable probe points for the eigenfunction")
+
+    def check(self, p: Point) -> None:
+        """Raise :class:`CoveringViolation` if the covering residual at
+        ``p`` exceeds 1e-8 (or is NaN)."""
+        c1, c2 = covering_residual(self.attached_to, self.phi, p)
+        worst = residual_sup([abs(c1), abs(c2)])
         if not worst <= 1e-8:
-            raise ValueError(
-                f"covering residual {worst:g} exceeds 1e-8 on the probe")
+            raise CoveringViolation(
+                f"covering residual {worst:g} exceeds 1e-8 at (t, x, y) = "
+                f"({p.t!r}, {p.x!r}, {p.y!r})")
 
 
 def uq_seed(witness, L: JetMap | None = None,
@@ -484,6 +491,7 @@ def darboux(kind: str, s: SolutionField,
         def u(p, n):
             f = pmap(p, n + 2)
             uj = s.u(p, n)
+            phi.check(p)
             f_y = f.derive("y").truncate(n)
             f_xy = f.derive("x").derive("y")
             _guard(f_y.value, f_xy.value, "phi_y or phi inside guard band")
@@ -501,6 +509,7 @@ def darboux(kind: str, s: SolutionField,
         def u(p, n):
             f = pmap(p, n + 2)
             uj = s.u(p, n + 1)
+            phi.check(p)
             _guard(f.value, 0.0, "phi inside guard band")
             w = uj + f.derive("x") / f.truncate(n + 1)
             _guard(w.value, w.derive("x").value,
@@ -596,10 +605,13 @@ def darboux_iterated(kind: str, s: SolutionField,
 
         def u(p, n):
             wy, w = wy_map(p, n + 1), w_map(p, n + 1)
+            uj = s.u(p, n)
+            for phi in phis:
+                phi.check(p)
             _guard(w.value, 0.0, "Wronskian inside guard band")
             _guard(wy.value, 0.0, "Wronskian inside guard band")
-            return s.u(p, n) - (w.derive("x") / w.truncate(n)
-                                - wy.derive("x") / wy.truncate(n))
+            return uj - (w.derive("x") / w.truncate(n)
+                         - wy.derive("x") / wy.truncate(n))
 
         def q(p, n):
             wq = _wronskian(maps + [s.v], "y", range(n_fold + 1), p, n)
@@ -626,6 +638,8 @@ def darboux_iterated(kind: str, s: SolutionField,
                     / w_map(p, n + 1)
             uj = s.u(p, n + 2)
             qj = s.v(p, n + 2)
+            for phi in phis:
+                phi.check(p)
             q_y = qj.derive("y").truncate(n)
             q_xy = qj.derive("x").derive("y").truncate(n)
             den = q_y - a1.derive("y").truncate(n)
@@ -653,8 +667,7 @@ def darboux_iterated(kind: str, s: SolutionField,
 def covering_solutions_for_constraint(
         constraint: str, s: SolutionField, witness, *,
         theta: JetMap | None = None, zeta=None,
-        base: Point = Point(1.0, 0.0, 0.0),
-        probe_points: tuple = ()) -> CoveringEigenfunction:
+        base: Point = Point(1.0, 0.0, 0.0)) -> CoveringEigenfunction:
     """Eigenfunctions of the covering system over a constrained seed.
 
     constraint "q_y=0" (u = -Phi_x/Phi, q = L):
@@ -669,18 +682,6 @@ def covering_solutions_for_constraint(
     evaluated as a univariate series, or a map of the lifted y jet.
     """
     phi_map = witness.Phi if hasattr(witness, "Phi") else witness
-
-    if theta is not None:
-        rs = []
-        for p in _COVER_PROBE:
-            try:
-                th = theta(p, 2)
-            except DomainError:
-                continue
-            rs.append(abs(th.extract((1, 0, 0)) + th.extract((0, 2, 0))))
-        worst = residual_sup(rs)
-        if not (rs and worst <= 1e-8):
-            raise ValueError(f"theta probe failed: residual {worst:g}")
 
     def zeta_jet(p, n):
         if isinstance(zeta, Expr):
@@ -706,10 +707,9 @@ def covering_solutions_for_constraint(
             return th * phi_map(p, n)
 
         def t_integrand(p, n):
-            th = theta(p, n + 1) if theta is not None else None
-            f = phi_map(p, n + 1)
-            if th is None:
+            if theta is None:
                 return Jet3.constant(0.0, p, n)
+            th, f = theta(p, n + 1), phi_map(p, n + 1)
             return (th.truncate(n) * f.derive("x")
                     - th.derive("x") * f.truncate(n))
 
@@ -723,5 +723,4 @@ def covering_solutions_for_constraint(
     else:
         raise ValueError(f"unknown constraint {constraint!r}")
 
-    return CoveringEigenfunction(phi=psi, attached_to=s,
-                                 probe_points=probe_points)
+    return CoveringEigenfunction(phi=psi, attached_to=s)

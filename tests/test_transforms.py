@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import sys
 
 import numpy as np
@@ -12,7 +13,7 @@ from blp.system import (
     residual_uq,
 )
 from blp.transforms import (
-    CoveringEigenfunction, InverseMapError, PointSymmetry,
+    CoveringEigenfunction, CoveringViolation, InverseMapError, PointSymmetry,
     SingularWronskian, UndefinedTransform, apply_symmetry, covering_solutions_for_constraint,
     d_transform, darboux, darboux_iterated, darboux_psi, i_transform,
     identity_symmetry, laplace_forward_uq, laplace_forward_uv,
@@ -434,10 +435,59 @@ def test_eigenfunction_probes_reject_nan():
     with pytest.raises(ValueError):
         CoveringEigenfunction(phi=nan_map, attached_to=ZERO_UQ)
     one = jmap(lambda t, x, y: 1.0 + 0.0 * x)
-    with pytest.raises(ValueError, match="theta probe"):
+    with pytest.raises(ValueError, match="covering residual"):
         covering_solutions_for_constraint(
             "u_y=q_y", uq_seed(one, constraint="u_y=q_y"), one,
             theta=nan_map)
+
+
+def test_eigenfunction_over_a_seed_with_nonzero_l():
+    # theta solves theta_t + theta_xx + 2 L_x theta = 0 for L = x, not
+    # the backward heat equation; psi solves the covering system
+    phi_w = jmap(lambda t, x, y: jets.exp(x - 3.0 * t))
+    seed = uq_seed(phi_w, L=jmap(lambda t, x, y: x), constraint="q_y=0")
+    eig = covering_solutions_for_constraint(
+        "q_y=0", seed, phi_w, theta=jmap(lambda t, x, y: jets.exp(-2.0 * t)))
+    out = darboux("DT1", seed, eig)
+    for p in PTS:
+        assert max(map(abs, residual_uq(out, p))) < 1e-8
+
+
+#: two eigenfunctions over the zero (u,q) field
+_ZERO_PSIS = (jmap(lambda t, x, y: jets.exp(x - t) + y),
+              jmap(lambda t, x, y: jets.exp(2.0 * x - 4.0 * t) + y * y))
+_DRESSINGS = {
+    "DT1": lambda phis: darboux("DT1", ZERO_UQ, phis[-1]),
+    "DT2": lambda phis: darboux("DT2", ZERO_UQ, phis[-1]),
+    "DT1x2": lambda phis: darboux_iterated("DT1", ZERO_UQ, phis),
+    "DT2x2": lambda phis: darboux_iterated("DT2", ZERO_UQ, phis),
+}
+
+
+@pytest.mark.parametrize("dressing", sorted(_DRESSINGS))
+def test_eigenfunction_checked_where_a_dressing_uses_it(dressing):
+    # psi + 0.01 (x - p.x)^3 has psi's jet to degree 2 at the construction
+    # probe point p, so it is built; at a grid point away from p it fails
+    # the covering system, and the dressing says where
+    p0 = transforms._COVER_PROBE[0]  # the zero field's domain is all space
+
+    def off(p, n):
+        dx = jets.lift_variable("x", p, n) - p0.x
+        return _ZERO_PSIS[1](p, n) + 0.01 * dx * dx * dx
+
+    phis = [CoveringEigenfunction(phi=_ZERO_PSIS[0], attached_to=ZERO_UQ),
+            CoveringEigenfunction(phi=off, attached_to=ZERO_UQ)]
+    assert issubclass(CoveringViolation, jets.BadInput)
+    at = re.escape(f"at (t, x, y) = ({PTS[0].t!r}, {PTS[0].x!r}, "
+                   f"{PTS[0].y!r})")
+    with pytest.raises(CoveringViolation, match=at):
+        _DRESSINGS[dressing](phis).u(PTS[0], 0)
+    with pytest.raises(CoveringViolation, match=at):
+        residual_report(_DRESSINGS[dressing](phis), PTS)
+    good = [CoveringEigenfunction(phi=psi, attached_to=ZERO_UQ)
+            for psi in _ZERO_PSIS]
+    rep = residual_report(_DRESSINGS[dressing](good), PTS)
+    assert rep.skipped == 0 and max(rep.r1_max, rep.r2_max) < 1e-8
 
 
 @pytest.fixture(scope="module")
@@ -1016,8 +1066,7 @@ def test_u_y_q_y_eigenfunction_runs_one_t_leg_per_grid_line(monkeypatch):
     monkeypatch.setattr(quadrature, "integrate_field_along", counted)
     seed = uq_seed(_PhiW, constraint="u_y=q_y")
     eig = covering_solutions_for_constraint(
-        "u_y=q_y", seed, _PhiW, theta=_THETAS[0], zeta=lambda yj: yj,
-        probe_points=(Point(0.55, 0.25, 0.35), Point(0.65, -0.15, 0.95)))
+        "u_y=q_y", seed, _PhiW, theta=_THETAS[0], zeta=lambda yj: yj)
     n = 3
     axis = np.linspace(0.0, 1.0, n)
     grid = [Point(0.7 + 0.4 * t, 0.1 + 0.4 * x, 0.4 + 0.4 * y)
