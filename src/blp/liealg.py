@@ -193,8 +193,7 @@ def commutator(Q1: LieElement, Q2: LieElement) -> LieElement:
 # adjoint actions of elementary transformations
 # ----------------------------------------------------------------------
 
-def pushforward(kind: str, param, Q: LieElement,
-                window=(-6.0, 6.0)) -> LieElement:
+def pushforward(kind: str, param, Q: LieElement) -> LieElement:
     """Adjoint action of one elementary transformation on a generator sum.
 
     ``kind`` is one of "D", "S", "P", "Z", "I"; ``param`` is the
@@ -204,7 +203,7 @@ def pushforward(kind: str, param, Q: LieElement,
     if kind == "D":
         T = _coerce(param, "t")
         dT = T.diff()
-        inv = partial(_invert_monotone, T, window=window)
+        inv = partial(_invert_monotone, T)
 
         def push(coeff, power):
             ffn = coeff
@@ -223,7 +222,7 @@ def pushforward(kind: str, param, Q: LieElement,
     if kind == "S":
         Y = _coerce(param, "y")
         dY = Y.diff()
-        inv = partial(_invert_monotone, Y, window=window)
+        inv = partial(_invert_monotone, Y)
         if "S" in out:
             afn = out["S"]
             out["S"] = NumericCoeff(

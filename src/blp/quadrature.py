@@ -48,6 +48,7 @@ class QuadratureError(BLPError, ArithmeticError):
         self.reason = reason
 
 
+TOL = 1e-10  # the tolerance of every jet-valued line integral
 _UNIT_ROUNDOFF = 2.0 ** -53
 #: splits that are never counted as raising the error (QUADPACK's
 #: ``last > 10``), and the count of later ones that ends refinement
@@ -102,7 +103,7 @@ def gauss_kronrod_15(f, a: float, b: float):
     return resk * h, err
 
 
-def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-10,
+def adaptive_quadrature(f, a: float, b: float, tol: float = TOL,
                         max_panels: int = 2000):
     """Integrate ``f`` (scalar- or vector-valued) from a to b.
 
@@ -192,7 +193,7 @@ _AXIS_NUM = {"t": 0, "x": 1, "y": 2}
 
 
 def integrate_field_along(field: JetMap, axis: str, lower: float,
-                          p: Point, order: int, tol: float = 1e-10) -> Jet3:
+                          p: Point, order: int) -> Jet3:
     """Jet of ``F(p) = integral of field along one axis from lower to p.axis``.
 
     The integrand is a jet-evaluable field g; the result F satisfies
@@ -211,7 +212,7 @@ def integrate_field_along(field: JetMap, axis: str, lower: float,
         q = Point(*(s if i == ax else p[i] for i in range(3)))
         return field(q, order).coeffs[free]
 
-    out[free] = adaptive_quadrature(slice_values, lower, upper, tol=tol)
+    out[free] = adaptive_quadrature(slice_values, lower, upper)
     # F's monomial e + axis is g's monomial e divided by its new power
     out[tab.derive_src[ax]] = \
         g_at_p.coeffs[:jet_size(order - 1)] / tab.derive_scale[ax]
@@ -223,8 +224,8 @@ _LINES_KEPT = 4096
 
 
 def line_integral(integrand: JetMap, axis: str, lower: float,
-                  constant_along: str, tol: float = 1e-10) -> JetMap:
-    """``integrate_field_along(integrand, axis, lower, p, n, tol)`` for an
+                  constant_along: str) -> JetMap:
+    """``integrate_field_along(integrand, axis, lower, p, n)`` for an
     integrand that does not depend on the coordinate ``constant_along``.
 
     The integral is then one jet all along each grid line in that
@@ -242,8 +243,7 @@ def line_integral(integrand: JetMap, axis: str, lower: float,
         size = jet_size(n)
         co = known.get(line)
         if co is None or len(co) < size:
-            co = integrate_field_along(integrand, axis, lower, p, n,
-                                       tol).coeffs
+            co = integrate_field_along(integrand, axis, lower, p, n).coeffs
             if line not in known and len(known) >= _LINES_KEPT:
                 del known[next(iter(known))]
             known[line] = co
@@ -251,8 +251,7 @@ def line_integral(integrand: JetMap, axis: str, lower: float,
     return integral
 
 
-def xt_path(x_integrand: JetMap, t_integrand: JetMap, base: Point,
-            tol: float = 1e-10) -> JetMap:
+def xt_path(x_integrand: JetMap, t_integrand: JetMap, base: Point) -> JetMap:
     """Jet map of the potential F with F_x = f and F(t, x0, y) given by
     its t-derivative g on the line x = x0:
 
@@ -267,10 +266,9 @@ def xt_path(x_integrand: JetMap, t_integrand: JetMap, base: Point,
         g = t_integrand(Point(q.t, base.x, q.y), n)
         return restrict(g, "x", q)
 
-    t_leg = line_integral(on_base_line, "t", base.t, constant_along="x",
-                          tol=tol)
+    t_leg = line_integral(on_base_line, "t", base.t, constant_along="x")
 
     def path(p: Point, n: int) -> Jet3:
-        return (integrate_field_along(x_integrand, "x", base.x, p, n, tol)
+        return (integrate_field_along(x_integrand, "x", base.x, p, n)
                 + t_leg(p, n))
     return path

@@ -12,7 +12,8 @@ q_y = v_x (the (u,q) form, in which the Lax pair is usually written):
     q_ty = (q_xy + 2 u q_y)_x.
 
 Everything here consumes jet-evaluable fields, so no derivative is ever
-hand-expanded: a single order-4 jet per field per point feeds each check.
+hand-expanded: one jet per component per point feeds each check, at the
+order of the highest derivative that check reads.
 """
 
 from __future__ import annotations
@@ -148,8 +149,15 @@ class ResidualReport:
                             "grid_spec": self.grid_spec, **self.summary()})
 
 
-def _uv_residual(u: Jet3, v: Jet3, order: int) -> tuple[float, float]:
-    w = (u * u).truncate(order - 1) - u.derive("x")  # u^2 - u_x
+#: jet order of the residuals: they read u_ty, (u^2 - u_x)_xy, which needs
+#: u_xxy, and v_xxx, or in the (u,q) form q_xxy; so do the currents'
+#: divergences; the covering residual reads psi_xy and psi_xx
+RESIDUAL_ORDER = CURRENT_ORDER = 3
+COVERING_ORDER = 2
+
+
+def _uv_residual(u: Jet3, v: Jet3) -> tuple[float, float]:
+    w = (u * u).truncate(u.order - 1) - u.derive("x")  # u^2 - u_x
     r1 = (u.extract((1, 0, 1))
           - w.extract((0, 1, 1))
           - 2.0 * v.extract((0, 3, 0)))
@@ -159,14 +167,14 @@ def _uv_residual(u: Jet3, v: Jet3, order: int) -> tuple[float, float]:
     return r1, r2
 
 
-def _uq_residual(u: Jet3, q: Jet3, order: int) -> tuple[float, float]:
-    w = (u * u).truncate(order - 1) - u.derive("x")
+def _uq_residual(u: Jet3, q: Jet3) -> tuple[float, float]:
+    w = (u * u).truncate(u.order - 1) - u.derive("x")
     r1 = (u.extract((1, 0, 0))
           - w.extract((0, 1, 0))
           - 2.0 * q.extract((0, 2, 0)))
-    inner = (q.derive("x").derive("y")
-             + 2.0 * (u.truncate(order - 1) * q.derive("y")).truncate(order - 2))
-    r2 = q.extract((1, 0, 1)) - inner.extract((0, 1, 0))
+    uq_y = u.truncate(u.order - 1) * q.derive("y")
+    r2 = q.extract((1, 0, 1)) - (q.extract((0, 2, 1))
+                                 + 2.0 * uq_y.extract((0, 1, 0)))
     return r1, r2
 
 
@@ -174,22 +182,22 @@ def _uq_residual(u: Jet3, q: Jet3, order: int) -> tuple[float, float]:
 _RESIDUALS = {"UV": _uv_residual, "UQ": _uq_residual}
 
 
-def residual(s: SolutionField, p: Point, order: int = 4) -> tuple[float, float]:
+def residual(s: SolutionField, p: Point) -> tuple[float, float]:
     """Residuals (r1, r2) of the two equations at one point, in UV coords."""
     if s.coords != "UV":
         raise ValueError("residual expects a field in (u,v) coordinates")
-    return _uv_residual(s.u(p, order), s.v(p, order), order)
+    return _uv_residual(s.u(p, RESIDUAL_ORDER), s.v(p, RESIDUAL_ORDER))
 
 
-def residual_uq(s: SolutionField, p: Point, order: int = 4) -> tuple[float, float]:
+def residual_uq(s: SolutionField, p: Point) -> tuple[float, float]:
     """Residuals of the (u,q) form at one point."""
     if s.coords != "UQ":
         raise ValueError("residual_uq expects a field in (u,q) coordinates")
-    return _uq_residual(s.u(p, order), s.v(p, order), order)
+    return _uq_residual(s.u(p, RESIDUAL_ORDER), s.v(p, RESIDUAL_ORDER))
 
 
-def covering_residual(s: SolutionField, psi: JetMap, p: Point,
-                      order: int = 2) -> tuple[float, float]:
+def covering_residual(s: SolutionField, psi: JetMap,
+                      p: Point) -> tuple[float, float]:
     """Residuals of the auxiliary linear system in (u,q) coordinates, which
     read psi to degree 2, q to degree 1 and u to degree 0:
 
@@ -198,9 +206,7 @@ def covering_residual(s: SolutionField, psi: JetMap, p: Point,
     """
     if s.coords != "UQ":
         raise ValueError("covering_residual expects (u,q) coordinates")
-    u = s.u(p, order)
-    q = s.v(p, order)
-    f = psi(p, order)
+    u, q, f = (m(p, COVERING_ORDER) for m in (s.u, s.v, psi))
     c1 = (f.extract((0, 1, 1))
           + u.value * f.extract((0, 0, 1))
           + q.extract((0, 0, 1)) * f.value)
@@ -215,7 +221,7 @@ def covering_residual(s: SolutionField, psi: JetMap, p: Point,
 # ----------------------------------------------------------------------
 
 def conserved_current_divergence(current_id: str, param, s: SolutionField,
-                                 p: Point, order: int = 5) -> float:
+                                 p: Point) -> float:
     """Total divergence D_t F^t + D_x F^x + D_y F^y of one conserved current.
 
     ``current_id`` is one of F0, F1, F2 (parameter a function of t) or
@@ -223,9 +229,8 @@ def conserved_current_divergence(current_id: str, param, s: SolutionField,
     """
     if s.coords != "UV":
         raise ValueError("currents are stated in (u,v) coordinates")
-    u = s.u(p, order)
-    v = s.v(p, order)
-    no = order - 2  # common order for component assembly
+    u, v = s.u(p, CURRENT_ORDER), s.v(p, CURRENT_ORDER)
+    no = u.order - 2  # common order for component assembly
 
     def tr(j: Jet3) -> Jet3:
         return j.truncate(no)
@@ -275,8 +280,7 @@ def perturb_v(s: SolutionField, eps: float = 0.05) -> SolutionField:
 # coordinate conversions
 # ----------------------------------------------------------------------
 
-def convert(s: SolutionField, to: str, basepoint: Point,
-            tol: float = 1e-10) -> SolutionField:
+def convert(s: SolutionField, to: str, basepoint: Point) -> SolutionField:
     """Convert among the UV / UQ / UW forms.
 
     Quadrature-based reconstructions integrate along axis-parallel paths
@@ -314,8 +318,7 @@ def convert(s: SolutionField, to: str, basepoint: Point,
 
     if to == "UQ":
         def q(p: Point, n: int) -> Jet3:
-            return integrate_field_along(guard(w_map), "y", basepoint.y, p,
-                                         n, tol=tol)
+            return integrate_field_along(guard(w_map), "y", basepoint.y, p, n)
         return s.with_meta(v=q, coords="UQ")
 
     def v_t(p: Point, n: int) -> Jet3:
@@ -323,7 +326,7 @@ def convert(s: SolutionField, to: str, basepoint: Point,
         return wj.derive("x") + 2.0 * (u0(p, n) * wj.truncate(n))
 
     # v = int_x0^x w dx' + int_t0^t (w_x + 2 u w)|_(t',x0,y) dt'
-    v = xt_path(guard(w_map), guard(v_t), basepoint, tol=tol)
+    v = xt_path(guard(w_map), guard(v_t), basepoint)
     return s.with_meta(v=v, v_x=w_map, coords="UV")
 
 
@@ -371,8 +374,7 @@ def _rms(values) -> float:
     return float(np.sqrt(np.mean(np.square(values)))) if values else 0.0
 
 
-def residual_report(s: SolutionField, grid: list[Point],
-                    order: int = 4) -> ResidualReport:
+def residual_report(s: SolutionField, grid: list[Point]) -> ResidualReport:
     """Residuals of a (u,v) or (u,q) field over ``grid``.
 
     A point outside the domain ``s.validity``, or whose residual
@@ -389,8 +391,8 @@ def residual_report(s: SolutionField, grid: list[Point],
             skipped += 1
             continue
         try:
-            u, v = s.u(p, order), s.v(p, order)
-            r1, r2 = equations(u, v, order)
+            u, v = s.u(p, RESIDUAL_ORDER), s.v(p, RESIDUAL_ORDER)
+            r1, r2 = equations(u, v)
         except UndefinedHere:
             skipped += 1
             continue

@@ -95,6 +95,10 @@ class CoveringViolation(jets.BadInput):
 # the point-symmetry group
 # ----------------------------------------------------------------------
 
+#: the window of t and of y on which T and Y are checked and inverted
+WINDOW = (-6.0, 6.0)
+
+
 @dataclass(frozen=True)
 class PointSymmetry:
     T: Expr
@@ -102,18 +106,16 @@ class PointSymmetry:
     Y: Expr
     V0: Expr
     eps: int = 1
-    t_window: tuple = (-6.0, 6.0)
-    y_window: tuple = (-6.0, 6.0)
 
     def __post_init__(self):
         if self.eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
         dT = self.T.diff()
         dY = self.Y.diff()
-        tvals = sample(dT, np.linspace(*self.t_window, 17))
+        tvals = sample(dT, np.linspace(*WINDOW, 17))
         if min(tvals) <= 0.0:
             raise ValueError("T_t must be positive on the working window")
-        yvals = sample(dY, np.linspace(*self.y_window, 17))
+        yvals = sample(dY, np.linspace(*WINDOW, 17))
         if min(abs(v) for v in yvals) == 0.0 or \
                 (min(yvals) < 0.0 < max(yvals)):
             raise ValueError("Y_y must keep a fixed sign on the window")
@@ -128,8 +130,7 @@ class PointSymmetry:
                           g1.X0, "t"), g2.X0.subst(g1.T), "t")
         y2y = g2.Y.diff().subst(g1.Y)
         V0 = Bin("+", Bin("/", g1.V0, y2y, "y"), g2.V0.subst(g1.Y), "y")
-        return PointSymmetry(T=T, X0=X0, Y=Y, V0=V0, eps=g2.eps * g1.eps,
-                             t_window=g1.t_window, y_window=g1.y_window)
+        return PointSymmetry(T=T, X0=X0, Y=Y, V0=V0, eps=g2.eps * g1.eps)
 
 
 def identity_symmetry() -> PointSymmetry:
@@ -162,9 +163,9 @@ def i_transform(eps: int) -> PointSymmetry:
                          Y=parse("y", "y"), V0=Num(0.0, "y"), eps=eps)
 
 
-def _invert_monotone(f: Expr, target: float, window: tuple) -> float:
-    """Solve f(s) = target for s on the window by bracketed bisection."""
-    lo, hi = window
+def _invert_monotone(f: Expr, target: float) -> float:
+    """Solve f(s) = target for s on ``WINDOW`` by bracketed bisection."""
+    lo, hi = WINDOW
     flo, fhi = f(lo), f(hi)
     increasing = fhi > flo
     a, b = (lo, hi)
@@ -243,8 +244,8 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
         nonlocal last_new, last_old
         if pn == last_new:
             return last_old
-        t_old = _invert_monotone(g.T, pn.t, g.t_window)
-        y_old = _invert_monotone(g.Y, pn.y, g.y_window)
+        t_old = _invert_monotone(g.T, pn.t)
+        y_old = _invert_monotone(g.Y, pn.y)
         x_old = (pn.x - g.X0(t_old)) / (g.eps * math.sqrt(dT(t_old)))
         last_new, last_old = pn, Point(t_old, x_old, y_old)
         return last_old

@@ -150,6 +150,41 @@ def test_witness_violation_detected():
         instantiate("F_VX0", {"Phi": {"kind": "plane_exp", "k": math.nan}})
 
 
+def _bogus_phi(p, n):
+    t, x, _ = jets.coordinate_jets(p, n)
+    return jets.exp(x + 2.0 * t)
+
+
+@pytest.mark.parametrize("witness", [
+    heat_witness_library("plane_exp", k=1.3),
+    heat_witness_library("plane_exp", direction="backward"),
+    heat_witness_library("heat_polynomial", n=3),
+    heat_witness_library("gaussian", x0=0.2),
+    heat_witness_library("gaussian", t0=1.0, direction="backward"),
+    heat_witness_library("separable_trig", k=0.8, trig="cos"),
+    HeatWitness(Phi=_bogus_phi, H=parse("x", "x"), label="bogus")],
+    ids=lambda w: w.label)
+def test_witness_probe_reads_phi_at_order_two(witness):
+    asked = {"Phi": [], "H": []}
+
+    def counting(name, m):
+        def ask(p, n):
+            asked[name].append(n)
+            return m(p, n)
+        return ask
+
+    counted = HeatWitness(Phi=counting("Phi", witness.Phi),
+                          H=counting("H", witness.h_jet),
+                          direction=witness.direction)
+    value = counted.probe(catalog._PROBE_GRID)
+    assert set(asked["Phi"]) == {2} and set(asked["H"]) == {0}
+    # the reference: Phi and H asked two orders up give the same value
+    higher = HeatWitness(Phi=lambda p, n: witness.Phi(p, n + 2),
+                         H=lambda p, n: witness.h_jet(p, n + 2),
+                         direction=witness.direction)
+    assert value == higher.probe(catalog._PROBE_GRID)
+
+
 def test_sinh_gordon_probe_rejects_wrong_theta():
     def theta(p, n):
         t, x, y = jets.coordinate_jets(p, n)

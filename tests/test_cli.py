@@ -212,10 +212,10 @@ def test_transform_stdout_does_not_depend_on_the_line_cache(
     args = ["transform"] + _PATH_CHAINS[name]
     cached = run_cli(args, capsys)
 
-    def fresh(integrand, axis, lower, constant_along, tol=1e-10):
+    def fresh(integrand, axis, lower, constant_along):
         def integral(p, n):
             return quadrature.integrate_field_along(integrand, axis, lower,
-                                                    p, n, tol)
+                                                    p, n)
         return integral
 
     monkeypatch.setattr(quadrature, "line_integral", fresh)
@@ -538,24 +538,40 @@ def test_reduce_defaults_golden(rid, tmp_path, capsys):
     assert (tmp_path / "traj.csv.json").read_text() == sidecar
 
 
-def test_stalled_quadrature_is_a_json_error(capsys):
-    # the inverse-then-forward (u,v) chain on F_VXXX_3 with gamma = y: the
-    # forward image's path integral stalls near the pole line of the
-    # inverse image; a toolkit error exits 2 with a JSON error that names
-    # the grid point where it was raised
-    chain = json.dumps([{"op": "laplace_inv_uv"}, {"op": "laplace_fwd_uv"}])
+_INV_FWD_F_VXXX_3 = [
+    "transform", "--family", "F_VXXX_3", "--param", "alpha=sin(y)",
+    "--param", "beta=2+cos(y)", "--param", "gamma=y", "--chain",
+    json.dumps([{"op": "laplace_inv_uv"}, {"op": "laplace_fwd_uv"}]),
+    "--base", "[1.0, 0.2, 0.5]"]
+
+
+def test_inverse_then_forward_chain_skips_its_pole_points(capsys):
+    # the inverse-then-forward (u,v) chain on F_VXXX_3 with gamma = y: two
+    # points lie in the guard band of the inverse image's pole line and
+    # are skipped, the other six solve the system; the undefined fraction
+    # fails the report
     grid = json.dumps({"t": [0.9, 1.2, 2], "x": [0.5, 0.9, 2],
                        "y": [0.45, 0.7, 2]})
-    code, out, err = run_cli(
-        ["transform", "--family", "F_VXXX_3", "--param", "alpha=sin(y)",
-         "--param", "beta=2+cos(y)", "--param", "gamma=y",
-         "--chain", chain, "--grid", grid, "--base", "[1.0, 0.2, 0.5]"],
-        capsys)
+    code, out, err = run_cli(_INV_FWD_F_VXXX_3 + ["--grid", grid], capsys)
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert (report["evaluated"], report["skipped"]) == (6, 2)
+    assert report["undefined_fraction"] == 0.25
+    assert report["r1_max"] < 1e-12 and report["r2_max"] < 1e-12
+
+
+def test_stalled_quadrature_is_a_json_error(capsys):
+    # the same chain nearer the pole line: the forward image's path
+    # integral stalls; a toolkit error exits 2 with a JSON error that
+    # names the grid point where it was raised
+    grid = json.dumps({"t": [1.2, 1.5, 2], "x": [0.8, 1.2, 2],
+                       "y": [0.45, 0.9, 2]})
+    code, out, err = run_cli(_INV_FWD_F_VXXX_3 + ["--grid", grid], capsys)
     assert code == 2 and out == ""
-    assert "Traceback" not in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
     message = json.loads(err)["error"]
     assert "stalled" in message
-    assert message.endswith("at grid point (t, x, y) = (0.9, 0.5, 0.45)")
+    assert message.endswith("at grid point (t, x, y) = (1.2, 0.8, 0.45)")
 
 
 @pytest.mark.parametrize("fid,name", [

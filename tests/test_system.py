@@ -2,13 +2,15 @@ import json
 import math
 
 import pytest
+from test_acceptance import QUADRATURE_FAMILIES
 
-from blp import jets
+from blp import catalog, jets, system, transforms
 from blp.exprdsl import parse
 from blp.jets import Jet3, Point
 from blp.system import (
-    SolutionField, conserved_current_divergence, convert, covering_residual,
-    perturb_v, report_json, residual, residual_report, residual_uq,
+    COVERING_ORDER, CURRENT_ORDER, RESIDUAL_ORDER, SolutionField,
+    conserved_current_divergence, convert, covering_residual, perturb_v,
+    report_json, residual, residual_report, residual_uq,
 )
 
 
@@ -227,3 +229,99 @@ def test_convert_uw_paths():
     assert abs(r1) < 1e-7 and abs(r2) < 1e-7
     assert back.v(p, 1).extract((0, 1, 0)) == pytest.approx(
         uw.w(p, 1).value, abs=1e-9)
+
+
+# ----------------------------------------------------------------------
+# each check reads its jets at the order its equations need: one order
+# more gives the same value bit for bit, one order less cannot be read
+# ----------------------------------------------------------------------
+
+def _shifted(m, k):
+    """A jet map that answers order n with its jet at order n + k."""
+    return lambda p, n: m(p, n + k)
+
+
+def _shifted_field(s, k):
+    return s.with_meta(u=_shifted(s.u, k), v=_shifted(s.v, k))
+
+
+def _assert_order_needed(check, fresh, order):
+    """``check(jets at order n)`` is the same at order + 1, and raises a
+    ``ValueError`` at order - 1; ``fresh()`` builds its inputs anew."""
+    assert check(fresh(), order) == check(fresh(), order + 1)
+    with pytest.raises(ValueError):
+        check(fresh(), order - 1)
+
+
+def _box_centre(family_id):
+    box = catalog.default_box(family_id)
+    return Point(*(0.5 * (lo + hi) for lo, hi in box))
+
+
+@pytest.mark.parametrize("fid", [d.id for d in catalog.list_families()
+                                 if d.id not in QUADRATURE_FAMILIES])
+def test_residual_order_is_enough_and_needed(fid):
+    p = _box_centre(fid)
+    equations = system._RESIDUALS[catalog.instantiate(fid, {}).coords]
+
+    def check(s, n):
+        return equations(s.u(p, n), s.v(p, n))
+    _assert_order_needed(check, lambda: catalog.instantiate(fid, {}),
+                         RESIDUAL_ORDER)
+
+
+def _uq_seed(constraint):
+    if constraint == "q_y=0":
+        witness = catalog.heat_witness_library(
+            "gaussian", t0=1.5, x0=0.2, direction="backward")
+    else:
+        witness = catalog.heat_witness_library("gaussian", t0=-0.5, x0=0.2)
+    return transforms.uq_seed(witness, constraint=constraint)
+
+
+_UQ_POINT = Point(0.4, -0.2, 0.7)
+
+
+@pytest.mark.parametrize("constraint", ["q_y=0", "u_y=q_y"])
+def test_uq_residual_order_is_enough_and_needed(constraint):
+    def check(s, n):
+        return system._uq_residual(s.u(_UQ_POINT, n), s.v(_UQ_POINT, n))
+    _assert_order_needed(check, lambda: _uq_seed(constraint), RESIDUAL_ORDER)
+    assert max(map(abs, residual_uq(_uq_seed(constraint), _UQ_POINT))) < 1e-12
+
+
+@pytest.mark.parametrize("constraint", ["q_y=0", "u_y=q_y"])
+def test_covering_order_is_enough_and_needed(constraint):
+    # over u = -Phi_x/Phi, q = 0 the eigenfunctions include zeta(y) Phi;
+    # over u = q = Phi_x/Phi they include zeta(y)/Phi
+    sign = 1.0 if constraint == "q_y=0" else -1.0
+    witness = catalog.heat_witness_library(
+        "plane_exp", k=0.7,
+        direction="backward" if constraint == "q_y=0" else "forward")
+
+    def psi(p, n):
+        y = jets.coordinate_jets(p, n)[2]
+        return (1.0 + 0.2 * y * y) * witness.Phi(p, n) ** sign
+
+    def check(args, n):
+        s, f = args
+        k = n - COVERING_ORDER
+        return covering_residual(_shifted_field(s, k), _shifted(f, k),
+                                 _UQ_POINT)
+    def fresh():
+        return transforms.uq_seed(witness, constraint=constraint), psi
+    _assert_order_needed(check, fresh, COVERING_ORDER)
+    assert max(map(abs, check(fresh(), COVERING_ORDER))) < 1e-12
+
+
+@pytest.mark.parametrize("cid,param", [
+    ("F0", parse("t^2", "t")), ("F1", 1.0), ("F2", parse("sin(t)", "t")),
+    ("F4", parse("y^2", "y")), ("F5", parse("y", "y"))])
+def test_current_order_is_enough_and_needed(cid, param):
+    p = _box_centre("F_HOPFCOLE2D")
+
+    def check(s, n):
+        return conserved_current_divergence(
+            cid, param, _shifted_field(s, n - CURRENT_ORDER), p)
+    _assert_order_needed(
+        check, lambda: catalog.instantiate("F_HOPFCOLE2D", {}), CURRENT_ORDER)

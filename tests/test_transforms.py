@@ -151,8 +151,8 @@ def _jet_composition_image(g, s):
     eps = float(g.eps)
 
     def inner(pn, n):
-        t_old = transforms._invert_monotone(g.T, pn.t, g.t_window)
-        y_old = transforms._invert_monotone(g.Y, pn.y, g.y_window)
+        t_old = transforms._invert_monotone(g.T, pn.t)
+        y_old = transforms._invert_monotone(g.Y, pn.y)
         x_old = (pn.x - g.X0(t_old)) / (g.eps * math.sqrt(dT(t_old)))
         po = Point(t_old, x_old, y_old)
         jt = jets.axis_jet(transforms._inverse_series(g.T, t_old, n), "t", pn)
