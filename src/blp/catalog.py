@@ -913,6 +913,10 @@ def _f_ueqv(fid, b):
 
 # -- reduction 2.9, elliptic and elementary branches ------------------------
 
+#: the first tolerance of each :class:`_Antiderivative` step
+_ANTIDERIVATIVE_TOL = 1e-11
+
+
 class _Antiderivative:
     """Cached antiderivative of a univariate function from an anchor.
 
@@ -922,9 +926,8 @@ class _Antiderivative:
     anchor, which stays.
     """
 
-    def __init__(self, f, anchor: float, tol: float = 1e-11):
+    def __init__(self, f, anchor: float):
         self.f = f
-        self.tol = tol
         self.known = {round(anchor, 12): 0.0}
 
     def __call__(self, s: float) -> float:
@@ -932,7 +935,7 @@ class _Antiderivative:
         if key in self.known:
             return self.known[key]
         nearest = min(self.known, key=lambda k: abs(k - s))
-        tol = self.tol
+        tol = _ANTIDERIVATIVE_TOL
         while True:
             try:
                 step = float(adaptive_quadrature(self.f, nearest, s, tol=tol))

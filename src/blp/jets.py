@@ -8,7 +8,7 @@ lexicographic layout.  The represented germ is
 
 Coefficients are Taylor coefficients (partial derivative divided by
 ``i! j! k!``), which keeps truncated products cheap; true partials are
-recovered by :func:`extract_partial`.
+recovered by :meth:`Jet3.extract`.
 
 Elementary functions of a jet (:func:`apply_unary`) and the quotient of
 two jets are computed degree by degree: each homogeneous-degree part of
@@ -58,7 +58,6 @@ __all__ = [
     "Point",
     "Jet3",
     "lift_variable",
-    "mul",
     "apply_unary",
     "apply_taylor",
     "elementary",
@@ -67,7 +66,6 @@ __all__ = [
     "inside_band",
     "below_band",
     "check_denominator",
-    "extract_partial",
     "compose3",
     "coordinate_jets",
     "restrict",
@@ -133,7 +131,7 @@ class _Tables(series.Layout):
                 for j in range(d - i, -1, -1):
                     exps.append((i, j, d - i - j))
         super().__init__(exps)
-        # factorial rescaling for extract_partial
+        # factorial rescaling for Jet3.extract
         self.fact = np.asarray(
             [math.factorial(i) * math.factorial(j) * math.factorial(k)
              for (i, j, k) in exps],
@@ -199,14 +197,6 @@ class Jet3:
     def constant(value: float, base: Point, order: int) -> "Jet3":
         c = np.zeros(jet_size(order))
         c[0] = value
-        return _jet(base, order, c)
-
-    @staticmethod
-    def variable(which: str, base: Point, order: int) -> "Jet3":
-        _check_point(base)
-        axis = _AXES[which]
-        c = _tables(order).coordinate_rows[axis].copy()
-        c[0] = base[axis]
         return _jet(base, order, c)
 
     # -- basics ----------------------------------------------------------
@@ -335,15 +325,11 @@ def lift_variable(which: str, at: Point, order: int) -> Jet3:
     """Jet of one of the coordinate functions t, x, y."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return Jet3.variable(which, at, order)
-
-
-def mul(a: Jet3, b: Jet3) -> Jet3:
-    return a * b
-
-
-def extract_partial(a: Jet3, multi_index) -> float:
-    return a.extract(multi_index)
+    _check_point(at)
+    axis = _AXES[which]
+    c = _tables(order).coordinate_rows[axis].copy()
+    c[0] = at[axis]
+    return _jet(at, order, c)
 
 
 def coordinate_jets(p: Point, order: int) -> tuple[Jet3, Jet3, Jet3]:

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exprdsl import Bin, Expr, Num, as_expr, parse, sample
-from .jets import BLPError
+from .jets import BadInput, BLPError
 from .transforms import _invert_monotone
 
 __all__ = [
@@ -269,7 +269,14 @@ def pushforward(kind: str, param, Q: LieElement) -> LieElement:
 # span and closure certificates
 # ----------------------------------------------------------------------
 
-def chebyshev_points(n: int, lo: float = 0.3, hi: float = 2.5) -> list[float]:
+#: the interval that functional coefficients are sampled on, and the
+#: tolerance of the span and zero certificates
+SAMPLE_INTERVAL = (0.3, 2.5)
+TOL = 1e-9
+
+
+def chebyshev_points(n: int) -> list[float]:
+    lo, hi = SAMPLE_INTERVAL
     return [0.5 * (lo + hi) + 0.5 * (hi - lo)
             * math.cos((2 * k + 1) * math.pi / (2 * n))
             for k in range(n)]
@@ -300,8 +307,7 @@ def _design_matrix(basis: Sequence[LieElement],
 
 
 def in_span(Q: LieElement, S_: Subalgebra,
-            sample_points: Sequence[float] | None = None,
-            tol: float = 1e-9) -> bool:
+            sample_points: Sequence[float] | None = None) -> bool:
     """Least-squares certificate that Q lies in the span of the basis."""
     pts = list(sample_points) if sample_points is not None else \
         chebyshev_points(2 * len(S_.basis) + 4)
@@ -311,19 +317,18 @@ def in_span(Q: LieElement, S_: Subalgebra,
     b = np.concatenate([Q.sample(kind, pts) for kind in KINDS])
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[0] == 0.0:
-        return not np.any(np.abs(b) > tol)
+        return not np.any(np.abs(b) > TOL)
     if sv[-1] / sv[0] < 1e-12:
         raise IllConditioned("sampling Gram matrix near-singular")
     c, *_ = np.linalg.lstsq(A, b, rcond=None)
     resid = A @ c - b
-    return float(np.max(np.abs(resid))) < tol * (1.0 + float(np.max(np.abs(b))))
+    return float(np.max(np.abs(resid))) < TOL * (1.0 + float(np.max(np.abs(b))))
 
 
-def is_zero(Q: LieElement, pts: Sequence[float] | None = None,
-            tol: float = 1e-9) -> bool:
-    pts = list(pts) if pts is not None else chebyshev_points(10)
-    return all(float(np.max(np.abs(Q.sample(kind, pts))) if pts else 0.0)
-               < tol for kind in KINDS)
+def is_zero(Q: LieElement, tol: float = TOL) -> bool:
+    pts = chebyshev_points(10)
+    return all(float(np.max(np.abs(Q.sample(kind, pts)))) < tol
+               for kind in KINDS)
 
 
 @dataclass
@@ -356,11 +361,9 @@ def check_subalgebra(S_: Subalgebra) -> SubalgebraReport:
                             abelian=abelian, failures=failures)
 
 
-def normalizer_check(Q: LieElement, S_: Subalgebra,
-                     sample_points=None) -> bool:
+def normalizer_check(Q: LieElement, S_: Subalgebra) -> bool:
     """True iff [Q, B] stays in the span for every basis element B."""
-    return all(in_span(commutator(Q, B), S_, sample_points)
-               for B in S_.basis)
+    return all(in_span(commutator(Q, B), S_) for B in S_.basis)
 
 
 # ----------------------------------------------------------------------
@@ -407,7 +410,9 @@ def subalgebras_from_json(source) -> list[Subalgebra]:
     """Load subalgebras from a JSON file path, JSON text, or parsed dict.
 
     Accepts either the bundled two-section layout or a flat list of
-    entries {label, basis: [{"D": "1"}, ...], params, exclude}.
+    entries {label, basis: [{"D": "1"}, ...], params, exclude}.  An
+    entry with a generator kind other than D, S, P, Z, or with no nonzero
+    basis element, raises :class:`BadInput` naming its label.
     """
     if isinstance(source, str):
         try:
@@ -425,9 +430,17 @@ def subalgebras_from_json(source) -> list[Subalgebra]:
     out = []
     for entry in entries:
         for label, binding in _expand(entry):
+            unknown = sorted({kind for b in entry["basis"] for kind in b}
+                             - set(KINDS))
+            if unknown:
+                raise BadInput(f"subalgebra {label}: unknown generator kind "
+                               f"{unknown[0]!r}")
             basis = tuple(_element_from_spec(b, binding)
                           for b in entry["basis"])
             basis = tuple(b for b in basis if b.terms)
+            if not basis:
+                raise BadInput(f"subalgebra {label} has no nonzero basis "
+                               "element")
             out.append(Subalgebra(basis=basis, label=label, params=binding))
     return out
 

@@ -4,6 +4,9 @@ One shared engine backs every quadrature in the package: the coordinate
 conversions, the (u,v) Laplace transformation, and the solution families
 whose closed forms contain an antiderivative.  Integrands may be scalar-
 or vector-valued; the error estimate is the usual |K15 - G7| panel bound.
+Refinement is a plain list scan: the panel with the largest estimate is
+split until the error total meets the tolerance, within a budget of
+``MAX_PANELS`` panels.
 
 :func:`integrate_field_along` lifts an axis-parallel line integral of a
 jet-evaluable field to a jet: the coefficients that carry powers of the
@@ -24,8 +27,6 @@ the panel budget.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -49,7 +50,7 @@ class QuadratureError(BLPError, ArithmeticError):
 
 
 TOL = 1e-10  # the tolerance of every jet-valued line integral
-_UNIT_ROUNDOFF = 2.0 ** -53
+MAX_PANELS = 2000  # the panel budget of every adaptive quadrature
 #: splits that are never counted as raising the error (QUADPACK's
 #: ``last > 10``), and the count of later ones that ends refinement
 _STALL_GRACE = 10
@@ -103,28 +104,22 @@ def gauss_kronrod_15(f, a: float, b: float):
     return resk * h, err
 
 
-def adaptive_quadrature(f, a: float, b: float, tol: float = TOL,
-                        max_panels: int = 2000):
+def adaptive_quadrature(f, a: float, b: float, tol: float = TOL):
     """Integrate ``f`` (scalar- or vector-valued) from a to b.
 
-    Panels are refined in heap order: the panel with the largest error
-    estimate is split first, the older one on ties.  The error total is
-    kept as a running sum with a rigorous bound on its roundoff drift; it
-    is re-summed exactly, in creation order, wherever that bound cannot
-    settle the comparison with ``tol``, and always before stopping or
-    giving up.  The panel values are summed in creation order.  So the
-    same panels run, and the same value and failures come out, as when
-    every panel is rescanned and re-summed on each split.
+    While the error total, summed in creation order, is above ``tol``,
+    the panel with the largest error estimate is split, the older one on
+    ties.  The panel values are summed in creation order.
 
     Stall rule (QUADPACK ``dqage``, counter ``iroff2``): from the split
     after the ``_STALL_GRACE``-th on, a split whose two halves have a
-    larger error sum than their parent is counted; at the
-    ``_STALL_LIMIT``-th such split the exact error total is taken, and
-    if it is still above ``tol`` refinement has hit the integrand's
-    roundoff or noise floor and gives up.
+    larger error sum than their parent is counted; once ``_STALL_LIMIT``
+    such splits are counted and the error total is still above ``tol``,
+    refinement has hit the integrand's roundoff or noise floor and gives
+    up.
 
-    Raises :class:`QuadratureError` when the panel budget is exhausted
-    (reason ``"budget"``), a panel shrinks below floating-point
+    Raises :class:`QuadratureError` when ``MAX_PANELS`` panels are not
+    enough (reason ``"budget"``), a panel shrinks below floating-point
     resolution (``"width"``, the usual symptom of an integrand pole
     inside the interval) or refinement stalls (``"stall"``, naming the
     panel with the largest error estimate).
@@ -133,59 +128,33 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = TOL,
         probe = np.asarray(f(a), dtype=float)
         return probe * 0.0
     val, err = gauss_kronrod_15(f, a, b)
-    live = {0: (err, a, b, val)}   # creation index -> panel, in that order
-    heap = [(-float(err), 0)]
-    created = 1
+    panels = [(err, a, b, val)]  # in creation order
     width_floor = 1e-14 * (1.0 + abs(a) + abs(b))
-    total = float(err)  # running error total
-    drift = 0.0         # bound on |total - exact sum of the live errors|
     splits = stalls = 0
-    while True:
-        n = len(live)
-        # |exact sum - total| <= drift + gamma_n * (real sum), and the real
-        # sum is at most total + drift; the factor 2 covers the rounding
-        # of this bound itself
-        gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-        slack = 2.0 * (drift + gamma * (total + drift))
-        stalled = stalls == _STALL_LIMIT
-        if n >= max_panels or stalled or not total - slack > tol:
-            exact = sum(p[0] for p in live.values())
-            if not exact > tol:
-                break
-            if n >= max_panels:
-                raise QuadratureError("panel budget exhausted", "budget")
-            if stalled:
-                _, lo, hi, _ = live[heap[0][1]]
-                raise QuadratureError(
-                    f"refinement stalled at error {exact:g} after {splits} "
-                    f"splits, worst panel [{lo}, {hi}]", "stall")
-            total = float(exact)
-            drift = 2.0 * gamma * total
-        _, worst = heapq.heappop(heap)
-        err, lo, hi, _ = live.pop(worst)
+    while (total := sum(p[0] for p in panels)) > tol:
+        if len(panels) >= MAX_PANELS:
+            raise QuadratureError("panel budget exhausted", "budget")
+        worst = max(range(len(panels)), key=lambda i: panels[i][0])
+        if stalls == _STALL_LIMIT:
+            _, lo, hi, _ = panels[worst]
+            raise QuadratureError(
+                f"refinement stalled at error {total:g} after {splits} "
+                f"splits, worst panel [{lo}, {hi}]", "stall")
+        err, lo, hi, _ = panels.pop(worst)
         if abs(hi - lo) < width_floor:
             raise QuadratureError(
                 f"panel [{lo}, {hi}] below width floor with error {err:g}",
                 "width")
-        total -= float(err)
-        drift += 2.0 * _UNIT_ROUNDOFF * abs(total)
         mid = 0.5 * (lo + hi)
-        halves = 0.0
         for left, right in ((lo, mid), (mid, hi)):
             v, e = gauss_kronrod_15(f, left, right)
-            live[created] = (e, left, right, v)
-            heapq.heappush(heap, (-float(e), created))
-            created += 1
-            halves += float(e)
-            total += float(e)
-            drift += 2.0 * _UNIT_ROUNDOFF * abs(total)
+            panels.append((e, left, right, v))
         splits += 1
-        if splits > _STALL_GRACE and halves > err:
+        if splits > _STALL_GRACE and panels[-2][0] + panels[-1][0] > err:
             stalls += 1
-    values = [p[3] for p in live.values()]
-    result = values[0] * 0.0
-    for v in values:
-        result = result + v
+    result = panels[0][3] * 0.0
+    for p in panels:
+        result = result + p[3]
     return result
 
 

@@ -371,23 +371,26 @@ class DegenerateBranch:
         return self.default(z)
 
 
-def degenerate_solutions(q: QuarticODE, lam: float,
-                         tol: float = 1e-10) -> list[DegenerateBranch]:
+#: the relative tolerance of a multiple root's certificate
+DEGENERATE_TOL = 1e-10
+
+
+def degenerate_solutions(q: QuarticODE, lam: float) -> list[DegenerateBranch]:
     """Elementary branches of phi_z^2 = F(phi) for a multiple real root lam.
 
     The caller supplies the root; its multiplicity certificate
-    |F(lam)|, |F'(lam)| < tol * scale is verified here.
+    |F(lam)|, |F'(lam)| < DEGENERATE_TOL * scale is verified here.
     """
     q = _as_quartic(q)
-    scale = q.scale * (1.0 + abs(lam)) ** 4
-    if abs(q.F(lam)) > tol * scale or abs(q.F_prime(lam)) > tol * scale:
+    bound = DEGENERATE_TOL * (q.scale * (1.0 + abs(lam)) ** 4)
+    if abs(q.F(lam)) > bound or abs(q.F_prime(lam)) > bound:
         raise NotDegenerate(
             f"root certificate failed: F={q.F(lam)}, F'={q.F_prime(lam)}")
     a = q.a0
     b = 4.0 * (q.a0 * lam + q.a1)
     c = 6.0 * (q.a0 * lam ** 2 + 2.0 * q.a1 * lam + q.a2)
     D = b * b - 4.0 * a * c
-    small = tol * q.scale
+    small = DEGENERATE_TOL * q.scale
     branches: list[DegenerateBranch] = []
 
     def _inv_linear(C=0.0, eps=1.0):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from blp import jets
 from blp.exprdsl import parse
 from blp.jets import (
-    DomainError, Jet3, Point, apply_unary, extract_partial, lift_variable, mul,
+    DomainError, Jet3, Point, apply_unary, lift_variable,
 )
 from conftest import central_diff
 
@@ -46,7 +46,7 @@ def test_coordinate_jets_are_the_lifted_variables(order):
 
 def test_mul_square_of_t():
     j = lift_variable("t", Point(2.0, 0.0, 0.0), 1)
-    sq = mul(j, j)
+    sq = j * j
     assert sq.value == 4.0
     # c100 stores the Taylor coefficient, equal to the derivative 2t = 4
     assert sq.extract((1, 0, 0)) == 4.0

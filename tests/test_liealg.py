@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blp import liealg
+from blp.jets import BadInput
 from blp.liealg import (
     D, IllConditioned, NumericCoeff, P, S, Subalgebra, Z, check_subalgebra,
     chebyshev_points, commutator, in_span, is_zero, load_normalizer_table,
@@ -281,6 +282,20 @@ def test_subalgebras_from_json(tmp_path):
     subs2 = subalgebras_from_json(str(path))
     assert len(subs2) == 2
     assert check_subalgebra(subs2[1]).closed
+
+
+@pytest.mark.parametrize("basis,words", [
+    ([], "no nonzero basis element"),
+    ([{"D": "0"}], "no nonzero basis element"),
+    ([{"D": "1"}, {"Q": "1"}], "unknown generator kind 'Q'"),
+], ids=["empty", "zero_terms", "unknown_kind"])
+def test_subalgebras_from_json_rejects_bad_entries(basis, words):
+    payload = [{"label": "ok", "basis": [{"D": "1"}]},
+               {"label": "user", "basis": basis}]
+    with pytest.raises(BadInput) as info:
+        liealg.subalgebras_from_json(payload)
+    assert "subalgebra user" in str(info.value)
+    assert words in str(info.value)
 
 
 def test_normalizer_of_shear_scaling_pair():

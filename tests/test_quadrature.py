@@ -38,9 +38,10 @@ def test_reversed_interval_sign():
         -math.sin(1.0), rel=1e-12)
 
 
-def test_pole_raises():
+def test_pole_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 64)
     with pytest.raises(QuadratureError):
-        adaptive_quadrature(lambda s: 1.0 / (s - 1 / 3), 0.0, 1.0, max_panels=64)
+        adaptive_quadrature(lambda s: 1.0 / (s - 1 / 3), 0.0, 1.0)
 
 
 def _field_sin_ty(p, n):
@@ -196,7 +197,7 @@ def test_integrate_field_along_t():
             central_diff(f, p, m), rel=1e-6, abs=1e-6), m
 
 
-# -- heap-ordered refinement against the list-scan original ----------------
+# -- refinement against the list-scan reference ---------------------------
 
 def _list_scan_quadrature(f, a, b, tol=1e-10, max_panels=2000,
                           stall_rule=True):
@@ -236,6 +237,14 @@ def _list_scan_quadrature(f, a, b, tol=1e-10, max_panels=2000,
     for _, _, _, v in panels:
         total = total + v
     return total
+
+
+def _adaptive(f, a, b, max_panels=quadrature.MAX_PANELS, **kw):
+    """``adaptive_quadrature`` with the reference's ``max_panels`` keyword,
+    set as the module's ``MAX_PANELS`` for the call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "MAX_PANELS", max_panels)
+        return adaptive_quadrature(f, a, b, **kw)
 
 
 def _reference_panel(f, lo, hi):
@@ -294,10 +303,28 @@ def _run_counted(quad, f, a, b, kw):
                          ids=[c[0] for c in _DIFFERENTIAL_CASES])
 def test_heap_order_matches_list_scan(name, f, a, b, kw):
     # same integrand calls, bit-identical values, same failures
-    got, got_calls = _run_counted(adaptive_quadrature, f, a, b, kw)
+    got, got_calls = _run_counted(_adaptive, f, a, b, kw)
     want, want_calls = _run_counted(_list_scan_quadrature, f, a, b, kw)
     assert got_calls == want_calls
     assert got == want
+
+
+def test_ties_split_the_older_panel_first():
+    # sqrt|s| on [-1, 1] makes mirror panels with equal error estimates;
+    # the order of the integrand calls shows which one is split first
+    def abscissae(quad):
+        calls = []
+
+        def f(s):
+            calls.append(s)
+            return math.sqrt(abs(s))
+        quad(f, -1.0, 1.0)
+        return calls
+
+    got = abscissae(adaptive_quadrature)
+    assert got == abscissae(_list_scan_quadrature)
+    # the second split halves [-1, 0], the older of the two mirror panels
+    assert all(s < 0.0 for s in got[45:60])
 
 
 class _RecordingTol:
@@ -318,8 +345,9 @@ class _RecordingTol:
 ], ids=["scalar", "vector"])
 def test_heap_order_matches_list_scan_at_boundary_tolerances(f, tol):
     # tolerances equal to, and one ulp either side of, each error total
-    # the list scan meets; on these integrands the running total drifts
-    # from that exact sum, below it (scalar) or above it (vector)
+    # the list scan meets; on these integrands a running error total
+    # would drift from that exact sum, below it (scalar) or above it
+    # (vector)
     rec = _RecordingTol(tol)
     _list_scan_quadrature(f, 0.0, 1.0, tol=rec)
     assert len(rec.seen) > 25
@@ -332,7 +360,7 @@ def test_heap_order_matches_list_scan_at_boundary_tolerances(f, tol):
 
 
 def test_differential_cases_reach_each_outcome():
-    out = {name: _run_counted(adaptive_quadrature, f, a, b, kw)[0]
+    out = {name: _run_counted(_adaptive, f, a, b, kw)[0]
            for name, f, a, b, kw in _DIFFERENTIAL_CASES}
     assert out["noise_floor"][:2] == ("error", "stall")
     assert out["noise_floor"][2].startswith("refinement stalled at error")
