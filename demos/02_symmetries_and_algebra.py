@@ -10,7 +10,11 @@ Applying one to a solution field gives another solution field; the
 residual check below demonstrates it on a composed, randomly built
 element.  The infinitesimal counterpart is the algebra spanned by
 D(f), S(alpha), P(g), Z(beta), whose structure is verified by sampling.
+The demo exits 1 if a residual of the image exceeds 1e-7, the bound that
+the acceptance criteria and the benchmark set for symmetry images.
 """
+
+import sys
 
 from blp import catalog, liealg, transforms
 from blp.jets import Point
@@ -24,8 +28,13 @@ g3 = transforms.p_transform("0.2*t^2")
 g = g3.compose(g2.compose(g1))
 moved = transforms.apply_symmetry(g, field)
 
+residuals = []
 for p in [Point(0.9, 0.4, 0.6), Point(1.2, -0.1, 0.8)]:
-    print("residual after the composed group element:", residual(moved, p))
+    r = residual(moved, p)
+    print("residual after the composed group element:", r)
+    residuals.extend(r)
+if not all(abs(r) <= 1e-7 for r in residuals):  # a NaN fails too
+    sys.exit(f"a residual of the symmetry image exceeds 1e-7: {residuals}")
 
 print()
 print("Bracket relations, evaluated as sampled coefficient functions:")

@@ -17,7 +17,8 @@ from the Euler operator (Neidinger, "Computing multivariable Taylor
 series to arbitrary order", APL Quote Quad 25, 1995), written once in
 :mod:`blp.series` for jets and univariate series alike.  Nonnegative
 integer powers are products.  :func:`apply_taylor` composes a univariate
-series that a caller supplies by Horner's rule.
+series that a caller supplies by Horner's rule, and :func:`compose3`
+gives the matrix that composes a jet with a triangular map of jets.
 
 The guard rules of jets, expressions and transformations live here.
 One table gives each elementary function its float form, its series
@@ -527,31 +528,45 @@ def power(x, r):
     return call(("pow", float(r)), x)
 
 
-def compose3(field_coeffs: np.ndarray, order: int,
-             jt: Jet3, jx: Jet3, jy: Jet3) -> Jet3:
-    """Compose a trivariate Taylor polynomial with three inner jets.
+def compose3(pt: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
+             py: np.ndarray) -> np.ndarray:
+    """Composition matrix of a triangular inner map.
 
-    ``field_coeffs`` are the graded-lex Taylor coefficients of a field F
-    around ``(jt.value, jx.value, jy.value)``; the result is the jet of
-    ``F(jt, jx, jy)`` in the inner jets' own variables.
+    The map sends the offsets (s, r, w) of a point from a new base to the
+    offsets (g(s), alpha(s) + beta(s) r, h(w)) from an old base; ``pt``
+    and ``py`` are the power tables of g and h (row i holds the
+    coefficients of the i-th power), ``alpha`` and ``beta`` univariate
+    series with ``alpha[0] = 0``, all to one order N.  Column m of the
+    result is the jet at the new base of the m-th monomial of the old
+    offsets, so ``M @ c`` is the jet of the field with Taylor coefficients
+    ``c`` at the old base composed with the map.  Each column is a power
+    of g times a power of alpha + beta r, lower-triangular Toeplitz
+    products in (s, r), times a power of h (Brent & Kung, JACM 1978).
     """
-    n = jt.order
-    dt, dx, dy = jt - jt.value, jx - jx.value, jy - jy.value
-    one = Jet3.constant(1.0, jt.base, n)
-    pt = [one]
-    px = [one]
-    py = [one]
-    for _ in range(n):
-        pt.append(pt[-1] * dt)
-        px.append(px[-1] * dx)
-        py.append(py[-1] * dy)
-    out = Jet3.constant(0.0, jt.base, n)
-    for m, (i, j, k) in enumerate(_tables(order).exps):
-        c = field_coeffs[m]
-        if c == 0.0 or i + j + k > n:
-            continue
-        out = out + c * (pt[i] * px[j] * py[k])
-    return out
+    n = len(alpha) - 1
+    # xi[j, a, b]: coefficient of s^a r^b in (alpha + beta r)^j
+    xi = np.zeros((n + 1, n + 1, n + 1))
+    xi[0, 0, 0] = 1.0
+    ta, tb = series.toeplitz(alpha), series.toeplitz(beta)
+    for j in range(1, n + 1):
+        xi[j] = ta @ xi[j - 1]
+        xi[j, :, 1:] += tb @ xi[j - 1, :, :-1]
+    # txi[i, j, a, b]: coefficient of s^a r^b in g^i (alpha + beta r)^j
+    txi = series.toeplitz(pt)[:, None] @ xi
+    at_txi, at_py = _compose_index(n)
+    return np.take(txi, at_txi) * np.take(py, at_py)
+
+
+@functools.lru_cache(maxsize=None)
+def _compose_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into txi and py of :func:`compose3` at order ``n``:
+    row r and column m of the matrix read entry (i, j, a, b) of txi and
+    (k, c) of py, where (a, b, c) are the exponents of monomial r and
+    (i, j, k) those of monomial m."""
+    e = np.asarray(_tables(n).exps, dtype=np.intp).T
+    i, j, k = e[:, None, :]
+    a, b, c = e[:, :, None]
+    return ((i * (n + 1) + j) * (n + 1) + a) * (n + 1) + b, k * (n + 1) + c
 
 
 JetMap = Callable[[Point, int], Jet3]

@@ -23,7 +23,6 @@ import json
 import math
 import re
 from dataclasses import dataclass, field as dc_field
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -193,6 +192,14 @@ def commutator(Q1: LieElement, Q2: LieElement) -> LieElement:
 # adjoint actions of elementary transformations
 # ----------------------------------------------------------------------
 
+def _pushed(coeff, f: Expr, df: Expr, power: float) -> NumericCoeff:
+    """s -> coeff(h) f'(h)^power at h = f^-1(s), one inversion a sample."""
+    def new(s):
+        h = _invert_monotone(f, df, s)
+        return float(coeff(h)) * float(df(h)) ** power
+    return NumericCoeff(new)
+
+
 def pushforward(kind: str, param, Q: LieElement) -> LieElement:
     """Adjoint action of one elementary transformation on a generator sum.
 
@@ -203,34 +210,18 @@ def pushforward(kind: str, param, Q: LieElement) -> LieElement:
     if kind == "D":
         T = _coerce(param, "t")
         dT = T.diff()
-        inv = partial(_invert_monotone, T)
-
-        def push(coeff, power):
-            ffn = coeff
-
-            def new(s):
-                that = inv(s)
-                return float(ffn(that)) * float(dT(that)) ** power
-            return NumericCoeff(new)
         # hat-T_t = 1/T_t(hat-T): D-coefficients gain a factor T_t,
         # P-coefficients a factor sqrt(T_t)
-        if "D" in out:
-            out["D"] = push(out["D"], 1.0)
-        if "P" in out:
-            out["P"] = push(out["P"], 0.5)
+        for key, power in (("D", 1.0), ("P", 0.5)):
+            if key in out:
+                out[key] = _pushed(out[key], T, dT, power)
         return LieElement(out)
     if kind == "S":
         Y = _coerce(param, "y")
         dY = Y.diff()
-        inv = partial(_invert_monotone, Y)
-        if "S" in out:
-            afn = out["S"]
-            out["S"] = NumericCoeff(
-                lambda s, afn=afn: float(afn(inv(s))) * float(dY(inv(s))))
-        if "Z" in out:
-            bfn = out["Z"]
-            out["Z"] = NumericCoeff(
-                lambda s, bfn=bfn: float(bfn(inv(s))) / float(dY(inv(s))))
+        for key, power in (("S", 1.0), ("Z", -1.0)):
+            if key in out:
+                out[key] = _pushed(out[key], Y, dY, power)
         return LieElement(out)
     if kind == "P":
         X0 = _coerce(param, "t")
@@ -292,7 +283,7 @@ class Subalgebra:
         pts = chebyshev_points(2 * len(self.basis) + 3)
         A = _design_matrix(self.basis, pts)
         if np.linalg.matrix_rank(A, tol=1e-9) < len(self.basis):
-            raise ValueError(
+            raise BadInput(
                 f"basis of {self.label or 'subalgebra'} is linearly "
                 "dependent on sampling")
 
@@ -387,6 +378,10 @@ def _element_from_spec(spec: dict, binding: dict) -> LieElement:
 
 def _expand(entry: dict) -> list[tuple[str, dict]]:
     params = entry.get("params", {})
+    for name, values in params.items():
+        if not isinstance(values, list):
+            raise BadInput(f"subalgebra {entry['label']}: parameter {name!r} "
+                           "takes a list of values")
     exclude = [tuple(sorted(d.items())) for d in entry.get("exclude", [])]
     if not params:
         return [(entry["label"], {})]
@@ -411,8 +406,10 @@ def subalgebras_from_json(source) -> list[Subalgebra]:
 
     Accepts either the bundled two-section layout or a flat list of
     entries {label, basis: [{"D": "1"}, ...], params, exclude}.  An
-    entry with a generator kind other than D, S, P, Z, or with no nonzero
-    basis element, raises :class:`BadInput` naming its label.
+    entry without a label (named by its position) or a basis, with a
+    parameter whose values are not a list, a generator kind other than
+    D, S, P, Z, no nonzero basis element or a linearly dependent basis,
+    raises :class:`BadInput` naming it.
     """
     if isinstance(source, str):
         try:
@@ -428,7 +425,11 @@ def subalgebras_from_json(source) -> list[Subalgebra]:
     else:
         entries = data
     out = []
-    for entry in entries:
+    for pos, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "label" not in entry:
+            raise BadInput(f"subalgebra entry {pos} has no label")
+        if "basis" not in entry:
+            raise BadInput(f"subalgebra {entry['label']} has no basis")
         for label, binding in _expand(entry):
             unknown = sorted({kind for b in entry["basis"] for kind in b}
                              - set(KINDS))

@@ -1,9 +1,9 @@
 """Truncated Taylor series and the degree recurrences of elementary functions.
 
 A univariate series is a float array ``c`` with ``c[k]`` the k-th Taylor
-coefficient; :func:`mul`, :func:`derivative` and :func:`integral` act on
-such arrays of any length; :func:`cauchy` gives one coefficient of a
-product, for recurrences on float lists.
+coefficient; :func:`mul`, :func:`derivative`, :func:`integral` and
+:func:`toeplitz` act on such arrays of any length; :func:`cauchy` gives
+one coefficient of a product, for recurrences on float lists.
 
 A :class:`Layout` holds the coefficients of a truncated series in one or
 more variables as one array, graded by degree.  :func:`univariate` gives
@@ -25,12 +25,13 @@ functions do not guard: a caller checks the value ``a[0]`` first
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
 import numpy as np
 
-__all__ = ["mul", "cauchy", "derivative", "integral", "Layout",
+__all__ = ["mul", "cauchy", "derivative", "toeplitz", "integral", "Layout",
            "univariate", "exp", "ln", "power", "int_power", "div",
            "sin_cos", "tan"]
 
@@ -49,6 +50,20 @@ def cauchy(a, b, k: int) -> float:
 def derivative(c: np.ndarray) -> np.ndarray:
     """Coefficients of the derivative, one fewer."""
     return c[1:] * np.arange(1, len(c))
+
+
+def toeplitz(c: np.ndarray) -> np.ndarray:
+    """The lower-triangular Toeplitz matrix of each series in the last axis
+    of ``c``: ``toeplitz(c) @ b`` is the product ``c b``, truncated to the
+    length of ``c``."""
+    lag, below = _lags(c.shape[-1])
+    return np.where(below, c[..., lag], 0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _lags(n: int) -> tuple[np.ndarray, np.ndarray]:
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    return np.maximum(lag, 0), lag >= 0
 
 
 def integral(c: np.ndarray, c0: float, n: int) -> np.ndarray:

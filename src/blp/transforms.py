@@ -8,8 +8,12 @@ The complete point-symmetry group acts by
 
 with smooth T, X0, Y, V0, T_t > 0, Y_y != 0 and eps = +-1.  Applying a
 group element to a field composes the field with the inverse coordinate
-map (computed by bracketed root-finding plus Taylor-series reversion) and
-pushes the components through the formulas above, entirely in jets.
+map and pushes the components through the formulas above, entirely in
+jets.  The inverse point comes from safeguarded Newton on T and Y, its
+series from Taylor-series reversion.  The inverse map is triangular (t
+from t~, y from y~, x affine in x~ with coefficients in t~), so one
+composition matrix per point and order (:func:`jets.compose3`) carries
+both u and v.
 
 The Laplace maps act in (u,q) coordinates as
 
@@ -52,8 +56,8 @@ from typing import Sequence
 import numpy as np
 
 from . import jets, series
-from .exprdsl import (Bin, Call, Expr, Num, as_expr, compose_series, eval_jet,
-                      eval_series, parse, sample)
+from .exprdsl import (Bin, Call, Expr, Num, as_expr, eval_jet, eval_series,
+                      parse, sample)
 from .jets import DomainError, Jet3, JetMap, Point, UndefinedHere, last_point
 from .quadrature import integrate_field_along, xt_path
 from .system import SolutionField, covering_residual, residual_sup
@@ -164,8 +168,12 @@ def i_transform(eps: int) -> PointSymmetry:
                          Y=parse("y", "y"), V0=Num(0.0, "y"), eps=eps)
 
 
-def _invert_monotone(f: Expr, target: float) -> float:
-    """Solve f(s) = target for s on ``WINDOW`` by bracketed bisection."""
+def _invert_monotone(f: Expr, df: Expr, target: float) -> float:
+    """Solve f(s) = target for s on ``WINDOW``, where ``df`` is f'.
+
+    Safeguarded Newton: the root stays bracketed, and a step that would
+    leave the shrinking bracket bisects it instead.
+    """
     lo, hi = WINDOW
     flo, fhi = f(lo), f(hi)
     increasing = fhi > flo
@@ -174,22 +182,31 @@ def _invert_monotone(f: Expr, target: float) -> float:
         raise InverseMapError(
             f"target {target} outside the image [{min(flo, fhi)}, "
             f"{max(flo, fhi)}] of the window")
+    s = lo + (hi - lo) * (target - flo) / (fhi - flo)
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        if abs(b - a) < 1e-15 * (1.0 + abs(mid)):
+        r = f(s) - target
+        if r == 0.0:
             break
-        if (f(mid) < target) == increasing:
-            a = mid
+        if (r < 0.0) == increasing:
+            a = s
         else:
-            b = mid
-    return 0.5 * (a + b)
+            b = s
+        d = df(s)
+        nxt = s - r / d if d else a  # a zero slope bisects
+        if not a < nxt < b:
+            nxt = 0.5 * (a + b)
+        if abs(nxt - s) < 1e-15 * (1.0 + abs(s)):
+            return nxt
+        s = nxt
+    return s
 
 
 def _revert_series(f: np.ndarray) -> np.ndarray:
-    """Coefficients of the inverse of s -> sum_{k>=1} f_k s^k."""
+    """Power table of the inverse g of s -> sum_{k>=1} f_k s^k: row k holds
+    the coefficients of g^k."""
     n = len(f) - 1
     if n == 0:
-        return np.zeros(1)
+        return np.ones((1, 1))
     jets.check_denominator(f[1], 0.0,
                            "vanishing derivative: map not invertible",
                            band=1e-14, error=InverseMapError)
@@ -197,46 +214,30 @@ def _revert_series(f: np.ndarray) -> np.ndarray:
     # f_k times coefficient m of g^k for k = 2..m, which needs g_1..g_m-1
     # only.  powers[k] holds the running coefficients of g^k.
     g = [0.0, 1.0 / f[1]]
-    powers = [None, g]
+    powers = [[1.0] + [0.0] * n, g]
     for m in range(2, n + 1):
         g.append(0.0)
         powers.append([0.0] * m)
         for k in range(2, m + 1):
             powers[k].append(series.cauchy(g, powers[k - 1], m))
         g[m] = -sum(f[k] * powers[k][m] for k in range(2, m + 1)) / f[1]
-    return np.array(g)
-
-
-def _inverse_series(e: Expr, old_value: float, order: int) -> np.ndarray:
-    """Taylor coefficients, in the new variable, of the inverse function of
-    ``e`` at e(old_value)."""
-    fser = eval_series(e, old_value, order)
-    fser[0] = 0.0
-    gser = _revert_series(fser)
-    gser[0] = old_value
-    return gser
-
-
-def _placed(e: Expr, ser: np.ndarray, axis: str, p: Point) -> Jet3:
-    """Jet at ``p`` of ``e`` composed with the univariate series ``ser``
-    along ``axis``."""
-    return jets.axis_jet(compose_series(e, ser), axis, p)
+    return np.array(powers)
 
 
 def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
     """Push a (u,v) solution field forward by a group element.
 
-    The coefficient functions of ``g`` are evaluated on the univariate
-    series of the inverse maps and placed on their axes; ``u`` and ``v``
-    at one point and order share the inverse point, both series and
-    the jet of the old x.
+    ``u`` and ``v`` at one point share its inverse point, and at one
+    point and order they share the rest: the power tables of the reverted
+    series of T and Y, the coefficient functions of ``g`` (their series at
+    the old point composed with those tables) and one composition matrix
+    of the inverse map (:func:`jets.compose3`).
     """
     if s.coords != "UV":
         raise ValueError("apply_symmetry expects (u,v) coordinates")
     dT, dY = g.T.diff(), g.Y.diff()
-    ddT = dT.diff()
-    dX0 = g.X0.diff()
     eps = float(g.eps)
+    d = series.derivative
     last_new = last_old = None
     last_inner = None
 
@@ -245,40 +246,55 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
         nonlocal last_new, last_old
         if pn == last_new:
             return last_old
-        t_old = _invert_monotone(g.T, pn.t)
-        y_old = _invert_monotone(g.Y, pn.y)
+        t_old = _invert_monotone(g.T, dT, pn.t)
+        y_old = _invert_monotone(g.Y, dY, pn.y)
         x_old = (pn.x - g.X0(t_old)) / (g.eps * math.sqrt(dT(t_old)))
         last_new, last_old = pn, Point(t_old, x_old, y_old)
         return last_old
 
-    def inner_jets(pn: Point, n: int):
+    def inner(pn: Point, n: int):
         # u and v ask at the same point and order in turn: build them once
         nonlocal last_inner
         if last_inner is not None and last_inner[0] == (pn, n):
             return last_inner[1:]
         po = old_point(pn)
-        gt = _inverse_series(g.T, po.t, n)
-        gy = _inverse_series(g.Y, po.y, n)
-        ttj = _placed(dT, gt, "t", pn)
-        rt = jets.sqrt(ttj)
-        jx = (jets.lift_variable("x", pn, n) - _placed(g.X0, gt, "t", pn)) \
-            / (eps * rt)
-        last_inner = ((pn, n), po, gt, gy, jx, ttj, rt)
+        lay = series.univariate(n)
+        tser = eval_series(g.T, po.t, n + 2)
+        pt = _revert_series(tser[:n + 1])
+        tt = d(tser)[:n + 1] @ pt
+        xser = eval_series(g.X0, po.t, n + 1)
+        yser = eval_series(g.Y, po.y, n + 1)
+        py = _revert_series(yser[:n + 1])
+        # beta = eps / sqrt(T_t), so eps T_tt / (4 T_t^(3/2)) is
+        # T_tt beta^3 / 4 and X0_t / (2 T_t) is X0_t beta^2 / 2
+        beta = eps * jets.elementary(("pow", -0.5), tt, lay)
+        beta2 = series.mul(beta, beta, n)
+        shift = -(xser[:n + 1] @ pt)
+        shift[0] += pn.x
+        alpha = series.mul(shift, beta, n)
+        alpha[0] = 0.0
+        M = jets.compose3(pt, alpha, beta, py)
+        # the jet of the old x
+        jx = Jet3(pn, n, M @ jets.lift_variable("x", po, n).coeffs)
+        cx = series.mul(d(d(tser)) @ pt, series.mul(beta2, beta, n), n) / 4.0
+        c0 = series.mul(d(xser) @ pt, beta2, n) / 2.0
+        # u~ = U u_scale - u_shift and v~ = V v_scale + v_shift, where U
+        # and V are u and v composed with the inverse map
+        u_scale = jets.axis_jet(beta, "t", pn)
+        u_shift = jets.axis_jet(cx, "t", pn) * jx + jets.axis_jet(c0, "t", pn)
+        v_scale = jets.axis_jet(jets.elementary("recip", d(yser) @ py, lay),
+                                "y", pn)
+        v_shift = jets.axis_jet(eval_series(g.V0, po.y, n) @ py, "y", pn)
+        last_inner = ((pn, n), po, M, u_scale, u_shift, v_scale, v_shift)
         return last_inner[1:]
 
     def u(pn: Point, n: int) -> Jet3:
-        po, gt, gy, jx, ttj, rt = inner_jets(pn, n)
-        Uc = jets.compose3(s.u(po, n).coeffs, n, jets.axis_jet(gt, "t", pn),
-                           jx, jets.axis_jet(gy, "y", pn))
-        return (eps * Uc / rt
-                - eps * _placed(ddT, gt, "t", pn) / (4.0 * ttj * rt) * jx
-                - _placed(dX0, gt, "t", pn) / (2.0 * ttj))
+        po, M, u_scale, u_shift, _, _ = inner(pn, n)
+        return Jet3(pn, n, M @ s.u(po, n).coeffs) * u_scale - u_shift
 
     def v(pn: Point, n: int) -> Jet3:
-        po, gt, gy, jx, _, _ = inner_jets(pn, n)
-        Vc = jets.compose3(s.v(po, n).coeffs, n, jets.axis_jet(gt, "t", pn),
-                           jx, jets.axis_jet(gy, "y", pn))
-        return Vc / _placed(dY, gy, "y", pn) + _placed(g.V0, gy, "y", pn)
+        po, M, _, _, v_scale, v_shift = inner(pn, n)
+        return Jet3(pn, n, M @ s.v(po, n).coeffs) * v_scale + v_shift
 
     def ok(pn: Point) -> bool:
         try:

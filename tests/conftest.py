@@ -7,6 +7,7 @@ import pytest
 from blp import exprdsl, jets
 from blp.exprdsl import Call, Neg, Num, Var
 from blp.jets import Jet3
+from blp.transforms import WINDOW, InverseMapError
 
 
 def central_diff(f, p, multi_index, h=None):
@@ -58,6 +59,30 @@ def jet_walk(e, x):
 
 _JET_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
             "/": operator.truediv, "^": jets.power}
+
+
+def bisect_inverse(f, target, stop=1e-15):
+    """f(s) = target on ``transforms.WINDOW`` by 200 steps of bisection, a
+    reference for the Newton inverse of ``transforms``; it stops early
+    once the bracket is narrower than ``stop`` (1 + |s|), and with
+    ``stop=0`` ends at two neighbouring floats or after 200 halvings."""
+    lo, hi = WINDOW
+    flo, fhi = f(lo), f(hi)
+    if not (min(flo, fhi) <= target <= max(flo, fhi)):
+        raise InverseMapError(
+            f"target {target} outside the image [{min(flo, fhi)}, "
+            f"{max(flo, fhi)}] of the window")
+    increasing = fhi > flo
+    a, b = lo, hi
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if abs(b - a) < stop * (1.0 + abs(mid)):
+            break
+        if (f(mid) < target) == increasing:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 @pytest.fixture

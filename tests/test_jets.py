@@ -233,23 +233,24 @@ def test_derive_matches_extract():
 
 
 def test_compose3_recovers_affine_substitution():
-    # F(t,x,y) = sin(t*x) + y composed with an affine reparameterization
-    outer = Point(0.5, 0.25, -0.75)
+    # F(t,x,y) = sin(t*x) + y composed with the triangular affine map
+    # t = tau/2, x = xi/8 + tau/4, y = eta - 3.75 at (tau,xi,eta) = (1,2,3)
+    outer = Point(0.5, 0.5, -0.75)
     F = apply_unary("sin", lift_variable("t", outer, 4) * lift_variable("x", outer, 4)) \
         + lift_variable("y", outer, 4)
     base = Point(1.0, 2.0, 3.0)
-    jt = 0.5 * lift_variable("t", base, 4) * 0 + Jet3.constant(0.5, base, 4)
-    jt = Jet3.constant(0.5, base, 4) + 0 * lift_variable("t", base, 4)
-    # inner maps: t = tau/2, x = xi/8, y = eta - 3.75 at (tau,xi,eta)=(1,2,3)
-    jt = lift_variable("t", base, 4) * 0.5
-    jx = lift_variable("x", base, 4) * 0.125
-    jy = lift_variable("y", base, 4) - 3.75
-    comp = jets.compose3(F.coeffs, 4, jt, jx, jy)
+    # offsets: dt = s/2, dx = s/4 + r/8, dy = w
+    pt = np.diag(0.5 ** np.arange(5))
+    alpha = np.array([0.0, 0.25, 0.0, 0.0, 0.0])
+    beta = np.array([0.125, 0.0, 0.0, 0.0, 0.0])
+    M = jets.compose3(pt, alpha, beta, np.eye(5))
+    comp = Jet3(base, 4, M @ F.coeffs)
 
     def f(tau, xi, eta):
-        return math.sin((tau / 2) * (xi / 8)) + (eta - 3.75)
+        return math.sin((tau / 2) * (xi / 8 + tau / 4)) + (eta - 3.75)
 
-    for m in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (0, 0, 1)]:
+    for m in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (0, 0, 1),
+              (2, 0, 0), (3, 1, 0)]:
         assert comp.extract(m) == pytest.approx(
             central_diff(f, base, m), rel=1e-6, abs=1e-7)
 

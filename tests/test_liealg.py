@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from blp import liealg
+from blp.exprdsl import parse
 from blp.jets import BadInput
 from blp.liealg import (
     D, IllConditioned, NumericCoeff, P, S, Subalgebra, Z, check_subalgebra,
     chebyshev_points, commutator, in_span, is_zero, load_normalizer_table,
     load_subalgebra_library, normalizer_check, pushforward,
 )
+from conftest import bisect_inverse
 
 TPTS = chebyshev_points(10)
 YPTS = chebyshev_points(10)
@@ -136,6 +140,40 @@ def test_pushforward_s_numeric():
     outz = pushforward("S", "3*y", Z("y"))
     # beta(hat Y) * hat Y_y = (s/3) / 3
     assert coeffs_equal(outz, "Z", lambda s: s / 9.0, TPTS, tol=1e-8)
+
+
+@pytest.mark.parametrize("kind,param,var", [("D", "t + 0.35*sin(t)", "t"),
+                                            ("S", "y + 0.45*sin(y)", "y"),
+                                            ("S", "-2*y + 0.5*sin(y)", "y")])
+def test_pushforward_inverts_once_per_sample(monkeypatch, kind, param, var):
+    # one inversion for each sample of each numeric coefficient, with the
+    # values of f(h) f'(h)^p (D, S) or f(h) / Y'(h) (Z) at the bisected h
+    calls = [0]
+    invert = liealg._invert_monotone
+
+    def counted(*args):
+        calls[0] += 1
+        return invert(*args)
+
+    monkeypatch.setattr(liealg, "_invert_monotone", counted)
+    f = parse(param, var)
+    df = f.diff()
+    if kind == "D":
+        q = D("1 + t^2") + P("cos(t)")
+        wants = {"D": lambda h: (1 + h * h) * df(h),
+                 "P": lambda h: math.cos(h) * math.sqrt(df(h))}
+    else:
+        q = S("1 + y^2") + Z("cos(y)")
+        wants = {"S": lambda h: (1 + h * h) * df(h),
+                 "Z": lambda h: math.cos(h) / df(h)}
+    out = pushforward(kind, param, q)
+    for key, want in wants.items():
+        calls[0] = 0
+        got = out.sample(key, TPTS)
+        assert calls[0] == len(TPTS)
+        for s_, value in zip(TPTS, got):
+            ref = want(bisect_inverse(f, s_))
+            assert abs(value - ref) <= 1e-14 * (1.0 + abs(ref)), (key, s_)
 
 
 def test_pushforward_commutator_compatibility(rng):
@@ -355,3 +393,17 @@ def test_sample_matches_scalar_on_commutator_trees():
                 continue
             assert elem.sample(kind, xs).tobytes() == want.tobytes(), c
     assert raised
+
+
+@pytest.mark.parametrize("entry,words", [
+    ({"label": "a", "basis": [{"D": "t"}, {"D": "2*t"}]},
+     "basis of a is linearly dependent"),
+    ({"basis": [{"D": "1"}]}, "subalgebra entry 1 has no label"),
+    ({"label": "a"}, "subalgebra a has no basis"),
+    ({"label": "a", "basis": [{"D": "a"}], "params": {"a": 3}},
+     "subalgebra a: parameter 'a' takes a list of values"),
+], ids=["dependent", "no_label", "no_basis", "scalar_params"])
+def test_subalgebras_from_json_names_malformed_entries(entry, words):
+    payload = [{"label": "ok", "basis": [{"D": "1"}]}, entry]
+    with pytest.raises(BadInput, match=words):
+        liealg.subalgebras_from_json(payload)

@@ -20,7 +20,7 @@ from blp.transforms import (
     laplace_inverse_uq, laplace_inverse_uv, p_transform, s_transform,
     uq_seed, z_transform,
 )
-from conftest import jet_walk
+from conftest import bisect_inverse, jet_walk
 
 PTS = [Point(0.7, 0.3, 0.45), Point(1.0, 0.6, 0.8), Point(1.3, -0.2, 0.6)]
 
@@ -111,13 +111,13 @@ def test_group_action_and_residual(ueqv, rng):
 
 def test_symmetry_image_inverts_each_point_once(monkeypatch):
     # the validity probe, u and v of one point share one inverse point
-    # map: two bisections (t and y) per point where there were six
+    # map: two inversions (t and y) per point where there were six
     calls = [0]
-    bisect = transforms._invert_monotone
+    invert = transforms._invert_monotone
 
     def counted(*args):
         calls[0] += 1
-        return bisect(*args)
+        return invert(*args)
 
     monkeypatch.setattr(transforms, "_invert_monotone", counted)
     g = d_transform("t + 0.3*sin(t)").compose(s_transform("y + 0.5*sin(y)"))
@@ -143,20 +143,58 @@ _ELEMENTARY = [lambda: d_transform("t + 0.35*sin(t)"),
                lambda: i_transform(-1)]
 
 
+def _inverse_series(e, old_value, order):
+    """Taylor coefficients of the inverse function of ``e`` at e(old_value),
+    reverted one coefficient at a time with full products."""
+    f = exprdsl.eval_series(e, old_value, order)
+    g = np.zeros(order + 1)
+    if order:
+        g[1] = 1.0 / f[1]
+    for m in range(2, order + 1):
+        # coefficient m of f(g) with g_m = 0, which f_1 g_m must cancel
+        acc, power = 0.0, g.copy()
+        for k in range(2, m + 1):
+            power = np.convolve(power, g)[:order + 1]
+            acc += f[k] * power[m]
+        g[m] = -acc / f[1]
+    g[0] = old_value
+    return g
+
+
+def _compose_jets(field_coeffs, order, jt, jx, jy):
+    """The jet of a field with Taylor coefficients ``field_coeffs`` at
+    (jt, jx, jy).value composed with three inner jets, by trivariate
+    products: the general composition that compose3 replaced."""
+    n = jt.order
+    dt, dx, dy = jt - jt.value, jx - jx.value, jy - jy.value
+    one = Jet3.constant(1.0, jt.base, n)
+    pt, px, py = [one], [one], [one]
+    for _ in range(n):
+        pt.append(pt[-1] * dt)
+        px.append(px[-1] * dx)
+        py.append(py[-1] * dy)
+    out = Jet3.constant(0.0, jt.base, n)
+    for m, (i, j, k) in enumerate(jets._tables(order).exps):
+        if field_coeffs[m] != 0.0 and i + j + k <= n:
+            out = out + field_coeffs[m] * (pt[i] * px[j] * py[k])
+    return out
+
+
 def _jet_composition_image(g, s):
     """u and v of the image of ``s`` under ``g`` with every coefficient
-    function evaluated on the trivariate jet of the inverse map."""
+    function evaluated on the trivariate jet of the inverse map, found by
+    bisection and composed by trivariate products."""
     dT, dY = g.T.diff(), g.Y.diff()
     ddT, dX0 = dT.diff(), g.X0.diff()
     eps = float(g.eps)
 
     def inner(pn, n):
-        t_old = transforms._invert_monotone(g.T, pn.t)
-        y_old = transforms._invert_monotone(g.Y, pn.y)
+        t_old = bisect_inverse(g.T, pn.t)
+        y_old = bisect_inverse(g.Y, pn.y)
         x_old = (pn.x - g.X0(t_old)) / (g.eps * math.sqrt(dT(t_old)))
         po = Point(t_old, x_old, y_old)
-        jt = jets.axis_jet(transforms._inverse_series(g.T, t_old, n), "t", pn)
-        jy = jets.axis_jet(transforms._inverse_series(g.Y, y_old, n), "y", pn)
+        jt = jets.axis_jet(_inverse_series(g.T, t_old, n), "t", pn)
+        jy = jets.axis_jet(_inverse_series(g.Y, y_old, n), "y", pn)
         ttj = jet_walk(dT, jt)
         jx = (jets.lift_variable("x", pn, n) - jet_walk(g.X0, jt)) \
             / (eps * jets.sqrt(ttj))
@@ -164,14 +202,14 @@ def _jet_composition_image(g, s):
 
     def u(pn, n):
         po, jt, jx, jy, ttj = inner(pn, n)
-        Uc = jets.compose3(s.u(po, n).coeffs, n, jt, jx, jy)
+        Uc = _compose_jets(s.u(po, n).coeffs, n, jt, jx, jy)
         rt = jets.sqrt(ttj)
         return (eps * Uc / rt - eps * jet_walk(ddT, jt) / (4.0 * ttj * rt) * jx
                 - jet_walk(dX0, jt) / (2.0 * ttj))
 
     def v(pn, n):
         po, jt, jx, jy, _ = inner(pn, n)
-        Vc = jets.compose3(s.v(po, n).coeffs, n, jt, jx, jy)
+        Vc = _compose_jets(s.v(po, n).coeffs, n, jt, jx, jy)
         return Vc / jet_walk(dY, jy) + jet_walk(g.V0, jy)
 
     return u, v
@@ -200,6 +238,41 @@ def test_symmetry_image_matches_jet_composition(pair):
                     1e-13 * np.max(np.abs(want.coeffs)), (pair, p, order)
                 checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("first", range(len(_ELEMENTARY)))
+def test_newton_inverse_matches_bisection(first):
+    # each elementary kind alone and after every kind, and a decreasing Y,
+    # at targets across the image of the window: Newton agrees with 200
+    # steps of bisection to 4 ulp, or to the bracket that bisection leaves
+    lo, hi = transforms.WINDOW
+    resolution = (hi - lo) * 2.0 ** -200
+    g1 = _ELEMENTARY[first]()
+    maps = [g1.T, g1.Y, s_transform("-2*y + 0.5*sin(y)").compose(g1).Y]
+    for make in _ELEMENTARY:
+        g = make().compose(g1)
+        maps += [g.T, g.Y]
+    for f in maps:
+        df = f.diff()
+        for target in np.linspace(f(lo), f(hi), 41):
+            got = transforms._invert_monotone(f, df, float(target))
+            want = bisect_inverse(f, float(target), stop=0.0)
+            assert abs(got - want) <= 4 * math.ulp(want) + resolution, \
+                (f, target, got, want)
+
+
+def test_newton_inverse_rejects_targets_outside_the_image():
+    g = _ELEMENTARY[1]().compose(_ELEMENTARY[0]())
+    lo, hi = transforms.WINDOW
+    for f in (g.T, g.Y, s_transform("-2*y + 0.5*sin(y)").Y):
+        for target in (min(f(lo), f(hi)) - 0.5, max(f(lo), f(hi)) + 1e-9,
+                       100.0):
+            with pytest.raises(InverseMapError, match="outside the image") \
+                    as got:
+                transforms._invert_monotone(f, f.diff(), target)
+            with pytest.raises(InverseMapError) as want:
+                bisect_inverse(f, target)
+            assert str(got.value) == str(want.value)
 
 
 def test_symmetry_image_reverts_each_axis_once_per_point(monkeypatch):
