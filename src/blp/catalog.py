@@ -445,7 +445,7 @@ def instantiate(family_id: str, bindings: dict) -> SolutionField:
                                    desc.defaults, bindings))
 
 
-def _field(fid, bindings, u, v, validity=lambda p: True) -> SolutionField:
+def _field(fid, bindings, u, v) -> SolutionField:
     """The field, with its resolved bindings shown as a report shows them:
     an Expr by its text, a witness by its label; jet maps are not shown."""
     params = {}
@@ -458,7 +458,7 @@ def _field(fid, bindings, u, v, validity=lambda p: True) -> SolutionField:
             continue
         params[name] = value
     return SolutionField(u=u, v=v, coords="UV", family_id=fid,
-                         params=params, validity=validity)
+                         params=params)
 
 
 def default_box(family_id: str) -> tuple:
@@ -608,7 +608,7 @@ def _f_uy0_qb(fid, b):
     def v(p, n):
         _, x, _ = jets.coordinate_jets(p, n)
         return x * x + 2.0 * _jt(th, p, n)
-    return _field(fid, b, u, v, lambda p: abs(p.x) > MARGIN)
+    return _field(fid, b, u, v)
 
 
 # -- v_xxx = 0 block --------------------------------------------------------
@@ -665,7 +665,6 @@ def _f_vxxx2(fid, b):
     def integrand(p, n):
         t, _, _ = jets.coordinate_jets(p, n)
         T = t + _jy(be, p, n)
-        _guard(T.value, 0.0, "t + beta near zero on the path")
         return (2.0 * _jt(th, p, n) + 1.0) / (T * T)
 
     integral = line_integral(integrand, "t", t0, constant_along="x")
@@ -679,20 +678,14 @@ def _f_vxxx2(fid, b):
 
     def v(p, n):
         t, x, _ = jets.coordinate_jets(p, n)
-        T = t + _jy(be, p, n)
-        _guard(T.value, 0.0, "t + beta near zero")
+        bj = _jy(be, p, n)
+        T = t + bj
+        # t + beta is linear in t: off the band from t0 to t if both ends are
+        ends = (t0 + bj.value, T.value)
+        if not (min(ends) > MARGIN or max(ends) < -MARGIN):
+            raise DomainError("t + beta near zero between t0 and t")
         return x * x / (T * T) + 2.0 * integral(p, n)
-
-    def ok(p):
-        if abs(p.x) < MARGIN:
-            return False
-        try:
-            bv = be(p.y)
-        except DomainError:
-            return False
-        lo, hi = min(t0, p.t), max(t0, p.t)
-        return min(lo + bv, hi + bv) > MARGIN or max(lo + bv, hi + bv) < -MARGIN
-    return _field(fid, b, u, v, ok)
+    return _field(fid, b, u, v)
 
 
 @_register(FamilyDescriptor(
@@ -957,15 +950,24 @@ class _Antiderivative:
         return val
 
 
-def _r29_field(fid, bindings, phi, C0: float, delta: float, omega0: float,
-               pole_probe) -> SolutionField:
-    """Lift a reduced profile phi(omega), omega = x+y, to a (u,v) field."""
+def _r29_field(fid, bindings, phi, C0: float, delta: float,
+               omega0: float) -> SolutionField:
+    """Lift a reduced profile phi(omega), omega = x+y, to a (u,v) field,
+    undefined where phi fails or exceeds 1e3 at 7 points from omega0."""
     anti = _Antiderivative(lambda s: phi(s) ** 2, omega0)
 
+    @jets.last_point
     def omega_jet(p, n):
-        x = jets.lift_variable("x", p, n)
-        y = jets.lift_variable("y", p, n)
-        return x + y
+        # u and v ask in turn: probe each point once
+        w = p.x + p.y
+        try:
+            near_pole = any(abs(phi(float(s))) > 1e3 for s in
+                            np.linspace(min(omega0, w), max(omega0, w), 7))
+        except ArithmeticError as exc:
+            raise DomainError(f"profile undefined up to omega = {w}") from exc
+        if near_pole:
+            raise DomainError(f"profile near a pole up to omega = {w}")
+        return jets.lift_variable("x", p, n) + jets.lift_variable("y", p, n)
 
     def u(p, n):
         return phi(omega_jet(p, n))
@@ -980,18 +982,7 @@ def _r29_field(fid, bindings, phi, C0: float, delta: float, omega0: float,
         qj = jets.apply_taylor(q, wj)
         return (-0.5 * qj + 0.5 * phi(wj.truncate(n))
                 - 0.5 * C0 * wj + delta * t)
-
-    def ok(p):
-        w = p.x + p.y
-        lo, hi = min(omega0, w), max(omega0, w)
-        try:
-            for s in np.linspace(lo, hi, 7):
-                if abs(pole_probe(float(s))) > 1e3:
-                    return False
-        except ArithmeticError:
-            return False
-        return True
-    return _field(fid, bindings, u, v, ok)
+    return _field(fid, bindings, u, v)
 
 
 def _r29_elliptic_sample(rng) -> dict:
@@ -1020,7 +1011,7 @@ def _f_r29_elliptic(fid, b):
     if a is None:
         a = 0.0 if C2 >= 0.0 else 2.0 * abs(C0) + abs(C2) + 1.0
     phi = quartic_particular_solution(q, a)
-    return _r29_field(fid, {**b, "a": a}, phi, C0, delta, omega0, phi)
+    return _r29_field(fid, {**b, "a": a}, phi, C0, delta, omega0)
 
 
 @_register(FamilyDescriptor(
@@ -1041,11 +1032,7 @@ def _f_r29_elem1(fid, b):
         w = x + y
         _guard(w.value - 1.0, 0.0, "pole at omega = 1")
         return 1.0 / (w - 1.0) + (w + t) / 4.0
-
-    def ok(p):
-        w = p.x + p.y
-        return abs(w - 1.0) > MARGIN and abs(w + 1.0) > MARGIN
-    return _field(fid, b, u, v, ok)
+    return _field(fid, b, u, v)
 
 
 @_register(FamilyDescriptor(

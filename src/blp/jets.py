@@ -106,9 +106,6 @@ class Point(NamedTuple):
     x: float
     y: float
 
-    def replace(self, **kw) -> "Point":
-        return self._replace(**kw)
-
 
 _AXES = {"t": 0, "x": 1, "y": 2}
 

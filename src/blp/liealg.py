@@ -376,12 +376,39 @@ def _element_from_spec(spec: dict, binding: dict) -> LieElement:
     return LieElement(terms)
 
 
-def _expand(entry: dict) -> list[tuple[str, dict]]:
-    params = entry.get("params", {})
+def _check_entry(pos: int, entry) -> None:
+    """Raise :class:`BadInput` naming an entry not of the shape {label,
+    basis: [{kind: text}, ...], params: {name: [value, ...]}, exclude:
+    [{name: value}, ...]}, or whose generator kinds are not D, S, P, Z."""
+    if not isinstance(entry, dict) or "label" not in entry:
+        raise BadInput(f"subalgebra entry {pos} has no label")
+    label, basis = entry["label"], entry.get("basis")
+    params, exclude = entry.get("params", {}), entry.get("exclude", [])
+    if basis is None:
+        raise BadInput(f"subalgebra {label} has no basis")
+    if not (isinstance(basis, list) and all(
+            isinstance(b, dict) and all(isinstance(c, str) for c in b.values())
+            for b in basis)):
+        raise BadInput(f"subalgebra {label}: the basis must be a list of "
+                       "objects of coefficient texts")
+    unknown = sorted({kind for b in basis for kind in b} - set(KINDS))
+    if unknown:
+        raise BadInput(f"subalgebra {label}: unknown generator kind "
+                       f"{unknown[0]!r}")
+    if not isinstance(params, dict):
+        raise BadInput(f"subalgebra {label}: params must be an object")
     for name, values in params.items():
         if not isinstance(values, list):
-            raise BadInput(f"subalgebra {entry['label']}: parameter {name!r} "
+            raise BadInput(f"subalgebra {label}: parameter {name!r} "
                            "takes a list of values")
+    if not (isinstance(exclude, list)
+            and all(isinstance(d, dict) for d in exclude)):
+        raise BadInput(f"subalgebra {label}: exclude must be a list of "
+                       "objects")
+
+
+def _expand(entry: dict) -> list[tuple[str, dict]]:
+    params = entry.get("params", {})
     exclude = [tuple(sorted(d.items())) for d in entry.get("exclude", [])]
     if not params:
         return [(entry["label"], {})]
@@ -406,10 +433,9 @@ def subalgebras_from_json(source) -> list[Subalgebra]:
 
     Accepts either the bundled two-section layout or a flat list of
     entries {label, basis: [{"D": "1"}, ...], params, exclude}.  An
-    entry without a label (named by its position) or a basis, with a
-    parameter whose values are not a list, a generator kind other than
-    D, S, P, Z, no nonzero basis element or a linearly dependent basis,
-    raises :class:`BadInput` naming it.
+    entry of another shape (:func:`_check_entry`; one without a label is
+    named by its position), with no nonzero basis element or with a
+    linearly dependent basis, raises :class:`BadInput` naming it.
     """
     if isinstance(source, str):
         try:
@@ -426,16 +452,8 @@ def subalgebras_from_json(source) -> list[Subalgebra]:
         entries = data
     out = []
     for pos, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "label" not in entry:
-            raise BadInput(f"subalgebra entry {pos} has no label")
-        if "basis" not in entry:
-            raise BadInput(f"subalgebra {entry['label']} has no basis")
+        _check_entry(pos, entry)
         for label, binding in _expand(entry):
-            unknown = sorted({kind for b in entry["basis"] for kind in b}
-                             - set(KINDS))
-            if unknown:
-                raise BadInput(f"subalgebra {label}: unknown generator kind "
-                               f"{unknown[0]!r}")
             basis = tuple(_element_from_spec(b, binding)
                           for b in entry["basis"])
             basis = tuple(b for b in basis if b.terms)

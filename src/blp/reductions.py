@@ -97,8 +97,6 @@ class ODETrajectory:
     values: np.ndarray         # (n, 2): profile and first derivative
     second: np.ndarray         # (n,): second derivative from the equation
     tol: float
-    method: str
-    interp_error_bound: float
     meta: dict = field(default_factory=dict)
 
     def window(self) -> tuple[float, float]:
@@ -171,10 +169,13 @@ class ODETrajectory:
                 wr.writerow([repr(float(w)), repr(float(st[0])),
                              repr(float(st[1]))])
         sidecar = dict(self.meta.get("spec", {}))
-        sidecar.update({"tol": self.tol, "method": self.method})
+        sidecar.update({"tol": self.tol, "method": _METHOD})
         with open(path + ".json", "w") as fh:
             json.dump(sidecar, fh, sort_keys=True)
 
+
+#: the stepper of every profile, named in a trajectory's CSV sidecar
+_METHOD = "dormand-prince-5(4)"
 
 # Dormand-Prince 5(4) tableau
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -211,8 +212,7 @@ def _dp_step(f, x, y, h):
     return y5, err, k[-1]
 
 
-def _integrate_profile(rhs, guard, x0, y0, span, tol, method, series_fn,
-                       spec_meta):
+def _integrate_profile(rhs, guard, x0, y0, span, tol, series_fn, spec_meta):
     """March the 2nd-order profile both ways from x0 across span."""
     lo, hi = min(span), max(span)
     if not (lo <= x0 <= hi):
@@ -224,7 +224,6 @@ def _integrate_profile(rhs, guard, x0, y0, span, tol, method, series_fn,
     h_nom = 0.04 * scale ** 0.55
     est_tol = _SAFETY_FACTOR * 1e-10 * scale ** 2.75
     dense_tol = 20.0 * 1e-10 * scale ** 2.2
-    interp_bound = 6.0 * h_nom ** 4 / 384.0
     y0 = [float(v) for v in y0]
 
     def series5(x, y):
@@ -298,7 +297,6 @@ def _integrate_profile(rhs, guard, x0, y0, span, tol, method, series_fn,
     traj = ODETrajectory(
         grid=grid[order_idx], values=np.array(ys)[order_idx],
         second=np.array([f[1] for f in fs])[order_idx], tol=tol,
-        method=method, interp_error_bound=interp_bound,
         meta={"series_fn": series_fn, "spec": spec_meta})
     abort = right[3] or left[3]
     if abort:
@@ -358,7 +356,7 @@ def integrate_painleve2(spec: ReductionSpec, span=(-3.0, 0.0),
     meta = {"id": spec.id, "C0": spec.C0, "C1": spec.C1, "C2": spec.C2,
             "delta": spec.delta, "nu": nu}
     traj = _integrate_profile(rhs, guard, w0, (f0, d0, psi0), span, tol,
-                              "dormand-prince-5(4)", series_fn, meta)
+                              series_fn, meta)
     traj.meta["omega_map"] = lambda omega: s * (omega + spec.C0 / spec.C1)
     traj.meta["phi_scale"] = s
     traj.meta["psi_flow"] = psi_flow
@@ -438,7 +436,7 @@ def integrate_painleve4_form(spec: ReductionSpec, span=(-1.0, 1.0),
     meta = {"id": spec.id, "C0": spec.C0, "C1": spec.C1, "eps": spec.eps,
             "C0_tilde": C0t}
     traj = _integrate_profile(rhs, guard, w0, (f0, d0, psi0), span, tol,
-                              "dormand-prince-5(4)", series_fn, meta)
+                              series_fn, meta)
     traj.meta["psi_flow"] = psi_flow
     traj.meta["psi_flow2"] = psi_flow2
     return traj
@@ -496,45 +494,35 @@ def reconstruct_2_4(traj: ODETrajectory, spec: ReductionSpec
     C1 = spec.C1
     lo, hi = traj.window()
 
-    def w_jet(p: Point, n: int) -> Jet3:
-        t, x, y = jets.coordinate_jets(p, n)
+    def chart(p: Point, n: int) -> tuple[Jet3, Jet3, Jet3, Jet3]:
+        # the jets of t, x + y, |t|^(-1/2) and w
         if p.t * eps <= 0.05:
             raise WindowError("outside the fixed sign chart of t")
-        at = jets.abs_signed(t)
-        return 0.5 * (x + y) * jets.apply_unary(("pow", -0.5), at)
+        t, x, y = jets.coordinate_jets(p, n)
+        xy = x + y
+        rt = jets.apply_unary(("pow", -0.5), jets.abs_signed(t))
+        wj = 0.5 * xy * rt
+        if not lo + 1e-6 < wj.value < hi - 1e-6:
+            raise WindowError("profile window exceeded")
+        return t, xy, rt, wj
 
     def u(p: Point, n: int) -> Jet3:
-        wj = w_jet(p, n)
-        if not (lo + 1e-9 <= wj.value <= hi - 1e-9):
-            raise WindowError("profile window exceeded")
-        t, x, y = jets.coordinate_jets(p, n)
-        at = jets.abs_signed(t)
+        t, xy, rt, wj = chart(p, n)
         fj, = _profile_jets(traj, wj, n)
-        return (-0.5 * eps * jets.apply_unary(("pow", -0.5), at) * fj
-                - 0.5 * (x + y) / t)
+        return -0.5 * eps * rt * fj - 0.5 * xy / t
 
     def v(p: Point, n: int) -> Jet3:
-        wj = w_jet(p, n)
-        if not (lo + 1e-9 <= wj.value <= hi - 1e-9):
-            raise WindowError("profile window exceeded")
-        t, _, _ = jets.coordinate_jets(p, n)
-        at = jets.abs_signed(t)
+        _, _, rt, wj = chart(p, n)
         fj, fpp = _profile_jets(traj, wj, n, (0, 2))
         psi = (0.125 * fpp - 0.25 * fj * fj * fj
                - 0.75 * wj * fj * fj
                - (0.5 * wj * wj - 0.5 * C1 + 0.25 * eps) * fj
                + 0.5 * (C1 - eps) * wj)
-        return jets.apply_unary(("pow", -0.5), at) * psi
-
-    def ok(p: Point) -> bool:
-        if p.t * eps <= 0.05:
-            return False
-        w = 0.5 * (p.x + p.y) / math.sqrt(abs(p.t))
-        return lo + 1e-6 < w < hi - 1e-6
+        return rt * psi
 
     return SolutionField(u=u, v=v, coords="UV", family_id="F_R24_PAINLEVE4",
                          params={"C0": spec.C0, "C1": spec.C1,
-                                 "eps": spec.eps}, validity=ok)
+                                 "eps": spec.eps})
 
 
 def reconstruct_2_9(profile, spec: ReductionSpec,
@@ -557,7 +545,7 @@ def reconstruct_2_9(profile, spec: ReductionSpec,
         def phi_pair(p: Point, n: int):
             t, x, y = jets.coordinate_jets(p, n)
             wj = s * (x + y + C0 / C1)
-            if not (lo + 1e-9 <= wj.value <= hi - 1e-9):
+            if not lo + 1e-6 < wj.value < hi - 1e-6:
                 raise WindowError("profile window exceeded")
             fj, dj = _profile_jets(traj, wj, n, (0, 1))
             fj, dj = fj * s, dj * (s * s)
@@ -574,21 +562,17 @@ def reconstruct_2_9(profile, spec: ReductionSpec,
             return (dj * dj - inner * inner - 4.0 * de * fj - C2) \
                 / (4.0 * C1) + de * t
 
-        def ok(p):
-            w = s * (p.x + p.y + C0 / C1)
-            return lo + 1e-6 < w < hi - 1e-6
-
         return SolutionField(u=u, v=v, coords="UV",
                              family_id="F_R29_PAINLEVE2",
                              params={"C0": C0, "C1": C1, "C2": C2,
-                                     "delta": de}, validity=ok)
+                                     "delta": de})
 
     # C1 = 0: profile is a jet-capable callable
     from .catalog import _r29_field
     return _r29_field("F_R29_RECONSTRUCT",
                       {"C0": spec.C0, "delta": spec.delta,
                        "omega0": omega0},
-                      profile, spec.C0, spec.delta, omega0, profile)
+                      profile, spec.C0, spec.delta, omega0)
 
 
 def elliptic_v_zeta_form(spec: ReductionSpec, a: float, omega: float,
@@ -662,5 +646,4 @@ def reduction_2_3_field(delta: int, phi0: float,
         return out
 
     return SolutionField(u=u, v=v, coords="UV", family_id="F_R23",
-                         params={"delta": delta, "phi0": phi0},
-                         validity=lambda p: abs(p.x) > 0.1)
+                         params={"delta": delta, "phi0": phi0})

@@ -39,7 +39,7 @@ __all__ = [
 
 
 class GaugeError(jets.BLPError, RuntimeError):
-    """A conversion path crossed a validity hole of the field."""
+    """A conversion path crossed a point where the field is undefined."""
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,11 @@ class SolutionField:
     component holds v, q or w accordingly.  Each component remembers its
     last point (:func:`jets.last_point`): a field is not for concurrent use.
 
-    ``validity`` is the field's domain, a predicate that never evaluates
-    ``u`` or ``v``.  Inside it a component raises
-    :class:`jets.UndefinedHere` where it is not defined.
+    One domain rule: a component raises :class:`jets.UndefinedHere`
+    where it is not defined, and a grid check skips a point for that
+    error alone.  ``validity`` is true everywhere unless a caller gives
+    a predicate (no constructor or transformation here does), and
+    :func:`residual_report` honours it for callers that wrap it.
 
     A (u,v) field also answers ``v_x``, the w of the (u,w) form; it
     remembers its last point too.  By default it is ``v``'s jet one
@@ -300,7 +302,7 @@ def convert(s: SolutionField, to: str, basepoint: Point) -> SolutionField:
             try:
                 return fn(p, n)
             except DomainError as exc:
-                raise GaugeError(f"validity hole on integration path: {exc}") \
+                raise GaugeError(f"undefined on integration path: {exc}") \
                     from exc
         return wrapped
 
@@ -377,9 +379,9 @@ def _rms(values) -> float:
 def residual_report(s: SolutionField, grid: list[Point]) -> ResidualReport:
     """Residuals of a (u,v) or (u,q) field over ``grid``.
 
-    A point outside the domain ``s.validity``, or whose residual
-    evaluation raises :class:`jets.UndefinedHere`, is skipped; every
-    other point gives one row of ``rows``.  A :class:`QuadratureError`
+    A point whose residual evaluation raises :class:`jets.UndefinedHere`,
+    or where a caller's ``s.validity`` is false, is skipped; every other
+    point gives one row of ``rows``.  A :class:`QuadratureError`
     ends the report and names the point where it was raised.
     """
     equations = _RESIDUALS.get(s.coords)

@@ -35,10 +35,11 @@ a residual reads, with its t- and x-derivatives, still comes from the
 top field's own integral, so the check stays independent of the maps.
 Each map asks its parent for the highest order it needs first; the
 parent's remembered jet (:func:`jets.last_point`) answers lower ones.
-A transformed field keeps its parent's ``validity``, a domain that no
-constructor probes; where a guard of the map fires, evaluation raises
-:class:`UndefinedTransform` (a :class:`jets.UndefinedHere`), and a grid
-check skips that point.
+A transformed field has no domain predicate of its own: where a guard
+of the map fires, or a point of a symmetry image has no inverse on
+``WINDOW``, evaluation raises :class:`UndefinedTransform` (a
+:class:`jets.UndefinedHere`), and a grid check skips that point, as it
+does where the parent raises.
 Darboux transformations dress a solution with covering eigenfunctions;
 their n-fold versions are Wronskian ratios, evaluated here by
 fraction-free elimination on jets.  :meth:`CoveringEigenfunction.check`
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +59,7 @@ import numpy as np
 from . import jets, series
 from .exprdsl import (Bin, Call, Expr, Num, as_expr, eval_jet, eval_series,
                       parse, sample)
-from .jets import DomainError, Jet3, JetMap, Point, UndefinedHere, last_point
+from .jets import Jet3, JetMap, Point, UndefinedHere, last_point
 from .quadrature import integrate_field_along, xt_path
 from .system import SolutionField, covering_residual, residual_sup
 
@@ -84,7 +85,7 @@ class UndefinedTransform(UndefinedHere):
 _guard = partial(jets.check_denominator, band=GUARD, error=UndefinedTransform)
 
 
-class InverseMapError(jets.BLPError, RuntimeError):
+class InverseMapError(UndefinedTransform, RuntimeError):
     """T or Y could not be inverted on the working window."""
 
 
@@ -227,37 +228,26 @@ def _revert_series(f: np.ndarray) -> np.ndarray:
 def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
     """Push a (u,v) solution field forward by a group element.
 
-    ``u`` and ``v`` at one point share its inverse point, and at one
-    point and order they share the rest: the power tables of the reverted
-    series of T and Y, the coefficient functions of ``g`` (their series at
-    the old point composed with those tables) and one composition matrix
-    of the inverse map (:func:`jets.compose3`).
+    ``u`` and ``v`` at one point and order share its inverse point, the
+    power tables of the reverted series of T and Y, the coefficient
+    functions of ``g`` (their series at the old point composed with those
+    tables) and one composition matrix of the inverse map
+    (:func:`jets.compose3`).  A point with no inverse on ``WINDOW``
+    raises :class:`InverseMapError`, an :class:`UndefinedTransform`.
     """
     if s.coords != "UV":
         raise ValueError("apply_symmetry expects (u,v) coordinates")
     dT, dY = g.T.diff(), g.Y.diff()
     eps = float(g.eps)
     d = series.derivative
-    last_new = last_old = None
-    last_inner = None
 
-    def old_point(pn: Point) -> Point:
-        # validity, u and v ask at the same point in turn: invert it once
-        nonlocal last_new, last_old
-        if pn == last_new:
-            return last_old
+    @lru_cache(maxsize=1)
+    def inner(pn: Point, n: int):
+        # u and v ask at the same point and order in turn: build them once
         t_old = _invert_monotone(g.T, dT, pn.t)
         y_old = _invert_monotone(g.Y, dY, pn.y)
         x_old = (pn.x - g.X0(t_old)) / (g.eps * math.sqrt(dT(t_old)))
-        last_new, last_old = pn, Point(t_old, x_old, y_old)
-        return last_old
-
-    def inner(pn: Point, n: int):
-        # u and v ask at the same point and order in turn: build them once
-        nonlocal last_inner
-        if last_inner is not None and last_inner[0] == (pn, n):
-            return last_inner[1:]
-        po = old_point(pn)
+        po = Point(t_old, x_old, y_old)
         lay = series.univariate(n)
         tser = eval_series(g.T, po.t, n + 2)
         pt = _revert_series(tser[:n + 1])
@@ -285,8 +275,7 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
         v_scale = jets.axis_jet(jets.elementary("recip", d(yser) @ py, lay),
                                 "y", pn)
         v_shift = jets.axis_jet(eval_series(g.V0, po.y, n) @ py, "y", pn)
-        last_inner = ((pn, n), po, M, u_scale, u_shift, v_scale, v_shift)
-        return last_inner[1:]
+        return po, M, u_scale, u_shift, v_scale, v_shift
 
     def u(pn: Point, n: int) -> Jet3:
         po, M, u_scale, u_shift, _, _ = inner(pn, n)
@@ -296,16 +285,8 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
         po, M, _, _, v_scale, v_shift = inner(pn, n)
         return Jet3(pn, n, M @ s.v(po, n).coeffs) * v_scale + v_shift
 
-    def ok(pn: Point) -> bool:
-        try:
-            po = old_point(pn)
-        except (InverseMapError, DomainError):
-            return False
-        return s.validity(po)
-
     return SolutionField(u=u, v=v, coords="UV",
-                         family_id=s.family_id + "~sym",
-                         params=s.params, validity=ok)
+                         family_id=s.family_id + "~sym", params=s.params)
 
 
 # ----------------------------------------------------------------------
@@ -328,8 +309,7 @@ def laplace_forward_uq(s: SolutionField) -> SolutionField:
         return u(p, n) + s.v(p, n)
 
     return SolutionField(u=u, v=q, coords="UQ",
-                         family_id=s.family_id + "~Lfwd", params=s.params,
-                         validity=s.validity)
+                         family_id=s.family_id + "~Lfwd", params=s.params)
 
 
 def laplace_inverse_uq(s: SolutionField) -> SolutionField:
@@ -348,8 +328,7 @@ def laplace_inverse_uq(s: SolutionField) -> SolutionField:
         return s.v(p, n) - s.u(p, n)
 
     return SolutionField(u=u, v=q, coords="UQ",
-                         family_id=s.family_id + "~Linv", params=s.params,
-                         validity=s.validity)
+                         family_id=s.family_id + "~Linv", params=s.params)
 
 
 def _uv_path_integrals(s: SolutionField, base: Point):
@@ -401,7 +380,7 @@ def laplace_forward_uv(s: SolutionField, base: Point) -> SolutionField:
 
     return SolutionField(u=u, v=v, coords="UV",
                          family_id=s.family_id + "~Lfwd", params=s.params,
-                         validity=s.validity, v_x=v_x)
+                         v_x=v_x)
 
 
 def laplace_inverse_uv(s: SolutionField, base: Point) -> SolutionField:
@@ -426,7 +405,7 @@ def laplace_inverse_uv(s: SolutionField, base: Point) -> SolutionField:
 
     return SolutionField(u=u, v=v, coords="UV",
                          family_id=s.family_id + "~Linv", params=s.params,
-                         validity=s.validity, v_x=v_x)
+                         v_x=v_x)
 
 
 # ----------------------------------------------------------------------
@@ -446,7 +425,7 @@ class CoveringEigenfunction:
 
     def __post_init__(self):
         object.__setattr__(self, "phi", last_point(self.phi))
-        for p in filter(self.attached_to.validity, _COVER_PROBE):
+        for p in _COVER_PROBE:
             try:
                 return self.check(p)
             except UndefinedHere:
@@ -542,8 +521,7 @@ def darboux(kind: str, s: SolutionField,
         raise ValueError("kind must be 'DT1' or 'DT2'")
 
     return SolutionField(u=u, v=q, coords="UQ",
-                         family_id=s.family_id + f"~{kind}", params=s.params,
-                         validity=s.validity)
+                         family_id=s.family_id + f"~{kind}", params=s.params)
 
 
 def darboux_psi(kind: str, phi_seed: JetMap, psi: JetMap) -> JetMap:
@@ -675,7 +653,7 @@ def darboux_iterated(kind: str, s: SolutionField,
 
     return SolutionField(u=u, v=q, coords="UQ",
                          family_id=s.family_id + f"~{kind}x{n_fold}",
-                         params=s.params, validity=s.validity)
+                         params=s.params)
 
 
 # ----------------------------------------------------------------------

@@ -402,7 +402,19 @@ def test_sample_matches_scalar_on_commutator_trees():
     ({"label": "a"}, "subalgebra a has no basis"),
     ({"label": "a", "basis": [{"D": "a"}], "params": {"a": 3}},
      "subalgebra a: parameter 'a' takes a list of values"),
-], ids=["dependent", "no_label", "no_basis", "scalar_params"])
+    ({"label": "a", "basis": [{"D": "1"}], "exclude": [3]},
+     "subalgebra a: exclude must be a list of objects"),
+    ({"label": "a", "basis": [{"D": "1"}], "params": "a"},
+     "subalgebra a: params must be an object"),
+    ({"label": "a", "basis": "D"}, "subalgebra a: the basis must be a list"),
+    ({"label": "a", "basis": ["D"]}, "subalgebra a: the basis must be a list"),
+    ({"label": "a", "basis": [None]}, "subalgebra a: the basis must be a list"),
+    ({"label": "a", "basis": [{"D": 1}]},
+     "subalgebra a: the basis must be a list of objects of coefficient "
+     "texts"),
+], ids=["dependent", "no_label", "no_basis", "scalar_params", "scalar_exclude",
+        "text_params", "text_basis", "text_element", "null_element",
+        "number_coefficient"])
 def test_subalgebras_from_json_names_malformed_entries(entry, words):
     payload = [{"label": "ok", "basis": [{"D": "1"}]}, entry]
     with pytest.raises(BadInput, match=words):

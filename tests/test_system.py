@@ -1,10 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from test_acceptance import QUADRATURE_FAMILIES
 
-from blp import catalog, jets, system, transforms
+from blp import catalog, jets, reductions, system, transforms
 from blp.exprdsl import parse
 from blp.jets import Jet3, Point
 from blp.system import (
@@ -325,3 +326,48 @@ def test_current_order_is_enough_and_needed(cid, param):
             cid, param, _shifted_field(s, n - CURRENT_ORDER), p)
     _assert_order_needed(
         check, lambda: catalog.instantiate("F_HOPFCOLE2D", {}), CURRENT_ORDER)
+
+
+def _symmetry_image():
+    g = transforms.d_transform("t + 0.3*sin(t)").compose(
+        transforms.s_transform("y + 0.4*sin(y)"))
+    return transforms.apply_symmetry(g, catalog.instantiate(
+        "F_VXXX_4", {"alpha": "sin(y)", "gamma": "y"}))
+
+
+#: (field, its (t, x, y) box, skipped, evaluated, residual bound): each
+#: box crosses an edge of the field's domain: a chart guard, the path of
+#: F_VXXX_2's integral, a profile window or the image of a symmetry's
+#: inverse map
+_DOMAIN_EDGES = {
+    "F_VXXX_2": (lambda: catalog.instantiate(
+        "F_VXXX_2", {"beta": "y-2", "theta": "t", "t0": 1}),
+        ((0.1, 2.5), (-0.5, 1.5), (0.0, 1.5)), 168, 175, 1e-6),
+    "F_UY0_QB": (lambda: catalog.instantiate("F_UY0_QB", {}),
+                 ((0.2, 1.2), (-0.5, 0.5), (0.1, 1.0)), 49, 294, 1e-8),
+    "F_R29_ELEM_1": (lambda: catalog.instantiate("F_R29_ELEM_1", {}),
+                     ((0.1, 1.0), (-1.5, 1.5), (-0.3, 0.6)), 63, 280, 1e-8),
+    "F_R24_PAINLEVE4": (lambda: catalog.instantiate("F_R24_PAINLEVE4", {}),
+                        ((-0.2, 1.2), (-1.5, 1.5), (-1.5, 1.5)), 144, 199,
+                        1e-6),
+    "F_R29_PAINLEVE2": (lambda: catalog.instantiate("F_R29_PAINLEVE2", {}),
+                        ((0.1, 1.0), (-2.0, 0.5), (-1.0, 0.5)), 203, 140,
+                        1e-6),
+    "F_R23": (lambda: reductions.reduction_2_3_field(0, 0.5),
+              ((0.1, 1.0), (-0.5, 0.5), (0.1, 1.0)), 49, 294, 1e-8),
+    "symmetry": (_symmetry_image, ((4.0, 9.0), (-0.5, 0.5), (4.0, 9.0)),
+                 280, 63, 1e-8),
+}
+
+
+@pytest.mark.parametrize("case", _DOMAIN_EDGES)
+def test_residual_report_at_domain_edges(case):
+    # a point is skipped only by the error its own evaluation raises
+    build, box, skipped, evaluated, bound = _DOMAIN_EDGES[case]
+    field = build()
+    axes = [np.linspace(lo, hi, 7) for lo, hi in box]
+    grid = [Point(t, x, y) for t in axes[0] for x in axes[1] for y in axes[2]]
+    assert all(map(field.validity, grid))
+    rep = residual_report(field, grid)
+    assert (rep.skipped, len(rep.rows)) == (skipped, evaluated)
+    assert max(rep.r1_max, rep.r2_max) < bound

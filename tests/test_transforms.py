@@ -110,8 +110,8 @@ def test_group_action_and_residual(ueqv, rng):
 
 
 def test_symmetry_image_inverts_each_point_once(monkeypatch):
-    # the validity probe, u and v of one point share one inverse point
-    # map: two inversions (t and y) per point where there were six
+    # u and v of one point share one inverse point map: two inversions
+    # (t and y) per point
     calls = [0]
     invert = transforms._invert_monotone
 
@@ -1039,7 +1039,8 @@ def test_darboux_nfold_phi_calls(kind, n_fold, probed):
 
 
 # ----------------------------------------------------------------------
-# validity is a domain: it never evaluates a field
+# no field keeps a domain predicate: validity is true everywhere and
+# never evaluates a field
 # ----------------------------------------------------------------------
 
 _THETAS = (jmap(lambda t, x, y: jets.exp(x - t)),
@@ -1109,7 +1110,7 @@ def test_validity_never_evaluates_a_field(case):
     finally:
         sys.setprofile(previous)
     assert calls[0] == 0
-    assert any(inside)
+    assert all(inside)
 
 
 def test_singular_wronskian_point_is_skipped():
