@@ -376,10 +376,11 @@ def _element_from_spec(spec: dict, binding: dict) -> LieElement:
     return LieElement(terms)
 
 
-def _check_entry(pos: int, entry) -> None:
-    """Raise :class:`BadInput` naming an entry not of the shape {label,
+def _expand(pos: int, entry) -> list[tuple[str, dict]]:
+    """The (label, binding) of each parameter binding of an entry {label,
     basis: [{kind: text}, ...], params: {name: [value, ...]}, exclude:
-    [{name: value}, ...]}, or whose generator kinds are not D, S, P, Z."""
+    [{name: value}, ...]}.  An entry of another shape, or whose generator
+    kinds are not D, S, P, Z, raises :class:`BadInput` naming it."""
     if not isinstance(entry, dict) or "label" not in entry:
         raise BadInput(f"subalgebra entry {pos} has no label")
     label, basis = entry["label"], entry.get("basis")
@@ -405,13 +406,9 @@ def _check_entry(pos: int, entry) -> None:
             and all(isinstance(d, dict) for d in exclude)):
         raise BadInput(f"subalgebra {label}: exclude must be a list of "
                        "objects")
-
-
-def _expand(entry: dict) -> list[tuple[str, dict]]:
-    params = entry.get("params", {})
-    exclude = [tuple(sorted(d.items())) for d in entry.get("exclude", [])]
     if not params:
-        return [(entry["label"], {})]
+        return [(label, {})]
+    exclude = [tuple(sorted(d.items())) for d in exclude]
     names = sorted(params)
     combos = []
     for values in itertools.product(*(params[n] for n in names)):
@@ -419,7 +416,7 @@ def _expand(entry: dict) -> list[tuple[str, dict]]:
         if tuple(sorted(binding.items())) in exclude:
             continue
         tag = ",".join(f"{n}={binding[n]}" for n in names)
-        combos.append((f"{entry['label']}[{tag}]", binding))
+        combos.append((f"{label}[{tag}]", binding))
     return combos
 
 
@@ -433,7 +430,7 @@ def subalgebras_from_json(source) -> list[Subalgebra]:
 
     Accepts either the bundled two-section layout or a flat list of
     entries {label, basis: [{"D": "1"}, ...], params, exclude}.  An
-    entry of another shape (:func:`_check_entry`; one without a label is
+    entry of another shape (:func:`_expand`; one without a label is
     named by its position), with no nonzero basis element or with a
     linearly dependent basis, raises :class:`BadInput` naming it.
     """
@@ -452,8 +449,7 @@ def subalgebras_from_json(source) -> list[Subalgebra]:
         entries = data
     out = []
     for pos, entry in enumerate(entries):
-        _check_entry(pos, entry)
-        for label, binding in _expand(entry):
+        for label, binding in _expand(pos, entry):
             basis = tuple(_element_from_spec(b, binding)
                           for b in entry["basis"])
             basis = tuple(b for b in basis if b.terms)

@@ -289,7 +289,8 @@ def convert(s: SolutionField, to: str, basepoint: Point) -> SolutionField:
     anchored at ``basepoint``; the potentials carry the gauge
     q(t,x,y0) = 0 (UV->UQ) and v fixed up to a function of y (UQ->UV).
     From (u,v) both read the field's ``v_x``; a field converted to (u,v)
-    answers ``v_x`` by its w.
+    answers ``v_x`` by its w.  Where w is undefined at the point, its
+    own error is raised; elsewhere on the path, a :class:`GaugeError`.
     """
     if to == s.coords:
         return s
@@ -318,8 +319,12 @@ def convert(s: SolutionField, to: str, basepoint: Point) -> SolutionField:
     if to == "UW":
         return s.with_meta(v=w_map, coords="UW")
 
+    # each potential reads w at its own point first, unguarded: a grid
+    # check skips a point where w is undefined; the path then reads p's
+    # jets remembered
     if to == "UQ":
         def q(p: Point, n: int) -> Jet3:
+            w_map(p, n)
             return integrate_field_along(guard(w_map), "y", basepoint.y, p, n)
         return s.with_meta(v=q, coords="UQ")
 
@@ -328,7 +333,11 @@ def convert(s: SolutionField, to: str, basepoint: Point) -> SolutionField:
         return wj.derive("x") + 2.0 * (u0(p, n) * wj.truncate(n))
 
     # v = int_x0^x w dx' + int_t0^t (w_x + 2 u w)|_(t',x0,y) dt'
-    v = xt_path(guard(w_map), guard(v_t), basepoint)
+    path = xt_path(guard(w_map), guard(v_t), basepoint)
+
+    def v(p: Point, n: int) -> Jet3:
+        w_map(p, n)
+        return path(p, n)
     return s.with_meta(v=v, v_x=w_map, coords="UV")
 
 

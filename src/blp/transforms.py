@@ -228,12 +228,13 @@ def _revert_series(f: np.ndarray) -> np.ndarray:
 def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
     """Push a (u,v) solution field forward by a group element.
 
-    ``u`` and ``v`` at one point and order share its inverse point, the
-    power tables of the reverted series of T and Y, the coefficient
-    functions of ``g`` (their series at the old point composed with those
-    tables) and one composition matrix of the inverse map
-    (:func:`jets.compose3`).  A point with no inverse on ``WINDOW``
-    raises :class:`InverseMapError`, an :class:`UndefinedTransform`.
+    ``u`` and ``v`` at one point share its inverse point, and at one
+    point and order they share the rest: the power tables of the
+    reverted series of T and Y, the coefficient functions of ``g`` (their
+    series at the old point composed with those tables) and one
+    composition matrix of the inverse map (:func:`jets.compose3`).  A
+    point with no inverse on ``WINDOW`` raises :class:`InverseMapError`,
+    an :class:`UndefinedTransform`.
     """
     if s.coords != "UV":
         raise ValueError("apply_symmetry expects (u,v) coordinates")
@@ -242,12 +243,16 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
     d = series.derivative
 
     @lru_cache(maxsize=1)
+    def old_point(pn: Point) -> Point:
+        # u and v may ask one point at different orders: invert it once
+        t_old = _invert_monotone(g.T, dT, pn.t)
+        x_old = (pn.x - g.X0(t_old)) / (g.eps * math.sqrt(dT(t_old)))
+        return Point(t_old, x_old, _invert_monotone(g.Y, dY, pn.y))
+
+    @lru_cache(maxsize=1)
     def inner(pn: Point, n: int):
         # u and v ask at the same point and order in turn: build them once
-        t_old = _invert_monotone(g.T, dT, pn.t)
-        y_old = _invert_monotone(g.Y, dY, pn.y)
-        x_old = (pn.x - g.X0(t_old)) / (g.eps * math.sqrt(dT(t_old)))
-        po = Point(t_old, x_old, y_old)
+        po = old_point(pn)
         lay = series.univariate(n)
         tser = eval_series(g.T, po.t, n + 2)
         pt = _revert_series(tser[:n + 1])

@@ -574,6 +574,52 @@ def test_stalled_quadrature_is_a_json_error(capsys):
     assert message.endswith("at grid point (t, x, y) = (1.2, 0.8, 0.45)")
 
 
+#: boxes across an edge of a family's domain (a chart guard, the path of
+#: an integral, a pole probe, a profile window): the arguments, the exit
+#: code and the (skipped, evaluated) counts
+_DOMAIN_EDGE_RUNS = {
+    "F_VXXX_2": (["verify", "--family", "F_VXXX_2", "--param", "beta=y-2",
+                  "--grid", '{"t": [0.1, 2.5, 4], "x": [-0.5, 1.5, 4], '
+                  '"y": [0.0, 1.5, 4]}'], 0, (32, 32)),
+    "F_UY0_QB": (["verify", "--family", "F_UY0_QB", "--grid",
+                  '{"t": [0.2, 1.2, 3], "x": [-0.5, 0.5, 5], '
+                  '"y": [0.1, 1.0, 3]}'], 0, (9, 36)),
+    "F_R29_ELEM_1": (["verify", "--family", "F_R29_ELEM_1", "--grid",
+                      '{"t": [0.1, 1.0, 3], "x": [-1.5, 1.5, 7], '
+                      '"y": [-0.3, 0.6, 3]}'], 0, (12, 51)),
+    "F_R24_PAINLEVE4": (["verify", "--family", "F_R24_PAINLEVE4", "--grid",
+                         '{"t": [-0.2, 1.2, 4], "x": [-1.5, 1.5, 4], '
+                         '"y": [-1.5, 1.5, 4]}'], 0, (26, 38)),
+    "F_R29_PAINLEVE2": (["verify", "--family", "F_R29_PAINLEVE2", "--grid",
+                         '{"t": [0.1, 1.0, 3], "x": [-2.0, 0.5, 5], '
+                         '"y": [-1.0, 0.5, 4]}'], 0, (36, 24)),
+    # a (u,q) chain reads q at each point before u, and q integrates w
+    # from y0: a point where w itself is undefined is skipped, not a
+    # gauge error of the path
+    "F_VXXX_2~Lfwd": (["transform", "--family", "F_VXXX_2",
+                       "--param", "beta=y-2", "--chain",
+                       '[{"op": "laplace_fwd_uq"}]', "--grid",
+                       '{"t": [0.1, 2.5, 5], "x": [0.5, 1.5, 3], '
+                       '"y": [0.0, 0.3, 3]}'], 1, (18, 27)),
+    "F_R29_ELLIPTIC~Lfwd": (["transform", "--family", "F_R29_ELLIPTIC",
+                             "--chain", '[{"op": "laplace_fwd_uq"}]',
+                             "--base", "[1.0, 0.3, 0.3]", "--grid",
+                             '{"t": [0.1, 1.0, 2], "x": [-0.4, 0.4, 3], '
+                             '"y": [0.0, 0.4, 3]}'], 1, (6, 12)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DOMAIN_EDGE_RUNS))
+def test_domain_edges_are_skipped_points(case, capsys):
+    # a point is skipped only by the error its own evaluation raises; no
+    # run across an edge is a toolkit error
+    args, want_code, counts = _DOMAIN_EDGE_RUNS[case]
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (want_code, "")
+    report = json.loads(out)
+    assert (report["skipped"], report["evaluated"]) == counts
+
+
 @pytest.mark.parametrize("fid,name", [
     (d.id, name) for d in catalog.list_families()
     for name, _ in d.required_params])

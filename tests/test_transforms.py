@@ -128,6 +128,11 @@ def test_symmetry_image_inverts_each_point_once(monkeypatch):
     rep = residual_report(field, grid)
     assert rep.skipped == 0 and max(rep.r1_max, rep.r2_max) < 1e-7
     assert calls[0] == 2 * len(grid)
+    # also when v_x asks one order above u, as a conversion does
+    p = Point(0.9, 0.7, 0.5)
+    field.v_x(p, 4)
+    field.u(p, 3)
+    assert calls[0] == 2 * len(grid) + 2
 
 
 #: (first, second) elementary kinds, 0..4 = D, S, P, Z, I, as the
