@@ -18,15 +18,18 @@ Two reduced problems are integrated here:
     which is the second Painleve equation; for C1 = 0 the profile solves
     phi'^2 = phi^4 + 2 C0 phi^2 + 4 delta phi + C2 (see blp.specfun).
 
-Trajectories are produced by an embedded Dormand-Prince 5(4) pair.  The
-nominal step is coupled to the tolerance as h ~ tol^0.55 so that the
-dense-output drift of the first integrals scales at least quartically
-under tolerance halving; the embedded error estimate acts as a safety
-rejection threshold.  A step's dense-output estimate reads the order-5
-Taylor series at both of its ends; each accepted node's series is
-computed once, by degree recurrence on floats.  Dense output is cubic
-Hermite on accepted steps, and every reconstruction consumes
-ODE-provided derivatives, never numerical differentiation.
+Trajectories are produced by the Taylor method (Corliss & Chang, ACM
+TOMS 8, 1982; Jorba & Zou, Exp. Math. 14, 2005).  At each node the
+profile's series comes from its own degree recurrence, and the series of
+the companion potential psi from psi's flow, which is polynomial in
+(w, f, f'); both are computed once per node, to degree ``_ORDER``.  The
+step is h = min over the f, f' and psi coefficients a_j, j in {N-1, N},
+of (eps/|a_j|)^(1/j), with the truncation bound eps tied to the
+tolerance as eps ~ tol^3: the first-integral drift then contracts about
+ten-fold when the tolerance is halved.  A movable pole shows as a
+collapsing step or a blowup.  Dense output is the nearest node's Taylor
+polynomial, and every reconstruction consumes ODE-provided derivatives,
+never numerical differentiation.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -90,71 +92,63 @@ class ReductionSpec:
             raise BadSpec("eps must be +1 or -1")
 
 
+#: degree of the Taylor polynomials that step and answer every profile
+_ORDER = 8
+_BLOWUP = 1e6
+#: the stepper of every profile, named in a trajectory's CSV sidecar
+_METHOD = f"taylor-{_ORDER}"
+
+
+def _horner(c, h: float) -> float:
+    acc = 0.0
+    for a in reversed(c):
+        acc = acc * h + a
+    return acc
+
+
 @dataclass
 class ODETrajectory:
-    """Dense-output solution of a second-order profile equation."""
-    grid: np.ndarray           # strictly monotone node locations
-    values: np.ndarray         # (n, 2): profile and first derivative
-    second: np.ndarray         # (n,): second derivative from the equation
+    """Taylor dense output of a second-order profile equation.
+
+    Every node carries the Taylor polynomials, of degree ``_ORDER``, of
+    the profile, its first derivative and the companion potential psi;
+    a point of the window is answered by its nearest node's, so at a
+    node it is that node's value.
+    """
+    grid: np.ndarray           # strictly increasing node locations
+    taylor: np.ndarray         # (n, 3, _ORDER + 1): f, f', psi by degree
     tol: float
     meta: dict = field(default_factory=dict)
+
+    @property
+    def values(self) -> np.ndarray:
+        """(n, 3): the profile, its first derivative and psi at the nodes."""
+        return self.taylor[:, :, 0]
 
     def window(self) -> tuple[float, float]:
         return float(self.grid[0]), float(self.grid[-1])
 
-    def psi(self, w: float) -> tuple[float, float]:
-        """Companion potential carried as an extra integration state.
-
-        Interpolated with quintic Hermite, using first and second
-        derivatives supplied analytically by the potential's flow.
-        """
-        if self.values.shape[1] < 3:
-            raise WindowError("trajectory carries no psi state")
+    def _nearest(self, w: float) -> tuple[list, float]:
+        """The nearest node's polynomials and the offset of w from it."""
         lo, hi = self.window()
         if not (lo <= w <= hi):
             raise WindowError(f"{w} outside trajectory window [{lo}, {hi}]")
-        flow = self.meta["psi_flow"]
-        flow2 = self.meta["psi_flow2"]
-        i = min(max(bisect_right(self.grid, w) - 1, 0), len(self.grid) - 2)
-        x0, x1 = self.grid[i], self.grid[i + 1]
-        h = x1 - x0
-        s = (w - x0) / h
-        p0, p1 = self.values[i, 2], self.values[i + 1, 2]
-        f0, d0 = self.values[i, 0], self.values[i, 1]
-        f1, d1 = self.values[i + 1, 0], self.values[i + 1, 1]
-        g0, g1 = flow(x0, f0, d0), flow(x1, f1, d1)
-        a0, a1 = flow2(x0, f0, d0), flow2(x1, f1, d1)
-        s2, s3 = s * s, s ** 3
-        s4, s5 = s2 * s2, s2 * s3
-        val = (p0 * (1 - 10 * s3 + 15 * s4 - 6 * s5)
-               + h * g0 * (s - 6 * s3 + 8 * s4 - 3 * s5)
-               + h * h * a0 * (0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5)
-               + p1 * (10 * s3 - 15 * s4 + 6 * s5)
-               + h * g1 * (-4 * s3 + 7 * s4 - 3 * s5)
-               + h * h * a1 * (0.5 * s3 - s4 + 0.5 * s5))
-        slope = flow(w, *self(w))
-        return float(val), float(slope)
+        grid = self.grid
+        i = bisect_right(grid, w) - 1
+        if i + 1 < len(grid) and grid[i + 1] - w < w - grid[i]:
+            i += 1
+        return self.taylor[i].tolist(), w - float(grid[i])
+
+    def psi(self, w: float) -> tuple[float, float]:
+        """The companion potential and its slope at w."""
+        rows, h = self._nearest(w)
+        c = rows[2]
+        slope = [k * c[k] for k in range(1, len(c))]
+        return _horner(c, h), _horner(slope, h)
 
     def __call__(self, w: float) -> tuple[float, float]:
-        lo, hi = self.window()
-        if not (lo <= w <= hi):
-            raise WindowError(f"{w} outside trajectory window [{lo}, {hi}]")
-        i = min(max(bisect_right(self.grid, w) - 1, 0), len(self.grid) - 2)
-        x0, x1 = self.grid[i], self.grid[i + 1]
-        h = x1 - x0
-        s = (w - x0) / h
-        f0, d0 = self.values[i, 0], self.values[i, 1]
-        f1, d1 = self.values[i + 1, 0], self.values[i + 1, 1]
-        s2, s3 = s * s, s * s * s
-        h00 = 2 * s3 - 3 * s2 + 1
-        h10 = s3 - 2 * s2 + s
-        h01 = -2 * s3 + 3 * s2
-        h11 = s3 - s2
-        f = h00 * f0 + h10 * h * d0 + h01 * f1 + h11 * h * d1
-        g0, e0 = d0, self.second[i]
-        g1, e1 = d1, self.second[i + 1]
-        d = h00 * g0 + h10 * h * e0 + h01 * g1 + h11 * h * e1
-        return float(f), float(d)
+        rows, h = self._nearest(w)
+        return _horner(rows[0], h), _horner(rows[1], h)
 
     def series(self, w: float, order: int) -> np.ndarray:
         """Taylor coefficients at w, propagated through the profile ODE."""
@@ -174,133 +168,83 @@ class ODETrajectory:
             json.dump(sidecar, fh, sort_keys=True)
 
 
-#: the stepper of every profile, named in a trajectory's CSV sidecar
-_METHOD = "dormand-prince-5(4)"
+def _integrate_profile(series_fn, psi_rate, guard, x0, y0, span, tol,
+                       spec_meta):
+    """March the 2nd-order profile both ways from x0 across span.
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
-
-_SAFETY_FACTOR = 300.0
-_BLOWUP = 1e6
-
-
-def _dp_combine(y, h, weights, k):
-    """y + h * sum_i weights[i] k[i] on float lists, summed by stage."""
-    return [yj + h * sum(map(operator.mul, weights, kj))
-            for yj, kj in zip(y, zip(*k))]
-
-
-def _dp_step(f, x, y, h):
-    k = [f(x, y)]
-    for i in range(1, 7):
-        k.append(f(x + _DP_C[i] * h, _dp_combine(y, h, _DP_A[i], k)))
-    y5 = _dp_combine(y, h, _DP_B5, k)
-    y4 = _dp_combine(y, h, _DP_B4, k)
-    err = max(abs(a - b) for a, b in zip(y5, y4))
-    return y5, err, k[-1]
-
-
-def _integrate_profile(rhs, guard, x0, y0, span, tol, series_fn, spec_meta):
-    """March the 2nd-order profile both ways from x0 across span."""
+    ``series_fn(w, f, f', n)`` gives the profile's coefficients 0..n and
+    ``psi_rate(w, c, n)`` the coefficients 0..n-1 of psi' from them;
+    ``guard(w, y)``, if given, raises ZeroCrossing at a node it rejects.
+    """
     lo, hi = min(span), max(span)
     if not (lo <= x0 <= hi):
         raise BadSpec("initial point outside the requested span")
-    # every step-limiting channel is calibrated so the accepted step size
-    # scales like tol^0.55: dense-output drift then contracts at least
-    # four-fold when the tolerance is halved
-    scale = tol / 1e-10
-    h_nom = 0.04 * scale ** 0.55
-    est_tol = _SAFETY_FACTOR * 1e-10 * scale ** 2.75
-    dense_tol = 20.0 * 1e-10 * scale ** 2.2
-    y0 = [float(v) for v in y0]
+    n = _ORDER
+    # the first-integral drift is the dense output's truncation error, of
+    # order eps^((n+1)/n): eps ~ tol^3 makes it contract about ten-fold
+    # per halving of tol, and at tol = 2.5e-11 it stays ten-fold above
+    # the 1e-15 at which the first integral itself rounds
+    eps = 1e-9 * (tol / 1e-10) ** 3
 
-    def series5(x, y):
-        """Order-5 series at a node, or None where the recurrence fails."""
-        try:
-            return series_fn(x, y[0], y[1], 5)
-        except ArithmeticError:
-            return None
+    def node(x, y):
+        """The f, f' and psi polynomials at a node, once per node."""
+        c = series_fn(x, y[0], y[1], n + 1)
+        rate = psi_rate(x, c, n)
+        rows = (c[: n + 1], [(k + 1) * c[k + 1] for k in range(n + 1)],
+                [y[2]] + [r / (k + 1) for k, r in enumerate(rate)])
+        if not all(map(math.isfinite, rows[0] + rows[1] + rows[2])):
+            raise OverflowError("trajectory blowup")
+        return rows
 
-    def march(direction, target):
-        """Returns (xs, ys, fs, abort_message)."""
-        x, y = x0, y0
-        xs, ys, fs = [x], [y], [rhs(x, y)]
-        ca = series5(x, y)
-        h = direction * h_nom
-        while (x - target) * direction < 0.0:
-            if abs(h) > abs(target - x):
-                h = target - x
-            trial_h = h
-            ok_step = False
-            for _ in range(60):
-                try:
-                    ytry, err, ftry = _dp_step(rhs, x, y, trial_h)
-                except ArithmeticError:
-                    trial_h *= 0.5
-                    continue
-                if not all(map(math.isfinite, ytry)):
-                    trial_h *= 0.5
-                    continue
-                # embedded estimate + cubic-Hermite dense-output estimate,
-                # with the 4th derivative taken from the Taylor recurrence
-                cb = None if ca is None else series5(x + trial_h, ytry)
-                if cb is None:
-                    f4 = f5 = np.inf
-                else:
-                    f4 = 24.0 * max(abs(ca[4]), abs(cb[4]))
-                    f5 = 120.0 * max(abs(ca[5]), abs(cb[5]))
-                # cubic-Hermite bounds for the profile and slope channels
-                dense = trial_h ** 4 * max(f4, f5) / 384.0
-                if err <= est_tol and dense <= dense_tol:
-                    ok_step = True
-                    break
-                trial_h *= 0.5
-                if abs(trial_h) < 1e-13 * (1.0 + abs(x)):
-                    return xs, ys, fs, "step size underflow " \
-                        "(movable singularity)"
-            if not ok_step:
-                return xs, ys, fs, "step rejection cascade"
-            if max(map(abs, ytry)) > _BLOWUP:
-                return xs, ys, fs, "trajectory blowup"
+    def step(rows):
+        h = math.inf
+        for c in rows:
+            for j in (n - 1, n):
+                if c[j]:
+                    h = min(h, (eps / abs(c[j])) ** (1.0 / j))
+        return h
+
+    def march(direction, target, start):
+        """Returns (xs, node polynomials, abort_message)."""
+        x, rows = x0, start
+        xs, nodes = [x], [rows]
+        while x != target:
+            h = step(rows)
+            if h < 1e-13 * (1.0 + abs(x)):
+                return xs, nodes, "step size underflow (movable singularity)"
+            if h >= abs(target - x):
+                x_new, h = target, target - x
+            else:
+                h *= direction
+                x_new = x + h
+            y = [_horner(c, h) for c in rows]
+            if not all(abs(v) <= _BLOWUP for v in y):
+                return xs, nodes, "trajectory blowup"
             try:
-                guard(x + trial_h, ytry)
-            except ZeroCrossing as exc:
-                return xs, ys, fs, str(exc)
-            x = x + trial_h
-            y, ca = ytry, cb
+                if guard is not None:
+                    guard(x_new, y)
+                rows = node(x_new, y)
+            except ArithmeticError as exc:
+                return xs, nodes, str(exc)
+            x = x_new
             xs.append(x)
-            ys.append(y)
-            fs.append(ftry)
-            h = direction * min(h_nom, abs(trial_h) * 2.0)
-        return xs, ys, fs, None
+            nodes.append(rows)
+        return xs, nodes, None
 
-    empty = ([x0], [y0], [rhs(x0, y0)], None)
-    right = march(+1.0, hi) if hi > x0 else empty
-    left = march(-1.0, lo) if lo < x0 else empty
-    xs = list(reversed(left[0][1:])) + right[0]
-    ys = list(reversed(left[1][1:])) + right[1]
-    fs = list(reversed(left[2][1:])) + right[2]
-    grid = np.array(xs)
-    order_idx = np.argsort(grid)
+    y0 = [float(v) for v in y0]
+    try:
+        start = node(x0, y0)
+    except ArithmeticError as exc:
+        raise PoleAbort(str(exc)) from exc
+    right = march(+1.0, hi, start)
+    left = march(-1.0, lo, start)
     traj = ODETrajectory(
-        grid=grid[order_idx], values=np.array(ys)[order_idx],
-        second=np.array([f[1] for f in fs])[order_idx], tol=tol,
+        grid=np.array(left[0][:0:-1] + right[0]),
+        taylor=np.array(left[1][:0:-1] + right[1]), tol=tol,
         meta={"series_fn": series_fn, "spec": spec_meta})
-    abort = right[3] or left[3]
+    abort = right[2] or left[2]
     if abort:
-        last = right[0][-1] if right[3] else left[0][-1]
+        last = right[0][-1] if right[2] else left[0][-1]
         raise PoleAbort(abort, trajectory=traj, last_safe=last)
     return traj
 
@@ -320,21 +264,6 @@ def integrate_painleve2(spec: ReductionSpec, span=(-3.0, 0.0),
 
     s = (2.0 * spec.C1) ** (1.0 / 3.0)
 
-    def psi_flow(z, f, d):
-        # d psi / d z in the tilded variable, from 2 psi_w = phi_w - ...
-        return (s * s * d - s * s * f * f - spec.C1 * z / s) / (2.0 * s)
-
-    def psi_flow2(z, f, d):
-        fpp = 2.0 * f ** 3 + z * f + nu
-        return (s * s * (fpp - 2.0 * f * d) - spec.C1 / s) / (2.0 * s)
-
-    def rhs(x, y):
-        return [y[1], 2.0 * y[0] ** 3 + x * y[0] + nu,
-                psi_flow(x, y[0], y[1])]
-
-    def guard(x, y):
-        return None
-
     def series_fn(w, f, d, order):
         # f'' = 2 f^3 + w f + nu by degree, with running coefficients of
         # f^2; the series w multiplies f as a shift
@@ -346,6 +275,16 @@ def integrate_painleve2(spec: ReductionSpec, span=(-3.0, 0.0),
             c.append(rhs_k / ((k + 2) * (k + 1)))
         return c[: order + 1]
 
+    def psi_rate(w, c, order):
+        # d psi / d z = (s^2 f' - s^2 f^2 - C1 z / s) / (2 s) in the tilded
+        # variable, from 2 psi_w = phi_w - ..., by degree
+        out = []
+        for k in range(order):
+            z = w if k == 0 else float(k == 1)
+            out.append((s * s * ((k + 1) * c[k + 1] - series.cauchy(c, c, k))
+                        - spec.C1 * z / s) / (2.0 * s))
+        return out
+
     w0, f0, d0 = spec.init
     # seed psi from the third-integral relation, so its level is C2
     om0 = w0 / s - spec.C0 / spec.C1
@@ -355,12 +294,10 @@ def integrate_painleve2(spec: ReductionSpec, span=(-3.0, 0.0),
         / (4.0 * spec.C1)
     meta = {"id": spec.id, "C0": spec.C0, "C1": spec.C1, "C2": spec.C2,
             "delta": spec.delta, "nu": nu}
-    traj = _integrate_profile(rhs, guard, w0, (f0, d0, psi0), span, tol,
-                              series_fn, meta)
+    traj = _integrate_profile(series_fn, psi_rate, None, w0,
+                              (f0, d0, psi0), span, tol, meta)
     traj.meta["omega_map"] = lambda omega: s * (omega + spec.C0 / spec.C1)
     traj.meta["phi_scale"] = s
-    traj.meta["psi_flow"] = psi_flow
-    traj.meta["psi_flow2"] = psi_flow2
     return traj
 
 
@@ -375,29 +312,6 @@ def integrate_painleve4_form(spec: ReductionSpec, span=(-1.0, 1.0),
     w0, f0, d0 = spec.init
     if abs(f0) < 1e-12:
         raise ZeroCrossing("profile starts at zero")
-
-    def f_second(x, f, d):
-        num = 0.5 * d * d + 1.5 * f ** 4 + 4.0 * x * f ** 3 \
-            + 2.0 * (x * x - C1) * f * f + C0t
-        return num / f
-
-    def psi_flow(wv, f, d):
-        # d psi / d w from the twice-integrated first profile equation
-        om = 2.0 * wv
-        phi = -0.5 * eps * (f + om)
-        phi_w = -0.5 * eps * (0.5 * d + 1.0)
-        return 2.0 * (C1 - 2.0 * (phi * phi - phi_w) - eps * om * phi) / 4.0
-
-    def psi_flow2(wv, f, d):
-        om = 2.0 * wv
-        phi = -0.5 * eps * (f + om)
-        phi_w = -0.5 * eps * (0.5 * d + 1.0)
-        phi_ww = -0.125 * eps * f_second(wv, f, d)
-        return (-4.0 * phi * phi_w + 2.0 * phi_ww
-                - eps * (phi + om * phi_w))
-
-    def rhs(x, y):
-        return [y[1], f_second(x, y[0], y[1]), psi_flow(x, y[0], y[1])]
 
     def guard(x, y):
         if abs(y[0]) < 1e-9:
@@ -426,20 +340,32 @@ def integrate_painleve4_form(spec: ReductionSpec, span=(-1.0, 1.0),
             c.append(q[k] / ((k + 2) * (k + 1)))
         return c[: order + 1]
 
+    def psi_rate(wv, c, order):
+        # d psi / d w = (C1 - 2 phi^2 + 2 phi_om - eps om phi) / 2 from the
+        # twice-integrated first profile equation, by degree, with
+        # om = 2 w, phi = -eps (f + om) / 2 and phi_om = d phi / d om
+        phi = [-0.5 * eps * (c[0] + 2.0 * wv), -0.5 * eps * (c[1] + 2.0)]
+        phi += [-0.5 * eps * a for a in c[2:order]]
+        out = []
+        for k in range(order):
+            phi_om = -0.5 * eps * (0.5 * (k + 1) * c[k + 1] + float(k == 0))
+            om_phi = 2.0 * (wv * phi[k] + (phi[k - 1] if k else 0.0))
+            out.append(0.5 * (C1 * float(k == 0)
+                              - 2.0 * series.cauchy(phi, phi, k)
+                              + 2.0 * phi_om - eps * om_phi))
+        return out
+
     # seed psi from its closed expression (consistent with C2 = 0)
     om0 = 2.0 * w0
     phi0 = -0.5 * eps * (f0 + om0)
-    phi0pp = -0.125 * eps * f_second(w0, f0, d0)
+    phi0pp = -0.25 * eps * series_fn(w0, f0, d0, 2)[2]
     psi0 = (-eps * phi0pp + 2.0 * eps * phi0 ** 3 + 1.5 * om0 * phi0 * phi0
             + (0.25 * eps * om0 * om0 - eps * C1 + 0.5) * phi0
             - 0.25 * C1 * om0)
     meta = {"id": spec.id, "C0": spec.C0, "C1": spec.C1, "eps": spec.eps,
             "C0_tilde": C0t}
-    traj = _integrate_profile(rhs, guard, w0, (f0, d0, psi0), span, tol,
-                              series_fn, meta)
-    traj.meta["psi_flow"] = psi_flow
-    traj.meta["psi_flow2"] = psi_flow2
-    return traj
+    return _integrate_profile(series_fn, psi_rate, guard, w0,
+                              (f0, d0, psi0), span, tol, meta)
 
 
 def first_integral_2_4(traj: ODETrajectory, spec: ReductionSpec,

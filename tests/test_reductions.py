@@ -368,31 +368,64 @@ def test_profile_recurrences_match_convolution_form(order, rng, pii_traj,
 
 
 def test_one_series_per_accepted_node(monkeypatch):
-    # the dense-output estimate of a trial step reads the series at both
-    # ends; the one at its start is the previous accepted trial's
-    counts = {"trials": 0, "series": 0}
-    dp_step, integrate = reductions._dp_step, reductions._integrate_profile
+    # the stepper reads each node's series once: to step from it and to
+    # answer the points nearest to it; no step is retried
+    counts = {"series": 0}
+    integrate = reductions._integrate_profile
 
-    def counted_step(*args):
-        counts["trials"] += 1
-        return dp_step(*args)
-
-    def counted_integrate(*args):
-        *head, series_fn, spec_meta = args
-
+    def counted_integrate(series_fn, *rest):
         def counted_series(*a):
             counts["series"] += 1
             return series_fn(*a)
 
-        return integrate(*head, counted_series, spec_meta)
+        return integrate(counted_series, *rest)
 
-    monkeypatch.setattr(reductions, "_dp_step", counted_step)
     monkeypatch.setattr(reductions, "_integrate_profile", counted_integrate)
     piv_spec = ReductionSpec(id="R2_4", C0=0.25, C1=2.0, eps=1,
                              init=(0.0, 1.2, -1.0))
     for run in (lambda: integrate_painleve2(PII_SPEC, span=(-2.0, -0.5)),
                 lambda: integrate_painleve4_form(piv_spec, span=(-1.0, 1.0))):
-        counts.update(trials=0, series=0)
+        counts.update(series=0)
         traj = run()
-        assert counts["trials"] >= len(traj.grid) - 1 > 10
-        assert counts["series"] <= counts["trials"] + 2
+        assert counts["series"] == len(traj.grid) > 10
+
+
+def test_trajectory_is_exact_at_nodes(pii_traj, piv_traj):
+    for traj in (pii_traj, piv_traj[1]):
+        for i, w in enumerate(traj.grid):
+            assert traj(float(w)) == tuple(traj.values[i, :2])
+            assert traj.psi(float(w))[0] == traj.values[i, 2]
+
+
+# the spec of criterion 7, and the four (C1, f0) pairs that
+# catalog._r24_sample draws F_R24_PAINLEVE4 from
+_PIV_SCALING_SPECS = [pytest.param(
+    ReductionSpec(id="R2_4", C0=0.25, C1=2.0, eps=1, init=(0.0, 1.2, -1.0)),
+    (-1.0, 1.0), id="criterion-7")] + [pytest.param(
+        ReductionSpec(id="R2_4", C0=0.125, C1=C1, eps=1, init=(0.0, f0, 0.0)),
+        (-1.2, 1.2), id=f"C1={C1}")
+    for C1, f0 in [(0.8, 0.88), (1.1, 0.88), (1.4, 1.06), (1.7, 1.06)]]
+
+
+@pytest.mark.parametrize("spec, span", _PIV_SCALING_SPECS)
+def test_piv_drift_contracts_at_every_halving(spec, span):
+    # criterion 7 asks one halving of one spec for a four-fold contraction
+    # of the first-integral drift; every halving of every spec gives it
+    def drift(tol):
+        traj = integrate_painleve4_form(spec, span=span, tol=tol)
+        lo, hi = traj.window()
+        vals = np.array([first_integral_2_4(traj, spec, float(w))
+                         for w in np.linspace(lo + 0.01, hi - 0.01, 200)])
+        return np.max(np.abs(vals - vals[0]))
+
+    drifts = [drift(tol) for tol in (2e-10, 1e-10, 5e-11, 2.5e-11)]
+    for coarse, fine in zip(drifts, drifts[1:]):
+        assert coarse >= 4.0 * fine, drifts
+
+
+def test_pole_of_the_rational_oracle():
+    # f = -1/z has its pole at z = 0; the march stops short of it
+    with pytest.raises(PoleAbort) as ei:
+        integrate_painleve2(PII_SPEC, span=(-2.0, 0.5))
+    assert -0.01 < ei.value.last_safe < 0.0
+    assert ei.value.trajectory.window() == (-2.0, ei.value.last_safe)
