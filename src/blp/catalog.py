@@ -40,13 +40,14 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from . import jets, series
 from .exprdsl import Expr, Num, as_expr, eval_jet, parse
 from .jets import BadInput, DomainError, Jet3, JetMap, Point
-from .quadrature import (_LINES_KEPT, QuadratureError, adaptive_quadrature,
-                         line_integral)
+# adaptive_quadrature is not called here; the benchmark tracer's restore
+# test (benchmarks/test_benchmark.py) reads this binding
+from .quadrature import adaptive_quadrature, line_integral  # noqa: F401
+from .specfun import (QuarticODE, quartic_particular_solution,
+                      quartic_square_integral)
 from .system import SolutionField, residual_sup
 
 __all__ = [
@@ -906,67 +907,26 @@ def _f_ueqv(fid, b):
 
 # -- reduction 2.9, elliptic and elementary branches ------------------------
 
-#: the first tolerance of each :class:`_Antiderivative` step
-_ANTIDERIVATIVE_TOL = 1e-11
+def _r29_quartic(C0: float, delta: float, C2: float, a=None):
+    """The quartic phi'^2 = phi^4 + 2 C0 phi^2 + 4 delta phi + C2 of the
+    elliptic omega = x+y profile, and the value a its P form is built
+    on; unless given, a is 0 where C2 >= 0 and otherwise a value where
+    F(a) > 0."""
+    q = QuarticODE(1.0, 0.0, C0 / 3.0, delta, C2)
+    if a is None:
+        a = 0.0 if C2 >= 0.0 else 2.0 * abs(C0) + abs(C2) + 1.0
+    return q, a
 
 
-class _Antiderivative:
-    """Cached antiderivative of a univariate function from an anchor.
-
-    Each value is integrated from the nearest known one.  At most
-    ``_LINES_KEPT`` values are known, the bound of a line integral's grid
-    lines in :mod:`blp.quadrature`; the oldest goes first, except the
-    anchor, which stays.
-    """
-
-    def __init__(self, f, anchor: float):
-        self.f = f
-        self.known = {round(anchor, 12): 0.0}
-
-    def __call__(self, s: float) -> float:
-        key = round(s, 12)
-        if key in self.known:
-            return self.known[key]
-        nearest = min(self.known, key=lambda k: abs(k - s))
-        tol = _ANTIDERIVATIVE_TOL
-        while True:
-            try:
-                step = float(adaptive_quadrature(self.f, nearest, s, tol=tol))
-                break
-            except QuadratureError:
-                # integrand noise (e.g. branch switching in special
-                # functions) can stall refinement below ~1e-10; the stall
-                # rule of adaptive_quadrature gives up on such a tolerance
-                # in tens of panels, not at the end of the panel budget
-                tol *= 100.0
-                if tol > 1e-7:
-                    raise
-        val = self.known[nearest] + step
-        if len(self.known) >= _LINES_KEPT:
-            keys = iter(self.known)
-            next(keys)  # the anchor, first in
-            del self.known[next(keys)]
-        self.known[key] = val
-        return val
-
-
-def _r29_field(fid, bindings, phi, C0: float, delta: float,
-               omega0: float) -> SolutionField:
+def _r29_field(fid, bindings, phi, square_integral, C0: float,
+               delta: float, omega0: float) -> SolutionField:
     """Lift a reduced profile phi(omega), omega = x+y, to a (u,v) field,
-    undefined where phi fails or exceeds 1e3 at 7 points from omega0."""
-    anti = _Antiderivative(lambda s: phi(s) ** 2, omega0)
+    v = -(Phi2(omega) - Phi2(omega0))/2 + phi/2 - C0 omega/2 + delta t
+    for an antiderivative Phi2 of phi^2; a point at a pole is undefined
+    (a :class:`specfun.PoleError`)."""
+    anchor = square_integral(omega0)
 
-    @jets.last_point
     def omega_jet(p, n):
-        # u and v ask in turn: probe each point once
-        w = p.x + p.y
-        try:
-            near_pole = any(abs(phi(float(s))) > 1e3 for s in
-                            np.linspace(min(omega0, w), max(omega0, w), 7))
-        except ArithmeticError as exc:
-            raise DomainError(f"profile undefined up to omega = {w}") from exc
-        if near_pole:
-            raise DomainError(f"profile near a pole up to omega = {w}")
         return jets.lift_variable("x", p, n) + jets.lift_variable("y", p, n)
 
     def u(p, n):
@@ -978,7 +938,8 @@ def _r29_field(fid, bindings, phi, C0: float, delta: float,
         w0 = wj.value
         pser = jets.axis_series(
             phi(jets.lift_variable("x", Point(p.t, w0, p.y), n + 1)), "x")
-        q = series.integral(series.mul(pser, pser, n), anti(w0), n)
+        q = series.integral(series.mul(pser, pser, n),
+                            square_integral(w0) - anchor, n)
         qj = jets.apply_taylor(q, wj)
         return (-0.5 * qj + 0.5 * phi(wj.truncate(n))
                 - 0.5 * C0 * wj + delta * t)
@@ -1004,14 +965,10 @@ def _r29_elliptic_sample(rng) -> dict:
     defaults={"C0": 1.0, "delta": 1.0, "C2": 3.0, "a": None,
               "omega0": 1.0}))
 def _f_r29_elliptic(fid, b):
-    from .specfun import QuarticODE, quartic_particular_solution
-    C0, delta, C2, a, omega0 = (b[k] for k in ("C0", "delta", "C2", "a",
-                                               "omega0"))
-    q = QuarticODE(1.0, 0.0, C0 / 3.0, delta, C2)
-    if a is None:
-        a = 0.0 if C2 >= 0.0 else 2.0 * abs(C0) + abs(C2) + 1.0
-    phi = quartic_particular_solution(q, a)
-    return _r29_field(fid, {**b, "a": a}, phi, C0, delta, omega0)
+    C0, delta, C2, omega0 = (b[k] for k in ("C0", "delta", "C2", "omega0"))
+    q, a = _r29_quartic(C0, delta, C2, b["a"])
+    return _r29_field(fid, {**b, "a": a}, quartic_particular_solution(q, a),
+                      quartic_square_integral(q, a), C0, delta, omega0)
 
 
 @_register(FamilyDescriptor(

@@ -44,6 +44,8 @@ import numpy as np
 
 from . import jets, series
 from .jets import BadInput, BLPError, Jet3, Point, UndefinedHere
+from .specfun import (DegenerateBranch, quartic_particular_solution,
+                      quartic_square_integral)
 from .system import SolutionField
 
 __all__ = [
@@ -52,7 +54,7 @@ __all__ = [
     "integrate_painleve2", "integrate_painleve4_form",
     "first_integral_2_4",
     "reconstruct_2_4", "reconstruct_2_9", "first_integrals_2_9",
-    "reduction_2_3_field", "elliptic_v_zeta_form",
+    "reduction_2_3_field",
 ]
 
 
@@ -457,8 +459,15 @@ def reconstruct_2_9(profile, spec: ReductionSpec,
 
     For C1 != 0 the profile is an :class:`ODETrajectory` in the tilded
     Painleve variables; v is algebraic in (phi, phi').  For C1 = 0 the
-    profile is a callable phi(omega) (jet-capable) and v carries the
-    antiderivative of phi^2.
+    profile is a jet-capable callable phi(omega) and v carries an
+    antiderivative of phi^2 in closed form: a
+    :class:`specfun.DegenerateBranch` gives its own ``square_integral``;
+    any other profile must be the spec's P branch, the
+    ``quartic_particular_solution`` that F_R29_ELLIPTIC builds from
+    (C0, delta, C2) with its default a, whose antiderivative is
+    :func:`specfun.quartic_square_integral`.  A profile that differs
+    from that branch in value or slope at omega0 raises
+    :class:`BadSpec`.
     """
     if spec.id != "R2_9":
         raise BadSpec("reconstruct_2_9 expects the R2_9 reduction")
@@ -493,32 +502,22 @@ def reconstruct_2_9(profile, spec: ReductionSpec,
                              params={"C0": C0, "C1": C1, "C2": C2,
                                      "delta": de})
 
-    # C1 = 0: profile is a jet-capable callable
-    from .catalog import _r29_field
+    from .catalog import _r29_field, _r29_quartic
+    if isinstance(profile, DegenerateBranch):
+        square_integral = profile.square_integral
+    else:
+        q, a = _r29_quartic(spec.C0, spec.delta, spec.C2)
+        probe = jets.lift_variable("x", Point(0.0, omega0, 0.0), 1)
+        if not np.allclose(profile(probe).coeffs,
+                           quartic_particular_solution(q, a)(probe).coeffs,
+                           rtol=1e-12, atol=1e-12):
+            raise BadSpec("the C1 = 0 profile is not the spec's P branch "
+                          f"at omega0 = {omega0}")
+        square_integral = quartic_square_integral(q, a)
     return _r29_field("F_R29_RECONSTRUCT",
                       {"C0": spec.C0, "delta": spec.delta,
                        "omega0": omega0},
-                      profile, spec.C0, spec.delta, omega0)
-
-
-def elliptic_v_zeta_form(spec: ReductionSpec, a: float, omega: float,
-                         t: float) -> float:
-    """Closed form of v for the C1 = 0 elliptic branch via the zeta function.
-
-    Differs from the quadrature-based reconstruction by a constant (a pure
-    shift of v, itself a symmetry of the system).  The antiderivative of
-    -phi^2/2 pairs with the classical zeta normalization (zeta' = -P);
-    blp.specfun returns the opposite sign convention, so it is flipped
-    here.
-    """
-    from .specfun import QuarticODE, invariants_from_quartic, weierstrass_p
-    q = QuarticODE(1.0, 0.0, spec.C0 / 3.0, spec.delta, spec.C2)
-    inv = invariants_from_quartic(q)
-    Fa = q.F(a)
-    p_, dp, zeta = weierstrass_p(omega, inv)
-    den = 24.0 * p_ - q.F_second(a) - 12.0 * math.sqrt(Fa)
-    return (3.0 * (4.0 * dp + 4.0 * a * math.sqrt(Fa) + q.F_prime(a)) / den
-            - zeta - spec.C0 / 3.0 * omega + spec.delta * t)
+                      profile, square_integral, spec.C0, spec.delta, omega0)
 
 
 def first_integrals_2_9(phi, phip, psi, psip, omega,

@@ -22,23 +22,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from . import series
-from .jets import BLPError, Jet3, apply_taylor
+from . import jets, series
+from .jets import (BLPError, DomainError, Jet3, Point, apply_taylor,
+                   lift_variable)
 
 __all__ = [
     "EllipticInvariants", "QuarticODE", "PoleError", "NonFiniteError",
     "NegativeRadicand", "DegenerateError", "NotDegenerate",
     "invariants_from_quartic", "weierstrass_p", "weierstrass_series",
-    "quartic_particular_solution", "degenerate_solutions",
-    "DegenerateBranch",
+    "quartic_particular_solution", "quartic_square_integral",
+    "degenerate_solutions", "DegenerateBranch",
 ]
 
 
-class PoleError(BLPError, ArithmeticError):
-    """Argument too close to a lattice point of P."""
+class PoleError(DomainError):
+    """Argument too close to a lattice point of P, or to a pole of a
+    profile built on P: the point is undefined."""
 
 
 class NonFiniteError(BLPError, ArithmeticError):
@@ -265,10 +268,13 @@ def quartic_particular_solution(q: QuarticODE, a: float):
 
     # The representation has removable 0/0 points where phi crosses the
     # value a.  Factored through D1 = 24 P - F'' - 12 sqrt(Fa) and
-    # G1 = 4 P' + F' + 4 a sqrt(Fa) (and the D2/G2 mirror pair),
+    # G1 = 4 P' + F' + 4 a sqrt(Fa),
     #     phi = a + 6 F'/D2 + 72 sqrt(Fa) (G1/D1) / D2,
-    # the cancellation is carried by the explicit ratio G1/D1, which stays
-    # well conditioned down to a tiny neighborhood of the crossing.
+    # or, with the mirror pair D2 = D1 + 24 sqrt(Fa) and
+    # G2 = G1 - 2 F', phi = a + 6 F'/D1 + 72 sqrt(Fa) (G2/D2) / D1, the
+    # cancellation is carried by the explicit ratio over the smaller D,
+    # which stays well conditioned down to a tiny neighborhood of the
+    # crossing.
 
     def _classify(p: float, dp: float) -> str:
         """State of the representation where (P, P') = (p, dp)."""
@@ -293,13 +299,10 @@ def quartic_particular_solution(q: QuarticODE, a: float):
         v2 = abs(d2.value) if isinstance(d2, Jet3) else abs(d2)
         small, big = (d1, d2) if v1 <= v2 else (d2, d1)
         gsm = g1 if v1 <= v2 else g2
-        fsgn = 1.0 if v1 <= v2 else -1.0
-        return a + 6.0 * fsgn * Fp / big \
-            + 72.0 * sqrtFa * (gsm / small) / big
+        return a + 6.0 * Fp / big + 72.0 * sqrtFa * (gsm / small) / big
 
     def _value_and_slope(zv: float, p: float, dp: float
                          ) -> tuple[float, float]:
-        from .jets import Point, lift_variable
         probe = lift_variable("x", Point(0.0, zv, 0.0), 1)
         pser = _p_series(p, dp, inv.g2, 0)
         pj = apply_taylor(pser[:2], probe)
@@ -360,15 +363,70 @@ def quartic_particular_solution(q: QuarticODE, a: float):
     return phi
 
 
+def quartic_square_integral(q: QuarticODE, a: float):
+    """Phi2(z) = phi - 6 G1/D1 + 2 zeta(z) - a2 z, an antiderivative of
+    phi^2 for phi = quartic_particular_solution(q, a) with a0 = 1, a1 = 0
+    (Whittaker & Watson, *A Course of Modern Analysis*, ch. 20).
+
+    Where |D1| <= |D2|, G1/D1 is read from phi itself, as
+    ((phi - a) D2 - 6 F'(a)) / (72 sqrt(F(a))), so the 0/0 where phi
+    crosses a never forms.  The callable takes a float.
+    """
+    q = _as_quartic(q)
+    if q.a0 != 1.0 or q.a1 != 0.0:
+        raise ValueError("the closed form needs a0 = 1 and a1 = 0")
+    phi = quartic_particular_solution(q, a)
+    inv = invariants_from_quartic(q)
+    sqrtFa = math.sqrt(q.F(a))
+    Fp = q.F_prime(a)
+    Fpp = q.F_second(a)
+
+    def square_integral(z: float) -> float:
+        p, dp, zeta = weierstrass_p(z, inv)
+        value = phi(z)
+        d1 = 24.0 * p - Fpp - 12.0 * sqrtFa
+        d2 = d1 + 24.0 * sqrtFa
+        if sqrtFa > 0.0 and abs(d1) <= abs(d2):
+            ratio = ((value - a) * d2 - 6.0 * Fp) / (72.0 * sqrtFa)
+        else:
+            ratio = (4.0 * dp + Fp + 4.0 * a * sqrtFa) / d1
+        return value - 6.0 * ratio + 2.0 * zeta - q.a2 * z
+
+    return square_integral
+
+
 @dataclass(frozen=True)
 class DegenerateBranch:
-    """One elementary-function branch of a degenerate quartic ODE."""
+    """One elementary-function branch phi = lam + g(z) of a degenerate
+    quartic ODE, where S = g'/g solves S^2 = a g^2 + b g + c."""
     name: str
-    make: "object"     # factory (C, eps) -> callable phi(z)
-    default: "object"  # callable with the default constants
+    g: Callable   # the offset phi - lam, of a float or a Jet3
+    lam: float
+    a: float
+    b: float
+    #: the sign of the logarithm's argument that is not identically 0;
+    #: the two multiply to 4ac - b^2
+    sigma: float
 
     def __call__(self, z):
-        return self.default(z)
+        return self.g(z) + self.lam
+
+    def square_integral(self, z: float) -> float:
+        """An antiderivative of phi^2 at the float z, for a > 0: since
+        S' = a g^2 + b g/2 and int g dz = int dg/S = I,
+
+            int phi^2 = S/a + (2 lam - b/(2a)) I + lam^2 z,
+            I = sigma ln|2 sqrt(a) S + sigma (2 a g + b)| / sqrt(a).
+        """
+        gj = self.g(lift_variable("x", Point(0.0, z, 0.0), 1))
+        g = gj.value
+        s = gj.extract((0, 1, 0)) / g
+        a, b, sigma = self.a, self.b, self.sigma
+        root = math.sqrt(a)
+        integral = sigma * math.log(
+            abs(2.0 * root * s + sigma * (2.0 * a * g + b))) / root
+        return (s / a + (2.0 * self.lam - b / (2.0 * a)) * integral
+                + self.lam ** 2 * z)
 
 
 #: the relative tolerance of a multiple root's certificate
@@ -393,47 +451,30 @@ def degenerate_solutions(q: QuarticODE, lam: float) -> list[DegenerateBranch]:
     small = DEGENERATE_TOL * q.scale
     branches: list[DegenerateBranch] = []
 
-    def _inv_linear(C=0.0, eps=1.0):
-        root = eps / math.sqrt(a)
+    # 2 sqrt(a) S + (2 a g + b) vanishes on the inverse-linear branch
+    # and, where b^2 = 4ac with b > 0, on the exponential one; with b < 0
+    # it is 2 sqrt(a) S - (2 a g + b) that vanishes there
+    sigma = 1.0 if b < -small else -1.0
 
-        def phi(z):
-            return root / (z + C) + lam
-        return phi
-
-    def _rational(C=0.0, eps=1.0):
-        def phi(z):
-            w = z + C
-            return 4.0 * b / (b * b * w * w - 4.0 * a) + lam
-        return phi
-
-    def _exponential(C=1.0, eps=1.0):
-        r = math.sqrt(c)
-
-        def phi(z):
-            from . import jets as _j
-            E = _j.exp(eps * r * z)
-            return 4.0 * c / (4.0 * C * E + (D / C) / E - 2.0 * b) + lam
-        return phi
-
-    def _trigonometric(C=0.0, eps=1.0):
-        r = math.sqrt(-c)
-        sD = math.sqrt(D)
-
-        def phi(z):
-            from . import jets as _j
-            return 2.0 * c / (eps * sD * _j.sin(r * z + C) - b) + lam
-        return phi
+    def _branch(name, g):
+        branches.append(DegenerateBranch(name, g, lam, a, b, sigma))
 
     if abs(c) <= small and abs(b) <= small:
         if a > small:
-            branches.append(DegenerateBranch(
-                "inverse_linear", _inv_linear, _inv_linear()))
+            root = 1.0 / math.sqrt(a)
+            _branch("inverse_linear", lambda z: root / z)
     elif abs(c) <= small:
-        branches.append(DegenerateBranch("rational", _rational, _rational()))
+        _branch("rational", lambda z: 4.0 * b / (b * b * z * z - 4.0 * a))
     if c > small:
-        branches.append(DegenerateBranch(
-            "exponential", _exponential, _exponential()))
+        rate = math.sqrt(c)
+
+        def _exponential(z):
+            E = jets.exp(rate * z)
+            return 4.0 * c / (4.0 * E + D / E - 2.0 * b)
+        _branch("exponential", _exponential)
     if c < -small and D > small:
-        branches.append(DegenerateBranch(
-            "trigonometric", _trigonometric, _trigonometric()))
+        freq = math.sqrt(-c)
+        sD = math.sqrt(D)
+        _branch("trigonometric",
+                lambda z: 2.0 * c / (sD * jets.sin(freq * z) - b))
     return branches

@@ -22,9 +22,8 @@ from blp.system import (
     residual_report, residual_uq,
 )
 
-QUADRATURE_FAMILIES = {"F_VXXX_2", "F_SINHGORDON", "F_R29_ELLIPTIC",
-                       "F_UXX_BERNOULLI", "F_R24_PAINLEVE4",
-                       "F_R29_PAINLEVE2"}
+QUADRATURE_FAMILIES = {"F_VXXX_2", "F_SINHGORDON", "F_UXX_BERNOULLI",
+                       "F_R24_PAINLEVE4", "F_R29_PAINLEVE2"}
 
 
 def _grid(family_id, n):

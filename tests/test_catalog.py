@@ -258,45 +258,6 @@ def test_elliptic_profile_satisfies_quartic():
         assert abs(res) < 1e-7 * (1.0 + abs(q.F(out.value)))
 
 
-def test_elliptic_antiderivative_slow_binding(monkeypatch):
-    # C0=1, delta=1, C2=3, omega0=0.85: the integral to 1.15 cannot get
-    # below its ~1e-11 noise floor; the stall rule gives up on tol 1e-11
-    # after 70 splits (141 GK15 panels; the panel budget took 4000) and
-    # the 1e-9 retry succeeds; the value is the one the list-scan
-    # quadrature and per-call Laurent constants gave, to the last bit
-    from blp import quadrature
-    from blp.specfun import QuarticODE, quartic_particular_solution
-    panels = [0]
-    panel = quadrature.gauss_kronrod_15
-
-    def counted(*args):
-        panels[0] += 1
-        return panel(*args)
-
-    monkeypatch.setattr(quadrature, "gauss_kronrod_15", counted)
-    phi = quartic_particular_solution(
-        QuarticODE(1.0, 0.0, 1.0 / 3.0, 1.0, 3.0), 0.0)
-    anti = catalog._Antiderivative(lambda s: phi(s) ** 2, 0.85)
-    assert anti(1.15) == 0.6831222033566408
-    assert panels[0] <= 400
-
-
-def test_antiderivative_keeps_at_most_lines_kept(monkeypatch):
-    # past the cap the oldest value goes first and the anchor stays; fed
-    # in ascending order, each value is integrated from its predecessor,
-    # which is kept, so the values are the uncapped ones to the last bit
-    points = [0.1 + 0.02 * k for k in range(40)]
-    uncapped = catalog._Antiderivative(math.exp, 0.0)
-    want = [uncapped(s) for s in points]
-    monkeypatch.setattr(catalog, "_LINES_KEPT", 16)
-    capped = catalog._Antiderivative(math.exp, 0.0)
-    assert [capped(s) for s in points] == want
-    assert len(capped.known) == 16 and 0.0 in capped.known
-    # an evicted value is integrated again from the anchor, as at first
-    assert points[0] not in capped.known
-    assert capped(points[0]) == want[0] and len(capped.known) == 16
-
-
 def test_bernoulli_one_line_integral_per_line(monkeypatch):
     # psi~ depends on (t, y) only: u (omega at order 5) and v (order 4)
     # share one integral per (t, y) line of the 5^3 grid
@@ -345,9 +306,8 @@ def test_universal_residual_gate(rng):
             s = instantiate(d.id, b)
             rep = residual_report(s, grid_for(d.id))
             assert rep.skipped < 20, (d.id, rep.skipped)
-            quad = d.id in ("F_VXXX_2", "F_SINHGORDON", "F_R29_ELLIPTIC",
-                            "F_UXX_BERNOULLI", "F_R24_PAINLEVE4",
-                            "F_R29_PAINLEVE2")
+            quad = d.id in ("F_VXXX_2", "F_SINHGORDON", "F_UXX_BERNOULLI",
+                            "F_R24_PAINLEVE4", "F_R29_PAINLEVE2")
             bound = 1e-6 if quad else 1e-8
             assert max(rep.r1_max, rep.r2_max) < bound, \
                 (d.id, rep.r1_max, rep.r2_max)

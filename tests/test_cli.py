@@ -621,7 +621,21 @@ _DOMAIN_EDGE_RUNS = {
                              "--chain", '[{"op": "laplace_fwd_uq"}]',
                              "--base", "[1.0, 0.3, 0.3]", "--grid",
                              '{"t": [0.1, 1.0, 2], "x": [-0.4, 0.4, 3], '
-                             '"y": [0.0, 0.4, 3]}'], 1, (6, 12)),
+                             '"y": [0.0, 0.4, 3]}'], 1, (4, 14)),
+    # the omega = x + y profile across its poles: only a point at a pole
+    # is skipped, and a point beyond one is a solution there
+    "F_R29_ELLIPTIC~poles": (["verify", "--family", "F_R29_ELLIPTIC",
+                              "--grid", '{"t": [0.4, 0.6, 2], '
+                              '"x": [-0.75, 0.3, 2], "y": [-0.75, 0.3, 2]}'],
+                             0, (0, 8)),
+    "F_R29_ELLIPTIC~beyond": (["verify", "--family", "F_R29_ELLIPTIC",
+                               "--grid", '{"t": [0.4, 0.6, 2], '
+                               '"x": [0.7, 0.82, 2], "y": [0.8, 0.9, 2]}'],
+                              0, (0, 8)),
+    "F_R29_ELLIPTIC~wide": (["verify", "--family", "F_R29_ELLIPTIC",
+                             "--grid", '{"t": [0.1, 1.0, 3], '
+                             '"x": [-2.0, 2.0, 9], "y": [-2.0, 2.0, 9]}'],
+                            0, (27, 216)),
 }
 
 

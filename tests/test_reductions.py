@@ -6,7 +6,7 @@ from blp.exprdsl import parse
 from blp.jets import Point, UndefinedHere
 from blp.reductions import (
     BadSpec, ODETrajectory, PoleAbort, ReductionSpec, WindowError,
-    ZeroCrossing, elliptic_v_zeta_form, first_integral_2_4,
+    ZeroCrossing, first_integral_2_4,
     first_integrals_2_9, integrate_painleve2, integrate_painleve4_form,
     reconstruct_2_4, reconstruct_2_9, reduction_2_3_field,
 )
@@ -209,7 +209,7 @@ def test_reconstruct_2_9_elementary_matches_catalog():
     for p in pts:
         assert field.u(p, 1).value == pytest.approx(ref.u(p, 1).value,
                                                     abs=1e-12)
-        # v matches pointwise up to the quadrature anchor (a v-shift)
+        # v matches pointwise up to a constant (a v-shift)
         assert field.v(p, 1).value - shift == pytest.approx(
             ref.v(p, 1).value, abs=1e-12)
         r1, r2 = residual(field, p)
@@ -217,19 +217,56 @@ def test_reconstruct_2_9_elementary_matches_catalog():
 
 
 def test_elliptic_zeta_form_matches_quadrature():
+    # differences of the closed form against an independent quadrature of
+    # phi^2, on the four pool bindings and one with C2 < 0, whose a = 5
+    # puts phi in its mirror form, across the phi = a crossing at
+    # omega = 0 and near the D1 zero at omega ~ 1.1, where the values of
+    # phi itself carry ~1e-8 of noise
+    from blp.quadrature import adaptive_quadrature
+    from blp.specfun import (QuarticODE, quartic_particular_solution,
+                             quartic_square_integral)
+    for C0, delta, C2, a in [(1.0, 1.0, 3.0, 0.0), (0.6, 0.8, 2.0, 0.0),
+                             (0.5, 1.2, 3.5, 0.0), (0.9, 1.1, 1.8, 0.0),
+                             (1.0, 1.0, -2.0, 5.0)]:
+        q = QuarticODE(1.0, 0.0, C0 / 3.0, delta, C2)
+        phi = quartic_particular_solution(q, a)
+        square_integral = quartic_square_integral(q, a)
+        for w in (-1e-3, 1e-3, 0.55, 0.7, 0.95, 1.1):
+            want = adaptive_quadrature(lambda s: phi(s) ** 2, 0.85, w,
+                                       tol=1e-9)
+            got = square_integral(w) - square_integral(0.85)
+            assert got == pytest.approx(want, abs=5e-8), (C0, w)
+
+
+def _elliptic_spec():
+    return ReductionSpec(id="R2_9", C0=1.0, C1=0.0, C2=3.0, delta=1.0)
+
+
+def test_reconstruct_2_9_takes_a_wrapped_profile():
+    # a plain wrapper of the profile, as a tracer installs, lifts to the
+    # same field
     from blp.specfun import QuarticODE, quartic_particular_solution
-    spec = ReductionSpec(id="R2_9", C0=1.0, C1=0.0, C2=3.0, delta=1.0)
-    q = QuarticODE(1.0, 0.0, spec.C0 / 3.0, spec.delta, spec.C2)
-    phi = quartic_particular_solution(q, 0.0)
+    spec = _elliptic_spec()
+    phi = quartic_particular_solution(
+        QuarticODE(1.0, 0.0, spec.C0 / 3.0, spec.delta, spec.C2), 0.0)
     field = reconstruct_2_9(phi, spec, omega0=0.85)
-    t0 = 0.4
-    diffs = []
-    for w in (0.55, 0.7, 0.95, 1.1):
-        p = Point(t0, w / 2, w / 2)
-        diffs.append(field.v(p, 1).value
-                     - elliptic_v_zeta_form(spec, 0.0, w, t0))
-    diffs = np.array(diffs)
-    assert np.max(np.abs(diffs - diffs[0])) < 1e-6
+    wrapped = reconstruct_2_9(lambda z: phi(z), spec, omega0=0.85)
+    for p in (Point(0.4, 0.35, 0.4), Point(0.8, 0.3, 0.5),
+              Point(0.2, 0.5, 0.55)):
+        assert wrapped.v(p, 3).coeffs.tolist() == field.v(p, 3).coeffs.tolist()
+        assert wrapped.u(p, 3).coeffs.tolist() == field.u(p, 3).coeffs.tolist()
+
+
+def test_reconstruct_2_9_rejects_another_profile():
+    # the closed-form v belongs to the spec's P branch (a = 0 for C2 >= 0)
+    from blp.specfun import QuarticODE, quartic_particular_solution
+    spec = _elliptic_spec()
+    q = QuarticODE(1.0, 0.0, spec.C0 / 3.0, spec.delta, spec.C2)
+    with pytest.raises(BadSpec):
+        reconstruct_2_9(quartic_particular_solution(q, 0.5), spec,
+                        omega0=0.85)
+    with pytest.raises(BadSpec):
+        reconstruct_2_9(lambda z: 1.0 / z, spec, omega0=0.85)
 
 
 def test_reduction_2_3():

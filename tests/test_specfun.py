@@ -235,6 +235,31 @@ def test_particular_solution_float_jet_agree():
         assert fl == pytest.approx(out.value, rel=1e-8, abs=1e-8)
 
 
+def test_particular_solution_mirror_form_is_the_same_solution():
+    # C2 < 0 with F_R29_ELLIPTIC's a = 2|C0| + |C2| + 1 = 5: on
+    # omega > ~0.3 |D1| > |D2|, and phi is assembled over D2; its float
+    # values must still solve phi'^2 = F(phi) (central differences) and
+    # match the D1 form wherever that one is well conditioned
+    q = quartic_from_reduction(1.0, 1.0, -2.0)
+    a = 5.0
+    inv = invariants_from_quartic(q)
+    phi = quartic_particular_solution(q, a)
+    sF, Fp, Fpp = math.sqrt(q.F(a)), q.F_prime(a), q.F_second(a)
+    h = 1e-6
+    mirrored = 0
+    for z in np.linspace(0.55, 1.15, 13):
+        p, dp, _ = weierstrass_p(float(z), inv)
+        d1 = 24.0 * p - Fpp - 12.0 * sF
+        d2 = d1 + 24.0 * sF
+        mirrored += abs(d1) > abs(d2)
+        g1 = 4.0 * dp + Fp + 4.0 * a * sF
+        assert phi(z) == pytest.approx(
+            a + 6.0 * Fp / d2 + 72.0 * sF * g1 / d1 / d2, rel=1e-12)
+        d = (phi(z + h) - phi(z - h)) / (2 * h)
+        assert d * d == pytest.approx(q.F(phi(z)), rel=1e-5)
+    assert mirrored == 13
+
+
 def test_particular_solution_simplified_form():
     # C2 >= 0, a = 0 must reduce to the simple P, P' expression
     C0, delta, C2 = 0.7, 1.0, 2.0
@@ -316,6 +341,35 @@ def test_degenerate_branches_satisfy_ode():
                     q.F(val), rel=2e-6, abs=1e-8), (br.name, z)
             assert checked > 10, br.name
     assert {"rational", "exponential", "trigonometric"} <= found_names
+
+
+@pytest.mark.parametrize("q,lam,name", [
+    (quartic_from_reduction(-0.75, 0.25, -3.0 / 16.0), 0.5, "rational"),
+    (QuarticODE(1.0, 0.0, -1.0 / 3.0, 0.0, 1.0), 1.0, "exponential"),
+    (QuarticODE(1.0, 0.0, -1.0 / 6.0, 0.0, 0.0), 0.0, "trigonometric"),
+    (QuarticODE(1.0, 0.0, 0.0, 0.0, 0.0), 0.0, "inverse_linear"),
+    # F = phi^2 (phi + 1)^2: b^2 = 4ac at both roots, with b of either
+    # sign, so one sign of the logarithm's argument vanishes identically
+    (QuarticODE(1.0, 0.5, 1.0 / 6.0, 0.0, 0.0), 0.0, "exponential"),
+    (QuarticODE(1.0, 0.5, 1.0 / 6.0, 0.0, 0.0), -1.0, "exponential"),
+])
+def test_degenerate_square_integral_matches_quadrature(q, lam, name):
+    from blp.quadrature import adaptive_quadrature
+    br, = (b for b in degenerate_solutions(q, lam) if b.name == name)
+    checked = 0
+    for z0, z1 in [(0.3, 0.6), (0.6, 1.1), (1.1, 1.8), (-0.7, -0.2),
+                   (-1.9, -1.2)]:
+        grid = np.linspace(z0, z1, 41)
+        try:
+            if max(abs(br(float(z))) for z in grid) > 50.0:
+                continue  # a pole in or near the span
+        except ArithmeticError:
+            continue
+        want = adaptive_quadrature(lambda s: br(s) ** 2, z0, z1)
+        got = br.square_integral(z1) - br.square_integral(z0)
+        assert got == pytest.approx(want, abs=1e-12, rel=1e-12), (z0, z1)
+        checked += 1
+    assert checked >= 3
 
 
 def test_simple_root_not_degenerate():
