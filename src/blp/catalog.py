@@ -40,14 +40,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
-from . import jets, series
+from . import jets, reductions
 from .exprdsl import Expr, Num, as_expr, eval_jet, parse
 from .jets import BadInput, DomainError, Jet3, JetMap, Point
 # adaptive_quadrature is not called here; the benchmark tracer's restore
 # test (benchmarks/test_benchmark.py) reads this binding
 from .quadrature import adaptive_quadrature, line_integral  # noqa: F401
-from .specfun import (QuarticODE, quartic_particular_solution,
-                      quartic_square_integral)
+from .specfun import quartic_particular_solution, quartic_square_integral
 from .system import SolutionField, residual_sup
 
 __all__ = [
@@ -907,45 +906,6 @@ def _f_ueqv(fid, b):
 
 # -- reduction 2.9, elliptic and elementary branches ------------------------
 
-def _r29_quartic(C0: float, delta: float, C2: float, a=None):
-    """The quartic phi'^2 = phi^4 + 2 C0 phi^2 + 4 delta phi + C2 of the
-    elliptic omega = x+y profile, and the value a its P form is built
-    on; unless given, a is 0 where C2 >= 0 and otherwise a value where
-    F(a) > 0."""
-    q = QuarticODE(1.0, 0.0, C0 / 3.0, delta, C2)
-    if a is None:
-        a = 0.0 if C2 >= 0.0 else 2.0 * abs(C0) + abs(C2) + 1.0
-    return q, a
-
-
-def _r29_field(fid, bindings, phi, square_integral, C0: float,
-               delta: float, omega0: float) -> SolutionField:
-    """Lift a reduced profile phi(omega), omega = x+y, to a (u,v) field,
-    v = -(Phi2(omega) - Phi2(omega0))/2 + phi/2 - C0 omega/2 + delta t
-    for an antiderivative Phi2 of phi^2; a point at a pole is undefined
-    (a :class:`specfun.PoleError`)."""
-    anchor = square_integral(omega0)
-
-    def omega_jet(p, n):
-        return jets.lift_variable("x", p, n) + jets.lift_variable("y", p, n)
-
-    def u(p, n):
-        return phi(omega_jet(p, n))
-
-    def v(p, n):
-        t = jets.lift_variable("t", p, n)
-        wj = omega_jet(p, n)
-        w0 = wj.value
-        pser = jets.axis_series(
-            phi(jets.lift_variable("x", Point(p.t, w0, p.y), n + 1)), "x")
-        q = series.integral(series.mul(pser, pser, n),
-                            square_integral(w0) - anchor, n)
-        qj = jets.apply_taylor(q, wj)
-        return (-0.5 * qj + 0.5 * phi(wj.truncate(n))
-                - 0.5 * C0 * wj + delta * t)
-    return _field(fid, bindings, u, v)
-
-
 def _r29_elliptic_sample(rng) -> dict:
     # tuples with a verified pole-free window over omega in (0.05, 1.35)
     C0, de, C2 = _pick(rng, [(1.0, 1.0, 3.0), (0.6, 0.8, 2.0),
@@ -966,9 +926,10 @@ def _r29_elliptic_sample(rng) -> dict:
               "omega0": 1.0}))
 def _f_r29_elliptic(fid, b):
     C0, delta, C2, omega0 = (b[k] for k in ("C0", "delta", "C2", "omega0"))
-    q, a = _r29_quartic(C0, delta, C2, b["a"])
-    return _r29_field(fid, {**b, "a": a}, quartic_particular_solution(q, a),
-                      quartic_square_integral(q, a), C0, delta, omega0)
+    q, a = reductions._r29_quartic(C0, delta, C2, b["a"])
+    return reductions._r29_field(
+        fid, {**b, "a": a}, quartic_particular_solution(q, a),
+        quartic_square_integral(q, a), C0, delta, omega0)
 
 
 @_register(FamilyDescriptor(
@@ -1179,7 +1140,6 @@ def _r24_sample(rng) -> dict:
     defaults={"C0": 0.125, "C1": 1.0, "eps": 1, "init": (0.0, 1.0, 0.0),
               "span": (-1.2, 1.2)}))
 def _f_r24(fid, b):
-    from . import reductions
     spec = reductions.ReductionSpec(
         id="R2_4", C0=b["C0"], C1=b["C1"], C2=0.0, delta=0.0,
         eps=int(b["eps"]), init=b["init"])
@@ -1200,7 +1160,6 @@ def _f_r24(fid, b):
     defaults={"C0": 0.0, "C1": 2.0, "C2": 0.0, "delta": 1,
               "init": (-2.0, 0.5, 0.25), "span": (-2.4, -0.6)}))
 def _f_r29p2(fid, b):
-    from . import reductions
     spec = reductions.ReductionSpec(
         id="R2_9", C0=b["C0"], C1=b["C1"], C2=b["C2"], delta=b["delta"],
         eps=1, init=b["init"])

@@ -44,8 +44,9 @@ import numpy as np
 
 from . import jets, series
 from .jets import BadInput, BLPError, Jet3, Point, UndefinedHere
-from .specfun import (DegenerateBranch, quartic_particular_solution,
-                      quartic_square_integral)
+from .exprdsl import Expr, eval_jet
+from .specfun import (DegenerateBranch, QuarticODE,
+                      quartic_particular_solution, quartic_square_integral)
 from .system import SolutionField
 
 __all__ = [
@@ -453,6 +454,46 @@ def reconstruct_2_4(traj: ODETrajectory, spec: ReductionSpec
                                  "eps": spec.eps})
 
 
+def _r29_quartic(C0: float, delta: float, C2: float, a=None):
+    """The quartic phi'^2 = phi^4 + 2 C0 phi^2 + 4 delta phi + C2 of the
+    elliptic omega = x+y profile, and the value a its P form is built
+    on; unless given, a is 0 where C2 >= 0 and otherwise a value where
+    F(a) > 0."""
+    q = QuarticODE(1.0, 0.0, C0 / 3.0, delta, C2)
+    if a is None:
+        a = 0.0 if C2 >= 0.0 else 2.0 * abs(C0) + abs(C2) + 1.0
+    return q, a
+
+
+def _r29_field(fid, params, phi, square_integral, C0: float,
+               delta: float, omega0: float) -> SolutionField:
+    """Lift a reduced profile phi(omega), omega = x+y, to a (u,v) field,
+    v = -(Phi2(omega) - Phi2(omega0))/2 + phi/2 - C0 omega/2 + delta t
+    for an antiderivative Phi2 of phi^2; a point at a pole is undefined
+    (a :class:`specfun.PoleError`)."""
+    anchor = square_integral(omega0)
+
+    def omega_jet(p, n):
+        return jets.lift_variable("x", p, n) + jets.lift_variable("y", p, n)
+
+    def u(p, n):
+        return phi(omega_jet(p, n))
+
+    def v(p, n):
+        t = jets.lift_variable("t", p, n)
+        wj = omega_jet(p, n)
+        w0 = wj.value
+        pser = jets.axis_series(
+            phi(jets.lift_variable("x", Point(p.t, w0, p.y), n + 1)), "x")
+        q = series.integral(series.mul(pser, pser, n),
+                            square_integral(w0) - anchor, n)
+        qj = jets.apply_taylor(q, wj)
+        return (-0.5 * qj + 0.5 * phi(wj.truncate(n))
+                - 0.5 * C0 * wj + delta * t)
+    return SolutionField(u=u, v=v, coords="UV", family_id=fid,
+                         params=params)
+
+
 def reconstruct_2_9(profile, spec: ReductionSpec,
                     omega0: float = 1.0) -> SolutionField:
     """Lift an omega = x+y profile to a (u,v) solution field.
@@ -502,7 +543,6 @@ def reconstruct_2_9(profile, spec: ReductionSpec,
                              params={"C0": C0, "C1": C1, "C2": C2,
                                      "delta": de})
 
-    from .catalog import _r29_field, _r29_quartic
     if isinstance(profile, DegenerateBranch):
         square_integral = profile.square_integral
     else:
@@ -551,8 +591,6 @@ def reduction_2_3_field(delta: int, phi0: float,
     Consistent only for delta = 0 with phi0 = 1/2; the delta = 1 branch
     keeps a nonzero residual for every constant profile.
     """
-    from .exprdsl import Expr, eval_jet
-
     def u(p: Point, n: int) -> Jet3:
         _, x, _ = jets.coordinate_jets(p, n)
         if abs(p.x) < 0.1:

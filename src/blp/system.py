@@ -56,12 +56,12 @@ class SolutionField:
     a predicate (no constructor or transformation here does), and
     :func:`residual_report` honours it for callers that wrap it.
 
-    A (u,v) field also answers ``v_x``, the w of the (u,w) form; it
-    remembers its last point too.  By default it is ``v``'s jet one
-    order up, differentiated in x; a field whose v is a path integral
-    gives a local map instead, so a field built on it never runs that
-    integral just to differentiate it.  Other coordinates have no
-    ``v_x``.
+    Every field also answers ``w``, the second component of the (u,w)
+    form: v_x in (u,v), q_y in (u,q) and v itself in (u,w); it remembers
+    its last point too.  By default it is the second component's jet one
+    order up, differentiated in x (UV) or y (UQ); a field whose second
+    component is a path integral gives a local map instead, so a field
+    built on it never runs that integral just to differentiate it.
     """
     u: JetMap
     v: JetMap
@@ -69,21 +69,21 @@ class SolutionField:
     family_id: str = ""
     params: Mapping[str, object] = field(default_factory=dict)
     validity: Callable[[Point], bool] = lambda p: True
-    v_x: JetMap | None = None
+    w: JetMap | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "u", jets.last_point(self.u))
         v = jets.last_point(self.v)
         object.__setattr__(self, "v", v)
-        v_x = self.v_x
-        if self.coords != "UV":
-            if v_x is not None:
-                raise ValueError("only a (u,v) field carries v_x")
-            return
-        if v_x is None:
-            def v_x(p: Point, n: int) -> Jet3:
-                return v(p, n + 1).derive("x")
-        object.__setattr__(self, "v_x", jets.last_point(v_x))
+        w = self.w
+        if w is None:
+            axis = {"UV": "x", "UQ": "y"}.get(self.coords)
+            if axis is None:
+                w = v
+            else:
+                def w(p: Point, n: int) -> Jet3:
+                    return v(p, n + 1).derive(axis)
+        object.__setattr__(self, "w", jets.last_point(w))
 
     @property
     def q(self) -> JetMap:
@@ -91,26 +91,20 @@ class SolutionField:
             raise ValueError("field is not in (u,q) coordinates")
         return self.v
 
-    @property
-    def w(self) -> JetMap:
-        if self.coords != "UW":
-            raise ValueError("field is not in (u,w) coordinates")
-        return self.v
-
     def with_meta(self, **kw) -> "SolutionField":
         """A copy with the given attributes replaced.
 
-        ``v_x`` is kept while the coordinates stay and the new ``v``
+        ``w`` is kept while the coordinates stay and the new ``v``
         unwraps (``__wrapped__``) to the old one, as a timing wrapper
-        does; another ``v`` gets its own ``v_x``.
+        does; another ``v`` gets its own ``w``.
         """
         data = dict(u=self.u, v=self.v, coords=self.coords,
                     family_id=self.family_id, params=self.params,
-                    validity=self.validity, v_x=self.v_x)
+                    validity=self.validity, w=self.w)
         data.update(kw)
-        if "v_x" not in kw and (data["coords"] != self.coords
-                                or not _unwraps_to(data["v"], self.v)):
-            data["v_x"] = None
+        if "w" not in kw and (data["coords"] != self.coords
+                              or not _unwraps_to(data["v"], self.v)):
+            data["w"] = None
         return SolutionField(**data)
 
 
@@ -288,15 +282,17 @@ def convert(s: SolutionField, to: str, basepoint: Point) -> SolutionField:
     Quadrature-based reconstructions integrate along axis-parallel paths
     anchored at ``basepoint``; the potentials carry the gauge
     q(t,x,y0) = 0 (UV->UQ) and v fixed up to a function of y (UQ->UV).
-    From (u,v) both read the field's ``v_x``; a field converted to (u,v)
-    answers ``v_x`` by its w.  Where w is undefined at the point, its
-    own error is raised; elsewhere on the path, a :class:`GaugeError`.
+    Both read the field's ``w``, and the (u,q) and (u,v) results carry
+    it as their own.  Where w is undefined at the point, its own error is
+    raised; elsewhere on the path, a :class:`GaugeError`.
     """
     if to == s.coords:
         return s
     if not {s.coords, to} <= {"UV", "UQ", "UW"}:
         raise ValueError(f"unsupported conversion {s.coords} -> {to}")
-    u0, second = s.u, s.v
+    u0, w = s.u, s.w
+    if to == "UW":
+        return s.with_meta(v=w, coords="UW")
 
     def guard(fn):
         def wrapped(p: Point, n: int) -> Jet3:
@@ -307,38 +303,26 @@ def convert(s: SolutionField, to: str, basepoint: Point) -> SolutionField:
                     from exc
         return wrapped
 
-    # w = v_x, the second component of the (u,w) form
-    if s.coords == "UV":
-        w_map = s.v_x
-    elif s.coords == "UQ":
-        def w_map(p: Point, n: int) -> Jet3:
-            return second(p, n + 1).derive("y")
-    else:
-        w_map = second
-
-    if to == "UW":
-        return s.with_meta(v=w_map, coords="UW")
-
     # each potential reads w at its own point first, unguarded: a grid
     # check skips a point where w is undefined; the path then reads p's
     # jets remembered
     if to == "UQ":
         def q(p: Point, n: int) -> Jet3:
-            w_map(p, n)
-            return integrate_field_along(guard(w_map), "y", basepoint.y, p, n)
-        return s.with_meta(v=q, coords="UQ")
+            w(p, n)
+            return integrate_field_along(guard(w), "y", basepoint.y, p, n)
+        return s.with_meta(v=q, w=w, coords="UQ")
 
     def v_t(p: Point, n: int) -> Jet3:
-        wj = w_map(p, n + 1)
+        wj = w(p, n + 1)
         return wj.derive("x") + 2.0 * (u0(p, n) * wj.truncate(n))
 
     # v = int_x0^x w dx' + int_t0^t (w_x + 2 u w)|_(t',x0,y) dt'
-    path = xt_path(guard(w_map), guard(v_t), basepoint)
+    path = xt_path(guard(w), guard(v_t), basepoint)
 
     def v(p: Point, n: int) -> Jet3:
-        w_map(p, n)
+        w(p, n)
         return path(p, n)
-    return s.with_meta(v=v, v_x=w_map, coords="UV")
+    return s.with_meta(v=v, w=w, coords="UV")
 
 
 # ----------------------------------------------------------------------
@@ -390,8 +374,9 @@ def residual_report(s: SolutionField, grid: list[Point]) -> ResidualReport:
 
     A point whose residual evaluation raises :class:`jets.UndefinedHere`,
     or where a caller's ``s.validity`` is false, is skipped; every other
-    point gives one row of ``rows``.  A :class:`QuadratureError`
-    ends the report and names the point where it was raised.
+    point gives one row of ``rows``.  A :class:`QuadratureError` or a
+    :class:`GaugeError` ends the report and names the point where it was
+    raised.
     """
     equations = _RESIDUALS.get(s.coords)
     if equations is None:
@@ -407,10 +392,10 @@ def residual_report(s: SolutionField, grid: list[Point]) -> ResidualReport:
         except UndefinedHere:
             skipped += 1
             continue
-        except QuadratureError as exc:
-            raise QuadratureError(
-                f"{exc} at grid point (t, x, y) = ({p.t!r}, {p.x!r}, {p.y!r})",
-                exc.reason) from exc
+        except (QuadratureError, GaugeError) as exc:
+            at = f" at grid point (t, x, y) = ({p.t!r}, {p.x!r}, {p.y!r})"
+            exc.args = (f"{exc}{at}",) + exc.args[1:]
+            raise
         rows.append((p, u.value, v.value, r1, r2))
     r1s = [abs(row[3]) for row in rows]
     r2s = [abs(row[4]) for row in rows]

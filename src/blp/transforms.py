@@ -25,14 +25,17 @@ and in (u,v) coordinates with the line-integral reconstruction of v:
     forward:  u~ = u + v_xx/v_x,  v~ = v + v_xy/v_x + P,
     inverse:  u~ = u - (u_xy-v_xx)/(u_y-v_x),  v~ = v - P,
 
-where P_x = u_y and P_t = (u^2-u_x)_y + 2 v_xx on the line x = x0.  A
-(u,v) field carries a local v_x map (:class:`system.SolutionField`); an
-image defines its own, v~_x = v_x + (v_xy/v_x)_x + u_y forward and
-v~_x = v_x - u_y inverse.  The maps and P read only u and v_x of the
-parent, so only v itself runs P's path integral, once per point and
-level: a chain's cost grows linearly with its depth.  The jet of v that
-a residual reads, with its t- and x-derivatives, still comes from the
-top field's own integral, so the check stays independent of the maps.
+where P_x = u_y and P_t = (u^2-u_x)_y + 2 v_xx on the line x = x0.
+Every field carries w, the second component of the (u,w) form: v_x in
+(u,v), q_y in (u,q) (:class:`system.SolutionField`).  The maps read q_y,
+q_xy, v_x and v_xx from the parent's w, and each Laplace image defines
+its own (w~ = w + u~_y forward and w~ = w - u_y inverse in (u,q);
+v~_x = v_x + (v_xy/v_x)_x + u_y forward and v~_x = v_x - u_y inverse in
+(u,v)).  So no map reruns its parent's potential: only v itself runs P's
+path integral, once per point and level, and a chain's cost grows
+linearly with its depth.  The jet of v or q that a residual reads still
+comes from the top field's own potential, so the check stays
+independent of the maps.
 Each map asks its parent for the highest order it needs first; the
 parent's remembered jet (:func:`jets.last_point`) answers lower ones.
 A transformed field has no domain predicate of its own: where a guard
@@ -299,48 +302,58 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
 # ----------------------------------------------------------------------
 
 def laplace_forward_uq(s: SolutionField) -> SolutionField:
+    """q~ = q + u~, so w~ = w + u~_y."""
     if s.coords != "UQ":
         raise ValueError("expects (u,q) coordinates")
 
     @last_point
     def u(p, n):
-        q = s.v(p, n + 2)
-        q_y = q.derive("y").truncate(n)
-        q_xy = q.derive("x").derive("y")
+        wj = s.w(p, n + 1)
+        q_y = wj.truncate(n)
+        q_xy = wj.derive("x")
         _guard(q_y.value, q_xy.value, "q_y inside guard band")
         return q_xy / q_y + s.u(p, n)
 
     def q(p, n):
         return u(p, n) + s.v(p, n)
 
+    def w(p, n):
+        return u(p, n + 1).derive("y") + s.w(p, n)
+
     return SolutionField(u=u, v=q, coords="UQ",
-                         family_id=s.family_id + "~Lfwd", params=s.params)
+                         family_id=s.family_id + "~Lfwd", params=s.params,
+                         w=w)
 
 
 def laplace_inverse_uq(s: SolutionField) -> SolutionField:
+    """q~ = q - u, so w~ = w - u_y."""
     if s.coords != "UQ":
         raise ValueError("expects (u,q) coordinates")
 
     def u(p, n):
         uj = s.u(p, n + 2)
-        qj = s.v(p, n + 2)
-        den = (qj.derive("y") - uj.derive("y")).truncate(n)
-        num = (qj.derive("x").derive("y") - uj.derive("x").derive("y"))
+        wj = s.w(p, n + 1)
+        den = (wj - uj.derive("y")).truncate(n)
+        num = wj.derive("x") - uj.derive("x").derive("y")
         _guard(den.value, num.value, "q_y - u_y inside guard band")
         return uj.truncate(n) - num / den
 
     def q(p, n):
         return s.v(p, n) - s.u(p, n)
 
+    def w(p, n):
+        return s.w(p, n) - s.u(p, n + 1).derive("y")
+
     return SolutionField(u=u, v=q, coords="UQ",
-                         family_id=s.family_id + "~Linv", params=s.params)
+                         family_id=s.family_id + "~Linv", params=s.params,
+                         w=w)
 
 
 def _uv_path_integrals(s: SolutionField, base: Point):
     """u_y of ``s``, and the path integral P shared by the (u,v) maps:
     P_x = u_y, and P_t = (u^2 - u_x)_y + 2 v_xx on the line x = x0.
 
-    Both read only ``u`` and ``v_x`` of ``s``, never its ``v``.
+    Both read only ``u`` and ``w`` of ``s``, never its ``v``.
     """
 
     def u_y(p: Point, n: int) -> Jet3:
@@ -349,7 +362,7 @@ def _uv_path_integrals(s: SolutionField, base: Point):
     def p_t(p: Point, n: int) -> Jet3:
         uj = s.u(p, n + 2)
         return ((uj * uj).truncate(n + 1) - uj.derive("x")).derive("y") \
-            + 2.0 * s.v_x(p, n + 1).derive("x")
+            + 2.0 * s.w(p, n + 1).derive("x")
 
     return u_y, xt_path(u_y, p_t, base)
 
@@ -361,7 +374,7 @@ def laplace_forward_uv(s: SolutionField, base: Point) -> SolutionField:
     u_y, path = _uv_path_integrals(s, base)
 
     def u(p, n):
-        w = s.v_x(p, n + 1)
+        w = s.w(p, n + 1)
         v_x = w.truncate(n)
         v_xx = w.derive("x")
         _guard(v_x.value, v_xx.value, "v_x inside guard band")
@@ -370,7 +383,7 @@ def laplace_forward_uv(s: SolutionField, base: Point) -> SolutionField:
     @last_point
     def ratio(p, n):
         # v_xy / v_x, shared by v and v_x
-        w = s.v_x(p, n + 1)
+        w = s.w(p, n + 1)
         v_x = w.truncate(n)
         v_xy = w.derive("y")
         _guard(v_x.value, v_xy.value, "v_x inside guard band")
@@ -381,11 +394,11 @@ def laplace_forward_uv(s: SolutionField, base: Point) -> SolutionField:
 
     def v_x(p, n):
         ratio_x = ratio(p, n + 1).derive("x")
-        return s.v_x(p, n) + ratio_x + u_y(p, n)
+        return s.w(p, n) + ratio_x + u_y(p, n)
 
     return SolutionField(u=u, v=v, coords="UV",
                          family_id=s.family_id + "~Lfwd", params=s.params,
-                         v_x=v_x)
+                         w=v_x)
 
 
 def laplace_inverse_uv(s: SolutionField, base: Point) -> SolutionField:
@@ -396,7 +409,7 @@ def laplace_inverse_uv(s: SolutionField, base: Point) -> SolutionField:
 
     def u(p, n):
         uj = s.u(p, n + 2)
-        w = s.v_x(p, n + 1)
+        w = s.w(p, n + 1)
         den = (uj.derive("y") - w).truncate(n)
         num = uj.derive("x").derive("y") - w.derive("x")
         _guard(den.value, num.value, "u_y - v_x inside guard band")
@@ -406,11 +419,11 @@ def laplace_inverse_uv(s: SolutionField, base: Point) -> SolutionField:
         return s.v(p, n) - path(p, n)
 
     def v_x(p, n):
-        return s.v_x(p, n) - u_y(p, n)
+        return s.w(p, n) - u_y(p, n)
 
     return SolutionField(u=u, v=v, coords="UV",
                          family_id=s.family_id + "~Linv", params=s.params,
-                         v_x=v_x)
+                         w=v_x)
 
 
 # ----------------------------------------------------------------------
@@ -502,10 +515,10 @@ def darboux(kind: str, s: SolutionField,
 
         def q(p, n):
             f = pmap(p, n + 1)
-            qj = s.v(p, n + 1)
+            q_y = s.w(p, n)
             f_y = f.derive("y")
             _guard(f_y.value, f.value, "phi_y inside guard band")
-            return qj.truncate(n) - (f.truncate(n) / f_y) * qj.derive("y")
+            return s.v(p, n) - (f.truncate(n) / f_y) * q_y
 
     elif kind == "DT2":
         def u(p, n):
@@ -638,11 +651,11 @@ def darboux_iterated(kind: str, s: SolutionField,
                 a2 = _wronskian(maps, "x", minor_orders, p, n + 1) \
                     / w_map(p, n + 1)
             uj = s.u(p, n + 2)
-            qj = s.v(p, n + 2)
+            wj = s.w(p, n + 1)
             for phi in phis:
                 phi.check(p)
-            q_y = qj.derive("y").truncate(n)
-            q_xy = qj.derive("x").derive("y").truncate(n)
+            q_y = wj.truncate(n)
+            q_xy = wj.derive("x")
             den = q_y - a1.derive("y").truncate(n)
             _guard(den.value, q_xy.value, "q_y - A_y inside guard band")
             num = (q_y * uj.truncate(n) - n_fold * q_xy

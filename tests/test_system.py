@@ -198,6 +198,20 @@ def test_report_names_the_point_where_quadrature_failed():
         "refinement stalled at grid point (t, x, y) = (1.0, 0.2, 0.4)"
 
 
+def test_report_names_the_point_where_a_path_failed():
+    # the y-path of q from y0 = 0 crosses alpha = 0 of the image family
+    field = transforms.laplace_forward_uq(convert(
+        catalog.instantiate("F_LAPLACE_IMG_FWD4", {}), "UQ",
+        Point(1.0, 0.0, 0.0)))
+    grid = [Point(t, x, y) for t in (0.6, 1.4) for x in (0.3, 1.3)
+            for y in (0.2, 1.2)]
+    with pytest.raises(system.GaugeError) as info:
+        residual_report(field, grid)
+    assert str(info.value) == (
+        "undefined on integration path: alpha must stay away from zero"
+        " at grid point (t, x, y) = (0.6, 0.3, 0.2)")
+
+
 def test_report_json_writes_nested_nonfinite_as_strings():
     text = report_json({"params": {"kappa": math.inf, "pair": (math.nan, 1.5)},
                         "r1_max": -math.inf, "skipped": 0})

@@ -2,6 +2,7 @@ import inspect
 import math
 import re
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ def test_symmetry_image_inverts_each_point_once(monkeypatch):
     assert calls[0] == 2 * len(grid)
     # also when v_x asks one order above u, as a conversion does
     p = Point(0.9, 0.7, 0.5)
-    field.v_x(p, 4)
+    field.w(p, 4)
     field.u(p, 3)
     assert calls[0] == 2 * len(grid) + 2
 
@@ -948,12 +949,13 @@ def _uv_chain(case, depth, rewrap=False):
 
 
 def _count_path_integrals(monkeypatch):
-    calls = [0]
+    """Line integrals run from now on, by axis."""
+    calls = Counter()
     inner = quadrature.integrate_field_along
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return inner(*args, **kwargs)
+    def counted(integrand, axis, *args):
+        calls[axis] += 1
+        return inner(integrand, axis, *args)
     for mod in (quadrature, system, transforms, catalog):
         if getattr(mod, "integrate_field_along", None) is inner:
             monkeypatch.setattr(mod, "integrate_field_along", counted)
@@ -971,9 +973,9 @@ def test_laplace_uv_chain_path_integrals_grow_linearly(case, rewrap,
     calls = _count_path_integrals(monkeypatch)
     for depth in (1, 2, 3):
         field, p = _uv_chain(case, depth, rewrap)
-        calls[0] = 0
+        calls.clear()
         residual(field, p)
-        assert calls[0] == 2 * depth, depth
+        assert sum(calls.values()) == 2 * depth, depth
 
 
 @pytest.mark.parametrize("case", list(_UV_CHAINS))
@@ -991,29 +993,69 @@ def test_laplace_uv_local_v_x_is_v_derived(case):
     # the local map is the x-derivative of the field's own v
     for depth in (1, 2, 3):
         field, p = _uv_chain(case, depth)
-        local = field.v_x(p, 3).coeffs
+        local = field.w(p, 3).coeffs
         derived = field.v(p, 4).derive("x").coeffs
         assert np.allclose(local, derived, rtol=1e-10, atol=1e-10), depth
 
 
 def test_v_x_kept_by_a_wrapping_rewrap_dropped_with_v():
+    # w, the v_x of a (u,v) field, stays with a wrapped v and goes with v
     field, p = _uv_chain("fwd-inv-fwd", 2)
     base = _UV_CHAINS["fwd-inv-fwd"][2]
-    assert _rewrapped(field).v_x is field.v_x
-    assert field.with_meta(family_id="renamed").v_x is field.v_x
-    # a new v brings its own v_x, by default derived from it
+    assert _rewrapped(field).w is field.w
+    assert field.with_meta(family_id="renamed").w is field.w
+    # a new v brings its own w, by default derived from it
     detector = perturb_v(field, eps=0.05)
-    assert detector.v_x is not field.v_x
-    assert np.array_equal(detector.v_x(p, 2).coeffs,
+    assert detector.w is not field.w
+    assert np.array_equal(detector.w(p, 2).coeffs,
                           detector.v(p, 3).derive("x").coeffs)
+    # a conversion carries w: q_y of the (u,q) form, v of the (u,w) form
     uq = convert(field, "UQ", base)
-    assert uq.v_x is None and convert(field, "UW", base).v_x is None
+    assert uq.w is field.w
+    uw = convert(field, "UW", base)
+    assert uw.v is field.w and uw.w is uw.v
     back = convert(uq, "UV", base)
-    assert back.v_x is not field.v_x
-    assert np.allclose(back.v_x(p, 2).coeffs,
+    assert back.w is field.w
+    assert np.allclose(back.w(p, 2).coeffs,
                        back.v(p, 3).derive("x").coeffs, atol=1e-9)
-    with pytest.raises(ValueError):
-        SolutionField(u=field.u, v=field.v, coords="UQ", v_x=field.v_x)
+
+
+#: the F_VXXX_1 (u,q) chain, its path base and a point of its grid where
+#: no image is near a pole (at (1.3, 0.4, 0.9) the depth-2 q_y has
+#: Taylor coefficients near 1e9, and depth 3 cancels them to order 1)
+_UQ_CHAIN = ("F_VXXX_1", {"alpha": "sin(y)", "beta": "2+cos(y)",
+                          "gamma": "y", "delta": 1},
+             Point(1.0, 0.0, 0.5), Point(0.9, 1.0, 0.4))
+
+
+def test_uq_w_is_q_derived():
+    # a converted field's q_y, and each (u,q) Laplace image's local one,
+    # is the y-derivative of the field's own q
+    fid, bindings, base, p = _UQ_CHAIN
+    field = convert(catalog.instantiate(fid, bindings), "UQ", base)
+    fields = [field, laplace_inverse_uq(field)]
+    for _ in range(3):
+        field = laplace_forward_uq(field)
+        fields.append(field)
+    for k, field in enumerate(fields):
+        local = field.w(p, 3).coeffs
+        derived = field.v(p, 4).derive("y").coeffs
+        assert np.allclose(local, derived, rtol=1e-10, atol=1e-10), k
+
+
+def test_uq_step_then_uv_step_runs_no_y_integral(monkeypatch):
+    # converting a (u,q) image back to (u,v) reads the w the conversion to
+    # (u,q) carried: the new v's path never reruns the y-integral of q
+    # (184 y-integrals per residual here when q_y came from differentiating
+    # q)
+    fid, bindings, base, p = _UQ_CHAIN
+    field = laplace_forward_uq(
+        convert(catalog.instantiate(fid, bindings), "UQ", base))
+    field = laplace_forward_uv(convert(field, "UV", base), base)
+    calls = _count_path_integrals(monkeypatch)
+    r1, r2 = residual(field, p)
+    assert calls["y"] == 0 and calls["x"] > 0 and calls["t"] > 0
+    assert max(abs(r1), abs(r2)) < 1e-8
 
 
 #: Phi calls per point of an n-fold dressing's residual, by (kind, n)
