@@ -20,7 +20,8 @@ three finite numbers, read as a tuple; ``heat_witness_forward`` and
 or a spec dict for :func:`heat_witness_library`, such as
 ``{"kind": "plane_exp", "k": 1.0}``, which gets the kind's direction
 unless it names one, and the witness must pass its heat-equation probe;
-``jet_map`` takes a callable ``(point, order) -> Jet3``; a kind ``a|b``,
+``jet_map`` takes a callable ``(point, order) -> Jet3``, which
+accepts a batched point (:mod:`blp.jets`); a kind ``a|b``,
 such as ``sinh|cosh``, takes one of the listed words.  An undeclared
 name is rejected.  A rejected binding raises :class:`BadBinding` naming
 the parameter, or :class:`WitnessViolation` for a witness spec that
@@ -39,6 +40,8 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from . import jets, reductions
 from .exprdsl import Expr, Num, as_expr, eval_jet, parse
@@ -162,8 +165,8 @@ def heat_witness_library(kind: str, **params) -> HeatWitness:
         def phi(p: Point, n: int) -> Jet3:
             t, x, _ = jets.coordinate_jets(p, n)
             tau = sign * (t - t0)
-            if tau.value <= 0:
-                raise DomainError("gaussian witness needs sign*(t-t0) > 0")
+            jets.raise_where(tau.value <= 0, tau.value,
+                             "gaussian witness needs sign*(t-t0) > 0")
             return (4.0 * math.pi * tau) ** (-0.5) \
                 * jets.exp(-((x - x0) * (x - x0)) / (4.0 * tau))
         label = f"gaussian(t0={t0},x0={x0})"
@@ -682,8 +685,9 @@ def _f_vxxx2(fid, b):
         T = t + bj
         # t + beta is linear in t: off the band from t0 to t if both ends are
         ends = (t0 + bj.value, T.value)
-        if not (min(ends) > MARGIN or max(ends) < -MARGIN):
-            raise DomainError("t + beta near zero between t0 and t")
+        jets.raise_where(~((np.minimum(*ends) > MARGIN)
+                           | (np.maximum(*ends) < -MARGIN)), T.value,
+                         "t + beta near zero between t0 and t")
         return x * x / (T * T) + 2.0 * integral(p, n)
     return _field(fid, b, u, v)
 
@@ -846,17 +850,21 @@ def _f_uxx_bernoulli(fid, b):
     def chi_jet(p, n):
         t, _, _ = jets.coordinate_jets(p, n)
         ratio = _jy(dbe, p, n) / (t - _jy(be, p, n))
-        if jets.below_band(ratio.value, MARGIN * 0.2):
-            raise DomainError("beta_y/(t-beta) must stay positive")
+        jets.raise_where(jets.below_band(ratio.value, MARGIN * 0.2),
+                         ratio.value, "beta_y/(t-beta) must stay positive")
         return 0.125 * jets.sqrt(ratio)
 
     def chi_t(p, n):
         return chi_jet(p, n + 1).derive("t")
 
-    def psi_integrand(p, n):
+    def chi_t_positive(p, n):
         ct = chi_t(p, n)
-        if jets.below_band(ct.value, 1e-10):
-            raise DomainError("chi_t must stay positive")
+        jets.raise_where(jets.below_band(ct.value, 1e-10), ct.value,
+                         "chi_t must stay positive")
+        return ct
+
+    def psi_integrand(p, n):
+        ct = chi_t_positive(p, n)
         return (_jy(l1, p, n) * chi_jet(p, n) + _jy(l0, p, n)) \
             / jets.sqrt(ct)
 
@@ -864,9 +872,7 @@ def _f_uxx_bernoulli(fid, b):
 
     def omega(p, n):
         _, x, _ = jets.coordinate_jets(p, n)
-        ct = chi_t(p, n)
-        if jets.below_band(ct.value, 1e-10):
-            raise DomainError("chi_t must stay positive")
+        ct = chi_t_positive(p, n)
         return (x + psi_tilde(p, n)) * jets.sqrt(ct)
 
     def u(p, n):
@@ -1075,8 +1081,9 @@ def _f_r22_elem2(fid, b):
 
     def parts(p, n):
         tau, x, y = _tau(p, n)
-        if abs(math.cos(ka * tau.value)) <= MARGIN:
-            raise DomainError("near a pole of tan")
+        arg = ka * tau.value
+        cos = np.cos(arg) if isinstance(arg, np.ndarray) else math.cos(arg)
+        jets.raise_where(abs(cos) <= MARGIN, arg, "near a pole of tan")
         return jets.tan(ka * tau), x, y
 
     def u(p, n):
@@ -1177,8 +1184,8 @@ def sinh_gordon_kink(a: float = 2.0) -> JetMap:
     def theta(p: Point, n: int) -> Jet3:
         _, x, y = jets.coordinate_jets(p, n)
         E = jets.exp(a * x - (4.0 / a) * y)
-        if E.value >= 1.0 - MARGIN * 0.5:
-            raise DomainError("kink chart requires exp(...) < 1")
+        jets.raise_where(E.value >= 1.0 - MARGIN * 0.5, E.value,
+                         "kink chart requires exp(...) < 1")
         return 2.0 * (jets.ln(1.0 + E) - jets.ln(1.0 - E))
     return theta
 

@@ -359,8 +359,10 @@ def _as_series(v, lay: series.Layout) -> np.ndarray:
 
 
 def _eval_series(e: Expr, x: np.ndarray, lay: series.Layout):
-    """``e`` of the univariate series ``x``: a float where the subtree is a
-    number, else a coefficient array.  Guards and errors as for jets."""
+    """``e`` of the univariate series ``x`` (or of each row of a batch): a
+    float where the subtree is a number, else a coefficient array, one
+    series where the subtree does not read ``x``.  Guards and errors as
+    for jets."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
@@ -387,8 +389,8 @@ def _eval_series(e: Expr, x: np.ndarray, lay: series.Layout):
             return jets.quotient(lv, rv, lay)
         if e.op == "^":
             # as jets.power: a constant exponent is a power, else exp(r ln x)
-            if not np.any(rv[1:]):
-                return jets.elementary(("pow", float(rv[0])), lv, lay)
+            if not (np.any(rv[..., 1:]) or np.any(rv[..., 0] != rv.flat[0])):
+                return jets.elementary(("pow", float(rv.flat[0])), lv, lay)
             return jets.elementary(
                 "exp", lay.mul(rv, jets.elementary("ln", lv, lay)), lay)
         raise AssertionError(e.op)
@@ -397,10 +399,12 @@ def _eval_series(e: Expr, x: np.ndarray, lay: series.Layout):
 
 def compose_series(e: Expr, g: np.ndarray) -> np.ndarray:
     """Taylor coefficients of ``e`` composed with the univariate series
-    ``g``, to the order of ``g``.  The result is ``g`` itself where ``e``
-    is its variable, so neither is written afterwards."""
-    lay = series.univariate(len(g) - 1)
-    return _as_series(_eval_series(e, g, lay), lay)
+    ``g``, to the order of ``g``; ``g`` may be a batch, one series per
+    row.  The result is ``g`` itself where ``e`` is its variable, so
+    neither is written afterwards."""
+    lay = series.univariate(g.shape[-1] - 1)
+    out = _as_series(_eval_series(e, g, lay), lay)
+    return np.broadcast_to(out, g.shape) if out.ndim < g.ndim else out
 
 
 #: series kept in the memo of one expression
@@ -437,9 +441,21 @@ def eval_series(e: Expr, at: float, order: int) -> np.ndarray:
 
 def eval_jet(e: Expr, which: str, at: Point, order: int) -> Jet3:
     """Jet of the univariate function, constant in the other two variables:
-    its series in ``which`` on the axis of that variable."""
-    return jets.axis_jet(_memo_series(e, getattr(at, which), order),
-                         which, at)
+    its series in ``which`` on the axis of that variable.
+
+    At a batched point whose ``which`` is one float, the one memoised
+    series serves every lane; where ``which`` varies over the lanes, one
+    batched :func:`compose_series` gives a series per lane."""
+    at_var = getattr(at, which)
+    if not isinstance(at_var, np.ndarray):
+        return jets.axis_jet(_memo_series(e, at_var, order), which, at)
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    x = np.zeros((len(at_var), order + 1))
+    x[:, 0] = at_var
+    if order:
+        x[:, 1] = 1.0
+    return jets.axis_jet(compose_series(e, x), which, at)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

@@ -36,6 +36,24 @@ chart guards of the catalog (``catalog.MARGIN`` = 0.15 or a fraction of
 it) and the positivity of chi_t in F_UXX_BERNOULLI (1e-10,
 :func:`below_band`).
 
+A jet may carry a batch of points, its lanes: the coordinates of a
+:class:`Point` are floats or 1-D arrays of one common length B, and
+``Jet3.coeffs`` has shape ``(size,)``, or ``(B, size)`` for one jet per
+lane.  A jet of shape ``(size,)`` at a batched point is the same jet in
+every lane (a coordinate the batch does not vary, a constant).  The ring
+operations, :meth:`Jet3.derive`, :meth:`Jet3.truncate`,
+:meth:`Jet3.extract`, :func:`restrict`, :func:`coordinate_jets`,
+:func:`lift_variable`, :func:`axis_jet`, :func:`apply_unary`,
+:func:`power` and :func:`quotient` act lane by lane, with the recurrences
+of :mod:`blp.series` run once over the batch; ``value`` is a float for
+one point and an array over the lanes for a batch.  Every jet map
+(:data:`JetMap`) accepts a batched point.  The guard rule over lanes
+(:func:`raise_where`): a batch is undefined where any lane is, and the
+error is the class and message of the first such lane, with that lane's
+value in the message.  A map whose code is inherently scalar is wrapped
+by :func:`per_lane`, which asks it at each lane's point in lane order
+and stacks the jets, so it raises exactly as for single points.
+
 All operations are pure and jets are immutable.  A map wrapped by
 :func:`last_point`, as every field component is, remembers its last
 point and is not for concurrent use.
@@ -57,6 +75,8 @@ __all__ = [
     "DomainError",
     "BadInput",
     "Point",
+    "lanes",
+    "lane",
     "Jet3",
     "lift_variable",
     "apply_unary",
@@ -67,12 +87,14 @@ __all__ = [
     "inside_band",
     "below_band",
     "check_denominator",
+    "raise_where",
     "compose3",
     "coordinate_jets",
     "restrict",
     "axis_series",
     "axis_jet",
     "last_point",
+    "per_lane",
     "exp", "ln", "sin", "cos", "tan", "sinh", "cosh", "sqrt", "recip",
     "abs_signed", "power",
 ]
@@ -102,6 +124,8 @@ class BadInput(BLPError, ValueError):
 
 
 class Point(NamedTuple):
+    """A point, or a batch of points: each coordinate is a float or a 1-D
+    array, all arrays of one length, the number of lanes."""
     t: float
     x: float
     y: float
@@ -110,9 +134,54 @@ class Point(NamedTuple):
 _AXES = {"t": 0, "x": 1, "y": 2}
 
 
-def _check_point(p: Point) -> None:
-    if not all(math.isfinite(c) for c in p):
+def lanes(p: Point) -> int | None:
+    """The number of lanes of a batched point; None for a single point."""
+    for c in p:
+        if isinstance(c, np.ndarray):
+            return len(c)
+    return None
+
+
+def lane(p: Point, i: int) -> Point:
+    """The single point of lane ``i`` of a batched point."""
+    return Point(*(float(c[i]) if isinstance(c, np.ndarray) else c
+                   for c in p))
+
+
+def _same_point(a: Point, b: Point) -> bool:
+    """Whether two points, single or batched, are the same, without the
+    truth value of an array."""
+    if a is b:
+        return True
+    try:
+        if not a == b:
+            return False
+    except ValueError:  # lanes compared elementwise
+        pass
+    if np.ndarray not in map(type, a) and np.ndarray not in map(type, b):
+        return True
+    return all(map(np.array_equal, a, b))
+
+
+def _check_point(p: Point) -> int | None:
+    """Check that ``p`` is finite and its lanes are of one length; returns
+    :func:`lanes` of ``p``."""
+    try:
+        finite = all(map(math.isfinite, p))
+        count = None
+    except TypeError:  # array coordinates
+        finite, count = True, None
+        for c in p:
+            if not isinstance(c, np.ndarray):
+                finite = finite and math.isfinite(c)
+                continue
+            if c.ndim != 1 or count not in (None, len(c)):
+                raise ValueError(f"lanes of unequal length in {p}") from None
+            count = len(c)
+            finite = finite and bool(np.isfinite(c).all())
+    if not finite:
         raise ValueError(f"non-finite point {p}")
+    return count
 
 
 # ----------------------------------------------------------------------
@@ -178,12 +247,16 @@ def jet_size(order: int) -> int:
 # ----------------------------------------------------------------------
 
 class Jet3:
+    """The jet of a field at ``base``, or of one field per lane of a
+    batched ``base``; ``coeffs`` has shape (size,) or (lanes, size)."""
     __slots__ = ("base", "order", "coeffs")
+    #: an array operand defers to the jet's own (reflected) operation
+    __array_ufunc__ = None
 
     def __init__(self, base: Point, order: int, coeffs: np.ndarray):
         if order < 0:
             raise ValueError("order must be >= 0")
-        if len(coeffs) != jet_size(order):
+        if coeffs.shape[-1] != jet_size(order):
             raise ValueError("coefficient array has wrong length")
         self.base = base
         self.order = order
@@ -192,36 +265,50 @@ class Jet3:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def constant(value: float, base: Point, order: int) -> "Jet3":
-        c = np.zeros(jet_size(order))
-        c[0] = value
+    def constant(value, base: Point, order: int) -> "Jet3":
+        """The constant jet of ``value``, a float or one per lane."""
+        if isinstance(value, np.ndarray):
+            c = np.zeros((len(value), jet_size(order)))
+            c[:, 0] = value
+        else:
+            c = np.zeros(jet_size(order))
+            c[0] = value
         return _jet(base, order, c)
 
     # -- basics ----------------------------------------------------------
 
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def value(self):
+        """The value: a float, or an array over the lanes of a batch."""
+        c = self.coeffs
+        return float(c[0]) if c.ndim == 1 else c[:, 0]
 
     def copy_with(self, coeffs: np.ndarray) -> "Jet3":
         """A jet of the same base and order; ``coeffs`` has its length."""
-        return _jet(self.base, self.order, coeffs)
+        jet = object.__new__(Jet3)
+        jet.base, jet.order, jet.coeffs = self.base, self.order, coeffs
+        return jet
 
     def truncate(self, order: int) -> "Jet3":
         if order > self.order:
             raise ValueError("cannot raise jet order by truncation")
         if order == self.order:
             return self
-        return _jet(self.base, order, self.coeffs[: jet_size(order)].copy())
+        return _jet(self.base, order,
+                    self.coeffs[..., : jet_size(order)].copy())
 
     def _coerce(self, other) -> "Jet3 | None":
+        """``other`` as a jet, or None for a number or an array of one
+        number per lane."""
         if isinstance(other, Jet3):
-            if other.base != self.base or other.order != self.order:
+            if other.order != self.order or (
+                    other.base is not self.base
+                    and not _same_point(other.base, self.base)):
                 raise ValueError(
                     "jets are combinable only with matching base and order"
                 )
             return other
-        if isinstance(other, (int, float, np.floating)):
+        if isinstance(other, (int, float, np.floating, np.ndarray)):
             return None
         return NotImplemented  # type: ignore[return-value]
 
@@ -232,9 +319,12 @@ class Jet3:
         if o is NotImplemented:
             return NotImplemented
         if o is None:
-            c = self.coeffs.copy()
-            c[0] += float(other)
-            return self.copy_with(c)
+            c = self.coeffs
+            if c.ndim == 1 and not isinstance(other, np.ndarray):
+                c = c.copy()
+                c[0] += float(other)
+                return self.copy_with(c)
+            return self.copy_with(_shifted(c, other))
         return self.copy_with(self.coeffs + o.coeffs)
 
     __radd__ = __add__
@@ -247,9 +337,12 @@ class Jet3:
         if o is NotImplemented:
             return NotImplemented
         if o is None:
-            c = self.coeffs.copy()
-            c[0] -= float(other)
-            return self.copy_with(c)
+            c = self.coeffs
+            if c.ndim == 1 and not isinstance(other, np.ndarray):
+                c = c.copy()
+                c[0] -= float(other)
+                return self.copy_with(c)
+            return self.copy_with(_shifted(c, -other))
         return self.copy_with(self.coeffs - o.coeffs)
 
     def __rsub__(self, other):
@@ -260,7 +353,9 @@ class Jet3:
         if o is NotImplemented:
             return NotImplemented
         if o is None:
-            return self.copy_with(self.coeffs * float(other))
+            return self.copy_with(self.coeffs * (
+                float(other) if not isinstance(other, np.ndarray)
+                else other[:, None]))
         return self.copy_with(_tables(self.order).mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
@@ -270,16 +365,18 @@ class Jet3:
         if o is NotImplemented:
             return NotImplemented
         if o is None:
-            d = float(other)
-            check_denominator(d, self.value, "division by (near-)zero scalar")
-            return self.copy_with(self.coeffs / d)
+            check_denominator(other, self.value,
+                              "division by (near-)zero scalar")
+            return self.copy_with(self.coeffs / (
+                float(other) if not isinstance(other, np.ndarray)
+                else other[:, None]))
         return self.copy_with(
             quotient(self.coeffs, o.coeffs, _tables(self.order)))
 
     def __rtruediv__(self, other):
         check_denominator(self.value, other,
                           "jet division: denominator value {} inside guard band")
-        return float(other) * apply_unary("recip", self)
+        return apply_unary("recip", self) * other
 
     def __pow__(self, r):
         return power(self, r)
@@ -296,15 +393,20 @@ class Jet3:
         axis = _AXES[which]
         tab = _tables(self.order)
         return _jet(self.base, self.order - 1,
-                    self.coeffs[tab.derive_src[axis]] * tab.derive_scale[axis])
+                    _gather(self.coeffs, tab.derive_src[axis])
+                    * tab.derive_scale[axis])
 
-    def extract(self, multi_index) -> float:
+    def extract(self, multi_index):
+        """The partial derivative of ``multi_index`` at the base: a float,
+        or an array over the lanes of a batch."""
         i, j, k = multi_index
         if i + j + k > self.order:
             raise ValueError("multi-index exceeds jet order")
         tab = _tables(self.order)
         m = tab.index[(i, j, k)]
-        return float(self.coeffs[m] * tab.fact[m])
+        if self.coeffs.ndim == 1:
+            return float(self.coeffs[m] * tab.fact[m])
+        return self.coeffs[:, m] * tab.fact[m]
 
 
 def _jet(base: Point, order: int, coeffs: np.ndarray) -> Jet3:
@@ -313,6 +415,33 @@ def _jet(base: Point, order: int, coeffs: np.ndarray) -> Jet3:
     jet = object.__new__(Jet3)
     jet.base, jet.order, jet.coeffs = base, order, coeffs
     return jet
+
+
+def _gather(c: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The coefficients ``index`` of one jet or of each lane."""
+    return c[index] if c.ndim == 1 else c.take(index, axis=1)
+
+
+def _shifted(c: np.ndarray, k) -> np.ndarray:
+    """A copy of the lanes' coefficients ``c`` with ``k`` (a number, or
+    one per lane) added to the constant term."""
+    c = np.array(np.broadcast_to(c, (len(k), c.shape[-1]))) \
+        if isinstance(k, np.ndarray) else c.copy()
+    c[:, 0] += k
+    return c
+
+
+def _coordinate(value, row: np.ndarray) -> np.ndarray:
+    """The coefficients of a coordinate's jet: ``row`` with ``value`` (a
+    float, or one per lane) as its constant term."""
+    if isinstance(value, np.ndarray):
+        c = np.empty((len(value), len(row)))
+        c[:] = row
+        c[:, 0] = value
+        return c
+    c = row.copy()
+    c[0] = value
+    return c
 
 
 # ----------------------------------------------------------------------
@@ -325,17 +454,20 @@ def lift_variable(which: str, at: Point, order: int) -> Jet3:
         raise ValueError("order must be >= 0")
     _check_point(at)
     axis = _AXES[which]
-    c = _tables(order).coordinate_rows[axis].copy()
-    c[0] = at[axis]
-    return _jet(at, order, c)
+    return _jet(at, order,
+                _coordinate(at[axis], _tables(order).coordinate_rows[axis]))
 
 
 def coordinate_jets(p: Point, order: int) -> tuple[Jet3, Jet3, Jet3]:
     """The jets of t, x and y at ``p``, with one check of the point."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    _check_point(p)
-    rows = _tables(order).coordinate_rows.copy()
+    rows = _tables(order).coordinate_rows
+    if _check_point(p) is not None:
+        t, x, y = (_jet(p, order, _coordinate(c, row))
+                   for c, row in zip(p, rows))
+        return t, x, y
+    rows = rows.copy()
     rows[:, 0] = p
     return _jet(p, order, rows[0]), _jet(p, order, rows[1]), \
         _jet(p, order, rows[2])
@@ -349,23 +481,33 @@ def restrict(a: Jet3, axis: str, at: Point) -> Jet3:
     ``at`` that differs from the base only in that coordinate.
     """
     out = a.coeffs.copy()
-    out[_tables(a.order).with_axis[_AXES[axis]]] = 0.0
+    index = _tables(a.order).with_axis[_AXES[axis]]
+    if out.ndim == 1:
+        out[index] = 0.0
+    else:
+        out[:, index] = 0.0
     return _jet(at, a.order, out)
 
 
 def axis_series(a: Jet3, axis: str) -> np.ndarray:
     """Univariate Taylor coefficients of ``a`` along ``axis`` alone, as a
     new array."""
-    return a.coeffs[_tables(a.order).axis_powers[_AXES[axis]]]
+    return _gather(a.coeffs, _tables(a.order).axis_powers[_AXES[axis]])
 
 
 def axis_jet(ser: np.ndarray, axis: str, at: Point) -> Jet3:
     """Jet at ``at`` of the univariate series ``ser`` along ``axis``,
-    constant in the other two variables: the inverse of :func:`axis_series`."""
+    constant in the other two variables: the inverse of :func:`axis_series`.
+    ``ser`` is one series, or one per lane."""
     _check_point(at)
-    order = len(ser) - 1
-    c = np.zeros(jet_size(order))
-    c[_tables(order).axis_powers[_AXES[axis]]] = ser
+    order = ser.shape[-1] - 1
+    powers = _tables(order).axis_powers[_AXES[axis]]
+    if ser.ndim == 1:
+        c = np.zeros(jet_size(order))
+        c[powers] = ser
+    else:
+        c = np.zeros((len(ser), jet_size(order)))
+        c[:, powers] = ser
     return Jet3(at, order, c)
 
 
@@ -390,7 +532,7 @@ def apply_taylor(coeffs: np.ndarray, a: Jet3) -> Jet3:
 
 def inside_band(den: float, scale: float = 0.0, band: float = GUARD) -> bool:
     """The denominator rule: ``den`` is undefined when
-    |den| < band (1 + |scale|)."""
+    |den| < band (1 + |scale|); over lanes, an array of the verdicts."""
     return abs(den) < band * (1.0 + abs(scale))
 
 
@@ -399,11 +541,31 @@ def below_band(value: float, band: float = GUARD) -> bool:
     return value < band
 
 
+def raise_where(undefined, value, message: str, error=DomainError) -> None:
+    """Raise ``error(message)`` where ``undefined`` holds; ``{}`` in
+    ``message`` shows ``value``.
+
+    For a batch, ``undefined`` is an array over the lanes, and the error
+    is that of its first lane that is undefined, showing that lane's
+    value."""
+    if isinstance(undefined, np.ndarray):
+        if not undefined.any():
+            return
+        if isinstance(value, np.ndarray):
+            value = float(value[int(undefined.argmax())])
+    elif not undefined:
+        return
+    raise error(message.format(value))
+
+
 def check_denominator(den: float, scale: float, message: str,
                       band: float = GUARD, error=DomainError) -> None:
     """Raise ``error(message)`` where :func:`inside_band` holds; ``{}`` in
     ``message`` shows ``den``."""
-    if inside_band(den, scale, band):
+    undefined = inside_band(den, scale, band)
+    if isinstance(undefined, np.ndarray):
+        raise_where(undefined, den, message, error)
+    elif undefined:
         raise error(message.format(den))
 
 
@@ -420,6 +582,16 @@ def _recip_series(c: np.ndarray, lay) -> np.ndarray:
     return series.div(one, c, lay)
 
 
+def _abs_signed_series(c: np.ndarray, lay) -> np.ndarray:
+    if c.ndim == 1:
+        return c if c[0] > 0 else -c
+    return np.where(c[:, :1] > 0, c, -c)
+
+
+def _cos(v):
+    return np.cos(v) if isinstance(v, np.ndarray) else math.cos(v)
+
+
 _ELEMENTARY = {
     "exp": _Elementary(math.exp, series.exp),
     "ln": _Elementary(math.log, series.ln, below_band,
@@ -431,14 +603,13 @@ _ELEMENTARY = {
     "cosh": _Elementary(
         math.cosh, lambda c, lay: series.sin_cos(c, lay, hyper=True)[1]),
     "tan": _Elementary(math.tan, series.tan,
-                       lambda v: inside_band(math.cos(v)),
+                       lambda v: inside_band(_cos(v)),
                        "tan evaluated at (near-)pole {}"),
     "sqrt": _Elementary(math.sqrt, lambda c, lay: series.power(c, 0.5, lay),
                         below_band, "sqrt of non-positive value {}"),
     "recip": _Elementary(lambda v: 1.0 / v, _recip_series, inside_band,
                          "reciprocal of (near-)zero value {}"),
-    "abs_signed": _Elementary(abs, lambda c, lay: c if c[0] > 0 else -c,
-                              inside_band,
+    "abs_signed": _Elementary(abs, _abs_signed_series, inside_band,
                               "abs_signed is undefined at (near-)zero value"),
 }
 
@@ -464,28 +635,39 @@ def _power(f) -> _Elementary:
                        lambda c, lay: series.power(c, r, lay), guard, message)
 
 
-def _checked(f, v: float) -> _Elementary:
-    """The forms of ``f`` once its value guard has passed at ``v``."""
+def _checked(f, v) -> _Elementary:
+    """The forms of ``f`` once its value guard has passed at ``v`` (a
+    float, or one per lane)."""
     form = _ELEMENTARY.get(f) or _power(f)
-    if form.undefined is not None and form.undefined(v):
-        raise DomainError(form.message.format(v))
+    if form.undefined is not None:
+        undefined = form.undefined(v)
+        if isinstance(undefined, np.ndarray):
+            raise_where(undefined, v, form.message)
+        elif undefined:
+            raise DomainError(form.message.format(v))
     return form
 
 
+def _values(c: np.ndarray):
+    """The constant terms of one series (a float) or of a batch."""
+    return float(c[0]) if c.ndim == 1 else c[:, 0]
+
+
 def elementary(f, c: np.ndarray, lay) -> np.ndarray:
-    """Coefficients of ``f`` of the series ``c`` in the degree layout ``lay``
-    (:mod:`blp.series`); the guard reads the value ``c[0]``.
+    """Coefficients of ``f`` of the series ``c`` (or of each series of a
+    batch) in the degree layout ``lay`` (:mod:`blp.series`); the guard
+    reads the value ``c[0]``.
 
     ``f`` is one of the names ``exp, ln, sin, cos, tan, sinh, cosh, sqrt,
     recip, abs_signed`` or a tuple ``("pow", r)``.
     """
-    return _checked(f, float(c[0])).series(c, lay)
+    return _checked(f, float(c[0]) if c.ndim == 1 else c[:, 0]).series(c, lay)
 
 
 def quotient(a: np.ndarray, b: np.ndarray, lay) -> np.ndarray:
     """Coefficients of ``a / b`` in the degree layout ``lay``, guarded by
-    the values."""
-    check_denominator(float(b[0]), a[0],
+    the values; either may be a batch."""
+    check_denominator(_values(b), _values(a),
                       "jet division: denominator value {} inside guard band")
     return series.div(a, b, lay)
 
@@ -517,11 +699,13 @@ abs_signed = functools.partial(call, "abs_signed")
 
 
 def power(x, r):
-    """``x ** r``; a jet exponent that is not constant gives exp(r ln x)."""
+    """``x ** r``; a jet exponent that is not constant (or not the same
+    in every lane) gives exp(r ln x)."""
     if isinstance(r, Jet3):
-        if np.any(r.coeffs[1:]):
+        c = r.coeffs
+        if np.any(c[..., 1:]) or np.any(c[..., 0] != c.flat[0]):
             return exp(r * ln(x))
-        r = r.value
+        r = c.flat[0]
     return call(("pow", float(r)), x)
 
 
@@ -583,7 +767,11 @@ def last_point(fn: JetMap) -> JetMap:
 
     def remembered(p: Point, order: int) -> Jet3:
         nonlocal last_p, last_jet
-        if last_p == p and last_jet.order >= order:
+        try:  # two single points compare exactly, and cheaply
+            same = last_p is p or (last_p == p and _same_point(last_p, p))
+        except ValueError:  # lanes compared elementwise
+            same = _same_point(last_p, p)
+        if same and last_jet.order >= order:
             return last_jet.truncate(order)
         jet = fn(p, order)
         last_p, last_jet = p, jet
@@ -592,3 +780,19 @@ def last_point(fn: JetMap) -> JetMap:
     remembered.remembers_last_point = True
     remembered.__wrapped__ = fn
     return remembered
+
+
+def per_lane(fn: JetMap) -> JetMap:
+    """``fn`` for a map whose code is scalar: a batched point is answered
+    by asking ``fn`` at each lane's point, in lane order, and stacking the
+    jets, so it raises as ``fn`` does at the first lane that raises.
+    ``inspect.unwrap`` returns ``fn``."""
+    def lanewise(p: Point, order: int) -> Jet3:
+        count = lanes(p)
+        if count is None:
+            return fn(p, order)
+        return _jet(p, order, np.stack([fn(lane(p, i), order).coeffs
+                                        for i in range(count)]))
+
+    lanewise.__wrapped__ = fn
+    return lanewise

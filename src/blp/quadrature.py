@@ -4,14 +4,18 @@ One shared engine backs every quadrature in the package: the coordinate
 conversions, the (u,v) Laplace transformation, and the solution families
 whose closed forms contain an antiderivative.  Integrands may be scalar-
 or vector-valued; the error estimate is the usual |K15 - G7| panel bound.
-Refinement is a plain list scan: the panel with the largest estimate is
-split until the error total meets the tolerance, within a budget of
-``MAX_PANELS`` panels.
+An integrand is called once per panel, on the array of its 15 abscissae
+(QUADPACK's ``qk15``), and returns one value per abscissa along its
+leading axis.  Refinement is a plain list scan: the panel with the
+largest estimate is split until the error total meets the tolerance,
+within a budget of ``MAX_PANELS`` panels.
 
 :func:`integrate_field_along` lifts an axis-parallel line integral of a
 jet-evaluable field to a jet: the coefficients that carry powers of the
 integration axis follow from the fundamental theorem of calculus, and the
-remaining slice is integrated coefficient-wise.  :func:`line_integral`
+remaining slice is integrated coefficient-wise, each panel one jet of the
+field at a point whose integration coordinate holds the panel's
+abscissae (a batch of lanes, see :mod:`blp.jets`).  :func:`line_integral`
 caches such integrals, one jet per grid line for an integrand constant
 along that line, and keeps a bounded number of lines.  :func:`xt_path`,
 built once per field, is the two-leg path integral of a potential whose
@@ -28,9 +32,12 @@ the panel budget.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .jets import BLPError, Jet3, JetMap, Point, jet_size, restrict, _tables
+from .jets import (BLPError, Jet3, JetMap, Point, jet_size, lane, lanes,
+                   per_lane, restrict, _tables)
 
 __all__ = ["QuadratureError", "gauss_kronrod_15", "adaptive_quadrature",
            "integrate_field_along", "line_integral", "xt_path"]
@@ -87,25 +94,33 @@ _WG = np.array([
 
 
 def gauss_kronrod_15(f, a: float, b: float):
-    """One GK15 panel: returns (K15 value, |K15 - G7| error estimate)."""
+    """One GK15 panel: returns (K15 value, |K15 - G7| error estimate).
+
+    ``f`` is called once, on the abscissae c, c - h x_j, c + h x_j for
+    j = 0..6 in that order, and returns one value (or vector) per
+    abscissa; the sums run in the order of the abscissae."""
     h = 0.5 * (b - a)
     c = 0.5 * (a + b)
-    fc = np.asarray(f(c), dtype=float)
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
+    x = h * _XGK[:7]
+    nodes = np.empty(15)
+    nodes[0] = c
+    nodes[1::2] = c - x
+    nodes[2::2] = c + x
+    fx = np.asarray(f(nodes), dtype=float)
+    resk = _WGK[7] * fx[0]
+    resg = _WG[3] * fx[0]
     for j in range(7):
-        x = h * _XGK[j]
-        f1 = np.asarray(f(c - x), dtype=float)
-        f2 = np.asarray(f(c + x), dtype=float)
-        resk = resk + _WGK[j] * (f1 + f2)
+        pair = fx[2 * j + 1] + fx[2 * j + 2]
+        resk = resk + _WGK[j] * pair
         if j % 2 == 1:
-            resg = resg + _WG[j // 2] * (f1 + f2)
+            resg = resg + _WG[j // 2] * pair
     err = np.max(np.abs(resk - resg)) * abs(h)
     return resk * h, err
 
 
 def adaptive_quadrature(f, a: float, b: float, tol: float = TOL):
-    """Integrate ``f`` (scalar- or vector-valued) from a to b.
+    """Integrate ``f`` (scalar- or vector-valued) from a to b; ``f`` takes
+    an array of abscissae, one call per panel (:func:`gauss_kronrod_15`).
 
     While the error total, summed in creation order, is above ``tol``,
     the panel with the largest error estimate is split, the older one on
@@ -125,8 +140,8 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = TOL):
     panel with the largest error estimate).
     """
     if a == b:
-        probe = np.asarray(f(a), dtype=float)
-        return probe * 0.0
+        probe = np.asarray(f(np.array([a])), dtype=float)
+        return probe[0] * 0.0
     val, err = gauss_kronrod_15(f, a, b)
     panels = [(err, a, b, val)]  # in creation order
     width_floor = 1e-14 * (1.0 + abs(a) + abs(b))
@@ -168,24 +183,38 @@ def integrate_field_along(field: JetMap, axis: str, lower: float,
     The integrand is a jet-evaluable field g; the result F satisfies
     dF/d(axis) = g, so coefficients with a positive power of the axis come
     from g's jet at ``p``, while the axis-free slice is a vector quadrature
-    of g's jets along the integration segment.
+    of g's jets along the integration segment: one jet of g per panel, at
+    the point whose ``axis`` holds the panel's abscissae.  Where
+    ``lower == p.axis`` the slice is zero and no abscissa is asked.  At
+    a batched ``p`` each lane is one integral (:func:`jets.per_lane`).
     """
+    if lanes(p) is not None:
+        return per_lane(lambda q, n: integrate_field_along(
+            field, axis, lower, q, n))(p, order)
     ax = _AXIS_NUM[axis]
     upper = p[ax]
     tab = _tables(order)
     g_at_p = field(p, order)
     out = np.zeros(jet_size(order))
-    free = np.delete(np.arange(jet_size(order)), tab.with_axis[ax])
+    free = _free_of(order, ax)
 
-    def slice_values(s: float) -> np.ndarray:
+    def slice_values(s: np.ndarray) -> np.ndarray:
         q = Point(*(s if i == ax else p[i] for i in range(3)))
-        return field(q, order).coeffs[free]
+        c = field(q, order).coeffs.take(free, axis=-1)
+        return np.broadcast_to(c, (len(s), len(free)))
 
-    out[free] = adaptive_quadrature(slice_values, lower, upper)
+    if lower != upper:
+        out[free] = adaptive_quadrature(slice_values, lower, upper)
     # F's monomial e + axis is g's monomial e divided by its new power
     out[tab.derive_src[ax]] = \
         g_at_p.coeffs[:jet_size(order - 1)] / tab.derive_scale[ax]
     return Jet3(p, order, out)
+
+
+@lru_cache(maxsize=None)
+def _free_of(order: int, ax: int) -> np.ndarray:
+    """The monomials of ``order`` with no power of axis ``ax``."""
+    return np.delete(np.arange(jet_size(order)), _tables(order).with_axis[ax])
 
 
 #: grid lines whose integral one :func:`line_integral` keeps
@@ -202,17 +231,22 @@ def line_integral(integrand: JetMap, axis: str, lower: float,
     it and answers a lower order by truncation (the :func:`jets.last_point`
     rule, per line); a failed integral is never kept.  At most
     ``_LINES_KEPT`` lines are kept; the one first computed longest ago
-    goes first.
+    goes first.  A batched point whose lanes differ only in
+    ``constant_along`` lies on one line, and its one jet serves every
+    lane; other batches are answered lane by lane.
     """
     skip = _AXIS_NUM[constant_along]
     known: dict = {}
 
     def integral(p: Point, n: int) -> Jet3:
         line = tuple(c for i, c in enumerate(p) if i != skip)
+        if lanes(line) is not None:
+            return per_lane(integral)(p, n)
         size = jet_size(n)
         co = known.get(line)
         if co is None or len(co) < size:
-            co = integrate_field_along(integrand, axis, lower, p, n).coeffs
+            at = p if lanes(p) is None else lane(p, 0)
+            co = integrate_field_along(integrand, axis, lower, at, n).coeffs
             if line not in known and len(known) >= _LINES_KEPT:
                 del known[next(iter(known))]
             known[line] = co

@@ -29,7 +29,9 @@ tolerance as eps ~ tol^3: the first-integral drift then contracts about
 ten-fold when the tolerance is halved.  A movable pole shows as a
 collapsing step or a blowup.  Dense output is the nearest node's Taylor
 polynomial, and every reconstruction consumes ODE-provided derivatives,
-never numerical differentiation.
+never numerical differentiation.  Dense output and P are evaluated one
+point at a time, so the fields built on a profile answer a batched point
+lane by lane (``jets.per_lane``).
 """
 
 from __future__ import annotations
@@ -449,7 +451,8 @@ def reconstruct_2_4(traj: ODETrajectory, spec: ReductionSpec
                + 0.5 * (C1 - eps) * wj)
         return rt * psi
 
-    return SolutionField(u=u, v=v, coords="UV", family_id="F_R24_PAINLEVE4",
+    return SolutionField(u=jets.per_lane(u), v=jets.per_lane(v), coords="UV",
+                         family_id="F_R24_PAINLEVE4",
                          params={"C0": spec.C0, "C1": spec.C1,
                                  "eps": spec.eps})
 
@@ -490,8 +493,8 @@ def _r29_field(fid, params, phi, square_integral, C0: float,
         qj = jets.apply_taylor(q, wj)
         return (-0.5 * qj + 0.5 * phi(wj.truncate(n))
                 - 0.5 * C0 * wj + delta * t)
-    return SolutionField(u=u, v=v, coords="UV", family_id=fid,
-                         params=params)
+    return SolutionField(u=jets.per_lane(u), v=jets.per_lane(v), coords="UV",
+                         family_id=fid, params=params)
 
 
 def reconstruct_2_9(profile, spec: ReductionSpec,
@@ -538,8 +541,8 @@ def reconstruct_2_9(profile, spec: ReductionSpec,
             return (dj * dj - inner * inner - 4.0 * de * fj - C2) \
                 / (4.0 * C1) + de * t
 
-        return SolutionField(u=u, v=v, coords="UV",
-                             family_id="F_R29_PAINLEVE2",
+        return SolutionField(u=jets.per_lane(u), v=jets.per_lane(v),
+                             coords="UV", family_id="F_R29_PAINLEVE2",
                              params={"C0": C0, "C1": C1, "C2": C2,
                                      "delta": de})
 
@@ -593,8 +596,7 @@ def reduction_2_3_field(delta: int, phi0: float,
     """
     def u(p: Point, n: int) -> Jet3:
         _, x, _ = jets.coordinate_jets(p, n)
-        if abs(p.x) < 0.1:
-            raise WindowError("x near zero")
+        jets.raise_where(abs(p.x) < 0.1, p.x, "x near zero", WindowError)
         return phi0 / x
 
     def v(p: Point, n: int) -> Jet3:

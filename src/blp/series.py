@@ -21,6 +21,14 @@ degree part is the lower parts times a matrix built once from ``a``
 (:meth:`Layout.lower`).  The same code serves every layout.  These
 functions do not guard: a caller checks the value ``a[0]`` first
 (``jets.elementary``, ``jets.quotient``).
+
+:meth:`Layout.mul`, :meth:`Layout.lower` and the recurrences also take a
+batch: a (B, size) array holds one series per row, a lane, and the
+other operand may be one series or a batch of the same B.  One series
+keeps the operations of a single array, so its bits do not depend on
+batching.  A batch sums the nonzero products of each coefficient with
+``np.add.reduceat`` and computes values with NumPy's ufuncs instead of
+:mod:`math`, so each lane agrees with its series alone to roundoff.
 """
 
 from __future__ import annotations
@@ -107,42 +115,93 @@ class Layout:
         self.blocks = [slice(int(starts[d]), int(starts[d + 1]))
                        for d in range(order + 1)]
         # the product pairs whose first factor has degree >= 1 (all but the
-        # first ``size``, those of the constant term), by the degree d of
-        # their output: entries of a dense (degree d) x (degrees below d)
-        # matrix, all of these matrices in one flat array
-        src, out = self.mul_a[self.size:], self.mul_out[self.size:]
+        # first ``size``, those of the constant term), by their output and
+        # so by its degree d: entries of a dense (degree d) x (degrees
+        # below d) matrix, all of these matrices in one flat array
+        by_out = np.argsort(self.mul_out[self.size:], kind="stable")
+        src = self.mul_a[self.size:][by_out]
+        col = self.mul_b[self.size:][by_out]
+        out = self.mul_out[self.size:][by_out]
         deg_out = deg[out]
         cols = starts[deg_out]
         sizes = [(b.stop - b.start) * b.start for b in self.blocks]
         offsets = np.cumsum([0] + sizes)
-        self._low_at = offsets[deg_out] + (out - cols) * cols \
-            + self.mul_b[self.size:]
+        self._low_at = offsets[deg_out] + (out - cols) * cols + col
         self._low_src = src
         self._low_len = int(offsets[-1])
-        self._low_views = [(b, int(offsets[d]), int(offsets[d + 1]),
-                            (b.stop - b.start, b.start))
+        self._low_views = [(b, slice(0, b.start), int(offsets[d]),
+                            int(offsets[d + 1]), (b.stop - b.start, b.start))
                            for d, b in enumerate(self.blocks) if d]
+        # for a batch, each degree's pairs as a slice of them, their
+        # columns and the first pair of each output (:class:`_LaneBlock`)
+        first = np.searchsorted(out, np.arange(self.size + 1))
+        self._lane_views = [
+            ((slice(None), b), (slice(None), slice(0, b.start)),
+             int(first[b.start]), col[first[b.start]:first[b.stop]],
+             first[b] - first[b.start])
+            for b in self.blocks[1:]]
         #: per pair of :meth:`lower`, k/d: the degree of its x factor over
         #: the degree of its output
         self.ratio = deg[src] / deg_out
+        # the pairs of :meth:`mul` by output, and the first of each output
+        by_out = np.argsort(self.mul_out, kind="stable")
+        self._lane_mul = (self.mul_a[by_out], self.mul_b[by_out],
+                          np.searchsorted(self.mul_out[by_out],
+                                          np.arange(self.size)))
 
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Truncated product of two coefficient arrays."""
-        return np.bincount(self.mul_out, weights=x[self.mul_a] * y[self.mul_b],
-                           minlength=self.size)
+        """Truncated product of two coefficient arrays or batches."""
+        if x.ndim == 1 and y.ndim == 1:
+            return np.bincount(
+                self.mul_out, weights=x[self.mul_a] * y[self.mul_b],
+                minlength=self.size)
+        a, b, first = self._lane_mul
+        terms, other = x.take(a, axis=-1), y.take(b, axis=-1)
+        if terms.ndim < other.ndim:
+            terms, other = other, terms
+        terms *= other
+        return np.add.reduceat(terms, first, axis=-1)
 
     def lower(self, x: np.ndarray, weight=1.0) -> list:
         """y -> (x - x_0) y, each term scaled by ``weight``, by degree.
 
         ``weight`` is a scalar or an array over the pairs, like
-        :attr:`ratio`.  Returns ``(blk, m)`` for each degree d >= 1: the
-        degree-d part of the product is ``m @ y[:blk.start]``, where
-        ``blk`` is the slice of degree d.
+        :attr:`ratio`, or over (lanes, pairs) for a batch.  Returns
+        ``(part, below, m)`` for each degree d >= 1: the degree-d part
+        ``y[part]`` of the product is ``m @ y[below]``, the degrees below
+        d, for ``y`` batched as ``x``.  For one series ``m`` is a dense
+        matrix; for a batch, its nonzero entries (:class:`_LaneBlock`).
         """
+        if x.ndim == 2:
+            terms = x.take(self._low_src, axis=1)
+            terms *= weight
+            return [(part, below,
+                     _LaneBlock(terms[:, start:start + len(cols)], cols,
+                                rows))
+                    for part, below, start, cols, rows in self._lane_views]
+        terms = x[self._low_src] * weight
         flat = np.zeros(self._low_len)
-        flat[self._low_at] = x[self._low_src] * weight
-        return [(blk, flat[start:stop].reshape(shape))
-                for blk, start, stop, shape in self._low_views]
+        flat[self._low_at] = terms
+        return [(blk, below, flat[start:stop].reshape(shape))
+                for blk, below, start, stop, shape in self._low_views]
+
+
+class _LaneBlock:
+    """One degree of :meth:`Layout.lower` for a batch of series: the
+    nonzero entries ``terms`` (lanes, pairs) of the lanes' matrices, the
+    column of each pair, and the first pair of each row."""
+    __slots__ = ("terms", "cols", "rows")
+
+    def __init__(self, terms: np.ndarray, cols: np.ndarray,
+                 rows: np.ndarray):
+        self.terms, self.cols, self.rows = terms, cols, rows
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """Each lane's matrix times its rows of ``v``, (lanes, columns) or
+        (lanes, columns, k)."""
+        products = v.take(self.cols, axis=1)
+        products *= self.terms if v.ndim == 2 else self.terms[..., None]
+        return np.add.reduceat(products, self.rows, axis=1)
 
 
 _UNIVARIATE: dict[int, Layout] = {}
@@ -157,36 +216,48 @@ def univariate(order: int) -> Layout:
 
 
 # ----------------------------------------------------------------------
-# recurrences; ``a`` is the argument's coefficient array in layout ``lay``
+# recurrences; ``a`` is the argument's coefficient array in layout ``lay``,
+# or a batch of them
 # ----------------------------------------------------------------------
 
 def exp(a: np.ndarray, lay: Layout) -> np.ndarray:
     # E b = b E a:  b_d = sum_{k=1..d} (k/d) a_k b_{d-k}
-    b = np.zeros(lay.size)
-    b[0] = math.exp(a[0])
-    for blk, m in lay.lower(a, lay.ratio):
-        b[blk] = m @ b[:blk.start]
+    b = np.zeros(a.shape)
+    if a.ndim == 1:
+        b[0] = math.exp(a[0])
+    else:
+        b[:, 0] = np.exp(a[:, 0])
+    for part, below, m in lay.lower(a, lay.ratio):
+        b[part] = m @ b[below]
     return b
 
 
 def ln(a: np.ndarray, lay: Layout) -> np.ndarray:
     # a E b = E a:  a_0 b_d = a_d - sum_{k=1..d} (1 - k/d) a_k b_{d-k}
-    a0 = float(a[0])
-    b = np.zeros(lay.size)
-    b[0] = math.log(a0)
+    b = np.zeros(a.shape)
+    if a.ndim == 1:
+        a0 = float(a[0])
+        b[0] = math.log(a0)
+    else:
+        a0 = a[:, :1]
+        b[:, :1] = np.log(a0)
     c = a / a0
-    for blk, m in lay.lower(a, (lay.ratio - 1.0) / a0):
-        b[blk] = c[blk] + m @ b[:blk.start]
+    for part, below, m in lay.lower(a, (lay.ratio - 1.0) / a0):
+        b[part] = c[part] + m @ b[below]
     return b
 
 
 def power(a: np.ndarray, r: float, lay: Layout) -> np.ndarray:
     # a E b = r b E a:  a_0 b_d = sum_{k=1..d} ((r+1) k/d - 1) a_k b_{d-k}
-    a0 = float(a[0])
-    b = np.zeros(lay.size)
-    b[0] = a0 ** r
-    for blk, m in lay.lower(a, ((r + 1.0) * lay.ratio - 1.0) / a0):
-        b[blk] = m @ b[:blk.start]
+    b = np.zeros(a.shape)
+    if a.ndim == 1:
+        a0 = float(a[0])
+        b[0] = a0 ** r
+    else:
+        a0 = a[:, :1]
+        b[:, :1] = a0 ** r
+    for part, below, m in lay.lower(a, ((r + 1.0) * lay.ratio - 1.0) / a0):
+        b[part] = m @ b[below]
     return b
 
 
@@ -207,12 +278,19 @@ def int_power(a: np.ndarray, r: int, lay: Layout) -> np.ndarray:
 
 def div(a: np.ndarray, b: np.ndarray, lay: Layout) -> np.ndarray:
     """Quotient a / b:  b_0 q_d = a_d - sum_{k=1..d} b_k q_{d-k}."""
-    b0 = float(b[0])
-    q = np.zeros(lay.size)
-    c = a / b0
-    q[0] = c[0]
-    for blk, m in lay.lower(b, -1.0 / b0):
-        q[blk] = c[blk] + m @ q[:blk.start]
+    if a.ndim == 1 and b.ndim == 1:
+        b0 = float(b[0])
+        c = a / b0
+        q = np.zeros(lay.size)
+        q[0] = c[0]
+    else:
+        b = np.broadcast_to(b, np.broadcast_shapes(a.shape, b.shape))
+        b0 = b[:, :1]
+        c = a / b0
+        q = np.zeros(c.shape)
+        q[:, 0] = c[:, 0]
+    for part, below, m in lay.lower(b, -1.0 / b0):
+        q[part] = c[part] + m @ q[below]
     return q
 
 
@@ -225,14 +303,19 @@ def sin_cos(a: np.ndarray, lay: Layout, hyper: bool = False
             ) -> tuple[np.ndarray, np.ndarray]:
     """(sin a, cos a), or (sinh a, cosh a) if ``hyper``."""
     # E s = c E a,  E c = -+ s E a:  (s, c)_d = (M c, -+ M s)
-    a0 = float(a[0])
-    sc = np.zeros((lay.size, 2))
-    sc[0] = ((math.sinh(a0), math.cosh(a0)) if hyper
-             else (math.sin(a0), math.cos(a0)))
+    sc = np.zeros(a.shape[:-1] + (lay.size, 2))
+    if a.ndim == 1:
+        a0 = float(a[0])
+        sc[0] = ((math.sinh(a0), math.cosh(a0)) if hyper
+                 else (math.sin(a0), math.cos(a0)))
+    else:
+        a0 = a[:, 0]
+        sc[:, 0] = np.stack((np.sinh(a0), np.cosh(a0)) if hyper
+                            else (np.sin(a0), np.cos(a0)), axis=-1)
     rot = _ROT[hyper]
-    for blk, m in lay.lower(a, lay.ratio):
-        sc[blk] = m @ sc[:blk.start] @ rot
-    return sc[:, 0].copy(), sc[:, 1].copy()
+    for part, below, m in lay.lower(a, lay.ratio):
+        sc[part] = m @ sc[below] @ rot
+    return sc[..., 0].copy(), sc[..., 1].copy()
 
 
 def tan(a: np.ndarray, lay: Layout) -> np.ndarray:

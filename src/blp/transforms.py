@@ -293,7 +293,8 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
         po, M, _, _, v_scale, v_shift = inner(pn, n)
         return Jet3(pn, n, M @ s.v(po, n).coeffs) * v_scale + v_shift
 
-    return SolutionField(u=u, v=v, coords="UV",
+    # the inverse point is scalar Newton: a batch goes lane by lane
+    return SolutionField(u=jets.per_lane(u), v=jets.per_lane(v), coords="UV",
                          family_id=s.family_id + "~sym", params=s.params)
 
 
@@ -452,7 +453,12 @@ class CoveringEigenfunction:
 
     def check(self, p: Point) -> None:
         """Raise :class:`CoveringViolation` if the covering residual at
-        ``p`` exceeds 1e-8 (or is NaN)."""
+        ``p`` exceeds 1e-8 (or is NaN); a batch is checked lane by lane."""
+        count = jets.lanes(p)
+        if count is not None:
+            for i in range(count):
+                self.check(jets.lane(p, i))
+            return
         c1, c2 = covering_residual(self.attached_to, self.phi, p)
         worst = residual_sup([abs(c1), abs(c2)])
         if not worst <= 1e-8:
@@ -564,7 +570,18 @@ def darboux_psi(kind: str, phi_seed: JetMap, psi: JetMap) -> JetMap:
 
 
 def _bareiss_det(mat: list[list[Jet3]]) -> Jet3:
-    """Fraction-free determinant of a matrix of jets."""
+    """Fraction-free determinant of a matrix of jets; the pivots of a
+    batch are chosen lane by lane."""
+    base = mat[0][0].base
+    count = jets.lanes(base)
+    if count is not None:
+        def at_lane(i):
+            at = jets.lane(base, i)
+            return [[Jet3(at, a.order,
+                          a.coeffs[i] if a.coeffs.ndim == 2 else a.coeffs)
+                     for a in row] for row in mat]
+        dets = [_bareiss_det(at_lane(i)).coeffs for i in range(count)]
+        return Jet3(base, mat[0][0].order, np.stack(dets))
     n = len(mat)
     a = [row[:] for row in mat]
     sign = 1.0

@@ -42,6 +42,13 @@ def central_diff(f, p, multi_index, h=None):
     return g(*p)
 
 
+def per_node(f):
+    """A quadrature integrand, which takes the array of a panel's
+    abscissae, from ``f``, which takes one float: ``f`` is called once per
+    abscissa, in the panel's order, and the values are stacked."""
+    return lambda s: np.array([f(float(z)) for z in s])
+
+
 def jet_walk(e, x):
     """The expression ``e`` on the jet ``x`` by jet arithmetic alone:
     ``jets.call``, ``jets.power`` and the operators of ``Jet3``.  A

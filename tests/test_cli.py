@@ -850,3 +850,68 @@ def test_exit_code_contract(call, tmp_path_factory):
     else:
         assert len(out.splitlines()) == 1
         json.loads(out)
+
+
+# ----------------------------------------------------------------------
+# one Laplace step of each kind on every family, through the command
+# line: a 2^3 grid of the family's default box at the default base
+# ----------------------------------------------------------------------
+
+#: family -> outcome of (laplace_fwd_uv, laplace_fwd_uq): (exit code,
+#: skipped, evaluated), or (2, the grid point that the error names)
+_LAPLACE_OUTCOMES = {
+    "F_HOPFCOLE2D": ((1, 8, 0), (1, 8, 0)),
+    "F_LAPLACE_IMG_FWD1": ((0, 0, 8), (1, 0, 8)),
+    "F_LAPLACE_IMG_FWD4": ((2, (1.4, 1.3, 0.2)), (2, (0.6, 0.3, 0.2))),
+    "F_LAPLACE_IMG_INV3": ((0, 0, 8), (1, 0, 8)),
+    "F_LAPLACE_IMG_INV3X": ((1, 8, 0), (1, 8, 0)),
+    "F_LAPLACE_IMG_INV5": ((0, 0, 8), (1, 0, 8)),
+    "F_R22_ELEM_1": ((1, 8, 0), (2, (0.1, 1.4, 1.3))),
+    "F_R22_ELEM_2": ((1, 8, 0), (2, (0.1, 1.4, 1.3))),
+    "F_R22_ELEM_3": ((1, 8, 0), (2, (0.1, 1.4, 1.3))),
+    "F_R24_PAINLEVE4": ((0, 0, 8), (1, 0, 8)),
+    "F_R29_ELEM_1": ((1, 4, 4), (1, 0, 8)),
+    "F_R29_ELEM_2": ((0, 0, 8), (1, 0, 8)),
+    "F_R29_ELEM_3": ((0, 0, 8), (1, 0, 8)),
+    "F_R29_ELLIPTIC": ((2, (0.1, 0.55, 0.6)), (2, (0.1, 0.55, 0.6))),
+    "F_R29_PAINLEVE2": ((1, 8, 0), (0, 0, 8)),
+    "F_SINHGORDON": ((0, 0, 8), (1, 0, 8)),
+    "F_STATLIOUVILLE": ((0, 0, 8), (0, 0, 8)),
+    "F_UEQV": ((0, 0, 8), (1, 0, 8)),
+    "F_UXXV4X_A": ((0, 0, 8), (0, 0, 8)),
+    "F_UXXV4X_B": ((0, 0, 8), (1, 0, 8)),
+    "F_UXX_BERNOULLI": ((0, 0, 8), (2, (0.6, -0.5, -2.1))),
+    "F_UY0_QA": ((0, 0, 8), (0, 0, 8)),
+    "F_UY0_QB": ((1, 8, 0), (1, 0, 8)),
+    "F_UY0_TRIV": ((0, 0, 8), (0, 0, 8)),
+    "F_VX0": ((1, 8, 0), (1, 8, 0)),
+    "F_VXXX_1": ((0, 0, 8), (0, 0, 8)),
+    "F_VXXX_2": ((1, 8, 0), (1, 0, 8)),
+    "F_VXXX_3": ((0, 0, 8), (0, 0, 8)),
+    "F_VXXX_4": ((0, 0, 8), (0, 0, 8)),
+    "F_VXXX_5": ((0, 0, 8), (0, 0, 8)),
+}
+
+
+def test_laplace_outcomes_cover_every_family():
+    assert set(_LAPLACE_OUTCOMES) == \
+        {d.id for d in catalog.list_families()}
+
+
+@pytest.mark.parametrize("op", ["laplace_fwd_uv", "laplace_fwd_uq"])
+@pytest.mark.parametrize("family", sorted(_LAPLACE_OUTCOMES))
+def test_laplace_step_outcome(family, op, capsys):
+    want = _LAPLACE_OUTCOMES[family][op == "laplace_fwd_uq"]
+    grid = {ax: [lo, hi, 2]
+            for ax, (lo, hi) in zip("txy", catalog.default_box(family))}
+    code, out, err = run_cli(["transform", "--family", family,
+                              "--chain", json.dumps([{"op": op}]),
+                              "--grid", json.dumps(grid)], capsys)
+    assert code == want[0]
+    if code == 2:
+        t, x, y = want[1]
+        assert json.loads(err)["error"].endswith(
+            f" at grid point (t, x, y) = ({t!r}, {x!r}, {y!r})")
+    else:
+        rep = json.loads(out)
+        assert (rep["skipped"], rep["evaluated"]) == want[1:]

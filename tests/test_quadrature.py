@@ -9,7 +9,7 @@ from blp.quadrature import (
     QuadratureError, adaptive_quadrature, gauss_kronrod_15,
     integrate_field_along, line_integral, xt_path,
 )
-from conftest import central_diff
+from conftest import central_diff, per_node
 
 
 def test_polynomial_exact():
@@ -19,29 +19,30 @@ def test_polynomial_exact():
 
 
 def test_adaptive_matches_closed_forms():
-    assert adaptive_quadrature(math.exp, 0, 1) == pytest.approx(
+    assert adaptive_quadrature(per_node(math.exp), 0, 1) == pytest.approx(
         math.e - 1, rel=1e-12)
     assert adaptive_quadrature(lambda s: 1 / (1 + s * s), 0, 1) == pytest.approx(
         math.pi / 4, rel=1e-12)
     # mildly singular derivative at the endpoint
-    assert adaptive_quadrature(lambda s: math.sqrt(s), 0, 1) == pytest.approx(
+    assert adaptive_quadrature(per_node(math.sqrt), 0, 1) == pytest.approx(
         2 / 3, abs=1e-9)
 
 
 def test_adaptive_vector_valued():
-    out = adaptive_quadrature(lambda s: np.array([1.0, s, s * s]), 0, 3)
+    out = adaptive_quadrature(per_node(lambda s: np.array([1.0, s, s * s])),
+                              0, 3)
     assert out == pytest.approx([3.0, 4.5, 9.0], rel=1e-12)
 
 
 def test_reversed_interval_sign():
-    assert adaptive_quadrature(math.cos, 1.0, 0.0) == pytest.approx(
-        -math.sin(1.0), rel=1e-12)
+    assert adaptive_quadrature(per_node(math.cos), 1.0, 0.0) == \
+        pytest.approx(-math.sin(1.0), rel=1e-12)
 
 
 def test_pole_raises(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_PANELS", 64)
     with pytest.raises(QuadratureError):
-        adaptive_quadrature(lambda s: 1.0 / (s - 1 / 3), 0.0, 1.0)
+        adaptive_quadrature(per_node(lambda s: 1.0 / (s - 1 / 3)), 0.0, 1.0)
 
 
 def _field_sin_ty(p, n):
@@ -206,8 +207,8 @@ def _list_scan_quadrature(f, a, b, tol=1e-10, max_panels=2000,
     With ``stall_rule`` off it is the quadrature without QUADPACK's
     roundoff detection, which runs until the tolerance or a limit."""
     if a == b:
-        probe = np.asarray(f(a), dtype=float)
-        return probe * 0.0
+        probe = np.asarray(f(np.array([a])), dtype=float)
+        return probe[0] * 0.0
     val, err = gauss_kronrod_15(f, a, b)
     panels = [(err, a, b, val)]
     width_floor = 1e-14 * (1.0 + abs(a) + abs(b))
@@ -293,7 +294,8 @@ def _run_counted(quad, f, a, b, kw):
         return f(s)
 
     try:
-        out = ("value", np.asarray(quad(counted, a, b, **kw)).tobytes())
+        out = ("value",
+               np.asarray(quad(per_node(counted), a, b, **kw)).tobytes())
     except QuadratureError as exc:
         out = ("error", exc.reason, str(exc))
     return out, calls[0]
@@ -318,7 +320,7 @@ def test_ties_split_the_older_panel_first():
         def f(s):
             calls.append(s)
             return math.sqrt(abs(s))
-        quad(f, -1.0, 1.0)
+        quad(per_node(f), -1.0, 1.0)
         return calls
 
     got = abscissae(adaptive_quadrature)
@@ -349,7 +351,7 @@ def test_heap_order_matches_list_scan_at_boundary_tolerances(f, tol):
     # would drift from that exact sum, below it (scalar) or above it
     # (vector)
     rec = _RecordingTol(tol)
-    _list_scan_quadrature(f, 0.0, 1.0, tol=rec)
+    _list_scan_quadrature(per_node(f), 0.0, 1.0, tol=rec)
     assert len(rec.seen) > 25
     for total in rec.seen:
         for t in (total, math.nextafter(total, 0.0),

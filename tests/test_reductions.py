@@ -225,6 +225,7 @@ def test_elliptic_zeta_form_matches_quadrature():
     from blp.quadrature import adaptive_quadrature
     from blp.specfun import (QuarticODE, quartic_particular_solution,
                              quartic_square_integral)
+    from conftest import per_node
     for C0, delta, C2, a in [(1.0, 1.0, 3.0, 0.0), (0.6, 0.8, 2.0, 0.0),
                              (0.5, 1.2, 3.5, 0.0), (0.9, 1.1, 1.8, 0.0),
                              (1.0, 1.0, -2.0, 5.0)]:
@@ -232,8 +233,8 @@ def test_elliptic_zeta_form_matches_quadrature():
         phi = quartic_particular_solution(q, a)
         square_integral = quartic_square_integral(q, a)
         for w in (-1e-3, 1e-3, 0.55, 0.7, 0.95, 1.1):
-            want = adaptive_quadrature(lambda s: phi(s) ** 2, 0.85, w,
-                                       tol=1e-9)
+            want = adaptive_quadrature(per_node(lambda s: phi(s) ** 2),
+                                       0.85, w, tol=1e-9)
             got = square_integral(w) - square_integral(0.85)
             assert got == pytest.approx(want, abs=5e-8), (C0, w)
 

@@ -355,6 +355,7 @@ def test_degenerate_branches_satisfy_ode():
 ])
 def test_degenerate_square_integral_matches_quadrature(q, lam, name):
     from blp.quadrature import adaptive_quadrature
+    from conftest import per_node
     br, = (b for b in degenerate_solutions(q, lam) if b.name == name)
     checked = 0
     for z0, z1 in [(0.3, 0.6), (0.6, 1.1), (1.1, 1.8), (-0.7, -0.2),
@@ -365,7 +366,7 @@ def test_degenerate_square_integral_matches_quadrature(q, lam, name):
                 continue  # a pole in or near the span
         except ArithmeticError:
             continue
-        want = adaptive_quadrature(lambda s: br(s) ** 2, z0, z1)
+        want = adaptive_quadrature(per_node(lambda s: br(s) ** 2), z0, z1)
         got = br.square_integral(z1) - br.square_integral(z0)
         assert got == pytest.approx(want, abs=1e-12, rel=1e-12), (z0, z1)
         checked += 1

@@ -1058,9 +1058,11 @@ def test_uq_step_then_uv_step_runs_no_y_integral(monkeypatch):
     assert max(abs(r1), abs(r2)) < 1e-8
 
 
-#: Phi calls per point of an n-fold dressing's residual, by (kind, n)
-_DARBOUX_PHI_CALLS = {("DT1", 1): 35, ("DT1", 2): 68,
-                      ("DT2", 1): 34, ("DT2", 2): 67}
+#: Phi calls per point of an n-fold dressing's residual, by (kind, n):
+#: each quadrature panel asks Phi once for its 15 abscissae (35, 68, 34
+#: and 67 when each abscissa was one call)
+_DARBOUX_PHI_CALLS = {("DT1", 1): 7, ("DT1", 2): 12,
+                      ("DT2", 1): 6, ("DT2", 2): 11}
 
 
 @pytest.mark.parametrize("kind,n_fold,probed", [
