@@ -57,6 +57,7 @@ and its ``params`` an object.  The inputs (key kind = default):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -397,9 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parsing keeps no state in the parser, so one serves every call of main
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except (BLPError, json.JSONDecodeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True),

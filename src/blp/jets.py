@@ -562,11 +562,7 @@ def check_denominator(den: float, scale: float, message: str,
                       band: float = GUARD, error=DomainError) -> None:
     """Raise ``error(message)`` where :func:`inside_band` holds; ``{}`` in
     ``message`` shows ``den``."""
-    undefined = inside_band(den, scale, band)
-    if isinstance(undefined, np.ndarray):
-        raise_where(undefined, den, message, error)
-    elif undefined:
-        raise error(message.format(den))
+    raise_where(inside_band(den, scale, band), den, message, error)
 
 
 class _Elementary(NamedTuple):
@@ -640,11 +636,7 @@ def _checked(f, v) -> _Elementary:
     float, or one per lane)."""
     form = _ELEMENTARY.get(f) or _power(f)
     if form.undefined is not None:
-        undefined = form.undefined(v)
-        if isinstance(undefined, np.ndarray):
-            raise_where(undefined, v, form.message)
-        elif undefined:
-            raise DomainError(form.message.format(v))
+        raise_where(form.undefined(v), v, form.message)
     return form
 
 

@@ -301,7 +301,6 @@ def integrate_painleve2(spec: ReductionSpec, span=(-3.0, 0.0),
             "delta": spec.delta, "nu": nu}
     traj = _integrate_profile(series_fn, psi_rate, None, w0,
                               (f0, d0, psi0), span, tol, meta)
-    traj.meta["omega_map"] = lambda omega: s * (omega + spec.C0 / spec.C1)
     traj.meta["phi_scale"] = s
     return traj
 

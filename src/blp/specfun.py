@@ -356,8 +356,7 @@ def quartic_particular_solution(q: QuarticODE, a: float):
         if state == "pole":
             raise PoleError("pole of the particular solution")
         if state == "crossing":
-            return float(np.polynomial.polynomial.polyval(
-                0.0, _series(z, 0, p, dp)))
+            return float(_series(z, 0, p, dp)[0])
         return _assemble(p, dp)
 
     return phi

@@ -27,19 +27,15 @@ import numpy as np
 
 from . import jets
 from .exprdsl import as_expr, eval_jet
-from .jets import DomainError, Jet3, JetMap, Point, UndefinedHere
+from .jets import Jet3, JetMap, Point, UndefinedHere
 from .quadrature import QuadratureError, integrate_field_along, xt_path
 
 __all__ = [
-    "SolutionField", "ResidualReport", "GaugeError",
+    "SolutionField", "ResidualReport",
     "residual", "residual_uq", "covering_residual",
     "conserved_current_divergence", "convert", "residual_report",
     "residual_sup", "count_nonfinite", "report_json", "perturb_v",
 ]
-
-
-class GaugeError(jets.BLPError, RuntimeError):
-    """A conversion path crossed a point where the field is undefined."""
 
 
 @dataclass(frozen=True)
@@ -52,9 +48,11 @@ class SolutionField:
 
     One domain rule: a component raises :class:`jets.UndefinedHere`
     where it is not defined, and a grid check skips a point for that
-    error alone.  ``validity`` is true everywhere unless a caller gives
-    a predicate (no constructor or transformation here does), and
-    :func:`residual_report` honours it for callers that wrap it.
+    error alone; a component that is a path integral raises it where
+    its integrand does, anywhere on the path.  ``validity`` is true
+    everywhere unless a caller gives a predicate (no constructor or
+    transformation here does), and :func:`residual_report` honours it
+    for callers that wrap it.
 
     Every field also answers ``w``, the second component of the (u,w)
     form: v_x in (u,v), q_y in (u,q) and v itself in (u,w); it remembers
@@ -283,8 +281,9 @@ def convert(s: SolutionField, to: str, basepoint: Point) -> SolutionField:
     anchored at ``basepoint``; the potentials carry the gauge
     q(t,x,y0) = 0 (UV->UQ) and v fixed up to a function of y (UQ->UV).
     Both read the field's ``w``, and the (u,q) and (u,v) results carry
-    it as their own.  Where w is undefined at the point, its own error is
-    raised; elsewhere on the path, a :class:`GaugeError`.
+    it as their own.  An error of w anywhere on the path, the point
+    itself included, is raised as it is: a grid check skips a point
+    whose path crosses a place where w is undefined.
     """
     if to == s.coords:
         return s
@@ -293,23 +292,9 @@ def convert(s: SolutionField, to: str, basepoint: Point) -> SolutionField:
     u0, w = s.u, s.w
     if to == "UW":
         return s.with_meta(v=w, coords="UW")
-
-    def guard(fn):
-        def wrapped(p: Point, n: int) -> Jet3:
-            try:
-                return fn(p, n)
-            except DomainError as exc:
-                raise GaugeError(f"undefined on integration path: {exc}") \
-                    from exc
-        return wrapped
-
-    # each potential reads w at its own point first, unguarded: a grid
-    # check skips a point where w is undefined; the path then reads p's
-    # jets remembered
     if to == "UQ":
         def q(p: Point, n: int) -> Jet3:
-            w(p, n)
-            return integrate_field_along(guard(w), "y", basepoint.y, p, n)
+            return integrate_field_along(w, "y", basepoint.y, p, n)
         return s.with_meta(v=q, w=w, coords="UQ")
 
     def v_t(p: Point, n: int) -> Jet3:
@@ -317,12 +302,7 @@ def convert(s: SolutionField, to: str, basepoint: Point) -> SolutionField:
         return wj.derive("x") + 2.0 * (u0(p, n) * wj.truncate(n))
 
     # v = int_x0^x w dx' + int_t0^t (w_x + 2 u w)|_(t',x0,y) dt'
-    path = xt_path(guard(w), guard(v_t), basepoint)
-
-    def v(p: Point, n: int) -> Jet3:
-        w(p, n)
-        return path(p, n)
-    return s.with_meta(v=v, w=w, coords="UV")
+    return s.with_meta(v=xt_path(w, v_t, basepoint), w=w, coords="UV")
 
 
 # ----------------------------------------------------------------------
@@ -373,10 +353,11 @@ def residual_report(s: SolutionField, grid: list[Point]) -> ResidualReport:
     """Residuals of a (u,v) or (u,q) field over ``grid``.
 
     A point whose residual evaluation raises :class:`jets.UndefinedHere`,
-    or where a caller's ``s.validity`` is false, is skipped; every other
-    point gives one row of ``rows``.  A :class:`QuadratureError` or a
-    :class:`GaugeError` ends the report and names the point where it was
-    raised.
+    on a path integral's path too, or where a caller's ``s.validity`` is
+    false, is skipped; every other point gives one row of ``rows``.  A
+    :class:`QuadratureError`, which says that an integral could not be
+    computed, not that the field is undefined, ends the report and names
+    the point where it was raised.
     """
     equations = _RESIDUALS.get(s.coords)
     if equations is None:
@@ -392,7 +373,7 @@ def residual_report(s: SolutionField, grid: list[Point]) -> ResidualReport:
         except UndefinedHere:
             skipped += 1
             continue
-        except (QuadratureError, GaugeError) as exc:
+        except QuadratureError as exc:
             at = f" at grid point (t, x, y) = ({p.t!r}, {p.x!r}, {p.y!r})"
             exc.args = (f"{exc}{at}",) + exc.args[1:]
             raise
