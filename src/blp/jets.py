@@ -52,7 +52,10 @@ one point and an array over the lanes for a batch.  Every jet map
 error is the class and message of the first such lane, with that lane's
 value in the message.  A map whose code is inherently scalar is wrapped
 by :func:`per_lane`, which asks it at each lane's point in lane order
-and stacks the jets, so it raises exactly as for single points.
+and stacks the jets, so it raises exactly as for single points.  A grid
+report (:func:`blp.system.residual_report`) asks its whole grid as one
+batch and splits a batch that raises in halves, down to single points,
+so no verdict depends on the lanes.
 
 All operations are pure and jets are immutable.  A map wrapped by
 :func:`last_point`, as every field component is, remembers its last

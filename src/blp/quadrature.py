@@ -32,7 +32,7 @@ the panel budget.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -186,29 +186,34 @@ def integrate_field_along(field: JetMap, axis: str, lower: float,
     of g's jets along the integration segment: one jet of g per panel, at
     the point whose ``axis`` holds the panel's abscissae.  Where
     ``lower == p.axis`` the slice is zero and no abscissa is asked.  At
-    a batched ``p`` each lane is one integral (:func:`jets.per_lane`).
+    a batched ``p``, g is asked once at ``p`` for the whole batch, and
+    each lane's slice is its own scalar quadrature.
     """
-    if lanes(p) is not None:
-        return per_lane(lambda q, n: integrate_field_along(
-            field, axis, lower, q, n))(p, order)
     ax = _AXIS_NUM[axis]
-    upper = p[ax]
     tab = _tables(order)
     g_at_p = field(p, order)
-    out = np.zeros(jet_size(order))
     free = _free_of(order, ax)
-
-    def slice_values(s: np.ndarray) -> np.ndarray:
-        q = Point(*(s if i == ax else p[i] for i in range(3)))
-        c = field(q, order).coeffs.take(free, axis=-1)
-        return np.broadcast_to(c, (len(s), len(free)))
-
-    if lower != upper:
-        out[free] = adaptive_quadrature(slice_values, lower, upper)
+    count = lanes(p)
+    at = [p] if count is None else [lane(p, i) for i in range(count)]
+    out = np.zeros((len(at), jet_size(order)))
+    for row, q in zip(out, at):
+        if lower != q[ax]:
+            row[free] = adaptive_quadrature(
+                partial(_slice_values, field, q, ax, order, free),
+                lower, q[ax])
     # F's monomial e + axis is g's monomial e divided by its new power
-    out[tab.derive_src[ax]] = \
-        g_at_p.coeffs[:jet_size(order - 1)] / tab.derive_scale[ax]
-    return Jet3(p, order, out)
+    out[:, tab.derive_src[ax]] = \
+        g_at_p.coeffs[..., :jet_size(order - 1)] / tab.derive_scale[ax]
+    return Jet3(p, order, out[0] if count is None else out)
+
+
+def _slice_values(field: JetMap, p: Point, ax: int, order: int,
+                  free: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The axis-free coefficients of ``field`` at the points of ``p``
+    whose coordinate ``ax`` holds the abscissae ``s``."""
+    q = Point(*(s if i == ax else p[i] for i in range(3)))
+    c = field(q, order).coeffs.take(free, axis=-1)
+    return np.broadcast_to(c, (len(s), len(free)))
 
 
 @lru_cache(maxsize=None)

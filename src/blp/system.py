@@ -354,30 +354,21 @@ def residual_report(s: SolutionField, grid: list[Point]) -> ResidualReport:
 
     A point whose residual evaluation raises :class:`jets.UndefinedHere`,
     on a path integral's path too, or where a caller's ``s.validity`` is
-    false, is skipped; every other point gives one row of ``rows``.  A
-    :class:`QuadratureError`, which says that an integral could not be
-    computed, not that the field is undefined, ends the report and names
-    the point where it was raised.
+    false, is skipped; every other point gives one row of ``rows``, in
+    grid order.  A :class:`QuadratureError`, which says that an integral
+    could not be computed, not that the field is undefined, ends the
+    report and names the first grid point where it was raised.
+
+    The points are evaluated as one batch (:mod:`blp.jets`); a batch
+    that raises either error is split in halves, down to single points,
+    so a point is skipped, or named, only by its own evaluation.
     """
     equations = _RESIDUALS.get(s.coords)
     if equations is None:
         raise ValueError(f"no grid residual for {s.coords} coordinates")
-    rows, skipped = [], 0
-    for p in grid:
-        if not s.validity(p):
-            skipped += 1
-            continue
-        try:
-            u, v = s.u(p, RESIDUAL_ORDER), s.v(p, RESIDUAL_ORDER)
-            r1, r2 = equations(u, v)
-        except UndefinedHere:
-            skipped += 1
-            continue
-        except QuadratureError as exc:
-            at = f" at grid point (t, x, y) = ({p.t!r}, {p.x!r}, {p.y!r})"
-            exc.args = (f"{exc}{at}",) + exc.args[1:]
-            raise
-        rows.append((p, u.value, v.value, r1, r2))
+    points = [p for p in grid if s.validity(p)]
+    rows: list = []
+    skipped = len(grid) - len(points) + _rows(s, equations, points, rows)
     r1s = [abs(row[3]) for row in rows]
     r2s = [abs(row[4]) for row in rows]
     return ResidualReport(
@@ -386,3 +377,32 @@ def residual_report(s: SolutionField, grid: list[Point]) -> ResidualReport:
         r1_max=residual_sup(r1s), r2_max=residual_sup(r2s),
         r1_rms=_rms(r1s), r2_rms=_rms(r2s), skipped=skipped,
         nonfinite=count_nonfinite(r1s, r2s), rows=rows)
+
+
+def _rows(s: SolutionField, equations, points: list[Point],
+          rows: list) -> int:
+    """Append the row (p, u, v, r1, r2) of each point of ``points`` where
+    ``s`` is defined to ``rows``, in order; returns the number skipped.
+    Several points are asked as one batch, a single point alone."""
+    if not points:
+        return 0
+    at = points[0] if len(points) == 1 else \
+        Point(*(np.array(c) for c in zip(*points)))
+    try:
+        u, v = s.u(at, RESIDUAL_ORDER), s.v(at, RESIDUAL_ORDER)
+        r1, r2 = equations(u, v)
+    except (UndefinedHere, QuadratureError) as exc:
+        if len(points) > 1:
+            half = len(points) // 2
+            return (_rows(s, equations, points[:half], rows)
+                    + _rows(s, equations, points[half:], rows))
+        if isinstance(exc, UndefinedHere):
+            return 1
+        where = f" at grid point (t, x, y) = ({at.t!r}, {at.x!r}, {at.y!r})"
+        exc.args = (f"{exc}{where}",) + exc.args[1:]
+        raise
+    # a jet of shape (size,) is the same in every lane
+    lanes = (np.broadcast_to(c, len(points)).tolist()
+             for c in (u.value, v.value, r1, r2))
+    rows.extend(zip(points, *lanes))
+    return 0

@@ -64,7 +64,7 @@ from .exprdsl import (Bin, Call, Expr, Num, as_expr, eval_jet, eval_series,
                       parse, sample)
 from .jets import Jet3, JetMap, Point, UndefinedHere, last_point
 from .quadrature import integrate_field_along, xt_path
-from .system import SolutionField, covering_residual, residual_sup
+from .system import SolutionField, covering_residual
 
 __all__ = [
     "PointSymmetry", "CoveringEigenfunction", "UndefinedTransform",
@@ -106,6 +106,8 @@ class CoveringViolation(jets.BadInput):
 
 #: the window of t and of y on which T and Y are checked and inverted
 WINDOW = (-6.0, 6.0)
+#: points whose inverse a symmetry image keeps: more than a 5^3 grid
+_POINTS_KEPT = 256
 
 
 @dataclass(frozen=True)
@@ -236,8 +238,10 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
     reverted series of T and Y, the coefficient functions of ``g`` (their
     series at the old point composed with those tables) and one
     composition matrix of the inverse map (:func:`jets.compose3`).  A
-    point with no inverse on ``WINDOW`` raises :class:`InverseMapError`,
-    an :class:`UndefinedTransform`.
+    batch goes lane by lane, u at every lane before v, so these shares
+    are kept for the last ``_POINTS_KEPT`` points.  A point with no
+    inverse on ``WINDOW`` raises :class:`InverseMapError`, an
+    :class:`UndefinedTransform`.
     """
     if s.coords != "UV":
         raise ValueError("apply_symmetry expects (u,v) coordinates")
@@ -245,16 +249,16 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
     eps = float(g.eps)
     d = series.derivative
 
-    @lru_cache(maxsize=1)
+    @lru_cache(maxsize=_POINTS_KEPT)
     def old_point(pn: Point) -> Point:
         # u and v may ask one point at different orders: invert it once
         t_old = _invert_monotone(g.T, dT, pn.t)
         x_old = (pn.x - g.X0(t_old)) / (g.eps * math.sqrt(dT(t_old)))
         return Point(t_old, x_old, _invert_monotone(g.Y, dY, pn.y))
 
-    @lru_cache(maxsize=1)
+    @lru_cache(maxsize=_POINTS_KEPT)
     def inner(pn: Point, n: int):
-        # u and v ask at the same point and order in turn: build them once
+        # u and v ask at the same point and order: build them once
         po = old_point(pn)
         lay = series.univariate(n)
         tser = eval_series(g.T, po.t, n + 2)
@@ -453,14 +457,19 @@ class CoveringEigenfunction:
 
     def check(self, p: Point) -> None:
         """Raise :class:`CoveringViolation` if the covering residual at
-        ``p`` exceeds 1e-8 (or is NaN); a batch is checked lane by lane."""
+        ``p`` exceeds 1e-8 (or is NaN); a batch is checked at once, and
+        the error names its first lane that fails, with that lane's
+        residual."""
+        c1, c2 = covering_residual(self.attached_to, self.phi, p)
+        worst = np.maximum(np.abs(c1), np.abs(c2))  # NaN where either is
         count = jets.lanes(p)
         if count is not None:
-            for i in range(count):
-                self.check(jets.lane(p, i))
-            return
-        c1, c2 = covering_residual(self.attached_to, self.phi, p)
-        worst = residual_sup([abs(c1), abs(c2)])
+            worst = np.broadcast_to(worst, count)
+            failing = ~(worst <= 1e-8)
+            if not failing.any():
+                return
+            i = int(failing.argmax())
+            p, worst = jets.lane(p, i), worst[i]
         if not worst <= 1e-8:
             raise CoveringViolation(
                 f"covering residual {worst:g} exceeds 1e-8 at (t, x, y) = "

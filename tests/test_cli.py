@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blp import catalog, quadrature, system
+from blp import catalog, jets, quadrature, system
 from blp.cli import main
 from blp.jets import Jet3
 
@@ -291,6 +291,7 @@ def test_bad_tol_config_is_config_error(command, tol, tmp_path, capsys):
 
 def _nan_at(bad):
     """A zero (u,v) field except for a NaN value of u at one point."""
+    @jets.per_lane
     def u(p, n):
         return Jet3.constant(math.nan if p == bad else 0.0, p, n)
 

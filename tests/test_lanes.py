@@ -9,16 +9,18 @@ largest coefficient of the lane's jet (or to 1e-13 where that is below
 the error class of the lane where the single point raises.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from blp import catalog, exprdsl, jets, quadrature, series, system, \
+from blp import catalog, cli, exprdsl, jets, quadrature, series, system, \
     transforms
 from blp.jets import BLPError, DomainError, Jet3, Point, UndefinedHere
 from blp.quadrature import integrate_field_along, line_integral
 from conftest import per_node
+from test_cli import _DOMAIN_EDGE_RUNS
 
 RTOL = 1e-13
 ORDERS = range(9)
@@ -579,3 +581,150 @@ def test_series_recurrences_over_lanes():
                  [series.power(x, -0.5, lay) for x in a])]:
             for g, w in zip(got, want):
                 assert np.max(np.abs(g - w)) <= RTOL * np.max(np.abs(w))
+
+
+# ----------------------------------------------------------------------
+# grid reports: one batch against each point alone
+# ----------------------------------------------------------------------
+
+def _partials_max(a):
+    """The largest partial derivative of the jet ``a`` at its base."""
+    return float(np.max(np.abs(a.coeffs * jets._tables(a.order).fact)))
+
+
+def assert_report_by_points(make_field, grid):
+    """The report over ``grid`` of one field from ``make_field`` against
+    ``residual_report(f, [p])`` for each p on another: the same skips and
+    row points in grid order, u and v to RTOL (relative, or absolute
+    below 1), and each residual to RTOL of the size of the terms it sums,
+    (1 + U)(1 + U + V) for the largest partials U of u and V of v."""
+    got = system.residual_report(make_field(), grid)
+    field = make_field()
+    want, scales, skipped = [], [], 0
+    for p in grid:
+        alone = system.residual_report(field, [p])
+        skipped += alone.skipped
+        want += alone.rows
+        if alone.rows:  # the field remembers its jets at p
+            big_u = _partials_max(field.u(p, system.RESIDUAL_ORDER))
+            big_v = _partials_max(field.v(p, system.RESIDUAL_ORDER))
+            scales.append((1.0 + big_u) * (1.0 + big_u + big_v))
+    assert got.skipped == skipped
+    assert [row[0] for row in got.rows] == [row[0] for row in want]
+    for g, w, scale in zip(got.rows, want, scales):
+        for a, b in zip(g[1:3], w[1:3]):
+            assert abs(a - b) <= RTOL * max(abs(b), 1.0), g[0]
+        for a, b in zip(g[3:], w[3:]):
+            assert abs(a - b) <= RTOL * scale, g[0]
+    return got
+
+
+def _box_grid(fid, count=5):
+    axes = [np.linspace(lo, hi, count) for lo, hi in catalog.default_box(fid)]
+    return [Point(float(t), float(x), float(y))
+            for t in axes[0] for x in axes[1] for y in axes[2]]
+
+
+@pytest.mark.parametrize("fid", _FAMILIES)
+def test_grid_report_is_each_point_alone(fid):
+    assert_report_by_points(lambda: catalog.instantiate(fid, {}),
+                            _box_grid(fid))
+
+
+def test_grid_report_of_every_elliptic_binding():
+    pool = {json.dumps(catalog.sample_bindings(
+        "F_R29_ELLIPTIC", np.random.default_rng(seed)), sort_keys=True)
+        for seed in range(64)}
+    assert len(pool) == 4
+    for text in sorted(pool):
+        bindings = json.loads(text)
+        assert_report_by_points(
+            lambda: catalog.instantiate("F_R29_ELLIPTIC", bindings),
+            _box_grid("F_R29_ELLIPTIC"))
+
+
+class _Captured(Exception):
+    """The field and grid a command was about to report on."""
+
+
+def _command_field(argv, monkeypatch):
+    """The field and grid of ``blp`` ``argv``, built as the command does."""
+    def capture(field, grid):
+        raise _Captured(field, grid)
+
+    with monkeypatch.context() as m:
+        m.setattr(system, "residual_report", capture)
+        with pytest.raises(_Captured) as info:
+            cli.main(argv)
+    return info.value.args
+
+
+@pytest.mark.parametrize("case", sorted(_DOMAIN_EDGE_RUNS))
+def test_grid_report_across_a_domain_edge(case, monkeypatch):
+    argv, _, (skipped, evaluated) = _DOMAIN_EDGE_RUNS[case]
+    grid = _command_field(argv, monkeypatch)[1]
+    rep = assert_report_by_points(
+        lambda: _command_field(argv, monkeypatch)[0], grid)
+    assert (rep.skipped, len(rep.rows)) == (skipped, evaluated)
+
+
+def _scalar_field(u):
+    """A (u,v) field with the given u and v = 0."""
+    return system.SolutionField(
+        u=u, v=lambda p, n: Jet3.constant(0.0, p, n), coords="UV")
+
+
+def test_a_stall_after_an_undefined_point_is_named_at_its_point():
+    grid = [Point(1.0, 0.1 * i, 0.5) for i in range(8)]
+    undefined, first, second = grid[1], grid[4], grid[6]
+
+    @jets.per_lane
+    def u(p, n):
+        if p == undefined:
+            raise DomainError("undefined here")
+        if p in (first, second):
+            raise quadrature.QuadratureError(f"stalled at x = {p.x}",
+                                             "stall")
+        return Jet3.constant(0.0, p, n)
+
+    with pytest.raises(quadrature.QuadratureError) as info:
+        system.residual_report(_scalar_field(u), grid)
+    assert info.value.reason == "stall"
+    assert str(info.value) == (
+        f"stalled at x = {first.x} at grid point (t, x, y) = "
+        f"({first.t!r}, {first.x!r}, {first.y!r})")
+
+
+def test_an_error_only_a_batch_raises_is_not_a_skip():
+    def u(p, n):
+        if jets.lanes(p) is not None:
+            raise TypeError("a batch")
+        return Jet3.constant(0.0, p, n)
+
+    grid = [Point(1.0, 0.1 * i, 0.5) for i in range(4)]
+    field = _scalar_field(u)
+    assert system.residual_report(field, grid[:1]).skipped == 0
+    with pytest.raises(TypeError, match="^a batch$"):
+        system.residual_report(field, grid)
+
+
+def test_a_covering_check_names_its_failing_lane():
+    _, seed, phis = _rich()
+    good = phis[0].phi
+    p = Point(1.1, np.array([0.5, 0.6, 0.7]), 0.7)
+    bad = jets.lane(p, 1)
+
+    @jets.per_lane
+    def phi(q, n):
+        f = good(q, n)
+        return f + 0.01 * jets.lift_variable("x", q, n) ** 2 \
+            if q == bad else f
+
+    eigen = transforms.CoveringEigenfunction(phi, seed)
+    eigen.check(jets.lane(p, 0))
+    with pytest.raises(transforms.CoveringViolation) as info:
+        eigen.check(p)
+    alone = pytest.raises(transforms.CoveringViolation, eigen.check, bad)
+    assert str(info.value) == str(alone.value)
+    assert str(info.value).endswith(
+        f"at (t, x, y) = ({bad.t!r}, {bad.x!r}, {bad.y!r})")

@@ -166,7 +166,8 @@ def test_report_serialization():
 def test_report_nonfinite_residual():
     bad = Point(1.0, 0.2, 0.4)
     nan_u = SolutionField(
-        u=lambda p, n: Jet3.constant(math.nan if p == bad else 0.0, p, n),
+        u=jets.per_lane(
+            lambda p, n: Jet3.constant(math.nan if p == bad else 0.0, p, n)),
         v=TRIVIAL.v, coords="UV", family_id="nan_at")
     grid = [Point(1.0, 0.1 * i, 0.2 * j) for i in range(3) for j in range(3)]
     rep = residual_report(nan_u, grid)
@@ -184,6 +185,7 @@ def test_report_names_the_point_where_quadrature_failed():
     from blp.quadrature import QuadratureError
     bad = Point(1.0, 0.2, 0.4)
 
+    @jets.per_lane
     def u(p, n):
         if p == bad:
             raise QuadratureError("refinement stalled", "stall")

@@ -136,6 +136,32 @@ def test_symmetry_image_inverts_each_point_once(monkeypatch):
     assert calls[0] == 2 * len(grid) + 2
 
 
+def test_symmetry_image_inverts_each_point_once_in_a_batch(monkeypatch):
+    # the grid is one batch, and one of its points has no inverse on
+    # WINDOW: the report splits the batch around it, and every other point
+    # is still inverted once, t and y
+    inverted = []
+    invert = transforms._invert_monotone
+    g = d_transform("t + 0.3*sin(t)").compose(s_transform("y + 0.5*sin(y)"))
+
+    def counted(f, df, target):
+        inverted.append(("t" if f is g.T else "y", target))
+        return invert(f, df, target)
+
+    monkeypatch.setattr(transforms, "_invert_monotone", counted)
+    field = apply_symmetry(g, catalog.instantiate(
+        "F_VXXX_4", {"alpha": "sin(y)", "gamma": "y"}))
+    grid = [Point(0.6 + 0.1 * i, 0.3 + 0.1 * i, 0.2 + 0.1 * i)
+            for i in range(8)]
+    grid[3] = Point(7.0, 0.6, 0.55)  # T(t) <= 6 + 0.3 on WINDOW
+    rep = residual_report(field, grid)
+    assert rep.skipped == 1 and max(rep.r1_max, rep.r2_max) < 1e-7
+    assert [row[0] for row in rep.rows] == grid[:3] + grid[4:]
+    for q, *_ in rep.rows:
+        assert inverted.count(("t", q.t)) == inverted.count(("y", q.y)) == 1
+    assert ("t", 7.0) in inverted and ("y", 0.55) not in inverted
+
+
 #: (first, second) elementary kinds, 0..4 = D, S, P, Z, I, as the
 #: composite symmetries of the profiles_symmetry benchmark
 _SYM_KIND_PAIRS = [(i % 5, (i + 1 + i // 5) % 5) for i in range(12)]
@@ -838,15 +864,17 @@ def test_convert_roundtrip_families(fid, bindings):
 
 
 class _CountingWitness:
-    """Phi = sum_j c_j(y) exp(k_j x + s k_j^2 t) + a y + b; counts calls."""
+    """Phi = sum_j c_j(y) exp(k_j x + s k_j^2 t) + a y + b; counts calls,
+    and the points they ask (the lanes of a batch)."""
 
     def __init__(self, ks, coeffs, sign, linear=(0.0, 0.0)):
         self.ks, self.coeffs, self.sign = ks, coeffs, sign
         self.linear = linear
-        self.calls = 0
+        self.calls = self.lanes = 0
 
     def Phi(self, p, n):
         self.calls += 1
+        self.lanes += jets.lanes(p) or 1
         t, x, y = jets.coordinate_jets(p, n)
         acc = self.linear[0] * y + self.linear[1]
         for k, cs in zip(self.ks, self.coeffs):
@@ -863,11 +891,13 @@ def _box_grid(box, shape):
             for t in axes[0] for x in axes[1] for y in axes[2]]
 
 
-def _phi_calls_per_point(witness, field, grid):
-    witness.calls = 0
+def _phi_calls_per_point(witness, field, grid, count="calls"):
+    """Witness calls, or with ``count="lanes"`` points asked, per point
+    of a grid report."""
+    witness.calls = witness.lanes = 0
     rep = residual_report(field, grid)
     assert rep.skipped == 0 and rep.r1_max < 1e-6 and rep.r2_max < 1e-6
-    return witness.calls / len(grid)
+    return getattr(witness, count) / len(grid)
 
 
 _MODE_KS = (-0.5, 0.5, 1.0, 1.5)
@@ -881,8 +911,9 @@ _MODE_COEFFS = ([1.0], [1.0, 0.0, 1.0], [0.0, 1.0], [0.5, 0.0, 0.0, 0.3])
 def test_laplace_uq_chain_phi_calls_grow_linearly(direction, depth, probed):
     # each level asks its parent for one jet per point, at the highest
     # order it needs, so the witness is asked once per point at every
-    # depth; ``probed`` is the count when each level's validity also
-    # evaluated it at a lower order, one more call per level
+    # depth (one call for a whole batch, so count the points it asks);
+    # ``probed`` is the count when each level's validity also evaluated
+    # it at a lower order, one more per level
     if direction == "fwd":
         w = _CountingWitness(_MODE_KS, _MODE_COEFFS, 1.0)
         field = uq_seed(w, constraint="u_y=q_y")
@@ -893,8 +924,9 @@ def test_laplace_uq_chain_phi_calls_grow_linearly(direction, depth, probed):
         step, box = laplace_inverse_uq, ((0.6, 1.3), (0.2, 0.8), (0.4, 0.9))
     for _ in range(depth):
         field = step(field)
-    calls = _phi_calls_per_point(w, field, _box_grid(box, (2, 2, 2)))
-    assert calls == 1 == probed - depth
+    asked = _phi_calls_per_point(w, field, _box_grid(box, (2, 2, 2)),
+                                 count="lanes")
+    assert asked == 1 == probed - depth
 
 
 # ----------------------------------------------------------------------
@@ -1061,9 +1093,11 @@ def test_uq_step_then_uv_step_runs_no_y_integral(monkeypatch):
 
 #: Phi calls per point of an n-fold dressing's residual, by (kind, n):
 #: each quadrature panel asks Phi once for its 15 abscissae (35, 68, 34
-#: and 67 when each abscissa was one call)
-_DARBOUX_PHI_CALLS = {("DT1", 1): 7, ("DT1", 2): 12,
-                      ("DT2", 1): 6, ("DT2", 2): 11}
+#: and 67 when each abscissa was one call), and the grid's points are one
+#: batch, whose integrals ask Phi once for all lanes at the point itself
+#: (7, 12, 6 and 11 when each point was evaluated alone)
+_DARBOUX_PHI_CALLS = {("DT1", 1): 5, ("DT1", 2): 9,
+                      ("DT2", 1): 4.5, ("DT2", 2): 8.5}
 
 
 @pytest.mark.parametrize("kind,n_fold,probed", [
