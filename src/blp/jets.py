@@ -50,9 +50,13 @@ one point and an array over the lanes for a batch.  Every jet map
 (:data:`JetMap`) accepts a batched point.  The guard rule over lanes
 (:func:`raise_where`): a batch is undefined where any lane is, and the
 error is the class and message of the first such lane, with that lane's
-value in the message.  A map whose code is inherently scalar is wrapped
-by :func:`per_lane`, which asks it at each lane's point in lane order
-and stacks the jets, so it raises exactly as for single points.  A grid
+value in the message.  A map whose code is inherently scalar (a
+symmetry image, a line integral whose lanes lie on different lines) is
+wrapped by :func:`per_lane`, which asks it at each lane's point in lane
+order and stacks the jets, so it raises exactly as for single points.
+The reduced-profile fields take their lanes at once, and are wrapped by
+:func:`as_batch`, which asks a single point as a batch of one lane, so
+a lane's bits do not depend on the batch it comes in.  A grid
 report (:func:`blp.system.residual_report`) asks its whole grid as one
 batch and splits a batch that raises in halves, down to single points,
 so no verdict depends on the lanes.
@@ -97,6 +101,7 @@ __all__ = [
     "axis_series",
     "axis_jet",
     "last_point",
+    "as_batch",
     "per_lane",
     "exp", "ln", "sin", "cos", "tan", "sinh", "cosh", "sqrt", "recip",
     "abs_signed", "power",
@@ -517,15 +522,19 @@ def axis_jet(ser: np.ndarray, axis: str, at: Point) -> Jet3:
 def apply_taylor(coeffs: np.ndarray, a: Jet3) -> Jet3:
     """Compose a univariate Taylor series (around ``a.value``) with ``a``.
 
-    ``coeffs[k]`` is the k-th Taylor coefficient f^(k)(a.value)/k!.  Horner
-    costs one product per order; it serves series that a caller builds
-    itself, and the elementary functions use :func:`elementary` instead.
+    ``coeffs[..., k]`` is the k-th Taylor coefficient f^(k)(a.value)/k!:
+    one series, or one per lane of a batched ``a`` in the lane-first
+    layout of :func:`axis_series`.  Horner costs one product per order;
+    it serves series that a caller builds itself, and the elementary
+    functions use :func:`elementary` instead.
     """
     n = a.order
+    top = min(n, coeffs.shape[-1] - 1)
+    c = coeffs.tolist() if coeffs.ndim == 1 else list(coeffs.T)
     shifted = a - a.value
-    out = Jet3.constant(float(coeffs[min(n, len(coeffs) - 1)]), a.base, n)
-    for k in range(min(n, len(coeffs) - 1) - 1, -1, -1):
-        out = out * shifted + float(coeffs[k])
+    out = Jet3.constant(c[top], a.base, n)
+    for k in range(top - 1, -1, -1):
+        out = out * shifted + c[k]
     return out
 
 
@@ -775,6 +784,22 @@ def last_point(fn: JetMap) -> JetMap:
     remembered.remembers_last_point = True
     remembered.__wrapped__ = fn
     return remembered
+
+
+def as_batch(fn: JetMap) -> JetMap:
+    """``fn`` asked at every point as a batch: a single point as a batch of
+    one lane, and a coordinate that a batch does not vary spread over its
+    lanes, so that a lane's jet has the same bits in every batch it comes
+    in.  ``inspect.unwrap`` returns ``fn``."""
+    def batched(p: Point, order: int) -> Jet3:
+        count = lanes(p)
+        c = fn(Point(*(c if isinstance(c, np.ndarray)
+                       else np.full(count or 1, c, dtype=float) for c in p)),
+               order).coeffs
+        return _jet(p, order, c[0] if count is None and c.ndim == 2 else c)
+
+    batched.__wrapped__ = fn
+    return batched
 
 
 def per_lane(fn: JetMap) -> JetMap:

@@ -29,9 +29,12 @@ tolerance as eps ~ tol^3: the first-integral drift then contracts about
 ten-fold when the tolerance is halved.  A movable pole shows as a
 collapsing step or a blowup.  Dense output is the nearest node's Taylor
 polynomial, and every reconstruction consumes ODE-provided derivatives,
-never numerical differentiation.  Dense output and P are evaluated one
-point at a time, so the fields built on a profile answer a batched point
-lane by lane (``jets.per_lane``).
+never numerical differentiation.  Dense output, the profile series and
+the P-based profiles of :mod:`blp.specfun` take an array of arguments,
+one per lane, so the fields built on a profile answer a batched point in
+one evaluation; each lane does the float operations of its point alone,
+and a point outside a window raises under the first-lane rule of
+``jets.raise_where``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,32 +135,37 @@ class ODETrajectory:
     def window(self) -> tuple[float, float]:
         return float(self.grid[0]), float(self.grid[-1])
 
-    def _nearest(self, w: float) -> tuple[list, float]:
-        """The nearest node's polynomials and the offset of w from it."""
+    def _nearest(self, w):
+        """The nearest node's polynomials and the offset of w from it; for
+        an array of w, each coefficient is an array over its elements."""
         lo, hi = self.window()
-        if not (lo <= w <= hi):
-            raise WindowError(f"{w} outside trajectory window [{lo}, {hi}]")
+        jets.raise_where(np.logical_not((lo <= w) & (w <= hi)), w,
+                         "{} outside trajectory window " f"[{lo}, {hi}]",
+                         WindowError)
         grid = self.grid
-        i = bisect_right(grid, w) - 1
-        if i + 1 < len(grid) and grid[i + 1] - w < w - grid[i]:
-            i += 1
+        i = np.searchsorted(grid, w, side="right") - 1
+        up = np.minimum(i + 1, len(grid) - 1)
+        i = np.where(grid[up] - w < w - grid[i], up, i)
+        if isinstance(w, np.ndarray):
+            return self.taylor[i].transpose(1, 2, 0), w - grid[i]
         return self.taylor[i].tolist(), w - float(grid[i])
 
-    def psi(self, w: float) -> tuple[float, float]:
-        """The companion potential and its slope at w."""
+    def psi(self, w):
+        """The companion potential and its slope at w, a float or an array."""
         rows, h = self._nearest(w)
         c = rows[2]
         slope = [k * c[k] for k in range(1, len(c))]
         return _horner(c, h), _horner(slope, h)
 
-    def __call__(self, w: float) -> tuple[float, float]:
+    def __call__(self, w):
         rows, h = self._nearest(w)
         return _horner(rows[0], h), _horner(rows[1], h)
 
-    def series(self, w: float, order: int) -> np.ndarray:
-        """Taylor coefficients at w, propagated through the profile ODE."""
+    def series(self, w, order: int) -> np.ndarray:
+        """Taylor coefficients at w, propagated through the profile ODE;
+        for an array of w, one series per element, (len(w), order + 1)."""
         f, d = self(w)
-        return np.array(self.meta["series_fn"](w, f, d, order))
+        return np.stack(self.meta["series_fn"](w, f, d, order), axis=-1)
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -400,12 +407,17 @@ def first_integral_2_4(traj: ODETrajectory, spec: ReductionSpec,
 def _profile_jets(traj: ODETrajectory, wj: Jet3, order: int,
                   derivatives=(0,)) -> list[Jet3]:
     """Jets of the given derivatives of the profile at ``wj``, all read
-    from one series: its coefficients 0..n do not depend on its order."""
-    ser = traj.series(wj.value, order + max(derivatives))
+    from one series: its coefficients 0..n do not depend on its order.
+    The profile window, 1e-6 in from each end, bounds ``wj``'s value."""
+    lo, hi = traj.window()
+    w = wj.value
+    jets.raise_where(np.logical_not((lo + 1e-6 < w) & (w < hi - 1e-6)), w,
+                     "profile window exceeded", WindowError)
+    ser = traj.series(w, order + max(derivatives))
     out = []
     for k in range(max(derivatives) + 1):
         if k in derivatives:
-            out.append(jets.apply_taylor(ser[: order + 1], wj))
+            out.append(jets.apply_taylor(ser[..., : order + 1], wj))
         ser = series.derivative(ser)
     return out
 
@@ -422,19 +434,15 @@ def reconstruct_2_4(traj: ODETrajectory, spec: ReductionSpec
         raise BadSpec("reconstruct_2_4 expects the R2_4 reduction")
     eps = float(spec.eps)
     C1 = spec.C1
-    lo, hi = traj.window()
 
     def chart(p: Point, n: int) -> tuple[Jet3, Jet3, Jet3, Jet3]:
         # the jets of t, x + y, |t|^(-1/2) and w
-        if p.t * eps <= 0.05:
-            raise WindowError("outside the fixed sign chart of t")
+        jets.raise_where(p.t * eps <= 0.05, p.t,
+                         "outside the fixed sign chart of t", WindowError)
         t, x, y = jets.coordinate_jets(p, n)
         xy = x + y
         rt = jets.apply_unary(("pow", -0.5), jets.abs_signed(t))
-        wj = 0.5 * xy * rt
-        if not lo + 1e-6 < wj.value < hi - 1e-6:
-            raise WindowError("profile window exceeded")
-        return t, xy, rt, wj
+        return t, xy, rt, 0.5 * xy * rt
 
     def u(p: Point, n: int) -> Jet3:
         t, xy, rt, wj = chart(p, n)
@@ -450,7 +458,7 @@ def reconstruct_2_4(traj: ODETrajectory, spec: ReductionSpec
                + 0.5 * (C1 - eps) * wj)
         return rt * psi
 
-    return SolutionField(u=jets.per_lane(u), v=jets.per_lane(v), coords="UV",
+    return SolutionField(u=jets.as_batch(u), v=jets.as_batch(v), coords="UV",
                          family_id="F_R24_PAINLEVE4",
                          params={"C0": spec.C0, "C1": spec.C1,
                                  "eps": spec.eps})
@@ -485,14 +493,15 @@ def _r29_field(fid, params, phi, square_integral, C0: float,
         t = jets.lift_variable("t", p, n)
         wj = omega_jet(p, n)
         w0 = wj.value
+        # phi's series at omega, to the order of v
         pser = jets.axis_series(
-            phi(jets.lift_variable("x", Point(p.t, w0, p.y), n + 1)), "x")
-        q = series.integral(series.mul(pser, pser, n),
-                            square_integral(w0) - anchor, n)
-        qj = jets.apply_taylor(q, wj)
-        return (-0.5 * qj + 0.5 * phi(wj.truncate(n))
+            phi(jets.lift_variable("x", Point(p.t, w0, p.y), n)), "x")
+        square = (series.toeplitz(pser) @ pser[..., None])[..., 0]
+        q = series.integral(square, square_integral(w0) - anchor, n)
+        return (-0.5 * jets.apply_taylor(q, wj)
+                + 0.5 * jets.apply_taylor(pser, wj)
                 - 0.5 * C0 * wj + delta * t)
-    return SolutionField(u=jets.per_lane(u), v=jets.per_lane(v), coords="UV",
+    return SolutionField(u=jets.as_batch(u), v=jets.as_batch(v), coords="UV",
                          family_id=fid, params=params)
 
 
@@ -517,14 +526,11 @@ def reconstruct_2_9(profile, spec: ReductionSpec,
     if spec.C1 != 0.0:
         traj: ODETrajectory = profile
         s = traj.meta.get("phi_scale", (2.0 * spec.C1) ** (1.0 / 3.0))
-        lo, hi = traj.window()
         C0, C1, C2, de = spec.C0, spec.C1, spec.C2, spec.delta
 
         def phi_pair(p: Point, n: int):
             t, x, y = jets.coordinate_jets(p, n)
             wj = s * (x + y + C0 / C1)
-            if not lo + 1e-6 < wj.value < hi - 1e-6:
-                raise WindowError("profile window exceeded")
             fj, dj = _profile_jets(traj, wj, n, (0, 1))
             fj, dj = fj * s, dj * (s * s)
             return t, x, y, fj, dj
@@ -540,7 +546,7 @@ def reconstruct_2_9(profile, spec: ReductionSpec,
             return (dj * dj - inner * inner - 4.0 * de * fj - C2) \
                 / (4.0 * C1) + de * t
 
-        return SolutionField(u=jets.per_lane(u), v=jets.per_lane(v),
+        return SolutionField(u=jets.as_batch(u), v=jets.as_batch(v),
                              coords="UV", family_id="F_R29_PAINLEVE2",
                              params={"C0": C0, "C1": C1, "C2": C2,
                                      "delta": de})

@@ -2,8 +2,10 @@
 
 A univariate series is a float array ``c`` with ``c[k]`` the k-th Taylor
 coefficient; :func:`mul`, :func:`derivative`, :func:`integral` and
-:func:`toeplitz` act on such arrays of any length; :func:`cauchy` gives
-one coefficient of a product, for recurrences on float lists.
+:func:`toeplitz` act on such arrays of any length, and all but
+:func:`mul` on a batch of them in the last axis; :func:`cauchy` gives
+one coefficient of a product, for recurrences on lists of floats or of
+arrays over lanes.
 
 A :class:`Layout` holds the coefficients of a truncated series in one or
 more variables as one array, graded by degree.  :func:`univariate` gives
@@ -51,13 +53,15 @@ def mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 
 def cauchy(a, b, k: int) -> float:
     """Coefficient k of the product of two univariate series, summed in
-    order of the index into ``a``; each needs coefficients 0..k."""
+    order of the index into ``a``; each needs coefficients 0..k, floats or
+    arrays over lanes."""
     return sum(map(operator.mul, a[: k + 1], b[k::-1]))
 
 
 def derivative(c: np.ndarray) -> np.ndarray:
-    """Coefficients of the derivative, one fewer."""
-    return c[1:] * np.arange(1, len(c))
+    """Coefficients of the derivative, one fewer, of each series in the
+    last axis of ``c``."""
+    return c[..., 1:] * np.arange(1, c.shape[-1])
 
 
 def toeplitz(c: np.ndarray) -> np.ndarray:
@@ -74,11 +78,12 @@ def _lags(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(lag, 0), lag >= 0
 
 
-def integral(c: np.ndarray, c0: float, n: int) -> np.ndarray:
-    """Coefficients 0..n of the antiderivative with constant term ``c0``."""
-    out = np.empty(n + 1)
-    out[0] = c0
-    out[1:] = c[:n] / np.arange(1, n + 1)
+def integral(c: np.ndarray, c0, n: int) -> np.ndarray:
+    """Coefficients 0..n of the antiderivative with constant term ``c0``,
+    of each series in the last axis of ``c`` (``c0`` one per series)."""
+    out = np.empty(c.shape[:-1] + (n + 1,))
+    out[..., 0] = c0
+    out[..., 1:] = c[..., :n] / np.arange(1, n + 1)
     return out
 
 

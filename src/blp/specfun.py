@@ -11,11 +11,14 @@ P is evaluated on real, pole-free arguments by summing its Laurent series
 on a small seed disc and extending with the duplication formula.  The
 series constants (Laurent coefficients and seed radius) depend only on
 (g2, g3), so they are computed once per :class:`EllipticInvariants` and
-shared by every evaluation on that lattice.  The
-companion zeta function here follows the convention zeta' = P (so
-zeta ~ -1/z near the origin), which is the sign the reduced-equation
-antiderivatives use.  Additive constants in zeta shift the reconstructed
-v-field by a constant, which is itself a symmetry of the system.
+shared by every evaluation on that lattice.  P, the particular solution
+built on it and that solution's antiderivative also take a 1-D array of
+arguments, one per lane, and each lane runs the float operations of its
+argument alone.  The companion zeta function here follows the convention
+zeta' = P (so zeta ~ -1/z near the origin), which is the sign the
+reduced-equation antiderivatives use.  Additive constants in zeta shift
+the reconstructed v-field by a constant, which is itself a symmetry of
+the system.
 """
 
 from __future__ import annotations
@@ -145,55 +148,89 @@ def _seed_radius(g2: float, g3: float) -> float:
     return min(0.5, 0.35 / scale)
 
 
-def _series_eval(z: float, c: tuple[float, ...]):
+def _series_eval(z, c: tuple[float, ...]):
+    """(P, P', zeta) at z on the seed disc, a float or an array, from the
+    Laurent coefficients ``c``; each sum adds its terms in order of k."""
+    z = np.asarray(z, dtype=float)[..., None]
     z2 = z * z
-    p = 1.0 / z2
-    dp = -2.0 / (z2 * z)
-    zeta = -1.0 / z
-    zpow = z2  # z^(2k-2) starting at k=2
-    for k in range(2, len(c)):
-        ck = c[k]
-        p += ck * zpow
-        dp += ck * (2 * k - 2) * zpow / z
-        zeta += ck * zpow * z / (2 * k - 1)
-        zpow *= z2
-    return p, dp, zeta
+    k = np.arange(2, len(c))
+    ck = np.array(c[2:])
+    # z^(2k-2) from k = 2, by repeated products
+    zpow = np.multiply.accumulate(np.repeat(z2, len(k), axis=-1), axis=-1)
+    terms = (
+        (1.0 / z2, ck * zpow),
+        (-2.0 / (z2 * z), ck * (2 * k - 2) * zpow / z),
+        (-1.0 / z, ck * zpow * z / (2 * k - 1)))
+    return tuple(
+        np.add.accumulate(np.concatenate(t, axis=-1), axis=-1)[..., -1]
+        for t in terms)
 
 
-def weierstrass_p(z: float, inv: EllipticInvariants
-                  ) -> tuple[float, float, float]:
-    """(P(z), P'(z), zeta(z)) with zeta' = P; real pole-free arguments only."""
-    g2 = inv.g2
-    if not math.isfinite(z):
-        raise NonFiniteError("non-finite argument")
-    sign = 1.0
-    if z < 0.0:  # P even, P' and zeta odd
-        z, sign = -z, -1.0
-    if z < 1e-8:
-        raise PoleError("argument at the origin pole")
-    r0 = inv.seed_radius
-    m = 0
-    zs = z
-    while zs > r0:
-        zs *= 0.5
-        m += 1
-        if m > 60:
-            raise NonFiniteError("halving did not converge")
-    p, dp, zeta = _series_eval(zs, inv.laurent)
-    for _ in range(m):
-        if abs(dp) < 1e-12 * (1.0 + abs(p) ** 1.5):
-            raise PoleError("duplication hit a half-period: target is a pole")
-        ppp = 6.0 * p * p - 0.5 * g2          # P''
-        a = ppp / (2.0 * dp)
-        aprime = (12.0 * p * dp * dp - ppp * ppp) / (2.0 * dp * dp)
-        zeta = 2.0 * zeta - a
-        p2 = a * a - 2.0 * p
-        dp = a * aprime - dp
-        p = p2
-        if not (math.isfinite(p) and math.isfinite(dp)):
-            raise NonFiniteError("overflow in duplication chain")
-        if abs(p) > 1e12:
-            raise PoleError("value beyond pole guard")
+def weierstrass_p(z, inv: EllipticInvariants):
+    """(P(z), P'(z), zeta(z)) with zeta' = P; real pole-free arguments only.
+
+    ``z`` is a float, or a 1-D array of arguments, one per lane, for which
+    the three values are arrays.  Each lane runs the halving, Laurent and
+    duplication arithmetic of its argument alone, and no operation runs on
+    a lane once it is finished or rejected; a batch raises the error of its
+    first rejected lane.
+    """
+    if isinstance(z, np.ndarray):
+        return _weierstrass_lanes(z, inv)
+    p, dp, zeta = _weierstrass_lanes(np.array([z], dtype=float), inv)
+    return float(p[0]), float(dp[0]), float(zeta[0])
+
+
+def _weierstrass_lanes(z: np.ndarray, inv: EllipticInvariants):
+    g2, r0 = inv.g2, inv.seed_radius
+    errors: dict[int, BLPError] = {}
+    alive = np.ones(len(z), dtype=bool)
+
+    def reject(lanes: np.ndarray, bad: np.ndarray, error: BLPError):
+        """Drop the ``bad`` of ``lanes``, remembering each one's error;
+        returns the lanes left."""
+        for i in lanes[bad].tolist():
+            errors.setdefault(i, error)
+        alive[lanes[bad]] = False
+        return lanes[~bad]
+
+    live = reject(np.arange(len(z)), ~np.isfinite(z),
+                  NonFiniteError("non-finite argument"))
+    sign = np.where(z < 0.0, -1.0, 1.0)   # P even, P' and zeta odd
+    zs = np.abs(z)
+    reject(live, zs[live] < 1e-8, PoleError("argument at the origin pole"))
+    m = np.zeros(len(z), dtype=int)
+    while True:
+        live = np.flatnonzero(alive)
+        live = live[zs[live] > r0]
+        if not len(live):
+            break
+        zs[live] *= 0.5
+        m[live] += 1
+        reject(live, m[live] > 60, NonFiniteError("halving did not converge"))
+    p, dp, zeta = np.zeros((3, len(z)))
+    live = np.flatnonzero(alive)
+    p[live], dp[live], zeta[live] = _series_eval(zs[live], inv.laurent)
+    for step in range(int(m[live].max(initial=0))):
+        live = np.flatnonzero(alive & (m > step))
+        pl, dpl = p[live], dp[live]
+        flat = np.abs(dpl) < 1e-12 * (1.0 + np.abs(pl) ** 1.5)
+        live = reject(live, flat, PoleError(
+            "duplication hit a half-period: target is a pole"))
+        pl, dpl = pl[~flat], dpl[~flat]
+        ppp = 6.0 * pl * pl - 0.5 * g2          # P''
+        a = ppp / (2.0 * dpl)
+        aprime = (12.0 * pl * dpl * dpl - ppp * ppp) / (2.0 * dpl * dpl)
+        zeta[live] = 2.0 * zeta[live] - a
+        pl, dpl = a * a - 2.0 * pl, a * aprime - dpl
+        p[live], dp[live] = pl, dpl
+        finite = np.isfinite(pl) & np.isfinite(dpl)
+        live = reject(live, ~finite, NonFiniteError(
+            "overflow in duplication chain"))
+        reject(live, np.abs(pl[finite]) > 1e12,
+               PoleError("value beyond pole guard"))
+    if errors:
+        raise errors[min(errors)]
     return p, sign * dp, sign * zeta
 
 
@@ -210,18 +247,17 @@ def weierstrass_series(z: float, inv: EllipticInvariants, order: int
     return u[: n + 1], series.integral(u, zeta, n)
 
 
-def _p_series(p: float, dp: float, g2: float, n: int) -> np.ndarray:
-    """Taylor coefficients 0..n+2 of P from its value and slope there.
+def _p_series(p, dp, g2: float, n: int) -> np.ndarray:
+    """Taylor coefficients 0..n+2 of P from its value and slope there; for
+    arrays of them, one series per lane, (lanes, n + 3).
 
     The tail follows from P'' = 6 P^2 - g2/2.
     """
-    u = np.zeros(n + 3)
-    u[0], u[1] = p, dp
+    u = [p, dp]
     for k in range(0, n + 1):
-        conv = float(np.dot(u[: k + 1], u[k::-1]))
-        rhs = 6.0 * conv - (0.5 * g2 if k == 0 else 0.0)
-        u[k + 2] = rhs / ((k + 2) * (k + 1))
-    return u
+        rhs = 6.0 * series.cauchy(u, u, k) - (0.5 * g2 if k == 0 else 0.0)
+        u.append(rhs / ((k + 2) * (k + 1)))
+    return np.stack(u, axis=-1)
 
 
 def _as_quartic(q) -> QuarticODE:
@@ -231,27 +267,34 @@ def _as_quartic(q) -> QuarticODE:
 
 
 def _ser_shift(c: np.ndarray, dz: float) -> np.ndarray:
-    """Recenter a Taylor polynomial sum c_k s^k to the point s = dz."""
-    n = len(c) - 1
+    """Recenter each Taylor polynomial sum c_k s^k in the last axis of
+    ``c`` to the point s = dz."""
+    n = c.shape[-1] - 1
     out = c.copy()
     # repeated synthetic division by (s - dz)
     for i in range(n):
         for k in range(n - 1, i - 1, -1):
-            out[k] += dz * out[k + 1]
+            out[..., k] += dz * out[..., k + 1]
     return out
+
+
+#: the states of the P representation of a particular solution
+_OK, _CROSSING, _POLE = 0, 1, 2
 
 
 def quartic_particular_solution(q: QuarticODE, a: float):
     """Closed-form nonconstant solution of phi_z^2 = F(phi), via P.
 
     Requires F(a) >= 0 and a nondegenerate quartic.  The returned callable
-    accepts a float or a :class:`Jet3`, in which case the composition is
+    accepts a float, a 1-D array of floats (one per lane) or a
+    :class:`Jet3`, single or batched, in which case the composition is
     carried out in jet arithmetic.
 
     The rational expression in (P, P') has removable 0/0 points wherever
     the solution crosses the value ``a``; inside a narrow band around
     those points the evaluation switches to a Taylor expansion anchored at
     a nearby safe argument, which keeps float64 cancellation in check.
+    The lanes in that band run this search as one sub-batch.
     """
     q = _as_quartic(q)
     inv = invariants_from_quartic(q)
@@ -276,43 +319,43 @@ def quartic_particular_solution(q: QuarticODE, a: float):
     # which stays well conditioned down to a tiny neighborhood of the
     # crossing.
 
-    def _classify(p: float, dp: float) -> str:
-        """State of the representation where (P, P') = (p, dp)."""
+    def _classify(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
+        """State of the representation in each lane where (P, P') = (p, dp)."""
         d1 = 24.0 * p - Fpp - 12.0 * sqrtFa
         d2 = 24.0 * p - Fpp + 12.0 * sqrtFa
-        vsm = min(abs(d1), abs(d2))
-        gsm = (4.0 * dp + Fp + 4.0 * a * sqrtFa) if abs(d1) <= abs(d2) \
-            else (4.0 * dp - Fp + 4.0 * a * sqrtFa)
-        if vsm < 1e-7 * d_scale and abs(gsm) > 1e-3 * g_scale:
-            return "pole"
-        if vsm < 1e-5 * d_scale:
-            return "crossing"
-        return "ok"
+        vsm = np.minimum(abs(d1), abs(d2))
+        gsm = np.where(abs(d1) <= abs(d2), 4.0 * dp + Fp + 4.0 * a * sqrtFa,
+                       4.0 * dp - Fp + 4.0 * a * sqrtFa)
+        pole = (vsm < 1e-7 * d_scale) & (abs(gsm) > 1e-3 * g_scale)
+        return np.select([pole, vsm < 1e-5 * d_scale], [_POLE, _CROSSING],
+                         _OK)
 
-    def _assemble(p, dp):
+    def _pick(first: np.ndarray, x: Jet3, y: Jet3) -> Jet3:
+        """The jet ``x`` in the lanes where ``first`` holds, else ``y``."""
+        return x.copy_with(np.where(first[:, None], x.coeffs, y.coeffs))
+
+    def _assemble(p: Jet3, dp: Jet3) -> Jet3:
         base = 24.0 * p - Fpp
         d1 = base - 12.0 * sqrtFa
         d2 = base + 12.0 * sqrtFa
         g1 = 4.0 * dp + Fp + 4.0 * a * sqrtFa
         g2 = 4.0 * dp - Fp + 4.0 * a * sqrtFa
-        v1 = abs(d1.value) if isinstance(d1, Jet3) else abs(d1)
-        v2 = abs(d2.value) if isinstance(d2, Jet3) else abs(d2)
-        small, big = (d1, d2) if v1 <= v2 else (d2, d1)
-        gsm = g1 if v1 <= v2 else g2
+        first = abs(d1.value) <= abs(d2.value)
+        small, big = _pick(first, d1, d2), _pick(first, d2, d1)
+        gsm = _pick(first, g1, g2)
         return a + 6.0 * Fp / big + 72.0 * sqrtFa * (gsm / small) / big
 
-    def _value_and_slope(zv: float, p: float, dp: float
-                         ) -> tuple[float, float]:
+    def _value_and_slope(zv, p, dp) -> tuple[np.ndarray, np.ndarray]:
         probe = lift_variable("x", Point(0.0, zv, 0.0), 1)
         pser = _p_series(p, dp, inv.g2, 0)
-        pj = apply_taylor(pser[:2], probe)
-        dpj = apply_taylor(series.derivative(pser[:3]), probe)
+        pj = apply_taylor(pser[:, :2], probe)
+        dpj = apply_taylor(series.derivative(pser[:, :3]), probe)
         out = _assemble(pj, dpj)
         return out.value, out.extract((0, 1, 0))
 
-    def _series(zv: float, n: int, p: float, dp: float) -> np.ndarray:
-        """Taylor coefficients of phi at zv, where (P, P') = (p, dp),
-        projected onto the invariant.
+    def _series(zv, n: int, p, dp) -> np.ndarray:
+        """Taylor coefficients of phi at each lane's zv, where (P, P') =
+        (p, dp), projected onto the invariant: (lanes, n + 1).
 
         The raw slope inherits P-evaluation noise amplified near the
         phi = a crossings; replacing it by +-sqrt(F(phi)) and rebuilding
@@ -322,19 +365,19 @@ def quartic_particular_solution(q: QuarticODE, a: float):
         and is recentred.
         """
         state = _classify(p, dp)
-        if state == "pole":
-            raise PoleError("pole of the particular solution")
-        if state == "crossing":
-            for shift in (0.01, -0.01, 0.03, -0.03, 0.08, -0.08):
-                ps, dps, _ = weierstrass_p(zv + shift, inv)
-                if _classify(ps, dps) == "ok":
-                    c = _series(zv + shift, n + 8, ps, dps)
-                    return _ser_shift(c, -shift)[: n + 1]
-            raise PoleError("no safe expansion point near the crossing")
+        jets.raise_where(state == _POLE, zv, "pole of the particular solution",
+                         PoleError)
+        out = np.empty((len(zv), n + 1))
+        near = state == _CROSSING
+        if near.any():
+            out[near] = _anchored(zv[near], n)
+            zv, p, dp = zv[~near], p[~near], dp[~near]
+        if not len(zv):
+            return out
         v0, d_raw = _value_and_slope(zv, p, dp)
         fv = q.F(v0)
-        d0 = math.copysign(math.sqrt(max(fv, 0.0)), d_raw) \
-            if fv > 0.0 else d_raw
+        d0 = np.where(fv > 0.0, np.copysign(np.sqrt(np.maximum(fv, 0.0)),
+                                            d_raw), d_raw)
         # phi'' = F'(phi)/2 by degree, with running coefficients of phi^2
         # and phi^3
         c, sq, cub = [v0, d0], [], []
@@ -344,20 +387,36 @@ def quartic_particular_solution(q: QuarticODE, a: float):
             fp_k = (4.0 * q.a0 * cub[k] + 12.0 * q.a1 * sq[k]
                     + 12.0 * q.a2 * c[k] + (4.0 * q.a3 if k == 0 else 0.0))
             c.append(0.5 * fp_k / ((k + 2) * (k + 1)))
-        return np.array(c[: n + 1])
+        out[~near] = np.stack(c[: n + 1], axis=-1)
+        return out
+
+    def _anchored(zv, n: int) -> np.ndarray:
+        """:func:`_series` at lanes inside the band around a crossing, each
+        expanded at the first safe argument of a fixed list of shifts."""
+        out = np.empty((len(zv), n + 1))
+        todo = np.arange(len(zv))
+        for shift in (0.01, -0.01, 0.03, -0.03, 0.08, -0.08):
+            ps, dps, _ = weierstrass_p(zv[todo] + shift, inv)
+            safe = _classify(ps, dps) == _OK
+            if safe.any():
+                c = _series(zv[todo[safe]] + shift, n + 8, ps[safe],
+                            dps[safe])
+                out[todo[safe]] = _ser_shift(c, -shift)[:, : n + 1]
+            todo = todo[~safe]
+            if not len(todo):
+                return out
+        raise PoleError("no safe expansion point near the crossing")
 
     def phi(z):
         # one P evaluation per argument: it both classifies and assembles
-        zv = z.value if isinstance(z, Jet3) else z
+        jet = isinstance(z, Jet3)
+        zv = z.value if jet else z
         p, dp, _ = weierstrass_p(zv, inv)
-        if isinstance(z, Jet3):
-            return apply_taylor(_series(zv, max(z.order, 1), p, dp), z)
-        state = _classify(p, dp)
-        if state == "pole":
-            raise PoleError("pole of the particular solution")
-        if state == "crossing":
-            return float(_series(z, 0, p, dp)[0])
-        return _assemble(p, dp)
+        ser = _series(np.atleast_1d(zv), max(z.order, 1) if jet else 0,
+                      np.atleast_1d(p), np.atleast_1d(dp))
+        if np.ndim(zv):
+            return apply_taylor(ser, z) if jet else ser[:, 0]
+        return apply_taylor(ser[0], z) if jet else float(ser[0, 0])
 
     return phi
 
@@ -369,7 +428,8 @@ def quartic_square_integral(q: QuarticODE, a: float):
 
     Where |D1| <= |D2|, G1/D1 is read from phi itself, as
     ((phi - a) D2 - 6 F'(a)) / (72 sqrt(F(a))), so the 0/0 where phi
-    crosses a never forms.  The callable takes a float.
+    crosses a never forms.  The callable takes a float, or a 1-D array of
+    floats, one per lane, and each lane computes only its own form.
     """
     q = _as_quartic(q)
     if q.a0 != 1.0 or q.a1 != 0.0:
@@ -380,16 +440,20 @@ def quartic_square_integral(q: QuarticODE, a: float):
     Fp = q.F_prime(a)
     Fpp = q.F_second(a)
 
-    def square_integral(z: float) -> float:
-        p, dp, zeta = weierstrass_p(z, inv)
-        value = phi(z)
+    def square_integral(z):
+        zl = np.atleast_1d(np.asarray(z, dtype=float))
+        p, dp, zeta = weierstrass_p(zl, inv)
+        value = phi(zl)
         d1 = 24.0 * p - Fpp - 12.0 * sqrtFa
         d2 = d1 + 24.0 * sqrtFa
-        if sqrtFa > 0.0 and abs(d1) <= abs(d2):
-            ratio = ((value - a) * d2 - 6.0 * Fp) / (72.0 * sqrtFa)
-        else:
-            ratio = (4.0 * dp + Fp + 4.0 * a * sqrtFa) / d1
-        return value - 6.0 * ratio + 2.0 * zeta - q.a2 * z
+        # G1/D1: each lane computes only the form it uses
+        via = (abs(d1) <= abs(d2)) & (sqrtFa > 0.0)
+        own = ~via
+        ratio = np.empty(len(zl))
+        ratio[via] = ((value[via] - a) * d2[via] - 6.0 * Fp) / (72.0 * sqrtFa)
+        ratio[own] = (4.0 * dp[own] + Fp + 4.0 * a * sqrtFa) / d1[own]
+        total = value - 6.0 * ratio + 2.0 * zeta - q.a2 * zl
+        return total if np.ndim(z) else float(total[0])
 
     return square_integral
 
@@ -410,20 +474,27 @@ class DegenerateBranch:
     def __call__(self, z):
         return self.g(z) + self.lam
 
-    def square_integral(self, z: float) -> float:
-        """An antiderivative of phi^2 at the float z, for a > 0: since
-        S' = a g^2 + b g/2 and int g dz = int dg/S = I,
+    def square_integral(self, z):
+        """An antiderivative of phi^2 at z, a float or a 1-D array of
+        floats, one per lane, for a > 0: since S' = a g^2 + b g/2 and
+        int g dz = int dg/S = I,
 
             int phi^2 = S/a + (2 lam - b/(2a)) I + lam^2 z,
             I = sigma ln|2 sqrt(a) S + sigma (2 a g + b)| / sqrt(a).
+
+        Where the logarithm's argument is below the guard band of ``ln``
+        the point is undefined (a :class:`jets.DomainError`).
         """
         gj = self.g(lift_variable("x", Point(0.0, z, 0.0), 1))
         g = gj.value
         s = gj.extract((0, 1, 0)) / g
         a, b, sigma = self.a, self.b, self.sigma
         root = math.sqrt(a)
-        integral = sigma * math.log(
-            abs(2.0 * root * s + sigma * (2.0 * a * g + b))) / root
+        arg = abs(2.0 * root * s + sigma * (2.0 * a * g + b))
+        jets.raise_where(jets.below_band(arg), arg,
+                         "ln of non-positive value {}")
+        log = np.log if isinstance(arg, np.ndarray) else math.log
+        integral = sigma * log(arg) / root
         return (s / a + (2.0 * self.lam - b / (2.0 * a)) * integral
                 + self.lam ** 2 * z)
 

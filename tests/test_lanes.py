@@ -15,9 +15,10 @@ import math
 import numpy as np
 import pytest
 
-from blp import catalog, cli, exprdsl, jets, quadrature, series, system, \
-    transforms
+from blp import catalog, cli, exprdsl, jets, quadrature, reductions, series, \
+    specfun, system, transforms
 from blp.jets import BLPError, DomainError, Jet3, Point, UndefinedHere
+from blp.reductions import ReductionSpec
 from blp.quadrature import integrate_field_along, line_integral
 from conftest import per_node
 from test_cli import _DOMAIN_EDGE_RUNS
@@ -296,10 +297,10 @@ def test_family_components_over_lanes(fid):
                                   system.RESIDUAL_ORDER)
 
 
-#: closed-form families: none of their maps goes lane by lane
+#: the families none of whose maps goes lane by lane: all but those
+#: whose line integrals run one integral per lane
 _CLOSED_FORM = sorted(set(_FAMILIES) - {
-    "F_R24_PAINLEVE4", "F_R29_PAINLEVE2", "F_R29_ELLIPTIC", "F_VXXX_2",
-    "F_SINHGORDON", "F_UXX_BERNOULLI"})
+    "F_VXXX_2", "F_SINHGORDON", "F_UXX_BERNOULLI"})
 
 
 def _count_lanes(monkeypatch):
@@ -330,6 +331,167 @@ def test_closed_forms_evaluate_a_batch_at_once(fid, monkeypatch):
                     system.convert(field, "UQ", base)):
         _outcome(chained.v, mid, 3)
     assert asked == []
+
+
+# ----------------------------------------------------------------------
+# reduced profiles: Painleve dense output and the P-based profiles
+# ----------------------------------------------------------------------
+
+_PII = ReductionSpec(id="R2_9", C0=0.0, C1=2.0, C2=0.0, delta=1.0,
+                     init=(-2.0, 0.5, 0.25))
+_PIV = ReductionSpec(id="R2_4", C0=0.125, C1=1.4, eps=1,
+                     init=(0.0, 1.06, 0.0))
+
+
+def _trajectory(which):
+    if which == "painleve2":
+        return reductions.integrate_painleve2(_PII, span=(-2.5, -0.5))
+    return reductions.integrate_painleve4_form(_PIV, span=(-1.2, 1.2))
+
+
+@pytest.mark.parametrize("which", ["painleve2", "painleve4"])
+def test_dense_output_over_an_array_is_each_point_alone(which):
+    # bit for bit: at the nodes, at the midpoints between them (the
+    # nearest-node tie rule) and across the window
+    traj = _trajectory(which)
+    g = traj.grid
+    w = np.concatenate([g, 0.5 * (g[1:] + g[:-1]),
+                        np.linspace(*traj.window(), 97)])
+    for name in ("__call__", "psi"):
+        got = np.stack(getattr(traj, name)(w), axis=-1)
+        want = [getattr(traj, name)(float(v)) for v in w]
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(
+        traj.series(w, 6), [traj.series(float(v), 6) for v in w])
+
+
+def test_dense_output_names_its_first_point_outside_the_window():
+    traj = _trajectory("painleve2")
+    lo, hi = traj.window()
+    w = np.array([lo, hi + 0.25, 0.5 * (lo + hi), lo - 1.0])
+    with pytest.raises(reductions.WindowError) as batched:
+        traj(w)
+    with pytest.raises(reductions.WindowError) as alone:
+        traj(hi + 0.25)
+    assert str(batched.value) == str(alone.value)
+    assert str(alone.value).startswith(f"{hi + 0.25} outside")
+
+
+def _elliptic_spec(C0, delta, C2):
+    return ReductionSpec(id="R2_9", C0=C0, C1=0.0, C2=C2, delta=delta)
+
+
+def _p_branch_field(C0=1.0, delta=1.0, C2=3.0):
+    q = specfun.QuarticODE(1.0, 0.0, C0 / 3.0, delta, C2)
+    return reductions.reconstruct_2_9(
+        specfun.quartic_particular_solution(q, 0.0),
+        _elliptic_spec(C0, delta, C2), omega0=0.85)
+
+
+def _degenerate_field():
+    # phi'^2 = (phi^2 - 1)^2: C0 = -1, delta = 0, C2 = 1, root lam = 1
+    q = specfun.QuarticODE(1.0, 0.0, -1.0 / 3.0, 0.0, 1.0)
+    branch, = specfun.degenerate_solutions(q, 1.0)
+    return reductions.reconstruct_2_9(branch, _elliptic_spec(-1.0, 0.0, 1.0),
+                                      omega0=0.85)
+
+
+_PROFILE_FIELDS = {
+    "reconstruct_2_4": lambda: reductions.reconstruct_2_4(
+        _trajectory("painleve4"), _PIV),
+    "reconstruct_2_9_painleve": lambda: reductions.reconstruct_2_9(
+        _trajectory("painleve2"), _PII),
+    "reconstruct_2_9_p_branch": _p_branch_field,
+    "reconstruct_2_9_degenerate": _degenerate_field,
+}
+_PROFILE_BOXES = {"reconstruct_2_4": catalog.default_box("F_R24_PAINLEVE4"),
+                  "reconstruct_2_9_painleve":
+                      catalog.default_box("F_R29_PAINLEVE2")}
+
+
+@pytest.mark.parametrize("kind", sorted(_PROFILE_FIELDS))
+def test_profile_fields_over_lanes(kind):
+    field = _PROFILE_FIELDS[kind]()
+    box = _PROFILE_BOXES.get(kind, catalog.default_box("F_R29_ELLIPTIC"))
+    for axis in range(3):
+        p = _batched_point(box, axis, count=7)
+        for name in ("u", "v", "w"):
+            assert_map_over_lanes(getattr(field, name), p,
+                                  system.RESIDUAL_ORDER)
+
+
+def _elliptic_pool():
+    pool = {json.dumps(catalog.sample_bindings(
+        "F_R29_ELLIPTIC", np.random.default_rng(seed)), sort_keys=True)
+        for seed in range(64)}
+    assert len(pool) == 4
+    return [json.loads(text) for text in sorted(pool)]
+
+
+def test_every_elliptic_binding_over_lanes():
+    box = catalog.default_box("F_R29_ELLIPTIC")
+    for bindings in _elliptic_pool():
+        field = catalog.instantiate("F_R29_ELLIPTIC", bindings)
+        for axis in range(3):
+            p = _batched_point(box, axis, count=7)
+            for name in ("u", "v", "w"):
+                assert_map_over_lanes(getattr(field, name), p,
+                                      system.RESIDUAL_ORDER)
+
+
+#: an omega = x + y where the default F_R29_ELLIPTIC profile crosses its
+#: value a = 0, inside the band where it is expanded at a shifted point
+_CROSSING = 1.110144722932218
+
+
+def test_a_lane_inside_the_crossing_band(monkeypatch):
+    field = catalog.instantiate("F_R29_ELLIPTIC", {})
+    asked = []
+    real = specfun.weierstrass_p
+
+    def counted(z, inv):
+        asked.append(np.array(z, ndmin=1))
+        return real(z, inv)
+    monkeypatch.setattr(specfun, "weierstrass_p", counted)
+    y = 0.6
+    p = Point(0.5, np.array([0.3, _CROSSING - y, 0.45, 0.52]), y)
+    for name in ("u", "v", "w"):
+        assert_map_over_lanes(getattr(field, name), p,
+                              system.RESIDUAL_ORDER)
+    shifted = np.concatenate(asked)
+    assert np.any(np.abs(shifted - (_CROSSING + 0.01)) < 1e-12)
+
+
+def assert_first_lane_error(fn, p, error):
+    """``fn`` at the batched point ``p`` raises the class and message of
+    its first lane that raises alone, an ``error``."""
+    singles = [_outcome(fn, q, 3) for q in _singles(p)]
+    first = next(s for s in singles if isinstance(s, Exception))
+    assert isinstance(first, error)
+    batched = _outcome(fn, p, 3)
+    assert (type(batched), str(batched)) == (type(first), str(first))
+
+
+_FIRST_UNDEFINED = {
+    # a lane outside the profile window
+    "painleve2_window": ("reconstruct_2_9_painleve", reductions.WindowError,
+                         Point(0.5, np.array([-0.6, 0.3, -0.5, 0.4]),
+                               -0.2)),
+    # a lane outside the sign chart of t
+    "painleve4_chart": ("reconstruct_2_4", reductions.WindowError,
+                        Point(np.array([0.8, 0.02, 0.9, -0.3]), 0.1, 0.1)),
+    # a lane at omega = 0, the pole of P
+    "p_branch_pole": ("reconstruct_2_9_p_branch", specfun.PoleError,
+                      Point(0.5, np.array([0.4, -0.6, 0.45, -0.7]), 0.6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FIRST_UNDEFINED))
+def test_a_profile_batch_raises_as_its_first_undefined_lane(case):
+    kind, error, p = _FIRST_UNDEFINED[case]
+    field = _PROFILE_FIELDS[kind]()
+    for name in ("u", "v", "w"):
+        assert_first_lane_error(getattr(field, name), p, error)
 
 
 # ----------------------------------------------------------------------
@@ -632,12 +794,7 @@ def test_grid_report_is_each_point_alone(fid):
 
 
 def test_grid_report_of_every_elliptic_binding():
-    pool = {json.dumps(catalog.sample_bindings(
-        "F_R29_ELLIPTIC", np.random.default_rng(seed)), sort_keys=True)
-        for seed in range(64)}
-    assert len(pool) == 4
-    for text in sorted(pool):
-        bindings = json.loads(text)
+    for bindings in _elliptic_pool():
         assert_report_by_points(
             lambda: catalog.instantiate("F_R29_ELLIPTIC", bindings),
             _box_grid("F_R29_ELLIPTIC"))

@@ -1,10 +1,12 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from blp import jets, specfun
-from blp.jets import Point
+from blp import jets, specfun, system
+from blp.jets import Jet3, Point
 from blp.specfun import (
     DegenerateError, EllipticInvariants, NegativeRadicand, NonFiniteError,
     NotDegenerate, PoleError, QuarticODE, degenerate_solutions,
@@ -97,15 +99,47 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+_INVARIANTS = [(0.0, 0.0), (5.0, 0.0), (2.2, 0.7), (3.1, 0.6), (1.7, -0.6),
+               (1.0 / 3.0 + 3.0, 1.0 - 1.0 / 27.0), (1e-6, 0.0),
+               (40.0, -25.0)]
+_ARGUMENTS = [float(z) for z in np.concatenate(
+    [np.linspace(-3.0, 3.0, 61), [1e-9, 0.013, 7.5, math.inf]])]
+
+
 def test_p_bit_identical_with_shared_constants():
-    for g2, g3 in [(0.0, 0.0), (5.0, 0.0), (2.2, 0.7), (3.1, 0.6),
-                   (1.7, -0.6), (1.0 / 3.0 + 3.0, 1.0 - 1.0 / 27.0),
-                   (1e-6, 0.0), (40.0, -25.0)]:
+    for g2, g3 in _INVARIANTS:
         inv = EllipticInvariants(g2, g3)
-        for z in np.concatenate([np.linspace(-3.0, 3.0, 61),
-                                 [1e-9, 0.013, 7.5, math.inf]]):
-            assert _outcome(weierstrass_p, float(z), inv) == \
-                _outcome(_p_rebuilding_constants, float(z), inv), (g2, g3, z)
+        for z in _ARGUMENTS:
+            assert _outcome(weierstrass_p, z, inv) == \
+                _outcome(_p_rebuilding_constants, z, inv), (g2, g3, z)
+
+
+def test_p_over_an_array_is_each_argument_alone():
+    # bit for bit where an argument is defined; a batch with an undefined
+    # lane raises that lane's class and message
+    for g2, g3 in _INVARIANTS:
+        inv = EllipticInvariants(g2, g3)
+        alone = {z: _outcome(weierstrass_p, z, inv) for z in _ARGUMENTS}
+        good = [z for z in _ARGUMENTS if len(alone[z]) == 3]
+        batch = weierstrass_p(np.array(good), inv)
+        assert [tuple(repr(float(v[i])) for v in batch)
+                for i in range(len(good))] == [alone[z] for z in good]
+        for z in set(_ARGUMENTS) - set(good):
+            lanes = np.array([good[0], z, good[-1]])
+            assert _outcome(weierstrass_p, lanes, inv) == alone[z], z
+
+
+def test_p_batch_raises_as_its_first_rejected_lane():
+    # the non-finite check runs before the origin check, yet the error
+    # is that of the first lane rejected; no arithmetic runs on a
+    # rejected lane, so the lane at 0 divides nothing by zero
+    inv = EllipticInvariants(5.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleError, match="origin pole"):
+            weierstrass_p(np.array([0.5, 0.0, math.inf]), inv)
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            weierstrass_p(np.array([0.5, math.inf, 0.0]), inv)
 
 
 def test_phi_evaluates_p_once_per_argument(monkeypatch):
@@ -371,6 +405,26 @@ def test_degenerate_square_integral_matches_quadrature(q, lam, name):
         assert got == pytest.approx(want, abs=1e-12, rel=1e-12), (z0, z1)
         checked += 1
     assert checked >= 3
+
+
+def test_degenerate_square_integral_is_undefined_where_its_log_vanishes():
+    # F = phi^2 (phi + 1)^2 at lam = 0: with the other sign sigma the
+    # logarithm's argument vanishes identically
+    q = QuarticODE(1.0, 0.5, 1.0 / 6.0, 0.0, 0.0)
+    br, = (b for b in degenerate_solutions(q, 0.0) if b.name == "exponential")
+    vanishing = dataclasses.replace(br, sigma=-br.sigma)
+    assert math.isfinite(br.square_integral(0.7))
+    for z in (0.7, np.array([0.3, 0.7])):
+        with pytest.raises(jets.DomainError,
+                           match=r"^ln of non-positive value 0\.0$"):
+            vanishing.square_integral(z)
+    # so a grid report skips those points
+    field = system.SolutionField(
+        u=lambda p, n: Jet3.constant(0.0, p, n),
+        v=lambda p, n: Jet3.constant(vanishing.square_integral(p.x), p, n),
+        coords="UV")
+    grid = [Point(1.0, x, 0.5) for x in (0.3, 0.7, 1.1)]
+    assert system.residual_report(field, grid).skipped == 3
 
 
 def test_simple_root_not_degenerate():
