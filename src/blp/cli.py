@@ -15,9 +15,8 @@ on stderr, also for usage errors.
 Reports are deterministic: keys sorted, floats printed with shortest
 round-trip repr, non-finite floats as the strings "NaN", "Infinity" and
 "-Infinity".  A report passes only when every residual is finite;
-non-finite ones are counted under ``nonfinite``.  Grid points are
-evaluated one after another in this process; BLP_THREADS is accepted
-and ignored.
+non-finite ones are counted under ``nonfinite``.  A grid is asked as
+one batch; BLP_THREADS is accepted and ignored.
 
 Every input, parameter and spec that the commands read is declared as
 a (name, kind) pair with a default and resolved as family parameters

@@ -50,8 +50,7 @@ one point and an array over the lanes for a batch.  Every jet map
 (:data:`JetMap`) accepts a batched point.  The guard rule over lanes
 (:func:`raise_where`): a batch is undefined where any lane is, and the
 error is the class and message of the first such lane, with that lane's
-value in the message.  A map whose code is inherently scalar (a
-symmetry image, a line integral whose lanes lie on different lines) is
+value in the message.  A symmetry image, whose code is scalar, is
 wrapped by :func:`per_lane`, which asks it at each lane's point in lane
 order and stacks the jets, so it raises exactly as for single points.
 The reduced-profile fields take their lanes at once, and are wrapped by

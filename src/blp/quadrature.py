@@ -14,12 +14,12 @@ within a budget of ``MAX_PANELS`` panels.
 jet-evaluable field to a jet: the coefficients that carry powers of the
 integration axis follow from the fundamental theorem of calculus, and the
 remaining slice is integrated coefficient-wise, each panel one jet of the
-field at a point whose integration coordinate holds the panel's
-abscissae (a batch of lanes, see :mod:`blp.jets`).  :func:`line_integral`
-caches such integrals, one jet per grid line for an integrand constant
-along that line, and keeps a bounded number of lines.  :func:`xt_path`,
-built once per field, is the two-leg path integral of a potential whose
-x- and t-derivatives are known; its t-leg is a line integral.
+field at a point whose integration coordinate holds the panel's abscissae
+(a batch of lanes, see :mod:`blp.jets`), one quadrature per lane of a
+batched point.  :func:`line_integral` keeps such jets, one per grid line
+of an integrand constant along it, and integrates the lines a batch
+lacks in one call.  The t-leg of :func:`xt_path`, the two-leg path
+integral of a potential with known x- and t-derivatives, is one.
 
 Refinement stops early when it no longer pays: the roundoff detection of
 QUADPACK (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, *QUADPACK*,
@@ -37,7 +37,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .jets import (BLPError, Jet3, JetMap, Point, jet_size, lane, lanes,
-                   per_lane, restrict, _tables)
+                   restrict, _tables)
 
 __all__ = ["QuadratureError", "gauss_kronrod_15", "adaptive_quadrature",
            "integrate_field_along", "line_integral", "xt_path"]
@@ -236,26 +236,34 @@ def line_integral(integrand: JetMap, axis: str, lower: float,
     it and answers a lower order by truncation (the :func:`jets.last_point`
     rule, per line); a failed integral is never kept.  At most
     ``_LINES_KEPT`` lines are kept; the one first computed longest ago
-    goes first.  A batched point whose lanes differ only in
-    ``constant_along`` lies on one line, and its one jet serves every
-    lane; other batches are answered lane by lane.
+    goes first.  The lines of a batch not kept at the order asked take
+    one :func:`integrate_field_along` call, one lane per line in lane
+    order (a lone line at its single point); a batch on one line gets one jet.
     """
     skip = _AXIS_NUM[constant_along]
     known: dict = {}
 
     def integral(p: Point, n: int) -> Jet3:
-        line = tuple(c for i, c in enumerate(p) if i != skip)
-        if lanes(line) is not None:
-            return per_lane(integral)(p, n)
         size = jet_size(n)
-        co = known.get(line)
-        if co is None or len(co) < size:
-            at = p if lanes(p) is None else lane(p, 0)
+        line = tuple(c for i, c in enumerate(p) if i != skip)
+        count = lanes(line)
+        keys = [line] if count is None else list(zip(
+            *(np.broadcast_to(c, count).tolist() for c in line)))
+        fresh: dict = {}  # each line not kept at order n: lane, then jet
+        for i, key in enumerate(keys):
+            if len(known.get(key, ())) < size:
+                fresh.setdefault(key, i)
+        if fresh:
+            i = list(fresh.values())
+            at = lane(p, i[0]) if len(i) == 1 else Point(
+                *(c[i] if isinstance(c, np.ndarray) else c for c in p))
             co = integrate_field_along(integrand, axis, lower, at, n).coeffs
-            if line not in known and len(known) >= _LINES_KEPT:
-                del known[next(iter(known))]
-            known[line] = co
-        return Jet3(p, n, co[:size])
+            fresh = dict(zip(fresh, co.reshape(len(i), -1)))
+        rows = [(fresh[k] if k in fresh else known[k])[:size] for k in keys]
+        known.update(fresh)
+        while len(known) > _LINES_KEPT:
+            del known[next(iter(known))]
+        return Jet3(p, n, rows[0] if count is None else np.stack(rows))
     return integral
 
 

@@ -1,11 +1,10 @@
 """Truncated Taylor series and the degree recurrences of elementary functions.
 
 A univariate series is a float array ``c`` with ``c[k]`` the k-th Taylor
-coefficient; :func:`mul`, :func:`derivative`, :func:`integral` and
-:func:`toeplitz` act on such arrays of any length, and all but
-:func:`mul` on a batch of them in the last axis; :func:`cauchy` gives
-one coefficient of a product, for recurrences on lists of floats or of
-arrays over lanes.
+coefficient; :func:`derivative`, :func:`integral` and :func:`toeplitz`
+act on such arrays of any length, or on a batch of them in the last
+axis; :func:`cauchy` gives one coefficient of a product, for recurrences
+on lists of floats or of arrays over lanes.
 
 A :class:`Layout` holds the coefficients of a truncated series in one or
 more variables as one array, graded by degree.  :func:`univariate` gives
@@ -41,14 +40,9 @@ import operator
 
 import numpy as np
 
-__all__ = ["mul", "cauchy", "derivative", "toeplitz", "integral", "Layout",
+__all__ = ["cauchy", "derivative", "toeplitz", "integral", "Layout",
            "univariate", "exp", "ln", "power", "int_power", "div",
            "sin_cos", "tan"]
-
-
-def mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients 0..n of the product of two univariate series."""
-    return np.convolve(a, b)[: n + 1]
 
 
 def cauchy(a, b, k: int) -> float:

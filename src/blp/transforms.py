@@ -270,16 +270,16 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
         # beta = eps / sqrt(T_t), so eps T_tt / (4 T_t^(3/2)) is
         # T_tt beta^3 / 4 and X0_t / (2 T_t) is X0_t beta^2 / 2
         beta = eps * jets.elementary(("pow", -0.5), tt, lay)
-        beta2 = series.mul(beta, beta, n)
+        beta2 = lay.mul(beta, beta)
         shift = -(xser[:n + 1] @ pt)
         shift[0] += pn.x
-        alpha = series.mul(shift, beta, n)
+        alpha = lay.mul(shift, beta)
         alpha[0] = 0.0
         M = jets.compose3(pt, alpha, beta, py)
         # the jet of the old x
         jx = Jet3(pn, n, M @ jets.lift_variable("x", po, n).coeffs)
-        cx = series.mul(d(d(tser)) @ pt, series.mul(beta2, beta, n), n) / 4.0
-        c0 = series.mul(d(xser) @ pt, beta2, n) / 2.0
+        cx = lay.mul(d(d(tser)) @ pt, lay.mul(beta2, beta)) / 4.0
+        c0 = lay.mul(d(xser) @ pt, beta2) / 2.0
         # u~ = U u_scale - u_shift and v~ = V v_scale + v_shift, where U
         # and V are u and v composed with the inverse map
         u_scale = jets.axis_jet(beta, "t", pn)

@@ -923,6 +923,27 @@ def test_laplace_step_outcome(family, op, capsys):
         assert (rep["skipped"], rep["evaluated"]) == want[1:]
 
 
+def test_laplace_step_answers_its_x_lines_from_kept_integrals(
+        monkeypatch, capsys):
+    # F_SINHGORDON's v is a line integral along x, constant along t; the
+    # nested quadratures of its (u,q) Laplace step ask it on the same
+    # x-lines again and again.  On a 2^3 grid of its box the x-axis
+    # integrals run 124 lanes, as many as when each line took a call of
+    # its own, in 9 calls: one per batch that brings lines not yet kept
+    lanes = []
+    integrate = quadrature.integrate_field_along
+
+    def counted(field, axis, lower, p, order):
+        if axis == "x":
+            lanes.append(jets.lanes(p) or 1)
+        return integrate(field, axis, lower, p, order)
+
+    monkeypatch.setattr(quadrature, "integrate_field_along", counted)
+    code, out, _ = _laplace_step("F_SINHGORDON", "laplace_fwd_uq", capsys)
+    assert code == 1 and json.loads(out)["skipped"] == 0
+    assert (sum(lanes), len(lanes)) == (124, 9)
+
+
 @pytest.mark.parametrize("family",
                          ["F_R22_ELEM_1", "F_R22_ELEM_2", "F_R22_ELEM_3"])
 def test_laplace_steps_agree_across_a_chart_edge(family, capsys):

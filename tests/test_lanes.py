@@ -727,6 +727,45 @@ def test_line_integral_serves_its_line_with_one_jet():
                   for q in _singles(across)])
 
 
+def test_line_integral_takes_the_lines_it_lacks_in_one_call(monkeypatch):
+    # lanes on five (t, y) lines, repeated and unsorted: one line kept at
+    # a lower order and one at a higher; the four lines not kept at order
+    # 4 are integrated in one call, one lane per line in the order of
+    # their first lanes, and the batch agrees with each lane alone
+    def g(p, n):  # does not depend on x
+        t, _, y = jets.coordinate_jets(p, n)
+        return jets.exp(0.5 * t) * y + t * y * y
+
+    p = Point(np.array([0.9, 0.3, 0.9, 0.6, 0.7, 0.3, 0.9]),
+              np.linspace(-1.0, 1.0, 7),
+              np.array([0.5, 0.8, 0.5, 0.2, 0.4, 0.8, 0.2]))
+    alone = [line_integral(g, "t", -0.4, constant_along="x")(q, 4)
+             for q in _singles(p)]
+    calls = []
+    integrate = quadrature.integrate_field_along
+
+    def counted(field, axis, lower, q, order):
+        calls.append((q, order))
+        return integrate(field, axis, lower, q, order)
+
+    monkeypatch.setattr(quadrature, "integrate_field_along", counted)
+    integral = line_integral(g, "t", -0.4, constant_along="x")
+    integral(Point(0.6, 2.0, 0.2), 2)
+    integral(Point(0.7, -2.0, 0.4), 6)
+    del calls[:]
+    got = integral(p, 4)
+    assert got.base is p and got.coeffs.shape == (7, 35)
+    assert_lanes(got, alone)
+    [(q, order)] = calls
+    first = [0, 1, 3, 6]
+    assert order == 4
+    for c, want in zip(q, p):
+        assert list(c) == list(want[first])
+    again = integral(p._replace(x=p.x + 0.5), 3)
+    assert len(calls) == 1
+    assert again.coeffs.tobytes() == got.truncate(3).coeffs.tobytes()
+
+
 def test_series_recurrences_over_lanes():
     rng = np.random.default_rng(11)
     for order in (1, 4, 8):

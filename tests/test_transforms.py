@@ -1095,9 +1095,11 @@ def test_uq_step_then_uv_step_runs_no_y_integral(monkeypatch):
 #: each quadrature panel asks Phi once for its 15 abscissae (35, 68, 34
 #: and 67 when each abscissa was one call), and the grid's points are one
 #: batch, whose integrals ask Phi once for all lanes at the point itself
-#: (7, 12, 6 and 11 when each point was evaluated alone)
-_DARBOUX_PHI_CALLS = {("DT1", 1): 5, ("DT1", 2): 9,
-                      ("DT2", 1): 4.5, ("DT2", 2): 8.5}
+#: (7, 12, 6 and 11 when each point was evaluated alone), the t-leg's
+#: line integral included (5, 9, 4.5 and 8.5 when it asked its lines one
+#: by one)
+_DARBOUX_PHI_CALLS = {("DT1", 1): 4.5, ("DT1", 2): 8,
+                      ("DT2", 1): 4, ("DT2", 2): 7.5}
 
 
 @pytest.mark.parametrize("kind,n_fold,probed", [
