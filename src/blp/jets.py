@@ -55,10 +55,15 @@ wrapped by :func:`per_lane`, which asks it at each lane's point in lane
 order and stacks the jets, so it raises exactly as for single points.
 The reduced-profile fields take their lanes at once, and are wrapped by
 :func:`as_batch`, which asks a single point as a batch of one lane, so
-a lane's bits do not depend on the batch it comes in.  A grid
-report (:func:`blp.system.residual_report`) asks its whole grid as one
-batch and splits a batch that raises in halves, down to single points,
-so no verdict depends on the lanes.
+a lane's bits do not depend on the batch it comes in.  A path integral
+at a batched point (:func:`blp.quadrature.integrate_field_along`) runs
+the quadratures of its lanes in lockstep, each lane on its own panels:
+each refinement round asks the integrand once, at the abscissae of
+every unfinished lane, and a ``QuadratureError`` is that of the first
+lane that fails, as :func:`raise_where` names the first undefined lane.
+A grid report (:func:`blp.system.residual_report`) asks its whole grid
+as one batch and splits a batch that raises in halves, down to single
+points, so no verdict depends on the lanes.
 
 All operations are pure and jets are immutable.  A map wrapped by
 :func:`last_point`, as every field component is, remembers its last

@@ -4,22 +4,28 @@ One shared engine backs every quadrature in the package: the coordinate
 conversions, the (u,v) Laplace transformation, and the solution families
 whose closed forms contain an antiderivative.  Integrands may be scalar-
 or vector-valued; the error estimate is the usual |K15 - G7| panel bound.
-An integrand is called once per panel, on the array of its 15 abscissae
-(QUADPACK's ``qk15``), and returns one value per abscissa along its
-leading axis.  Refinement is a plain list scan: the panel with the
-largest estimate is split until the error total meets the tolerance,
-within a budget of ``MAX_PANELS`` panels.
+Refinement is a plain list scan: the panel with the largest estimate is
+split until the error total meets the tolerance, within a budget of
+``MAX_PANELS`` panels.  One quadrature may run many lanes, one per upper
+limit, in lockstep: each lane keeps its own panels, split order, budget
+and stall count, and in each round every unfinished lane asks its first
+panel or the two halves of its worst, all in one integrand call on the
+15 abscissae of each of those panels (QUADPACK's ``qk15``, many panels
+at once, as in SciPy's ``quad_vec``).  So a lane's abscissae, bits and
+failure do not depend on the other lanes, and a quadrature makes one
+integrand call per round, not one per panel.
 
 :func:`integrate_field_along` lifts an axis-parallel line integral of a
 jet-evaluable field to a jet: the coefficients that carry powers of the
 integration axis follow from the fundamental theorem of calculus, and the
-remaining slice is integrated coefficient-wise, each panel one jet of the
-field at a point whose integration coordinate holds the panel's abscissae
-(a batch of lanes, see :mod:`blp.jets`), one quadrature per lane of a
-batched point.  :func:`line_integral` keeps such jets, one per grid line
-of an integrand constant along it, and integrates the lines a batch
-lacks in one call.  The t-leg of :func:`xt_path`, the two-leg path
-integral of a potential with known x- and t-derivatives, is one.
+remaining slice is integrated coefficient-wise, each round one jet of
+the field at a point whose integration coordinate holds the round's
+abscissae (a batch of lanes, see :mod:`blp.jets`), the lanes of a
+batched point one quadrature in lockstep.  :func:`line_integral` keeps
+such jets, one per grid line of an integrand constant along it, and
+integrates the lines a batch lacks in one call.  The t-leg of
+:func:`xt_path`, the two-leg path integral of a potential with known x-
+and t-derivatives, is one.
 
 Refinement stops early when it no longer pays: the roundoff detection of
 QUADPACK (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, *QUADPACK*,
@@ -91,36 +97,105 @@ _WG = np.array([
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 ])
+#: a panel's abscissae over [-1, 1] in the order they are asked: 0, then
+#: -x_j and x_j for j = 0..6
+_X15 = np.concatenate(([0.0], np.stack((-_XGK[:7], _XGK[:7]), 1).ravel()))
 
 
-def gauss_kronrod_15(f, a: float, b: float):
-    """One GK15 panel: returns (K15 value, |K15 - G7| error estimate).
+def gauss_kronrod_15(f, a, b):
+    """GK15 panels from a to b: returns (K15 values, |K15 - G7| error
+    estimates), one per panel for arrays of endpoints, else one each.
 
     ``f`` is called once, on the abscissae c, c - h x_j, c + h x_j for
-    j = 0..6 in that order, and returns one value (or vector) per
-    abscissa; the sums run in the order of the abscissae."""
-    h = 0.5 * (b - a)
-    c = 0.5 * (a + b)
-    x = h * _XGK[:7]
-    nodes = np.empty(15)
-    nodes[0] = c
-    nodes[1::2] = c - x
-    nodes[2::2] = c + x
-    fx = np.asarray(f(nodes), dtype=float)
-    resk = _WGK[7] * fx[0]
-    resg = _WG[3] * fx[0]
-    for j in range(7):
-        pair = fx[2 * j + 1] + fx[2 * j + 2]
-        resk = resk + _WGK[j] * pair
-        if j % 2 == 1:
-            resg = resg + _WG[j // 2] * pair
-    err = np.max(np.abs(resk - resg)) * abs(h)
-    return resk * h, err
+    j = 0..6 of each panel in turn, and returns one value (or vector) per
+    abscissa; each panel's sums run in the order of its abscissae."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    h = (0.5 * (b - a)).reshape(-1, 1)
+    c = (0.5 * (a + b)).reshape(-1, 1)
+    fx = np.asarray(f((c + h * _X15).reshape(-1)), dtype=float)
+    fx = fx.reshape((len(h), 15) + fx.shape[1:])
+    pairs = fx[:, 1::2] + fx[:, 2::2]  # j = 0..6
+    per = (-1,) + (1,) * (fx.ndim - 2)  # weights along the pair axis
+    # np.add.accumulate adds term after term, as a loop over j would
+    resk = np.add.accumulate(np.concatenate(
+        (_WGK[7] * fx[:, :1], _WGK[:7].reshape(per) * pairs), axis=1),
+        axis=1)[:, -1]
+    resg = np.add.accumulate(np.concatenate(
+        (_WG[3] * fx[:, :1], _WG[:3].reshape(per) * pairs[:, 1::2]), axis=1),
+        axis=1)[:, -1]
+    err = np.abs(resk - resg).reshape(len(h), -1).max(axis=1) * abs(h[:, 0])
+    val = resk * h.reshape((-1,) + (1,) * (resk.ndim - 1))
+    return (val, err) if a.ndim or b.ndim else (val[0], err[0])
 
 
-def adaptive_quadrature(f, a: float, b: float, tol: float = TOL):
-    """Integrate ``f`` (scalar- or vector-valued) from a to b; ``f`` takes
-    an array of abscissae, one call per panel (:func:`gauss_kronrod_15`).
+def adaptive_quadrature(f, a: float, b, tol: float = TOL):
+    """Integrate ``f`` (scalar- or vector-valued) from a to b, where b is
+    a float, or an array of upper limits, one lane each.
+
+    For a float b, ``f`` takes an array of abscissae; for lanes, it takes
+    the abscissae and, for each, the index of its lane.  Each lane refines
+    on its own (:func:`_refine`), and the lanes run in lockstep: in each
+    round every unfinished lane asks its panels, its first or the two
+    halves of its worst, and :func:`gauss_kronrod_15` evaluates all of
+    them in one call of ``f``, lane after lane.  So a lane's abscissae,
+    bits and failure are those of the lane alone.  A lane with b = a is
+    zero, shaped by one abscissa at a, all of which are asked before the
+    first round.  Returns the value, or an array of one value per lane.
+
+    Raises the :class:`QuadratureError` of the first lane in lane order
+    that fails, as that lane alone raises it; lanes after a failed one are
+    not refined further.
+    """
+    one = not isinstance(b, np.ndarray)
+    ends = [b] if one else b.tolist()
+    out = [None] * len(ends)
+    refine, empty = {}, []
+    for i, end in enumerate(ends):
+        if end == a:
+            empty.append(i)
+        else:
+            refine[i] = _refine(a, end, tol)
+    if empty:
+        s = np.array([a] * len(empty))
+        probe = np.asarray(f(s) if one else f(s, np.array(empty)),
+                           dtype=float)
+        for i, v in zip(empty, probe):
+            out[i] = v * 0.0
+    asked = {i: next(lane) for i, lane in refine.items()}
+    failed = None
+    while asked:
+        owners, lo, hi = [], [], []
+        for i, panels in asked.items():
+            for left, right in panels:
+                owners.append(i)
+                lo.append(left)
+                hi.append(right)
+        values, errors = gauss_kronrod_15(
+            f if one else lambda s: f(s, np.repeat(owners, 15)), lo, hi)
+        errors = errors.tolist()
+        at, unfinished = 0, {}
+        for i, panels in asked.items():
+            n = len(panels)
+            got = zip(errors[at:at + n], values[at:at + n])
+            at += n
+            try:
+                unfinished[i] = refine[i].send(got)
+            except StopIteration as done:
+                out[i] = done.value
+            except QuadratureError as exc:
+                failed = exc
+                break
+        asked = unfinished
+    if failed is not None:
+        raise failed
+    return out[0] if one else np.stack(out)
+
+
+def _refine(a: float, b: float, tol: float):
+    """One lane's refinement from a to b: a generator that yields the
+    panels (lo, hi) it asks, is sent their (error, value) pairs, and
+    returns the integral.
 
     While the error total, summed in creation order, is above ``tol``,
     the panel with the largest error estimate is split, the older one on
@@ -139,10 +214,7 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = TOL):
     inside the interval) or refinement stalls (``"stall"``, naming the
     panel with the largest error estimate).
     """
-    if a == b:
-        probe = np.asarray(f(np.array([a])), dtype=float)
-        return probe[0] * 0.0
-    val, err = gauss_kronrod_15(f, a, b)
+    [(err, val)] = yield ((a, b),)
     panels = [(err, a, b, val)]  # in creation order
     width_floor = 1e-14 * (1.0 + abs(a) + abs(b))
     splits = stalls = 0
@@ -161,8 +233,9 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = TOL):
                 f"panel [{lo}, {hi}] below width floor with error {err:g}",
                 "width")
         mid = 0.5 * (lo + hi)
-        for left, right in ((lo, mid), (mid, hi)):
-            v, e = gauss_kronrod_15(f, left, right)
+        halves = ((lo, mid), (mid, hi))
+        got = yield halves
+        for (left, right), (e, v) in zip(halves, got):
             panels.append((e, left, right, v))
         splits += 1
         if splits > _STALL_GRACE and panels[-2][0] + panels[-1][0] > err:
@@ -183,36 +256,56 @@ def integrate_field_along(field: JetMap, axis: str, lower: float,
     The integrand is a jet-evaluable field g; the result F satisfies
     dF/d(axis) = g, so coefficients with a positive power of the axis come
     from g's jet at ``p``, while the axis-free slice is a vector quadrature
-    of g's jets along the integration segment: one jet of g per panel, at
-    the point whose ``axis`` holds the panel's abscissae.  Where
-    ``lower == p.axis`` the slice is zero and no abscissa is asked.  At
-    a batched ``p``, g is asked once at ``p`` for the whole batch, and
-    each lane's slice is its own scalar quadrature.
+    of g's jets along the integration segment: one jet of g per round of
+    refinement, at the point whose ``axis`` holds the round's abscissae.
+    Where ``lower == p.axis`` the slice is zero and no abscissa is asked.
+    At a batched ``p``, g is asked once at ``p`` for the whole batch, and
+    the lanes' quadratures run in lockstep (:func:`adaptive_quadrature`):
+    each round asks g once, at the abscissae of every unfinished lane,
+    each with its lane's other coordinates, a coordinate that every lane
+    of the round shares as a float.
     """
     ax = _AXIS_NUM[axis]
     tab = _tables(order)
     g_at_p = field(p, order)
     free = _free_of(order, ax)
     count = lanes(p)
-    at = [p] if count is None else [lane(p, i) for i in range(count)]
-    out = np.zeros((len(at), jet_size(order)))
-    for row, q in zip(out, at):
-        if lower != q[ax]:
-            row[free] = adaptive_quadrature(
-                partial(_slice_values, field, q, ax, order, free),
-                lower, q[ax])
+    if count is None:
+        out = np.zeros(jet_size(order))
+        if lower != p[ax]:
+            out[free] = adaptive_quadrature(
+                partial(_slice_values, field, p, ax, order, free),
+                lower, p[ax])
+    else:
+        out = np.zeros((count, jet_size(order)))
+        ends = np.broadcast_to(p[ax], count)
+        todo = np.flatnonzero(ends != lower)
+        if todo.size:
+            out[todo[:, None], free] = adaptive_quadrature(
+                partial(_slice_values, field, p, ax, order, free, todo=todo),
+                lower, ends[todo])
     # F's monomial e + axis is g's monomial e divided by its new power
-    out[:, tab.derive_src[ax]] = \
+    out[..., tab.derive_src[ax]] = \
         g_at_p.coeffs[..., :jet_size(order - 1)] / tab.derive_scale[ax]
-    return Jet3(p, order, out[0] if count is None else out)
+    return Jet3(p, order, out)
 
 
 def _slice_values(field: JetMap, p: Point, ax: int, order: int,
-                  free: np.ndarray, s: np.ndarray) -> np.ndarray:
+                  free: np.ndarray, s: np.ndarray, k=None,
+                  todo=None) -> np.ndarray:
     """The axis-free coefficients of ``field`` at the points of ``p``
-    whose coordinate ``ax`` holds the abscissae ``s``."""
-    q = Point(*(s if i == ax else p[i] for i in range(3)))
-    c = field(q, order).coeffs.take(free, axis=-1)
+    whose coordinate ``ax`` holds the abscissae ``s``.  At a batched
+    ``p``, abscissa j lies in lane ``todo[k[j]]``, and a coordinate that
+    is the same at every abscissa is a float."""
+    q = list(p)
+    q[ax] = s
+    if k is not None:
+        rows = todo[k]
+        for i, c in enumerate(p):
+            if i != ax and isinstance(c, np.ndarray):
+                c = c[rows]
+                q[i] = float(c[0]) if (c == c[0]).all() else c
+    c = field(Point(*q), order).coeffs.take(free, axis=-1)
     return np.broadcast_to(c, (len(s), len(free)))
 
 

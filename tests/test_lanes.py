@@ -618,12 +618,18 @@ def test_a_lane_inside_a_transform_guard():
 
 
 # ----------------------------------------------------------------------
-# quadrature: one integrand call per panel
+# quadrature: one integrand call per refinement round
 # ----------------------------------------------------------------------
 
 def _g(p, n):
     t, x, y = jets.coordinate_jets(p, n)
     return jets.sin(t * y) * jets.exp(0.3 * x) + x * x * y
+
+
+def _bumps(p, n):
+    # a Lorentzian bump on each axis, at 1.7, -0.2 and 0.7
+    return sum(1.0 / (0.05 + (c - at) * (c - at))
+               for c, at in zip(jets.coordinate_jets(p, n), (1.7, -0.2, 0.7)))
 
 
 def assert_close(got, want):
@@ -653,34 +659,43 @@ def _per_node_integral(field, axis, lower, p, order):
                                         ("y", 0.1)])
 @pytest.mark.parametrize("order", [0, 3, 5, 7])
 def test_integrand_called_once_per_panel(axis, lower, order, monkeypatch):
-    panels = []
+    # one call per refinement round: the first panel, then the two halves
+    # of each split together, their abscissae in panel order; a bump on
+    # each path makes the quadrature split
+    rounds = []
     gk15 = quadrature.gauss_kronrod_15
 
     def counted(f, a, b):
-        panels.append((a, b))
+        rounds.append((np.asarray(a), np.asarray(b)))
         return gk15(f, a, b)
     monkeypatch.setattr(quadrature, "gauss_kronrod_15", counted)
     asked = []
 
     def g(p, n):
         asked.append(p)
-        return _g(p, n)
+        return _bumps(p, n)
 
     p = Point(0.9, 0.4, 1.3)
     got = integrate_field_along(g, axis, lower, p, order)
-    assert asked[0] is p and len(asked) == 1 + len(panels) >= 2
+    assert asked[0] is p and len(asked) == 1 + len(rounds) > 2
     ax = "txy".index(axis)
-    for q, (a, b) in zip(asked[1:], panels):
-        assert jets.lanes(q) == 15
-        assert all(q[i] == p[i] for i in range(3) if i != ax)
-        # c, then c - h x_j and c + h x_j for j = 0..6
-        c, h = 0.5 * (a + b), 0.5 * (b - a)
-        assert q[ax][0] == c
-        assert list(q[ax][1::2]) == list(c - h * quadrature._XGK[:7])
-        assert list(q[ax][2::2]) == list(c + h * quadrature._XGK[:7])
+    assert (list(rounds[0][0]), list(rounds[0][1])) == ([lower], [p[ax]])
+    for q, (a, b) in zip(asked[1:], rounds):
+        assert jets.lanes(q) == 15 * len(a) == 15 * (1 if q is asked[1]
+                                                     else 2)
+        assert all(type(q[i]) is float and q[i] == p[i]
+                   for i in range(3) if i != ax)
+        if len(a) == 2:  # the halves of one panel
+            assert a[1] == b[0] == 0.5 * (a[0] + b[1])
+        # per panel: c, then c - h x_j and c + h x_j for j = 0..6
+        for s, lo, hi in zip(q[ax].reshape(-1, 15), a, b):
+            c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            assert s[0] == c
+            assert list(s[1::2]) == list(c - h * quadrature._XGK[:7])
+            assert list(s[2::2]) == list(c + h * quadrature._XGK[:7])
     monkeypatch.undo()
     assert_close(got.coeffs,
-                 _per_node_integral(_g, axis, lower, p, order).coeffs)
+                 _per_node_integral(_bumps, axis, lower, p, order).coeffs)
 
 
 def test_zero_length_integral_runs_no_node(monkeypatch):
@@ -704,6 +719,39 @@ def test_integrals_at_a_batched_point_go_lane_by_lane():
     assert_lanes(integrate_field_along(_g, "y", 0.2, p, 3),
                  [integrate_field_along(_g, "y", 0.2, q, 3)
                   for q in _singles(p)])
+
+
+@pytest.mark.parametrize("ys", [(1.3,) * 5, (1.3, 0.2, 0.7, 1.0, 0.5)],
+                         ids=["shared_y", "lane_y"])
+@pytest.mark.parametrize("order", [0, 3, 6])
+def test_lanes_of_an_integral_refine_in_lockstep(ys, order):
+    # lanes whose x-paths from -0.8 split 6, 0 (an empty path), 5, 9 and 6
+    # times alone: each lane's jet is its single point's bit for bit, and
+    # the integrand is asked at p, then once per round, 9 rounds; t, the
+    # same in every lane, and y where the round's lanes share it, arrive
+    # as floats
+    def asking(asked):
+        def g(p, n):
+            asked.append(p)
+            return _bumps(p, n)
+        return g
+
+    p = Point(np.full(5, 0.9), np.array([0.4, -0.8, -0.1, 1.5, 0.35]),
+              np.array(ys))
+    asked = []
+    got = integrate_field_along(asking(asked), "x", -0.8, p, order)
+    rounds = []
+    for i, q in enumerate(_singles(p)):
+        alone = []
+        want = integrate_field_along(asking(alone), "x", -0.8, q, order)
+        assert got.coeffs[i].tobytes() == want.coeffs.tobytes(), i
+        rounds.append(len(alone) - 1)
+    assert rounds == [6, 0, 5, 9, 6] and len(asked) == 1 + max(rounds)
+    for q in asked[1:]:
+        assert type(q.t) is float and q.t == 0.9
+        assert type(q.y) is float or len(set(q.y.tolist())) > 1
+    floats = [type(q.y) is float for q in asked[1:]]
+    assert all(floats) if len(set(ys)) == 1 else floats[0] < floats[-1]
 
 
 def test_line_integral_serves_its_line_with_one_jet():

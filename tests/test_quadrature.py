@@ -18,6 +18,54 @@ def test_polynomial_exact():
     assert err < 1e-12
 
 
+def _loop_gk15(f, a, b):
+    """Reference: one GK15 panel, its two sums by a loop over the pairs of
+    abscissae, term after term."""
+    h = 0.5 * (b - a)
+    c = 0.5 * (a + b)
+    x = h * quadrature._XGK[:7]
+    nodes = np.empty(15)
+    nodes[0] = c
+    nodes[1::2] = c - x
+    nodes[2::2] = c + x
+    fx = np.asarray(f(nodes), dtype=float)
+    wgk, wg = quadrature._WGK, quadrature._WG
+    resk = wgk[7] * fx[0]
+    resg = wg[3] * fx[0]
+    for j in range(7):
+        pair = fx[2 * j + 1] + fx[2 * j + 2]
+        resk = resk + wgk[j] * pair
+        if j % 2 == 1:
+            resg = resg + wg[j // 2] * pair
+    return resk * h, np.max(np.abs(resk - resg)) * abs(h)
+
+
+@pytest.mark.parametrize("f", [
+    lambda s: np.exp(3 * s) * np.sin(40 * s),
+    lambda s: np.stack([np.cos(7 * s), s ** 3, 1 / (0.01 + s * s)], 1),
+    lambda s: np.sin(s)[:, None, None] * np.arange(6.0).reshape(2, 3),
+    lambda s: np.where(s > 0.5, np.inf, np.where(s < -0.5, np.nan, s)),
+], ids=["scalar", "vector", "matrix", "inf_nan"])
+def test_panels_in_one_call_match_the_loop(f):
+    # sets of up to five panels of widths 1e-8 to 10, each set in one call
+    # and each panel alone: the values and error estimates of the loop,
+    # bit for bit
+    rng = np.random.default_rng(5)
+    with np.errstate(all="ignore"):
+        for _ in range(100):
+            count = rng.integers(1, 6)
+            a = rng.normal(size=count)
+            b = a + rng.normal(size=count) * 10.0 ** rng.integers(-8, 2, count)
+            values, errors = gauss_kronrod_15(f, a, b)
+            assert values.shape[0] == errors.shape[0] == count
+            for i in range(count):
+                for got in ((values[i], errors[i]),
+                            gauss_kronrod_15(f, a[i], b[i])):
+                    want = _loop_gk15(f, a[i], b[i])
+                    assert [np.asarray(g).tobytes() for g in got] == \
+                        [np.asarray(w).tobytes() for w in want]
+
+
 def test_adaptive_matches_closed_forms():
     assert adaptive_quadrature(per_node(math.exp), 0, 1) == pytest.approx(
         math.e - 1, rel=1e-12)
@@ -304,11 +352,107 @@ def _run_counted(quad, f, a, b, kw):
 @pytest.mark.parametrize("name,f,a,b,kw", _DIFFERENTIAL_CASES,
                          ids=[c[0] for c in _DIFFERENTIAL_CASES])
 def test_heap_order_matches_list_scan(name, f, a, b, kw):
-    # same integrand calls, bit-identical values, same failures
+    # same integrand calls, bit-identical values, same failures, and the
+    # same as the one lane of a call
     got, got_calls = _run_counted(_adaptive, f, a, b, kw)
     want, want_calls = _run_counted(_list_scan_quadrature, f, a, b, kw)
     assert got_calls == want_calls
     assert got == want
+    out, [seen], _ = _run_lanes([f], a, [b], kw)
+    assert (out, seen) == _run_alone(f, a, b, kw)
+
+
+# -- lanes in lockstep against each lane alone ----------------------------
+
+_CASES = {case[0]: case for case in _DIFFERENTIAL_CASES}
+
+#: the lanes of one call from 0: each a case's integrand to its upper
+#: limit ("empty" to 0), at the mix's tolerance and panel budget
+_LANE_MIXES = {
+    "default": ({}, ["exp", "sqrt_endpoint", "lorentzian", "empty", "nan",
+                     "pole_width", "singular_width"]),
+    "noise_floor": ({"tol": 1e-15, "max_panels": 300},
+                    ["exp", "noise_floor", "empty", "nan", "lorentzian"]),
+    "pole_budget": ({"max_panels": 32},
+                    ["lorentzian", "nan", "pole_budget", "exp", "empty",
+                     "sqrt_endpoint"]),
+}
+
+
+def _outcome(quad, *args, **kw):
+    try:
+        return ("value", np.asarray(quad(*args, **kw)).tobytes())
+    except QuadratureError as exc:
+        return ("error", exc.reason, str(exc))
+
+
+def _run_alone(f, a, b, kw):
+    """The list scan's outcome from a to b, and its abscissae."""
+    seen = []
+
+    def g(s):
+        seen.append(float(s))
+        return f(s)
+    return _outcome(_list_scan_quadrature, per_node(g), a, b, **kw), seen
+
+
+def _run_lanes(fs, a, ends, kw):
+    """The lanes ``fs`` from a to ``ends`` in one call: its outcome, then
+    each lane's abscissae, and the number of integrand calls."""
+    seen = [[] for _ in fs]
+    calls = [0]
+
+    def g(s, k):
+        calls[0] += 1
+        assert len(s) == len(k)
+        for z, i in zip(s.tolist(), k.tolist()):
+            seen[i].append(z)
+        return np.array([fs[i](z) for z, i in zip(s.tolist(), k.tolist())])
+    return (_outcome(_adaptive, g, a, np.array(ends, dtype=float), **kw),
+            seen, calls[0])
+
+
+def _rounds(abscissae):
+    """Integrand calls of a lane alone: its first panel, then its splits."""
+    return 0 if len(abscissae) < 15 else 1 + (len(abscissae) - 15) // 30
+
+
+@pytest.mark.parametrize("mix", sorted(_LANE_MIXES))
+def test_lanes_in_lockstep_match_each_lane_alone(mix):
+    # with each lane first in turn, and the lanes that succeed alone: the
+    # stacked values of the lanes alone, or the failure of the first lane
+    # that fails alone; each lane asks the abscissae it asks alone, and a
+    # lane after a failed one a prefix of them; one integrand call per
+    # round, after one for the empty lanes
+    kw, names = _LANE_MIXES[mix]
+    alone = [_run_alone(_CASES[name][1], 0.0,
+                        0.0 if name == "empty" else _CASES[name][3], kw)
+             for name in names]
+    succeed = [i for i, (out, _) in enumerate(alone) if out[0] == "value"]
+    assert 1 < len(succeed) < len(names)
+    count = len(names)
+    for order in [list(range(shift, count)) + list(range(shift))
+                  for shift in range(count)] + [succeed]:
+        fs = [_CASES[names[i]][1] for i in order]
+        ends = [0.0 if names[i] == "empty" else _CASES[names[i]][3]
+                for i in order]
+        got, seen, calls = _run_lanes(fs, 0.0, ends, kw)
+        want = [alone[i] for i in order]
+        failed = [j for j, (out, _) in enumerate(want) if out[0] == "error"]
+        last = failed[0] if failed else len(order) - 1
+        if failed:
+            assert got == want[last][0]
+        else:
+            values = np.frombuffer(got[1]).reshape(len(order), -1)
+            for row, (out, _) in zip(values, want):
+                assert row.tobytes() == out[1]
+        for j, (lane, (_, abscissae)) in enumerate(zip(seen, want)):
+            if j <= last:
+                assert lane == abscissae, names[order[j]]
+            else:
+                assert lane == abscissae[:len(lane)], names[order[j]]
+        assert calls == any(names[i] == "empty" for i in order) + max(
+            _rounds(abscissae) for _, abscissae in want[:last + 1])
 
 
 def test_ties_split_the_older_panel_first():

@@ -1097,9 +1097,11 @@ def test_uq_step_then_uv_step_runs_no_y_integral(monkeypatch):
 #: batch, whose integrals ask Phi once for all lanes at the point itself
 #: (7, 12, 6 and 11 when each point was evaluated alone), the t-leg's
 #: line integral included (5, 9, 4.5 and 8.5 when it asked its lines one
-#: by one)
-_DARBOUX_PHI_CALLS = {("DT1", 1): 4.5, ("DT1", 2): 8,
-                      ("DT2", 1): 4, ("DT2", 2): 7.5}
+#: by one), and the lanes of a quadrature refine in lockstep, each round
+#: one call for the panels of every lane (4.5, 8, 4 and 7.5 when each lane
+#: asked each panel alone)
+_DARBOUX_PHI_CALLS = {("DT1", 1): 3.5, ("DT1", 2): 6,
+                      ("DT2", 1): 3, ("DT2", 2): 5.5}
 
 
 @pytest.mark.parametrize("kind,n_fold,probed", [
