@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 success, 1 tolerance failure, 2 configuration error or
 any other toolkit error (a :class:`jets.BLPError`, such as a quadrature
 that cannot reach its tolerance), with a one-line JSON ``{"error": ...}``
-on stderr, also for usage errors.
+on stderr, also for usage errors; 141 (128 + SIGPIPE), with nothing on
+stderr, when the reader of stdout closes it before the output is written.
 Reports are deterministic: keys sorted, floats printed with shortest
 round-trip repr, non-finite floats as the strings "NaN", "Infinity" and
 "-Infinity".  A report passes only when every residual is finite;
@@ -58,6 +59,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -68,6 +70,8 @@ from .jets import BadInput, BLPError, Jet3, Point
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
+#: 128 + SIGPIPE, as a shell reports a command that a signal ended
+EXIT_BROKEN_PIPE = 141
 
 
 class ConfigError(BadInput):
@@ -404,7 +408,15 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: point stdout at the null device,
+        # so that the flush at exit cannot raise again (the "Note on
+        # SIGPIPE" of Python's signal documentation), and say nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (BLPError, json.JSONDecodeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True),
               file=sys.stderr)

@@ -8,8 +8,11 @@ one walk of the tree) and on univariate Taylor series (:mod:`blp.series`):
 :func:`compose_series` of a series, :func:`eval_series` at a coordinate
 value and :func:`eval_jet`, which places that series on its axis of a
 jet.  They support exact symbolic differentiation, which the Lie-algebra
-layer needs for commutators.  Every form reads the float form and the
-guard of each function from ``jets._ELEMENTARY``.
+layer needs for commutators: each node builds its derivative once and
+keeps it, so nested brackets share f', f'', ... as the same trees, and
+:func:`parse` keeps its last 256 trees, so one text is parsed once.
+Every form reads the float form and the guard of each function from
+``jets._ELEMENTARY``.
 
 Grammar: ``+ - * / ^`` with standard precedence (``^`` right-associative,
 binding tighter than unary minus), parentheses, single-argument function
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -55,9 +58,12 @@ class Expr:
     :func:`eval_series` and :func:`eval_jet` evaluate it on univariate
     series, never on jets.  Nodes are frozen dataclasses, so equality and
     hashing walk the whole tree; code that looks trees up at run time keys
-    them by identity.  An expression that :func:`eval_series` or
-    :func:`eval_jet` evaluates keeps a bounded memo of its series beside
-    its fields.
+    them by identity.  Beside its fields a node keeps two memos: its
+    derivative, built by the first :meth:`diff`, and, once
+    :func:`eval_series` or :func:`eval_jet` evaluates it, a bounded memo
+    of its series.  Neither changes equality, hashing or printing, and
+    since :func:`parse` returns one tree per text, every caller of that
+    text shares them.
     """
 
     var_name: str
@@ -250,8 +256,17 @@ class _Parser:
         raise ParseError(tok.pos, "expected a number, identifier or '('")
 
 
+#: trees kept by :func:`parse`
+PARSE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse(src: str, var_name: str) -> Expr:
-    """Parse ``src`` with exactly one free variable named ``var_name``."""
+    """Parse ``src`` with exactly one free variable named ``var_name``.
+
+    The last :data:`PARSE_CACHE_SIZE` trees are kept by (``src``,
+    ``var_name``), so one text gives one tree, with its memos, wherever
+    it is parsed; a :class:`ParseError` is never kept."""
     if not src or not src.strip():
         raise ParseError(0, "empty expression")
     p = _Parser(_tokenize(src), var_name)
@@ -525,6 +540,17 @@ def _mk(op, l, r, v):
 
 
 def _diff(e: Expr) -> Expr:
+    """The derivative of ``e``, built once and kept on the node, so every
+    call returns the same tree and a tree that contains ``e`` shares it.
+    The derivative of exp, sqrt, abs and a non-constant power contains
+    ``e`` itself; the cyclic garbage collector frees that cycle."""
+    d = e.__dict__.get("_derivative")
+    if d is None:
+        d = e.__dict__["_derivative"] = _derive(e)
+    return d
+
+
+def _derive(e: Expr) -> Expr:
     v = e.var_name
     zero, one = Num(0.0, v), Num(1.0, v)
     if isinstance(e, Num):

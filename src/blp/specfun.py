@@ -296,6 +296,12 @@ def quartic_particular_solution(q: QuarticODE, a: float):
     a nearby safe argument, which keeps float64 cancellation in check.
     The lanes in that band run this search as one sub-batch.
     """
+    return _quartic_solution(q, a)[0]
+
+
+def _quartic_solution(q: QuarticODE, a: float):
+    """The phi of :func:`quartic_particular_solution`, and
+    ``value_at(zv, p, dp)``: phi at lanes where (P, P') is already known."""
     q = _as_quartic(q)
     inv = invariants_from_quartic(q)
     Fa = q.F(a)
@@ -418,7 +424,11 @@ def quartic_particular_solution(q: QuarticODE, a: float):
             return apply_taylor(ser, z) if jet else ser[:, 0]
         return apply_taylor(ser[0], z) if jet else float(ser[0, 0])
 
-    return phi
+    def value_at(zv: np.ndarray, p: np.ndarray, dp: np.ndarray) -> np.ndarray:
+        """phi at the lanes ``zv``, where (P, P') = (p, dp) is known."""
+        return _series(zv, 0, p, dp)[:, 0]
+
+    return phi, value_at
 
 
 def quartic_square_integral(q: QuarticODE, a: float):
@@ -434,7 +444,7 @@ def quartic_square_integral(q: QuarticODE, a: float):
     q = _as_quartic(q)
     if q.a0 != 1.0 or q.a1 != 0.0:
         raise ValueError("the closed form needs a0 = 1 and a1 = 0")
-    phi = quartic_particular_solution(q, a)
+    phi_at = _quartic_solution(q, a)[1]
     inv = invariants_from_quartic(q)
     sqrtFa = math.sqrt(q.F(a))
     Fp = q.F_prime(a)
@@ -443,7 +453,8 @@ def quartic_square_integral(q: QuarticODE, a: float):
     def square_integral(z):
         zl = np.atleast_1d(np.asarray(z, dtype=float))
         p, dp, zeta = weierstrass_p(zl, inv)
-        value = phi(zl)
+        # phi from the same (P, P'): one P evaluation per argument
+        value = phi_at(zl, p, dp)
         d1 = 24.0 * p - Fpp - 12.0 * sqrtFa
         d2 = d1 + 24.0 * sqrtFa
         # G1/D1: each lane computes only the form it uses

@@ -68,6 +68,17 @@ _JET_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
             "/": operator.truediv, "^": jets.power}
 
 
+def expr_nodes(e):
+    """Every node of the tree ``e``, depth first, once for each place it
+    occupies (a subtree held twice is visited twice)."""
+    yield e
+    if isinstance(e, (Neg, Call)):
+        yield from expr_nodes(e.arg)
+    elif not isinstance(e, (Num, Var)):
+        yield from expr_nodes(e.left)
+        yield from expr_nodes(e.right)
+
+
 def bisect_inverse(f, target, stop=1e-15):
     """f(s) = target on ``transforms.WINDOW`` by 200 steps of bisection, a
     reference for the Newton inverse of ``transforms``; it stops early

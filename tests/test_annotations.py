@@ -13,13 +13,15 @@ _MODULES = [importlib.import_module(f"blp.{m.name}")
 
 
 def _public(module):
-    """The functions and classes of ``__all__``, with each class's own
-    methods; the ``functools.partial`` aliases (``jets.exp`` and its
+    """The functions and classes of ``__all__`` (a wrapped function as the
+    function it wraps), with each class's own methods; the
+    ``functools.partial`` aliases (``jets.exp`` and its
     kin) carry no annotations of their own and are left out."""
     for name in getattr(module, "__all__", ()):
         obj = getattr(module, name)
         if isinstance(obj, functools.partial):
             continue
+        obj = inspect.unwrap(obj)  # a cached function, such as exprdsl.parse
         if inspect.isfunction(obj):
             yield name, obj
         elif inspect.isclass(obj):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -180,6 +181,30 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "F_HOPFCOLE2D" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [["list"],
+                                  ["verify", "--family", "F_UY0_TRIV"]],
+                         ids=["list", "verify"])
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_and_says_nothing(args, unbuffered):
+    # the read end is closed before blp writes, as by a reader that stops
+    # early (blp list | head): not a toolkit error, and no second error
+    # from the flush at exit
+    proc = subprocess.Popen([sys.executable, "-m", "blp.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
+
+
+def test_other_os_errors_stay_configuration_errors(tmp_path, capsys):
+    code, out, err = run_cli(["verify", "--config",
+                              str(tmp_path / "missing.json")], capsys)
+    assert (code, out) == (2, "")
+    assert "No such file" in json.loads(err)["error"]
 
 
 def test_transform_laplace_fwd_uv_on_family(capsys):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from blp import catalog, exprdsl, jets
 from blp.exprdsl import (Bin, Call, Num, ParseError, Var, eval_jet,
                          eval_series, parse)
 from blp.jets import DomainError, Point
-from conftest import central_diff, jet_walk
+from conftest import central_diff, expr_nodes, jet_walk
 
 
 def test_parse_valid_tree():
@@ -304,6 +306,65 @@ def test_memo_never_keeps_an_error():
 
 
 # ----------------------------------------------------------------------
+# one derivative per node, one tree per text
+# ----------------------------------------------------------------------
+
+def test_diff_returns_the_same_tree_every_time():
+    e = parse("sin(t)*exp(t^2) + ln(t)", "t")
+    d = e.diff()
+    assert e.diff() is d and d.diff() is d.diff()
+    # f' g + f g' holds the derivatives that each factor keeps
+    product = e.left
+    nodes = list(expr_nodes(d))
+    assert any(n is product.left.diff() for n in nodes)
+    assert any(n is product.right.diff() for n in nodes)
+
+
+def test_second_derivative_reuses_the_first():
+    # (exp u)' = exp(u) u', so (exp u)'' = (exp u)' u' + exp(u) u'': the
+    # first derivative is a subtree of the second, as the same object
+    e = parse("exp(t^2)", "t")
+    d = e.diff()
+    dd = d.diff()
+    assert any(n is d for n in expr_nodes(dd))
+    assert any(n is e.arg.diff().diff() for n in expr_nodes(dd))
+    for x in (-0.7, 0.4, 1.3):
+        assert dd(x) == pytest.approx((2 + 4 * x * x) * math.exp(x * x),
+                                      rel=1e-13)
+
+
+@pytest.mark.parametrize("src", ["exp(2*t)", "sqrt(t)", "abs(t)", "t^t"])
+def test_a_derivative_that_holds_its_node_is_freed(src):
+    # a tree the parser keeps stays alive, so differentiate a copy
+    e = parse(src, "t").subst(Var("t"))
+    assert any(n is e for n in expr_nodes(e.diff()))
+    ref = weakref.ref(e)
+    del e
+    gc.collect()
+    assert ref() is None
+
+
+def test_parse_gives_one_tree_per_text_and_variable():
+    e = parse("t^2 + sin(t)", "t")
+    assert parse("t^2 + sin(t)", "t") is e
+    assert parse("t^2 + sin(t)", "t").diff() is e.diff()
+    in_t, in_y = parse("2 + cos(3)", "t"), parse("2 + cos(3)", "y")
+    assert in_t is not in_y and in_t != in_y
+    assert in_t.var_name == "t" and in_y.var_name == "y"
+    assert parse.cache_info().maxsize == exprdsl.PARSE_CACHE_SIZE == 256
+
+
+def test_parse_never_keeps_an_error():
+    hits = parse.cache_info().hits
+    for _ in range(3):
+        with pytest.raises(ParseError, match="offset 4"):
+            parse("2*(t", "t")
+        with pytest.raises(ParseError, match="unknown identifier"):
+            parse("t", "y")
+    assert parse.cache_info().hits == hits
+
+
+# ----------------------------------------------------------------------
 # the batched sampler against calling the expression at each point
 # ----------------------------------------------------------------------
 
@@ -367,9 +428,11 @@ def test_sample_raises_the_first_points_error_class():
 # ----------------------------------------------------------------------
 
 def _plain_diff(e, monkeypatch):
+    """The derivative of a new copy of ``e``, whose nodes keep no
+    derivative yet, by a constructor that folds nothing."""
     with monkeypatch.context() as m:
         m.setattr(exprdsl, "_mk", lambda op, l, r, v: Bin(op, l, r, v))
-        return e.diff()
+        return e.subst(Var(e.var_name)).diff()
 
 
 def _size(e) -> int:

@@ -11,7 +11,7 @@ from blp.liealg import (
     chebyshev_points, commutator, in_span, is_zero, load_normalizer_table,
     load_subalgebra_library, normalizer_check, pushforward,
 )
-from conftest import bisect_inverse
+from conftest import bisect_inverse, expr_nodes
 
 TPTS = chebyshev_points(10)
 YPTS = chebyshev_points(10)
@@ -393,6 +393,27 @@ def test_sample_matches_scalar_on_commutator_trees():
                 continue
             assert elem.sample(kind, xs).tobytes() == want.tobytes(), c
     assert raised
+
+
+def test_jacobi_sum_sample_matches_point_by_point_calls():
+    # calling a tree at one point walks it whole and shares nothing, so it
+    # is the reference for the walk that evaluates each shared node once
+    rng = np.random.default_rng(30)
+    q1, q2, q3 = (D(_TFN[rng.integers(0, len(_TFN))])
+                  + P(_TFN[rng.integers(0, len(_TFN))])
+                  + S(_YFN[rng.integers(0, len(_YFN))])
+                  + Z(_YFN[rng.integers(0, len(_YFN))]) for _ in range(3))
+    inner = commutator(q2, q3)
+    jac = (commutator(q1, inner) + commutator(q2, commutator(q3, q1))
+           + commutator(q3, commutator(q1, q2)))
+    assert set(jac.terms) == set(liealg.KINDS)
+    for kind, c in jac.terms.items():
+        want = np.array([c(x) for x in TPTS])
+        assert jac.sample(kind, TPTS).tobytes() == want.tobytes(), kind
+    # the outer bracket differentiates the inner one's coefficient, and the
+    # Jacobi sum holds that derivative as the one tree it keeps
+    f = inner.coeff("D")
+    assert any(n is f.diff() for n in expr_nodes(jac.coeff("D")))
 
 
 @pytest.mark.parametrize("entry,words", [

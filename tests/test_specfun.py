@@ -457,3 +457,69 @@ def test_addition_theorem():
         ps, _, _ = weierstrass_p(u + v, inv)
         rhs = ((du - dv) / (2.0 * (pu - pv))) ** 2 - pu - pv
         assert ps == pytest.approx(rhs, rel=1e-8, abs=1e-9)
+
+
+# ----------------------------------------------------------------------
+# the closed-form antiderivative of phi^2
+# ----------------------------------------------------------------------
+
+def _counting_weierstrass_p(monkeypatch) -> list:
+    """A list that records one entry for each call of ``weierstrass_p``."""
+    calls, original = [], specfun.weierstrass_p
+
+    def counted(z, inv):
+        calls.append(np.size(z))
+        return original(z, inv)
+    monkeypatch.setattr(specfun, "weierstrass_p", counted)
+    return calls
+
+
+def test_square_integral_evaluates_p_once_per_argument(monkeypatch):
+    # one batched v of F_R29_ELLIPTIC: phi's series at omega, then Phi2,
+    # which reads phi from its own (P, P') instead of asking phi again
+    from blp import catalog
+    field = catalog.instantiate("F_R29_ELLIPTIC", {})
+    p = Point(np.array([0.2, 0.5, 0.9]), np.array([0.3, 0.4, 0.5]),
+              np.array([0.35, 0.45, 0.6]))
+    calls = _counting_weierstrass_p(monkeypatch)
+    field.v(p, 2)
+    assert calls == [3, 3]
+    calls.clear()
+    square_integral = specfun.quartic_square_integral(
+        quartic_from_reduction(1.0, 1.0, 3.0), 0.0)
+    square_integral(np.array([0.3, 0.55, 0.85]))
+    assert calls == [3]
+
+
+#: Phi2 at _PHI2_POINTS, bit for bit, as phi evaluated apart gave it
+_PHI2_POINTS = [-0.6, -1e-3, 0.3, 0.55, 0.85, 1.1, 1.4]
+_PHI2_BITS = {
+    # (C0, delta, C2, a): G1/D1 read from phi at every point
+    (1.0, 1.0, 3.0, 0.0): [
+        "-0x1.a86d8da9a5fa4p-2", "-0x1.1314c756c0000p-30",
+        "0x1.5ce2f7b19749cp-6", "0x1.ce58049a12cd0p-4",
+        "0x1.88f0fd21e318ep-2", "0x1.cb186057e6decp-1",
+        "0x1.834cb6d33d158p+1"],
+    # the mirror form: read from phi at -1e-3 only, its own form elsewhere
+    (1.0, 1.0, -2.0, 5.0): [
+        "0x1.9c671cc7065f0p+3", "0x1.3e643b83260b4p+2",
+        "0x1.f33b1877cdfb1p+2", "0x1.0809092beae78p+3",
+        "0x1.0d371a5ad768dp+3", "0x1.0ee4eec4c9a85p+3",
+        "0x1.10c1759b0e8e3p+3"],
+}
+
+
+@pytest.mark.parametrize("C0, delta, C2, a", list(_PHI2_BITS))
+def test_square_integral_values_are_unchanged(C0, delta, C2, a):
+    q = quartic_from_reduction(C0, delta, C2)
+    inv = invariants_from_quartic(q)
+    zs = np.array(_PHI2_POINTS)
+    p, _, _ = weierstrass_p(zs, inv)
+    d1 = 24.0 * p - q.F_second(a) - 12.0 * math.sqrt(q.F(a))
+    via = abs(d1) <= abs(d1 + 24.0 * math.sqrt(q.F(a)))
+    assert via.all() if a == 0.0 else via.tolist() == [
+        False, True, False, False, False, False, False]
+    square_integral = specfun.quartic_square_integral(q, a)
+    want = [float.fromhex(h) for h in _PHI2_BITS[(C0, delta, C2, a)]]
+    assert square_integral(zs).tolist() == want
+    assert [square_integral(z) for z in _PHI2_POINTS] == want
