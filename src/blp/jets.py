@@ -62,8 +62,9 @@ each refinement round asks the integrand once, at the abscissae of
 every unfinished lane, and a ``QuadratureError`` is that of the first
 lane that fails, as :func:`raise_where` names the first undefined lane.
 A grid report (:func:`blp.system.residual_report`) asks its whole grid
-as one batch and splits a batch that raises in halves, down to single
-points, so no verdict depends on the lanes.
+as one batch and splits a batch that raises in halves, down to batches
+of one lane, so a point is skipped or named by its own evaluation, and
+its row has that evaluation's bits however the grid was split.
 
 All operations are pure and jets are immutable.  A map wrapped by
 :func:`last_point`, as every field component is, remembers its last

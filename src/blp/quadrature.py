@@ -42,8 +42,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .jets import (BLPError, Jet3, JetMap, Point, jet_size, lane, lanes,
-                   restrict, _tables)
+from .jets import (BLPError, Jet3, JetMap, Point, jet_size, lanes, restrict,
+                   _tables)
 
 __all__ = ["QuadratureError", "gauss_kronrod_15", "adaptive_quadrature",
            "integrate_field_along", "line_integral", "xt_path"]
@@ -331,7 +331,7 @@ def line_integral(integrand: JetMap, axis: str, lower: float,
     ``_LINES_KEPT`` lines are kept; the one first computed longest ago
     goes first.  The lines of a batch not kept at the order asked take
     one :func:`integrate_field_along` call, one lane per line in lane
-    order (a lone line at its single point); a batch on one line gets one jet.
+    order, a lone line too; a batch on one line gets one jet.
     """
     skip = _AXIS_NUM[constant_along]
     known: dict = {}
@@ -348,8 +348,7 @@ def line_integral(integrand: JetMap, axis: str, lower: float,
                 fresh.setdefault(key, i)
         if fresh:
             i = list(fresh.values())
-            at = lane(p, i[0]) if len(i) == 1 else Point(
-                *(c[i] if isinstance(c, np.ndarray) else c for c in p))
+            at = Point(*(c[i] if isinstance(c, np.ndarray) else c for c in p))
             co = integrate_field_along(integrand, axis, lower, at, n).coeffs
             fresh = dict(zip(fresh, co.reshape(len(i), -1)))
         rows = [(fresh[k] if k in fresh else known[k])[:size] for k in keys]

@@ -274,7 +274,7 @@ def integrate_painleve2(spec: ReductionSpec, span=(-3.0, 0.0),
         raise BadSpec("the Painleve branch requires C1 != 0")
     nu = 0.5 + spec.delta / spec.C1
 
-    s = (2.0 * spec.C1) ** (1.0 / 3.0)
+    s = math.copysign(abs(2.0 * spec.C1) ** (1.0 / 3.0), spec.C1)
 
     def series_fn(w, f, d, order):
         # f'' = 2 f^3 + w f + nu by degree, with running coefficients of
@@ -496,7 +496,7 @@ def _r29_field(fid, params, phi, square_integral, C0: float,
         # phi's series at omega, to the order of v
         pser = jets.axis_series(
             phi(jets.lift_variable("x", Point(p.t, w0, p.y), n)), "x")
-        square = (series.toeplitz(pser) @ pser[..., None])[..., 0]
+        square = series.univariate(n).mul(pser, pser)
         q = series.integral(square, square_integral(w0) - anchor, n)
         return (-0.5 * jets.apply_taylor(q, wj)
                 + 0.5 * jets.apply_taylor(pser, wj)
@@ -525,7 +525,8 @@ def reconstruct_2_9(profile, spec: ReductionSpec,
         raise BadSpec("reconstruct_2_9 expects the R2_9 reduction")
     if spec.C1 != 0.0:
         traj: ODETrajectory = profile
-        s = traj.meta.get("phi_scale", (2.0 * spec.C1) ** (1.0 / 3.0))
+        s = traj.meta.get("phi_scale", math.copysign(
+            abs(2.0 * spec.C1) ** (1.0 / 3.0), spec.C1))
         C0, C1, C2, de = spec.C0, spec.C1, spec.C2, spec.delta
 
         def phi_pair(p: Point, n: int):

@@ -117,9 +117,6 @@ def _unwraps_to(fn, target) -> bool:
 
 @dataclass
 class ResidualReport:
-    family: str
-    params: dict
-    grid_spec: dict
     r1_max: float
     r2_max: float
     r1_rms: float
@@ -137,10 +134,6 @@ class ResidualReport:
         if self.nonfinite:
             out["nonfinite"] = self.nonfinite
         return out
-
-    def to_json(self) -> str:
-        return report_json({"family": self.family, "params": self.params,
-                            "grid_spec": self.grid_spec, **self.summary()})
 
 
 #: jet order of the residuals: they read u_ty, (u^2 - u_x)_xy, which needs
@@ -360,8 +353,9 @@ def residual_report(s: SolutionField, grid: list[Point]) -> ResidualReport:
     report and names the first grid point where it was raised.
 
     The points are evaluated as one batch (:mod:`blp.jets`); a batch
-    that raises either error is split in halves, down to single points,
-    so a point is skipped, or named, only by its own evaluation.
+    that raises either error is split in halves, down to batches of one
+    lane, so a point is skipped, or named, only by its own evaluation,
+    and its row is that evaluation's bits however the grid was split.
     """
     equations = _RESIDUALS.get(s.coords)
     if equations is None:
@@ -372,8 +366,6 @@ def residual_report(s: SolutionField, grid: list[Point]) -> ResidualReport:
     r1s = [abs(row[3]) for row in rows]
     r2s = [abs(row[4]) for row in rows]
     return ResidualReport(
-        family=s.family_id, params={k: str(v) for k, v in s.params.items()},
-        grid_spec={"n": len(grid)},
         r1_max=residual_sup(r1s), r2_max=residual_sup(r2s),
         r1_rms=_rms(r1s), r2_rms=_rms(r2s), skipped=skipped,
         nonfinite=count_nonfinite(r1s, r2s), rows=rows)
@@ -383,11 +375,10 @@ def _rows(s: SolutionField, equations, points: list[Point],
           rows: list) -> int:
     """Append the row (p, u, v, r1, r2) of each point of ``points`` where
     ``s`` is defined to ``rows``, in order; returns the number skipped.
-    Several points are asked as one batch, a single point alone."""
+    The points are asked as one batch, a single point as one lane."""
     if not points:
         return 0
-    at = points[0] if len(points) == 1 else \
-        Point(*(np.array(c) for c in zip(*points)))
+    at = Point(*(np.array(c, dtype=float) for c in zip(*points)))
     try:
         u, v = s.u(at, RESIDUAL_ORDER), s.v(at, RESIDUAL_ORDER)
         r1, r2 = equations(u, v)
@@ -398,7 +389,8 @@ def _rows(s: SolutionField, equations, points: list[Point],
                     + _rows(s, equations, points[half:], rows))
         if isinstance(exc, UndefinedHere):
             return 1
-        where = f" at grid point (t, x, y) = ({at.t!r}, {at.x!r}, {at.y!r})"
+        t, x, y = points[0]
+        where = f" at grid point (t, x, y) = ({t!r}, {x!r}, {y!r})"
         exc.args = (f"{exc}{where}",) + exc.args[1:]
         raise
     # a jet of shape (size,) is the same in every lane

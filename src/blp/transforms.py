@@ -461,19 +461,15 @@ class CoveringEigenfunction:
         the error names its first lane that fails, with that lane's
         residual."""
         c1, c2 = covering_residual(self.attached_to, self.phi, p)
-        worst = np.maximum(np.abs(c1), np.abs(c2))  # NaN where either is
-        count = jets.lanes(p)
-        if count is not None:
-            worst = np.broadcast_to(worst, count)
-            failing = ~(worst <= 1e-8)
-            if not failing.any():
-                return
+        worst = np.broadcast_to(np.maximum(np.abs(c1), np.abs(c2)),
+                                jets.lanes(p) or 1)  # NaN where either is
+        failing = ~(worst <= 1e-8)
+        if failing.any():
             i = int(failing.argmax())
-            p, worst = jets.lane(p, i), worst[i]
-        if not worst <= 1e-8:
+            t, x, y = jets.lane(p, i)
             raise CoveringViolation(
-                f"covering residual {worst:g} exceeds 1e-8 at (t, x, y) = "
-                f"({p.t!r}, {p.x!r}, {p.y!r})")
+                f"covering residual {worst[i]:g} exceeds 1e-8 at (t, x, y) = "
+                f"({t!r}, {x!r}, {y!r})")
 
 
 def uq_seed(witness, L: JetMap | None = None,

@@ -167,6 +167,20 @@ def test_reduce_pole_is_a_verdict(capsys):
                                "last_safe": None}
 
 
+_WINDOW_GRID = '{"t": [0.1, 1.0, 3], "x": [0.3, 0.6, 3], "y": [0.3, 0.6, 3]}'
+
+
+@pytest.mark.parametrize("args", [
+    ["reduce", "--id", "R2_9", "--param", "C1=-1"],
+    ["verify", "--family", "F_R29_PAINLEVE2", "--param", "C1=-2",
+     "--grid", _WINDOW_GRID]], ids=["reduce", "verify"])
+def test_a_negative_c1_takes_the_real_cube_root(args, capsys):
+    # (2 C1)^(1/3) for C1 < 0 is the real root, not a complex number
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out).get("passed", True)
+
+
 def test_algebra(capsys):
     code, out, _ = run_cli(["algebra"], capsys)
     assert code == 0

@@ -6,7 +6,9 @@ conversion evaluated there must agree, lane by lane, with the same
 evaluation at that lane's single point, to 1e-13 relative to the
 largest coefficient of the lane's jet (or to 1e-13 where that is below
 1: a jet that vanishes identically is roundoff in both), and must raise
-the error class of the lane where the single point raises.
+the error class of the lane where the single point raises.  A grid
+report and a batched kernel of :mod:`blp.series` are held to more: each
+row, or lane, has the bits of its point, or lane, asked alone.
 """
 
 import json
@@ -832,46 +834,71 @@ def test_series_recurrences_over_lanes():
                 assert np.max(np.abs(g - w)) <= RTOL * np.max(np.abs(w))
 
 
+#: each batched kernel of :mod:`blp.series` on a batch ``a`` of positive
+#: values, a batch ``b`` of the same lanes and one series ``c``
+_KERNELS = {
+    "mul": lambda a, b, c, lay: lay.mul(a, b),
+    "mul_one": lambda a, b, c, lay: lay.mul(b, c),
+    "one_mul": lambda a, b, c, lay: lay.mul(c, b),
+    "div": lambda a, b, c, lay: series.div(b, a, lay),
+    "div_one": lambda a, b, c, lay: series.div(b, c, lay),
+    "one_div": lambda a, b, c, lay: series.div(c, a, lay),
+    "exp": lambda a, b, c, lay: series.exp(b, lay),
+    "ln": lambda a, b, c, lay: series.ln(a, lay),
+    "power": lambda a, b, c, lay: series.power(a, -0.5, lay),
+    "sin_cos": lambda a, b, c, lay: np.stack(series.sin_cos(b, lay)),
+    "sinh_cosh": lambda a, b, c, lay: np.stack(
+        series.sin_cos(b, lay, hyper=True)),
+    "tan": lambda a, b, c, lay: series.tan(b, lay),
+}
+
+
+@pytest.mark.parametrize("count", [2, 7, 64])
+@pytest.mark.parametrize("layout", ["univariate", "trivariate"])
+def test_batched_kernels_do_not_couple_lanes(layout, count):
+    # each lane of a batch has the bits of that lane as a batch of one
+    rng = np.random.default_rng(count)
+    for order in ORDERS:
+        lay = series.univariate(order) if layout == "univariate" \
+            else jets._tables(order)
+        a, b, c = (rng.normal(size=shape) * 0.4 ** lay.euler
+                   for shape in ((count, lay.size), (count, lay.size),
+                                 lay.size))
+        a[:, 0] = rng.uniform(0.6, 1.8, count)
+        b[:, 0] = rng.uniform(-1.5, 1.5, count)
+        c[0] = 1.3
+        for name, kernel in _KERNELS.items():
+            got = kernel(a, b, c, lay)
+            for i in range(count):
+                alone = kernel(a[i:i + 1], b[i:i + 1], c, lay)
+                assert got[..., i:i + 1, :].tobytes() == alone.tobytes(), \
+                    (name, order, i)
+
+
 # ----------------------------------------------------------------------
 # grid reports: one batch against each point alone
 # ----------------------------------------------------------------------
 
-def _partials_max(a):
-    """The largest partial derivative of the jet ``a`` at its base."""
-    return float(np.max(np.abs(a.coeffs * jets._tables(a.order).fact)))
-
-
 def assert_report_by_points(make_field, grid):
     """The report over ``grid`` of one field from ``make_field`` against
     ``residual_report(f, [p])`` for each p on another: the same skips and
-    row points in grid order, u and v to RTOL (relative, or absolute
-    below 1), and each residual to RTOL of the size of the terms it sums,
-    (1 + U)(1 + U + V) for the largest partials U of u and V of v."""
+    the same rows, bit for bit, in grid order."""
     got = system.residual_report(make_field(), grid)
     field = make_field()
-    want, scales, skipped = [], [], 0
-    for p in grid:
-        alone = system.residual_report(field, [p])
-        skipped += alone.skipped
-        want += alone.rows
-        if alone.rows:  # the field remembers its jets at p
-            big_u = _partials_max(field.u(p, system.RESIDUAL_ORDER))
-            big_v = _partials_max(field.v(p, system.RESIDUAL_ORDER))
-            scales.append((1.0 + big_u) * (1.0 + big_u + big_v))
-    assert got.skipped == skipped
-    assert [row[0] for row in got.rows] == [row[0] for row in want]
-    for g, w, scale in zip(got.rows, want, scales):
-        for a, b in zip(g[1:3], w[1:3]):
-            assert abs(a - b) <= RTOL * max(abs(b), 1.0), g[0]
-        for a, b in zip(g[3:], w[3:]):
-            assert abs(a - b) <= RTOL * scale, g[0]
+    alone = [system.residual_report(field, [p]) for p in grid]
+    assert got.skipped == sum(rep.skipped for rep in alone)
+    assert got.rows == [row for rep in alone for row in rep.rows]
     return got
 
 
-def _box_grid(fid, count=5):
-    axes = [np.linspace(lo, hi, count) for lo, hi in catalog.default_box(fid)]
+def _grid(box, count):
+    axes = [np.linspace(lo, hi, count) for lo, hi in box]
     return [Point(float(t), float(x), float(y))
             for t in axes[0] for x in axes[1] for y in axes[2]]
+
+
+def _box_grid(fid, count=5):
+    return _grid(catalog.default_box(fid), count)
 
 
 @pytest.mark.parametrize("fid", _FAMILIES)
@@ -885,6 +912,30 @@ def test_grid_report_of_every_elliptic_binding():
         assert_report_by_points(
             lambda: catalog.instantiate("F_R29_ELLIPTIC", bindings),
             _box_grid("F_R29_ELLIPTIC"))
+
+
+#: the transformed fields with a grid residual: all but the (u,w) form
+_GRID_TRANSFORMS = sorted(set(_TRANSFORMS) - {"convert_uw"})
+
+
+@pytest.mark.parametrize("kind", _GRID_TRANSFORMS)
+def test_grid_report_of_a_transformed_field(kind):
+    assert_report_by_points(_TRANSFORMS[kind],
+                            _grid(_BOXES.get(kind, _DEFAULT_BOX), 3))
+
+
+@pytest.mark.parametrize("fid", _FAMILIES)
+def test_grid_report_is_the_same_without_its_skipped_points(fid):
+    # the family's box widened by 1.5 times its width on every side, where
+    # most families are undefined at some points: the report over the
+    # points evaluated there alone gives the same rows, bit for bit
+    wide = system.residual_report(catalog.instantiate(fid, {}), _grid(
+        [(lo - 1.5 * (hi - lo), hi + 1.5 * (hi - lo))
+         for lo, hi in catalog.default_box(fid)], 4))
+    kept = system.residual_report(catalog.instantiate(fid, {}),
+                                  [row[0] for row in wide.rows])
+    assert kept.skipped == 0
+    assert kept.rows == wide.rows
 
 
 class _Captured(Exception):
@@ -941,7 +992,7 @@ def test_a_stall_after_an_undefined_point_is_named_at_its_point():
 
 def test_an_error_only_a_batch_raises_is_not_a_skip():
     def u(p, n):
-        if jets.lanes(p) is not None:
+        if (jets.lanes(p) or 1) > 1:
             raise TypeError("a batch")
         return Jet3.constant(0.0, p, n)
 

@@ -10,7 +10,7 @@ from blp.reductions import (
     first_integrals_2_9, integrate_painleve2, integrate_painleve4_form,
     reconstruct_2_4, reconstruct_2_9, reduction_2_3_field,
 )
-from blp.system import residual
+from blp.system import residual, residual_report
 
 
 PII_SPEC = ReductionSpec(id="R2_9", C0=0.0, C1=2.0, C2=0.0, delta=1.0,
@@ -155,6 +155,24 @@ def test_reconstruct_2_9_pii_residual(pii_traj):
         except UndefinedHere:
             continue
         assert abs(r1) < 1e-6 and abs(r2) < 1e-6
+
+
+def test_reconstruct_2_9_pii_residual_for_negative_c1():
+    # the scale (2 C1)^(1/3) is the real cube root, negative for C1 < 0,
+    # in the trajectory's meta and in the fallback of reconstruct_2_9
+    spec = ReductionSpec(id="R2_9", C0=0.0, C1=-2.0, C2=0.0, delta=1.0,
+                         init=(-2.0, 0.5, 0.25))
+    traj = integrate_painleve2(spec, span=(-2.4, -0.6))
+    assert traj.meta["phi_scale"] == -(4.0 ** (1.0 / 3.0))
+    axis = np.linspace(0.3, 0.6, 3)
+    grid = [Point(t, x, y) for t in np.linspace(0.1, 1.0, 3)
+            for x in axis for y in axis]
+    rep = residual_report(reconstruct_2_9(traj, spec), grid)
+    assert rep.skipped == 0
+    assert rep.r1_max < 1e-10 and rep.r2_max < 1e-10
+    del traj.meta["phi_scale"]
+    assert residual_report(reconstruct_2_9(traj, spec), grid).rows \
+        == rep.rows
 
 
 def test_first_integrals_along_pii(pii_traj):
