@@ -47,24 +47,30 @@ operations, :meth:`Jet3.derive`, :meth:`Jet3.truncate`,
 :func:`power` and :func:`quotient` act lane by lane, with the recurrences
 of :mod:`blp.series` run once over the batch; ``value`` is a float for
 one point and an array over the lanes for a batch.  Every jet map
-(:data:`JetMap`) accepts a batched point.  The guard rule over lanes
-(:func:`raise_where`): a batch is undefined where any lane is, and the
-error is the class and message of the first such lane, with that lane's
-value in the message.  A symmetry image, whose code is scalar, is
-wrapped by :func:`per_lane`, which asks it at each lane's point in lane
-order and stacks the jets, so it raises exactly as for single points.
-The reduced-profile fields take their lanes at once, and are wrapped by
-:func:`as_batch`, which asks a single point as a batch of one lane, so
-a lane's bits do not depend on the batch it comes in.  A path integral
-at a batched point (:func:`blp.quadrature.integrate_field_along`) runs
-the quadratures of its lanes in lockstep, each lane on its own panels:
-each refinement round asks the integrand once, at the abscissae of
-every unfinished lane, and a ``QuadratureError`` is that of the first
-lane that fails, as :func:`raise_where` names the first undefined lane.
-A grid report (:func:`blp.system.residual_report`) asks its whole grid
-as one batch and splits a batch that raises in halves, down to batches
-of one lane, so a point is skipped or named by its own evaluation, and
-its row has that evaluation's bits however the grid was split.
+(:data:`JetMap`) accepts a batched point.  One rule says which lane a
+failing batch names (:func:`raise_where`): a batch is undefined where
+any lane is, and it raises at the first check that fails, with the
+class and message of that check's first failing lane, that lane's value
+in the message.  A later lane may fail an earlier check, so the error
+need not be that of the first lane that fails alone; a caller that
+needs each lane's own error asks that lane alone.  A symmetry image,
+whose code is scalar, is wrapped by :func:`per_lane`, which asks it at
+each lane's point in lane order and stacks the jets, so it raises
+exactly as for single points.  The reduced-profile fields take their
+lanes at once, and are wrapped by :func:`as_batch`, which asks a single
+point as a batch of one lane, so a lane's bits do not depend on the
+batch it comes in.  A path integral at a batched point
+(:func:`blp.quadrature.integrate_field_along`) runs the quadratures of
+its lanes in lockstep, each lane on its own panels: each refinement
+round asks the integrand once, at the abscissae of every unfinished
+lane.  :func:`blp.specfun.weierstrass_p` and the lockstep quadrature
+keep the one rule: the one raises at its first check that fails, the
+other at its first round in which a lane fails, each with the error of
+its first such lane.  A grid report (:func:`blp.system.residual_report`)
+asks its whole grid as one batch and splits a batch that raises in
+halves, down to batches of one lane, so a point is skipped or named by
+its own evaluation, and its row has that evaluation's bits however the
+grid was split.
 
 All operations are pure and jets are immutable.  A map wrapped by
 :func:`last_point`, as every field component is, remembers its last

@@ -13,7 +13,10 @@ panel or the two halves of its worst, all in one integrand call on the
 15 abscissae of each of those panels (QUADPACK's ``qk15``, many panels
 at once, as in SciPy's ``quad_vec``).  So a lane's abscissae, bits and
 failure do not depend on the other lanes, and a quadrature makes one
-integrand call per round, not one per panel.
+integrand call per round, not one per panel.  A failing batch raises
+by the one rule of :func:`jets.raise_where`: the first round in which a
+lane fails raises the error of its first such lane, and ends the
+quadrature.
 
 :func:`integrate_field_along` lifts an axis-parallel line integral of a
 jet-evaluable field to a jet: the coefficients that carry powers of the
@@ -139,31 +142,19 @@ def adaptive_quadrature(f, a: float, b, tol: float = TOL):
     round every unfinished lane asks its panels, its first or the two
     halves of its worst, and :func:`gauss_kronrod_15` evaluates all of
     them in one call of ``f``, lane after lane.  So a lane's abscissae,
-    bits and failure are those of the lane alone.  A lane with b = a is
-    zero, shaped by one abscissa at a, all of which are asked before the
-    first round.  Returns the value, or an array of one value per lane.
+    bits and failure are those of the lane alone.  Returns the value, or
+    an array of one value per lane.
 
-    Raises the :class:`QuadratureError` of the first lane in lane order
-    that fails, as that lane alone raises it; lanes after a failed one are
-    not refined further.
+    Raises as :func:`jets.raise_where` does: the first round in which a
+    lane fails raises the :class:`QuadratureError` of its first such lane
+    in lane order, as that lane alone raises it, and no lane is refined
+    further.
     """
     one = not isinstance(b, np.ndarray)
     ends = [b] if one else b.tolist()
+    refine = [_refine(a, end, tol) for end in ends]
     out = [None] * len(ends)
-    refine, empty = {}, []
-    for i, end in enumerate(ends):
-        if end == a:
-            empty.append(i)
-        else:
-            refine[i] = _refine(a, end, tol)
-    if empty:
-        s = np.array([a] * len(empty))
-        probe = np.asarray(f(s) if one else f(s, np.array(empty)),
-                           dtype=float)
-        for i, v in zip(empty, probe):
-            out[i] = v * 0.0
-    asked = {i: next(lane) for i, lane in refine.items()}
-    failed = None
+    asked = {i: next(lane) for i, lane in enumerate(refine)}
     while asked:
         owners, lo, hi = [], [], []
         for i, panels in asked.items():
@@ -183,12 +174,7 @@ def adaptive_quadrature(f, a: float, b, tol: float = TOL):
                 unfinished[i] = refine[i].send(got)
             except StopIteration as done:
                 out[i] = done.value
-            except QuadratureError as exc:
-                failed = exc
-                break
         asked = unfinished
-    if failed is not None:
-        raise failed
     return out[0] if one else np.stack(out)
 
 
@@ -331,14 +317,18 @@ def line_integral(integrand: JetMap, axis: str, lower: float,
     ``_LINES_KEPT`` lines are kept; the one first computed longest ago
     goes first.  The lines of a batch not kept at the order asked take
     one :func:`integrate_field_along` call, one lane per line in lane
-    order, a lone line too; a batch on one line gets one jet.
+    order, a lone line too; a batch on one line gets one jet.  A single
+    point and a batch keep their lines apart, so a row does not depend
+    on which path asked its line first.
     """
     skip = _AXIS_NUM[constant_along]
     known: dict = {}
 
     def integral(p: Point, n: int) -> Jet3:
         size = jet_size(n)
-        line = tuple(c for i, c in enumerate(p) if i != skip)
+        # a line is kept by the path that made it, the scalar one of a
+        # single point or the lanes of a batch, whose bits may differ
+        line = (*(c for i, c in enumerate(p) if i != skip), lanes(p) is None)
         count = lanes(line)
         keys = [line] if count is None else list(zip(
             *(np.broadcast_to(c, count).tolist() for c in line)))

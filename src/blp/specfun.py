@@ -172,8 +172,10 @@ def weierstrass_p(z, inv: EllipticInvariants):
     ``z`` is a float, or a 1-D array of arguments, one per lane, for which
     the three values are arrays.  Each lane runs the halving, Laurent and
     duplication arithmetic of its argument alone, and no operation runs on
-    a lane once it is finished or rejected; a batch raises the error of its
-    first rejected lane.
+    a lane once it is finished.  A batch raises as :func:`jets.raise_where`
+    does: at the first check that fails, before any arithmetic on the
+    lanes it rejects, with that check's error, which is that of its first
+    failing lane.
     """
     if isinstance(z, np.ndarray):
         return _weierstrass_lanes(z, inv)
@@ -183,54 +185,35 @@ def weierstrass_p(z, inv: EllipticInvariants):
 
 def _weierstrass_lanes(z: np.ndarray, inv: EllipticInvariants):
     g2, r0 = inv.g2, inv.seed_radius
-    errors: dict[int, BLPError] = {}
-    alive = np.ones(len(z), dtype=bool)
-
-    def reject(lanes: np.ndarray, bad: np.ndarray, error: BLPError):
-        """Drop the ``bad`` of ``lanes``, remembering each one's error;
-        returns the lanes left."""
-        for i in lanes[bad].tolist():
-            errors.setdefault(i, error)
-        alive[lanes[bad]] = False
-        return lanes[~bad]
-
-    live = reject(np.arange(len(z)), ~np.isfinite(z),
-                  NonFiniteError("non-finite argument"))
+    jets.raise_where(~np.isfinite(z), None, "non-finite argument",
+                     NonFiniteError)
     sign = np.where(z < 0.0, -1.0, 1.0)   # P even, P' and zeta odd
     zs = np.abs(z)
-    reject(live, zs[live] < 1e-8, PoleError("argument at the origin pole"))
+    jets.raise_where(zs < 1e-8, None, "argument at the origin pole",
+                     PoleError)
     m = np.zeros(len(z), dtype=int)
-    while True:
-        live = np.flatnonzero(alive)
-        live = live[zs[live] > r0]
-        if not len(live):
-            break
+    while (live := np.flatnonzero(zs > r0)).size:
         zs[live] *= 0.5
         m[live] += 1
-        reject(live, m[live] > 60, NonFiniteError("halving did not converge"))
-    p, dp, zeta = np.zeros((3, len(z)))
-    live = np.flatnonzero(alive)
-    p[live], dp[live], zeta[live] = _series_eval(zs[live], inv.laurent)
-    for step in range(int(m[live].max(initial=0))):
-        live = np.flatnonzero(alive & (m > step))
+        jets.raise_where(m > 60, None, "halving did not converge",
+                         NonFiniteError)
+    p, dp, zeta = _series_eval(zs, inv.laurent)
+    for step in range(int(m.max(initial=0))):
+        live = np.flatnonzero(m > step)   # a finished lane sits out
         pl, dpl = p[live], dp[live]
-        flat = np.abs(dpl) < 1e-12 * (1.0 + np.abs(pl) ** 1.5)
-        live = reject(live, flat, PoleError(
-            "duplication hit a half-period: target is a pole"))
-        pl, dpl = pl[~flat], dpl[~flat]
+        jets.raise_where(np.abs(dpl) < 1e-12 * (1.0 + np.abs(pl) ** 1.5),
+                         None, "duplication hit a half-period: target is "
+                         "a pole", PoleError)
         ppp = 6.0 * pl * pl - 0.5 * g2          # P''
         a = ppp / (2.0 * dpl)
         aprime = (12.0 * pl * dpl * dpl - ppp * ppp) / (2.0 * dpl * dpl)
         zeta[live] = 2.0 * zeta[live] - a
         pl, dpl = a * a - 2.0 * pl, a * aprime - dpl
         p[live], dp[live] = pl, dpl
-        finite = np.isfinite(pl) & np.isfinite(dpl)
-        live = reject(live, ~finite, NonFiniteError(
-            "overflow in duplication chain"))
-        reject(live, np.abs(pl[finite]) > 1e12,
-               PoleError("value beyond pole guard"))
-    if errors:
-        raise errors[min(errors)]
+        jets.raise_where(~(np.isfinite(pl) & np.isfinite(dpl)), None,
+                         "overflow in duplication chain", NonFiniteError)
+        jets.raise_where(np.abs(pl) > 1e12, None, "value beyond pole guard",
+                         PoleError)
     return p, sign * dp, sign * zeta
 
 

@@ -757,6 +757,10 @@ def test_lanes_of_an_integral_refine_in_lockstep(ys, order):
 
 
 def test_line_integral_serves_its_line_with_one_jet():
+    # a batch on one line gets one jet, the line's lane of a batch of one;
+    # single points keep their own jet of the line, from the scalar path;
+    # within each path the kept jet answers the line without asking the
+    # integrand again
     asked = []
 
     def g(p, n):  # does not depend on x
@@ -768,9 +772,20 @@ def test_line_integral_serves_its_line_with_one_jet():
     p = Point(0.9, np.linspace(-1.0, 1.0, 7), 0.6)
     got = integral(p, 3)
     assert got.coeffs.shape == (20,) and got.base is p
+    lane = integrate_field_along(g, "t", -0.4, p._replace(x=p.x[:1]), 3)
+    assert got.coeffs.tobytes() == lane.coeffs[0].tobytes()
     calls = len(asked)
-    assert_lanes(got, [integral(q, 3) for q in _singles(p)])
+    assert integral(p._replace(x=p.x[::-1]), 3).coeffs.tobytes() == \
+        got.coeffs.tobytes()
     assert len(asked) == calls
+    first, *rest = _singles(p)
+    singles = [integral(first, 3)]
+    assert singles[0].coeffs.tobytes() == \
+        integrate_field_along(g, "t", -0.4, first, 3).coeffs.tobytes()
+    calls = len(asked)
+    singles += [integral(q, 3) for q in rest]
+    assert len(asked) == calls
+    assert_lanes(got, singles)
     across = Point(0.9, 0.2, np.array([0.3, 0.6]))
     assert_lanes(integral(across, 3),
                  [integrate_field_along(g, "t", -0.4, q, 3)
@@ -778,10 +793,12 @@ def test_line_integral_serves_its_line_with_one_jet():
 
 
 def test_line_integral_takes_the_lines_it_lacks_in_one_call(monkeypatch):
-    # lanes on five (t, y) lines, repeated and unsorted: one line kept at
-    # a lower order and one at a higher; the four lines not kept at order
-    # 4 are integrated in one call, one lane per line in the order of
-    # their first lanes, and the batch agrees with each lane alone
+    # lanes on five (t, y) lines, repeated and unsorted: one line kept by
+    # a batch at a lower order and one at a higher, and one kept by a
+    # single point only, which a batch does not read; the four lines not
+    # kept for batches at order 4 are integrated in one call, one lane per
+    # line in the order of their first lanes, and the batch agrees with
+    # each lane alone
     def g(p, n):  # does not depend on x
         t, _, y = jets.coordinate_jets(p, n)
         return jets.exp(0.5 * t) * y + t * y * y
@@ -800,8 +817,9 @@ def test_line_integral_takes_the_lines_it_lacks_in_one_call(monkeypatch):
 
     monkeypatch.setattr(quadrature, "integrate_field_along", counted)
     integral = line_integral(g, "t", -0.4, constant_along="x")
-    integral(Point(0.6, 2.0, 0.2), 2)
-    integral(Point(0.7, -2.0, 0.4), 6)
+    integral(Point(*(np.array([c]) for c in (0.6, 2.0, 0.2))), 2)
+    integral(Point(*(np.array([c]) for c in (0.7, -2.0, 0.4))), 6)
+    integral(Point(0.9, 0.0, 0.5), 6)
     del calls[:]
     got = integral(p, 4)
     assert got.base is p and got.coeffs.shape == (7, 35)
@@ -814,6 +832,20 @@ def test_line_integral_takes_the_lines_it_lacks_in_one_call(monkeypatch):
     again = integral(p._replace(x=p.x + 0.5), 3)
     assert len(calls) == 1
     assert again.coeffs.tobytes() == got.truncate(3).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["dt1", "dt1_x2", "dt2", "dt2_x2"])
+def test_a_report_does_not_depend_on_a_point_asked_before(kind):
+    # the t-leg of each covering solution's path is a line integral kept
+    # per line; a grid point asked alone first, on the scalar path, keeps
+    # its line for single points only, so every row keeps its bits
+    grid = _grid(_DEFAULT_BOX, 3)
+    want = system.residual_report(_TRANSFORMS[kind](), grid).rows
+    for p in grid:
+        field = _TRANSFORMS[kind]()
+        field.u(p, system.RESIDUAL_ORDER)
+        field.v(p, system.RESIDUAL_ORDER)
+        assert system.residual_report(field, grid).rows == want, p
 
 
 def test_series_recurrences_over_lanes():
@@ -988,6 +1020,84 @@ def test_a_stall_after_an_undefined_point_is_named_at_its_point():
     assert str(info.value) == (
         f"stalled at x = {first.x} at grid point (t, x, y) = "
         f"({first.t!r}, {first.x!r}, {first.y!r})")
+
+
+class _Negative(DomainError):
+    """The first check of :func:`_two_checks`."""
+
+
+class _BeyondTwo(DomainError):
+    """The second check of :func:`_two_checks`."""
+
+
+def _two_checks(x):
+    jets.raise_where(x < 0.0, x, "negative x = {}", _Negative)
+    jets.raise_where(x > 2.0, x, "x = {} beyond 2", _BeyondTwo)
+
+
+def _raised(fn, *args):
+    with pytest.raises(BLPError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_one_rule_for_a_failing_batch():
+    # a guard, P and the lockstep quadrature side by side: a batch raises
+    # at its first check that fails, with that check's first failing
+    # lane, though an earlier lane fails a later check; each lane alone
+    # raises its own error
+    x = np.array([0.5, 3.0, -1.0, -2.0])
+    assert _raised(_two_checks, x) == (_Negative, "negative x = -1.0")
+    assert [_raised(_two_checks, v) for v in x[1:].tolist()] == [
+        (_BeyondTwo, "x = 3.0 beyond 2"), (_Negative, "negative x = -1.0"),
+        (_Negative, "negative x = -2.0")]
+    inv = specfun.EllipticInvariants(5.0, 0.0)
+    z = np.array([0.5, 0.0, math.inf])
+    assert _raised(specfun.weierstrass_p, z, inv) == (
+        specfun.NonFiniteError, "non-finite argument")
+    assert _raised(specfun.weierstrass_p, 0.0, inv) == (
+        specfun.PoleError, "argument at the origin pole")
+    # alone, 1/sqrt(s) fails in round 47 and 1/(s - 1/3) in round 33
+    fs = [math.exp, lambda s: 1.0 / math.sqrt(s), lambda s: 1.0 / (s - 1 / 3)]
+
+    def lanes_of(s, k):
+        return np.array([fs[i](v) for v, i in zip(s.tolist(), k.tolist())])
+
+    batch = _raised(quadrature.adaptive_quadrature, lanes_of, 0.0,
+                    np.ones(3))
+    alone = [_raised(quadrature.adaptive_quadrature, per_node(f), 0.0, 1.0)
+             for f in fs[1:]]
+    assert batch == alone[1] != alone[0]
+    assert batch[1].startswith("refinement stalled")
+
+    # a report over lanes that fail the three: u passes the two checks,
+    # then P at x - 0.5, then a quadrature of 1/(s - c) from 0 to x, one
+    # lane per point; the batch of the whole grid raises at its first
+    # failing check, yet the report is that of its points alone: the same
+    # skips and rows, and the first point whose own quadrature fails named
+    c = 1.5 + 1 / 7
+
+    def pole(s, k):
+        return np.array([1.0 / (v - c) for v in s.tolist()])
+
+    def u(p, n):
+        x = jets.lift_variable("x", p, n)
+        _two_checks(x.value)
+        specfun.weierstrass_p(np.atleast_1d(x.value - 0.5), inv)
+        quadrature.adaptive_quadrature(pole, 0.0, np.atleast_1d(x.value))
+        return x * x
+
+    xs = [0.25, 3.0, -1.0, 0.5, 1.0, -0.5, 0.5, 0.75]
+    grid = [Point(1.0, x, 0.5) for x in xs]
+    rep = assert_report_by_points(lambda: _scalar_field(u), grid)
+    assert (rep.skipped, len(rep.rows)) == (5, 3)
+    # alone, the quadrature to 1.9 ends on the width floor, to 2 stalls
+    fails = [Point(1.0, x, 0.5) for x in (0.25, -1.0, 1.9, 0.5, 2.0)]
+    got = _raised(system.residual_report, _scalar_field(u), fails)
+    assert got == _raised(system.residual_report, _scalar_field(u),
+                          fails[2:3])
+    assert got[0] is quadrature.QuadratureError
+    assert "below width floor" in got[1]
 
 
 def test_an_error_only_a_batch_raises_is_not_a_skip():

@@ -253,10 +253,8 @@ def _list_scan_quadrature(f, a, b, tol=1e-10, max_panels=2000,
     """Reference: every panel rescanned and re-summed on each split.
 
     With ``stall_rule`` off it is the quadrature without QUADPACK's
-    roundoff detection, which runs until the tolerance or a limit."""
-    if a == b:
-        probe = np.asarray(f(np.array([a])), dtype=float)
-        return probe[0] * 0.0
+    roundoff detection, which runs until the tolerance or a limit.  From
+    a to a it is the one panel of width 0, whose value and error are 0."""
     val, err = gauss_kronrod_15(f, a, b)
     panels = [(err, a, b, val)]
     width_floor = 1e-14 * (1.0 + abs(a) + abs(b))
@@ -413,17 +411,19 @@ def _run_lanes(fs, a, ends, kw):
 
 
 def _rounds(abscissae):
-    """Integrand calls of a lane alone: its first panel, then its splits."""
-    return 0 if len(abscissae) < 15 else 1 + (len(abscissae) - 15) // 30
+    """Integrand calls of a lane alone: its first panel, then its splits;
+    the first r of them ask 30 r - 15 abscissae."""
+    return 1 + (len(abscissae) - 15) // 30
 
 
 @pytest.mark.parametrize("mix", sorted(_LANE_MIXES))
 def test_lanes_in_lockstep_match_each_lane_alone(mix):
     # with each lane first in turn, and the lanes that succeed alone: the
-    # stacked values of the lanes alone, or the failure of the first lane
-    # that fails alone; each lane asks the abscissae it asks alone, and a
-    # lane after a failed one a prefix of them; one integrand call per
-    # round, after one for the empty lanes
+    # stacked values of the lanes alone, or, as jets.raise_where names a
+    # lane, the failure of the first lane in lane order of those that fail
+    # in the earliest round in which any lane fails alone; each lane asks
+    # the abscissae of its rounds alone up to that round, and the call
+    # makes one integrand call per round
     kw, names = _LANE_MIXES[mix]
     alone = [_run_alone(_CASES[name][1], 0.0,
                         0.0 if name == "empty" else _CASES[name][3], kw)
@@ -431,6 +431,7 @@ def test_lanes_in_lockstep_match_each_lane_alone(mix):
     succeed = [i for i, (out, _) in enumerate(alone) if out[0] == "value"]
     assert 1 < len(succeed) < len(names)
     count = len(names)
+    later_lane_named = False
     for order in [list(range(shift, count)) + list(range(shift))
                   for shift in range(count)] + [succeed]:
         fs = [_CASES[names[i]][1] for i in order]
@@ -438,21 +439,23 @@ def test_lanes_in_lockstep_match_each_lane_alone(mix):
                 for i in order]
         got, seen, calls = _run_lanes(fs, 0.0, ends, kw)
         want = [alone[i] for i in order]
+        rounds = [_rounds(abscissae) for _, abscissae in want]
         failed = [j for j, (out, _) in enumerate(want) if out[0] == "error"]
-        last = failed[0] if failed else len(order) - 1
+        last = min((rounds[j] for j in failed), default=max(rounds))
         if failed:
-            assert got == want[last][0]
+            named = min(j for j in failed if rounds[j] == last)
+            later_lane_named |= named != failed[0]
+            assert got == want[named][0]
         else:
             values = np.frombuffer(got[1]).reshape(len(order), -1)
             for row, (out, _) in zip(values, want):
                 assert row.tobytes() == out[1]
         for j, (lane, (_, abscissae)) in enumerate(zip(seen, want)):
-            if j <= last:
-                assert lane == abscissae, names[order[j]]
-            else:
-                assert lane == abscissae[:len(lane)], names[order[j]]
-        assert calls == any(names[i] == "empty" for i in order) + max(
-            _rounds(abscissae) for _, abscissae in want[:last + 1])
+            assert lane == abscissae[:30 * min(rounds[j], last) - 15], \
+                names[order[j]]
+        assert calls == last
+    # two lanes fail in the default mix, the later one in an earlier round
+    assert later_lane_named == (mix == "default")
 
 
 def test_ties_split_the_older_panel_first():

@@ -130,16 +130,18 @@ def test_p_over_an_array_is_each_argument_alone():
 
 
 def test_p_batch_raises_as_its_first_rejected_lane():
-    # the non-finite check runs before the origin check, yet the error
-    # is that of the first lane rejected; no arithmetic runs on a
+    # as jets.raise_where: the non-finite check runs before the origin
+    # check, so a batch with lanes that fail either raises the first
+    # check's error, whatever the lane order; no arithmetic runs on a
     # rejected lane, so the lane at 0 divides nothing by zero
     inv = EllipticInvariants(5.0, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        for z in ([0.5, 0.0, math.inf], [0.5, math.inf, 0.0]):
+            with pytest.raises(NonFiniteError, match="non-finite"):
+                weierstrass_p(np.array(z), inv)
         with pytest.raises(PoleError, match="origin pole"):
-            weierstrass_p(np.array([0.5, 0.0, math.inf]), inv)
-        with pytest.raises(NonFiniteError, match="non-finite"):
-            weierstrass_p(np.array([0.5, math.inf, 0.0]), inv)
+            weierstrass_p(np.array([0.5, 0.0, 2.0]), inv)
 
 
 def test_phi_evaluates_p_once_per_argument(monkeypatch):
