@@ -47,30 +47,24 @@ operations, :meth:`Jet3.derive`, :meth:`Jet3.truncate`,
 :func:`power` and :func:`quotient` act lane by lane, with the recurrences
 of :mod:`blp.series` run once over the batch; ``value`` is a float for
 one point and an array over the lanes for a batch.  Every jet map
-(:data:`JetMap`) accepts a batched point.  One rule says which lane a
-failing batch names (:func:`raise_where`): a batch is undefined where
-any lane is, and it raises at the first check that fails, with the
-class and message of that check's first failing lane, that lane's value
-in the message.  A later lane may fail an earlier check, so the error
-need not be that of the first lane that fails alone; a caller that
-needs each lane's own error asks that lane alone.  A symmetry image,
-whose code is scalar, is wrapped by :func:`per_lane`, which asks it at
-each lane's point in lane order and stacks the jets, so it raises
-exactly as for single points.  The reduced-profile fields take their
-lanes at once, and are wrapped by :func:`as_batch`, which asks a single
-point as a batch of one lane, so a lane's bits do not depend on the
-batch it comes in.  A path integral at a batched point
-(:func:`blp.quadrature.integrate_field_along`) runs the quadratures of
-its lanes in lockstep, each lane on its own panels: each refinement
-round asks the integrand once, at the abscissae of every unfinished
-lane.  :func:`blp.specfun.weierstrass_p` and the lockstep quadrature
-keep the one rule: the one raises at its first check that fails, the
-other at its first round in which a lane fails, each with the error of
-its first such lane.  A grid report (:func:`blp.system.residual_report`)
-asks its whole grid as one batch and splits a batch that raises in
-halves, down to batches of one lane, so a point is skipped or named by
-its own evaluation, and its row has that evaluation's bits however the
-grid was split.
+(:data:`JetMap`) accepts a batched point.  One rule says how a batch
+fails (:func:`raise_where`): it is undefined where any lane is, and it
+raises at the first check that fails, with the class and message of
+that check's first failing lane, naming every lane that fails that
+check (:attr:`BLPError.lanes`); a caller that needs each lane's own
+error asks that lane alone.  A layer that asks another batch than its
+caller's maps the lanes an error names back (:func:`name_lanes`): a
+lockstep quadrature (:func:`blp.quadrature.adaptive_quadrature`) from
+the abscissae of its round, or the lane whose refinement failed, and
+the scalar code of a symmetry image, wrapped by :func:`per_lane`, from
+each lane's point asked alone (:func:`each_lane`).  The reduced-profile
+fields take their lanes at once, and are wrapped by :func:`as_batch`,
+which asks a single point as a batch of one lane, so a lane's bits do
+not depend on the batch it comes in.  A grid report
+(:func:`blp.system.residual_report`) asks its whole grid as one batch,
+and again without the lanes each error names, and then each dropped
+point alone, so a point is skipped or named by its own evaluation, and
+its row has that evaluation's bits however the grid was split.
 
 All operations are pure and jets are immutable.  A map wrapped by
 :func:`last_point`, as every field component is, remembers its last
@@ -106,6 +100,8 @@ __all__ = [
     "below_band",
     "check_denominator",
     "raise_where",
+    "name_lanes",
+    "each_lane",
     "compose3",
     "coordinate_jets",
     "restrict",
@@ -127,7 +123,11 @@ class BLPError(Exception):
 
     Each subclass also keeps a builtin base (``ArithmeticError``,
     ``ValueError``, ``RuntimeError``) that says what kind of failure it is.
+    An error raised on a batch names its failing lanes in ``lanes``, a
+    boolean mask over the lanes of that batch, each of which raises an
+    error of the same class asked alone; ``None`` names no lane.
     """
+    lanes = None
 
 
 class UndefinedHere(BLPError, ArithmeticError):
@@ -568,17 +568,45 @@ def raise_where(undefined, value, message: str, error=DomainError) -> None:
     """Raise ``error(message)`` where ``undefined`` holds; ``{}`` in
     ``message`` shows ``value``.
 
-    For a batch, ``undefined`` is an array over the lanes, and the error
-    is that of its first lane that is undefined, showing that lane's
-    value."""
-    if isinstance(undefined, np.ndarray):
+    For a batch, ``undefined`` is an array over the lanes, the error's
+    ``lanes``, and the message is that of its first lane that is
+    undefined, showing that lane's value."""
+    batch = isinstance(undefined, np.ndarray)
+    if batch:
         if not undefined.any():
             return
         if isinstance(value, np.ndarray):
             value = float(value[int(undefined.argmax())])
     elif not undefined:
         return
-    raise error(message.format(value))
+    exc = error(message.format(value))
+    exc.lanes = undefined if batch else None
+    raise exc
+
+
+def name_lanes(exc: BLPError, owner, ids) -> None:
+    """Name in ``exc``, raised on another batch, the lanes of its caller's
+    batch: each caller lane has an entry in ``ids``, and ``owner`` gives
+    each lane of the failing batch the entry of the lane it was asked for
+    (an int, for a point asked alone)."""
+    named, exc.lanes = exc.lanes, None
+    if isinstance(owner, int):
+        exc.lanes = np.asarray(ids) == owner
+    elif named is not None and named.shape == np.shape(owner):
+        exc.lanes = np.isin(ids, np.asarray(owner)[named])
+
+
+def each_lane(fn: Callable, count: int) -> list:
+    """``[fn(0), ..., fn(count - 1)]``: the lane loop of scalar code,
+    whose error names the lane that raised it."""
+    out = []
+    try:
+        for i in range(count):
+            out.append(fn(i))
+    except BLPError as exc:
+        name_lanes(exc, i, np.arange(count))
+        raise
+    return out
 
 
 def check_denominator(den: float, scale: float, message: str,
@@ -816,14 +844,15 @@ def as_batch(fn: JetMap) -> JetMap:
 def per_lane(fn: JetMap) -> JetMap:
     """``fn`` for a map whose code is scalar: a batched point is answered
     by asking ``fn`` at each lane's point, in lane order, and stacking the
-    jets, so it raises as ``fn`` does at the first lane that raises.
-    ``inspect.unwrap`` returns ``fn``."""
+    jets (:func:`each_lane`), so it raises as ``fn`` does at the first
+    lane that raises, and names that lane.  ``inspect.unwrap`` returns
+    ``fn``."""
     def lanewise(p: Point, order: int) -> Jet3:
         count = lanes(p)
         if count is None:
             return fn(p, order)
-        return _jet(p, order, np.stack([fn(lane(p, i), order).coeffs
-                                        for i in range(count)]))
+        return _jet(p, order, np.stack(each_lane(
+            lambda i: fn(lane(p, i), order).coeffs, count)))
 
     lanewise.__wrapped__ = fn
     return lanewise

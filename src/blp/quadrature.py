@@ -15,8 +15,8 @@ at once, as in SciPy's ``quad_vec``).  So a lane's abscissae, bits and
 failure do not depend on the other lanes, and a quadrature makes one
 integrand call per round, not one per panel.  A failing batch raises
 by the one rule of :func:`jets.raise_where`: the first round in which a
-lane fails raises the error of its first such lane, and ends the
-quadrature.
+lane fails raises the error of its first such lane, which it names, and
+ends the quadrature.
 
 :func:`integrate_field_along` lifts an axis-parallel line integral of a
 jet-evaluable field to a jet: the coefficients that carry powers of the
@@ -45,8 +45,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .jets import (BLPError, Jet3, JetMap, Point, jet_size, lanes, restrict,
-                   _tables)
+from .jets import (BLPError, Jet3, JetMap, Point, jet_size, lanes, name_lanes,
+                   restrict, _tables)
 
 __all__ = ["QuadratureError", "gauss_kronrod_15", "adaptive_quadrature",
            "integrate_field_along", "line_integral", "xt_path"]
@@ -147,8 +147,9 @@ def adaptive_quadrature(f, a: float, b, tol: float = TOL):
 
     Raises as :func:`jets.raise_where` does: the first round in which a
     lane fails raises the :class:`QuadratureError` of its first such lane
-    in lane order, as that lane alone raises it, and no lane is refined
-    further.
+    in lane order, as that lane alone raises it, naming that lane, and no
+    lane is refined further.  An error of ``f`` names the lanes of the
+    abscissae it names.
     """
     one = not isinstance(b, np.ndarray)
     ends = [b] if one else b.tolist()
@@ -162,8 +163,12 @@ def adaptive_quadrature(f, a: float, b, tol: float = TOL):
                 owners.append(i)
                 lo.append(left)
                 hi.append(right)
-        values, errors = gauss_kronrod_15(
-            f if one else lambda s: f(s, np.repeat(owners, 15)), lo, hi)
+        try:
+            values, errors = gauss_kronrod_15(
+                f if one else lambda s: f(s, np.repeat(owners, 15)), lo, hi)
+        except BLPError as exc:
+            name_lanes(exc, np.repeat(owners, 15), np.arange(len(ends)))
+            raise
         errors = errors.tolist()
         at, unfinished = 0, {}
         for i, panels in asked.items():
@@ -174,6 +179,9 @@ def adaptive_quadrature(f, a: float, b, tol: float = TOL):
                 unfinished[i] = refine[i].send(got)
             except StopIteration as done:
                 out[i] = done.value
+            except QuadratureError as exc:
+                name_lanes(exc, i, np.arange(len(ends)))
+                raise
         asked = unfinished
     return out[0] if one else np.stack(out)
 
@@ -267,9 +275,13 @@ def integrate_field_along(field: JetMap, axis: str, lower: float,
         ends = np.broadcast_to(p[ax], count)
         todo = np.flatnonzero(ends != lower)
         if todo.size:
-            out[todo[:, None], free] = adaptive_quadrature(
-                partial(_slice_values, field, p, ax, order, free, todo=todo),
-                lower, ends[todo])
+            try:
+                out[todo[:, None], free] = adaptive_quadrature(
+                    partial(_slice_values, field, p, ax, order, free,
+                            todo=todo), lower, ends[todo])
+            except BLPError as exc:
+                name_lanes(exc, todo, np.arange(count))
+                raise
     # F's monomial e + axis is g's monomial e divided by its new power
     out[..., tab.derive_src[ax]] = \
         g_at_p.coeffs[..., :jet_size(order - 1)] / tab.derive_scale[ax]
@@ -339,8 +351,12 @@ def line_integral(integrand: JetMap, axis: str, lower: float,
         if fresh:
             i = list(fresh.values())
             at = Point(*(c[i] if isinstance(c, np.ndarray) else c for c in p))
-            co = integrate_field_along(integrand, axis, lower, at, n).coeffs
-            fresh = dict(zip(fresh, co.reshape(len(i), -1)))
+            try:
+                co = integrate_field_along(integrand, axis, lower, at, n)
+            except BLPError as exc:  # every lane on a failing line
+                name_lanes(exc, i, [fresh.get(key, -1) for key in keys])
+                raise
+            fresh = dict(zip(fresh, co.coeffs.reshape(len(i), -1)))
         rows = [(fresh[k] if k in fresh else known[k])[:size] for k in keys]
         known.update(fresh)
         while len(known) > _LINES_KEPT:

@@ -174,8 +174,8 @@ def weierstrass_p(z, inv: EllipticInvariants):
     duplication arithmetic of its argument alone, and no operation runs on
     a lane once it is finished.  A batch raises as :func:`jets.raise_where`
     does: at the first check that fails, before any arithmetic on the
-    lanes it rejects, with that check's error, which is that of its first
-    failing lane.
+    lanes it rejects, with the error of its first failing lane, naming
+    every lane that fails it.
     """
     if isinstance(z, np.ndarray):
         return _weierstrass_lanes(z, inv)
@@ -201,19 +201,23 @@ def _weierstrass_lanes(z: np.ndarray, inv: EllipticInvariants):
     for step in range(int(m.max(initial=0))):
         live = np.flatnonzero(m > step)   # a finished lane sits out
         pl, dpl = p[live], dp[live]
-        jets.raise_where(np.abs(dpl) < 1e-12 * (1.0 + np.abs(pl) ** 1.5),
-                         None, "duplication hit a half-period: target is "
-                         "a pole", PoleError)
-        ppp = 6.0 * pl * pl - 0.5 * g2          # P''
-        a = ppp / (2.0 * dpl)
-        aprime = (12.0 * pl * dpl * dpl - ppp * ppp) / (2.0 * dpl * dpl)
-        zeta[live] = 2.0 * zeta[live] - a
-        pl, dpl = a * a - 2.0 * pl, a * aprime - dpl
-        p[live], dp[live] = pl, dpl
-        jets.raise_where(~(np.isfinite(pl) & np.isfinite(dpl)), None,
-                         "overflow in duplication chain", NonFiniteError)
-        jets.raise_where(np.abs(pl) > 1e12, None, "value beyond pole guard",
-                         PoleError)
+        try:
+            jets.raise_where(np.abs(dpl) < 1e-12 * (1.0 + np.abs(pl) ** 1.5),
+                             None, "duplication hit a half-period: target "
+                             "is a pole", PoleError)
+            ppp = 6.0 * pl * pl - 0.5 * g2          # P''
+            a = ppp / (2.0 * dpl)
+            aprime = (12.0 * pl * dpl * dpl - ppp * ppp) / (2.0 * dpl * dpl)
+            zeta[live] = 2.0 * zeta[live] - a
+            pl, dpl = a * a - 2.0 * pl, a * aprime - dpl
+            p[live], dp[live] = pl, dpl
+            jets.raise_where(~(np.isfinite(pl) & np.isfinite(dpl)), None,
+                             "overflow in duplication chain", NonFiniteError)
+            jets.raise_where(np.abs(pl) > 1e12, None,
+                             "value beyond pole guard", PoleError)
+        except BLPError as exc:
+            jets.name_lanes(exc, live, np.arange(len(z)))
+            raise
     return p, sign * dp, sign * zeta
 
 
@@ -359,7 +363,11 @@ def _quartic_solution(q: QuarticODE, a: float):
         out = np.empty((len(zv), n + 1))
         near = state == _CROSSING
         if near.any():
-            out[near] = _anchored(zv[near], n)
+            try:
+                out[near] = _anchored(zv[near], n)
+            except BLPError as exc:  # raised on shifted sub-batches
+                exc.lanes = None
+                raise
             zv, p, dp = zv[~near], p[~near], dp[~near]
         if not len(zv):
             return out

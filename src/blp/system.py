@@ -353,9 +353,10 @@ def residual_report(s: SolutionField, grid: list[Point]) -> ResidualReport:
     report and names the first grid point where it was raised.
 
     The points are evaluated as one batch (:mod:`blp.jets`); a batch
-    that raises either error is split in halves, down to batches of one
-    lane, so a point is skipped, or named, only by its own evaluation,
-    and its row is that evaluation's bits however the grid was split.
+    that raises either error is asked again without the lanes the error
+    names, and each dropped point alone, so a point is skipped, or
+    named, only by its own evaluation, and its row is that evaluation's
+    bits however the grid was split.
     """
     equations = _RESIDUALS.get(s.coords)
     if equations is None:
@@ -375,26 +376,36 @@ def _rows(s: SolutionField, equations, points: list[Point],
           rows: list) -> int:
     """Append the row (p, u, v, r1, r2) of each point of ``points`` where
     ``s`` is defined to ``rows``, in order; returns the number skipped.
-    The points are asked as one batch, a single point as one lane."""
-    if not points:
-        return 0
-    at = Point(*(np.array(c, dtype=float) for c in zip(*points)))
-    try:
-        u, v = s.u(at, RESIDUAL_ORDER), s.v(at, RESIDUAL_ORDER)
+    While a batch raises, the lanes its error names (every lane, if it
+    names none) are dropped and the rest asked again; then each dropped
+    point is asked alone, in order."""
+    def batch(at: list[Point]) -> list:
+        p = Point(*(np.array(c, dtype=float) for c in zip(*at)))
+        u, v = s.u(p, RESIDUAL_ORDER), s.v(p, RESIDUAL_ORDER)
         r1, r2 = equations(u, v)
-    except (UndefinedHere, QuadratureError) as exc:
-        if len(points) > 1:
-            half = len(points) // 2
-            return (_rows(s, equations, points[:half], rows)
-                    + _rows(s, equations, points[half:], rows))
-        if isinstance(exc, UndefinedHere):
-            return 1
-        t, x, y = points[0]
-        where = f" at grid point (t, x, y) = ({t!r}, {x!r}, {y!r})"
-        exc.args = (f"{exc}{where}",) + exc.args[1:]
-        raise
-    # a jet of shape (size,) is the same in every lane
-    lanes = (np.broadcast_to(c, len(points)).tolist()
-             for c in (u.value, v.value, r1, r2))
-    rows.extend(zip(points, *lanes))
-    return 0
+        # a jet of shape (size,) is the same in every lane
+        return list(zip(at, *(np.broadcast_to(c, len(at)).tolist()
+                              for c in (u.value, v.value, r1, r2))))
+
+    kept, got = np.arange(len(points)), {}
+    while kept.size:
+        try:
+            got = dict(zip(kept.tolist(), batch([points[i] for i in kept])))
+            break
+        except (UndefinedHere, QuadratureError) as exc:
+            named = exc.lanes
+            kept = kept[~named] if named is not None and \
+                named.shape == kept.shape and named.any() else kept[:0]
+    skipped = 0
+    for i, p in enumerate(points):
+        try:
+            row = got[i] if i in got else batch([p])[0]
+        except UndefinedHere:
+            skipped += 1
+        except QuadratureError as exc:
+            where = f" at grid point (t, x, y) = ({p.t!r}, {p.x!r}, {p.y!r})"
+            exc.args = (f"{exc}{where}",) + exc.args[1:]
+            raise
+        else:
+            rows.append(row)
+    return skipped

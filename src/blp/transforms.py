@@ -458,8 +458,8 @@ class CoveringEigenfunction:
     def check(self, p: Point) -> None:
         """Raise :class:`CoveringViolation` if the covering residual at
         ``p`` exceeds 1e-8 (or is NaN); a batch is checked at once, and
-        the error names its first lane that fails, with that lane's
-        residual."""
+        the error names its lanes that fail, its message the first, with
+        that lane's residual."""
         c1, c2 = covering_residual(self.attached_to, self.phi, p)
         worst = np.broadcast_to(np.maximum(np.abs(c1), np.abs(c2)),
                                 jets.lanes(p) or 1)  # NaN where either is
@@ -467,9 +467,11 @@ class CoveringEigenfunction:
         if failing.any():
             i = int(failing.argmax())
             t, x, y = jets.lane(p, i)
-            raise CoveringViolation(
+            exc = CoveringViolation(
                 f"covering residual {worst[i]:g} exceeds 1e-8 at (t, x, y) = "
                 f"({t!r}, {x!r}, {y!r})")
+            exc.lanes = failing
+            raise exc
 
 
 def uq_seed(witness, L: JetMap | None = None,
@@ -576,17 +578,17 @@ def darboux_psi(kind: str, phi_seed: JetMap, psi: JetMap) -> JetMap:
 
 def _bareiss_det(mat: list[list[Jet3]]) -> Jet3:
     """Fraction-free determinant of a matrix of jets; the pivots of a
-    batch are chosen lane by lane."""
+    batch are chosen lane by lane (:func:`jets.each_lane`)."""
     base = mat[0][0].base
     count = jets.lanes(base)
     if count is not None:
         def at_lane(i):
             at = jets.lane(base, i)
-            return [[Jet3(at, a.order,
-                          a.coeffs[i] if a.coeffs.ndim == 2 else a.coeffs)
-                     for a in row] for row in mat]
-        dets = [_bareiss_det(at_lane(i)).coeffs for i in range(count)]
-        return Jet3(base, mat[0][0].order, np.stack(dets))
+            return _bareiss_det([[Jet3(
+                at, a.order, a.coeffs[i] if a.coeffs.ndim == 2 else a.coeffs)
+                for a in row] for row in mat]).coeffs
+        return Jet3(base, mat[0][0].order,
+                    np.stack(jets.each_lane(at_lane, count)))
     n = len(mat)
     a = [row[:] for row in mat]
     sign = 1.0

@@ -1041,13 +1041,24 @@ def _raised(fn, *args):
     return type(info.value), str(info.value)
 
 
+def _named(fn, *args):
+    """The class of the error ``fn(*args)`` raises on a batch, and the
+    lanes it names."""
+    with pytest.raises(BLPError) as info:
+        fn(*args)
+    assert isinstance(info.value.lanes, np.ndarray), info.value
+    assert info.value.lanes.dtype == bool
+    return type(info.value), np.flatnonzero(info.value.lanes).tolist()
+
+
 def test_one_rule_for_a_failing_batch():
     # a guard, P and the lockstep quadrature side by side: a batch raises
     # at its first check that fails, with that check's first failing
-    # lane, though an earlier lane fails a later check; each lane alone
-    # raises its own error
+    # lane, though an earlier lane fails a later check, and names the
+    # lanes that fail that check; each lane alone raises its own error
     x = np.array([0.5, 3.0, -1.0, -2.0])
     assert _raised(_two_checks, x) == (_Negative, "negative x = -1.0")
+    assert _named(_two_checks, x) == (_Negative, [2, 3])
     assert [_raised(_two_checks, v) for v in x[1:].tolist()] == [
         (_BeyondTwo, "x = 3.0 beyond 2"), (_Negative, "negative x = -1.0"),
         (_Negative, "negative x = -2.0")]
@@ -1055,6 +1066,8 @@ def test_one_rule_for_a_failing_batch():
     z = np.array([0.5, 0.0, math.inf])
     assert _raised(specfun.weierstrass_p, z, inv) == (
         specfun.NonFiniteError, "non-finite argument")
+    assert _named(specfun.weierstrass_p, z, inv) == (
+        specfun.NonFiniteError, [2])
     assert _raised(specfun.weierstrass_p, 0.0, inv) == (
         specfun.PoleError, "argument at the origin pole")
     # alone, 1/sqrt(s) fails in round 47 and 1/(s - 1/3) in round 33
@@ -1069,6 +1082,8 @@ def test_one_rule_for_a_failing_batch():
              for f in fs[1:]]
     assert batch == alone[1] != alone[0]
     assert batch[1].startswith("refinement stalled")
+    assert _named(quadrature.adaptive_quadrature, lanes_of, 0.0,
+                  np.ones(3)) == (quadrature.QuadratureError, [2])
 
     # a report over lanes that fail the three: u passes the two checks,
     # then P at x - 0.5, then a quadrature of 1/(s - c) from 0 to x, one
@@ -1098,6 +1113,130 @@ def test_one_rule_for_a_failing_batch():
                           fails[2:3])
     assert got[0] is quadrature.QuadratureError
     assert "below width floor" in got[1]
+
+
+def _near_one(p, n):
+    """x^2, undefined within 0.1 of x = 1, lane by lane."""
+    x = jets.lift_variable("x", p, n)
+    jets.raise_where(np.abs(x.value - 1.0) < 0.1, x.value, "x = {} near 1")
+    return x * x
+
+
+def _sites():
+    """Each site where a batch raises, beyond the guards and the stall of
+    :func:`test_one_rule_for_a_failing_batch`: (the call on a batch, each
+    lane's call alone, the lanes the batch names)."""
+    z = np.array([0.1, 2.479789, 1.0, -2.479789, 2.0])
+    inv = specfun.EllipticInvariants(5.0, 0.0)
+
+    def beyond_one(p, n):
+        x = jets.lift_variable("x", p, n)
+        jets.raise_where(x.value > 1.0, x.value, "x = {} beyond 1")
+        return x
+
+    image = transforms.apply_symmetry(transforms.p_transform("0.5"),
+                                      _scalar_field(beyond_one))
+    shifted = Point(1.0, np.array([0.5, 1.7, 1.2, 2.0]), 0.5)
+    ends = np.array([0.5, 2.0, 1.0, 3.0])
+
+    def guarded(s, k=None):
+        jets.raise_where(s > 1.5, s, "s = {} beyond 1.5")
+        return s
+
+    # a zero-length lane first: the quadrature's lanes are the others
+    along = Point(1.0, np.array([0.0, 0.5, 2.0, 1.8]), 0.5)
+    line = quadrature.line_integral(_near_one, "x", 0.0, constant_along="y")
+    lines = Point(1.0, np.array([0.5, 2.0, 2.0, 0.5]),
+                  np.array([0.1, 0.2, 0.3, 0.4]))
+    at = Point(1.0, np.array([0.1, 0.2, 0.3]), 0.5)
+
+    def jet(values):
+        return Jet3(at, 1, np.column_stack(
+            [values, np.ones(3), np.zeros(3), np.zeros(3)]))
+
+    # the first column vanishes in lane 1: no pivot there
+    matrix = [[jet([1.0, 0.0, 2.0]), jet([1.0, 1.0, 1.0])],
+              [jet([1.0, 0.0, 1.0]), jet([2.0, 1.0, 3.0])]]
+
+    def lane_matrix(i):
+        return [[Jet3(jets.lane(at, i), 1, a.coeffs[i]) for a in row]
+                for row in matrix]
+
+    return {
+        # a duplication step, which a finished lane sits out
+        "weierstrass_p": (lambda: specfun.weierstrass_p(z, inv),
+                          lambda i: specfun.weierstrass_p(float(z[i]), inv),
+                          [1, 3]),
+        # scalar code, asked lane by lane: the first lane that raises
+        "symmetry image": (lambda: image.u(shifted, 2),
+                           lambda i: image.u(jets.lane(shifted, i), 2), [1]),
+        "quadrature integrand": (
+            lambda: quadrature.adaptive_quadrature(guarded, 0.0, ends),
+            lambda i: quadrature.adaptive_quadrature(guarded, 0.0,
+                                                     float(ends[i])),
+            [1, 3]),
+        "integrate_field_along": (
+            lambda: integrate_field_along(_near_one, "x", 0.0, along, 2),
+            lambda i: integrate_field_along(_near_one, "x", 0.0,
+                                            jets.lane(along, i), 2), [2, 3]),
+        # two lanes on the failing line
+        "line_integral": (lambda: line(lines, 2),
+                          lambda i: line(jets.lane(lines, i), 2), [1, 2]),
+        "bareiss": (lambda: transforms._bareiss_det(matrix),
+                    lambda i: transforms._bareiss_det(lane_matrix(i)), [1]),
+    }
+
+
+@pytest.mark.parametrize("site", sorted(_sites()))
+def test_every_batch_error_names_its_lanes(site):
+    # the error raised on a batch names its failing lanes, and each named
+    # lane raises an error of the same class asked alone
+    batch, alone, want = _sites()[site]
+    error, named = _named(batch)
+    assert named == want
+    for i in named:
+        with pytest.raises(error):
+            alone(i)
+
+
+def test_an_error_that_names_no_lane_drops_every_lane():
+    # a map that raises a plain UndefinedHere on a batch, with no lanes:
+    # the report asks every point again alone, and is still that of its
+    # points asked one at a time
+    asked = []
+
+    def u(p, n):
+        x = jets.lift_variable("x", p, n)
+        asked.append(jets.lanes(p))
+        if np.any(np.abs(x.value - 1.0) < 0.1):
+            raise UndefinedHere("near 1")
+        return x * x
+
+    grid = [Point(1.0, x, 0.5) for x in (0.5, 1.05, 0.25, 0.95, 0.75)]
+    rep = system.residual_report(_scalar_field(u), grid)
+    assert (rep.skipped, len(rep.rows)) == (2, 3)
+    assert asked == [5, 1, 1, 1, 1, 1]
+    assert_report_by_points(lambda: _scalar_field(u), grid)
+
+
+#: (grid points, lanes asked) of a report on boxes that cross domain
+#: edges: the whole grid as one batch, the points its errors do not name
+#: as another, and each named point alone
+_LANES_ASKED = {"F_R29_ELLIPTIC~wide": (243, 486), "F_VXXX_2": (64, 188),
+                "F_R24_PAINLEVE4": (64, 176), "F_R29_PAINLEVE2": (60, 120)}
+
+
+@pytest.mark.parametrize("case", sorted(_LANES_ASKED))
+def test_lanes_a_report_asks_per_grid_point(case, monkeypatch):
+    field, grid = _command_field(_DOMAIN_EDGE_RUNS[case][0], monkeypatch)
+    asked = []
+
+    def counted(p, n):
+        asked.append(jets.lanes(p))
+        return field.u(p, n)
+
+    system.residual_report(field.with_meta(u=counted), grid)
+    assert (len(grid), sum(asked)) == _LANES_ASKED[case]
 
 
 def test_an_error_only_a_batch_raises_is_not_a_skip():
