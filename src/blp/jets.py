@@ -56,11 +56,11 @@ error asks that lane alone.  A layer that asks another batch than its
 caller's maps the lanes an error names back (:func:`name_lanes`): a
 lockstep quadrature (:func:`blp.quadrature.adaptive_quadrature`) from
 the abscissae of its round, or the lane whose refinement failed, and
-the scalar code of a symmetry image, wrapped by :func:`per_lane`, from
-each lane's point asked alone (:func:`each_lane`).  The reduced-profile
-fields take their lanes at once, and are wrapped by :func:`as_batch`,
-which asks a single point as a batch of one lane, so a lane's bits do
-not depend on the batch it comes in.  A grid report
+scalar code run lane by lane (:func:`each_lane`) names the lane that
+raised.  The reduced-profile fields and symmetry images take their lanes
+at once, and are wrapped by :func:`as_batch`, which asks a single point
+as a batch of one lane, so a lane's bits do not depend on the batch it
+comes in.  A grid report
 (:func:`blp.system.residual_report`) asks its whole grid as one batch,
 and again without the lanes each error names, and then each dropped
 point alone, so a point is skipped or named by its own evaluation, and
@@ -109,7 +109,6 @@ __all__ = [
     "axis_jet",
     "last_point",
     "as_batch",
-    "per_lane",
     "exp", "ln", "sin", "cos", "tan", "sinh", "cosh", "sqrt", "recip",
     "abs_signed", "power",
 ]
@@ -840,19 +839,3 @@ def as_batch(fn: JetMap) -> JetMap:
     batched.__wrapped__ = fn
     return batched
 
-
-def per_lane(fn: JetMap) -> JetMap:
-    """``fn`` for a map whose code is scalar: a batched point is answered
-    by asking ``fn`` at each lane's point, in lane order, and stacking the
-    jets (:func:`each_lane`), so it raises as ``fn`` does at the first
-    lane that raises, and names that lane.  ``inspect.unwrap`` returns
-    ``fn``."""
-    def lanewise(p: Point, order: int) -> Jet3:
-        count = lanes(p)
-        if count is None:
-            return fn(p, order)
-        return _jet(p, order, np.stack(each_lane(
-            lambda i: fn(lane(p, i), order).coeffs, count)))
-
-    lanewise.__wrapped__ = fn
-    return lanewise

@@ -11,9 +11,10 @@ group element to a field composes the field with the inverse coordinate
 map and pushes the components through the formulas above, entirely in
 jets.  The inverse point comes from safeguarded Newton on T and Y, its
 series from Taylor-series reversion.  The inverse map is triangular (t
-from t~, y from y~, x affine in x~ with coefficients in t~), so one
-composition matrix per point and order (:func:`jets.compose3`) carries
-both u and v.
+from t~, y from y~, x affine in x~ with coefficients in t~), so what
+depends on t~ alone is built once per t~ and order, what depends on y~
+alone once per y~ and order, and one composition matrix per point and
+order (:func:`jets.compose3`) carries both u and v.
 
 The Laplace maps act in (u,q) coordinates as
 
@@ -106,7 +107,8 @@ class CoveringViolation(jets.BadInput):
 
 #: the window of t and of y on which T and Y are checked and inverted
 WINDOW = (-6.0, 6.0)
-#: points whose inverse a symmetry image keeps: more than a 5^3 grid
+#: t values, y values and points whose share of the inverse map a
+#: symmetry image keeps: more than the points of a 5^3 grid
 _POINTS_KEPT = 256
 
 
@@ -233,15 +235,16 @@ def _revert_series(f: np.ndarray) -> np.ndarray:
 def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
     """Push a (u,v) solution field forward by a group element.
 
-    ``u`` and ``v`` at one point share its inverse point, and at one
-    point and order they share the rest: the power tables of the
-    reverted series of T and Y, the coefficient functions of ``g`` (their
-    series at the old point composed with those tables) and one
-    composition matrix of the inverse map (:func:`jets.compose3`).  A
-    batch goes lane by lane, u at every lane before v, so these shares
-    are kept for the last ``_POINTS_KEPT`` points.  A point with no
-    inverse on ``WINDOW`` raises :class:`InverseMapError`, an
-    :class:`UndefinedTransform`.
+    The inverse map is triangular, so what depends on t alone (the
+    inverse of T, the power table of its reverted series and the
+    coefficient functions of u~) is built once per t and order, what
+    depends on y alone (the same for Y and v~) once per y and order, and
+    the rest (the old point, the composition matrix of
+    :func:`jets.compose3` and the jet of the old x) once per point and
+    order; each is kept for the last ``_POINTS_KEPT``.  A batch reads
+    them lane by lane (:func:`jets.each_lane`), then asks the base field
+    once, at its old points.  A point with no inverse on ``WINDOW``
+    raises :class:`InverseMapError`, an :class:`UndefinedTransform`.
     """
     if s.coords != "UV":
         raise ValueError("apply_symmetry expects (u,v) coordinates")
@@ -250,55 +253,64 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
     d = series.derivative
 
     @lru_cache(maxsize=_POINTS_KEPT)
-    def old_point(pn: Point) -> Point:
-        # u and v may ask one point at different orders: invert it once
-        t_old = _invert_monotone(g.T, dT, pn.t)
-        x_old = (pn.x - g.X0(t_old)) / (g.eps * math.sqrt(dT(t_old)))
-        return Point(t_old, x_old, _invert_monotone(g.Y, dY, pn.y))
+    def t_part(t: float, n: int):
+        t_old = _invert_monotone(g.T, dT, t)
+        lay = series.univariate(n)
+        tser = eval_series(g.T, t_old, n + 2)
+        pt = _revert_series(tser[:n + 1])
+        xser = eval_series(g.X0, t_old, n + 1)
+        # beta = eps / sqrt(T_t), so eps T_tt / (4 T_t^(3/2)) is
+        # T_tt beta^3 / 4 and X0_t / (2 T_t) is X0_t beta^2 / 2
+        beta = eps * jets.elementary(("pow", -0.5), d(tser)[:n + 1] @ pt, lay)
+        beta2 = lay.mul(beta, beta)
+        cx = lay.mul(d(d(tser)) @ pt, lay.mul(beta2, beta)) / 4.0
+        c0 = lay.mul(d(xser) @ pt, beta2) / 2.0
+        return (t_old, g.X0(t_old), g.eps * math.sqrt(dT(t_old)), pt,
+                -(xser[:n + 1] @ pt), beta, cx, c0)
+
+    @lru_cache(maxsize=_POINTS_KEPT)
+    def y_part(y: float, n: int):
+        y_old = _invert_monotone(g.Y, dY, y)
+        yser = eval_series(g.Y, y_old, n + 1)
+        py = _revert_series(yser[:n + 1])
+        v_scale = jets.elementary("recip", d(yser) @ py, series.univariate(n))
+        return y_old, py, (v_scale, eval_series(g.V0, y_old, n) @ py)
 
     @lru_cache(maxsize=_POINTS_KEPT)
     def inner(pn: Point, n: int):
-        # u and v ask at the same point and order: build them once
-        po = old_point(pn)
-        lay = series.univariate(n)
-        tser = eval_series(g.T, po.t, n + 2)
-        pt = _revert_series(tser[:n + 1])
-        tt = d(tser)[:n + 1] @ pt
-        xser = eval_series(g.X0, po.t, n + 1)
-        yser = eval_series(g.Y, po.y, n + 1)
-        py = _revert_series(yser[:n + 1])
-        # beta = eps / sqrt(T_t), so eps T_tt / (4 T_t^(3/2)) is
-        # T_tt beta^3 / 4 and X0_t / (2 T_t) is X0_t beta^2 / 2
-        beta = eps * jets.elementary(("pow", -0.5), tt, lay)
-        beta2 = lay.mul(beta, beta)
-        shift = -(xser[:n + 1] @ pt)
+        t_old, x0, x_scale, pt, shift, beta, cx, c0 = t_part(pn.t, n)
+        y_old, py, v_terms = y_part(pn.y, n)
+        po = Point(t_old, (pn.x - x0) / x_scale, y_old)
+        shift = shift.copy()
         shift[0] += pn.x
-        alpha = lay.mul(shift, beta)
+        alpha = series.univariate(n).mul(shift, beta)
         alpha[0] = 0.0
         M = jets.compose3(pt, alpha, beta, py)
-        # the jet of the old x
-        jx = Jet3(pn, n, M @ jets.lift_variable("x", po, n).coeffs)
-        cx = lay.mul(d(d(tser)) @ pt, lay.mul(beta2, beta)) / 4.0
-        c0 = lay.mul(d(xser) @ pt, beta2) / 2.0
-        # u~ = U u_scale - u_shift and v~ = V v_scale + v_shift, where U
-        # and V are u and v composed with the inverse map
-        u_scale = jets.axis_jet(beta, "t", pn)
-        u_shift = jets.axis_jet(cx, "t", pn) * jx + jets.axis_jet(c0, "t", pn)
-        v_scale = jets.axis_jet(jets.elementary("recip", d(yser) @ py, lay),
-                                "y", pn)
-        v_shift = jets.axis_jet(eval_series(g.V0, po.y, n) @ py, "y", pn)
-        return po, M, u_scale, u_shift, v_scale, v_shift
+        jx = M @ jets.lift_variable("x", po, n).coeffs
+        return po, M, (beta, cx, c0, jx), v_terms
 
-    def u(pn: Point, n: int) -> Jet3:
-        po, M, u_scale, u_shift, _, _ = inner(pn, n)
-        return Jet3(pn, n, M @ s.u(po, n).coeffs) * u_scale - u_shift
+    def composed(comp: JetMap, p: Point, n: int):
+        # comp composed with the inverse map at each lane of p, and the
+        # terms of u~ and of v~, stacked over the lanes as they are read
+        po, M, u_terms, v_terms = zip(*jets.each_lane(
+            lambda i: inner(jets.lane(p, i), n), jets.lanes(p)))
+        c = comp(Point(*map(np.array, zip(*po))), n).coeffs
+        return (Jet3(p, n, (np.stack(M) @ c[..., None])[..., 0]),
+                *(map(np.stack, zip(*terms)) for terms in (u_terms, v_terms)))
 
-    def v(pn: Point, n: int) -> Jet3:
-        po, M, _, _, v_scale, v_shift = inner(pn, n)
-        return Jet3(pn, n, M @ s.v(po, n).coeffs) * v_scale + v_shift
+    # u~ = U beta - (cx x_old + c0) and v~ = V v_scale + v_shift, where
+    # U and V are u and v composed with the inverse map
+    def u(p: Point, n: int) -> Jet3:
+        U, (beta, cx, c0, jx), _ = composed(s.u, p, n)
+        in_t = partial(jets.axis_jet, axis="t", at=p)
+        return U * in_t(beta) - (in_t(cx) * Jet3(p, n, jx) + in_t(c0))
 
-    # the inverse point is scalar Newton: a batch goes lane by lane
-    return SolutionField(u=jets.per_lane(u), v=jets.per_lane(v), coords="UV",
+    def v(p: Point, n: int) -> Jet3:
+        V, _, (v_scale, v_shift) = composed(s.v, p, n)
+        in_y = partial(jets.axis_jet, axis="y", at=p)
+        return V * in_y(v_scale) + in_y(v_shift)
+
+    return SolutionField(u=jets.as_batch(u), v=jets.as_batch(v), coords="UV",
                          family_id=s.family_id + "~sym", params=s.params)
 
 

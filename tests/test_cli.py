@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -330,9 +331,10 @@ def test_bad_tol_config_is_config_error(command, tol, tmp_path, capsys):
 
 def _nan_at(bad):
     """A zero (u,v) field except for a NaN value of u at one point."""
-    @jets.per_lane
+    @jets.as_batch
     def u(p, n):
-        return Jet3.constant(math.nan if p == bad else 0.0, p, n)
+        at_bad = (p.t == bad[0]) & (p.x == bad[1]) & (p.y == bad[2])
+        return Jet3.constant(np.where(at_bad, math.nan, 0.0), p, n)
 
     def v(p, n):
         return Jet3.constant(0.0, p, n)

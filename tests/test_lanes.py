@@ -263,24 +263,6 @@ def test_the_first_undefined_lane_is_named():
         jets.raise_where(values < 0.0, values, "chart")
 
 
-def test_per_lane_raises_as_the_first_lane_does():
-    asked = []
-
-    def scalar_map(p, n):
-        asked.append(p.x)
-        if p.x > 0.3:
-            raise DomainError(f"beyond at {p.x}")
-        return jets.lift_variable("x", p, n)
-
-    wrapped = jets.per_lane(scalar_map)
-    with pytest.raises(DomainError, match="beyond at 0.35"):
-        wrapped(Point(0.0, np.array([0.1, 0.35, 0.2, 0.4]), 0.0), 2)
-    assert asked == [0.1, 0.35]
-    assert_lanes(wrapped(Point(0.0, np.array([0.1, 0.2]), 0.0), 2),
-                 [jets.lift_variable("x", Point(0.0, x, 0.0), 2)
-                  for x in (0.1, 0.2)])
-
-
 # ----------------------------------------------------------------------
 # every family's components
 # ----------------------------------------------------------------------
@@ -1005,13 +987,12 @@ def test_a_stall_after_an_undefined_point_is_named_at_its_point():
     grid = [Point(1.0, 0.1 * i, 0.5) for i in range(8)]
     undefined, first, second = grid[1], grid[4], grid[6]
 
-    @jets.per_lane
+    @jets.as_batch
     def u(p, n):
-        if p == undefined:
-            raise DomainError("undefined here")
-        if p in (first, second):
-            raise quadrature.QuadratureError(f"stalled at x = {p.x}",
-                                             "stall")
+        jets.raise_where(p.x == undefined.x, None, "undefined here")
+        jets.raise_where(
+            (p.x == first.x) | (p.x == second.x), p.x, "stalled at x = {}",
+            lambda message: quadrature.QuadratureError(message, "stall"))
         return Jet3.constant(0.0, p, n)
 
     with pytest.raises(quadrature.QuadratureError) as info:
@@ -1167,9 +1148,10 @@ def _sites():
         "weierstrass_p": (lambda: specfun.weierstrass_p(z, inv),
                           lambda i: specfun.weierstrass_p(float(z[i]), inv),
                           [1, 3]),
-        # scalar code, asked lane by lane: the first lane that raises
+        # the base field, asked once at the batch of old points
         "symmetry image": (lambda: image.u(shifted, 2),
-                           lambda i: image.u(jets.lane(shifted, i), 2), [1]),
+                           lambda i: image.u(jets.lane(shifted, i), 2),
+                           [1, 3]),
         "quadrature integrand": (
             lambda: quadrature.adaptive_quadrature(guarded, 0.0, ends),
             lambda i: quadrature.adaptive_quadrature(guarded, 0.0,
@@ -1258,11 +1240,10 @@ def test_a_covering_check_names_its_failing_lane():
     p = Point(1.1, np.array([0.5, 0.6, 0.7]), 0.7)
     bad = jets.lane(p, 1)
 
-    @jets.per_lane
     def phi(q, n):
-        f = good(q, n)
-        return f + 0.01 * jets.lift_variable("x", q, n) ** 2 \
-            if q == bad else f
+        # a defect in the lane of bad alone
+        return good(q, n) + 0.01 * (q.x == bad.x) \
+            * jets.lift_variable("x", q, n) ** 2
 
     eigen = transforms.CoveringEigenfunction(phi, seed)
     eigen.check(jets.lane(p, 0))

@@ -165,10 +165,13 @@ def test_report_serialization():
 
 def test_report_nonfinite_residual():
     bad = Point(1.0, 0.2, 0.4)
-    nan_u = SolutionField(
-        u=jets.per_lane(
-            lambda p, n: Jet3.constant(math.nan if p == bad else 0.0, p, n)),
-        v=TRIVIAL.v, coords="UV", family_id="nan_at")
+
+    @jets.as_batch
+    def u(p, n):
+        at_bad = (p.x == bad.x) & (p.y == bad.y)
+        return Jet3.constant(np.where(at_bad, math.nan, 0.0), p, n)
+
+    nan_u = SolutionField(u=u, v=TRIVIAL.v, coords="UV", family_id="nan_at")
     grid = [Point(1.0, 0.1 * i, 0.2 * j) for i in range(3) for j in range(3)]
     rep = residual_report(nan_u, grid)
     assert math.isnan(rep.r1_max) and rep.nonfinite == 1
@@ -187,10 +190,11 @@ def test_report_names_the_point_where_quadrature_failed():
     from blp.quadrature import QuadratureError
     bad = Point(1.0, 0.2, 0.4)
 
-    @jets.per_lane
+    @jets.as_batch
     def u(p, n):
-        if p == bad:
-            raise QuadratureError("refinement stalled", "stall")
+        jets.raise_where((p.x == bad.x) & (p.y == bad.y), None,
+                         "refinement stalled",
+                         lambda message: QuadratureError(message, "stall"))
         return Jet3.constant(0.0, p, n)
 
     stalls = SolutionField(u=u, v=TRIVIAL.v, coords="UV", family_id="stall")

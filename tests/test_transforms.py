@@ -111,8 +111,8 @@ def test_group_action_and_residual(ueqv, rng):
 
 
 def test_symmetry_image_inverts_each_point_once(monkeypatch):
-    # u and v of one point share one inverse point map: two inversions
-    # (t and y) per point
+    # T is inverted once per t and order, and Y once per y and order, for
+    # u and v alike: a 2^3 grid has two t values and two y values
     calls = [0]
     invert = transforms._invert_monotone
 
@@ -128,12 +128,14 @@ def test_symmetry_image_inverts_each_point_once(monkeypatch):
             for y in (0.2, 1.2)]
     rep = residual_report(field, grid)
     assert rep.skipped == 0 and max(rep.r1_max, rep.r2_max) < 1e-7
-    assert calls[0] == 2 * len(grid)
-    # also when v_x asks one order above u, as a conversion does
+    assert calls[0] == 4
+    # v_x asks one order above u, as a conversion does: each order of a
+    # new point inverts its t and its y
     p = Point(0.9, 0.7, 0.5)
     field.w(p, 4)
+    assert calls[0] == 6
     field.u(p, 3)
-    assert calls[0] == 2 * len(grid) + 2
+    assert calls[0] == 8
 
 
 def test_symmetry_image_inverts_each_point_once_in_a_batch(monkeypatch):
@@ -160,6 +162,29 @@ def test_symmetry_image_inverts_each_point_once_in_a_batch(monkeypatch):
     for q, *_ in rep.rows:
         assert inverted.count(("t", q.t)) == inverted.count(("y", q.y)) == 1
     assert ("t", 7.0) in inverted and ("y", 0.55) not in inverted
+
+
+def test_symmetry_image_asks_its_base_field_once_per_batch():
+    # a report asks the image at its grid as one batch, and the image asks
+    # the base field's u and v once each, at the batch of old points
+    base = catalog.instantiate("F_VXXX_4", {"alpha": "sin(y)", "gamma": "y"})
+    asked = {"u": [], "v": []}
+
+    def counted(comp):
+        fn = getattr(base, comp)
+
+        def m(p, n):
+            asked[comp].append(jets.lanes(p))
+            return fn(p, n)
+        return m
+
+    g = d_transform("t + 0.3*sin(t)").compose(s_transform("y + 0.5*sin(y)"))
+    field = apply_symmetry(g, base.with_meta(u=counted("u"), v=counted("v")))
+    grid = [Point(t, x, y) for t in (0.6, 1.4) for x in (0.3, 1.3)
+            for y in (0.2, 1.2)]
+    rep = residual_report(field, grid)
+    assert rep.skipped == 0 and max(rep.r1_max, rep.r2_max) < 1e-7
+    assert asked == {"u": [len(grid)], "v": [len(grid)]}
 
 
 #: (first, second) elementary kinds, 0..4 = D, S, P, Z, I, as the
@@ -270,6 +295,43 @@ def test_symmetry_image_matches_jet_composition(pair):
                     1e-13 * np.max(np.abs(want.coeffs)), (pair, p, order)
                 checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("pair", range(len(_SYM_KIND_PAIRS)))
+def test_symmetry_image_lanes_have_the_bits_of_their_points(pair):
+    # each lane of a batch has the bits of its point asked alone; a batch
+    # names lanes that fail alone, and the others are asked again without
+    # them, as a report does
+    k1, k2 = _SYM_KIND_PAIRS[pair]
+    fid, bindings = _SYM_FIELDS[pair % len(_SYM_FIELDS)]
+    g = _ELEMENTARY[k2]().compose(_ELEMENTARY[k1]())
+    box = _box_grid(((0.8, 1.3), (-0.2, 0.6), (0.5, 0.9)), (3, 3, 3))
+    for order in (0, 2, 3, 5):
+        for comp in ("u", "v"):
+            alone, batched = (
+                getattr(apply_symmetry(g, catalog.instantiate(
+                    fid, dict(bindings))), comp) for _ in range(2))
+            singles = []
+            for p in box:
+                try:
+                    singles.append(alone(p, order).coeffs)
+                except UndefinedHere as exc:
+                    singles.append(type(exc))
+            rest = list(range(len(box)))
+            while True:
+                try:
+                    got = batched(Point(*map(np.array, zip(
+                        *(box[i] for i in rest)))), order).coeffs
+                    break
+                except UndefinedHere as exc:
+                    named = [rest[i] for i in np.flatnonzero(exc.lanes)]
+                    assert named and all(singles[i] is type(exc)
+                                         for i in named), (pair, order)
+                    rest = [i for i in rest if i not in named]
+            assert rest == [i for i, c in enumerate(singles)
+                            if isinstance(c, np.ndarray)]
+            for i, c in zip(rest, got):
+                assert np.array_equal(c, singles[i]), (pair, order, comp, i)
 
 
 @pytest.mark.parametrize("first", range(len(_ELEMENTARY)))
