@@ -11,32 +11,28 @@ group element to a field composes the field with the inverse coordinate
 map and pushes the components through the formulas above, entirely in
 jets.  The inverse point comes from safeguarded Newton on T and Y, its
 series from Taylor-series reversion.  The inverse map is triangular (t
-from t~, y from y~, x affine in x~ with coefficients in t~), so what
-depends on t~ alone is built once per t~ and order, what depends on y~
-alone once per y~ and order, and one composition matrix per point and
-order (:func:`jets.compose3`) carries both u and v.
+from t~, y from y~, x affine in x~ with coefficients in t~), so T is
+inverted once per t~ and Y once per y~, what else depends on t~ alone is
+built once per t~ and order, what depends on y~ alone once per y~ and
+order, and one composition matrix per point and order
+(:func:`jets.compose3`) carries both u and v.
 
-The Laplace maps act in (u,q) coordinates as
-
-    forward:  u~ = u + q_xy/q_y,            q~ = q + u~
-    inverse:  u~ = u - (q_xy-u_xy)/(q_y-u_y),  q~ = q - u
-
-and in (u,v) coordinates with the line-integral reconstruction of v:
-
-    forward:  u~ = u + v_xx/v_x,  v~ = v + v_xy/v_x + P,
-    inverse:  u~ = u - (u_xy-v_xx)/(u_y-v_x),  v~ = v - P,
-
-where P_x = u_y and P_t = (u^2-u_x)_y + 2 v_xx on the line x = x0.
 Every field carries w, the second component of the (u,w) form: v_x in
-(u,v), q_y in (u,q) (:class:`system.SolutionField`).  The maps read q_y,
-q_xy, v_x and v_xx from the parent's w, and each Laplace image defines
-its own (w~ = w + u~_y forward and w~ = w - u_y inverse in (u,q);
-v~_x = v_x + (v_xy/v_x)_x + u_y forward and v~_x = v_x - u_y inverse in
-(u,v)).  So no map reruns its parent's potential: only v itself runs P's
-path integral, once per point and level, and a chain's cost grows
-linearly with its depth.  The jet of v or q that a residual reads still
-comes from the top field's own potential, so the check stays
-independent of the maps.
+(u,v), q_y in (u,q) (:class:`system.SolutionField`).  On (u,w) the
+forward and the inverse Laplace map are each one map for both forms,
+
+    forward:  u~ = u + w_x/w,               w~ = w + u~_y,
+    inverse:  u~ = u - (w_x-u_xy)/(w-u_y),  w~ = w - u_y,
+
+read from the parent's u and w alone.  Each form adds its second
+component: q~ = q + u~ and q~ = q - u in (u,q); v~ = v + v_xy/v_x + P
+and v~ = v - P in (u,v), where P_x = u_y and P_t = (u^2-u_x)_y + 2 v_xx
+on the line x = x0 (v~_x = w~ because (w_y/w)_x = (w_x/w)_y).  So no
+map reruns its parent's potential: only v itself runs P's path
+integral, once per point and level, and a chain's cost grows linearly
+with its depth.  The jet of v or q that a residual reads still comes
+from the top field's own potential, so the check stays independent of
+the maps.
 Each map asks its parent for the highest order it needs first; the
 parent's remembered jet (:func:`jets.last_point`) answers lower ones.
 A transformed field has no domain predicate of its own: where a guard
@@ -235,15 +231,15 @@ def _revert_series(f: np.ndarray) -> np.ndarray:
 def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
     """Push a (u,v) solution field forward by a group element.
 
-    The inverse map is triangular, so what depends on t alone (the
-    inverse of T, the power table of its reverted series and the
-    coefficient functions of u~) is built once per t and order, what
-    depends on y alone (the same for Y and v~) once per y and order, and
-    the rest (the old point, the composition matrix of
-    :func:`jets.compose3` and the jet of the old x) once per point and
-    order; each is kept for the last ``_POINTS_KEPT``.  A batch reads
-    them lane by lane (:func:`jets.each_lane`), then asks the base field
-    once, at its old points.  A point with no inverse on ``WINDOW``
+    The inverse map is triangular, so the inverse of T is found once per
+    t, and what else depends on t alone (the power table of its reverted
+    series and the coefficient functions of u~) once per t and order;
+    likewise for Y and v~ per y; the rest (the old point, the composition
+    matrix of :func:`jets.compose3` and the jet of the old x) is built
+    once per point and order; each is kept for the last
+    ``_POINTS_KEPT``.  A batch reads them lane by lane
+    (:func:`jets.each_lane`), then asks the base field once, at its old
+    points.  A point with no inverse on ``WINDOW``
     raises :class:`InverseMapError`, an :class:`UndefinedTransform`.
     """
     if s.coords != "UV":
@@ -252,9 +248,13 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
     eps = float(g.eps)
     d = series.derivative
 
+    # the inverse point does not depend on the order asked there
+    t_old_of = lru_cache(_POINTS_KEPT)(partial(_invert_monotone, g.T, dT))
+    y_old_of = lru_cache(_POINTS_KEPT)(partial(_invert_monotone, g.Y, dY))
+
     @lru_cache(maxsize=_POINTS_KEPT)
     def t_part(t: float, n: int):
-        t_old = _invert_monotone(g.T, dT, t)
+        t_old = t_old_of(t)
         lay = series.univariate(n)
         tser = eval_series(g.T, t_old, n + 2)
         pt = _revert_series(tser[:n + 1])
@@ -270,7 +270,7 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
 
     @lru_cache(maxsize=_POINTS_KEPT)
     def y_part(y: float, n: int):
-        y_old = _invert_monotone(g.Y, dY, y)
+        y_old = y_old_of(y)
         yser = eval_series(g.Y, y_old, n + 1)
         py = _revert_series(yser[:n + 1])
         v_scale = jets.elementary("recip", d(yser) @ py, series.univariate(n))
@@ -318,60 +318,64 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
 # Laplace transformations
 # ----------------------------------------------------------------------
 
-def laplace_forward_uq(s: SolutionField) -> SolutionField:
-    """q~ = q + u~, so w~ = w + u~_y."""
-    if s.coords != "UQ":
-        raise ValueError("expects (u,q) coordinates")
+def _laplace(s: SolutionField, coords: str, forward: bool):
+    """u~ of the forward or inverse Laplace image of ``s``, a field in
+    ``coords``, and the image itself given its second component ``v``.
 
-    @last_point
-    def u(p, n):
-        wj = s.w(p, n + 1)
-        q_y = wj.truncate(n)
-        q_xy = wj.derive("x")
-        _guard(q_y.value, q_xy.value, "q_y inside guard band")
-        return q_xy / q_y + s.u(p, n)
+    u~ and w~ read ``s.u`` and ``s.w`` alone: the one (u,w) map of both
+    forms.
+    """
+    form, w_name = {"UQ": ("(u,q)", "q_y"), "UV": ("(u,v)", "v_x")}[coords]
+    if s.coords != coords:
+        raise ValueError(f"expects {form} coordinates")
+    if forward:
+        @last_point
+        def u(p, n):
+            wj = s.w(p, n + 1)
+            w, w_x = wj.truncate(n), wj.derive("x")
+            _guard(w.value, w_x.value, f"{w_name} inside guard band")
+            return s.u(p, n) + w_x / w
+
+        def w(p, n):
+            return u(p, n + 1).derive("y") + s.w(p, n)
+    else:
+        def u(p, n):
+            uj = s.u(p, n + 2)
+            wj = s.w(p, n + 1)
+            den = (wj - uj.derive("y")).truncate(n)
+            num = wj.derive("x") - uj.derive("x").derive("y")
+            _guard(den.value, num.value, f"{w_name} - u_y inside guard band")
+            return uj.truncate(n) - num / den
+
+        def w(p, n):
+            return s.w(p, n) - s.u(p, n + 1).derive("y")
+    tag = "~Lfwd" if forward else "~Linv"
+    return u, partial(SolutionField, u=u, coords=coords, w=w,
+                      family_id=s.family_id + tag, params=s.params)
+
+
+def laplace_forward_uq(s: SolutionField) -> SolutionField:
+    """q~ = q + u~."""
+    u, image = _laplace(s, "UQ", forward=True)
 
     def q(p, n):
         return u(p, n) + s.v(p, n)
-
-    def w(p, n):
-        return u(p, n + 1).derive("y") + s.w(p, n)
-
-    return SolutionField(u=u, v=q, coords="UQ",
-                         family_id=s.family_id + "~Lfwd", params=s.params,
-                         w=w)
+    return image(v=q)
 
 
 def laplace_inverse_uq(s: SolutionField) -> SolutionField:
-    """q~ = q - u, so w~ = w - u_y."""
-    if s.coords != "UQ":
-        raise ValueError("expects (u,q) coordinates")
-
-    def u(p, n):
-        uj = s.u(p, n + 2)
-        wj = s.w(p, n + 1)
-        den = (wj - uj.derive("y")).truncate(n)
-        num = wj.derive("x") - uj.derive("x").derive("y")
-        _guard(den.value, num.value, "q_y - u_y inside guard band")
-        return uj.truncate(n) - num / den
+    """q~ = q - u."""
+    _, image = _laplace(s, "UQ", forward=False)
 
     def q(p, n):
         return s.v(p, n) - s.u(p, n)
-
-    def w(p, n):
-        return s.w(p, n) - s.u(p, n + 1).derive("y")
-
-    return SolutionField(u=u, v=q, coords="UQ",
-                         family_id=s.family_id + "~Linv", params=s.params,
-                         w=w)
+    return image(v=q)
 
 
-def _uv_path_integrals(s: SolutionField, base: Point):
-    """u_y of ``s``, and the path integral P shared by the (u,v) maps:
-    P_x = u_y, and P_t = (u^2 - u_x)_y + 2 v_xx on the line x = x0.
-
-    Both read only ``u`` and ``w`` of ``s``, never its ``v``.
-    """
+def _uv_path_integral(s: SolutionField, base: Point) -> JetMap:
+    """The path integral P of the (u,v) maps: P_x = u_y, and
+    P_t = (u^2 - u_x)_y + 2 v_xx on the line x = x0.  It reads only
+    ``u`` and ``w`` of ``s``, never its ``v``."""
 
     def u_y(p: Point, n: int) -> Jet3:
         return s.u(p, n + 1).derive("y")
@@ -381,66 +385,30 @@ def _uv_path_integrals(s: SolutionField, base: Point):
         return ((uj * uj).truncate(n + 1) - uj.derive("x")).derive("y") \
             + 2.0 * s.w(p, n + 1).derive("x")
 
-    return u_y, xt_path(u_y, p_t, base)
+    return xt_path(u_y, p_t, base)
 
 
 def laplace_forward_uv(s: SolutionField, base: Point) -> SolutionField:
-    """v~ = v + v_xy/v_x + P, so v~_x = v_x + (v_xy/v_x)_x + u_y."""
-    if s.coords != "UV":
-        raise ValueError("expects (u,v) coordinates")
-    u_y, path = _uv_path_integrals(s, base)
-
-    def u(p, n):
-        w = s.w(p, n + 1)
-        v_x = w.truncate(n)
-        v_xx = w.derive("x")
-        _guard(v_x.value, v_xx.value, "v_x inside guard band")
-        return s.u(p, n) + v_xx / v_x
-
-    @last_point
-    def ratio(p, n):
-        # v_xy / v_x, shared by v and v_x
-        w = s.w(p, n + 1)
-        v_x = w.truncate(n)
-        v_xy = w.derive("y")
-        _guard(v_x.value, v_xy.value, "v_x inside guard band")
-        return v_xy / v_x
+    """v~ = v + v_xy/v_x + P."""
+    _, image = _laplace(s, "UV", forward=True)
+    path = _uv_path_integral(s, base)
 
     def v(p, n):
-        return s.v(p, n) + ratio(p, n) + path(p, n)
-
-    def v_x(p, n):
-        ratio_x = ratio(p, n + 1).derive("x")
-        return s.w(p, n) + ratio_x + u_y(p, n)
-
-    return SolutionField(u=u, v=v, coords="UV",
-                         family_id=s.family_id + "~Lfwd", params=s.params,
-                         w=v_x)
+        vj, wj = s.v(p, n), s.w(p, n + 1)
+        v_x, v_xy = wj.truncate(n), wj.derive("y")
+        _guard(v_x.value, v_xy.value, "v_x inside guard band")
+        return vj + v_xy / v_x + path(p, n)
+    return image(v=v)
 
 
 def laplace_inverse_uv(s: SolutionField, base: Point) -> SolutionField:
-    """v~ = v - P, so v~_x = v_x - u_y."""
-    if s.coords != "UV":
-        raise ValueError("expects (u,v) coordinates")
-    u_y, path = _uv_path_integrals(s, base)
-
-    def u(p, n):
-        uj = s.u(p, n + 2)
-        w = s.w(p, n + 1)
-        den = (uj.derive("y") - w).truncate(n)
-        num = uj.derive("x").derive("y") - w.derive("x")
-        _guard(den.value, num.value, "u_y - v_x inside guard band")
-        return uj.truncate(n) - num / den
+    """v~ = v - P."""
+    _, image = _laplace(s, "UV", forward=False)
+    path = _uv_path_integral(s, base)
 
     def v(p, n):
         return s.v(p, n) - path(p, n)
-
-    def v_x(p, n):
-        return s.w(p, n) - u_y(p, n)
-
-    return SolutionField(u=u, v=v, coords="UV",
-                         family_id=s.family_id + "~Linv", params=s.params,
-                         w=v_x)
+    return image(v=v)
 
 
 # ----------------------------------------------------------------------

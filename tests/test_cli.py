@@ -402,6 +402,10 @@ _MALFORMED = {
                          "--param", "kappa=abc"],
     "real_infinite": ["verify", "--family", "F_R29_ELEM_3",
                       "--param", "nu=-Infinity"],
+    "param_without_value": ["verify", "--family", "F_UY0_TRIV",
+                            "--param", "foo"],
+    "param_outside_chart": ["verify", "--family", "F_R29_ELEM_3",
+                            "--param", "nu=0"],
     "phi_not_object": ["transform", "--family", "seed_qy0", "--chain",
                        '[{"op": "dt1", "phi": "abc"}]'],
     "phi_unknown_key": ["transform", "--family", "seed_qy0", "--chain",

@@ -129,13 +129,13 @@ def test_symmetry_image_inverts_each_point_once(monkeypatch):
     rep = residual_report(field, grid)
     assert rep.skipped == 0 and max(rep.r1_max, rep.r2_max) < 1e-7
     assert calls[0] == 4
-    # v_x asks one order above u, as a conversion does: each order of a
-    # new point inverts its t and its y
+    # v_x asks one order above u, as a conversion does: a new point
+    # inverts its t and its y once, whatever the orders asked there
     p = Point(0.9, 0.7, 0.5)
     field.w(p, 4)
     assert calls[0] == 6
     field.u(p, 3)
-    assert calls[0] == 8
+    assert calls[0] == 6
 
 
 def test_symmetry_image_inverts_each_point_once_in_a_batch(monkeypatch):
@@ -564,6 +564,24 @@ def test_laplace_uv_output_is_solution(rng):
         used += 1
         assert abs(r1) < 1e-6 and abs(r2) < 1e-6
     assert used > 15
+
+
+def test_laplace_image_u_and_w_do_not_depend_on_the_form():
+    # one (u,w) map serves both forms: a (u,v) field and its (u,q)
+    # conversion carry the same u and w, so their images' u~ and w~ agree
+    # bit for bit on a batch, at every order
+    base = Point(1.0, 0.0, 0.5)
+    s = catalog.instantiate("F_VXXX_1", {"alpha": "sin(y)",
+                                         "beta": "2+cos(y)", "gamma": "y",
+                                         "delta": 1})
+    c = convert(s, "UQ", base)
+    p = Point(*(a.ravel() for a in np.meshgrid(
+        [0.9, 1.3], [0.4, 1.0], [0.4, 0.9], indexing="ij")))
+    for uq, uv in ((laplace_forward_uq(c), laplace_forward_uv(s, base)),
+                   (laplace_inverse_uq(c), laplace_inverse_uv(s, base))):
+        for n in range(4):
+            assert np.array_equal(uq.u(p, n).coeffs, uv.u(p, n).coeffs)
+            assert np.array_equal(uq.w(p, n).coeffs, uv.w(p, n).coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -1261,6 +1279,33 @@ def test_validity_never_evaluates_a_field(case):
         sys.setprofile(previous)
     assert calls[0] == 0
     assert all(inside)
+
+
+def _exp_kx(k):
+    return lambda p, n: jets.exp(k * jets.lift_variable("x", p, n))
+
+
+@pytest.mark.parametrize("maps,closed", [
+    # W(x - 1, e^x) = (x - 2) e^x
+    ([_exp_kx(1.0)], lambda x: (x - 2.0) * jets.exp(x)),
+    # W(x - 1, e^x, e^2x) = (2x - 5) e^3x
+    ([_exp_kx(1.0), _exp_kx(2.0)],
+     lambda x: (2.0 * x - 5.0) * jets.exp(3.0 * x)),
+], ids=["2x2", "3x3"])
+def test_wronskian_swaps_rows_lane_by_lane(maps, closed):
+    # at x = 1 the first pivot x - 1 vanishes and the elimination swaps
+    # rows, at x = 0.5 it does not: each lane is that lane asked alone,
+    # and the closed form
+    maps = [lambda p, n: jets.lift_variable("x", p, n) - 1.0, *maps]
+    xs = np.array([1.0, 0.5, 1.0])
+    p = Point(np.full(3, 0.7), xs, np.full(3, 0.2))
+    got = transforms._wronskian(maps, "x", range(len(maps)), p, 3)
+    for i in range(len(xs)):
+        at = jets.lane(p, i)
+        alone = transforms._wronskian(maps, "x", range(len(maps)), at, 3)
+        assert np.array_equal(got.coeffs[i], alone.coeffs)
+        want = closed(jets.lift_variable("x", at, 3)).coeffs
+        assert np.allclose(alone.coeffs, want, rtol=1e-12, atol=1e-12)
 
 
 def test_singular_wronskian_point_is_skipped():
