@@ -65,7 +65,7 @@ import sys
 import numpy as np
 
 from . import catalog, liealg, reductions, system, transforms
-from .jets import BadInput, BLPError, Jet3, Point
+from .jets import BadInput, BLPError, Jet3, OrderTooHigh, Point
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -266,6 +266,8 @@ def _build_phi(field, spec):
             bound["constraint"], field, bound["witness"],
             theta=theta.Phi if theta else None, zeta=bound["zeta"],
             base=Point(*bound["base"]))
+    except OrderTooHigh:
+        raise
     except ValueError as exc:  # a failed probe
         raise ConfigError(f"bad eigenfunction: {exc}") from exc
 
@@ -274,36 +276,41 @@ def cmd_transform(args) -> int:
     inputs, params = _read(args)
     base = Point(*inputs["base"])
     field = _seed_field(inputs["family"], params)
-    for step in inputs["chain"]:
-        op = step.get("op") if isinstance(step, dict) else None
-        if op not in _CHAIN_OPS:
-            raise ConfigError(f"unknown chain op {op!r}")
-        extra = set(step) - ({"op", "phi"} if op in ("dt1", "dt2")
-                             else {"op"})
-        if extra:
-            raise ConfigError(f"unknown keys {sorted(extra)} in chain step "
-                              f"{op}")
-        coords = "UV" if op.endswith("_uv") else "UQ"
-        if field.coords != coords:
-            field = system.convert(field, coords, base)
-        if op == "laplace_fwd_uv":
-            field = transforms.laplace_forward_uv(field, base)
-        elif op == "laplace_inv_uv":
-            field = transforms.laplace_inverse_uv(field, base)
-        elif op == "laplace_fwd_uq":
-            field = transforms.laplace_forward_uq(field)
-        elif op == "laplace_inv_uq":
-            field = transforms.laplace_inverse_uq(field)
-        else:
-            phi = _build_phi(field, step.get("phi", {}))
-            field = transforms.darboux("DT1" if op == "dt1" else "DT2",
-                                       field, phi)
-    report, rows = _check_grid(field, field.family_id, inputs)
+    depth = 0
+    try:
+        for depth, step in enumerate(inputs["chain"], 1):
+            field = _chain_step(field, step, base)
+        report, rows = _check_grid(field, field.family_id, inputs)
+    except OrderTooHigh as exc:  # the chain is too deep to evaluate
+        raise ConfigError(f"chain depth {depth}: {exc}") from exc
     report["undefined_fraction"] = \
         report["skipped"] / (report["skipped"] + report["evaluated"])
     report["passed"] = (_within(report, inputs["tol"])
                         and report["undefined_fraction"] <= 0.05)
     return _write_outputs(report, rows, args)
+
+
+def _chain_step(field, step, base: Point):
+    """``field`` after one step of a ``blp transform`` chain."""
+    op = step.get("op") if isinstance(step, dict) else None
+    if op not in _CHAIN_OPS:
+        raise ConfigError(f"unknown chain op {op!r}")
+    extra = set(step) - ({"op", "phi"} if op in ("dt1", "dt2") else {"op"})
+    if extra:
+        raise ConfigError(f"unknown keys {sorted(extra)} in chain step {op}")
+    coords = "UV" if op.endswith("_uv") else "UQ"
+    if field.coords != coords:
+        field = system.convert(field, coords, base)
+    if op == "laplace_fwd_uv":
+        return transforms.laplace_forward_uv(field, base)
+    if op == "laplace_inv_uv":
+        return transforms.laplace_inverse_uv(field, base)
+    if op == "laplace_fwd_uq":
+        return transforms.laplace_forward_uq(field)
+    if op == "laplace_inv_uq":
+        return transforms.laplace_inverse_uq(field)
+    phi = _build_phi(field, step.get("phi", {}))
+    return transforms.darboux("DT1" if op == "dt1" else "DT2", field, phi)
 
 
 #: the parameters of ``blp reduce``, by kind, and their defaults per id

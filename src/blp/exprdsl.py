@@ -460,17 +460,21 @@ def eval_jet(e: Expr, which: str, at: Point, order: int) -> Jet3:
 
     At a batched point whose ``which`` is one float, the one memoised
     series serves every lane; where ``which`` varies over the lanes, one
-    batched :func:`compose_series` gives a series per lane."""
+    batched :func:`compose_series` gives a series per lane.  ``order`` is
+    a truncation key (:mod:`blp.jets`): the series runs to its order, and
+    the jet keeps the monomials of the key."""
+    n = int(order)
     at_var = getattr(at, which)
     if not isinstance(at_var, np.ndarray):
-        return jets.axis_jet(_memo_series(e, at_var, order), which, at)
-    if order < 0:
+        return jets.axis_jet(_memo_series(e, at_var, n), which,
+                             at).truncate(order)
+    if n < 0:
         raise ValueError("order must be >= 0")
-    x = np.zeros((len(at_var), order + 1))
+    x = np.zeros((len(at_var), n + 1))
     x[:, 0] = at_var
-    if order:
+    if n:
         x[:, 1] = 1.0
-    return jets.axis_jet(compose_series(e, x), which, at)
+    return jets.axis_jet(compose_series(e, x), which, at).truncate(order)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

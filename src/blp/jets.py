@@ -10,6 +10,25 @@ Coefficients are Taylor coefficients (partial derivative divided by
 ``i! j! k!``), which keeps truncated products cheap; true partials are
 recovered by :meth:`Jet3.extract`.
 
+The order of a jet, and the order argument of a jet map, is a truncation
+key: an int is the full jet of that order, and a :class:`Key` (made by
+:func:`cap`) also caps the power of each axis, so that the jet keeps the
+monomials inside the caps, in the same graded order.  The dropped
+monomials form an ideal of the truncated Taylor ring, so every ring
+operation, elementary function and composition with a univariate series
+is exact on the quotient, and a kept coefficient sums the same terms in
+the same order as in the full jet: it has the full jet's bits (a single
+series computes its recurrences in the full layout, :func:`elementary`).
+``key + k`` raises the order and every cap by k, the safe key for a map
+that differentiates in any axis; :func:`up` raises one axis only, for a
+map that then differentiates only along it; :meth:`Jet3.derive` lowers
+the cap of its axis, and an axis capped at 0 cannot be differentiated.
+Two jets of one order combine on the meet of their keys, a reader
+truncates what a map returns to the key it asked, and a remembered jet
+(:func:`last_point`) answers only the keys it covers.  Tables are built
+per key, up to :data:`MAX_ORDER`; a higher order raises
+:class:`OrderTooHigh`.
+
 Elementary functions of a jet (:func:`apply_unary`) and the quotient of
 two jets are computed degree by degree: each homogeneous-degree part of
 the result follows from the lower ones by a Taylor recurrence derived
@@ -86,6 +105,14 @@ __all__ = [
     "UndefinedHere",
     "DomainError",
     "BadInput",
+    "OrderTooHigh",
+    "MAX_ORDER",
+    "Key",
+    "cap",
+    "uncap",
+    "up",
+    "narrow",
+    "widen",
     "Point",
     "lanes",
     "lane",
@@ -203,19 +230,139 @@ def _check_point(p: Point) -> int | None:
 
 
 # ----------------------------------------------------------------------
-# index tables, cached per order
+# truncation keys, and index tables cached per key
 # ----------------------------------------------------------------------
 
-class _Tables(series.Layout):
-    """Monomial bookkeeping for one truncation order."""
+#: the highest jet order: a table of a higher order is never built.  A
+#: forward (u,v) Laplace chain asks two orders more per level; at 15 it
+#: stops at depth 6, which already takes seconds and hundreds of MB on a
+#: grid of 64 points, both doubling per level (README)
+MAX_ORDER = 15
+
+
+class OrderTooHigh(BadInput):
+    """A jet asked at an order above :data:`MAX_ORDER`."""
 
     def __init__(self, order: int):
+        super().__init__(f"jet order {order} exceeds the maximum "
+                         f"{MAX_ORDER}")
+        self.order = order
+
+
+class Key(int):
+    """A truncation key: a jet order, the int, with a cap on the power of
+    each axis, ``caps`` (t, x, y), at least one of them below the order.
+    A plain int is the key of the full jet of that order.
+
+    Keys are interned (:func:`cap`, :func:`up`), so one key is one
+    object; ``key + k`` raises the order and every cap by k.  Comparisons
+    order keys by their monomials: ``a >= b`` when every monomial of
+    ``b`` is one of ``a``, which for two ints is the order of ints.
+    """
+
+    caps: tuple
+
+    def __add__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        return _key(int(self) + k, [c + k for c in self.caps])
+
+    __radd__ = __add__
+
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
+
+    __hash__ = object.__hash__
+
+    def __ge__(self, other):
+        return int(self) >= int(other) and all(
+            map(int.__ge__, self.caps, _caps(other)))
+
+    def __le__(self, other):
+        return int(self) <= int(other) and all(
+            map(int.__le__, self.caps, _caps(other)))
+
+    def __gt__(self, other):
+        return self is not other and self >= other
+
+    def __lt__(self, other):
+        return self is not other and self <= other
+
+    def __repr__(self):
+        caps = ", ".join(f"{a}={c}" for a, c in zip("txy", self.caps)
+                         if c < self)
+        return f"Key({int(self)}, {caps})"
+
+
+_KEYS: dict = {}
+
+
+def _caps(order) -> tuple:
+    """The caps (t, x, y) of a key; an int caps each axis at its order."""
+    return order.caps if type(order) is Key else (order,) * 3
+
+
+def _key(order: int, caps) -> int:
+    """The interned key of ``order`` with ``caps``, each at most the
+    order; the int ``order`` where no cap is below it."""
+    order = int(order)
+    caps = tuple(min(int(c), order) for c in caps)
+    if min(caps) == order:
+        return order
+    k = _KEYS.get((order, caps))
+    if k is None:
+        k = _KEYS[(order, caps)] = Key(order)
+        k.caps = caps
+    return k
+
+
+def cap(order, axis: str, at_most: int) -> int:
+    """The key of ``order`` with the power of ``axis`` at most ``at_most``
+    as well."""
+    a = _AXES[axis]
+    return _key(order, [min(c, at_most) if b == a else c
+                        for b, c in enumerate(_caps(order))])
+
+
+def uncap(order, axis: str) -> int:
+    """The key of ``order`` without the cap of ``axis``."""
+    if type(order) is int:
+        return order
+    a = _AXES[axis]
+    return _key(order, [int(order) if b == a else c
+                        for b, c in enumerate(_caps(order))])
+
+
+def up(order, axis: str) -> int:
+    """The key one order up in ``axis`` alone, for a map that then
+    differentiates only along ``axis``: the order and the cap of ``axis``
+    rise by one, and a capped axis keeps its cap.  An int rises by one."""
+    if type(order) is int:
+        return order + 1
+    a = _AXES[axis]
+    n = int(order)
+    return _key(n + 1, [c + 1 if b == a or c == n else c
+                        for b, c in enumerate(order.caps)])
+
+
+class _Tables(series.Layout):
+    """Monomial bookkeeping for one truncation key: the monomials of its
+    order, in graded lexicographic order, that its caps keep."""
+
+    def __init__(self, order: int):
+        n = int(order)
+        ct, cx, cy = _caps(order)
         exps = []
-        for d in range(order + 1):
-            for i in range(d, -1, -1):
-                for j in range(d - i, -1, -1):
-                    exps.append((i, j, d - i - j))
+        for d in range(n + 1):
+            for i in range(min(d, ct), -1, -1):
+                for j in range(min(d - i, cx), -1, -1):
+                    if d - i - j <= cy:
+                        exps.append((i, j, d - i - j))
         super().__init__(exps)
+        self.key = order
         # factorial rescaling for Jet3.extract
         self.fact = np.asarray(
             [math.factorial(i) * math.factorial(j) * math.factorial(k)
@@ -227,23 +374,55 @@ class _Tables(series.Layout):
             np.asarray([m for m, e in enumerate(exps) if e[a]], dtype=np.intp)
             for a in range(3)]
         self.axis_powers = [
-            np.asarray([self.index[tuple(d if b == a else 0 for b in range(3))]
-                        for d in range(order + 1)], dtype=np.intp)
-            for a in range(3)]
-        # per axis, the derivative as a gather and a scale: its entry m
-        # (one order lower) is entry derive_src[a][m] times derive_scale[a][m]
-        lower = exps[:jet_size(order - 1)]
-        self.derive_src = [
-            np.asarray([self.index[tuple(c + (b == a)
-                                         for b, c in enumerate(e))]
-                        for e in lower], dtype=np.intp)
-            for a in range(3)]
-        self.derive_scale = [
-            np.asarray([e[a] + 1 for e in lower], dtype=float)
+            np.asarray([self.index[e] for e in (
+                tuple(d if b == a else 0 for b in range(3))
+                for d in range(n + 1)) if e in self.index],
+                dtype=np.intp)
             for a in range(3)]
         # the jets of t, x and y less their values: entries 1, 2, 3 are
-        # the monomials t, x, y
+        # the monomials t, x, y of a full jet
         self.coordinate_rows = np.eye(3, self.size, 1)
+        self._positions: dict = {}
+        #: per axis, the derivative (:meth:`derive`), built when first asked
+        self.derivatives = [None] * 3
+        if type(order) is not int:
+            #: the full tables of the order, and where the kept monomials
+            #: lie in them: a single series is computed there (see
+            #: :func:`elementary`)
+            self.full = _tables(n)
+            self.in_full = np.asarray([self.full.index[e] for e in exps],
+                                      dtype=np.intp)
+            self.coordinate_rows = self.full.coordinate_rows[:, self.in_full]
+
+    def positions(self, order) -> np.ndarray:
+        """The index here of each monomial of the key ``order``, which
+        these tables cover."""
+        index = self._positions.get(order)
+        if index is None:
+            index = self._positions[order] = np.asarray(
+                [self.index[e] for e in _tables(order).exps], dtype=np.intp)
+        return index
+
+    def derive(self, a: int) -> tuple:
+        """The derivative along axis ``a``: (its key, gather, scale), whose
+        entry m is entry gather[m] of a jet of this key times scale[m].
+        The key loses an order and a power of the axis, and an axis
+        capped at 0 raises."""
+        caps = list(_caps(self.key))
+        if caps[a] == 0:
+            raise ValueError(f"cannot differentiate along {'txy'[a]}, "
+                             f"capped at 0 in {self.key!r}")
+        caps[a] -= 1
+        gather, scale = [], []
+        for e in self.exps:
+            m = self.index.get(tuple(c + (b == a) for b, c in enumerate(e)))
+            if m is not None:
+                gather.append(m)
+                scale.append(e[a] + 1)
+        self.derivatives[a] = (_key(int(self.key) - 1, caps),
+                               np.asarray(gather, dtype=np.intp),
+                               np.asarray(scale, dtype=float))
+        return self.derivatives[a]
 
 
 _TABLES: dict[int, _Tables] = {}
@@ -252,11 +431,14 @@ _TABLES: dict[int, _Tables] = {}
 def _tables(order: int) -> _Tables:
     tab = _TABLES.get(order)
     if tab is None:
+        if int(order) > MAX_ORDER:
+            raise OrderTooHigh(int(order))
         tab = _TABLES[order] = _Tables(order)
     return tab
 
 
 def jet_size(order: int) -> int:
+    """The number of coefficients of the full jet of ``order``, an int."""
     return (order + 1) * (order + 2) * (order + 3) // 6
 
 
@@ -274,7 +456,7 @@ class Jet3:
     def __init__(self, base: Point, order: int, coeffs: np.ndarray):
         if order < 0:
             raise ValueError("order must be >= 0")
-        if coeffs.shape[-1] != jet_size(order):
+        if coeffs.shape[-1] != _tables(order).size:
             raise ValueError("coefficient array has wrong length")
         self.base = base
         self.order = order
@@ -285,11 +467,12 @@ class Jet3:
     @staticmethod
     def constant(value, base: Point, order: int) -> "Jet3":
         """The constant jet of ``value``, a float or one per lane."""
+        size = _tables(order).size
         if isinstance(value, np.ndarray):
-            c = np.zeros((len(value), jet_size(order)))
+            c = np.zeros((len(value), size))
             c[:, 0] = value
         else:
-            c = np.zeros(jet_size(order))
+            c = np.zeros(size)
             c[0] = value
         return _jet(base, order, c)
 
@@ -308,23 +491,32 @@ class Jet3:
         return jet
 
     def truncate(self, order: int) -> "Jet3":
-        if order > self.order:
-            raise ValueError("cannot raise jet order by truncation")
-        if order == self.order:
+        """The jet of the key ``order``, which this jet's key covers."""
+        have = self.order
+        if order == have:
             return self
-        return _jet(self.base, order,
-                    self.coeffs[..., : jet_size(order)].copy())
+        if not have >= order:
+            raise ValueError(f"cannot truncate a jet of key {have!r} to "
+                             f"{order!r}")
+        return _jet(self.base, order, narrow(self.coeffs, have, order))
 
     def _coerce(self, other) -> "Jet3 | None":
-        """``other`` as a jet, or None for a number or an array of one
-        number per lane."""
+        """``other`` as a jet of this jet's key, or None for a number or
+        an array of one number per lane.  Jets of two keys of one order
+        combine on their meet: :class:`_Meet` carries both operands
+        truncated to it where this jet's key is not the meet."""
         if isinstance(other, Jet3):
-            if other.order != self.order or (
-                    other.base is not self.base
-                    and not _same_point(other.base, self.base)):
-                raise ValueError(
-                    "jets are combinable only with matching base and order"
-                )
+            if other.base is not self.base \
+                    and not _same_point(other.base, self.base):
+                raise ValueError(_UNMATCHED)
+            if other.order is not self.order:
+                if int(other.order) != int(self.order):
+                    raise ValueError(_UNMATCHED)
+                meet = _key(self.order, map(min, _caps(self.order),
+                                            _caps(other.order)))
+                if meet != self.order:
+                    raise _Meet(self.truncate(meet), other.truncate(meet))
+                return other.truncate(meet)
             return other
         if isinstance(other, (int, float, np.floating, np.ndarray)):
             return None
@@ -333,7 +525,10 @@ class Jet3:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        try:
+            o = self._coerce(other)
+        except _Meet as meet:
+            return meet.a + meet.b
         if o is NotImplemented:
             return NotImplemented
         if o is None:
@@ -351,7 +546,10 @@ class Jet3:
         return self.copy_with(-self.coeffs)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        try:
+            o = self._coerce(other)
+        except _Meet as meet:
+            return meet.a - meet.b
         if o is NotImplemented:
             return NotImplemented
         if o is None:
@@ -367,7 +565,10 @@ class Jet3:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        try:
+            o = self._coerce(other)
+        except _Meet as meet:
+            return meet.a * meet.b
         if o is NotImplemented:
             return NotImplemented
         if o is None:
@@ -379,7 +580,10 @@ class Jet3:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        try:
+            o = self._coerce(other)
+        except _Meet as meet:
+            return meet.a / meet.b
         if o is NotImplemented:
             return NotImplemented
         if o is None:
@@ -405,26 +609,35 @@ class Jet3:
     # -- calculus ----------------------------------------------------------
 
     def derive(self, which: str) -> "Jet3":
-        """Jet of the partial derivative; drops one order."""
+        """Jet of the partial derivative; drops one order, and one power
+        of ``which`` from its cap.  An axis capped at 0 raises."""
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 jet")
-        axis = _AXES[which]
-        tab = _tables(self.order)
-        return _jet(self.base, self.order - 1,
-                    _gather(self.coeffs, tab.derive_src[axis])
-                    * tab.derive_scale[axis])
+        tab, a = _tables(self.order), _AXES[which]
+        order, src, scale = tab.derivatives[a] or tab.derive(a)
+        return _jet(self.base, order, _gather(self.coeffs, src) * scale)
 
     def extract(self, multi_index):
         """The partial derivative of ``multi_index`` at the base: a float,
         or an array over the lanes of a batch."""
-        i, j, k = multi_index
-        if i + j + k > self.order:
-            raise ValueError("multi-index exceeds jet order")
         tab = _tables(self.order)
-        m = tab.index[(i, j, k)]
+        m = tab.index.get(tuple(multi_index))
+        if m is None:
+            raise ValueError(f"multi-index {tuple(multi_index)} is not in "
+                             f"a jet of key {self.order!r}")
         if self.coeffs.ndim == 1:
             return float(self.coeffs[m] * tab.fact[m])
         return self.coeffs[:, m] * tab.fact[m]
+
+
+_UNMATCHED = "jets are combinable only with matching base and order"
+
+
+class _Meet(Exception):
+    """Two operands of a binary operation, truncated to their meet."""
+
+    def __init__(self, a: Jet3, b: Jet3):
+        self.a, self.b = a, b
 
 
 def _jet(base: Point, order: int, coeffs: np.ndarray) -> Jet3:
@@ -433,6 +646,25 @@ def _jet(base: Point, order: int, coeffs: np.ndarray) -> Jet3:
     jet = object.__new__(Jet3)
     jet.base, jet.order, jet.coeffs = base, order, coeffs
     return jet
+
+
+def narrow(c: np.ndarray, have: int, want: int) -> np.ndarray:
+    """A copy of the coefficients of the key ``want`` in the coefficients
+    ``c`` of the key ``have``, which covers it."""
+    if type(want) is int is type(have):
+        return c[..., :jet_size(want)].copy()
+    return _gather(c, _tables(have).positions(want))
+
+
+def widen(c: np.ndarray, order: int) -> np.ndarray:
+    """The coefficients ``c`` of the key ``order`` in the full layout of
+    its order, zero at each monomial that the key drops."""
+    if type(order) is int:
+        return c
+    tab = _tables(order)
+    out = np.zeros(c.shape[:-1] + (tab.full.size,))
+    out[..., tab.in_full] = c
+    return out
 
 
 def _gather(c: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -539,7 +771,7 @@ def apply_taylor(coeffs: np.ndarray, a: Jet3) -> Jet3:
     functions use :func:`elementary` instead.
     """
     n = a.order
-    top = min(n, coeffs.shape[-1] - 1)
+    top = min(int(n), coeffs.shape[-1] - 1)
     c = coeffs.tolist() if coeffs.ndim == 1 else list(coeffs.T)
     shifted = a - a.value
     out = Jet3.constant(c[top], a.base, n)
@@ -703,7 +935,10 @@ def elementary(f, c: np.ndarray, lay) -> np.ndarray:
     ``f`` is one of the names ``exp, ln, sin, cos, tan, sinh, cosh, sqrt,
     recip, abs_signed`` or a tuple ``("pow", r)``.
     """
-    return _checked(f, float(c[0]) if c.ndim == 1 else c[:, 0]).series(c, lay)
+    form = _checked(f, float(c[0]) if c.ndim == 1 else c[:, 0])
+    if c.ndim == 1 and lay.full is not None:
+        return _in_full(form.series, lay, c)
+    return form.series(c, lay)
 
 
 def quotient(a: np.ndarray, b: np.ndarray, lay) -> np.ndarray:
@@ -711,7 +946,19 @@ def quotient(a: np.ndarray, b: np.ndarray, lay) -> np.ndarray:
     the values; either may be a batch."""
     check_denominator(_values(b), _values(a),
                       "jet division: denominator value {} inside guard band")
+    if a.ndim == b.ndim == 1 and lay.full is not None:
+        return _in_full(series.div, lay, a, b)
     return series.div(a, b, lay)
+
+
+def _in_full(op, lay, *cs: np.ndarray) -> np.ndarray:
+    """``op(*cs, lay)`` for single series of a capped layout, computed in
+    its full layout with the dropped coefficients zero: a single series
+    sums each degree's terms with a dense product, whose bits depend on
+    the shape of its matrix, so a kept coefficient has the bits of the
+    full jet's.  A batch sums only the pairs of each coefficient, the
+    same in every layout that keeps it."""
+    return op(*(widen(c, lay.key) for c in cs), lay.full)[lay.in_full]
 
 
 def apply_unary(f, a: Jet3) -> Jet3:
@@ -798,10 +1045,11 @@ JetMap = Callable[[Point, int], Jet3]
 def last_point(fn: JetMap) -> JetMap:
     """``fn``, remembering its jet at the last point it was asked about.
 
-    The jet is kept at the highest order asked at that point, and a lower
-    order there is answered by truncation.  A new point replaces it; an
-    error is never remembered.  Wrapping a wrapped map returns it as is;
-    ``inspect.unwrap`` returns ``fn``.
+    The jet is kept at the largest key asked at that point, and a key
+    that it covers (``>=``) is answered by truncation; a key that it does
+    not cover is asked of ``fn`` and replaces it.  A new point replaces
+    it; an error is never remembered.  Wrapping a wrapped map returns it
+    as is; ``inspect.unwrap`` returns ``fn``.
     """
     if getattr(fn, "remembers_last_point", False):
         return fn
@@ -833,9 +1081,8 @@ def as_batch(fn: JetMap) -> JetMap:
         count = lanes(p)
         c = fn(Point(*(c if isinstance(c, np.ndarray)
                        else np.full(count or 1, c, dtype=float) for c in p)),
-               order).coeffs
+               order).truncate(order).coeffs
         return _jet(p, order, c[0] if count is None and c.ndim == 2 else c)
 
     batched.__wrapped__ = fn
     return batched
-

@@ -19,14 +19,17 @@ lane fails raises the error of its first such lane, which it names, and
 ends the quadrature.
 
 :func:`integrate_field_along` lifts an axis-parallel line integral of a
-jet-evaluable field to a jet: the coefficients that carry powers of the
-integration axis follow from the fundamental theorem of calculus, and the
-remaining slice is integrated coefficient-wise, each round one jet of
-the field at a point whose integration coordinate holds the round's
-abscissae (a batch of lanes, see :mod:`blp.jets`), the lanes of a
-batched point one quadrature in lockstep.  :func:`line_integral` keeps
-such jets, one per grid line of an integrand constant along it, and
-integrates the lines a batch lacks in one call.  The t-leg of
+jet-evaluable field to a jet of any truncation key: the coefficients
+that carry powers of the integration axis follow from the fundamental
+theorem of calculus, and the remaining slice is integrated
+coefficient-wise, each round one jet of the field at a point whose
+integration coordinate holds the round's abscissae (a batch of lanes,
+see :mod:`blp.jets`), the lanes of a batched point one quadrature in
+lockstep.  The abscissae ask the field with the integration axis capped
+at 0: the slice is all they read, and an integrand of order 7 computes
+36 of its 120 coefficients there.  :func:`line_integral`
+keeps such jets, one per grid line of an integrand constant along it,
+and integrates the lines a batch lacks in one call.  The t-leg of
 :func:`xt_path`, the two-leg path integral of a potential with known x-
 and t-derivatives, is one.
 
@@ -41,12 +44,12 @@ the panel budget.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
-from .jets import (BLPError, Jet3, JetMap, Point, jet_size, lanes, name_lanes,
-                   restrict, _tables)
+from .jets import (BLPError, Jet3, JetMap, Point, cap, lanes, name_lanes,
+                   narrow, restrict, _caps, _tables)
 
 __all__ = ["QuadratureError", "gauss_kronrod_15", "adaptive_quadrature",
            "integrate_field_along", "line_integral", "xt_path"]
@@ -245,13 +248,16 @@ _AXIS_NUM = {"t": 0, "x": 1, "y": 2}
 
 def integrate_field_along(field: JetMap, axis: str, lower: float,
                           p: Point, order: int) -> Jet3:
-    """Jet of ``F(p) = integral of field along one axis from lower to p.axis``.
+    """Jet of ``F(p) = integral of field along one axis from lower to p.axis``,
+    of the truncation key ``order`` (:mod:`blp.jets`).
 
     The integrand is a jet-evaluable field g; the result F satisfies
     dF/d(axis) = g, so coefficients with a positive power of the axis come
-    from g's jet at ``p``, while the axis-free slice is a vector quadrature
-    of g's jets along the integration segment: one jet of g per round of
-    refinement, at the point whose ``axis`` holds the round's abscissae.
+    from g's jet at ``p``, asked at ``order`` (none where ``order`` caps the
+    axis at 0), while the axis-free slice is a vector quadrature of g's
+    jets along the integration segment: one jet of g per round of
+    refinement, at the point whose ``axis`` holds the round's abscissae,
+    asked with the axis capped at 0, which are the coefficients it reads.
     Where ``lower == p.axis`` the slice is zero and no abscissa is asked.
     At a batched ``p``, g is asked once at ``p`` for the whole batch, and
     the lanes' quadratures run in lockstep (:func:`adaptive_quadrature`):
@@ -262,39 +268,41 @@ def integrate_field_along(field: JetMap, axis: str, lower: float,
     ax = _AXIS_NUM[axis]
     tab = _tables(order)
     g_at_p = field(p, order)
-    free = _free_of(order, ax)
+    free_key = cap(order, axis, 0)
+    free = tab.positions(free_key)
     count = lanes(p)
     if count is None:
-        out = np.zeros(jet_size(order))
+        out = np.zeros(tab.size)
         if lower != p[ax]:
             out[free] = adaptive_quadrature(
-                partial(_slice_values, field, p, ax, order, free),
+                partial(_slice_values, field, p, ax, free_key),
                 lower, p[ax])
     else:
-        out = np.zeros((count, jet_size(order)))
+        out = np.zeros((count, tab.size))
         ends = np.broadcast_to(p[ax], count)
         todo = np.flatnonzero(ends != lower)
         if todo.size:
             try:
                 out[todo[:, None], free] = adaptive_quadrature(
-                    partial(_slice_values, field, p, ax, order, free,
+                    partial(_slice_values, field, p, ax, free_key,
                             todo=todo), lower, ends[todo])
             except BLPError as exc:
                 name_lanes(exc, todo, np.arange(count))
                 raise
-    # F's monomial e + axis is g's monomial e divided by its new power
-    out[..., tab.derive_src[ax]] = \
-        g_at_p.coeffs[..., :jet_size(order - 1)] / tab.derive_scale[ax]
+    if _caps(order)[ax]:
+        # F's monomial e + axis is g's monomial e divided by its new power
+        g_key, src, scale = tab.derivatives[ax] or tab.derive(ax)
+        out[..., src] = g_at_p.truncate(g_key).coeffs / scale
     return Jet3(p, order, out)
 
 
-def _slice_values(field: JetMap, p: Point, ax: int, order: int,
-                  free: np.ndarray, s: np.ndarray, k=None,
-                  todo=None) -> np.ndarray:
-    """The axis-free coefficients of ``field`` at the points of ``p``
-    whose coordinate ``ax`` holds the abscissae ``s``.  At a batched
-    ``p``, abscissa j lies in lane ``todo[k[j]]``, and a coordinate that
-    is the same at every abscissa is a float."""
+def _slice_values(field: JetMap, p: Point, ax: int, free_key: int,
+                  s: np.ndarray, k=None, todo=None) -> np.ndarray:
+    """The jet of key ``free_key``, which has no power of axis ``ax``,
+    of ``field`` at the points of ``p`` whose coordinate ``ax`` holds the
+    abscissae ``s``.  At a batched ``p``, abscissa j lies in lane
+    ``todo[k[j]]``, and a coordinate that is the same at every abscissa
+    is a float."""
     q = list(p)
     q[ax] = s
     if k is not None:
@@ -303,14 +311,8 @@ def _slice_values(field: JetMap, p: Point, ax: int, order: int,
             if i != ax and isinstance(c, np.ndarray):
                 c = c[rows]
                 q[i] = float(c[0]) if (c == c[0]).all() else c
-    c = field(Point(*q), order).coeffs.take(free, axis=-1)
-    return np.broadcast_to(c, (len(s), len(free)))
-
-
-@lru_cache(maxsize=None)
-def _free_of(order: int, ax: int) -> np.ndarray:
-    """The monomials of ``order`` with no power of axis ``ax``."""
-    return np.delete(np.arange(jet_size(order)), _tables(order).with_axis[ax])
+    c = field(Point(*q), free_key).truncate(free_key).coeffs
+    return np.broadcast_to(c, (len(s), c.shape[-1]))
 
 
 #: grid lines whose integral one :func:`line_integral` keeps
@@ -323,41 +325,43 @@ def line_integral(integrand: JetMap, axis: str, lower: float,
     integrand that does not depend on the coordinate ``constant_along``.
 
     The integral is then one jet all along each grid line in that
-    direction.  Each line keeps its jet at the highest order computed on
-    it and answers a lower order by truncation (the :func:`jets.last_point`
-    rule, per line); a failed integral is never kept.  At most
-    ``_LINES_KEPT`` lines are kept; the one first computed longest ago
-    goes first.  The lines of a batch not kept at the order asked take
-    one :func:`integrate_field_along` call, one lane per line in lane
-    order, a lone line too; a batch on one line gets one jet.  A single
-    point and a batch keep their lines apart, so a row does not depend
-    on which path asked its line first.
+    direction.  Each line keeps its jet at the largest key computed on
+    it and answers a key that it covers by truncation, never a larger
+    one (the :func:`jets.last_point` rule, per line); a failed integral
+    is never kept.  At most ``_LINES_KEPT`` lines are kept; the one first
+    computed longest ago goes first.  The lines of a batch not kept at
+    the key asked take one :func:`integrate_field_along` call, one lane
+    per line in lane order, a lone line too; a batch on one line gets
+    one jet.  A single point and a batch keep their lines apart, so a row
+    does not depend on which path asked its line first.
     """
     skip = _AXIS_NUM[constant_along]
-    known: dict = {}
+    known: dict = {}  # line -> (key, coefficients)
 
     def integral(p: Point, n: int) -> Jet3:
-        size = jet_size(n)
         # a line is kept by the path that made it, the scalar one of a
         # single point or the lanes of a batch, whose bits may differ
         line = (*(c for i, c in enumerate(p) if i != skip), lanes(p) is None)
         count = lanes(line)
-        keys = [line] if count is None else list(zip(
+        lines = [line] if count is None else list(zip(
             *(np.broadcast_to(c, count).tolist() for c in line)))
-        fresh: dict = {}  # each line not kept at order n: lane, then jet
-        for i, key in enumerate(keys):
-            if len(known.get(key, ())) < size:
-                fresh.setdefault(key, i)
+        fresh: dict = {}  # each line not kept at key n: lane, then jet
+        for i, k in enumerate(lines):
+            kept = known.get(k)
+            if kept is None or not kept[0] >= n:
+                fresh.setdefault(k, i)
         if fresh:
             i = list(fresh.values())
             at = Point(*(c[i] if isinstance(c, np.ndarray) else c for c in p))
             try:
                 co = integrate_field_along(integrand, axis, lower, at, n)
             except BLPError as exc:  # every lane on a failing line
-                name_lanes(exc, i, [fresh.get(key, -1) for key in keys])
+                name_lanes(exc, i, [fresh.get(k, -1) for k in lines])
                 raise
-            fresh = dict(zip(fresh, co.coeffs.reshape(len(i), -1)))
-        rows = [(fresh[k] if k in fresh else known[k])[:size] for k in keys]
+            fresh = {k: (n, c) for k, c
+                     in zip(fresh, co.coeffs.reshape(len(i), -1))}
+        rows = [narrow(c, have, n) for have, c
+                in (fresh[k] if k in fresh else known[k] for k in lines)]
         known.update(fresh)
         while len(known) > _LINES_KEPT:
             del known[next(iter(known))]

@@ -413,6 +413,7 @@ def _profile_jets(traj: ODETrajectory, wj: Jet3, order: int,
     w = wj.value
     jets.raise_where(np.logical_not((lo + 1e-6 < w) & (w < hi - 1e-6)), w,
                      "profile window exceeded", WindowError)
+    order = int(order)
     ser = traj.series(w, order + max(derivatives))
     out = []
     for k in range(max(derivatives) + 1):
@@ -494,10 +495,11 @@ def _r29_field(fid, params, phi, square_integral, C0: float,
         wj = omega_jet(p, n)
         w0 = wj.value
         # phi's series at omega, to the order of v
+        order = int(n)
         pser = jets.axis_series(
-            phi(jets.lift_variable("x", Point(p.t, w0, p.y), n)), "x")
-        square = series.univariate(n).mul(pser, pser)
-        q = series.integral(square, square_integral(w0) - anchor, n)
+            phi(jets.lift_variable("x", Point(p.t, w0, p.y), order)), "x")
+        square = series.univariate(order).mul(pser, pser)
+        q = series.integral(square, square_integral(w0) - anchor, order)
         return (-0.5 * jets.apply_taylor(q, wj)
                 + 0.5 * jets.apply_taylor(pser, wj)
                 - 0.5 * C0 * wj + delta * t)

@@ -84,8 +84,15 @@ def integral(c: np.ndarray, c0, n: int) -> np.ndarray:
 class Layout:
     """Coefficient layout of truncated Taylor series graded by degree.
 
-    ``exps`` lists the exponent tuples of the monomials, by degree.
+    ``exps`` lists the exponent tuples of the monomials, by degree; a
+    product keeps the monomials listed, which must hold every divisor of
+    each (a down-closed set), so that each kept coefficient sums the
+    same pairs, in the same order, as in any larger layout.
     """
+
+    #: the layout that a single series of a truncation of it is computed
+    #: in (``jets._Tables``), or None
+    full = None
 
     def __init__(self, exps: list[tuple[int, ...]]):
         deg = [sum(e) for e in exps]
@@ -94,15 +101,19 @@ class Layout:
         self.exps = exps
         self.size = len(exps)
         self.index = {e: m for m, e in enumerate(exps)}
-        # truncated Cauchy product: out[io] += a[ia] * b[ib]
+        # truncated Cauchy product: out[io] += a[ia] * b[ib], over the
+        # pairs whose product is kept
         ia, ib, io = [], [], []
         for ma, ea in enumerate(exps):
             for mb, eb in enumerate(exps):
                 if deg[ma] + deg[mb] > order:
                     continue
+                mo = self.index.get(tuple(map(operator.add, ea, eb)))
+                if mo is None:
+                    continue
                 ia.append(ma)
                 ib.append(mb)
-                io.append(self.index[tuple(map(operator.add, ea, eb))])
+                io.append(mo)
         self.mul_a = np.asarray(ia, dtype=np.intp)
         self.mul_b = np.asarray(ib, dtype=np.intp)
         self.mul_out = np.asarray(io, dtype=np.intp)

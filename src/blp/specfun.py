@@ -409,7 +409,7 @@ def _quartic_solution(q: QuarticODE, a: float):
         jet = isinstance(z, Jet3)
         zv = z.value if jet else z
         p, dp, _ = weierstrass_p(zv, inv)
-        ser = _series(np.atleast_1d(zv), max(z.order, 1) if jet else 0,
+        ser = _series(np.atleast_1d(zv), max(int(z.order), 1) if jet else 0,
                       np.atleast_1d(p), np.atleast_1d(dp))
         if np.ndim(zv):
             return apply_taylor(ser, z) if jet else ser[:, 0]

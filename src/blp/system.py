@@ -80,7 +80,7 @@ class SolutionField:
                 w = v
             else:
                 def w(p: Point, n: int) -> Jet3:
-                    return v(p, n + 1).derive(axis)
+                    return v(p, jets.up(n, axis)).derive(axis)
         object.__setattr__(self, "w", jets.last_point(w))
 
     @property
@@ -291,7 +291,7 @@ def convert(s: SolutionField, to: str, basepoint: Point) -> SolutionField:
         return s.with_meta(v=q, w=w, coords="UQ")
 
     def v_t(p: Point, n: int) -> Jet3:
-        wj = w(p, n + 1)
+        wj = w(p, jets.up(n, "x"))
         return wj.derive("x") + 2.0 * (u0(p, n) * wj.truncate(n))
 
     # v = int_x0^x w dx' + int_t0^t (w_x + 2 u w)|_(t',x0,y) dt'

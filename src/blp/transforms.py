@@ -29,12 +29,16 @@ component: q~ = q + u~ and q~ = q - u in (u,q); v~ = v + v_xy/v_x + P
 and v~ = v - P in (u,v), where P_x = u_y and P_t = (u^2-u_x)_y + 2 v_xx
 on the line x = x0 (v~_x = w~ because (w_y/w)_x = (w_x/w)_y).  So no
 map reruns its parent's potential: only v itself runs P's path
-integral, once per point and level, and a chain's cost grows linearly
-with its depth.  The jet of v or q that a residual reads still comes
-from the top field's own potential, so the check stays independent of
-the maps.
+integral, once per point and level, and the lanes a chain asks of its
+base field grow linearly with its depth; the order it asks grows by 2
+per (u,v) level, and the time by about x2.2.  The jet of v or q that a
+residual reads still comes from the top field's own potential, so the
+check stays independent of the maps.
 Each map asks its parent for the highest order it needs first; the
 parent's remembered jet (:func:`jets.last_point`) answers lower ones.
+A map asks ``jets.up(n, axis)`` of a parent that it differentiates only
+along ``axis``, and ``n + k`` otherwise, so a truncation key passes
+through it (:mod:`blp.jets`).
 A transformed field has no domain predicate of its own: where a guard
 of the map fires, or a point of a symmetry image has no inverse on
 ``WINDOW``, evaluation raises :class:`UndefinedTransform` (a
@@ -59,7 +63,7 @@ import numpy as np
 from . import jets, series
 from .exprdsl import (Bin, Call, Expr, Num, as_expr, eval_jet, eval_series,
                       parse, sample)
-from .jets import Jet3, JetMap, Point, UndefinedHere, last_point
+from .jets import Jet3, JetMap, Point, UndefinedHere, last_point, up
 from .quadrature import integrate_field_along, xt_path
 from .system import SolutionField, covering_residual
 
@@ -291,11 +295,18 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
 
     def composed(comp: JetMap, p: Point, n: int):
         # comp composed with the inverse map at each lane of p, and the
-        # terms of u~ and of v~, stacked over the lanes as they are read
+        # terms of u~ and of v~, stacked over the lanes as they are read.
+        # The base field is asked without the cap on x, as x_old =
+        # alpha(s) + beta(s) r lowers the power of x; the t and y caps
+        # pass, and the composition runs at the full order
+        order = int(n)
         po, M, u_terms, v_terms = zip(*jets.each_lane(
-            lambda i: inner(jets.lane(p, i), n), jets.lanes(p)))
-        c = comp(Point(*map(np.array, zip(*po))), n).coeffs
-        return (Jet3(p, n, (np.stack(M) @ c[..., None])[..., 0]),
+            lambda i: inner(jets.lane(p, i), order), jets.lanes(p)))
+        base_n = jets.uncap(n, "x")
+        c = jets.widen(comp(Point(*map(np.array, zip(*po))), base_n)
+                       .truncate(base_n).coeffs, base_n)
+        return (Jet3(p, order, (np.stack(M) @ c[..., None])[..., 0])
+                .truncate(n),
                 *(map(np.stack, zip(*terms)) for terms in (u_terms, v_terms)))
 
     # u~ = U beta - (cx x_old + c0) and v~ = V v_scale + v_shift, where
@@ -303,7 +314,8 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
     def u(p: Point, n: int) -> Jet3:
         U, (beta, cx, c0, jx), _ = composed(s.u, p, n)
         in_t = partial(jets.axis_jet, axis="t", at=p)
-        return U * in_t(beta) - (in_t(cx) * Jet3(p, n, jx) + in_t(c0))
+        return U * in_t(beta) - (in_t(cx) * Jet3(p, int(n), jx).truncate(n)
+                                 + in_t(c0))
 
     def v(p: Point, n: int) -> Jet3:
         V, _, (v_scale, v_shift) = composed(s.v, p, n)
@@ -331,24 +343,24 @@ def _laplace(s: SolutionField, coords: str, forward: bool):
     if forward:
         @last_point
         def u(p, n):
-            wj = s.w(p, n + 1)
+            wj = s.w(p, up(n, "x"))
             w, w_x = wj.truncate(n), wj.derive("x")
             _guard(w.value, w_x.value, f"{w_name} inside guard band")
             return s.u(p, n) + w_x / w
 
         def w(p, n):
-            return u(p, n + 1).derive("y") + s.w(p, n)
+            return u(p, up(n, "y")).derive("y") + s.w(p, n)
     else:
         def u(p, n):
-            uj = s.u(p, n + 2)
-            wj = s.w(p, n + 1)
+            uj = s.u(p, up(up(n, "x"), "y"))
+            wj = s.w(p, up(n, "x"))
             den = (wj - uj.derive("y")).truncate(n)
             num = wj.derive("x") - uj.derive("x").derive("y")
             _guard(den.value, num.value, f"{w_name} - u_y inside guard band")
             return uj.truncate(n) - num / den
 
         def w(p, n):
-            return s.w(p, n) - s.u(p, n + 1).derive("y")
+            return s.w(p, n) - s.u(p, up(n, "y")).derive("y")
     tag = "~Lfwd" if forward else "~Linv"
     return u, partial(SolutionField, u=u, coords=coords, w=w,
                       family_id=s.family_id + tag, params=s.params)
@@ -378,12 +390,13 @@ def _uv_path_integral(s: SolutionField, base: Point) -> JetMap:
     ``u`` and ``w`` of ``s``, never its ``v``."""
 
     def u_y(p: Point, n: int) -> Jet3:
-        return s.u(p, n + 1).derive("y")
+        return s.u(p, up(n, "y")).derive("y")
 
     def p_t(p: Point, n: int) -> Jet3:
-        uj = s.u(p, n + 2)
-        return ((uj * uj).truncate(n + 1) - uj.derive("x")).derive("y") \
-            + 2.0 * s.w(p, n + 1).derive("x")
+        n_y = up(n, "y")
+        uj = s.u(p, up(n_y, "x"))
+        return ((uj * uj).truncate(n_y) - uj.derive("x")).derive("y") \
+            + 2.0 * s.w(p, up(n, "x")).derive("x")
 
     return xt_path(u_y, p_t, base)
 
@@ -394,7 +407,7 @@ def laplace_forward_uv(s: SolutionField, base: Point) -> SolutionField:
     path = _uv_path_integral(s, base)
 
     def v(p, n):
-        vj, wj = s.v(p, n), s.w(p, n + 1)
+        vj, wj = s.v(p, n), s.w(p, up(n, "y"))
         v_x, v_xy = wj.truncate(n), wj.derive("y")
         _guard(v_x.value, v_xy.value, "v_x inside guard band")
         return vj + v_xy / v_x + path(p, n)
@@ -470,7 +483,7 @@ def uq_seed(witness, L: JetMap | None = None,
 
     @last_point
     def u(p, n):
-        f = phi_map(p, n + 1)
+        f = phi_map(p, up(n, "x"))
         jets.check_denominator(f.value, 0.0, "witness zero", band=1e-8)
         return sign * f.derive("x") / f.truncate(n)
 
@@ -727,7 +740,7 @@ def covering_solutions_for_constraint(
         def t_integrand(p, n):
             if theta is None:
                 return Jet3.constant(0.0, p, n)
-            th, f = theta(p, n + 1), phi_map(p, n + 1)
+            th, f = theta(p, up(n, "x")), phi_map(p, up(n, "x"))
             return (th.truncate(n) * f.derive("x")
                     - th.derive("x") * f.truncate(n))
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -461,6 +462,8 @@ _MALFORMED = {
     "chain_empty": ["transform", "--family", "zero_uq", "--chain", "[]"],
     "chain_not_json": ["transform", "--family", "zero_uq",
                        "--chain", "laplace_fwd_uq"],
+    "chain_too_deep": ["transform", "--family", "F_VXXX_5",
+                       "--chain", json.dumps([{"op": "laplace_fwd_uv"}] * 7)],
     "family_missing": ["verify"],
 }
 
@@ -471,6 +474,17 @@ def test_malformed_input_is_config_error(args, capsys):
     assert code == 2 and out == ""
     assert "Traceback" not in err
     assert set(json.loads(err)) == {"error"}
+
+
+def test_a_chain_past_the_jet_order_limit_names_its_depth(capsys):
+    # seven forward (u,v) steps ask the base field at order 17, past
+    # jets.MAX_ORDER: the first point raises before any large table is built
+    start = time.perf_counter()
+    code, out, err = run_cli(_MALFORMED["chain_too_deep"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("chain depth 7: jet order ")
+    assert all(int(k) <= jets.MAX_ORDER for k in jets._TABLES)
 
 
 _MALFORMED_CONFIGS = {

@@ -634,8 +634,9 @@ def _per_node_integral(field, axis, lower, p, order):
     out = np.zeros(jets.jet_size(order))
     out[free] = quadrature.adaptive_quadrature(per_node(slice_values),
                                                lower, p[ax])
-    out[tab.derive_src[ax]] = field(p, order).coeffs[
-        :jets.jet_size(order - 1)] / tab.derive_scale[ax]
+    if order:
+        _, src, scale = tab.derive(ax)
+        out[src] = field(p, order).coeffs[:jets.jet_size(order - 1)] / scale
     return Jet3(p, order, out)
 
 
