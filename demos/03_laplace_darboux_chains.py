@@ -65,6 +65,6 @@ for kind in ("DT1", "DT2"):
           max(max(map(abs, residual_uq(dressed, p))) for p in pts))
 
 both = transforms.darboux_iterated("DT2", seed, [phi1, phi2])
-print("two-fold DT2 (Wronskian form) residual:",
+print("two-fold DT2 (two single dressings) residual:",
       max(max(map(abs, residual_uq(both, p))) for p in pts))
 print("u at", pts[0], "->", both.u(pts[0], 0).value)

@@ -268,7 +268,7 @@ def _build_phi(field, spec):
             base=Point(*bound["base"]))
     except OrderTooHigh:
         raise
-    except ValueError as exc:  # a failed probe
+    except BadInput as exc:  # a failed probe
         raise ConfigError(f"bad eigenfunction: {exc}") from exc
 
 

@@ -45,10 +45,13 @@ of the map fires, or a point of a symmetry image has no inverse on
 :class:`jets.UndefinedHere`), and a grid check skips that point, as it
 does where the parent raises.
 Darboux transformations dress a solution with covering eigenfunctions;
-their n-fold versions are Wronskian ratios, evaluated here by
-fraction-free elimination on jets.  :meth:`CoveringEigenfunction.check`
+an n-fold dressing is n single ones, each by an eigenfunction carried
+through the dressings before it (:func:`darboux_psi`), which equals the
+Wronskian form (Crum's theorem).  :meth:`CoveringEigenfunction.check`
 tests an eigenfunction against the covering system when it is built and
-wherever a dressing evaluates its ``u``, on the jets that map asked for.
+wherever a dressing evaluates its ``u``, on the jets that map asked for;
+a carried eigenfunction is tested there against the field it is carried
+over.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -69,7 +72,7 @@ from .system import SolutionField, covering_residual
 
 __all__ = [
     "PointSymmetry", "CoveringEigenfunction", "UndefinedTransform",
-    "InverseMapError", "SingularWronskian", "CoveringViolation",
+    "InverseMapError", "CoveringViolation",
     "d_transform", "s_transform", "p_transform", "z_transform",
     "i_transform", "apply_symmetry",
     "laplace_forward_uq", "laplace_inverse_uq",
@@ -91,10 +94,6 @@ _guard = partial(jets.check_denominator, band=GUARD, error=UndefinedTransform)
 
 class InverseMapError(UndefinedTransform, RuntimeError):
     """T or Y could not be inverted on the working window."""
-
-
-class SingularWronskian(UndefinedTransform):
-    """No usable pivot: the Wronskian is singular at the point."""
 
 
 class CoveringViolation(jets.BadInput):
@@ -432,10 +431,30 @@ _COVER_PROBE = [Point(0.15 + 0.25 * i, -0.35 + 0.3 * j, 0.2 + 0.35 * k)
                 for i in range(3) for j in range(3) for k in range(2)]
 
 
+def _check_covering(s: SolutionField, pmap: JetMap, p: Point) -> None:
+    """Raise :class:`CoveringViolation` if the covering residual of
+    ``pmap`` over ``s`` at ``p`` exceeds 1e-8 (or is NaN); a batch is
+    checked at once, and the error names its lanes that fail, its message
+    the first, with that lane's residual."""
+    c1, c2 = covering_residual(s, pmap, p)
+    worst = np.broadcast_to(np.maximum(np.abs(c1), np.abs(c2)),
+                            jets.lanes(p) or 1)  # NaN where either is
+    failing = ~(worst <= 1e-8)
+    if failing.any():
+        i = int(failing.argmax())
+        t, x, y = jets.lane(p, i)
+        exc = CoveringViolation(
+            f"covering residual {worst[i]:g} exceeds 1e-8 at (t, x, y) = "
+            f"({t!r}, {x!r}, {y!r})")
+        exc.lanes = failing
+        raise exc
+
+
 @dataclass(frozen=True)
 class CoveringEigenfunction:
     """A solution of the auxiliary linear system over a fixed (u,q) field,
-    checked when built at the first usable point of ``_COVER_PROBE``."""
+    checked when built at the first usable point of ``_COVER_PROBE``; a
+    :class:`jets.BadInput` if it is defined at none of them."""
     phi: JetMap
     attached_to: SolutionField
 
@@ -446,25 +465,11 @@ class CoveringEigenfunction:
                 return self.check(p)
             except UndefinedHere:
                 pass
-        raise ValueError("no usable probe points for the eigenfunction")
+        raise jets.BadInput("no usable probe points for the eigenfunction")
 
     def check(self, p: Point) -> None:
-        """Raise :class:`CoveringViolation` if the covering residual at
-        ``p`` exceeds 1e-8 (or is NaN); a batch is checked at once, and
-        the error names its lanes that fail, its message the first, with
-        that lane's residual."""
-        c1, c2 = covering_residual(self.attached_to, self.phi, p)
-        worst = np.broadcast_to(np.maximum(np.abs(c1), np.abs(c2)),
-                                jets.lanes(p) or 1)  # NaN where either is
-        failing = ~(worst <= 1e-8)
-        if failing.any():
-            i = int(failing.argmax())
-            t, x, y = jets.lane(p, i)
-            exc = CoveringViolation(
-                f"covering residual {worst[i]:g} exceeds 1e-8 at (t, x, y) = "
-                f"({t!r}, {x!r}, {y!r})")
-            exc.lanes = failing
-            raise exc
+        """:func:`_check_covering` over the field it is attached to."""
+        _check_covering(self.attached_to, self.phi, p)
 
 
 def uq_seed(witness, L: JetMap | None = None,
@@ -504,15 +509,21 @@ def uq_seed(witness, L: JetMap | None = None,
 def darboux(kind: str, s: SolutionField,
             phi: CoveringEigenfunction) -> SolutionField:
     """Single Darboux dressing of the first or second kind."""
+    return _dress(kind, s, phi.phi, phi.check)
+
+
+def _dress(kind: str, s: SolutionField, pmap: JetMap,
+           check: Callable[[Point], None]) -> SolutionField:
+    """:func:`darboux` of ``s`` by the eigenfunction ``pmap``, which
+    ``check(p)`` tests wherever u is evaluated."""
     if s.coords != "UQ":
         raise ValueError("expects (u,q) coordinates")
-    pmap = phi.phi
 
     if kind == "DT1":
         def u(p, n):
             f = pmap(p, n + 2)
             uj = s.u(p, n)
-            phi.check(p)
+            check(p)
             f_y = f.derive("y").truncate(n)
             f_xy = f.derive("x").derive("y")
             _guard(f_y.value, f_xy.value, "phi_y or phi inside guard band")
@@ -530,7 +541,7 @@ def darboux(kind: str, s: SolutionField,
         def u(p, n):
             f = pmap(p, n + 2)
             uj = s.u(p, n + 1)
-            phi.check(p)
+            check(p)
             _guard(f.value, 0.0, "phi inside guard band")
             w = uj + f.derive("x") / f.truncate(n + 1)
             _guard(w.value, w.derive("x").value,
@@ -569,126 +580,26 @@ def darboux_psi(kind: str, phi_seed: JetMap, psi: JetMap) -> JetMap:
     raise ValueError("kind must be 'DT1' or 'DT2'")
 
 
-def _bareiss_det(mat: list[list[Jet3]]) -> Jet3:
-    """Fraction-free determinant of a matrix of jets; the pivots of a
-    batch are chosen lane by lane (:func:`jets.each_lane`)."""
-    base = mat[0][0].base
-    count = jets.lanes(base)
-    if count is not None:
-        def at_lane(i):
-            at = jets.lane(base, i)
-            return _bareiss_det([[Jet3(
-                at, a.order, a.coeffs[i] if a.coeffs.ndim == 2 else a.coeffs)
-                for a in row] for row in mat]).coeffs
-        return Jet3(base, mat[0][0].order,
-                    np.stack(jets.each_lane(at_lane, count)))
-    n = len(mat)
-    a = [row[:] for row in mat]
-    sign = 1.0
-    prev = None
-    for k in range(n - 1):
-        if abs(a[k][k].value) < 1e-13:
-            swap = next((r for r in range(k + 1, n)
-                         if abs(a[r][k].value) > 1e-13), None)
-            if swap is None:
-                raise SingularWronskian("no usable pivot")
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num if prev is None else num / prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _wronskian(maps: Sequence[JetMap], axis: str, orders: Sequence[int],
-               p: Point, n: int) -> Jet3:
-    """Determinant of the ``orders``-th ``axis``-derivatives of ``maps``."""
-    depth = max(orders)
-    cols = []
-    for m in maps:
-        tower = [m(p, n + depth)]
-        for _ in range(depth):
-            tower.append(tower[-1].derive(axis))
-        cols.append(tower)
-    return _bareiss_det([[cols[c][k].truncate(n) for c in range(len(maps))]
-                         for k in orders])
-
-
 def darboux_iterated(kind: str, s: SolutionField,
                      phis: Sequence[CoveringEigenfunction]) -> SolutionField:
-    """n-fold Darboux dressing in Wronskian form.
+    """n-fold Darboux dressing: n single ones (Crum's theorem).
 
-    For n = 1 this agrees pointwise with :func:`darboux`.
+    ``phis[0]`` dresses ``s``; every other eigenfunction is carried over
+    the dressed field by :func:`darboux_psi`, the first carried one
+    dresses it next, and so on.  A carried eigenfunction is checked
+    wherever its dressing evaluates u, against the field it is carried
+    over, as :func:`darboux` checks its own; it is not probed again when
+    built.  For n = 1 this is :func:`darboux`.
     """
-    if s.coords != "UQ":
-        raise ValueError("expects (u,q) coordinates")
-    maps = [f.phi for f in phis]
-    n_fold = len(maps)
-    if n_fold == 0:
+    if not phis:
         raise ValueError("need at least one eigenfunction")
-
-    if kind == "DT1":
-        w_map = last_point(partial(_wronskian, maps, "y", range(n_fold)))
-        wy_map = last_point(partial(_wronskian, maps, "y",
-                                    range(1, n_fold + 1)))
-
-        def u(p, n):
-            wy, w = wy_map(p, n + 1), w_map(p, n + 1)
-            uj = s.u(p, n)
-            for phi in phis:
-                phi.check(p)
-            _guard(w.value, 0.0, "Wronskian inside guard band")
-            _guard(wy.value, 0.0, "Wronskian inside guard band")
-            return uj - (w.derive("x") / w.truncate(n)
-                         - wy.derive("x") / wy.truncate(n))
-
-        def q(p, n):
-            wq = _wronskian(maps + [s.v], "y", range(n_fold + 1), p, n)
-            wy = wy_map(p, n)
-            _guard(wy.value, 0.0, "Wronskian inside guard band")
-            return (-1.0) ** n_fold * wq / wy
-
-    elif kind == "DT2":
-        w_map = last_point(partial(_wronskian, maps, "x", range(n_fold)))
-        minor_orders = [k for k in range(n_fold + 1) if k != n_fold - 2]
-
-        @last_point
-        def a1_map(p, n):
-            w = w_map(p, n + 1)
-            _guard(w.value, 0.0, "Wronskian inside guard band")
-            return -(w.derive("x") / w.truncate(n))
-
-        def u(p, n):
-            a1 = a1_map(p, n + 2)
-            if n_fold == 1:
-                a2 = Jet3.constant(0.0, p, n + 1)
-            else:
-                a2 = _wronskian(maps, "x", minor_orders, p, n + 1) \
-                    / w_map(p, n + 1)
-            uj = s.u(p, n + 2)
-            wj = s.w(p, n + 1)
-            for phi in phis:
-                phi.check(p)
-            q_y = wj.truncate(n)
-            q_xy = wj.derive("x")
-            den = q_y - a1.derive("y").truncate(n)
-            _guard(den.value, q_xy.value, "q_y - A_y inside guard band")
-            num = (q_y * uj.truncate(n) - n_fold * q_xy
-                   + a1.derive("x").derive("y").truncate(n)
-                   - a1.truncate(n) * a1.derive("y").truncate(n)
-                   + a2.derive("y").truncate(n))
-            return num / den
-
-        def q(p, n):
-            return s.v(p, n) - a1_map(p, n)
-    else:
-        raise ValueError("kind must be 'DT1' or 'DT2'")
-
-    return SolutionField(u=u, v=q, coords="UQ",
-                         family_id=s.family_id + f"~{kind}x{n_fold}",
-                         params=s.params)
+    out = darboux(kind, s, phis[0])
+    pmap, maps = phis[0].phi, [f.phi for f in phis[1:]]
+    while maps:
+        maps = [last_point(darboux_psi(kind, pmap, m)) for m in maps]
+        pmap = maps.pop(0)
+        out = _dress(kind, out, pmap, partial(_check_covering, out, pmap))
+    return out.with_meta(family_id=s.family_id + f"~{kind}x{len(phis)}")
 
 
 # ----------------------------------------------------------------------

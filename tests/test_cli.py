@@ -738,7 +738,6 @@ def test_every_toolkit_error_is_a_blp_error():
         catalog.UnknownFamily: KeyError, catalog.WitnessViolation: ValueError,
         quadrature.QuadratureError: ArithmeticError,
         transforms.UndefinedTransform: ArithmeticError,
-        transforms.SingularWronskian: ArithmeticError,
         transforms.InverseMapError: RuntimeError,
         reductions.PoleAbort: RuntimeError,
         reductions.WindowError: ValueError,

@@ -1130,19 +1130,19 @@ def _sites():
     line = quadrature.line_integral(_near_one, "x", 0.0, constant_along="y")
     lines = Point(1.0, np.array([0.5, 2.0, 2.0, 0.5]),
                   np.array([0.1, 0.2, 0.3, 0.4]))
-    at = Point(1.0, np.array([0.1, 0.2, 0.3]), 0.5)
-
-    def jet(values):
-        return Jet3(at, 1, np.column_stack(
-            [values, np.ones(3), np.zeros(3), np.zeros(3)]))
-
-    # the first column vanishes in lane 1: no pivot there
-    matrix = [[jet([1.0, 0.0, 2.0]), jet([1.0, 1.0, 1.0])],
-              [jet([1.0, 0.0, 1.0]), jet([2.0, 1.0, 3.0])]]
-
-    def lane_matrix(i):
-        return [[Jet3(jets.lane(at, i), 1, a.coeffs[i]) for a in row]
-                for row in matrix]
+    # over the zero (u,q) field, x + y carries e^(x-t) + y^2 to
+    # e^(x-t) - y^2 - 2xy, which vanishes where x = 0 and y = e^(-t/2):
+    # the second dressing's guard fires in lanes 1 and 3, the first's in none
+    zero = system.SolutionField(u=lambda p, n: Jet3.constant(0.0, p, n),
+                                v=lambda p, n: Jet3.constant(0.0, p, n),
+                                coords="UQ")
+    twice = transforms.darboux_iterated("DT1", zero, [
+        transforms.CoveringEigenfunction(phi=psi, attached_to=zero)
+        for psi in (_jmap(lambda t, x, y: x + y),
+                    _jmap(lambda t, x, y: jets.exp(x - t) + y * y))])
+    on_zero = Point(np.array([0.5, 0.0, 1.0, 2.0 * math.log(2.0)]),
+                    np.array([0.3, 0.0, 0.2, 0.0]),
+                    np.array([0.7, 1.0, 0.4, 0.5]))
 
     return {
         # a duplication step, which a finished lane sits out
@@ -1165,8 +1165,9 @@ def _sites():
         # two lanes on the failing line
         "line_integral": (lambda: line(lines, 2),
                           lambda i: line(jets.lane(lines, i), 2), [1, 2]),
-        "bareiss": (lambda: transforms._bareiss_det(matrix),
-                    lambda i: transforms._bareiss_det(lane_matrix(i)), [1]),
+        "n-fold dressing": (lambda: twice.u(on_zero, 1),
+                            lambda i: twice.u(jets.lane(on_zero, i), 1),
+                            [1, 3]),
     }
 
 

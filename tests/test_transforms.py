@@ -15,7 +15,7 @@ from blp.system import (
 )
 from blp.transforms import (
     CoveringEigenfunction, CoveringViolation, InverseMapError, PointSymmetry,
-    SingularWronskian, UndefinedTransform, apply_symmetry, covering_solutions_for_constraint,
+    UndefinedTransform, apply_symmetry, covering_solutions_for_constraint,
     d_transform, darboux, darboux_iterated, darboux_psi, i_transform,
     identity_symmetry, laplace_forward_uq, laplace_forward_uv,
     laplace_inverse_uq, laplace_inverse_uv, p_transform, s_transform,
@@ -614,6 +614,18 @@ def test_eigenfunction_probe_rejects_non_solution():
                               attached_to=ZERO_UQ)
 
 
+def test_eigenfunction_undefined_at_every_probe_point_is_bad_input():
+    asked = []
+
+    def nowhere(p, n):
+        asked.append(p)
+        raise UndefinedHere("not defined here")
+
+    with pytest.raises(jets.BadInput, match="no usable probe points"):
+        CoveringEigenfunction(phi=nowhere, attached_to=ZERO_UQ)
+    assert asked == transforms._COVER_PROBE and len(asked) == 18
+
+
 def test_eigenfunction_probes_reject_nan():
     # Python's max drops a NaN residual; neither probe may pass one
     nan_map = jmap(lambda t, x, y: math.nan * x)
@@ -1179,31 +1191,55 @@ def test_uq_step_then_uv_step_runs_no_y_integral(monkeypatch):
 #: line integral included (5, 9, 4.5 and 8.5 when it asked its lines one
 #: by one), and the lanes of a quadrature refine in lockstep, each round
 #: one call for the panels of every lane (4.5, 8, 4 and 7.5 when each lane
-#: asked each panel alone)
-_DARBOUX_PHI_CALLS = {("DT1", 1): 3.5, ("DT1", 2): 6,
-                      ("DT2", 1): 3, ("DT2", 2): 5.5}
+#: asked each panel alone).  At n = 3 the check of the third DT1 dressing
+#: asks the seed's u once more, at an order between the two the residual
+#: asks
+_DARBOUX_PHI_CALLS = {("DT1", 1): 3.5, ("DT1", 2): 6, ("DT1", 3): 9,
+                      ("DT2", 1): 3, ("DT2", 2): 5.5, ("DT2", 3): 8}
+
+
+def _nfold_eigenfunctions(n_fold):
+    """A counting witness, its (u,q) seed and ``n_fold`` eigenfunctions
+    over it."""
+    w = _CountingWitness((1.0,), ([1.0],), 1.0, linear=(0.3, 0.1))
+    seed = uq_seed(w, constraint="u_y=q_y")
+    thetas = [jmap(lambda t, x, y: jets.exp(x - t)),
+              jmap(lambda t, x, y: jets.exp(2.0 * x - 4.0 * t)),
+              jmap(lambda t, x, y: jets.exp(1.5 * x - 2.25 * t))]
+    zetas = [lambda yj: 1.0 + 0.2 * yj * yj, lambda yj: yj,
+             lambda yj: 2.0 + jets.sin(yj)]
+    return w, seed, [covering_solutions_for_constraint(
+                         "u_y=q_y", seed, w, theta=th, zeta=z)
+                     for th, z in zip(thetas[:n_fold], zetas[:n_fold])]
 
 
 @pytest.mark.parametrize("kind,n_fold,probed", [
-    ("DT1", 1, 69), ("DT1", 2, 135), ("DT2", 1, 68), ("DT2", 2, 134),
+    ("DT1", 1, 69), ("DT1", 2, 135), ("DT1", 3, None),
+    ("DT2", 1, 68), ("DT2", 2, 134), ("DT2", 3, None),
 ])
 def test_darboux_nfold_phi_calls(kind, n_fold, probed):
     # one jet per eigenfunction per point, for the residual; each is two
     # quadratures over the witness.  ``probed`` is the count when validity
     # also evaluated the field at order 0, which took about half of it
-    w = _CountingWitness((1.0,), ([1.0],), 1.0, linear=(0.3, 0.1))
-    seed = uq_seed(w, constraint="u_y=q_y")
-    thetas = [jmap(lambda t, x, y: jets.exp(x - t)),
-              jmap(lambda t, x, y: jets.exp(2.0 * x - 4.0 * t))]
-    zetas = [lambda yj: 1.0 + 0.2 * yj * yj, lambda yj: yj]
-    phis = [covering_solutions_for_constraint(
-                "u_y=q_y", seed, w, theta=th, zeta=z)
-            for th, z in zip(thetas[:n_fold], zetas[:n_fold])]
+    # (not taken at n = 3)
+    w, seed, phis = _nfold_eigenfunctions(n_fold)
     field = darboux_iterated(kind, seed, phis)
     grid = _box_grid(((0.6, 1.3), (0.2, 0.8), (0.4, 0.9)), (2, 1, 1))
     calls = _phi_calls_per_point(w, field, grid)
     assert calls == _DARBOUX_PHI_CALLS[kind, n_fold]
-    assert 2 * calls <= probed + 1
+    if probed is not None:
+        assert 2 * calls <= probed + 1
+
+
+@pytest.mark.parametrize("kind", ["DT1", "DT2"])
+def test_nfold_dressing_builds_without_evaluating(kind):
+    # only the caller's eigenfunctions are probed, when they are built: a
+    # carried eigenfunction is checked where its dressing uses it, and
+    # building the dressing asks the witness nothing
+    w, seed, phis = _nfold_eigenfunctions(3)
+    w.calls = 0
+    darboux_iterated(kind, seed, phis)
+    assert w.calls == 0
 
 
 # ----------------------------------------------------------------------
@@ -1281,42 +1317,14 @@ def test_validity_never_evaluates_a_field(case):
     assert all(inside)
 
 
-def _exp_kx(k):
-    return lambda p, n: jets.exp(k * jets.lift_variable("x", p, n))
-
-
-@pytest.mark.parametrize("maps,closed", [
-    # W(x - 1, e^x) = (x - 2) e^x
-    ([_exp_kx(1.0)], lambda x: (x - 2.0) * jets.exp(x)),
-    # W(x - 1, e^x, e^2x) = (2x - 5) e^3x
-    ([_exp_kx(1.0), _exp_kx(2.0)],
-     lambda x: (2.0 * x - 5.0) * jets.exp(3.0 * x)),
-], ids=["2x2", "3x3"])
-def test_wronskian_swaps_rows_lane_by_lane(maps, closed):
-    # at x = 1 the first pivot x - 1 vanishes and the elimination swaps
-    # rows, at x = 0.5 it does not: each lane is that lane asked alone,
-    # and the closed form
-    maps = [lambda p, n: jets.lift_variable("x", p, n) - 1.0, *maps]
-    xs = np.array([1.0, 0.5, 1.0])
-    p = Point(np.full(3, 0.7), xs, np.full(3, 0.2))
-    got = transforms._wronskian(maps, "x", range(len(maps)), p, 3)
-    for i in range(len(xs)):
-        at = jets.lane(p, i)
-        alone = transforms._wronskian(maps, "x", range(len(maps)), at, 3)
-        assert np.array_equal(got.coeffs[i], alone.coeffs)
-        want = closed(jets.lift_variable("x", at, 3)).coeffs
-        assert np.allclose(alone.coeffs, want, rtol=1e-12, atol=1e-12)
-
-
 def test_singular_wronskian_point_is_skipped():
-    # equal eigenfunctions make every Wronskian minor vanish; three are
-    # needed for the elimination to run out of pivots (with two, the
-    # Wronskian guard fires first)
+    # equal eigenfunctions make the Wronskian vanish: the first dressing
+    # carries the others to zero, and the second one's guard fires
     seed = uq_seed(_PhiW, constraint="u_y=q_y")
     phi = covering_solutions_for_constraint(
         "u_y=q_y", seed, _PhiW, theta=_THETAS[0], zeta=lambda yj: yj)
     field = darboux_iterated("DT1", seed, [phi, phi, phi])
-    with pytest.raises(SingularWronskian):
+    with pytest.raises(UndefinedTransform):
         field.u(PTS[0], 0)
     rep = residual_report(field, PTS)
     assert rep.skipped == len(PTS) and rep.rows == []
