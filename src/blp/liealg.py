@@ -13,6 +13,15 @@ Functional coefficients are compared by sampling at Chebyshev-spaced
 points with a least-squares certificate rather than symbolically; adjoint
 actions that involve inverse functions yield numeric closures, which are
 excluded from symbolic brackets but still compare by sampling.
+
+A certificate does only the work its verdict reads.  Brackets, sums and
+scales are built by :func:`_node`, which drops the terms of an exact zero
+constant, so a bracket that folds to zero has no term.  An element is
+sampled in one walk of all its coefficient trees (:func:`_samples`), so a
+node that two kinds share is evaluated once.  A :class:`Subalgebra`
+keeps the design matrix of its basis at the default points of
+:func:`in_span`, with its singular values, from the first certificate
+that reads them.
 """
 
 from __future__ import annotations
@@ -23,11 +32,13 @@ import json
 import math
 import re
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprdsl import Bin, Expr, Num, as_expr, parse, sample
+from .exprdsl import (Expr, Neg, Num, _eval_many, _mk, as_expr, parse,
+                      sample)
 from .jets import BadInput, BLPError
 from .transforms import _invert_monotone
 
@@ -61,18 +72,43 @@ class NumericCoeff:
 
 def _c_add(a, b, var):
     if isinstance(a, Expr) and isinstance(b, Expr):
-        return Bin("+", a, b, var)
+        return _node("+", a, b, var)
     return NumericCoeff(lambda s: a(s) + b(s))
 
 
 def _c_scale(a, c: float, var):
     if isinstance(a, Expr):
-        return Bin("*", Num(float(c), var), a, var)
+        return _node("*", Num(float(c), var), a, var)
     return NumericCoeff(lambda s: c * a(s))
 
 
 def _is_zero_expr(e) -> bool:
     return isinstance(e, Num) and e.value == 0.0
+
+
+def _neg(e: Expr, v: str) -> Expr:
+    return Num(-e.value, v) if isinstance(e, Num) else Neg(e, v)
+
+
+def _node(op: str, l: Expr, r: Expr, v: str) -> Expr:
+    """The node ``l op r`` of a bracket, a sum or a scale, folded as
+    :func:`exprdsl._mk` folds it; besides, a product with an exact zero
+    constant is that zero, a left factor of exactly -1.0 is a negation
+    (whose derivative holds no zero term), and an added or subtracted
+    zero is dropped.  Its value at a sample is that of ``exprdsl.Bin(op,
+    l, r, v)`` up to the sign of a zero (or of a NaN), wherever every
+    dropped factor is finite."""
+    if op == "*":
+        if _is_zero_expr(l) or _is_zero_expr(r):
+            return Num(0.0, v)
+        if isinstance(l, Num) and l.value == -1.0:
+            return _neg(r, v)
+    elif op in "+-":
+        if _is_zero_expr(r):
+            return l
+        if _is_zero_expr(l):
+            return r if op == "+" else _neg(r, v)
+    return _mk(op, l, r, v)
 
 
 @dataclass(frozen=True)
@@ -144,8 +180,8 @@ def _coerce(c, var: str):
 
 def _wronsky(a: Expr, b: Expr, var: str) -> Expr:
     # a b' - a' b
-    return Bin("-", Bin("*", a, b.diff(), var),
-               Bin("*", a.diff(), b, var), var)
+    return _node("-", _node("*", a, b.diff(), var),
+                 _node("*", a.diff(), b, var), var)
 
 
 def commutator(Q1: LieElement, Q2: LieElement) -> LieElement:
@@ -158,8 +194,8 @@ def commutator(Q1: LieElement, Q2: LieElement) -> LieElement:
     def put(kind, e):
         if _is_zero_expr(e):
             return
-        out[kind] = e if kind not in out else Bin("+", out[kind], e,
-                                                  _VAR_OF[kind])
+        out[kind] = e if kind not in out else _node("+", out[kind], e,
+                                                    _VAR_OF[kind])
 
     f1, f2 = Q1.coeff("D"), Q2.coeff("D")
     a1, a2 = Q1.coeff("S"), Q2.coeff("S")
@@ -171,21 +207,23 @@ def commutator(Q1: LieElement, Q2: LieElement) -> LieElement:
         put("S", _wronsky(a1, a2, "y"))
     # [P(g), D(f)] = P(f' g/2 - f g')
     if g1 is not None and f2 is not None:
-        put("P", Bin("-", Bin("*", Bin("*", Num(0.5, "t"), f2.diff(), "t"),
-                              g1, "t"),
-                     Bin("*", f2, g1.diff(), "t"), "t"))
+        put("P", _p_bracket(g1, f2))
     if g2 is not None and f1 is not None:
-        e = Bin("-", Bin("*", Bin("*", Num(0.5, "t"), f1.diff(), "t"),
-                         g2, "t"),
-                Bin("*", f1, g2.diff(), "t"), "t")
-        put("P", Bin("*", Num(-1.0, "t"), e, "t"))
+        put("P", _node("*", Num(-1.0, "t"), _p_bracket(g2, f1), "t"))
     # [S(a), Z(b)] = Z((a b)')
     if a1 is not None and b2 is not None:
-        put("Z", Bin("*", a1, b2, "y").diff())
+        put("Z", _node("*", a1, b2, "y").diff())
     if a2 is not None and b1 is not None:
-        put("Z", Bin("*", Num(-1.0, "y"),
-                     Bin("*", a2, b1, "y").diff(), "y"))
+        put("Z", _node("*", Num(-1.0, "y"),
+                       _node("*", a2, b1, "y").diff(), "y"))
     return LieElement(out)
+
+
+def _p_bracket(g: Expr, f: Expr) -> Expr:
+    # f' g / 2 - f g'
+    return _node("-", _node("*", _node("*", Num(0.5, "t"), f.diff(), "t"),
+                            g, "t"),
+                 _node("*", f, g.diff(), "t"), "t")
 
 
 # ----------------------------------------------------------------------
@@ -229,11 +267,11 @@ def pushforward(kind: str, param, Q: LieElement) -> LieElement:
             f = out["D"]
             if not isinstance(f, Expr):
                 raise TypeError("pushforward of a numeric closure by P")
-            extra = Bin("-", Bin("*", f, X0.diff(), "t"),
-                        Bin("*", Bin("*", Num(0.5, "t"), f.diff(), "t"),
-                            X0, "t"), "t")
+            extra = _node("-", _node("*", f, X0.diff(), "t"),
+                          _node("*", _node("*", Num(0.5, "t"), f.diff(), "t"),
+                                X0, "t"), "t")
             out["P"] = extra if "P" not in out \
-                else Bin("+", out["P"], extra, "t")
+                else _node("+", out["P"], extra, "t")
         return LieElement(out)
     if kind == "Z":
         V0 = _coerce(param, "y")
@@ -241,10 +279,9 @@ def pushforward(kind: str, param, Q: LieElement) -> LieElement:
             a = out["S"]
             if not isinstance(a, Expr):
                 raise TypeError("pushforward of a numeric closure by Z")
-            extra = Bin("-", Bin("*", a, V0.diff(), "y"),
-                        Bin("*", a.diff(), V0, "y"), "y")
+            extra = _wronsky(a, V0, "y")
             out["Z"] = extra if "Z" not in out \
-                else Bin("+", out["Z"], extra, "y")
+                else _node("+", out["Z"], extra, "y")
         return LieElement(out)
     if kind == "I":
         eps = float(param)
@@ -287,6 +324,16 @@ class Subalgebra:
                 f"basis of {self.label or 'subalgebra'} is linearly "
                 "dependent on sampling")
 
+    @cached_property
+    def _span_design(self) -> tuple:
+        """The default points of :func:`in_span`, the basis's design
+        matrix there and its singular values, computed at the first
+        certificate that reads them."""
+        pts = chebyshev_points(2 * len(self.basis) + 4)
+        A = _design_matrix(self.basis, pts)
+        A.setflags(write=False)
+        return pts, A, np.linalg.svd(A, compute_uv=False)
+
 
 def _design_matrix(basis: Sequence[LieElement],
                    pts: Sequence[float]) -> np.ndarray:
@@ -297,16 +344,38 @@ def _design_matrix(basis: Sequence[LieElement],
     return np.vstack(rows)
 
 
+def _samples(Q: LieElement, pts: Sequence[float]):
+    """``Q.sample(kind, pts)`` for each kind in :data:`KINDS` order, in
+    one walk: a subtree that several kinds share (the same object) is
+    evaluated once.  Where the walk raises, the kind is sampled alone, so
+    the error is the one that :func:`exprdsl.sample` of each kind in turn
+    raises first."""
+    xs = [float(s) for s in pts]
+    seen: dict = {}
+    for kind in KINDS:
+        c = Q.terms.get(kind)
+        if not isinstance(c, Expr):
+            yield Q.sample(kind, xs)
+            continue
+        try:
+            yield np.array(_eval_many(c, xs, seen))
+        except (ArithmeticError, ValueError):
+            yield np.array(sample(c, xs))
+
+
 def in_span(Q: LieElement, S_: Subalgebra,
             sample_points: Sequence[float] | None = None) -> bool:
-    """Least-squares certificate that Q lies in the span of the basis."""
-    pts = list(sample_points) if sample_points is not None else \
-        chebyshev_points(2 * len(S_.basis) + 4)
-    if len(pts) < 2 * len(S_.basis):
-        raise ValueError("need at least 2 x basis-size sample points")
-    A = _design_matrix(S_.basis, pts)
-    b = np.concatenate([Q.sample(kind, pts) for kind in KINDS])
-    sv = np.linalg.svd(A, compute_uv=False)
+    """Least-squares certificate that Q lies in the span of the basis;
+    at the default points it reads the design matrix that ``S_`` keeps."""
+    if sample_points is None:
+        pts, A, sv = S_._span_design
+    else:
+        pts = list(sample_points)
+        if len(pts) < 2 * len(S_.basis):
+            raise ValueError("need at least 2 x basis-size sample points")
+        A = _design_matrix(S_.basis, pts)
+        sv = np.linalg.svd(A, compute_uv=False)
+    b = np.concatenate(list(_samples(Q, pts)))
     if sv[0] == 0.0:
         return not np.any(np.abs(b) > TOL)
     if sv[-1] / sv[0] < 1e-12:
@@ -317,9 +386,10 @@ def in_span(Q: LieElement, S_: Subalgebra,
 
 
 def is_zero(Q: LieElement, tol: float = TOL) -> bool:
-    pts = chebyshev_points(10)
-    return all(float(np.max(np.abs(Q.sample(kind, pts)))) < tol
-               for kind in KINDS)
+    """Whether every coefficient stays below ``tol`` at 10 points; the
+    kinds are walked in :data:`KINDS` order until one is not."""
+    return all(float(np.max(np.abs(v))) < tol
+               for v in _samples(Q, chebyshev_points(10)))
 
 
 @dataclass

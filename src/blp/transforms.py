@@ -51,7 +51,9 @@ Wronskian form (Crum's theorem).  :meth:`CoveringEigenfunction.check`
 tests an eigenfunction against the covering system when it is built and
 wherever a dressing evaluates its ``u``, on the jets that map asked for;
 a carried eigenfunction is tested there against the field it is carried
-over.
+over.  An eigenfunction attached to another field than the one it
+dresses is probed again over that one, and one that fails is a
+:class:`jets.BadInput` naming both family ids.
 """
 
 from __future__ import annotations
@@ -450,6 +452,18 @@ def _check_covering(s: SolutionField, pmap: JetMap, p: Point) -> None:
         raise exc
 
 
+def _probe(s: SolutionField, pmap: JetMap) -> None:
+    """:func:`_check_covering` at the first point of ``_COVER_PROBE``
+    where ``pmap`` over ``s`` is defined; a :class:`jets.BadInput` if it
+    is defined at none of them."""
+    for p in _COVER_PROBE:
+        try:
+            return _check_covering(s, pmap, p)
+        except UndefinedHere:
+            pass
+    raise jets.BadInput("no usable probe points for the eigenfunction")
+
+
 @dataclass(frozen=True)
 class CoveringEigenfunction:
     """A solution of the auxiliary linear system over a fixed (u,q) field,
@@ -460,12 +474,7 @@ class CoveringEigenfunction:
 
     def __post_init__(self):
         object.__setattr__(self, "phi", last_point(self.phi))
-        for p in _COVER_PROBE:
-            try:
-                return self.check(p)
-            except UndefinedHere:
-                pass
-        raise jets.BadInput("no usable probe points for the eigenfunction")
+        _probe(self.attached_to, self.phi)
 
     def check(self, p: Point) -> None:
         """:func:`_check_covering` over the field it is attached to."""
@@ -508,8 +517,25 @@ def uq_seed(witness, L: JetMap | None = None,
 
 def darboux(kind: str, s: SolutionField,
             phi: CoveringEigenfunction) -> SolutionField:
-    """Single Darboux dressing of the first or second kind."""
-    return _dress(kind, s, phi.phi, phi.check)
+    """Single Darboux dressing of the first or second kind; ``phi`` is
+    attached to ``s`` (:func:`_attached`)."""
+    return _dress(kind, s, _attached(s, phi), phi.check)
+
+
+def _attached(s: SolutionField, phi: CoveringEigenfunction) -> JetMap:
+    """The map of ``phi``, which must cover ``s``: it is attached to a
+    field with the u and v maps of ``s`` (:meth:`SolutionField.with_meta`
+    keeps them), or else it is probed again, over ``s``; where that probe
+    fails, a :class:`jets.BadInput` names both family ids."""
+    own = phi.attached_to
+    if not (own.u is s.u and own.v is s.v):
+        try:
+            _probe(s, phi.phi)
+        except jets.BadInput as exc:
+            raise jets.BadInput(
+                f"eigenfunction attached to {own.family_id!r} does not "
+                f"cover the dressed field {s.family_id!r}: {exc}") from exc
+    return phi.phi
 
 
 def _dress(kind: str, s: SolutionField, pmap: JetMap,
@@ -584,7 +610,8 @@ def darboux_iterated(kind: str, s: SolutionField,
                      phis: Sequence[CoveringEigenfunction]) -> SolutionField:
     """n-fold Darboux dressing: n single ones (Crum's theorem).
 
-    ``phis[0]`` dresses ``s``; every other eigenfunction is carried over
+    Each of ``phis`` covers ``s`` (:func:`_attached`).  ``phis[0]``
+    dresses ``s``; every other eigenfunction is carried over
     the dressed field by :func:`darboux_psi`, the first carried one
     dresses it next, and so on.  A carried eigenfunction is checked
     wherever its dressing evaluates u, against the field it is carried
@@ -594,7 +621,7 @@ def darboux_iterated(kind: str, s: SolutionField,
     if not phis:
         raise ValueError("need at least one eigenfunction")
     out = darboux(kind, s, phis[0])
-    pmap, maps = phis[0].phi, [f.phi for f in phis[1:]]
+    pmap, maps = phis[0].phi, [_attached(s, f) for f in phis[1:]]
     while maps:
         maps = [last_point(darboux_psi(kind, pmap, m)) for m in maps]
         pmap = maps.pop(0)

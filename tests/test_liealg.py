@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from blp import liealg
+from blp import exprdsl, jets, liealg
 from blp.exprdsl import parse
 from blp.jets import BadInput
 from blp.liealg import (
@@ -440,3 +441,155 @@ def test_subalgebras_from_json_names_malformed_entries(entry, words):
     payload = [{"label": "ok", "basis": [{"D": "1"}]}, entry]
     with pytest.raises(BadInput, match=words):
         liealg.subalgebras_from_json(payload)
+
+
+# ----------------------------------------------------------------------
+# the bracket constructor and the work of a certificate
+# ----------------------------------------------------------------------
+
+def _plain_node(monkeypatch):
+    """Build brackets, sums and scales with a constructor that folds
+    nothing: the reference that ``_node`` is compared with."""
+    monkeypatch.setattr(liealg, "_node",
+                        lambda op, l, r, v: exprdsl.Bin(op, l, r, v))
+
+
+_TPOOL = ["1", "t", "t^2", "t^3", "sin(t)"]
+_YPOOL = ["1", "y", "y^2", "cos(y)"]
+
+
+def _certificate_run():
+    """Every verdict of the bundled library and table, and the Jacobi and
+    antisymmetry sums of 50 seeded triples with their verdicts."""
+    closure = [(r.closed, r.abelian, r.failures)
+               for r in map(check_subalgebra, load_subalgebra_library())]
+    normal = {label: [normalizer_check(g, sub) for g in gens]
+              for label, (sub, gens) in load_normalizer_table().items()}
+    rng = np.random.default_rng(39)
+
+    def element():
+        return (D(_TPOOL[rng.integers(0, 5)]) + P(_TPOOL[rng.integers(0, 5)])
+                + S(_YPOOL[rng.integers(0, 4)])
+                + Z(_YPOOL[rng.integers(0, 4)]))
+
+    sums = []
+    for _ in range(50):
+        q1, q2, q3 = element(), element(), element()
+        sums.append(commutator(q1, q2) + commutator(q2, q1))
+        sums.append(commutator(q1, commutator(q2, q3))
+                    + commutator(q2, commutator(q3, q1))
+                    + commutator(q3, commutator(q1, q2)))
+    return closure, normal, sums
+
+
+def test_folding_constructor_keeps_every_verdict(monkeypatch):
+    closure, normal, sums = _certificate_run()
+    with monkeypatch.context() as m:
+        _plain_node(m)
+        plain_closure, plain_normal, plain_sums = _certificate_run()
+    assert len(closure) == 56 and len(normal) == 7
+    assert closure == plain_closure
+    assert normal == plain_normal
+    assert [is_zero(q) for q in sums] == [is_zero(q) for q in plain_sums]
+    # every coefficient of these pools is finite on the interval, so each
+    # dropped factor is, and only the sign of a zero may differ
+    for q, plain in zip(sums, plain_sums):
+        for kind in liealg.KINDS:
+            assert (np.abs(q.sample(kind, TPTS)).tobytes()
+                    == np.abs(plain.sample(kind, TPTS)).tobytes()), kind
+
+
+def test_folding_constructor_shrinks_brackets(monkeypatch):
+    assert commutator(D("1"), D("1")).terms == {}
+    assert commutator(D("1"), D("t")).coeff("D") == exprdsl.Num(1.0, "t")
+    q1, q2, q3 = (D("t^3") + P("sin(t)") + S("y^2") + Z("cos(y)"),
+                  D("t^2") + P("t") + S("cos(y)") + Z("y"),
+                  D("sin(t)") + P("t^2") + S("y") + Z("1"))
+
+    def jacobi_nodes():
+        jac = (commutator(q1, commutator(q2, q3))
+               + commutator(q2, commutator(q3, q1))
+               + commutator(q3, commutator(q1, q2)))
+        return sum(len({id(n) for n in expr_nodes(c)})
+                   for c in jac.terms.values())
+
+    folded = jacobi_nodes()
+    with monkeypatch.context() as m:
+        _plain_node(m)
+        assert commutator(D("1"), D("1")).terms != {}
+        assert folded < 0.9 * jacobi_nodes()
+
+
+def test_check_subalgebra_samples_its_basis_once(monkeypatch):
+    sub = Subalgebra((D("1"), D("t"), D("t^2"), P("1")))
+    calls = []
+    design = liealg._design_matrix
+
+    def counted(basis, pts):
+        calls.append(len(pts))
+        return design(basis, pts)
+
+    monkeypatch.setattr(liealg, "_design_matrix", counted)
+    rep = check_subalgebra(sub)
+    assert calls == [12]  # once for the 6 brackets, at 2 * 4 + 4 points
+    assert check_subalgebra(sub).failures == rep.failures and calls == [12]
+    # explicit points are sampled afresh
+    assert in_span(D("1"), sub, sample_points=chebyshev_points(9))
+    assert calls == [12, 9]
+
+
+def test_is_zero_walks_a_shared_subtree_once(monkeypatch):
+    # D(sin t) - D(sin t) is zero, so P is walked too; its sin(t) is the
+    # tree the D coefficient holds twice
+    q = D("sin(t)") - D("sin(t)") + P("sin(t)")
+    assert q.coeff("P") is parse("sin(t)", "t")
+    calls = []
+    real = jets.call
+
+    def counted(f, x):
+        calls.append(x)
+        return real(f, x)
+
+    monkeypatch.setattr(jets, "call", counted)
+    assert not is_zero(q)
+    assert len(calls) == 10
+
+
+def _first_error(Q, pts, stop_at_nonzero):
+    """The error that sampling each kind of ``Q`` point by point, in
+    KINDS order, raises first; None if none does.  With
+    ``stop_at_nonzero``, a kind that is not below 1e-9 ends the walk, as
+    it ends :func:`is_zero`."""
+    for kind in liealg.KINDS:
+        c = Q.coeff(kind)
+        if c is None:
+            continue
+        try:
+            vals = [c(float(x)) for x in pts]
+        except Exception as exc:  # noqa: BLE001 - compared by class
+            return exc
+        if stop_at_nonzero and max(map(abs, vals)) >= 1e-9:
+            return None
+    return None
+
+
+@pytest.mark.parametrize("q", [
+    D("ln(t - 1)") + P("sqrt(t - 2)"),
+    D("ln(t - 1) + sqrt(t - 2)"),
+    D("t") + P("ln(t - 1)") + S("sqrt(y - 2)"),
+    D("t") - D("t") + P("sqrt(2 - t)") + Z("ln(y - 1)"),
+    D("sin(t)") - D("sin(t)") + P("sin(t)") + Z("ln(y - 1)"),
+    S("1/(y - 1.5)") + Z("sqrt(y - 1)"),
+], ids=["D", "D_left_then_right", "P", "P_after_zero_D",
+        "Z_after_nonzero_P", "S"])
+def test_one_walk_raises_the_point_by_point_error(q):
+    sub = Subalgebra((D("1"), D("t")))
+    for certificate, pts, stop in (
+            (lambda: in_span(q, sub), chebyshev_points(8), False),
+            (lambda: is_zero(q), chebyshev_points(10), True)):
+        exc = _first_error(q, pts, stop)
+        if exc is None:
+            certificate()
+            continue
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            certificate()

@@ -687,6 +687,30 @@ def test_eigenfunction_checked_where_a_dressing_uses_it(dressing):
     assert rep.skipped == 0 and max(rep.r1_max, rep.r2_max) < 1e-8
 
 
+@pytest.mark.parametrize("kind", ["DT1", "DT2"])
+def test_eigenfunction_of_another_field_is_bad_input(kind):
+    # e^(x-t) + y covers the zero (u,q) field, not the u_y=q_y seed of
+    # _PhiW: unchecked, dressing that seed by it reads r1 0.55, r2 0.43,
+    # a tolerance failure where the input is bad
+    seed = uq_seed(_PhiW, constraint="u_y=q_y")
+    own = covering_solutions_for_constraint("u_y=q_y", seed, _PhiW,
+                                            theta=_THETAS[0])
+    other = CoveringEigenfunction(phi=_ZERO_PSIS[0], attached_to=ZERO_UQ)
+    words = (r"eigenfunction attached to 'zero' does not cover the dressed "
+             r"field 'seed\[u_y=q_y\]'")
+    with pytest.raises(jets.BadInput, match=words):
+        darboux(kind, seed, other)
+    with pytest.raises(jets.BadInput, match=words):
+        darboux_iterated(kind, seed, [own, other])
+    # a copy by with_meta keeps the maps; another zero field is covered too
+    zero = SolutionField(u=lambda p, n: Jet3.constant(0.0, p, n),
+                         v=lambda p, n: Jet3.constant(0.0, p, n),
+                         coords="UQ", family_id="another zero")
+    for s in (ZERO_UQ.with_meta(family_id="renamed"), zero):
+        rep = residual_report(darboux(kind, s, other), PTS)
+        assert rep.skipped == 0 and max(rep.r1_max, rep.r2_max) < 1e-8
+
+
 @pytest.fixture(scope="module")
 def rich_seed():
     class W:
