@@ -11,6 +11,8 @@ jet.  They support exact symbolic differentiation, which the Lie-algebra
 layer needs for commutators: each node builds its derivative once and
 keeps it, so nested brackets share f', f'', ... as the same trees, and
 :func:`parse` keeps its last 256 trees, so one text is parsed once.
+Derivatives, brackets and compositions are built by one folding
+constructor, :func:`_mk`, so the nodes they add hold no zero term.
 Every form reads the float form and the guard of each function from
 ``jets._ELEMENTARY``.
 
@@ -215,11 +217,8 @@ class _Parser:
     def unary(self) -> Expr:
         if self.peek().kind == "op" and self.peek().text == "-":
             self.next()
-            inner = self.unary()
-            if isinstance(inner, Num):
-                # normal form: negated literals fold into the constant
-                return Num(-inner.value, self.var)
-            return Neg(inner, self.var)
+            # normal form: negated literals fold into the constant
+            return _neg(self.unary(), self.var)
         if self.peek().kind == "op" and self.peek().text == "+":
             self.next()
             return self.unary()
@@ -524,10 +523,23 @@ def _subst(e: Expr, repl: Expr) -> Expr:
     raise AssertionError(type(e))
 
 
+def _neg(e: Expr, v: str) -> Expr:
+    """``-e``: a number negated, any other tree under a :class:`Neg`."""
+    return Num(-e.value, v) if isinstance(e, Num) else Neg(e, v)
+
+
+def _is_zero_num(e: Expr) -> bool:
+    return isinstance(e, Num) and e.value == 0.0
+
+
 def _mk(op, l, r, v):
-    """``Bin(op, l, r, v)``, or a node of the same value: two numbers fold
-    into one where their float value is finite and raises no error, and a
-    factor of exactly 1.0 is dropped."""
+    """``Bin(op, l, r, v)`` folded, the one constructor that folds (only
+    :func:`parse` and :meth:`Expr.subst` build plain nodes): two numbers
+    fold into one where their value is finite and raises no error, a
+    product with an exact zero is zero, a factor 1.0 is dropped, a left
+    factor -1.0 is a negation and an added or subtracted zero is dropped.
+    Its value is the plain ``Bin``'s up to the sign of a zero (or of a
+    NaN), wherever every dropped factor is finite."""
     if isinstance(l, Num) and isinstance(r, Num):
         try:
             value = _FLOAT_OPS[op](l.value, r.value)
@@ -536,10 +548,19 @@ def _mk(op, l, r, v):
         if math.isfinite(value):
             return Num(value, v)
     elif op == "*":
+        if _is_zero_num(l) or _is_zero_num(r):
+            return Num(0.0, v)
         if isinstance(l, Num) and l.value == 1.0:
             return r
         if isinstance(r, Num) and r.value == 1.0:
             return l
+        if isinstance(l, Num) and l.value == -1.0:
+            return _neg(r, v)
+    elif op in "+-":
+        if _is_zero_num(r):
+            return l
+        if _is_zero_num(l):
+            return r if op == "+" else _neg(r, v)
     return Bin(op, l, r, v)
 
 
@@ -562,7 +583,7 @@ def _derive(e: Expr) -> Expr:
     if isinstance(e, Var):
         return one
     if isinstance(e, Neg):
-        return Neg(_diff(e.arg), v)
+        return _neg(_diff(e.arg), v)
     if isinstance(e, Bin):
         f, g = e.left, e.right
         df, dg = _diff(f), _diff(g)
@@ -593,7 +614,7 @@ def _derive(e: Expr) -> Expr:
         if e.fn == "sin":
             return _mk("*", Call("cos", u, v), du, v)
         if e.fn == "cos":
-            return Neg(_mk("*", Call("sin", u, v), du, v), v)
+            return _neg(_mk("*", Call("sin", u, v), du, v), v)
         if e.fn == "tan":
             sec2 = _mk("+", one, _mk("^", Call("tan", u, v), Num(2.0, v), v), v)
             return _mk("*", sec2, du, v)

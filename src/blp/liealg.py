@@ -15,13 +15,13 @@ actions that involve inverse functions yield numeric closures, which are
 excluded from symbolic brackets but still compare by sampling.
 
 A certificate does only the work its verdict reads.  Brackets, sums and
-scales are built by :func:`_node`, which drops the terms of an exact zero
-constant, so a bracket that folds to zero has no term.  An element is
-sampled in one walk of all its coefficient trees (:func:`_samples`), so a
-node that two kinds share is evaluated once.  A :class:`Subalgebra`
-keeps the design matrix of its basis at the default points of
-:func:`in_span`, with its singular values, from the first certificate
-that reads them.
+scales are built by ``exprdsl._mk``, which drops the terms of an exact
+zero constant, so a bracket that folds to zero has no term.  An element
+is sampled in one walk of all its coefficient trees (:func:`_samples`),
+so a node that two kinds share is evaluated once.  A :class:`Subalgebra`
+samples its basis once, when it is built, at the default points of
+:func:`in_span`: one design matrix serves its rank check and every
+certificate.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ import json
 import math
 import re
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprdsl import (Expr, Neg, Num, _eval_many, _mk, as_expr, parse,
-                      sample)
+from .exprdsl import (Expr, Num, _eval_many, _is_zero_num, _mk, as_expr,
+                      parse, sample)
 from .jets import BadInput, BLPError
 from .transforms import _invert_monotone
 
@@ -72,43 +71,14 @@ class NumericCoeff:
 
 def _c_add(a, b, var):
     if isinstance(a, Expr) and isinstance(b, Expr):
-        return _node("+", a, b, var)
+        return _mk("+", a, b, var)
     return NumericCoeff(lambda s: a(s) + b(s))
 
 
 def _c_scale(a, c: float, var):
     if isinstance(a, Expr):
-        return _node("*", Num(float(c), var), a, var)
+        return _mk("*", Num(float(c), var), a, var)
     return NumericCoeff(lambda s: c * a(s))
-
-
-def _is_zero_expr(e) -> bool:
-    return isinstance(e, Num) and e.value == 0.0
-
-
-def _neg(e: Expr, v: str) -> Expr:
-    return Num(-e.value, v) if isinstance(e, Num) else Neg(e, v)
-
-
-def _node(op: str, l: Expr, r: Expr, v: str) -> Expr:
-    """The node ``l op r`` of a bracket, a sum or a scale, folded as
-    :func:`exprdsl._mk` folds it; besides, a product with an exact zero
-    constant is that zero, a left factor of exactly -1.0 is a negation
-    (whose derivative holds no zero term), and an added or subtracted
-    zero is dropped.  Its value at a sample is that of ``exprdsl.Bin(op,
-    l, r, v)`` up to the sign of a zero (or of a NaN), wherever every
-    dropped factor is finite."""
-    if op == "*":
-        if _is_zero_expr(l) or _is_zero_expr(r):
-            return Num(0.0, v)
-        if isinstance(l, Num) and l.value == -1.0:
-            return _neg(r, v)
-    elif op in "+-":
-        if _is_zero_expr(r):
-            return l
-        if _is_zero_expr(l):
-            return r if op == "+" else _neg(r, v)
-    return _mk(op, l, r, v)
 
 
 @dataclass(frozen=True)
@@ -118,7 +88,7 @@ class LieElement:
 
     def __post_init__(self):
         clean = {k: v for k, v in self.terms.items()
-                 if v is not None and not _is_zero_expr(v)}
+                 if v is not None and not _is_zero_num(v)}
         object.__setattr__(self, "terms", clean)
 
     def coeff(self, kind: str):
@@ -180,8 +150,8 @@ def _coerce(c, var: str):
 
 def _wronsky(a: Expr, b: Expr, var: str) -> Expr:
     # a b' - a' b
-    return _node("-", _node("*", a, b.diff(), var),
-                 _node("*", a.diff(), b, var), var)
+    return _mk("-", _mk("*", a, b.diff(), var),
+               _mk("*", a.diff(), b, var), var)
 
 
 def commutator(Q1: LieElement, Q2: LieElement) -> LieElement:
@@ -192,10 +162,8 @@ def commutator(Q1: LieElement, Q2: LieElement) -> LieElement:
     out: dict = {}
 
     def put(kind, e):
-        if _is_zero_expr(e):
-            return
-        out[kind] = e if kind not in out else _node("+", out[kind], e,
-                                                    _VAR_OF[kind])
+        out[kind] = e if kind not in out else _mk("+", out[kind], e,
+                                                  _VAR_OF[kind])
 
     f1, f2 = Q1.coeff("D"), Q2.coeff("D")
     a1, a2 = Q1.coeff("S"), Q2.coeff("S")
@@ -209,21 +177,20 @@ def commutator(Q1: LieElement, Q2: LieElement) -> LieElement:
     if g1 is not None and f2 is not None:
         put("P", _p_bracket(g1, f2))
     if g2 is not None and f1 is not None:
-        put("P", _node("*", Num(-1.0, "t"), _p_bracket(g2, f1), "t"))
+        put("P", _mk("*", Num(-1.0, "t"), _p_bracket(g2, f1), "t"))
     # [S(a), Z(b)] = Z((a b)')
     if a1 is not None and b2 is not None:
-        put("Z", _node("*", a1, b2, "y").diff())
+        put("Z", _mk("*", a1, b2, "y").diff())
     if a2 is not None and b1 is not None:
-        put("Z", _node("*", Num(-1.0, "y"),
-                       _node("*", a2, b1, "y").diff(), "y"))
+        put("Z", _mk("*", Num(-1.0, "y"),
+                     _mk("*", a2, b1, "y").diff(), "y"))
     return LieElement(out)
 
 
 def _p_bracket(g: Expr, f: Expr) -> Expr:
     # f' g / 2 - f g'
-    return _node("-", _node("*", _node("*", Num(0.5, "t"), f.diff(), "t"),
-                            g, "t"),
-                 _node("*", f, g.diff(), "t"), "t")
+    return _mk("-", _mk("*", _mk("*", Num(0.5, "t"), f.diff(), "t"), g, "t"),
+               _mk("*", f, g.diff(), "t"), "t")
 
 
 # ----------------------------------------------------------------------
@@ -267,11 +234,11 @@ def pushforward(kind: str, param, Q: LieElement) -> LieElement:
             f = out["D"]
             if not isinstance(f, Expr):
                 raise TypeError("pushforward of a numeric closure by P")
-            extra = _node("-", _node("*", f, X0.diff(), "t"),
-                          _node("*", _node("*", Num(0.5, "t"), f.diff(), "t"),
-                                X0, "t"), "t")
+            extra = _mk("-", _mk("*", f, X0.diff(), "t"),
+                        _mk("*", _mk("*", Num(0.5, "t"), f.diff(), "t"),
+                            X0, "t"), "t")
             out["P"] = extra if "P" not in out \
-                else _node("+", out["P"], extra, "t")
+                else _mk("+", out["P"], extra, "t")
         return LieElement(out)
     if kind == "Z":
         V0 = _coerce(param, "y")
@@ -281,7 +248,7 @@ def pushforward(kind: str, param, Q: LieElement) -> LieElement:
                 raise TypeError("pushforward of a numeric closure by Z")
             extra = _wronsky(a, V0, "y")
             out["Z"] = extra if "Z" not in out \
-                else _node("+", out["Z"], extra, "y")
+                else _mk("+", out["Z"], extra, "y")
         return LieElement(out)
     if kind == "I":
         eps = float(param)
@@ -317,22 +284,17 @@ class Subalgebra:
     params: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        pts = chebyshev_points(2 * len(self.basis) + 3)
-        A = _design_matrix(self.basis, pts)
-        if np.linalg.matrix_rank(A, tol=1e-9) < len(self.basis):
-            raise BadInput(
-                f"basis of {self.label or 'subalgebra'} is linearly "
-                "dependent on sampling")
-
-    @cached_property
-    def _span_design(self) -> tuple:
-        """The default points of :func:`in_span`, the basis's design
-        matrix there and its singular values, computed at the first
-        certificate that reads them."""
+        # one design matrix, at the default points of in_span, serves the
+        # rank check (as np.linalg.matrix_rank(A, tol=1e-9)) and in_span
         pts = chebyshev_points(2 * len(self.basis) + 4)
         A = _design_matrix(self.basis, pts)
         A.setflags(write=False)
-        return pts, A, np.linalg.svd(A, compute_uv=False)
+        sv = np.linalg.svd(A, compute_uv=False)
+        if np.count_nonzero(sv > 1e-9) < len(self.basis):
+            raise BadInput(
+                f"basis of {self.label or 'subalgebra'} is linearly "
+                "dependent on sampling")
+        object.__setattr__(self, "_span_design", (pts, A, sv))
 
 
 def _design_matrix(basis: Sequence[LieElement],

@@ -66,7 +66,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets, series
-from .exprdsl import (Bin, Call, Expr, Num, as_expr, eval_jet, eval_series,
+from .exprdsl import (Call, Expr, Num, _mk, as_expr, eval_jet, eval_series,
                       parse, sample)
 from .jets import Jet3, JetMap, Point, UndefinedHere, last_point, up
 from .quadrature import integrate_field_along, xt_path
@@ -140,10 +140,10 @@ class PointSymmetry:
         T = g2.T.subst(g1.T)
         Y = g2.Y.subst(g1.Y)
         sq = Call("sqrt", g2.T.diff().subst(g1.T), "t")
-        X0 = Bin("+", Bin("*", Bin("*", Num(float(g2.eps), "t"), sq, "t"),
+        X0 = _mk("+", _mk("*", _mk("*", Num(float(g2.eps), "t"), sq, "t"),
                           g1.X0, "t"), g2.X0.subst(g1.T), "t")
         y2y = g2.Y.diff().subst(g1.Y)
-        V0 = Bin("+", Bin("/", g1.V0, y2y, "y"), g2.V0.subst(g1.Y), "y")
+        V0 = _mk("+", _mk("/", g1.V0, y2y, "y"), g2.V0.subst(g1.Y), "y")
         return PointSymmetry(T=T, X0=X0, Y=Y, V0=V0, eps=g2.eps * g1.eps)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from blp import exprdsl, jets
-from blp.exprdsl import Call, Neg, Num, Var
+from blp.exprdsl import Bin, Call, Neg, Num, Var
 from blp.jets import Jet3
 from blp.transforms import WINDOW, InverseMapError
 
@@ -77,6 +77,21 @@ def expr_nodes(e):
     elif not isinstance(e, (Num, Var)):
         yield from expr_nodes(e.left)
         yield from expr_nodes(e.right)
+
+
+def unfolded_nodes(e, given=()):
+    """The nodes of ``e`` that the folding constructor never builds: a
+    product, sum or difference with an exact zero operand, and a negated
+    number.  Nodes of the trees ``given`` (parsed trees, which keep what
+    was written) are not counted."""
+    skip = {id(n) for g in given for n in expr_nodes(g)}
+
+    def zero(n):
+        return isinstance(n, Num) and n.value == 0.0
+
+    return [n for n in expr_nodes(e) if id(n) not in skip and (
+        isinstance(n, Bin) and n.op in "*+-" and (zero(n.left) or zero(n.right))
+        or isinstance(n, Neg) and isinstance(n.arg, Num))]
 
 
 def bisect_inverse(f, target, stop=1e-15):

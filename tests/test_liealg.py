@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 
@@ -12,7 +13,7 @@ from blp.liealg import (
     chebyshev_points, commutator, in_span, is_zero, load_normalizer_table,
     load_subalgebra_library, normalizer_check, pushforward,
 )
-from conftest import bisect_inverse, expr_nodes
+from conftest import bisect_inverse, expr_nodes, unfolded_nodes
 
 TPTS = chebyshev_points(10)
 YPTS = chebyshev_points(10)
@@ -447,11 +448,23 @@ def test_subalgebras_from_json_names_malformed_entries(entry, words):
 # the bracket constructor and the work of a certificate
 # ----------------------------------------------------------------------
 
-def _plain_node(monkeypatch):
-    """Build brackets, sums and scales with a constructor that folds
-    nothing: the reference that ``_node`` is compared with."""
-    monkeypatch.setattr(liealg, "_node",
-                        lambda op, l, r, v: exprdsl.Bin(op, l, r, v))
+@contextlib.contextmanager
+def _plain_constructor(monkeypatch):
+    """Build brackets, sums, scales and derivatives with a constructor
+    that folds nothing, from fresh parsed trees that keep no derivative
+    yet: the reference that ``exprdsl._mk`` is compared with.  The trees
+    parsed meanwhile are dropped from the parse cache on the way out."""
+    def plain(op, l, r, v):
+        return exprdsl.Bin(op, l, r, v)
+
+    with monkeypatch.context() as m:
+        m.setattr(exprdsl, "_mk", plain)
+        m.setattr(liealg, "_mk", plain)
+        exprdsl.parse.cache_clear()
+        try:
+            yield
+        finally:
+            exprdsl.parse.cache_clear()
 
 
 _TPOOL = ["1", "t", "t^2", "t^3", "sin(t)"]
@@ -484,8 +497,7 @@ def _certificate_run():
 
 def test_folding_constructor_keeps_every_verdict(monkeypatch):
     closure, normal, sums = _certificate_run()
-    with monkeypatch.context() as m:
-        _plain_node(m)
+    with _plain_constructor(monkeypatch):
         plain_closure, plain_normal, plain_sums = _certificate_run()
     assert len(closure) == 56 and len(normal) == 7
     assert closure == plain_closure
@@ -502,26 +514,28 @@ def test_folding_constructor_keeps_every_verdict(monkeypatch):
 def test_folding_constructor_shrinks_brackets(monkeypatch):
     assert commutator(D("1"), D("1")).terms == {}
     assert commutator(D("1"), D("t")).coeff("D") == exprdsl.Num(1.0, "t")
-    q1, q2, q3 = (D("t^3") + P("sin(t)") + S("y^2") + Z("cos(y)"),
-                  D("t^2") + P("t") + S("cos(y)") + Z("y"),
-                  D("sin(t)") + P("t^2") + S("y") + Z("1"))
 
-    def jacobi_nodes():
-        jac = (commutator(q1, commutator(q2, q3))
-               + commutator(q2, commutator(q3, q1))
-               + commutator(q3, commutator(q1, q2)))
+    def jacobi():
+        q1, q2, q3 = (D("t^3") + P("sin(t)") + S("y^2") + Z("cos(y)"),
+                      D("t^2") + P("t") + S("cos(y)") + Z("y"),
+                      D("sin(t)") + P("t^2") + S("y") + Z("1"))
+        return (commutator(q1, commutator(q2, q3))
+                + commutator(q2, commutator(q3, q1))
+                + commutator(q3, commutator(q1, q2)))
+
+    def distinct_nodes(q):
         return sum(len({id(n) for n in expr_nodes(c)})
-                   for c in jac.terms.values())
+                   for c in q.terms.values())
 
-    folded = jacobi_nodes()
-    with monkeypatch.context() as m:
-        _plain_node(m)
+    jac = jacobi()
+    for c in jac.terms.values():
+        assert not unfolded_nodes(c)
+    with _plain_constructor(monkeypatch):
         assert commutator(D("1"), D("1")).terms != {}
-        assert folded < 0.9 * jacobi_nodes()
+        assert distinct_nodes(jac) < 0.9 * distinct_nodes(jacobi())
 
 
 def test_check_subalgebra_samples_its_basis_once(monkeypatch):
-    sub = Subalgebra((D("1"), D("t"), D("t^2"), P("1")))
     calls = []
     design = liealg._design_matrix
 
@@ -530,8 +544,9 @@ def test_check_subalgebra_samples_its_basis_once(monkeypatch):
         return design(basis, pts)
 
     monkeypatch.setattr(liealg, "_design_matrix", counted)
+    sub = Subalgebra((D("1"), D("t"), D("t^2"), P("1")))
     rep = check_subalgebra(sub)
-    assert calls == [12]  # once for the 6 brackets, at 2 * 4 + 4 points
+    # once, at 2 * 4 + 4 points, for the rank check and the 6 brackets
     assert check_subalgebra(sub).failures == rep.failures and calls == [12]
     # explicit points are sampled afresh
     assert in_span(D("1"), sub, sample_points=chebyshev_points(9))

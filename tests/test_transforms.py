@@ -110,6 +110,11 @@ def test_group_action_and_residual(ueqv, rng):
     assert worst_res < 1e-7
 
 
+def test_composition_folds_its_constant_shifts():
+    g = d_transform("2*t").compose(s_transform("2*y"))
+    assert g.X0 == exprdsl.Num(0.0, "t") and g.V0 == exprdsl.Num(0.0, "y")
+
+
 def test_symmetry_image_inverts_each_point_once(monkeypatch):
     # T is inverted once per t and order, and Y once per y and order, for
     # u and v alike: a 2^3 grid has two t values and two y values
