@@ -12,7 +12,8 @@ layer needs for commutators: each node builds its derivative once and
 keeps it, so nested brackets share f', f'', ... as the same trees, and
 :func:`parse` keeps its last 256 trees, so one text is parsed once.
 Derivatives, brackets and compositions are built by one folding
-constructor, :func:`_mk`, so the nodes they add hold no zero term.
+constructor, :func:`_mk`, so the nodes they add hold no zero term and no
+power 1 or 0.
 Every form reads the float form and the guard of each function from
 ``jets._ELEMENTARY``.
 
@@ -537,9 +538,10 @@ def _mk(op, l, r, v):
     :func:`parse` and :meth:`Expr.subst` build plain nodes): two numbers
     fold into one where their value is finite and raises no error, a
     product with an exact zero is zero, a factor 1.0 is dropped, a left
-    factor -1.0 is a negation and an added or subtracted zero is dropped.
-    Its value is the plain ``Bin``'s up to the sign of a zero (or of a
-    NaN), wherever every dropped factor is finite."""
+    factor -1.0 is a negation, an added or subtracted zero is dropped,
+    ``f^1.0`` is ``f`` and ``f^0.0`` is 1.0.  Its value is the plain
+    ``Bin``'s up to the sign of a zero (or of a NaN), wherever every
+    dropped factor is finite."""
     if isinstance(l, Num) and isinstance(r, Num):
         try:
             value = _FLOAT_OPS[op](l.value, r.value)
@@ -561,6 +563,8 @@ def _mk(op, l, r, v):
             return l
         if _is_zero_num(l):
             return r if op == "+" else _neg(r, v)
+    elif op == "^" and isinstance(r, Num) and r.value in (0.0, 1.0):
+        return l if r.value else Num(1.0, v)
     return Bin(op, l, r, v)
 
 

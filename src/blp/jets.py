@@ -36,8 +36,9 @@ from the Euler operator (Neidinger, "Computing multivariable Taylor
 series to arbitrary order", APL Quote Quad 25, 1995), written once in
 :mod:`blp.series` for jets and univariate series alike.  Nonnegative
 integer powers are products.  :func:`apply_taylor` composes a univariate
-series that a caller supplies by Horner's rule, and :func:`compose3`
-gives the matrix that composes a jet with a triangular map of jets.
+series that a caller supplies by the one Horner rule of :mod:`blp.series`,
+and :func:`compose3` gives the matrix that composes a jet with a
+triangular map of jets.
 
 The guard rules of jets, expressions and transformations live here.
 One table gives each elementary function its float form, its series
@@ -766,18 +767,15 @@ def apply_taylor(coeffs: np.ndarray, a: Jet3) -> Jet3:
 
     ``coeffs[..., k]`` is the k-th Taylor coefficient f^(k)(a.value)/k!:
     one series, or one per lane of a batched ``a`` in the lane-first
-    layout of :func:`axis_series`.  Horner costs one product per order;
-    it serves series that a caller builds itself, and the elementary
-    functions use :func:`elementary` instead.
+    layout of :func:`axis_series`.  :func:`series.horner` sums it from
+    the top coefficient, whose step is a scaling, so degree d costs d - 1
+    jet products; it serves series that a caller builds itself, and the
+    elementary functions use :func:`elementary` instead.
     """
     n = a.order
-    top = min(int(n), coeffs.shape[-1] - 1)
     c = coeffs.tolist() if coeffs.ndim == 1 else list(coeffs.T)
-    shifted = a - a.value
-    out = Jet3.constant(c[top], a.base, n)
-    for k in range(top - 1, -1, -1):
-        out = out * shifted + c[k]
-    return out
+    out = series.horner(c[: min(int(n), len(c) - 1) + 1], a - a.value)
+    return out if isinstance(out, Jet3) else Jet3.constant(out, a.base, n)
 
 
 # ----------------------------------------------------------------------

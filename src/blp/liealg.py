@@ -284,8 +284,8 @@ class Subalgebra:
     params: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        # one design matrix, at the default points of in_span, serves the
-        # rank check (as np.linalg.matrix_rank(A, tol=1e-9)) and in_span
+        # one design matrix, at 2n + 4 Chebyshev points, serves the rank
+        # check (as np.linalg.matrix_rank(A, tol=1e-9)) and in_span
         pts = chebyshev_points(2 * len(self.basis) + 4)
         A = _design_matrix(self.basis, pts)
         A.setflags(write=False)
@@ -325,18 +325,10 @@ def _samples(Q: LieElement, pts: Sequence[float]):
             yield np.array(sample(c, xs))
 
 
-def in_span(Q: LieElement, S_: Subalgebra,
-            sample_points: Sequence[float] | None = None) -> bool:
-    """Least-squares certificate that Q lies in the span of the basis;
-    at the default points it reads the design matrix that ``S_`` keeps."""
-    if sample_points is None:
-        pts, A, sv = S_._span_design
-    else:
-        pts = list(sample_points)
-        if len(pts) < 2 * len(S_.basis):
-            raise ValueError("need at least 2 x basis-size sample points")
-        A = _design_matrix(S_.basis, pts)
-        sv = np.linalg.svd(A, compute_uv=False)
+def in_span(Q: LieElement, S_: Subalgebra) -> bool:
+    """Least-squares certificate that Q lies in the span of the basis, at
+    the points of the design matrix that ``S_`` keeps."""
+    pts, A, sv = S_._span_design
     b = np.concatenate(list(_samples(Q, pts)))
     if sv[0] == 0.0:
         return not np.any(np.abs(b) > TOL)

@@ -106,13 +106,6 @@ _BLOWUP = 1e6
 _METHOD = f"taylor-{_ORDER}"
 
 
-def _horner(c, h: float) -> float:
-    acc = 0.0
-    for a in reversed(c):
-        acc = acc * h + a
-    return acc
-
-
 @dataclass
 class ODETrajectory:
     """Taylor dense output of a second-order profile equation.
@@ -155,11 +148,11 @@ class ODETrajectory:
         rows, h = self._nearest(w)
         c = rows[2]
         slope = [k * c[k] for k in range(1, len(c))]
-        return _horner(c, h), _horner(slope, h)
+        return series.horner(c, h), series.horner(slope, h)
 
     def __call__(self, w):
         rows, h = self._nearest(w)
-        return _horner(rows[0], h), _horner(rows[1], h)
+        return series.horner(rows[0], h), series.horner(rows[1], h)
 
     def series(self, w, order: int) -> np.ndarray:
         """Taylor coefficients at w, propagated through the profile ODE;
@@ -229,7 +222,7 @@ def _integrate_profile(series_fn, psi_rate, guard, x0, y0, span, tol,
             else:
                 h *= direction
                 x_new = x + h
-            y = [_horner(c, h) for c in rows]
+            y = [series.horner(c, h) for c in rows]
             if not all(abs(v) <= _BLOWUP for v in y):
                 return xs, nodes, "trajectory blowup"
             try:

@@ -4,7 +4,8 @@ A univariate series is a float array ``c`` with ``c[k]`` the k-th Taylor
 coefficient; :func:`derivative`, :func:`integral` and :func:`toeplitz`
 act on such arrays of any length, or on a batch of them in the last
 axis; :func:`cauchy` gives one coefficient of a product, for recurrences
-on lists of floats or of arrays over lanes.
+on lists of floats or of arrays over lanes, and :func:`horner` sums a
+series at a float, an array over lanes or a jet: the one Horner rule.
 
 A :class:`Layout` holds the coefficients of a truncated series in one or
 more variables as one array, graded by degree.  :func:`univariate` gives
@@ -40,8 +41,8 @@ import operator
 
 import numpy as np
 
-__all__ = ["cauchy", "derivative", "toeplitz", "integral", "Layout",
-           "univariate", "exp", "ln", "power", "int_power", "div",
+__all__ = ["cauchy", "horner", "derivative", "toeplitz", "integral",
+           "Layout", "univariate", "exp", "ln", "power", "int_power", "div",
            "sin_cos", "tan"]
 
 
@@ -50,6 +51,15 @@ def cauchy(a, b, k: int) -> float:
     order of the index into ``a``; each needs coefficients 0..k, floats or
     arrays over lanes."""
     return sum(map(operator.mul, a[: k + 1], b[k::-1]))
+
+
+def horner(c, h):
+    """sum_k c[k] h^k from the top coefficient down: ``c`` holds floats or
+    lane arrays, ``h`` is a float, lanes or a jet (:class:`jets.Jet3`)."""
+    acc = c[-1]
+    for k in range(len(c) - 2, -1, -1):
+        acc = acc * h + c[k]
+    return acc
 
 
 def derivative(c: np.ndarray) -> np.ndarray:

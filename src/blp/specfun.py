@@ -5,7 +5,8 @@ Supports integrating autonomous equations
     phi_z^2 = F(phi) = a0 phi^4 + 4 a1 phi^3 + 6 a2 phi^2 + 4 a3 phi + a4
 
 on the real line: in terms of the Weierstrass P-function when F has no
-multiple roots, and in elementary functions otherwise.
+multiple roots, and in elementary functions otherwise.  P solves its own
+quartic, so P and every phi take their Taylor tails from one recurrence.
 
 P is evaluated on real, pole-free arguments by summing its Laurent series
 on a small seed disc and extending with the duplication formula.  The
@@ -78,6 +79,12 @@ class EllipticInvariants:
                                        repr=False)
     seed_radius: float = field(init=False, compare=False, repr=False)
 
+    @property
+    def quartic(self) -> "QuarticODE":
+        """The quartic P'^2 = 4 P^3 - g2 P - g3 that P solves; its
+        invariants are (g2, g3) (Whittaker & Watson, section 20.22)."""
+        return QuarticODE(0.0, 1.0, 0.0, -0.25 * self.g2, -self.g3)
+
     def __post_init__(self):
         object.__setattr__(self, "discriminant",
                            self.g2 ** 3 - 27.0 * self.g3 ** 2)
@@ -112,6 +119,19 @@ class QuarticODE:
         return 1.0 + max(abs(self.a0), abs(self.a1), abs(self.a2),
                          abs(self.a3), abs(self.a4))
 
+    def taylor(self, v, d, n: int) -> list:
+        """Taylor coefficients 0..n of the solution of value ``v`` and slope
+        ``d`` (floats or lanes), by degree from phi'' = F'(phi)/2."""
+        c, sq, cub = [v, d], [], []
+        for k in range(n - 1):
+            sq.append(series.cauchy(c, c, k))
+            cub.append(series.cauchy(sq, c, k))
+            fp_k = (4.0 * self.a0 * cub[k] + 12.0 * self.a1 * sq[k]
+                    + 12.0 * self.a2 * c[k]
+                    + (4.0 * self.a3 if k == 0 else 0.0))
+            c.append(0.5 * fp_k / ((k + 2) * (k + 1)))
+        return c[: n + 1]
+
 
 def invariants_from_quartic(q: QuarticODE) -> EllipticInvariants:
     g2 = q.a0 * q.a4 - 4.0 * q.a1 * q.a3 + 3.0 * q.a2 ** 2
@@ -129,17 +149,13 @@ _N_LAURENT = 14  # c_2 .. c_{N}: series terms generated from the defining ODE
 
 
 def _laurent_coeffs(g2: float, g3: float) -> np.ndarray:
-    """Coefficients c_k with P(z) = 1/z^2 + sum_{k>=2} c_k z^(2k-2)."""
+    """Coefficients c_k with P(z) = 1/z^2 + sum_{k>=2} c_k z^(2k-2); in
+    the Cauchy product, c_0 = c_1 = 0 and the c_k not yet known are 0."""
     c = np.zeros(_N_LAURENT + 1)
-    if _N_LAURENT >= 2:
-        c[2] = g2 / 20.0
-    if _N_LAURENT >= 3:
-        c[3] = g3 / 28.0
+    c[2] = g2 / 20.0
+    c[3] = g3 / 28.0
     for k in range(4, _N_LAURENT + 1):
-        acc = 0.0
-        for m in range(2, k - 1):
-            acc += c[m] * c[k - m]
-        c[k] = 3.0 * acc / ((2 * k + 1) * (k - 3))
+        c[k] = 3.0 * series.cauchy(c, c, k) / ((2 * k + 1) * (k - 3))
     return c
 
 
@@ -225,26 +241,13 @@ def weierstrass_series(z: float, inv: EllipticInvariants, order: int
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Local Taylor coefficients of (P, zeta) around a regular point z.
 
-    Generated from the values at z via the differential relations
-    P'' = 6 P^2 - g2/2 and zeta' = P; feeds jet composition.
+    P solves its own quartic (:attr:`EllipticInvariants.quartic`), so its
+    tail comes from P'' = F'(P)/2 = 6 P^2 - g2/2
+    (:meth:`QuarticODE.taylor`), and zeta' = P; feeds jet composition.
     """
     p, dp, zeta = weierstrass_p(z, inv)
-    n = order
-    u = _p_series(p, dp, inv.g2, n)
-    return u[: n + 1], series.integral(u, zeta, n)
-
-
-def _p_series(p, dp, g2: float, n: int) -> np.ndarray:
-    """Taylor coefficients 0..n+2 of P from its value and slope there; for
-    arrays of them, one series per lane, (lanes, n + 3).
-
-    The tail follows from P'' = 6 P^2 - g2/2.
-    """
-    u = [p, dp]
-    for k in range(0, n + 1):
-        rhs = 6.0 * series.cauchy(u, u, k) - (0.5 * g2 if k == 0 else 0.0)
-        u.append(rhs / ((k + 2) * (k + 1)))
-    return np.stack(u, axis=-1)
+    u = np.stack(inv.quartic.taylor(p, dp, order), axis=-1)
+    return u, series.integral(u, zeta, order)
 
 
 def _as_quartic(q) -> QuarticODE:
@@ -287,8 +290,9 @@ def quartic_particular_solution(q: QuarticODE, a: float):
 
 
 def _quartic_solution(q: QuarticODE, a: float):
-    """The phi of :func:`quartic_particular_solution`, and
-    ``value_at(zv, p, dp)``: phi at lanes where (P, P') is already known."""
+    """The phi of :func:`quartic_particular_solution`,
+    ``value_at(zv, p, dp)``: phi at lanes where (P, P') is already known,
+    and the factors (D1, D2, G1, G2) of its 0/0 points at (p, dp)."""
     q = _as_quartic(q)
     inv = invariants_from_quartic(q)
     Fa = q.F(a)
@@ -312,13 +316,18 @@ def _quartic_solution(q: QuarticODE, a: float):
     # which stays well conditioned down to a tiny neighborhood of the
     # crossing.
 
+    def _factors(p, dp):
+        """(D1, D2, G1, G2) where (P, P') = (p, dp), lanes or jets."""
+        base = 24.0 * p - Fpp
+        return (base - 12.0 * sqrtFa, base + 12.0 * sqrtFa,
+                4.0 * dp + Fp + 4.0 * a * sqrtFa,
+                4.0 * dp - Fp + 4.0 * a * sqrtFa)
+
     def _classify(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
         """State of the representation in each lane where (P, P') = (p, dp)."""
-        d1 = 24.0 * p - Fpp - 12.0 * sqrtFa
-        d2 = 24.0 * p - Fpp + 12.0 * sqrtFa
+        d1, d2, g1, g2 = _factors(p, dp)
         vsm = np.minimum(abs(d1), abs(d2))
-        gsm = np.where(abs(d1) <= abs(d2), 4.0 * dp + Fp + 4.0 * a * sqrtFa,
-                       4.0 * dp - Fp + 4.0 * a * sqrtFa)
+        gsm = np.where(abs(d1) <= abs(d2), g1, g2)
         pole = (vsm < 1e-7 * d_scale) & (abs(gsm) > 1e-3 * g_scale)
         return np.select([pole, vsm < 1e-5 * d_scale], [_POLE, _CROSSING],
                          _OK)
@@ -328,11 +337,7 @@ def _quartic_solution(q: QuarticODE, a: float):
         return x.copy_with(np.where(first[:, None], x.coeffs, y.coeffs))
 
     def _assemble(p: Jet3, dp: Jet3) -> Jet3:
-        base = 24.0 * p - Fpp
-        d1 = base - 12.0 * sqrtFa
-        d2 = base + 12.0 * sqrtFa
-        g1 = 4.0 * dp + Fp + 4.0 * a * sqrtFa
-        g2 = 4.0 * dp - Fp + 4.0 * a * sqrtFa
+        d1, d2, g1, g2 = _factors(p, dp)
         first = abs(d1.value) <= abs(d2.value)
         small, big = _pick(first, d1, d2), _pick(first, d2, d1)
         gsm = _pick(first, g1, g2)
@@ -340,7 +345,7 @@ def _quartic_solution(q: QuarticODE, a: float):
 
     def _value_and_slope(zv, p, dp) -> tuple[np.ndarray, np.ndarray]:
         probe = lift_variable("x", Point(0.0, zv, 0.0), 1)
-        pser = _p_series(p, dp, inv.g2, 0)
+        pser = np.stack(inv.quartic.taylor(p, dp, 2), axis=-1)
         pj = apply_taylor(pser[:, :2], probe)
         dpj = apply_taylor(series.derivative(pser[:, :3]), probe)
         out = _assemble(pj, dpj)
@@ -375,16 +380,7 @@ def _quartic_solution(q: QuarticODE, a: float):
         fv = q.F(v0)
         d0 = np.where(fv > 0.0, np.copysign(np.sqrt(np.maximum(fv, 0.0)),
                                             d_raw), d_raw)
-        # phi'' = F'(phi)/2 by degree, with running coefficients of phi^2
-        # and phi^3
-        c, sq, cub = [v0, d0], [], []
-        for k in range(n - 1):
-            sq.append(series.cauchy(c, c, k))
-            cub.append(series.cauchy(sq, c, k))
-            fp_k = (4.0 * q.a0 * cub[k] + 12.0 * q.a1 * sq[k]
-                    + 12.0 * q.a2 * c[k] + (4.0 * q.a3 if k == 0 else 0.0))
-            c.append(0.5 * fp_k / ((k + 2) * (k + 1)))
-        out[~near] = np.stack(c[: n + 1], axis=-1)
+        out[~near] = np.stack(q.taylor(v0, d0, n), axis=-1)
         return out
 
     def _anchored(zv, n: int) -> np.ndarray:
@@ -419,7 +415,7 @@ def _quartic_solution(q: QuarticODE, a: float):
         """phi at the lanes ``zv``, where (P, P') = (p, dp) is known."""
         return _series(zv, 0, p, dp)[:, 0]
 
-    return phi, value_at
+    return phi, value_at, _factors
 
 
 def quartic_square_integral(q: QuarticODE, a: float):
@@ -435,25 +431,25 @@ def quartic_square_integral(q: QuarticODE, a: float):
     q = _as_quartic(q)
     if q.a0 != 1.0 or q.a1 != 0.0:
         raise ValueError("the closed form needs a0 = 1 and a1 = 0")
-    phi_at = _quartic_solution(q, a)[1]
+    _, phi_at, factors = _quartic_solution(q, a)
     inv = invariants_from_quartic(q)
     sqrtFa = math.sqrt(q.F(a))
     Fp = q.F_prime(a)
-    Fpp = q.F_second(a)
 
     def square_integral(z):
         zl = np.atleast_1d(np.asarray(z, dtype=float))
         p, dp, zeta = weierstrass_p(zl, inv)
         # phi from the same (P, P'): one P evaluation per argument
         value = phi_at(zl, p, dp)
-        d1 = 24.0 * p - Fpp - 12.0 * sqrtFa
+        d1, _, g1, _ = factors(p, dp)
+        # D2 rounded from D1, not the factors' own: Phi2's pinned values
         d2 = d1 + 24.0 * sqrtFa
-        # G1/D1: each lane computes only the form it uses
+        # G1/D1: each lane divides only in the form it uses
         via = (abs(d1) <= abs(d2)) & (sqrtFa > 0.0)
         own = ~via
         ratio = np.empty(len(zl))
         ratio[via] = ((value[via] - a) * d2[via] - 6.0 * Fp) / (72.0 * sqrtFa)
-        ratio[own] = (4.0 * dp[own] + Fp + 4.0 * a * sqrtFa) / d1[own]
+        ratio[own] = g1[own] / d1[own]
         total = value - 6.0 * ratio + 2.0 * zeta - q.a2 * zl
         return total if np.ndim(z) else float(total[0])
 

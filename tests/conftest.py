@@ -81,9 +81,10 @@ def expr_nodes(e):
 
 def unfolded_nodes(e, given=()):
     """The nodes of ``e`` that the folding constructor never builds: a
-    product, sum or difference with an exact zero operand, and a negated
-    number.  Nodes of the trees ``given`` (parsed trees, which keep what
-    was written) are not counted."""
+    product, sum or difference with an exact zero operand, a power whose
+    exponent is the number 1.0 or 0.0, and a negated number.  Nodes of
+    the trees ``given`` (parsed trees, which keep what was written) are
+    not counted."""
     skip = {id(n) for g in given for n in expr_nodes(g)}
 
     def zero(n):
@@ -91,6 +92,8 @@ def unfolded_nodes(e, given=()):
 
     return [n for n in expr_nodes(e) if id(n) not in skip and (
         isinstance(n, Bin) and n.op in "*+-" and (zero(n.left) or zero(n.right))
+        or isinstance(n, Bin) and n.op == "^" and isinstance(n.right, Num)
+        and n.right.value in (0.0, 1.0)
         or isinstance(n, Neg) and isinstance(n.arg, Num))]
 
 

@@ -446,19 +446,17 @@ def _size(e) -> int:
 _FOLD_CASES = ([src for src, which in _SAMPLE_CASES if which == "t"]
                + ["2^3*t", "(1+2)*t^2", "t/(3-3)", "1e200^2*t",
                   "3^t", "(0-1)^0.5*t", "t*1 + 1*t", "(2*t)^3 - t^2/4",
-                  "exp(2*t)*sin(3*t)"])
+                  "exp(2*t)*sin(3*t)", "ln(t)^1"])
 
 
 #: the value of each derivative (1st to 3rd) of a fold case at the points
 #: where the plain derivative raises in a factor that the fold drops: a
-#: 0*t^-1 at t = 0, or a 0*(0-1)^0.5 anywhere
+#: 0*(0-1)^0.5 anywhere, or the ln(t) of ln(t)^0.0 at t < 0.  No
+#: derivative holds t^1.0 or t^0.0, so none raises in the 0*t^-1.0 that
+#: differentiating t^0.0 would build
 _DROPPED_RAISING = {
-    ("2*t + sin(t)^2", 3): {0.0: 0.0}, ("exp(-t^2/4)", 3): {0.0: 0.0},
-    ("1/(t^2 + 1)", 3): {0.0: 0.0}, ("2^t^2", 3): {0.0: 0.0},
-    ("-t^2", 3): {0.0: 0.0}, ("(-t)^2", 3): {0.0: 0.0},
-    ("0.3*t^2", 3): {0.0: 0.0}, ("(1+2)*t^2", 3): {0.0: 0.0},
     ("(0-1)^0.5*t", 2): dict.fromkeys(_SAMPLE_POINTS, 0.0),
-    ("(2*t)^3 - t^2/4", 3): {0.0: 48.0},
+    ("ln(t)^1", 1): {x: 1.0 / x for x in _SAMPLE_POINTS if x < 0.0},
 }
 
 
