@@ -497,7 +497,7 @@ def _f_vx0(fid, b):
     phi = _witness_off_zero(b["Phi"])
 
     def u(p, n):
-        f = phi(p, n + 1)
+        f = phi(p, jets.up(n, "x"))
         return -f.derive("x") / f.truncate(n)
 
     def v(p, n):
@@ -525,11 +525,11 @@ def _f_hopfcole(fid, b):
     phi = jets.last_point(_witness_off_zero(b["Phi"]))
 
     def u(p, n):
-        f = phi(p, n + 1)
+        f = phi(p, jets.up(n, "x"))
         return f.derive("x") / f.truncate(n)
 
     def v(p, n):
-        f = phi(p, n + 1)
+        f = phi(p, jets.up(n, "y"))
         return f.derive("y") / f.truncate(n)
     return _field(fid, b, u, v)
 
@@ -547,7 +547,7 @@ def _f_statliouville(fid, b):
     ze = b["zeta"]
 
     def parts(p, n):
-        z = eval_jet(ze, "x", p, n + 2)
+        z = eval_jet(ze, "x", p, jets.up(jets.up(n, "x"), "x"))
         z1 = z.derive("x")
         _guard(z1.value, 0.0, "zeta_x too small", band=MARGIN * 0.1)
         den = jets.lift_variable("y", p, n) + z.truncate(n)
@@ -847,6 +847,8 @@ def _f_uxx_bernoulli(fid, b):
     l1, l0, y0 = b["lam1"], b["lam0"], b["y0"]
     dbe = be.diff()
 
+    # a grid batch asks chi four times, and each round of abscissae twice
+    @jets.last_point
     def chi_jet(p, n):
         t, _, _ = jets.coordinate_jets(p, n)
         ratio = _jy(dbe, p, n) / (t - _jy(be, p, n))
@@ -1220,7 +1222,7 @@ def _f_sinhgordon(fid, b):
         return jets.exp(theta(p, n))
 
     def u(p, n):
-        th = theta(p, n + 1)
+        th = theta(p, jets.up(n, "x"))
         return -0.5 * th.derive("x")
 
     v = line_integral(integrand, "x", x0, constant_along="t")

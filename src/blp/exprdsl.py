@@ -466,15 +466,14 @@ def eval_jet(e: Expr, which: str, at: Point, order: int) -> Jet3:
     n = int(order)
     at_var = getattr(at, which)
     if not isinstance(at_var, np.ndarray):
-        return jets.axis_jet(_memo_series(e, at_var, n), which,
-                             at).truncate(order)
+        return jets.axis_jet(_memo_series(e, at_var, n), which, at, order)
     if n < 0:
         raise ValueError("order must be >= 0")
     x = np.zeros((len(at_var), n + 1))
     x[:, 0] = at_var
     if n:
         x[:, 1] = 1.0
-    return jets.axis_jet(compose_series(e, x), which, at).truncate(order)
+    return jets.axis_jet(compose_series(e, x), which, at, order)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

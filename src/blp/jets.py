@@ -294,7 +294,7 @@ class Key(int):
 
     def __repr__(self):
         caps = ", ".join(f"{a}={c}" for a, c in zip("txy", self.caps)
-                         if c < self)
+                         if c < int(self))
         return f"Key({int(self)}, {caps})"
 
 
@@ -320,6 +320,7 @@ def _key(order: int, caps) -> int:
     return k
 
 
+@functools.lru_cache(maxsize=1024)
 def cap(order, axis: str, at_most: int) -> int:
     """The key of ``order`` with the power of ``axis`` at most ``at_most``
     as well."""
@@ -328,6 +329,7 @@ def cap(order, axis: str, at_most: int) -> int:
                         for b, c in enumerate(_caps(order))])
 
 
+@functools.lru_cache(maxsize=1024)
 def uncap(order, axis: str) -> int:
     """The key of ``order`` without the cap of ``axis``."""
     if type(order) is int:
@@ -337,6 +339,7 @@ def uncap(order, axis: str) -> int:
                         for b, c in enumerate(_caps(order))])
 
 
+@functools.lru_cache(maxsize=1024)
 def up(order, axis: str) -> int:
     """The key one order up in ``axis`` alone, for a map that then
     differentiates only along ``axis``: the order and the cap of ``axis``
@@ -396,10 +399,13 @@ class _Tables(series.Layout):
             self.coordinate_rows = self.full.coordinate_rows[:, self.in_full]
 
     def positions(self, order) -> np.ndarray:
-        """The index here of each monomial of the key ``order``, which
-        these tables cover."""
+        """The index here of each monomial of the key ``order``; a
+        ``ValueError`` where these tables do not cover it."""
         index = self._positions.get(order)
         if index is None:
+            if not self.key >= order:
+                raise ValueError(f"cannot truncate a jet of key "
+                                 f"{self.key!r} to {order!r}")
             index = self._positions[order] = np.asarray(
                 [self.index[e] for e in _tables(order).exps], dtype=np.intp)
         return index
@@ -455,7 +461,7 @@ class Jet3:
     __array_ufunc__ = None
 
     def __init__(self, base: Point, order: int, coeffs: np.ndarray):
-        if order < 0:
+        if int(order) < 0:
             raise ValueError("order must be >= 0")
         if coeffs.shape[-1] != _tables(order).size:
             raise ValueError("coefficient array has wrong length")
@@ -496,9 +502,6 @@ class Jet3:
         have = self.order
         if order == have:
             return self
-        if not have >= order:
-            raise ValueError(f"cannot truncate a jet of key {have!r} to "
-                             f"{order!r}")
         return _jet(self.base, order, narrow(self.coeffs, have, order))
 
     def _coerce(self, other) -> "Jet3 | None":
@@ -612,7 +615,7 @@ class Jet3:
     def derive(self, which: str) -> "Jet3":
         """Jet of the partial derivative; drops one order, and one power
         of ``which`` from its cap.  An axis capped at 0 raises."""
-        if self.order == 0:
+        if not self.order:
             raise ValueError("cannot differentiate an order-0 jet")
         tab, a = _tables(self.order), _AXES[which]
         order, src, scale = tab.derivatives[a] or tab.derive(a)
@@ -651,8 +654,9 @@ def _jet(base: Point, order: int, coeffs: np.ndarray) -> Jet3:
 
 def narrow(c: np.ndarray, have: int, want: int) -> np.ndarray:
     """A copy of the coefficients of the key ``want`` in the coefficients
-    ``c`` of the key ``have``, which covers it."""
-    if type(want) is int is type(have):
+    ``c`` of the key ``have``; a ``ValueError`` where ``have`` does not
+    cover ``want``."""
+    if type(want) is int is type(have) and want <= have:
         return c[..., :jet_size(want)].copy()
     return _gather(c, _tables(have).positions(want))
 
@@ -701,7 +705,7 @@ def _coordinate(value, row: np.ndarray) -> np.ndarray:
 
 def lift_variable(which: str, at: Point, order: int) -> Jet3:
     """Jet of one of the coordinate functions t, x, y."""
-    if order < 0:
+    if int(order) < 0:
         raise ValueError("order must be >= 0")
     _check_point(at)
     axis = _AXES[which]
@@ -711,7 +715,7 @@ def lift_variable(which: str, at: Point, order: int) -> Jet3:
 
 def coordinate_jets(p: Point, order: int) -> tuple[Jet3, Jet3, Jet3]:
     """The jets of t, x and y at ``p``, with one check of the point."""
-    if order < 0:
+    if int(order) < 0:
         raise ValueError("order must be >= 0")
     rows = _tables(order).coordinate_rows
     if _check_point(p) is not None:
@@ -746,20 +750,19 @@ def axis_series(a: Jet3, axis: str) -> np.ndarray:
     return _gather(a.coeffs, _tables(a.order).axis_powers[_AXES[axis]])
 
 
-def axis_jet(ser: np.ndarray, axis: str, at: Point) -> Jet3:
+def axis_jet(ser: np.ndarray, axis: str, at: Point, order=None) -> Jet3:
     """Jet at ``at`` of the univariate series ``ser`` along ``axis``,
     constant in the other two variables: the inverse of :func:`axis_series`.
-    ``ser`` is one series, or one per lane."""
+    ``ser`` is one series, or one per lane; the jet has the key ``order``,
+    whose order is at most the series', by default the series' order."""
     _check_point(at)
-    order = ser.shape[-1] - 1
-    powers = _tables(order).axis_powers[_AXES[axis]]
-    if ser.ndim == 1:
-        c = np.zeros(jet_size(order))
-        c[powers] = ser
-    else:
-        c = np.zeros((len(ser), jet_size(order)))
-        c[:, powers] = ser
-    return Jet3(at, order, c)
+    if order is None:
+        order = ser.shape[-1] - 1
+    tab = _tables(order)
+    powers = tab.axis_powers[_AXES[axis]]
+    c = np.zeros(ser.shape[:-1] + (tab.size,))
+    c[..., powers] = ser[..., :len(powers)]
+    return _jet(at, order, c)
 
 
 def apply_taylor(coeffs: np.ndarray, a: Jet3) -> Jet3:

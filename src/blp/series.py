@@ -105,31 +105,28 @@ class Layout:
     full = None
 
     def __init__(self, exps: list[tuple[int, ...]]):
-        deg = [sum(e) for e in exps]
-        order = deg[-1]
+        e = np.asarray(exps, dtype=np.intp)
+        deg = e.sum(axis=1)
+        order = int(deg[-1])
         self.order = order
         self.exps = exps
         self.size = len(exps)
         self.index = {e: m for m, e in enumerate(exps)}
         # truncated Cauchy product: out[io] += a[ia] * b[ib], over the
-        # pairs whose product is kept
-        ia, ib, io = [], [], []
-        for ma, ea in enumerate(exps):
-            for mb, eb in enumerate(exps):
-                if deg[ma] + deg[mb] > order:
-                    continue
-                mo = self.index.get(tuple(map(operator.add, ea, eb)))
-                if mo is None:
-                    continue
-                ia.append(ma)
-                ib.append(mb)
-                io.append(mo)
-        self.mul_a = np.asarray(ia, dtype=np.intp)
-        self.mul_b = np.asarray(ib, dtype=np.intp)
-        self.mul_out = np.asarray(io, dtype=np.intp)
+        # pairs whose product is kept, by ia and then ib.  A monomial is
+        # numbered by its exponents as digits in base order + 1, so the
+        # number of a product of degree <= order is the sum of its
+        # factors' numbers, and ``at`` maps each number to its position,
+        # -1 where it is not kept
+        ia, ib = np.nonzero(np.add.outer(deg, deg) <= order)
+        code = e @ (order + 1) ** np.arange(e.shape[1])
+        at = np.full((order + 1) ** e.shape[1], -1, dtype=np.intp)
+        at[code] = np.arange(self.size)
+        io = at[code[ia] + code[ib]]
+        kept = io >= 0
+        self.mul_a, self.mul_b, self.mul_out = ia[kept], ib[kept], io[kept]
         # the degree of each coefficient (the Euler operator) and the
         # slice of each degree part
-        deg = np.asarray(deg, dtype=np.intp)
         self.euler = deg.astype(float)
         starts = np.searchsorted(deg, np.arange(order + 2))
         self.blocks = [slice(int(starts[d]), int(starts[d + 1]))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -121,12 +122,14 @@ class QuarticODE:
 
     def taylor(self, v, d, n: int) -> list:
         """Taylor coefficients 0..n of the solution of value ``v`` and slope
-        ``d`` (floats or lanes), by degree from phi'' = F'(phi)/2."""
-        c, sq, cub = [v, d], [], []
+        ``d`` (floats or lanes), by degree from phi'' = F'(phi)/2; the
+        phi^3 term is summed only where a0 != 0 (not on P's own quartic)."""
+        c, sq = [v, d], []
         for k in range(n - 1):
             sq.append(series.cauchy(c, c, k))
-            cub.append(series.cauchy(sq, c, k))
-            fp_k = (4.0 * self.a0 * cub[k] + 12.0 * self.a1 * sq[k]
+            cub_k = 4.0 * self.a0 * series.cauchy(sq, c, k) if self.a0 \
+                else 0.0
+            fp_k = (cub_k + 12.0 * self.a1 * sq[k]
                     + 12.0 * self.a2 * c[k]
                     + (4.0 * self.a3 if k == 0 else 0.0))
             c.append(0.5 * fp_k / ((k + 2) * (k + 1)))
@@ -292,7 +295,7 @@ def quartic_particular_solution(q: QuarticODE, a: float):
 def _quartic_solution(q: QuarticODE, a: float):
     """The phi of :func:`quartic_particular_solution`,
     ``value_at(zv, p, dp)``: phi at lanes where (P, P') is already known,
-    and the factors (D1, D2, G1, G2) of its 0/0 points at (p, dp)."""
+    and the factors (D1, G1) of its 0/0 points at (p, dp)."""
     q = _as_quartic(q)
     inv = invariants_from_quartic(q)
     Fa = q.F(a)
@@ -316,12 +319,14 @@ def _quartic_solution(q: QuarticODE, a: float):
     # which stays well conditioned down to a tiny neighborhood of the
     # crossing.
 
-    def _factors(p, dp):
-        """(D1, D2, G1, G2) where (P, P') = (p, dp), lanes or jets."""
+    def _factors(p, dp, mirror=True):
+        """(D1, D2, G1, G2) where (P, P') = (p, dp), lanes or jets; (D1,
+        G1) alone without the ``mirror`` pair."""
         base = 24.0 * p - Fpp
-        return (base - 12.0 * sqrtFa, base + 12.0 * sqrtFa,
-                4.0 * dp + Fp + 4.0 * a * sqrtFa,
-                4.0 * dp - Fp + 4.0 * a * sqrtFa)
+        d1, g1 = base - 12.0 * sqrtFa, 4.0 * dp + Fp + 4.0 * a * sqrtFa
+        if not mirror:
+            return d1, g1
+        return d1, base + 12.0 * sqrtFa, g1, 4.0 * dp - Fp + 4.0 * a * sqrtFa
 
     def _classify(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
         """State of the representation in each lane where (P, P') = (p, dp)."""
@@ -415,7 +420,7 @@ def _quartic_solution(q: QuarticODE, a: float):
         """phi at the lanes ``zv``, where (P, P') = (p, dp) is known."""
         return _series(zv, 0, p, dp)[:, 0]
 
-    return phi, value_at, _factors
+    return phi, value_at, partial(_factors, mirror=False)
 
 
 def quartic_square_integral(q: QuarticODE, a: float):
@@ -441,7 +446,7 @@ def quartic_square_integral(q: QuarticODE, a: float):
         p, dp, zeta = weierstrass_p(zl, inv)
         # phi from the same (P, P'): one P evaluation per argument
         value = phi_at(zl, p, dp)
-        d1, _, g1, _ = factors(p, dp)
+        d1, g1 = factors(p, dp)
         # D2 rounded from D1, not the factors' own: Phi2's pinned values
         d2 = d1 + 24.0 * sqrtFa
         # G1/D1: each lane divides only in the form it uses

@@ -138,13 +138,21 @@ class ResidualReport:
 
 #: jet order of the residuals: they read u_ty, (u^2 - u_x)_xy, which needs
 #: u_xxy, and v_xxx, or in the (u,q) form q_xxy; so do the currents'
-#: divergences; the covering residual reads psi_xy and psi_xx
+#: divergences; the covering residual reads psi_xy and psi_xx.  The
+#: residuals and the covering residual read t-degree <= 1 only, and the
+#: terms of t-degree >= 2 form an ideal, so the grid report and the
+#: covering residual ask ``jets.cap(order, "t", 1)``, which keeps every
+#: coefficient they read with the full jet's bits.  The single-point
+#: readers ``residual`` and ``residual_uq`` ask the int order: a single
+#: series computes a capped key in its full layout, so a cap there only
+#: adds work
 RESIDUAL_ORDER = CURRENT_ORDER = 3
 COVERING_ORDER = 2
 
 
 def _uv_residual(u: Jet3, v: Jet3) -> tuple[float, float]:
-    w = (u * u).truncate(u.order - 1) - u.derive("x")  # u^2 - u_x
+    u_x = u.derive("x")
+    w = (u * u).truncate(u_x.order) - u_x  # u^2 - u_x
     r1 = (u.extract((1, 0, 1))
           - w.extract((0, 1, 1))
           - 2.0 * v.extract((0, 3, 0)))
@@ -155,11 +163,12 @@ def _uv_residual(u: Jet3, v: Jet3) -> tuple[float, float]:
 
 
 def _uq_residual(u: Jet3, q: Jet3) -> tuple[float, float]:
-    w = (u * u).truncate(u.order - 1) - u.derive("x")
+    u_x, q_y = u.derive("x"), q.derive("y")
+    w = (u * u).truncate(u_x.order) - u_x
     r1 = (u.extract((1, 0, 0))
           - w.extract((0, 1, 0))
           - 2.0 * q.extract((0, 2, 0)))
-    uq_y = u.truncate(u.order - 1) * q.derive("y")
+    uq_y = u.truncate(q_y.order) * q_y
     r2 = q.extract((1, 0, 1)) - (q.extract((0, 2, 1))
                                  + 2.0 * uq_y.extract((0, 1, 0)))
     return r1, r2
@@ -193,7 +202,7 @@ def covering_residual(s: SolutionField, psi: JetMap,
     """
     if s.coords != "UQ":
         raise ValueError("covering_residual expects (u,q) coordinates")
-    u, q, f = (m(p, COVERING_ORDER) for m in (s.u, s.v, psi))
+    u, q, f = (m(p, jets.cap(COVERING_ORDER, "t", 1)) for m in (s.u, s.v, psi))
     c1 = (f.extract((0, 1, 1))
           + u.value * f.extract((0, 0, 1))
           + q.extract((0, 0, 1)) * f.value)
@@ -381,7 +390,8 @@ def _rows(s: SolutionField, equations, points: list[Point],
     point is asked alone, in order."""
     def batch(at: list[Point]) -> list:
         p = Point(*(np.array(c, dtype=float) for c in zip(*at)))
-        u, v = s.u(p, RESIDUAL_ORDER), s.v(p, RESIDUAL_ORDER)
+        key = jets.cap(RESIDUAL_ORDER, "t", 1)
+        u, v = s.u(p, key), s.v(p, key)
         r1, r2 = equations(u, v)
         # a jet of shape (size,) is the same in every lane
         return list(zip(at, *(np.broadcast_to(c, len(at)).tolist()

@@ -314,13 +314,13 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
     # U and V are u and v composed with the inverse map
     def u(p: Point, n: int) -> Jet3:
         U, (beta, cx, c0, jx), _ = composed(s.u, p, n)
-        in_t = partial(jets.axis_jet, axis="t", at=p)
+        in_t = partial(jets.axis_jet, axis="t", at=p, order=n)
         return U * in_t(beta) - (in_t(cx) * Jet3(p, int(n), jx).truncate(n)
                                  + in_t(c0))
 
     def v(p: Point, n: int) -> Jet3:
         V, _, (v_scale, v_shift) = composed(s.v, p, n)
-        in_y = partial(jets.axis_jet, axis="y", at=p)
+        in_y = partial(jets.axis_jet, axis="y", at=p, order=n)
         return V * in_y(v_scale) + in_y(v_shift)
 
     return SolutionField(u=jets.as_batch(u), v=jets.as_batch(v), coords="UV",
@@ -547,7 +547,10 @@ def _dress(kind: str, s: SolutionField, pmap: JetMap,
 
     if kind == "DT1":
         def u(p, n):
-            f = pmap(p, n + 2)
+            f = pmap(p, up(up(n, "x"), "y"))
+            # q asks s.w at n, which asks the q below one order up in y:
+            # asked first, the check reads it by truncation
+            s.w(p, n)
             uj = s.u(p, n)
             check(p)
             f_y = f.derive("y").truncate(n)
@@ -557,7 +560,7 @@ def _dress(kind: str, s: SolutionField, pmap: JetMap,
             return uj + f_xy / f_y - f.derive("x").truncate(n) / f.truncate(n)
 
         def q(p, n):
-            f = pmap(p, n + 1)
+            f = pmap(p, up(n, "y"))
             q_y = s.w(p, n)
             f_y = f.derive("y")
             _guard(f_y.value, f.value, "phi_y inside guard band")
@@ -565,17 +568,18 @@ def _dress(kind: str, s: SolutionField, pmap: JetMap,
 
     elif kind == "DT2":
         def u(p, n):
-            f = pmap(p, n + 2)
-            uj = s.u(p, n + 1)
+            n_x = up(n, "x")
+            f = pmap(p, up(n_x, "x"))
+            uj = s.u(p, n_x)
             check(p)
             _guard(f.value, 0.0, "phi inside guard band")
-            w = uj + f.derive("x") / f.truncate(n + 1)
+            w = uj + f.derive("x") / f.truncate(n_x)
             _guard(w.value, w.derive("x").value,
                    "u + phi_x/phi inside guard band")
             return uj.truncate(n) - w.derive("x") / w.truncate(n)
 
         def q(p, n):
-            f = pmap(p, n + 1)
+            f = pmap(p, up(n, "x"))
             _guard(f.value, 0.0, "phi inside guard band")
             return s.v(p, n) + f.derive("x") / f.truncate(n)
     else:
@@ -589,16 +593,16 @@ def darboux_psi(kind: str, phi_seed: JetMap, psi: JetMap) -> JetMap:
     """Transform of a covering eigenfunction under a single dressing."""
     if kind == "DT1":
         def out(p, n):
-            f = phi_seed(p, n + 1)
-            g = psi(p, n + 1)
+            f = phi_seed(p, up(n, "y"))
+            g = psi(p, up(n, "y"))
             f_y = f.derive("y")
             _guard(f_y.value, f.value, "phi_y inside guard band")
             return g.truncate(n) - (f.truncate(n) / f_y) * g.derive("y")
         return out
     if kind == "DT2":
         def out(p, n):
-            f = phi_seed(p, n + 1)
-            g = psi(p, n + 1)
+            f = phi_seed(p, up(n, "x"))
+            g = psi(p, up(n, "x"))
             _guard(f.value, 0.0, "phi inside guard band")
             return g.derive("x") - (f.derive("x") / f.truncate(n)) \
                 * g.truncate(n)

@@ -5,6 +5,8 @@ once: ``series.horner`` (the dense output and stepper of the Painleve
 profiles, and ``jets.apply_taylor``), the recurrence phi'' = F'(phi)/2
 of ``QuarticODE.taylor`` (P's own Taylor tail), and ``series.cauchy``
 (P's Laurent coefficients).  Each must give the bits of its reference.
+The product pairs of a ``series.Layout`` are checked against the loop
+that listed them before they were enumerated with arrays.
 """
 
 import numpy as np
@@ -57,6 +59,20 @@ def _old_laurent_coeffs(g2, g3):
             acc += c[m] * c[k - m]
         c[k] = 3.0 * acc / ((2 * k + 1) * (k - 3))
     return c
+
+
+def _old_pairs(exps):
+    """The product pairs (a, b, out) of a layout, by a and then b."""
+    index = {e: m for m, e in enumerate(exps)}
+    order = sum(exps[-1])
+    pairs = []
+    for ma, ea in enumerate(exps):
+        for mb, eb in enumerate(exps):
+            if sum(ea) + sum(eb) <= order:
+                mo = index.get(tuple(map(sum, zip(ea, eb))))
+                if mo is not None:
+                    pairs.append((ma, mb, mo))
+    return pairs
 
 
 def _jet(rng, order, lanes):
@@ -157,3 +173,15 @@ def test_laurent_coefficients_are_the_old_loop(rng):
         g2, g3 = rng.uniform(-50.0, 50.0, size=2) * 10.0 ** rng.uniform(-3, 3)
         assert (specfun._laurent_coeffs(g2, g3).tobytes()
                 == _old_laurent_coeffs(g2, g3).tobytes())
+
+
+@pytest.mark.parametrize("key", [0, 1, 4, 9, jets.cap(3, "t", 1),
+                                 jets.cap(6, "x", 0),
+                                 jets.cap(jets.cap(7, "t", 1), "y", 2)],
+                         ids=repr)
+def test_product_pairs_are_the_old_loop(key):
+    for lay in (jets._tables(key), series.univariate(int(key))):
+        pairs = list(zip(lay.mul_a.tolist(), lay.mul_b.tolist(),
+                         lay.mul_out.tolist()))
+        assert pairs == _old_pairs(lay.exps)
+        assert lay.mul_a.dtype == lay.mul_out.dtype == np.intp

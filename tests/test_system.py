@@ -350,6 +350,56 @@ def test_current_order_is_enough_and_needed(cid, param):
         check, lambda: catalog.instantiate("F_HOPFCOLE2D", {}), CURRENT_ORDER)
 
 
+# ----------------------------------------------------------------------
+# the grid report reads t-degree <= 1: its rows are those of the full
+# jets, bit for bit where no quadrature refines on what it reads
+# ----------------------------------------------------------------------
+
+_GRID_KEY = jets.cap(RESIDUAL_ORDER, "t", 1)
+
+
+def _default_grid(family_id, n=3):
+    axes = [np.linspace(lo, hi, n) for lo, hi in
+            catalog.default_box(family_id)]
+    return [Point(float(t), float(x), float(y))
+            for t in axes[0] for x in axes[1] for y in axes[2]]
+
+
+@pytest.mark.parametrize("fid", [d.id for d in catalog.list_families()])
+def test_grid_report_rows_equal_the_full_order_reader(fid):
+    rep = residual_report(catalog.instantiate(fid, {}), _default_grid(fid))
+    assert rep.rows
+    # the same points, one batch of a fresh field at the full order
+    s = catalog.instantiate(fid, {})
+    points = [row[0] for row in rep.rows]
+    p = Point(*(np.array(c) for c in zip(*points)))
+    u, v = s.u(p, RESIDUAL_ORDER), s.v(p, RESIDUAL_ORDER)
+    r1, r2 = system._RESIDUALS[s.coords](u, v)
+    full = np.stack([np.broadcast_to(c, len(points))
+                     for c in (u.value, v.value, r1, r2)], axis=1)
+    capped = np.array([row[1:] for row in rep.rows])
+    if fid in QUADRATURE_FAMILIES:
+        # an adaptive quadrature's error estimate reads the coefficients
+        # its jets keep, so it may refine elsewhere
+        assert np.abs(capped - full).max() < 1e-6
+    else:
+        assert capped.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("p", [
+    _UQ_POINT, Point(np.array([0.4, 0.6]), -0.2, np.array([0.7, 0.5]))],
+    ids=["single", "lanes"])
+def test_residuals_read_capped_and_full_jets_alike(p):
+    uv = catalog.instantiate("F_UEQV", {})
+    uv_p = Point(1.2 + 0.0 * p.t, 0.8, p.y)
+    uq = _uq_seed("u_y=q_y")
+    results = []
+    for key in (_GRID_KEY, RESIDUAL_ORDER):
+        results.append((system._uv_residual(uv.u(uv_p, key), uv.v(uv_p, key)),
+                        system._uq_residual(uq.u(p, key), uq.v(p, key))))
+    assert np.array(results[0]).tobytes() == np.array(results[1]).tobytes()
+
+
 def _symmetry_image():
     g = transforms.d_transform("t + 0.3*sin(t)").compose(
         transforms.s_transform("y + 0.4*sin(y)"))

@@ -1220,10 +1220,11 @@ def test_uq_step_then_uv_step_runs_no_y_integral(monkeypatch):
 #: line integral included (5, 9, 4.5 and 8.5 when it asked its lines one
 #: by one), and the lanes of a quadrature refine in lockstep, each round
 #: one call for the panels of every lane (4.5, 8, 4 and 7.5 when each lane
-#: asked each panel alone).  At n = 3 the check of the third DT1 dressing
-#: asks the seed's u once more, at an order between the two the residual
-#: asks
-_DARBOUX_PHI_CALLS = {("DT1", 1): 3.5, ("DT1", 2): 6, ("DT1", 3): 9,
+#: asked each panel alone).  A DT1 dressing's u asks the q below at the
+#: key its q asks before the covering check, so the check reads it by
+#: truncation and the seed's u is asked once (3.5, 6 and 9 when the check
+#: walked the q chain down first)
+_DARBOUX_PHI_CALLS = {("DT1", 1): 3, ("DT1", 2): 5.5, ("DT1", 3): 8,
                       ("DT2", 1): 3, ("DT2", 2): 5.5, ("DT2", 3): 8}
 
 
