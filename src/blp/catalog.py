@@ -857,7 +857,7 @@ def _f_uxx_bernoulli(fid, b):
         return 0.125 * jets.sqrt(ratio)
 
     def chi_t(p, n):
-        return chi_jet(p, n + 1).derive("t")
+        return chi_jet(p, jets.up(n, "t")).derive("t")
 
     def chi_t_positive(p, n):
         ct = chi_t(p, n)
@@ -878,7 +878,7 @@ def _f_uxx_bernoulli(fid, b):
         return (x + psi_tilde(p, n)) * jets.sqrt(ct)
 
     def u(p, n):
-        w = omega(p, n + 1)
+        w = omega(p, jets.up(n, "t"))
         return w.derive("t") / (2.0 * jets.sqrt(chi_t(p, n)))
 
     def v(p, n):

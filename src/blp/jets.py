@@ -19,15 +19,17 @@ operation, elementary function and composition with a univariate series
 is exact on the quotient, and a kept coefficient sums the same terms in
 the same order as in the full jet: it has the full jet's bits (a single
 series computes its recurrences in the full layout, :func:`elementary`).
-``key + k`` raises the order and every cap by k, the safe key for a map
-that differentiates in any axis; :func:`up` raises one axis only, for a
-map that then differentiates only along it; :meth:`Jet3.derive` lowers
-the cap of its axis, and an axis capped at 0 cannot be differentiated.
-Two jets of one order combine on the meet of their keys, a reader
-truncates what a map returns to the key it asked, and a remembered jet
-(:func:`last_point`) answers only the keys it covers.  Tables are built
-per key, up to :data:`MAX_ORDER`; a higher order raises
-:class:`OrderTooHigh`.
+:func:`up` is the one rule that raises a key, by one order in one axis,
+for a map that then differentiates only along it; ``key + k`` is the
+int order k above, the full jet, which covers every key of that order.
+:meth:`Jet3.derive` lowers the cap of its axis, and an axis capped at 0
+cannot be differentiated.  Two jets of one order combine on the meet of
+their keys, and a number (an int, a float or a NumPy scalar) as a float,
+or an array as one number per lane; a reader truncates what a map
+returns to the key it asked, and a remembered jet (:func:`last_point`)
+answers only the keys it covers.  Tables are built per key, up to
+:data:`MAX_ORDER`; a higher order raises :class:`OrderTooHigh`, and a
+negative one a ``ValueError``.
 
 Elementary functions of a jet (:func:`apply_unary`) and the quotient of
 two jets are computed degree by degree: each homogeneous-degree part of
@@ -256,19 +258,13 @@ class Key(int):
     A plain int is the key of the full jet of that order.
 
     Keys are interned (:func:`cap`, :func:`up`), so one key is one
-    object; ``key + k`` raises the order and every cap by k.  Comparisons
+    object; :func:`up` raises a key, and ``key + k`` is the plain int,
+    the full jet of the order k above.  Comparisons
     order keys by their monomials: ``a >= b`` when every monomial of
     ``b`` is one of ``a``, which for two ints is the order of ints.
     """
 
     caps: tuple
-
-    def __add__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        return _key(int(self) + k, [c + k for c in self.caps])
-
-    __radd__ = __add__
 
     def __eq__(self, other):
         return self is other
@@ -440,6 +436,8 @@ def _tables(order: int) -> _Tables:
     if tab is None:
         if int(order) > MAX_ORDER:
             raise OrderTooHigh(int(order))
+        if int(order) < 0:
+            raise ValueError("order must be >= 0")
         tab = _TABLES[order] = _Tables(order)
     return tab
 
@@ -461,8 +459,6 @@ class Jet3:
     __array_ufunc__ = None
 
     def __init__(self, base: Point, order: int, coeffs: np.ndarray):
-        if int(order) < 0:
-            raise ValueError("order must be >= 0")
         if coeffs.shape[-1] != _tables(order).size:
             raise ValueError("coefficient array has wrong length")
         self.base = base
@@ -474,22 +470,15 @@ class Jet3:
     @staticmethod
     def constant(value, base: Point, order: int) -> "Jet3":
         """The constant jet of ``value``, a float or one per lane."""
-        size = _tables(order).size
-        if isinstance(value, np.ndarray):
-            c = np.zeros((len(value), size))
-            c[:, 0] = value
-        else:
-            c = np.zeros(size)
-            c[0] = value
-        return _jet(base, order, c)
+        return _jet(base, order,
+                    _coordinate(value, np.zeros(_tables(order).size)))
 
     # -- basics ----------------------------------------------------------
 
     @property
     def value(self):
         """The value: a float, or an array over the lanes of a batch."""
-        c = self.coeffs
-        return float(c[0]) if c.ndim == 1 else c[:, 0]
+        return _values(self.coeffs)
 
     def copy_with(self, coeffs: np.ndarray) -> "Jet3":
         """A jet of the same base and order; ``coeffs`` has its length."""
@@ -504,45 +493,35 @@ class Jet3:
             return self
         return _jet(self.base, order, narrow(self.coeffs, have, order))
 
-    def _coerce(self, other) -> "Jet3 | None":
-        """``other`` as a jet of this jet's key, or None for a number or
-        an array of one number per lane.  Jets of two keys of one order
-        combine on their meet: :class:`_Meet` carries both operands
-        truncated to it where this jet's key is not the meet."""
+    def _operands(self, other) -> tuple:
+        """The operands of a binary operation of this jet with ``other``:
+        for a jet of this base and order, both jets truncated to the meet
+        of their keys; for a number (an int, a float or a NumPy scalar),
+        this jet and the number as a float, and for an array, this jet
+        and the array, one number per lane; else ``other`` is
+        NotImplemented."""
         if isinstance(other, Jet3):
-            if other.base is not self.base \
-                    and not _same_point(other.base, self.base):
+            if other.order is self.order and other.base is self.base:
+                return self, other
+            if int(other.order) != int(self.order) \
+                    or not _same_point(other.base, self.base):
                 raise ValueError(_UNMATCHED)
-            if other.order is not self.order:
-                if int(other.order) != int(self.order):
-                    raise ValueError(_UNMATCHED)
-                meet = _key(self.order, map(min, _caps(self.order),
-                                            _caps(other.order)))
-                if meet != self.order:
-                    raise _Meet(self.truncate(meet), other.truncate(meet))
-                return other.truncate(meet)
-            return other
-        if isinstance(other, (int, float, np.floating, np.ndarray)):
-            return None
-        return NotImplemented  # type: ignore[return-value]
+            meet = _key(self.order, map(min, _caps(self.order),
+                                        _caps(other.order)))
+            return self.truncate(meet), other.truncate(meet)
+        if isinstance(other, (int, float, np.integer, np.floating)):
+            return self, float(other)
+        return self, other if isinstance(other, np.ndarray) \
+            else NotImplemented
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        try:
-            o = self._coerce(other)
-        except _Meet as meet:
-            return meet.a + meet.b
-        if o is NotImplemented:
-            return NotImplemented
-        if o is None:
-            c = self.coeffs
-            if c.ndim == 1 and not isinstance(other, np.ndarray):
-                c = c.copy()
-                c[0] += float(other)
-                return self.copy_with(c)
-            return self.copy_with(_shifted(c, other))
-        return self.copy_with(self.coeffs + o.coeffs)
+        a, b = self._operands(other)
+        if b is NotImplemented:
+            return b
+        return a.copy_with(a.coeffs + b.coeffs if isinstance(b, Jet3)
+                           else _shifted(a.coeffs, b))
 
     __radd__ = __add__
 
@@ -550,54 +529,34 @@ class Jet3:
         return self.copy_with(-self.coeffs)
 
     def __sub__(self, other):
-        try:
-            o = self._coerce(other)
-        except _Meet as meet:
-            return meet.a - meet.b
-        if o is NotImplemented:
-            return NotImplemented
-        if o is None:
-            c = self.coeffs
-            if c.ndim == 1 and not isinstance(other, np.ndarray):
-                c = c.copy()
-                c[0] -= float(other)
-                return self.copy_with(c)
-            return self.copy_with(_shifted(c, -other))
-        return self.copy_with(self.coeffs - o.coeffs)
+        a, b = self._operands(other)
+        if b is NotImplemented:
+            return b
+        return a.copy_with(a.coeffs - b.coeffs if isinstance(b, Jet3)
+                           else _shifted(a.coeffs, -b))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        try:
-            o = self._coerce(other)
-        except _Meet as meet:
-            return meet.a * meet.b
-        if o is NotImplemented:
-            return NotImplemented
-        if o is None:
-            return self.copy_with(self.coeffs * (
-                float(other) if not isinstance(other, np.ndarray)
-                else other[:, None]))
-        return self.copy_with(_tables(self.order).mul(self.coeffs, o.coeffs))
+        a, b = self._operands(other)
+        if b is NotImplemented:
+            return b
+        if isinstance(b, Jet3):
+            return a.copy_with(_tables(a.order).mul(a.coeffs, b.coeffs))
+        return a.copy_with(a.coeffs * _per_lane(b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        try:
-            o = self._coerce(other)
-        except _Meet as meet:
-            return meet.a / meet.b
-        if o is NotImplemented:
-            return NotImplemented
-        if o is None:
-            check_denominator(other, self.value,
-                              "division by (near-)zero scalar")
-            return self.copy_with(self.coeffs / (
-                float(other) if not isinstance(other, np.ndarray)
-                else other[:, None]))
-        return self.copy_with(
-            quotient(self.coeffs, o.coeffs, _tables(self.order)))
+        a, b = self._operands(other)
+        if b is NotImplemented:
+            return b
+        if isinstance(b, Jet3):
+            return a.copy_with(
+                quotient(a.coeffs, b.coeffs, _tables(a.order)))
+        check_denominator(b, a.value, "division by (near-)zero scalar")
+        return a.copy_with(a.coeffs / _per_lane(b))
 
     def __rtruediv__(self, other):
         check_denominator(self.value, other,
@@ -637,13 +596,6 @@ class Jet3:
 _UNMATCHED = "jets are combinable only with matching base and order"
 
 
-class _Meet(Exception):
-    """Two operands of a binary operation, truncated to their meet."""
-
-    def __init__(self, a: Jet3, b: Jet3):
-        self.a, self.b = a, b
-
-
 def _jet(base: Point, order: int, coeffs: np.ndarray) -> Jet3:
     """A jet built inside this module, whose ``coeffs`` is known to have
     the length of ``order``: the public constructor's check is skipped."""
@@ -678,12 +630,20 @@ def _gather(c: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def _shifted(c: np.ndarray, k) -> np.ndarray:
-    """A copy of the lanes' coefficients ``c`` with ``k`` (a number, or
-    one per lane) added to the constant term."""
+    """A copy of the coefficients ``c`` of one jet or of each lane with
+    ``k`` (a float, or one per lane) added to the constant term."""
     c = np.array(np.broadcast_to(c, (len(k), c.shape[-1]))) \
         if isinstance(k, np.ndarray) else c.copy()
-    c[:, 0] += k
+    # c.T[0] is the constant term of one jet, or of each lane; c[..., 0]
+    # of one jet would add into a 0-d array, several times slower
+    c.T[0] += k
     return c
+
+
+def _per_lane(k):
+    """A factor ``k`` (a float, or one per lane) that scales the
+    coefficients of one jet or of each lane."""
+    return k[:, None] if isinstance(k, np.ndarray) else k
 
 
 def _coordinate(value, row: np.ndarray) -> np.ndarray:
@@ -705,8 +665,6 @@ def _coordinate(value, row: np.ndarray) -> np.ndarray:
 
 def lift_variable(which: str, at: Point, order: int) -> Jet3:
     """Jet of one of the coordinate functions t, x, y."""
-    if int(order) < 0:
-        raise ValueError("order must be >= 0")
     _check_point(at)
     axis = _AXES[which]
     return _jet(at, order,
@@ -715,8 +673,6 @@ def lift_variable(which: str, at: Point, order: int) -> Jet3:
 
 def coordinate_jets(p: Point, order: int) -> tuple[Jet3, Jet3, Jet3]:
     """The jets of t, x and y at ``p``, with one check of the point."""
-    if int(order) < 0:
-        raise ValueError("order must be >= 0")
     rows = _tables(order).coordinate_rows
     if _check_point(p) is not None:
         t, x, y = (_jet(p, order, _coordinate(c, row))
@@ -736,11 +692,7 @@ def restrict(a: Jet3, axis: str, at: Point) -> Jet3:
     ``at`` that differs from the base only in that coordinate.
     """
     out = a.coeffs.copy()
-    index = _tables(a.order).with_axis[_AXES[axis]]
-    if out.ndim == 1:
-        out[index] = 0.0
-    else:
-        out[:, index] = 0.0
+    out.T[_tables(a.order).with_axis[_AXES[axis]]] = 0.0  # as in _shifted
     return _jet(at, a.order, out)
 
 
@@ -936,7 +888,7 @@ def elementary(f, c: np.ndarray, lay) -> np.ndarray:
     ``f`` is one of the names ``exp, ln, sin, cos, tan, sinh, cosh, sqrt,
     recip, abs_signed`` or a tuple ``("pow", r)``.
     """
-    form = _checked(f, float(c[0]) if c.ndim == 1 else c[:, 0])
+    form = _checked(f, _values(c))
     if c.ndim == 1 and lay.full is not None:
         return _in_full(form.series, lay, c)
     return form.series(c, lay)
@@ -1058,11 +1010,7 @@ def last_point(fn: JetMap) -> JetMap:
 
     def remembered(p: Point, order: int) -> Jet3:
         nonlocal last_p, last_jet
-        try:  # two single points compare exactly, and cheaply
-            same = last_p is p or (last_p == p and _same_point(last_p, p))
-        except ValueError:  # lanes compared elementwise
-            same = _same_point(last_p, p)
-        if same and last_jet.order >= order:
+        if _same_point(last_p, p) and last_jet.order >= order:
             return last_jet.truncate(order)
         jet = fn(p, order)
         last_p, last_jet = p, jet

@@ -375,8 +375,8 @@ def _quartic_solution(q: QuarticODE, a: float):
         if near.any():
             try:
                 out[near] = _anchored(zv[near], n)
-            except BLPError as exc:  # raised on shifted sub-batches
-                exc.lanes = None
+            except BLPError as exc:  # raised on the lanes near a crossing
+                jets.name_lanes(exc, np.flatnonzero(near), np.arange(len(zv)))
                 raise
             zv, p, dp = zv[~near], p[~near], dp[~near]
         if not len(zv):
@@ -392,18 +392,26 @@ def _quartic_solution(q: QuarticODE, a: float):
         """:func:`_series` at lanes inside the band around a crossing, each
         expanded at the first safe argument of a fixed list of shifts."""
         out = np.empty((len(zv), n + 1))
-        todo = np.arange(len(zv))
+        ids = todo = np.arange(len(zv))
         for shift in (0.01, -0.01, 0.03, -0.03, 0.08, -0.08):
-            ps, dps, _ = weierstrass_p(zv[todo] + shift, inv)
-            safe = _classify(ps, dps) == _OK
-            if safe.any():
-                c = _series(zv[todo[safe]] + shift, n + 8, ps[safe],
-                            dps[safe])
-                out[todo[safe]] = _ser_shift(c, -shift)[:, : n + 1]
+            asked = todo
+            try:  # each sub-batch names the lanes of zv it was asked for
+                ps, dps, _ = weierstrass_p(zv[todo] + shift, inv)
+                safe = _classify(ps, dps) == _OK
+                asked = todo[safe]
+                if len(asked):
+                    c = _series(zv[asked] + shift, n + 8, ps[safe],
+                                dps[safe])
+                    out[asked] = _ser_shift(c, -shift)[:, : n + 1]
+            except BLPError as exc:
+                jets.name_lanes(exc, asked, ids)
+                raise
             todo = todo[~safe]
             if not len(todo):
                 return out
-        raise PoleError("no safe expansion point near the crossing")
+        jets.raise_where(np.isin(ids, todo), None,
+                         "no safe expansion point near the crossing",
+                         PoleError)
 
     def phi(z):
         # one P evaluation per argument: it both classifies and assembles

@@ -36,9 +36,9 @@ residual reads still comes from the top field's own potential, so the
 check stays independent of the maps.
 Each map asks its parent for the highest order it needs first; the
 parent's remembered jet (:func:`jets.last_point`) answers lower ones.
-A map asks ``jets.up(n, axis)`` of a parent that it differentiates only
-along ``axis``, and ``n + k`` otherwise, so a truncation key passes
-through it (:mod:`blp.jets`).
+A map asks ``jets.up(n, axis)`` of a parent that it differentiates
+along ``axis``, once per derivative, so a truncation key passes through
+it (:mod:`blp.jets`).
 A transformed field has no domain predicate of its own: where a guard
 of the map fires, or a point of a symmetry image has no inverse on
 ``WINDOW``, evaluation raises :class:`UndefinedTransform` (a

@@ -278,6 +278,24 @@ def test_bernoulli_one_line_integral_per_line(monkeypatch):
     assert counts == [25]
 
 
+def test_bernoulli_abscissae_keep_y_capped_at_zero(monkeypatch):
+    # psi~'s abscissae along y ask keys with y capped at 0, and chi_t and
+    # u raise t alone: no table asked has a y cap between 0 and its order
+    asked = set()
+    tables = jets._tables
+
+    def counted(order):
+        asked.add(order)
+        return tables(order)
+
+    monkeypatch.setattr(jets, "_tables", counted)
+    residual_report(instantiate("F_UXX_BERNOULLI", {}),
+                    grid_for("F_UXX_BERNOULLI", 3))
+    y_caps = {k: jets._caps(k)[2] for k in asked}
+    assert 0 in y_caps.values()
+    assert all(c in (0, int(k)) for k, c in y_caps.items()), y_caps
+
+
 @pytest.mark.parametrize("fid,seed,widen,skipped", [
     ("F_UXX_BERNOULLI", 1, 0.5, 15), ("F_UXX_BERNOULLI", 0, 3.0, 45),
     ("F_SINHGORDON", 0, 3.0, 40), ("F_SINHGORDON", 4, 3.0, 30),

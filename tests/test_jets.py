@@ -81,6 +81,18 @@ def test_base_order_mismatch():
         a + c
 
 
+@pytest.mark.parametrize("p", [Point(0.7, -0.3, 0.45),
+                               Point(np.array([0.7, 0.9, 1.1]), -0.3, 0.45)],
+                         ids=["single", "lanes"])
+def test_numpy_scalars_combine_as_an_int_does(p):
+    x = 0.2 + 1.3 * jets.coordinate_jets(p, 4)[1]
+    for expr in (lambda k: k * x, lambda k: x * k, lambda k: x + k,
+                 lambda k: k - x, lambda k: x / k):
+        want = expr(2).coeffs.tobytes()
+        for k in (np.int64(2), np.int32(2), np.uint8(2), np.float64(2.0)):
+            assert expr(k).coeffs.tobytes() == want
+
+
 def test_exp_of_zero_jet():
     p = Point(0.0, 0.0, 0.0)
     e = apply_unary("exp", lift_variable("t", p, 2))

@@ -75,6 +75,28 @@ def test_derive_truncate_and_meet_keep_the_full_bits(p):
         same_bits(ca.truncate(jets.cap(key, "x", 0)), a)
 
 
+_BINARY = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+           "mul": lambda a, b: a * b, "div": lambda a, b: a / b}
+
+
+@pytest.mark.parametrize("p", [SINGLE, LANES], ids=["single", "lanes"])
+@pytest.mark.parametrize("op", sorted(_BINARY))
+def test_two_keys_combine_on_their_meet(op, p):
+    fn = _BINARY[op]
+    a, b = _operands(p, ORDER)
+    full = fn(a, b)
+    other = jets.cap(ORDER, "t", 0)
+    for key in KEYS:
+        ca, cb = _operands(p, key)
+        # the capped operand on either side, against a full jet and
+        # against a jet of another key
+        for got, meet in ((fn(ca, b), key), (fn(a, cb), key),
+                          (fn(ca, b.truncate(other)), jets.cap(key, "t", 0)),
+                          (fn(a.truncate(other), cb), jets.cap(key, "t", 0))):
+            assert got.order is meet
+            same_bits(got, full)
+
+
 def test_an_axis_capped_at_zero_cannot_be_differentiated():
     a, _ = _operands(SINGLE, jets.cap(ORDER, "x", 0))
     with pytest.raises(ValueError, match="capped at 0"):
@@ -89,7 +111,7 @@ def test_keys_are_interned_and_an_uncapped_key_is_an_int():
     k = jets.cap(ORDER, "x", 1)
     assert k is jets.cap(ORDER, "x", 1) and k == k and k != ORDER
     assert type(jets.cap(ORDER, "x", ORDER)) is int
-    assert k + 2 is jets.cap(ORDER + 2, "x", 3)
+    assert k + 2 == ORDER + 2 and type(k + 2) is int
     assert jets.up(k, "y") is jets.cap(ORDER + 1, "x", 1)
     assert jets.up(k, "x") is jets.cap(ORDER + 1, "x", 2)
     assert jets.up(ORDER, "x") == ORDER + 1
@@ -227,3 +249,12 @@ def test_orders_above_the_maximum_raise_a_typed_error():
         jets.coordinate_jets(SINGLE, jets.MAX_ORDER + 1)
     assert issubclass(jets.OrderTooHigh, jets.BadInput)
     assert jets.MAX_ORDER + 1 not in jets._TABLES
+
+
+def test_negative_orders_raise():
+    for make in (lambda: jets.coordinate_jets(SINGLE, -1),
+                 lambda: jets.lift_variable("x", SINGLE, -1),
+                 lambda: Jet3(SINGLE, -1, np.zeros(0))):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            make()
+    assert -1 not in jets._TABLES

@@ -446,6 +446,24 @@ def test_a_lane_inside_the_crossing_band(monkeypatch):
     assert np.any(np.abs(shifted - (_CROSSING + 0.01)) < 1e-12)
 
 
+def test_an_error_of_the_crossing_expansion_names_its_lane(monkeypatch):
+    # the expansion point shifted from the crossing raises: the error
+    # names the lane near the crossing, not the whole batch
+    real = specfun.weierstrass_p
+
+    def failing(z, inv):
+        jets.raise_where(np.abs(z - (_CROSSING + 0.01)) < 1e-12, z,
+                         "pole at the shifted point", specfun.PoleError)
+        return real(z, inv)
+    monkeypatch.setattr(specfun, "weierstrass_p", failing)
+    field = catalog.instantiate("F_R29_ELLIPTIC", {})
+    y = 0.6
+    p = Point(0.5, np.array([0.3, _CROSSING - y, 0.45, 0.52]), y)
+    with pytest.raises(specfun.PoleError) as err:
+        field.u(p, system.RESIDUAL_ORDER)
+    assert err.value.lanes.tolist() == [False, True, False, False]
+
+
 def assert_first_lane_error(fn, p, error):
     """``fn`` at the batched point ``p`` raises the class and message of
     its first lane that raises alone, an ``error``."""
