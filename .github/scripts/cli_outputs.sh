@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Write the outputs of a fixed set of blp commands, run from the source
-# tree of the current directory, into the directory $1: for each command
-# its stdout (.out), stderr (.err), exit code (.code) and CSV dump (.csv).
-# Two such directories, of two commits, compare with diff -rq.
+# tree of the current directory with RuntimeWarning as an error, into the
+# directory $1: for each command its stdout (.out), stderr (.err), exit
+# code (.code) and CSV dump (.csv).  Two such directories, of two
+# commits, compare with diff -rq; .github/scripts/cli_gate.sh checks the
+# exit codes and stderr of one.
 #
 #   blp verify --csv for every family, on its default grid and on a wide
 #   grid that crosses the domain edges of many families;
@@ -10,9 +12,8 @@
 #   blp algebra;
 #   blp transform --csv for one step of each Laplace map (forward and
 #   inverse, in (u,v) and in (u,q)) on a 2^3 grid of each family's box,
-#   and for the single Darboux dressings over both constrained seeds, the
-#   runs of the "Laplace steps on every family" and "Darboux steps" CI
-#   steps.
+#   and for the single Darboux dressings over both constrained seeds, with
+#   and without a theta.
 #
 # usage: cd <checkout> && bash .github/scripts/cli_outputs.sh <out-dir>
 set -u
@@ -22,7 +23,7 @@ export PYTHONPATH=src
 
 run() {
     name=$1; shift
-    python -m blp.cli "$@" > "$out/$name.out" 2> "$out/$name.err"
+    python -W error::RuntimeWarning -m blp.cli "$@" > "$out/$name.out" 2> "$out/$name.err"
     echo $? > "$out/$name.code"
 }
 

@@ -350,9 +350,11 @@ def _eval_many(e: Expr, xs: list, seen: dict) -> list:
     return out
 
 
-def sample(e: Expr, xs) -> list[float]:
+def sample(e: Expr, xs, seen: dict | None = None) -> list[float]:
     """``[e(x) for x in xs]``, in one walk of the tree: each subtree that
-    occurs more than once (the same object) is evaluated once.
+    occurs more than once (the same object) is evaluated once, and so is
+    each subtree kept in ``seen`` (:func:`_eval_many`) by an earlier walk
+    of the same points.
 
     Values are those of calling ``e`` on each float.  Where a point
     raises, the points are taken one at a time, so the error is the one
@@ -360,7 +362,7 @@ def sample(e: Expr, xs) -> list[float]:
     """
     xs = [float(x) for x in xs]
     try:
-        return list(_eval_many(e, xs, {}))
+        return list(_eval_many(e, xs, {} if seen is None else seen))
     except (ArithmeticError, ValueError):
         return [_eval(e, x) for x in xs]
 
@@ -422,6 +424,16 @@ def compose_series(e: Expr, g: np.ndarray) -> np.ndarray:
     return np.broadcast_to(out, g.shape) if out.ndim < g.ndim else out
 
 
+def _variable(at, order: int) -> np.ndarray:
+    """The series of the variable itself at ``at`` (a float, or one per
+    row of a batch) to ``order``; a negative order raises the
+    ``ValueError`` of :func:`series.univariate`."""
+    x = np.zeros(np.shape(at) + (series.univariate(order).size,))
+    x[..., 0] = at
+    x[..., 1:2] = 1.0
+    return x
+
+
 #: series kept in the memo of one expression
 MEMO_SIZE = 256
 
@@ -430,18 +442,12 @@ def _memo_series(e: Expr, at: float, order: int) -> np.ndarray:
     """The series of ``e`` at ``at`` to ``order``, from the memo of ``e``
     (at most :data:`MEMO_SIZE` entries, the oldest dropped first); an
     error is never kept.  The array is the memo's own: callers copy it."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
     memo = e.__dict__.setdefault("_memo", {})
     # -0.0 == 0.0, but the series at -0.0 starts with -0.0
     key = (at, order) if at else (at, order, math.copysign(1.0, at))
     ser = memo.get(key)
     if ser is None:
-        x = np.zeros(order + 1)
-        x[0] = at
-        if order:
-            x[1] = 1.0
-        ser = compose_series(e, x)
+        ser = compose_series(e, _variable(at, order))
         if len(memo) >= MEMO_SIZE:
             del memo[next(iter(memo))]
         memo[key] = ser
@@ -467,13 +473,8 @@ def eval_jet(e: Expr, which: str, at: Point, order: int) -> Jet3:
     at_var = getattr(at, which)
     if not isinstance(at_var, np.ndarray):
         return jets.axis_jet(_memo_series(e, at_var, n), which, at, order)
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    x = np.zeros((len(at_var), n + 1))
-    x[:, 0] = at_var
-    if n:
-        x[:, 1] = 1.0
-    return jets.axis_jet(compose_series(e, x), which, at, order)
+    return jets.axis_jet(compose_series(e, _variable(at_var, n)),
+                         which, at, order)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

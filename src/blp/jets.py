@@ -496,10 +496,10 @@ class Jet3:
     def _operands(self, other) -> tuple:
         """The operands of a binary operation of this jet with ``other``:
         for a jet of this base and order, both jets truncated to the meet
-        of their keys; for a number (an int, a float or a NumPy scalar),
-        this jet and the number as a float, and for an array, this jet
-        and the array, one number per lane; else ``other`` is
-        NotImplemented."""
+        of their keys; for a number (an int, a float, a NumPy scalar or a
+        0-d array), this jet and the number as a float, and for any other
+        array, this jet and the array, one number per lane; else
+        ``other`` is NotImplemented."""
         if isinstance(other, Jet3):
             if other.order is self.order and other.base is self.base:
                 return self, other
@@ -509,10 +509,12 @@ class Jet3:
             meet = _key(self.order, map(min, _caps(self.order),
                                         _caps(other.order)))
             return self.truncate(meet), other.truncate(meet)
-        if isinstance(other, (int, float, np.integer, np.floating)):
+        if isinstance(other, np.ndarray) and other.ndim:
+            return self, other
+        if isinstance(other, (int, float, np.integer, np.floating,
+                              np.ndarray)):
             return self, float(other)
-        return self, other if isinstance(other, np.ndarray) \
-            else NotImplemented
+        return self, NotImplemented
 
     # -- ring operations ---------------------------------------------------
 

@@ -2,12 +2,16 @@
 
 The algebra is spanned by four families of generators with functional
 coefficients, D(f) and P(g) with f, g functions of t, S(a) and Z(b) with
-a, b functions of y.  The nonzero brackets are
+a, b functions of y.  The nonzero brackets, the table that
+:func:`commutator` reads, are
 
     [D(f1), D(f2)] = D(f1 f2' - f1' f2)
     [S(a1), S(a2)] = S(a1 a2' - a1' a2)
     [P(g), D(f)]   = P(f' g / 2 - f g')
     [S(a), Z(b)]   = Z((a b)')
+
+and a mirrored one, [D(f), P(g)] or [Z(b), S(a)], is the negative of its
+rule.
 
 Functional coefficients are compared by sampling at Chebyshev-spaced
 points with a least-squares certificate rather than symbolically; adjoint
@@ -36,8 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprdsl import (Expr, Num, _eval_many, _is_zero_num, _mk, as_expr,
-                      parse, sample)
+from .exprdsl import Expr, Num, _is_zero_num, _mk, as_expr, parse, sample
 from .jets import BadInput, BLPError
 from .transforms import _invert_monotone
 
@@ -154,43 +157,42 @@ def _wronsky(a: Expr, b: Expr, var: str) -> Expr:
                _mk("*", a.diff(), b, var), var)
 
 
+def _p_bracket(g: Expr, f: Expr, var: str) -> Expr:
+    # f' g / 2 - f g'
+    return _mk("-", _mk("*", _mk("*", Num(0.5, var), f.diff(), var), g, var),
+               _mk("*", f, g.diff(), var), var)
+
+
+#: the nonzero brackets of the module docstring: (k1, k2) -> the kind of
+#: [k1(c1), k2(c2)] and its coefficient as a function of (c1, c2, var)
+_BRACKETS = {
+    ("D", "D"): ("D", _wronsky),
+    ("S", "S"): ("S", _wronsky),
+    ("P", "D"): ("P", _p_bracket),
+    ("S", "Z"): ("Z", lambda a, b, var: _mk("*", a, b, var).diff()),
+}
+
+
 def commutator(Q1: LieElement, Q2: LieElement) -> LieElement:
-    """The Lie bracket; requires symbolic (Expr) coefficients."""
+    """The Lie bracket; requires symbolic (Expr) coefficients.  Where the
+    two kinds of a rule of :data:`_BRACKETS` differ, the mirrored bracket
+    [k2(c2), k1(c1)] is the rule's negative."""
     if not (Q1.symbolic and Q2.symbolic):
         raise TypeError("commutator needs symbolic coefficients; "
                         "pushforward closures compare pointwise instead")
     out: dict = {}
-
-    def put(kind, e):
-        out[kind] = e if kind not in out else _mk("+", out[kind], e,
-                                                  _VAR_OF[kind])
-
-    f1, f2 = Q1.coeff("D"), Q2.coeff("D")
-    a1, a2 = Q1.coeff("S"), Q2.coeff("S")
-    g1, g2 = Q1.coeff("P"), Q2.coeff("P")
-    b1, b2 = Q1.coeff("Z"), Q2.coeff("Z")
-    if f1 is not None and f2 is not None:
-        put("D", _wronsky(f1, f2, "t"))
-    if a1 is not None and a2 is not None:
-        put("S", _wronsky(a1, a2, "y"))
-    # [P(g), D(f)] = P(f' g/2 - f g')
-    if g1 is not None and f2 is not None:
-        put("P", _p_bracket(g1, f2))
-    if g2 is not None and f1 is not None:
-        put("P", _mk("*", Num(-1.0, "t"), _p_bracket(g2, f1), "t"))
-    # [S(a), Z(b)] = Z((a b)')
-    if a1 is not None and b2 is not None:
-        put("Z", _mk("*", a1, b2, "y").diff())
-    if a2 is not None and b1 is not None:
-        put("Z", _mk("*", Num(-1.0, "y"),
-                     _mk("*", a2, b1, "y").diff(), "y"))
+    for (k1, k2), (kind, rule) in _BRACKETS.items():
+        v = _VAR_OF[kind]
+        pairs = ((Q1, Q2), (Q2, Q1)) if k1 != k2 else ((Q1, Q2),)
+        for mirrored, (A, B) in enumerate(pairs):
+            c1, c2 = A.coeff(k1), B.coeff(k2)
+            if c1 is None or c2 is None:
+                continue
+            e = rule(c1, c2, v)
+            if mirrored:
+                e = _mk("*", Num(-1.0, v), e, v)
+            out[kind] = e if kind not in out else _mk("+", out[kind], e, v)
     return LieElement(out)
-
-
-def _p_bracket(g: Expr, f: Expr) -> Expr:
-    # f' g / 2 - f g'
-    return _mk("-", _mk("*", _mk("*", Num(0.5, "t"), f.diff(), "t"), g, "t"),
-               _mk("*", f, g.diff(), "t"), "t")
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +207,14 @@ def _pushed(coeff, f: Expr, df: Expr, power: float) -> NumericCoeff:
     return NumericCoeff(new)
 
 
+#: reparametrizations by T(t) and by Y(y): the coefficient of each
+#: generator listed gains that power of T_t (of Y_y) at the inverse point
+_REPARAM = {"D": (("D", 1.0), ("P", 0.5)), "S": (("S", 1.0), ("Z", -1.0))}
+#: shifts: the generator whose coefficient c a shift by X reads, and the
+#: factor k of c X' - k c' X, which it adds to its own kind
+_SHIFT = {"P": ("D", 0.5), "Z": ("S", 1.0)}
+
+
 def pushforward(kind: str, param, Q: LieElement) -> LieElement:
     """Adjoint action of one elementary transformation on a generator sum.
 
@@ -212,43 +222,25 @@ def pushforward(kind: str, param, Q: LieElement) -> LieElement:
     transformation's functional (or sign) parameter.
     """
     out = dict(Q.terms)
-    if kind == "D":
-        T = _coerce(param, "t")
-        dT = T.diff()
-        # hat-T_t = 1/T_t(hat-T): D-coefficients gain a factor T_t,
-        # P-coefficients a factor sqrt(T_t)
-        for key, power in (("D", 1.0), ("P", 0.5)):
+    if kind in _REPARAM:
+        F = _coerce(param, _VAR_OF[kind])
+        dF = F.diff()
+        for key, power in _REPARAM[kind]:
             if key in out:
-                out[key] = _pushed(out[key], T, dT, power)
+                out[key] = _pushed(out[key], F, dF, power)
         return LieElement(out)
-    if kind == "S":
-        Y = _coerce(param, "y")
-        dY = Y.diff()
-        for key, power in (("S", 1.0), ("Z", -1.0)):
-            if key in out:
-                out[key] = _pushed(out[key], Y, dY, power)
-        return LieElement(out)
-    if kind == "P":
-        X0 = _coerce(param, "t")
-        if "D" in out:
-            f = out["D"]
-            if not isinstance(f, Expr):
-                raise TypeError("pushforward of a numeric closure by P")
-            extra = _mk("-", _mk("*", f, X0.diff(), "t"),
-                        _mk("*", _mk("*", Num(0.5, "t"), f.diff(), "t"),
-                            X0, "t"), "t")
-            out["P"] = extra if "P" not in out \
-                else _mk("+", out["P"], extra, "t")
-        return LieElement(out)
-    if kind == "Z":
-        V0 = _coerce(param, "y")
-        if "S" in out:
-            a = out["S"]
-            if not isinstance(a, Expr):
-                raise TypeError("pushforward of a numeric closure by Z")
-            extra = _wronsky(a, V0, "y")
-            out["Z"] = extra if "Z" not in out \
-                else _mk("+", out["Z"], extra, "y")
+    if kind in _SHIFT:
+        v = _VAR_OF[kind]
+        X = _coerce(param, v)
+        src, k = _SHIFT[kind]
+        if src in out:
+            c = out[src]
+            if not isinstance(c, Expr):
+                raise TypeError(f"pushforward of a numeric closure by {kind}")
+            extra = _mk("-", _mk("*", c, X.diff(), v),
+                        _mk("*", _mk("*", Num(k, v), c.diff(), v), X, v), v)
+            out[kind] = extra if kind not in out \
+                else _mk("+", out[kind], extra, v)
         return LieElement(out)
     if kind == "I":
         eps = float(param)
@@ -299,30 +291,19 @@ class Subalgebra:
 
 def _design_matrix(basis: Sequence[LieElement],
                    pts: Sequence[float]) -> np.ndarray:
-    rows = []
-    for kind in KINDS:
-        block = np.column_stack([b.sample(kind, pts) for b in basis])
-        rows.append(block)
-    return np.vstack(rows)
+    return np.column_stack([np.concatenate(list(_samples(b, pts)))
+                            for b in basis])
 
 
 def _samples(Q: LieElement, pts: Sequence[float]):
     """``Q.sample(kind, pts)`` for each kind in :data:`KINDS` order, in
     one walk: a subtree that several kinds share (the same object) is
-    evaluated once.  Where the walk raises, the kind is sampled alone, so
-    the error is the one that :func:`exprdsl.sample` of each kind in turn
-    raises first."""
-    xs = [float(s) for s in pts]
+    evaluated once (:func:`exprdsl.sample` with one memo)."""
     seen: dict = {}
     for kind in KINDS:
         c = Q.terms.get(kind)
-        if not isinstance(c, Expr):
-            yield Q.sample(kind, xs)
-            continue
-        try:
-            yield np.array(_eval_many(c, xs, seen))
-        except (ArithmeticError, ValueError):
-            yield np.array(sample(c, xs))
+        yield np.array(sample(c, pts, seen)) if isinstance(c, Expr) \
+            else Q.sample(kind, pts)
 
 
 def in_span(Q: LieElement, S_: Subalgebra) -> bool:

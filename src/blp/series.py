@@ -225,9 +225,12 @@ _UNIVARIATE: dict[int, Layout] = {}
 
 
 def univariate(order: int) -> Layout:
-    """Layout of a univariate series of ``order``, built once."""
+    """Layout of a univariate series of ``order``, built once; a
+    negative order is a ``ValueError``."""
     lay = _UNIVARIATE.get(order)
     if lay is None:
+        if order < 0:
+            raise ValueError("order must be >= 0")
         lay = _UNIVARIATE[order] = Layout([(k,) for k in range(order + 1)])
     return lay
 

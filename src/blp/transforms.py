@@ -47,13 +47,13 @@ does where the parent raises.
 Darboux transformations dress a solution with covering eigenfunctions;
 an n-fold dressing is n single ones, each by an eigenfunction carried
 through the dressings before it (:func:`darboux_psi`), which equals the
-Wronskian form (Crum's theorem).  :meth:`CoveringEigenfunction.check`
-tests an eigenfunction against the covering system when it is built and
-wherever a dressing evaluates its ``u``, on the jets that map asked for;
-a carried eigenfunction is tested there against the field it is carried
-over.  An eigenfunction attached to another field than the one it
-dresses is probed again over that one, and one that fails is a
-:class:`jets.BadInput` naming both family ids.
+Wronskian form (Crum's theorem).  An eigenfunction is tested against
+the covering system when it is built (:class:`CoveringEigenfunction`)
+and wherever a dressing evaluates its ``u``, on the jets that map asked
+for, over the field it dresses: a carried eigenfunction over the field
+it is carried over.  An eigenfunction attached to another field than
+the one it dresses is probed again over that one, and one that fails is
+a :class:`jets.BadInput` naming both family ids.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -115,10 +115,11 @@ _POINTS_KEPT = 256
 
 @dataclass(frozen=True)
 class PointSymmetry:
-    T: Expr
-    X0: Expr
-    Y: Expr
-    V0: Expr
+    """A group element; each field defaults to the identity's."""
+    T: Expr = parse("t", "t")
+    X0: Expr = Num(0.0, "t")
+    Y: Expr = parse("y", "y")
+    V0: Expr = Num(0.0, "y")
     eps: int = 1
 
     def __post_init__(self):
@@ -148,33 +149,27 @@ class PointSymmetry:
 
 
 def identity_symmetry() -> PointSymmetry:
-    return PointSymmetry(T=parse("t", "t"), X0=Num(0.0, "t"),
-                         Y=parse("y", "y"), V0=Num(0.0, "y"))
+    return PointSymmetry()
 
 
 def d_transform(T) -> PointSymmetry:
-    return PointSymmetry(T=as_expr(T, "t"), X0=Num(0.0, "t"),
-                         Y=parse("y", "y"), V0=Num(0.0, "y"))
+    return PointSymmetry(T=as_expr(T, "t"))
 
 
 def s_transform(Y) -> PointSymmetry:
-    return PointSymmetry(T=parse("t", "t"), X0=Num(0.0, "t"),
-                         Y=as_expr(Y, "y"), V0=Num(0.0, "y"))
+    return PointSymmetry(Y=as_expr(Y, "y"))
 
 
 def p_transform(X0) -> PointSymmetry:
-    return PointSymmetry(T=parse("t", "t"), X0=as_expr(X0, "t"),
-                         Y=parse("y", "y"), V0=Num(0.0, "y"))
+    return PointSymmetry(X0=as_expr(X0, "t"))
 
 
 def z_transform(V0) -> PointSymmetry:
-    return PointSymmetry(T=parse("t", "t"), X0=Num(0.0, "t"),
-                         Y=parse("y", "y"), V0=as_expr(V0, "y"))
+    return PointSymmetry(V0=as_expr(V0, "y"))
 
 
 def i_transform(eps: int) -> PointSymmetry:
-    return PointSymmetry(T=parse("t", "t"), X0=Num(0.0, "t"),
-                         Y=parse("y", "y"), V0=Num(0.0, "y"), eps=eps)
+    return PointSymmetry(eps=eps)
 
 
 def _invert_monotone(f: Expr, df: Expr, target: float) -> float:
@@ -519,7 +514,7 @@ def darboux(kind: str, s: SolutionField,
             phi: CoveringEigenfunction) -> SolutionField:
     """Single Darboux dressing of the first or second kind; ``phi`` is
     attached to ``s`` (:func:`_attached`)."""
-    return _dress(kind, s, _attached(s, phi), phi.check)
+    return _dress(kind, s, _attached(s, phi))
 
 
 def _attached(s: SolutionField, phi: CoveringEigenfunction) -> JetMap:
@@ -538,10 +533,9 @@ def _attached(s: SolutionField, phi: CoveringEigenfunction) -> JetMap:
     return phi.phi
 
 
-def _dress(kind: str, s: SolutionField, pmap: JetMap,
-           check: Callable[[Point], None]) -> SolutionField:
-    """:func:`darboux` of ``s`` by the eigenfunction ``pmap``, which
-    ``check(p)`` tests wherever u is evaluated."""
+def _dress(kind: str, s: SolutionField, pmap: JetMap) -> SolutionField:
+    """:func:`darboux` of ``s`` by the eigenfunction ``pmap``, which is
+    tested over ``s`` (:func:`_check_covering`) wherever u is evaluated."""
     if s.coords != "UQ":
         raise ValueError("expects (u,q) coordinates")
 
@@ -552,7 +546,7 @@ def _dress(kind: str, s: SolutionField, pmap: JetMap,
             # asked first, the check reads it by truncation
             s.w(p, n)
             uj = s.u(p, n)
-            check(p)
+            _check_covering(s, pmap, p)
             f_y = f.derive("y").truncate(n)
             f_xy = f.derive("x").derive("y")
             _guard(f_y.value, f_xy.value, "phi_y or phi inside guard band")
@@ -571,7 +565,7 @@ def _dress(kind: str, s: SolutionField, pmap: JetMap,
             n_x = up(n, "x")
             f = pmap(p, up(n_x, "x"))
             uj = s.u(p, n_x)
-            check(p)
+            _check_covering(s, pmap, p)
             _guard(f.value, 0.0, "phi inside guard band")
             w = uj + f.derive("x") / f.truncate(n_x)
             _guard(w.value, w.derive("x").value,
@@ -629,7 +623,7 @@ def darboux_iterated(kind: str, s: SolutionField,
     while maps:
         maps = [last_point(darboux_psi(kind, pmap, m)) for m in maps]
         pmap = maps.pop(0)
-        out = _dress(kind, out, pmap, partial(_check_covering, out, pmap))
+        out = _dress(kind, out, pmap)
     return out.with_meta(family_id=s.family_id + f"~{kind}x{len(phis)}")
 
 

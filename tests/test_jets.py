@@ -89,7 +89,8 @@ def test_numpy_scalars_combine_as_an_int_does(p):
     for expr in (lambda k: k * x, lambda k: x * k, lambda k: x + k,
                  lambda k: k - x, lambda k: x / k):
         want = expr(2).coeffs.tobytes()
-        for k in (np.int64(2), np.int32(2), np.uint8(2), np.float64(2.0)):
+        for k in (np.int64(2), np.int32(2), np.uint8(2), np.float64(2.0),
+                  np.array(2.0), np.array(2)):
             assert expr(k).coeffs.tobytes() == want
 
 

@@ -4,7 +4,8 @@ bit, through every jet operation, for single points and for lanes."""
 import numpy as np
 import pytest
 
-from blp import catalog, jets, reductions, specfun, transforms
+from blp import (catalog, exprdsl, jets, reductions, series, specfun,
+                 transforms)
 from blp.exprdsl import parse, eval_jet
 from blp.jets import Jet3, Point
 from blp.quadrature import integrate_field_along, line_integral
@@ -252,9 +253,16 @@ def test_orders_above_the_maximum_raise_a_typed_error():
 
 
 def test_negative_orders_raise():
+    e = parse("sin(t) + t^2", "t")
     for make in (lambda: jets.coordinate_jets(SINGLE, -1),
                  lambda: jets.lift_variable("x", SINGLE, -1),
-                 lambda: Jet3(SINGLE, -1, np.zeros(0))):
+                 lambda: Jet3(SINGLE, -1, np.zeros(0)),
+                 lambda: exprdsl.eval_series(e, 0.7, -1),
+                 lambda: eval_jet(e, "t", SINGLE, -1),
+                 lambda: eval_jet(e, "t", LANES, -1),
+                 lambda: exprdsl.compose_series(e, np.zeros(0)),
+                 lambda: series.univariate(-1)):
         with pytest.raises(ValueError, match="order must be >= 0"):
             make()
     assert -1 not in jets._TABLES
+    assert -1 not in series._UNIVARIATE
