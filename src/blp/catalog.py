@@ -45,12 +45,12 @@ import numpy as np
 
 from . import jets, reductions
 from .exprdsl import Expr, Num, as_expr, eval_jet, parse
-from .jets import BadInput, DomainError, Jet3, JetMap, Point
+from .jets import BadInput, Jet3, JetMap, Point
 # adaptive_quadrature is not called here; the benchmark tracer's restore
 # test (benchmarks/test_benchmark.py) reads this binding
 from .quadrature import adaptive_quadrature, line_integral  # noqa: F401
 from .specfun import quartic_particular_solution, quartic_square_integral
-from .system import SolutionField, residual_sup
+from .system import SolutionField, _rows, residual_sup
 
 __all__ = [
     "FamilyDescriptor", "HeatWitness", "UnknownFamily", "BadBinding",
@@ -96,15 +96,16 @@ class HeatWitness:
         return Jet3.constant(float(self.H), p, n)
 
     def probe(self, pts: Sequence[Point]) -> float:
-        """Largest heat-equation residual over ``pts``; NaN if any is."""
+        """Largest heat-equation residual at the points of ``pts`` where
+        Phi is defined, asked as one batch; NaN if any is, or if none is."""
         sign = 1.0 if self.direction == "forward" else -1.0
-        rs = []
-        for p in pts:
+
+        def row(p):
             f = self.Phi(p, 2)  # Phi_t and Phi_xx are read
-            h = self.h_jet(p, 0)
-            rs.append(abs(f.extract((1, 0, 0)) - sign * f.extract((0, 2, 0))
-                          + sign * h.value * f.value))
-        return residual_sup(rs)
+            return (abs(f.extract((1, 0, 0)) - sign * f.extract((0, 2, 0))
+                        + sign * self.h_jet(p, 0).value * f.value),)
+        rows, _ = _rows(row, pts)
+        return residual_sup([r for _, r in rows] or [math.nan])
 
 
 _PROBE_GRID = [Point(0.2 + 0.3 * i, -0.4 + 0.37 * j, 0.1 + 0.45 * k)
@@ -624,6 +625,26 @@ def _vx_parts(al, be, p, n):
     return xi, T
 
 
+def _vx3_parts(al, be, ga, p, n, pole):
+    """xi, T, gamma and omega = xi + gamma T of F_VXXX_3 and its inverse
+    Laplace image, guarded off the line omega = 0 (message ``pole``)."""
+    xi, T = _vx_parts(al, be, p, n)
+    g = _jy(ga, p, n)
+    om = xi + g * T
+    _guard(om.value, 0.0, pole)
+    return xi, T, g, om
+
+
+def _vx5_parts(al, be, p, n, pole):
+    """t, x, alpha and omega = x + 2 alpha t + beta of F_VXXX_5 and its
+    inverse Laplace image, guarded off the line omega = 0."""
+    t, x, _ = jets.coordinate_jets(p, n)
+    A = _jy(al, p, n)
+    om = x + 2.0 * A * t + _jy(be, p, n)
+    _guard(om.value, 0.0, pole)
+    return t, x, A, om
+
+
 def _alpha_beta_gamma(rng) -> dict:
     return {"alpha": _ypick(rng), "beta": "2+" + _ypick(rng),
             "gamma": _ypick(rng)}
@@ -702,13 +723,7 @@ def _f_vxxx2(fid, b):
     defaults={"alpha": "sin(y)", "beta": "2+cos(y)", "gamma": "y"}))
 def _f_vxxx3(fid, b):
     al, be, ga = b["alpha"], b["beta"], b["gamma"]
-
-    def parts(p, n):
-        xi, T = _vx_parts(al, be, p, n)
-        g = _jy(ga, p, n)
-        om = xi + g * T
-        _guard(om.value, 0.0, "pole line")
-        return xi, T, g, om
+    parts = partial(_vx3_parts, al, be, ga, pole="pole line")
 
     def u(p, n):
         xi, T, g, om = parts(p, n)
@@ -748,21 +763,15 @@ def _f_vxxx4(fid, b):
     sampler=lambda rng: {"alpha": _ypick(rng), "beta": "3+" + _ypick(rng)},
     defaults={"alpha": "sin(y)", "beta": "2+cos(y)"}))
 def _f_vxxx5(fid, b):
-    al, be = b["alpha"], b["beta"]
-
-    def om(p, n):
-        t, x, _ = jets.coordinate_jets(p, n)
-        w = x + 2.0 * _jy(al, p, n) * t + _jy(be, p, n)
-        _guard(w.value, 0.0, "pole line")
-        return w
+    parts = partial(_vx5_parts, b["alpha"], b["beta"], pole="pole line")
 
     def u(p, n):
-        return _jy(al, p, n) - 1.0 / om(p, n)
+        _, _, A, om = parts(p, n)
+        return A - 1.0 / om
 
     def v(p, n):
-        t, _, _ = jets.coordinate_jets(p, n)
-        w = om(p, n)
-        return w * w - 2.0 * t
+        t, _, _, om = parts(p, n)
+        return om * om - 2.0 * t
     return _field(fid, b, u, v)
 
 
@@ -1204,19 +1213,18 @@ def sinh_gordon_kink(a: float = 2.0) -> JetMap:
     defaults={"theta": sinh_gordon_kink(), "variant": "sinh", "x0": -1.0}))
 def _f_sinhgordon(fid, b):
     theta, x0 = b["theta"], b["x0"]
-    fn = jets.sinh if b["variant"] == "sinh" else jets.cosh
-    # bind-time probe of the Gordon equation; NaN if any residual is
-    rs = []
-    for p in _PROBE_GRID:
-        try:
-            th = theta(p, 2)
-        except DomainError:
-            continue
-        rs.append(abs(th.extract((0, 1, 1)) + 4.0 * fn(th.value)))
-    worst = residual_sup(rs)
-    if not rs or not worst <= 1e-7:
+    fn = np.sinh if b["variant"] == "sinh" else np.cosh
+
+    def row(p):
+        th = theta(p, 2)
+        return (abs(th.extract((0, 1, 1)) + 4.0 * fn(th.value)),)
+    # bind-time probe of the Gordon equation where theta is defined; NaN
+    # if any residual is, or if it is defined at none
+    rows, _ = _rows(row, _PROBE_GRID)
+    worst = residual_sup([r for _, r in rows] or [math.nan])
+    if not worst <= 1e-7:
         raise WitnessViolation(
-            f"theta probe failed: {len(rs)} points, residual {worst:g}")
+            f"theta probe failed: {len(rows)} points, residual {worst:g}")
 
     def integrand(p, n):
         return jets.exp(theta(p, n))
@@ -1316,13 +1324,7 @@ def _f_img_inv3(fid, b):
     al, be, ga = b["alpha"], b["beta"], b["gamma"]
     dal, dbe, dga = al.diff(), be.diff(), ga.diff()
     gamma_is_zero = isinstance(ga, Num) and ga.value == 0.0
-
-    def parts(p, n):
-        xi, T = _vx_parts(al, be, p, n)
-        g = _jy(ga, p, n)
-        om = xi + g * T
-        _guard(om.value, 0.0, "pole line omega = 0")
-        return xi, T, g, om
+    parts = partial(_vx3_parts, al, be, ga, pole="pole line omega = 0")
 
     def u(p, n):
         xi, T, g, om = parts(p, n)
@@ -1384,13 +1386,7 @@ def _f_img_inv3x(fid, b):
 def _f_img_inv5(fid, b):
     al, be = b["alpha"], b["beta"]
     dal, dbe = al.diff(), be.diff()
-
-    def parts(p, n):
-        t, x, _ = jets.coordinate_jets(p, n)
-        A = _jy(al, p, n)
-        om = x + 2.0 * A * t + _jy(be, p, n)
-        _guard(om.value, 0.0, "pole line omega = 0")
-        return t, x, A, om
+    parts = partial(_vx5_parts, al, be, pole="pole line omega = 0")
 
     def u(p, n):
         t, _, A, om = parts(p, n)

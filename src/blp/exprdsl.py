@@ -17,16 +17,19 @@ power 1 or 0.
 Every form reads the float form and the guard of each function from
 ``jets._ELEMENTARY``.
 
-Grammar: ``+ - * / ^`` with standard precedence (``^`` right-associative,
-binding tighter than unary minus), parentheses, single-argument function
-calls (exp, ln, sin, cos, tan, sinh, cosh, sqrt, abs) and the named
-constants ``pi`` and ``e``.  No implicit multiplication.
+Grammar: finite numbers written in decimal digits (``2``, ``.5``,
+``1.5e-3``), ``+ - * / ^`` with standard precedence (``^``
+right-associative, binding tighter than unary minus), parentheses,
+single-argument function calls (exp, ln, sin, cos, tan, sinh, cosh, sqrt,
+abs) and the named constants ``pi`` and ``e``.  No implicit
+multiplication.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -131,54 +134,25 @@ class _Tok:
     pos: int
 
 
+#: whitespace, then one token: a decimal number (an exponent only where
+#: digits follow), an identifier, an operator or a parenthesis; or the end,
+#: or the first character that no token reads
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+    | (?P<ident>[^\W\d]\w*) | (?P<op>[-+*/^]) | (?P<lparen>\() | (?P<rparen>\))
+    | (?P<end>\Z) | (?P<bad>.))""", re.VERBOSE | re.DOTALL)
+
+
 def _tokenize(src: str) -> list[_Tok]:
     toks = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
-                if src[j] == ".":
-                    seen_dot = True
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            toks.append(_Tok("num", src[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", src[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^":
-            toks.append(_Tok("op", c, i))
-            i += 1
-            continue
-        if c == "(":
-            toks.append(_Tok("lparen", c, i))
-            i += 1
-            continue
-        if c == ")":
-            toks.append(_Tok("rparen", c, i))
-            i += 1
-            continue
-        raise ParseError(i, f"unexpected character {c!r}")
-    toks.append(_Tok("end", "", n))
-    return toks
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(m.start(kind),
+                             f"unexpected character {m[kind]!r}")
+        toks.append(_Tok(kind, m[kind], m.start(kind)))
+        if kind == "end":
+            return toks
 
 
 class _Parser:
@@ -235,7 +209,10 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.next()
         if tok.kind == "num":
-            return Num(float(tok.text), self.var)
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError(tok.pos, f"non-finite number {tok.text!r}")
+            return Num(value, self.var)
         if tok.kind == "lparen":
             node = self.expr()
             self.expect("rparen", "')'")

@@ -370,32 +370,35 @@ def residual_report(s: SolutionField, grid: list[Point]) -> ResidualReport:
     equations = _RESIDUALS.get(s.coords)
     if equations is None:
         raise ValueError(f"no grid residual for {s.coords} coordinates")
+    key = jets.cap(RESIDUAL_ORDER, "t", 1)
+
+    def row(p: Point) -> tuple:
+        u, v = s.u(p, key), s.v(p, key)
+        return (u.value, v.value, *equations(u, v))
+
     points = [p for p in grid if s.validity(p)]
-    rows: list = []
-    skipped = len(grid) - len(points) + _rows(s, equations, points, rows)
-    r1s = [abs(row[3]) for row in rows]
-    r2s = [abs(row[4]) for row in rows]
+    rows, skipped = _rows(row, points)
+    r1s = [abs(r[3]) for r in rows]
+    r2s = [abs(r[4]) for r in rows]
     return ResidualReport(
         r1_max=residual_sup(r1s), r2_max=residual_sup(r2s),
-        r1_rms=_rms(r1s), r2_rms=_rms(r2s), skipped=skipped,
+        r1_rms=_rms(r1s), r2_rms=_rms(r2s),
+        skipped=len(grid) - len(points) + skipped,
         nonfinite=count_nonfinite(r1s, r2s), rows=rows)
 
 
-def _rows(s: SolutionField, equations, points: list[Point],
-          rows: list) -> int:
-    """Append the row (p, u, v, r1, r2) of each point of ``points`` where
-    ``s`` is defined to ``rows``, in order; returns the number skipped.
-    While a batch raises, the lanes its error names (every lane, if it
-    names none) are dropped and the rest asked again; then each dropped
-    point is asked alone, in order."""
+def _rows(row: Callable[[Point], tuple], points: list[Point]):
+    """The rows ``(p, *row(p))`` of ``points`` where ``row``, a map of a
+    batched point to a tuple of floats or arrays over its lanes, is
+    defined, in order, and the number skipped: the one evaluator of a
+    check over a list of points.  While a batch raises, the lanes its
+    error names (every lane, if it names none) are dropped and the rest
+    asked again; then each dropped point is asked alone, in order."""
     def batch(at: list[Point]) -> list:
-        p = Point(*(np.array(c, dtype=float) for c in zip(*at)))
-        key = jets.cap(RESIDUAL_ORDER, "t", 1)
-        u, v = s.u(p, key), s.v(p, key)
-        r1, r2 = equations(u, v)
-        # a jet of shape (size,) is the same in every lane
+        values = row(Point(*(np.array(c, dtype=float) for c in zip(*at))))
+        # a value of a jet of shape (size,) is the same in every lane
         return list(zip(at, *(np.broadcast_to(c, len(at)).tolist()
-                              for c in (u.value, v.value, r1, r2))))
+                              for c in values)))
 
     kept, got = np.arange(len(points)), {}
     while kept.size:
@@ -406,16 +409,14 @@ def _rows(s: SolutionField, equations, points: list[Point],
             named = exc.lanes
             kept = kept[~named] if named is not None and \
                 named.shape == kept.shape and named.any() else kept[:0]
-    skipped = 0
+    rows, skipped = [], 0
     for i, p in enumerate(points):
         try:
-            row = got[i] if i in got else batch([p])[0]
+            rows.append(got[i] if i in got else batch([p])[0])
         except UndefinedHere:
             skipped += 1
         except QuadratureError as exc:
             where = f" at grid point (t, x, y) = ({p.t!r}, {p.x!r}, {p.y!r})"
             exc.args = (f"{exc}{where}",) + exc.args[1:]
             raise
-        else:
-            rows.append(row)
-    return skipped
+    return rows, skipped

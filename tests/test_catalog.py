@@ -169,7 +169,7 @@ def test_witness_probe_reads_phi_at_order_two(witness):
 
     def counting(name, m):
         def ask(p, n):
-            asked[name].append(n)
+            asked[name].append((n, jets.lanes(p)))
             return m(p, n)
         return ask
 
@@ -177,12 +177,55 @@ def test_witness_probe_reads_phi_at_order_two(witness):
                           H=counting("H", witness.h_jet),
                           direction=witness.direction)
     value = counted.probe(catalog._PROBE_GRID)
-    assert set(asked["Phi"]) == {2} and set(asked["H"]) == {0}
+    # Phi and H are each asked once, at order 2 and 0, as one batch
+    size = len(catalog._PROBE_GRID)
+    assert asked == {"Phi": [(2, size)], "H": [(0, size)]}
     # the reference: Phi and H asked two orders up give the same value
     higher = HeatWitness(Phi=lambda p, n: witness.Phi(p, n + 2),
                          H=lambda p, n: witness.h_jet(p, n + 2),
                          direction=witness.direction)
     assert value == higher.probe(catalog._PROBE_GRID)
+
+
+def test_witness_is_probed_where_it_is_defined():
+    # this gaussian is undefined at the probe points t <= 0.5 but solves
+    # the heat equation on the family's box, t >= 0.6
+    spec = {"kind": "gaussian", "t0": 0.5}
+    w = heat_witness_library(**spec)
+    undefined = 0
+    for p in catalog._PROBE_GRID:
+        try:
+            w.Phi(p, 2)
+        except UndefinedHere:
+            undefined += 1
+    assert 0 < undefined < len(catalog._PROBE_GRID)
+    s = instantiate("F_HOPFCOLE2D", {"Phi": spec})
+    rep = residual_report(s, grid_for("F_HOPFCOLE2D"))
+    assert rep.r1_max < 1e-8 and rep.r2_max < 1e-8
+
+
+def test_witness_undefined_at_every_probe_point_is_a_violation():
+    # the backward gaussian with t0 = 0 needs t < 0; the error names Phi
+    with pytest.raises(WitnessViolation, match="^Phi: "):
+        instantiate("F_VX0", {"Phi": {"kind": "gaussian"}})
+    assert math.isnan(heat_witness_library(
+        "gaussian", direction="backward").probe(catalog._PROBE_GRID))
+
+
+def test_sinh_gordon_probe_skips_points_where_theta_is_undefined():
+    theta = sinh_gordon_kink()
+    asked = []
+
+    def counted(p, n):
+        asked.append(jets.lanes(p))
+        return theta(p, n)
+
+    instantiate("F_SINHGORDON", {"theta": counted})
+    # one batch of every probe point, then the points the kink's chart
+    # guard did not name, then each named point alone
+    size = len(catalog._PROBE_GRID)
+    assert asked[0] == size and 0 < size - asked[1] < size
+    assert asked[2:] == [1] * (size - asked[1])
 
 
 def test_sinh_gordon_probe_rejects_wrong_theta():

@@ -730,6 +730,27 @@ def test_witness_spec_takes_the_direction_of_its_kind(capsys):
     assert report["passed"] and report["params"] == {"Phi": "plane_exp(k=1.0)"}
 
 
+def test_witness_valid_on_the_box_but_not_at_every_probe_point(capsys):
+    # the probe skips the probe points t <= 0.5 of this gaussian
+    code, out, err = run_cli(["verify", "--family", "F_HOPFCOLE2D", "--param",
+                              'Phi={"kind": "gaussian", "t0": 0.5}'], capsys)
+    assert code == 0 and json.loads(out)["passed"], err
+
+
+@pytest.mark.parametrize("family, param, error", [
+    ("F_VX0", 'Phi={"kind": "gaussian"}',
+     "Phi: heat-equation probe residual nan"),
+    ("F_UY0_QA", "zeta=1e400*y",
+     "zeta: parse error at offset 0: non-finite number '1e400'"),
+    ("F_UY0_QA", "zeta=y+\u00b2",
+     "zeta: parse error at offset 2: unknown identifier '\u00b2'")])
+def test_a_rejected_parameter_is_named(family, param, error, capsys):
+    code, out, err = run_cli(["verify", "--family", family, "--param", param],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": error}
+
+
 def test_every_toolkit_error_is_a_blp_error():
     from blp import jets, liealg, quadrature, reductions, specfun, transforms
     errors = {

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blp import catalog, exprdsl, jets
-from blp.exprdsl import (Bin, Call, Num, ParseError, Var, eval_jet,
+from blp.exprdsl import (Bin, Call, Num, ParseError, Var, _Tok, eval_jet,
                          eval_series, parse)
 from blp.jets import DomainError, Point
 from conftest import central_diff, expr_nodes, jet_walk, unfolded_nodes
@@ -25,6 +25,108 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as ei:
         parse("y*(", "y")
     assert ei.value.position == 3
+
+
+def _old_tokenize(src):
+    """The index loop that cut expression text before one compiled
+    pattern did."""
+    toks = []
+    i, n = 0, len(src)
+    while i < n:
+        c = src[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
+            j = i
+            seen_dot = False
+            while j < n and (src[j].isdigit()
+                             or (src[j] == "." and not seen_dot)):
+                if src[j] == ".":
+                    seen_dot = True
+                j += 1
+            if j < n and src[j] in "eE":
+                k = j + 1
+                if k < n and src[k] in "+-":
+                    k += 1
+                if k < n and src[k].isdigit():
+                    j = k
+                    while j < n and src[j].isdigit():
+                        j += 1
+            toks.append(_Tok("num", src[i:j], i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            toks.append(_Tok("ident", src[i:j], i))
+            i = j
+            continue
+        if c in "+-*/^":
+            toks.append(_Tok("op", c, i))
+            i += 1
+            continue
+        if c == "(":
+            toks.append(_Tok("lparen", c, i))
+            i += 1
+            continue
+        if c == ")":
+            toks.append(_Tok("rparen", c, i))
+            i += 1
+            continue
+        raise ParseError(i, f"unexpected character {c!r}")
+    toks.append(_Tok("end", "", n))
+    return toks
+
+
+def _token_stream(tokenize, src):
+    try:
+        return tokenize(src)
+    except ParseError as exc:
+        return exc.position, exc.message
+
+
+_ASCII_ALPHABET = "0123456789.eE+-*/^()xyt_ \t\n#,"
+
+
+@pytest.mark.parametrize("alphabet", [
+    _ASCII_ALPHABET, _ASCII_ALPHABET + "\xa0\u0663\u00b2\u00bd"],
+    ids=["ascii", "unicode"])
+def test_token_pattern_matches_the_reference_tokenizer(alphabet):
+    # the streams, or the errors' positions and messages, are equal, but
+    # where the text holds a numeral that is not a decimal digit (the
+    # reference read a superscript two as a digit, then failed in float)
+    rng = np.random.default_rng(7)
+    for _ in range(20000):
+        src = "".join(alphabet[i] for i in
+                      rng.integers(len(alphabet), size=rng.integers(13)))
+        if _token_stream(_old_tokenize, src) != \
+                _token_stream(exprdsl._tokenize, src):
+            assert any(c.isnumeric() and not c.isdecimal() for c in src), \
+                repr(src)
+
+
+@pytest.mark.parametrize("src, position", [("\u00b2", 0), ("y+\u00b2", 2),
+                                           ("\u00bd*y", 0)])
+def test_a_numeral_that_is_not_a_decimal_digit_is_a_parse_error(src,
+                                                                position):
+    with pytest.raises(ParseError) as ei:
+        parse(src, "y")
+    assert ei.value.position == position
+    assert ei.value.message.startswith("unknown identifier")
+
+
+def test_decimal_digits_of_any_script_read_as_numbers():
+    assert parse("\u0663*y", "y").pretty() == "3.0*y"
+
+
+@pytest.mark.parametrize("src, position", [("1e400", 0), ("2*1e400*y", 2)])
+def test_a_literal_that_is_not_finite_is_a_parse_error(src, position):
+    with pytest.raises(ParseError) as ei:
+        parse(src, "y")
+    assert (ei.value.position, ei.value.message) == \
+        (position, "non-finite number '1e400'")
 
 
 def test_unknown_identifier():
