@@ -25,7 +25,9 @@
 #   chain_depth3_*     a depth-3 Laplace chain: exit <= 1;
 #   chain_*            a depth-2 Laplace chain: exit 0;
 #   malformed_*        a malformed input: exit 2, with one JSON error line
-#                      on stderr.
+#                      on stderr;
+#   nonfinite_*        an input whose residuals overflow: exit 1, with a
+#                      report that fails and counts nonfinite points.
 #
 # A name that matches no pattern fails, and each set must be there.
 # Exit 1 if any check fails.
@@ -35,7 +37,7 @@ set -u
 out=$1
 fail=0
 for set in verify_ verify_wide_ transform_ darboux_ reduce_ algebra chain_ \
-        malformed_; do
+        malformed_ nonfinite_; do
     if ! ls "$out/$set"*.code > /dev/null 2>&1; then
         echo "no outputs of $set* in $out"; fail=1
     fi
@@ -72,6 +74,10 @@ for code_file in "$out"/*.code; do
             ok=$(( code == 2 ))
             [ "$(wc -l < "$out/$name.err")" -eq 1 ] \
                 && holds "$out/$name.err" 'set(r) == {"error"}' || ok=0 ;;
+        nonfinite_*)
+            ok=$(( code == 1 ))
+            holds "$out/$name.out" 'not r["passed"] and r["nonfinite"] > 0' \
+                || ok=0 ;;
         *) echo "$name: no rule"; ok=0 ;;
     esac
     grep -q Traceback "$out/$name.err" && ok=0

@@ -15,8 +15,9 @@
 #   and for the single Darboux dressings over both constrained seeds, with
 #   and without a theta;
 #   the profile integrations of R2_9 at a negative C1 and across its pole,
-#   three Laplace chains of depth 2 and 3, and malformed command-line
-#   inputs (the config files they read are written into <out-dir>).
+#   three Laplace chains of depth 2 and 3, malformed command-line inputs
+#   (the config files they read are written into <out-dir>), and inputs
+#   whose residuals overflow.
 #
 # usage: cd <checkout> && bash .github/scripts/cli_outputs.sh <out-dir>
 set -u
@@ -116,3 +117,11 @@ run malformed_witness_undefined verify --family F_VX0 \
     --param 'Phi={"kind": "gaussian"}'
 run malformed_zeta_not_finite verify --family F_UY0_QA --param 'zeta=1e400*y'
 run malformed_zeta_superscript verify --family F_UY0_QA --param 'zeta=y+²'
+run malformed_witness_overflow verify --family F_HOPFCOLE2D \
+    --param 'Phi={"kind": "plane_exp", "k": 1e200}'
+run malformed_theta_overflow transform --family seed_qy0 \
+    --chain '[{"op": "dt2", "phi": {"theta": {"kind": "plane_exp", "k": 1e300}}}]'
+
+# inputs whose residuals overflow: a verdict with nonfinite points
+run nonfinite_perturb verify --family F_UY0_TRIV --perturb 1e308
+run nonfinite_alpha verify --family F_UEQV --param 'alpha=exp(1000*y)'

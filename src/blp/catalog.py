@@ -90,7 +90,7 @@ class HeatWitness:
 
     def h_jet(self, p: Point, n: int) -> Jet3:
         if isinstance(self.H, Expr):
-            return eval_jet(self.H, "x", p, n)
+            return eval_jet(self.H, p, n)
         if callable(self.H):
             return self.H(p, n)
         return Jet3.constant(float(self.H), p, n)
@@ -200,7 +200,7 @@ def combine_witnesses(witnesses: Sequence[HeatWitness],
     def phi(p: Point, n: int) -> Jet3:
         acc = Jet3.constant(0.0, p, n)
         for w, c in zip(witnesses, coeffs):
-            acc = acc + eval_jet(c, "y", p, n) * w.Phi(p, n)
+            acc = acc + eval_jet(c, p, n) * w.Phi(p, n)
         return acc
 
     label = "+".join(w.label for w in witnesses)
@@ -244,14 +244,6 @@ class FamilyDescriptor:
                               compare=False)
     defaults: Mapping = field(default_factory=dict, repr=False,
                               compare=False)
-
-
-def _jy(e: Expr, p: Point, n: int) -> Jet3:
-    return eval_jet(e, "y", p, n)
-
-
-def _jt(e: Expr, p: Point, n: int) -> Jet3:
-    return eval_jet(e, "t", p, n)
 
 
 MARGIN = 0.15
@@ -548,7 +540,7 @@ def _f_statliouville(fid, b):
     ze = b["zeta"]
 
     def parts(p, n):
-        z = eval_jet(ze, "x", p, jets.up(jets.up(n, "x"), "x"))
+        z = eval_jet(ze, p, jets.up(jets.up(n, "x"), "x"))
         z1 = z.derive("x")
         _guard(z1.value, 0.0, "zeta_x too small", band=MARGIN * 0.1)
         den = jets.lift_variable("y", p, n) + z.truncate(n)
@@ -591,7 +583,7 @@ def _f_uy0_qa(fid, b):
 
     def v(p, n):
         t, x, _ = jets.coordinate_jets(p, n)
-        return x * x + _jy(ze, p, n) * x + 2.0 * t
+        return x * x + eval_jet(ze, p, n) * x + 2.0 * t
     return _field(fid, b, u, v)
 
 
@@ -607,11 +599,11 @@ def _f_uy0_qb(fid, b):
     def u(p, n):
         _, x, _ = jets.coordinate_jets(p, n)
         _guard(p.x, 0.0, "x near zero")
-        return (_jt(dth, p, n) - 1.0) / (2.0 * x)
+        return (eval_jet(dth, p, n) - 1.0) / (2.0 * x)
 
     def v(p, n):
         _, x, _ = jets.coordinate_jets(p, n)
-        return x * x + 2.0 * _jt(th, p, n)
+        return x * x + 2.0 * eval_jet(th, p, n)
     return _field(fid, b, u, v)
 
 
@@ -619,8 +611,8 @@ def _f_uy0_qb(fid, b):
 
 def _vx_parts(al, be, p, n):
     t, x, _ = jets.coordinate_jets(p, n)
-    xi = x + _jy(al, p, n)
-    T = t + _jy(be, p, n)
+    xi = x + eval_jet(al, p, n)
+    T = t + eval_jet(be, p, n)
     _guard(T.value, 0.0, "t + beta near zero")
     return xi, T
 
@@ -629,7 +621,7 @@ def _vx3_parts(al, be, ga, p, n, pole):
     """xi, T, gamma and omega = xi + gamma T of F_VXXX_3 and its inverse
     Laplace image, guarded off the line omega = 0 (message ``pole``)."""
     xi, T = _vx_parts(al, be, p, n)
-    g = _jy(ga, p, n)
+    g = eval_jet(ga, p, n)
     om = xi + g * T
     _guard(om.value, 0.0, pole)
     return xi, T, g, om
@@ -639,8 +631,8 @@ def _vx5_parts(al, be, p, n, pole):
     """t, x, alpha and omega = x + 2 alpha t + beta of F_VXXX_5 and its
     inverse Laplace image, guarded off the line omega = 0."""
     t, x, _ = jets.coordinate_jets(p, n)
-    A = _jy(al, p, n)
-    om = x + 2.0 * A * t + _jy(be, p, n)
+    A = eval_jet(al, p, n)
+    om = x + 2.0 * A * t + eval_jet(be, p, n)
     _guard(om.value, 0.0, pole)
     return t, x, A, om
 
@@ -670,7 +662,7 @@ def _f_vxxx1(fid, b):
     def v(p, n):
         xi, T = _vx_parts(al, be, p, n)
         r = xi / T
-        return de * r * r + _jy(ga, p, n) * r - 2.0 * de / T
+        return de * r * r + eval_jet(ga, p, n) * r - 2.0 * de / T
     return _field(fid, b, u, v)
 
 
@@ -688,21 +680,21 @@ def _f_vxxx2(fid, b):
 
     def integrand(p, n):
         t, _, _ = jets.coordinate_jets(p, n)
-        T = t + _jy(be, p, n)
-        return (2.0 * _jt(th, p, n) + 1.0) / (T * T)
+        T = t + eval_jet(be, p, n)
+        return (2.0 * eval_jet(th, p, n) + 1.0) / (T * T)
 
     integral = line_integral(integrand, "t", t0, constant_along="x")
 
     def u(p, n):
         _guard(p.x, 0.0, "x near zero")
         t, x, _ = jets.coordinate_jets(p, n)
-        T = t + _jy(be, p, n)
+        T = t + eval_jet(be, p, n)
         _guard(T.value, 0.0, "t + beta near zero")
-        return -0.5 * x / T + _jt(th, p, n) / x
+        return -0.5 * x / T + eval_jet(th, p, n) / x
 
     def v(p, n):
         t, x, _ = jets.coordinate_jets(p, n)
-        bj = _jy(be, p, n)
+        bj = eval_jet(be, p, n)
         T = t + bj
         # t + beta is linear in t: off the band from t0 to t if both ends are
         ends = (t0 + bj.value, T.value)
@@ -746,13 +738,13 @@ def _f_vxxx4(fid, b):
     al, ga = b["alpha"], b["gamma"]
 
     def u(p, n):
-        return _jy(al, p, n)
+        return eval_jet(al, p, n)
 
     def v(p, n):
         t, x, _ = jets.coordinate_jets(p, n)
-        a = _jy(al, p, n)
+        a = eval_jet(al, p, n)
         e = x + 2.0 * a * t
-        return a * e * e + _jy(ga, p, n) * e - x
+        return a * e * e + eval_jet(ga, p, n) * e - x
     return _field(fid, b, u, v)
 
 
@@ -790,12 +782,13 @@ def _f_uxxv4x_a(fid, b):
 
     def u(p, n):
         t, _, y = jets.coordinate_jets(p, n)
-        return 12.0 * t * y + _jy(al, p, n)
+        return 12.0 * t * y + eval_jet(al, p, n)
 
     def v(p, n):
         t, x, y = jets.coordinate_jets(p, n)
-        e = x + 12.0 * t * t * y + 2.0 * t * _jy(al, p, n) + _jy(be, p, n)
-        return e * e * e + (6.0 * t + _jy(ga, p, n)) * e
+        e = (x + 12.0 * t * t * y + 2.0 * t * eval_jet(al, p, n)
+             + eval_jet(be, p, n))
+        return e * e * e + (6.0 * t + eval_jet(ga, p, n)) * e
     return _field(fid, b, u, v)
 
 
@@ -815,9 +808,9 @@ def _f_uxxv4x_b(fid, b):
 
     def parts(p, n):
         t, x, _ = jets.coordinate_jets(p, n)
-        T = t + _jy(be, p, n)
+        T = t + eval_jet(be, p, n)
         _guard(T.value, 0.0, "t + beta near zero")
-        w = (x + _jy(al, p, n)) / T \
+        w = (x + eval_jet(al, p, n)) / T \
             + 12.0 * jets.ln(jets.abs_signed(T)) / T
         return T, w
 
@@ -827,9 +820,9 @@ def _f_uxxv4x_b(fid, b):
 
     def v(p, n):
         T, w = parts(p, n)
-        by = _jy(dbe, p, n)
-        g = _jy(ga, p, n)
-        return (by * w * w * w + g * w * w + _jy(la, p, n) * w
+        by = eval_jet(dbe, p, n)
+        g = eval_jet(ga, p, n)
+        return (by * w * w * w + g * w * w + eval_jet(la, p, n) * w
                 - 6.0 * by * w / T - 2.0 * g / T)
     return _field(fid, b, u, v)
 
@@ -860,7 +853,7 @@ def _f_uxx_bernoulli(fid, b):
     @jets.last_point
     def chi_jet(p, n):
         t, _, _ = jets.coordinate_jets(p, n)
-        ratio = _jy(dbe, p, n) / (t - _jy(be, p, n))
+        ratio = eval_jet(dbe, p, n) / (t - eval_jet(be, p, n))
         jets.raise_where(jets.below_band(ratio.value, MARGIN * 0.2),
                          ratio.value, "beta_y/(t-beta) must stay positive")
         return 0.125 * jets.sqrt(ratio)
@@ -876,7 +869,7 @@ def _f_uxx_bernoulli(fid, b):
 
     def psi_integrand(p, n):
         ct = chi_t_positive(p, n)
-        return (_jy(l1, p, n) * chi_jet(p, n) + _jy(l0, p, n)) \
+        return (eval_jet(l1, p, n) * chi_jet(p, n) + eval_jet(l0, p, n)) \
             / jets.sqrt(ct)
 
     psi_tilde = line_integral(psi_integrand, "y", y0, constant_along="x")
@@ -893,9 +886,9 @@ def _f_uxx_bernoulli(fid, b):
     def v(p, n):
         w = omega(p, n)
         c = chi_jet(p, n)
-        A2 = _jy(a2, p, n)
+        A2 = eval_jet(a2, p, n)
         return (w * w * w * w + (12.0 * c + A2) * w * w
-                + _jy(a1, p, n) * w + 2.0 * c * (6.0 * c + A2))
+                + eval_jet(a1, p, n) * w + 2.0 * c * (6.0 * c + A2))
 
     return _field(fid, b, u, v)
 
@@ -915,7 +908,7 @@ def _f_ueqv(fid, b):
         t, x, y = jets.coordinate_jets(p, n)
         z = x + y
         _guard(z.value, 0.0, "x + y near zero")
-        den = _jy(al, p, n) - 2.0 * t
+        den = eval_jet(al, p, n) - 2.0 * t
         _guard(den.value, 0.0, "alpha - 2t near zero")
         return 1.0 / z + z / den
     return _field(fid, b, u, u)
@@ -1256,7 +1249,7 @@ def _f_img_fwd1(fid, b):
 
     def parts(p, n):
         xi, T = _vx_parts(al, be, p, n)
-        g = _jy(ga, p, n)
+        g = eval_jet(ga, p, n)
         den = 2.0 * xi + g * T
         _guard(den.value, 0.0, "pole line")
         return xi, T, g, den
@@ -1268,11 +1261,12 @@ def _f_img_fwd1(fid, b):
     def v(p, n):
         xi, T, g, den = parts(p, n)
         r = xi / T
-        by = _jy(dbe, p, n)
+        by = eval_jet(dbe, p, n)
         return ((by + 4.0) / 4.0 * r * r
-                + (2.0 * g - _jy(dal, p, n)) / 2.0 * r
+                + (2.0 * g - eval_jet(dal, p, n)) / 2.0 * r
                 - 1.5 * (by + 4.0) / T
-                + (2.0 * _jy(dal, p, n) + g * by + _jy(dga, p, n) * T) / den)
+                + (2.0 * eval_jet(dal, p, n) + g * by
+                   + eval_jet(dga, p, n) * T) / den)
     return _field(fid, b, u, v)
 
 
@@ -1290,11 +1284,11 @@ def _f_img_fwd4(fid, b):
 
     def parts(p, n):
         t, x, _ = jets.coordinate_jets(p, n)
-        A = _jy(al, p, n)
+        A = eval_jet(al, p, n)
         _guard(A.value, 0.0, "alpha must stay away from zero",
                band=MARGIN * 0.2)
         e = x + 2.0 * A * t
-        G = _jy(ga, p, n)
+        G = eval_jet(ga, p, n)
         den = 2.0 * A * e + G - 1.0
         _guard(den.value, 0.0, "pole line")
         return t, x, A, G, e, den
@@ -1305,8 +1299,8 @@ def _f_img_fwd4(fid, b):
 
     def v(p, n):
         t, x, A, G, e, den = parts(p, n)
-        Ay = _jy(dal, p, n)
-        num = 4.0 * t * A * A * Ay + A * _jy(dga, p, n) - Ay * (G - 1.0)
+        Ay = eval_jet(dal, p, n)
+        num = 4.0 * t * A * A * Ay + A * eval_jet(dga, p, n) - Ay * (G - 1.0)
         return (A * e * e + G * e - x + Ay * x
                 + (2.0 * A * Ay + 4.0 * A) * t + num / (A * den))
     return _field(fid, b, u, v)
@@ -1328,9 +1322,9 @@ def _f_img_inv3(fid, b):
 
     def u(p, n):
         xi, T, g, om = parts(p, n)
-        by = _jy(dbe, p, n)
-        ay = _jy(dal, p, n)
-        om_y = ay + _jy(dga, p, n) * T + g * by
+        by = eval_jet(dbe, p, n)
+        ay = eval_jet(dal, p, n)
+        om_y = ay + eval_jet(dga, p, n) * T + g * by
         num = (by - 4.0) * om ** 3 - 4.0 * om_y * T * T
         den = ((by - 4.0) * om ** 3 - (ay + by * g) * T * om * om
                + 2.0 * om_y * T * T)
@@ -1339,13 +1333,13 @@ def _f_img_inv3(fid, b):
 
     def v(p, n):
         xi, T, g, om = parts(p, n)
-        by = _jy(dbe, p, n)
-        ay = _jy(dal, p, n)
+        by = eval_jet(dbe, p, n)
+        ay = eval_jet(dal, p, n)
         r = xi / T
         out = (-(by - 4.0) / 4.0 * r * r + (ay + 4.0 * g) / 2.0 * r
                - 1.5 * (by - 4.0) / T + (ay + by * g) / om)
         if not gamma_is_zero:
-            out = out - (_jy(dga, p, n) / g) * (xi / om)
+            out = out - (eval_jet(dga, p, n) / g) * (xi / om)
         return out
     return _field(fid, b, u, v)
 
@@ -1390,7 +1384,7 @@ def _f_img_inv5(fid, b):
 
     def u(p, n):
         t, _, A, om = parts(p, n)
-        Ay, By = _jy(dal, p, n), _jy(dbe, p, n)
+        Ay, By = eval_jet(dal, p, n), eval_jet(dbe, p, n)
         num = 4.0 * om ** 3 - Ay * om * om + 2.0 * Ay * t + By
         den = Ay * om * om - 2.0 * om ** 3 + 2.0 * Ay * t + By
         _guard(den.value, num.value, "cubic denominator near zero")
@@ -1398,7 +1392,7 @@ def _f_img_inv5(fid, b):
 
     def v(p, n):
         t, x, A, om = parts(p, n)
-        Ay, By = _jy(dal, p, n), _jy(dbe, p, n)
+        Ay, By = eval_jet(dal, p, n), eval_jet(dbe, p, n)
         return (om * om - Ay * (x + 2.0 * A * t) - 6.0 * t
                 + (2.0 * Ay * t + By) / om)
     return _field(fid, b, u, v)

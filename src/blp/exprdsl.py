@@ -6,11 +6,12 @@ supply them as text, e.g. ``"2*t + sin(t)^2"``.  Parsed expressions
 evaluate on plain floats (calling one, or :func:`sample` at many points in
 one walk of the tree) and on univariate Taylor series (:mod:`blp.series`):
 :func:`compose_series` of a series, :func:`eval_series` at a coordinate
-value and :func:`eval_jet`, which places that series on its axis of a
-jet.  They support exact symbolic differentiation, which the Lie-algebra
-layer needs for commutators: each node builds its derivative once and
-keeps it, so nested brackets share f', f'', ... as the same trees, and
-:func:`parse` keeps its last 256 trees, so one text is parsed once.
+value and :func:`eval_jet`, which places that series on the axis of the
+variable that each node of the tree names.  They support exact symbolic
+differentiation, which the Lie-algebra layer needs for commutators: each
+node builds its derivative once and keeps it, so nested brackets share
+f', f'', ... as the same trees, and :func:`parse` keeps its last 256
+trees, so one text is parsed once.
 Derivatives, brackets and compositions are built by one folding
 constructor, :func:`_mk`, so the nodes they add hold no zero term and no
 power 1 or 0.
@@ -94,7 +95,7 @@ class Expr:
 @dataclass(frozen=True, repr=False)
 class Num(Expr):
     value: float
-    var_name: str = ""
+    var_name: str
 
 
 @dataclass(frozen=True, repr=False)
@@ -193,7 +194,7 @@ class _Parser:
         if self.peek().kind == "op" and self.peek().text == "-":
             self.next()
             # normal form: negated literals fold into the constant
-            return _neg(self.unary(), self.var)
+            return _neg(self.unary())
         if self.peek().kind == "op" and self.peek().text == "+":
             self.next()
             return self.unary()
@@ -255,9 +256,10 @@ def parse(src: str, var_name: str) -> Expr:
 
 
 def as_expr(value, var_name: str) -> Expr:
-    """``value`` as an expression of ``var_name``: an Expr as it is, text
-    parsed, a finite number (not a bool) as a constant."""
-    if isinstance(value, Expr):
+    """``value`` as an expression of ``var_name``: an Expr of that variable
+    as it is, text parsed, a finite number (not a bool) as a constant;
+    anything else, a tree of another variable too, raises BadInput."""
+    if isinstance(value, Expr) and value.var_name == var_name:
         return value
     if isinstance(value, str):
         return parse(value, var_name)
@@ -437,15 +439,18 @@ def eval_series(e: Expr, at: float, order: int) -> np.ndarray:
     return _memo_series(e, at, order).copy()
 
 
-def eval_jet(e: Expr, which: str, at: Point, order: int) -> Jet3:
+def eval_jet(e: Expr, at: Point, order: int) -> Jet3:
     """Jet of the univariate function, constant in the other two variables:
-    its series in ``which`` on the axis of that variable.
+    its series on the axis of its variable, t, x or y (else BadInput).
 
-    At a batched point whose ``which`` is one float, the one memoised
-    series serves every lane; where ``which`` varies over the lanes, one
+    At a batched point whose coordinate on that axis is one float, the one
+    memoised series serves every lane; where it varies over the lanes, one
     batched :func:`compose_series` gives a series per lane.  ``order`` is
     a truncation key (:mod:`blp.jets`): the series runs to its order, and
     the jet keeps the monomials of the key."""
+    which = e.var_name
+    if which not in jets._AXES:
+        raise BadInput(f"an expression of {which!r} has no axis of a jet")
     n = int(order)
     at_var = getattr(at, which)
     if not isinstance(at_var, np.ndarray):
@@ -501,8 +506,9 @@ def _subst(e: Expr, repl: Expr) -> Expr:
     raise AssertionError(type(e))
 
 
-def _neg(e: Expr, v: str) -> Expr:
+def _neg(e: Expr) -> Expr:
     """``-e``: a number negated, any other tree under a :class:`Neg`."""
+    v = e.var_name
     return Num(-e.value, v) if isinstance(e, Num) else Neg(e, v)
 
 
@@ -510,15 +516,16 @@ def _is_zero_num(e: Expr) -> bool:
     return isinstance(e, Num) and e.value == 0.0
 
 
-def _mk(op, l, r, v):
-    """``Bin(op, l, r, v)`` folded, the one constructor that folds (only
-    :func:`parse` and :meth:`Expr.subst` build plain nodes): two numbers
-    fold into one where their value is finite and raises no error, a
-    product with an exact zero is zero, a factor 1.0 is dropped, a left
+def _mk(op, l, r):
+    """``Bin(op, l, r, l.var_name)`` folded, the one constructor that folds
+    (only :func:`parse` and :meth:`Expr.subst` build plain nodes): two
+    numbers fold into one where their value is finite and raises no error,
+    a product with an exact zero is zero, a factor 1.0 is dropped, a left
     factor -1.0 is a negation, an added or subtracted zero is dropped,
     ``f^1.0`` is ``f`` and ``f^0.0`` is 1.0.  Its value is the plain
     ``Bin``'s up to the sign of a zero (or of a NaN), wherever every
     dropped factor is finite."""
+    v = l.var_name
     if isinstance(l, Num) and isinstance(r, Num):
         try:
             value = _FLOAT_OPS[op](l.value, r.value)
@@ -534,12 +541,12 @@ def _mk(op, l, r, v):
         if isinstance(r, Num) and r.value == 1.0:
             return l
         if isinstance(l, Num) and l.value == -1.0:
-            return _neg(r, v)
+            return _neg(r)
     elif op in "+-":
         if _is_zero_num(r):
             return l
         if _is_zero_num(l):
-            return r if op == "+" else _neg(r, v)
+            return r if op == "+" else _neg(r)
     elif op == "^" and isinstance(r, Num) and r.value in (0.0, 1.0):
         return l if r.value else Num(1.0, v)
     return Bin(op, l, r, v)
@@ -564,48 +571,48 @@ def _derive(e: Expr) -> Expr:
     if isinstance(e, Var):
         return one
     if isinstance(e, Neg):
-        return _neg(_diff(e.arg), v)
+        return _neg(_diff(e.arg))
     if isinstance(e, Bin):
         f, g = e.left, e.right
         df, dg = _diff(f), _diff(g)
         if e.op == "+":
-            return _mk("+", df, dg, v)
+            return _mk("+", df, dg)
         if e.op == "-":
-            return _mk("-", df, dg, v)
+            return _mk("-", df, dg)
         if e.op == "*":
-            return _mk("+", _mk("*", df, g, v), _mk("*", f, dg, v), v)
+            return _mk("+", _mk("*", df, g), _mk("*", f, dg))
         if e.op == "/":
-            num = _mk("-", _mk("*", df, g, v), _mk("*", f, dg, v), v)
-            return _mk("/", num, _mk("^", g, Num(2.0, v), v), v)
+            num = _mk("-", _mk("*", df, g), _mk("*", f, dg))
+            return _mk("/", num, _mk("^", g, Num(2.0, v)))
         if e.op == "^":
             if isinstance(g, Num):
                 # r * f^(r-1) * f'
-                return _mk("*", _mk("*", g, _mk("^", f, Num(g.value - 1, v), v), v), df, v)
+                return _mk("*", _mk("*", g, _mk("^", f, Num(g.value - 1, v))), df)
             # f^g * (g' ln f + g f'/f)
-            t1 = _mk("*", dg, Call("ln", f, v), v)
-            t2 = _mk("/", _mk("*", g, df, v), f, v)
-            return _mk("*", e, _mk("+", t1, t2, v), v)
+            t1 = _mk("*", dg, Call("ln", f, v))
+            t2 = _mk("/", _mk("*", g, df), f)
+            return _mk("*", e, _mk("+", t1, t2))
         raise AssertionError(e.op)
     if isinstance(e, Call):
         u, du = e.arg, _diff(e.arg)
         if e.fn == "exp":
-            return _mk("*", e, du, v)
+            return _mk("*", e, du)
         if e.fn == "ln":
-            return _mk("/", du, u, v)
+            return _mk("/", du, u)
         if e.fn == "sin":
-            return _mk("*", Call("cos", u, v), du, v)
+            return _mk("*", Call("cos", u, v), du)
         if e.fn == "cos":
-            return _neg(_mk("*", Call("sin", u, v), du, v), v)
+            return _neg(_mk("*", Call("sin", u, v), du))
         if e.fn == "tan":
-            sec2 = _mk("+", one, _mk("^", Call("tan", u, v), Num(2.0, v), v), v)
-            return _mk("*", sec2, du, v)
+            sec2 = _mk("+", one, _mk("^", Call("tan", u, v), Num(2.0, v)))
+            return _mk("*", sec2, du)
         if e.fn == "sinh":
-            return _mk("*", Call("cosh", u, v), du, v)
+            return _mk("*", Call("cosh", u, v), du)
         if e.fn == "cosh":
-            return _mk("*", Call("sinh", u, v), du, v)
+            return _mk("*", Call("sinh", u, v), du)
         if e.fn == "sqrt":
-            return _mk("/", du, _mk("*", Num(2.0, v), e, v), v)
+            return _mk("/", du, _mk("*", Num(2.0, v), e))
         if e.fn == "abs":
-            return _mk("*", _mk("/", u, e, v), du, v)
+            return _mk("*", _mk("/", u, e), du)
         raise AssertionError(e.fn)
     raise AssertionError(type(e))

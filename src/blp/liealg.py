@@ -72,15 +72,15 @@ class NumericCoeff:
         return self.fn(s)
 
 
-def _c_add(a, b, var):
+def _c_add(a, b):
     if isinstance(a, Expr) and isinstance(b, Expr):
-        return _mk("+", a, b, var)
+        return _mk("+", a, b)
     return NumericCoeff(lambda s: a(s) + b(s))
 
 
-def _c_scale(a, c: float, var):
+def _c_scale(a, c: float):
     if isinstance(a, Expr):
-        return _mk("*", Num(float(c), var), a, var)
+        return _mk("*", Num(float(c), a.var_name), a)
     return NumericCoeff(lambda s: c * a(s))
 
 
@@ -104,12 +104,11 @@ class LieElement:
     def __add__(self, other: "LieElement") -> "LieElement":
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = v if k not in out else _c_add(out[k], v, _VAR_OF[k])
+            out[k] = v if k not in out else _c_add(out[k], v)
         return LieElement(out)
 
     def scale(self, c: float) -> "LieElement":
-        return LieElement({k: _c_scale(v, c, _VAR_OF[k])
-                           for k, v in self.terms.items()})
+        return LieElement({k: _c_scale(v, c) for k, v in self.terms.items()})
 
     def __sub__(self, other: "LieElement") -> "LieElement":
         return self + other.scale(-1.0)
@@ -151,25 +150,24 @@ def _coerce(c, var: str):
     return c if isinstance(c, NumericCoeff) else as_expr(c, var)
 
 
-def _wronsky(a: Expr, b: Expr, var: str) -> Expr:
+def _wronsky(a: Expr, b: Expr) -> Expr:
     # a b' - a' b
-    return _mk("-", _mk("*", a, b.diff(), var),
-               _mk("*", a.diff(), b, var), var)
+    return _mk("-", _mk("*", a, b.diff()), _mk("*", a.diff(), b))
 
 
-def _p_bracket(g: Expr, f: Expr, var: str) -> Expr:
+def _p_bracket(g: Expr, f: Expr) -> Expr:
     # f' g / 2 - f g'
-    return _mk("-", _mk("*", _mk("*", Num(0.5, var), f.diff(), var), g, var),
-               _mk("*", f, g.diff(), var), var)
+    return _mk("-", _mk("*", _mk("*", Num(0.5, f.var_name), f.diff()), g),
+               _mk("*", f, g.diff()))
 
 
 #: the nonzero brackets of the module docstring: (k1, k2) -> the kind of
-#: [k1(c1), k2(c2)] and its coefficient as a function of (c1, c2, var)
+#: [k1(c1), k2(c2)] and its coefficient as a function of (c1, c2)
 _BRACKETS = {
     ("D", "D"): ("D", _wronsky),
     ("S", "S"): ("S", _wronsky),
     ("P", "D"): ("P", _p_bracket),
-    ("S", "Z"): ("Z", lambda a, b, var: _mk("*", a, b, var).diff()),
+    ("S", "Z"): ("Z", lambda a, b: _mk("*", a, b).diff()),
 }
 
 
@@ -182,16 +180,15 @@ def commutator(Q1: LieElement, Q2: LieElement) -> LieElement:
                         "pushforward closures compare pointwise instead")
     out: dict = {}
     for (k1, k2), (kind, rule) in _BRACKETS.items():
-        v = _VAR_OF[kind]
         pairs = ((Q1, Q2), (Q2, Q1)) if k1 != k2 else ((Q1, Q2),)
         for mirrored, (A, B) in enumerate(pairs):
             c1, c2 = A.coeff(k1), B.coeff(k2)
             if c1 is None or c2 is None:
                 continue
-            e = rule(c1, c2, v)
+            e = rule(c1, c2)
             if mirrored:
-                e = _mk("*", Num(-1.0, v), e, v)
-            out[kind] = e if kind not in out else _mk("+", out[kind], e, v)
+                e = _mk("*", Num(-1.0, e.var_name), e)
+            out[kind] = e if kind not in out else _mk("+", out[kind], e)
     return LieElement(out)
 
 
@@ -230,24 +227,23 @@ def pushforward(kind: str, param, Q: LieElement) -> LieElement:
                 out[key] = _pushed(out[key], F, dF, power)
         return LieElement(out)
     if kind in _SHIFT:
-        v = _VAR_OF[kind]
-        X = _coerce(param, v)
+        X = _coerce(param, _VAR_OF[kind])
         src, k = _SHIFT[kind]
         if src in out:
             c = out[src]
             if not isinstance(c, Expr):
                 raise TypeError(f"pushforward of a numeric closure by {kind}")
-            extra = _mk("-", _mk("*", c, X.diff(), v),
-                        _mk("*", _mk("*", Num(k, v), c.diff(), v), X, v), v)
+            extra = _mk("-", _mk("*", c, X.diff()),
+                        _mk("*", _mk("*", Num(k, c.var_name), c.diff()), X))
             out[kind] = extra if kind not in out \
-                else _mk("+", out[kind], extra, v)
+                else _mk("+", out[kind], extra)
         return LieElement(out)
     if kind == "I":
         eps = float(param)
         if eps not in (1.0, -1.0):
             raise ValueError("I takes +1 or -1")
         if "P" in out:
-            out["P"] = _c_scale(out["P"], eps, "t")
+            out["P"] = _c_scale(out["P"], eps)
         return LieElement(out)
     raise ValueError(f"unknown elementary transformation {kind!r}")
 

@@ -604,7 +604,7 @@ def reduction_2_3_field(delta: int, phi0: float,
         _, x, _ = jets.coordinate_jets(p, n)
         out = Jet3.constant(0.0, p, n)
         if isinstance(psi_of_y, Expr):
-            out = out + eval_jet(psi_of_y, "y", p, n)
+            out = out + eval_jet(psi_of_y, p, n)
         elif psi_of_y is not None:
             out = out + psi_of_y(jets.lift_variable("y", p, n))
         if delta:

@@ -239,7 +239,7 @@ def conserved_current_divergence(current_id: str, param, s: SolutionField,
     v_x = tr(v.derive("x"))
     v_xx = tr(v.derive("x").derive("x"))
     if current_id in ("F0", "F1", "F2"):
-        h = eval_jet(as_expr(param, "t"), "t", p, no)
+        h = eval_jet(as_expr(param, "t"), p, no)
         ut_term = u_t - 2.0 * uj * u_x + u_xx
         weight = {"F0": 1.0 + 0.0 * x, "F1": x, "F2": x * x}[current_id]
         if current_id == "F0":
@@ -251,7 +251,7 @@ def conserved_current_divergence(current_id: str, param, s: SolutionField,
         fy = h * weight * ut_term
         return fx.extract((0, 1, 0)) + fy.extract((0, 0, 1))
     if current_id in ("F4", "F5"):
-        g = eval_jet(as_expr(param, "y"), "y", p, no)
+        g = eval_jet(as_expr(param, "y"), p, no)
         if current_id == "F4":
             ft = g * u_y
             fx = g * (u_xy - 2.0 * uj * u_y - 2.0 * v_xx)
@@ -393,9 +393,11 @@ def _rows(row: Callable[[Point], tuple], points: list[Point]):
     defined, in order, and the number skipped: the one evaluator of a
     check over a list of points.  While a batch raises, the lanes its
     error names (every lane, if it names none) are dropped and the rest
-    asked again; then each dropped point is asked alone, in order."""
+    asked again; then each dropped point is asked alone, in order.  An
+    overflow gives the non-finite value it makes, never a warning."""
     def batch(at: list[Point]) -> list:
-        values = row(Point(*(np.array(c, dtype=float) for c in zip(*at))))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            values = row(Point(*(np.array(c, dtype=float) for c in zip(*at))))
         # a value of a jet of shape (size,) is the same in every lane
         return list(zip(at, *(np.broadcast_to(c, len(at)).tolist()
                               for c in values)))

@@ -141,10 +141,10 @@ class PointSymmetry:
         T = g2.T.subst(g1.T)
         Y = g2.Y.subst(g1.Y)
         sq = Call("sqrt", g2.T.diff().subst(g1.T), "t")
-        X0 = _mk("+", _mk("*", _mk("*", Num(float(g2.eps), "t"), sq, "t"),
-                          g1.X0, "t"), g2.X0.subst(g1.T), "t")
+        X0 = _mk("+", _mk("*", _mk("*", Num(float(g2.eps), "t"), sq), g1.X0),
+                 g2.X0.subst(g1.T))
         y2y = g2.Y.diff().subst(g1.Y)
-        V0 = _mk("+", _mk("/", g1.V0, y2y, "y"), g2.V0.subst(g1.Y), "y")
+        V0 = _mk("+", _mk("/", g1.V0, y2y), g2.V0.subst(g1.Y))
         return PointSymmetry(T=T, X0=X0, Y=Y, V0=V0, eps=g2.eps * g1.eps)
 
 
@@ -652,7 +652,7 @@ def covering_solutions_for_constraint(
 
     def zeta_jet(p, n):
         if isinstance(zeta, Expr):
-            return eval_jet(zeta, "y", p, n)
+            return eval_jet(zeta, p, n)
         return zeta(jets.lift_variable("y", p, n))
 
     if constraint == "q_y=0":

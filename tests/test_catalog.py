@@ -68,6 +68,12 @@ def test_unknown_family_and_bad_binding():
             instantiate(fid, bad)
 
 
+def test_an_expression_of_another_variable_is_a_bad_binding():
+    # alpha is a function of y: a tree of t is refused, not read on y
+    with pytest.raises(BadBinding, match="^alpha: "):
+        instantiate("F_VXXX_4", {"alpha": parse("sin(t)", "t")})
+
+
 def test_every_kind_has_a_rule():
     desc = catalog.FamilyDescriptor("F_X", "UV", (("c", "bogus"),), "", "",
                                     defaults={"c": 1.0})

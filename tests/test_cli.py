@@ -356,7 +356,6 @@ def test_nan_residual_never_passes(monkeypatch, capsys):
     assert report["r1_max"] == "NaN" and math.isnan(float(report["r1_max"]))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_parameter_is_strict_json(capsys):
     code, out, err = run_cli(["verify", "--family", "F_R29_ELEM_2",
                               "--param", "kappa=Infinity"], capsys)
@@ -749,6 +748,37 @@ def test_a_rejected_parameter_is_named(family, param, error, capsys):
                              capsys)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": error}
+
+
+#: inputs whose arithmetic overflows in the one evaluator of a check over
+#: points: (argv, exit code, the error, or the count of nonfinite points)
+_OVERFLOWS = {
+    "witness": (["verify", "--family", "F_HOPFCOLE2D", "--param",
+                 'Phi={"kind": "plane_exp", "k": 1e200}'],
+                2, "Phi: heat-equation probe residual nan"),
+    "theta": (["transform", "--family", "seed_qy0", "--chain",
+               '[{"op": "dt2", "phi": {"theta": {"kind": "plane_exp", '
+               '"k": 1e300}}}]'],
+              2, "theta: heat-equation probe residual nan"),
+    "perturb": (["verify", "--family", "F_UY0_TRIV", "--perturb", "1e308"],
+                1, 64),
+    "alpha": (["verify", "--family", "F_UEQV", "--param",
+               "alpha=exp(1000*y)"], 1, 32),
+}
+
+
+@pytest.mark.parametrize("args, code, want", _OVERFLOWS.values(),
+                         ids=_OVERFLOWS)
+def test_an_overflow_is_a_nonfinite_value(args, code, want, capsys):
+    # never a RuntimeWarning, which this suite turns into an error
+    got, out, err = run_cli(args, capsys)
+    assert got == code, err
+    if code == 2:
+        assert out == "" and json.loads(err) == {"error": want}
+    else:
+        report = json.loads(out)
+        assert (report["passed"], report["nonfinite"]) == (False, want)
+        assert err == ""
 
 
 def test_every_toolkit_error_is_a_blp_error():

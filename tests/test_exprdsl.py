@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from blp import catalog, exprdsl, jets
 from blp.exprdsl import (Bin, Call, Num, ParseError, Var, _Tok, eval_jet,
                          eval_series, parse)
-from blp.jets import DomainError, Point
+from blp.jets import BadInput, DomainError, Point
 from conftest import central_diff, expr_nodes, jet_walk, unfolded_nodes
 
 
@@ -154,7 +154,7 @@ def test_precedence_and_associativity():
 
 
 def test_eval_jet_square():
-    j = eval_jet(parse("t^2", "t"), "t", Point(3.0, 0.0, 0.0), 1)
+    j = eval_jet(parse("t^2", "t"), Point(3.0, 0.0, 0.0), 1)
     assert j.value == 9.0
     assert j.extract((1, 0, 0)) == pytest.approx(6.0)
 
@@ -162,11 +162,25 @@ def test_eval_jet_square():
 def test_eval_jet_pole():
     e = parse("1/(1+y)", "y")
     with pytest.raises(DomainError):
-        eval_jet(e, "y", Point(0.0, 0.0, -1.0), 2)
+        eval_jet(e, Point(0.0, 0.0, -1.0), 2)
+
+
+def test_eval_jet_reads_the_axis_of_its_variable():
+    assert eval_jet(parse("2*x", "x"), Point(0.1, 0.5, 0.9), 1).extract(
+        (0, 1, 0)) == 2.0
+    with pytest.raises(BadInput, match="'s'"):
+        eval_jet(parse("sin(s)", "s"), Point(0.1, 0.5, 0.9), 2)
+
+
+def test_as_expr_refuses_a_tree_of_another_variable():
+    e = parse("sin(t)", "t")
+    assert exprdsl.as_expr(e, "t") is e
+    with pytest.raises(BadInput, match="expression of y"):
+        exprdsl.as_expr(e, "y")
 
 
 def test_eval_jet_constant_in_other_axes():
-    j = eval_jet(parse("sin(2*y)", "y"), "y", Point(0.3, 0.7, 0.4), 3)
+    j = eval_jet(parse("sin(2*y)", "y"), Point(0.3, 0.7, 0.4), 3)
     assert j.extract((1, 0, 0)) == 0.0
     assert j.extract((0, 1, 0)) == 0.0
 
@@ -265,13 +279,13 @@ def test_subst_composes():
 def test_jet_valued_exponent():
     # constant base with a jet exponent routes through exp(r ln a)
     e = parse("3^t", "t")
-    j = eval_jet(e, "t", Point(0.5, 0.0, 0.0), 2)
+    j = eval_jet(e, Point(0.5, 0.0, 0.0), 2)
     assert j.value == pytest.approx(3.0 ** 0.5, rel=1e-12)
     assert j.extract((1, 0, 0)) == pytest.approx(
         math.log(3.0) * 3.0 ** 0.5, rel=1e-10)
     # jet base with jet exponent
     e2 = parse("t^t", "t")
-    j2 = eval_jet(e2, "t", Point(1.5, 0.0, 0.0), 1)
+    j2 = eval_jet(e2, Point(1.5, 0.0, 0.0), 1)
     assert j2.value == pytest.approx(1.5 ** 1.5, rel=1e-12)
     assert j2.extract((1, 0, 0)) == pytest.approx(
         1.5 ** 1.5 * (math.log(1.5) + 1.0), rel=1e-10)
@@ -304,9 +318,9 @@ def test_univariate_eval_jet_matches_trivariate(src, which):
                 want = _trivariate(e, which, p, order)
             except DomainError:
                 with pytest.raises(DomainError):
-                    eval_jet(e, which, p, order)
+                    eval_jet(e, p, order)
                 continue
-            got = eval_jet(e, which, p, order)
+            got = eval_jet(e, p, order)
             assert got.order == order and got.base == p
             assert np.max(np.abs(got.coeffs - want.coeffs)) <= \
                 1e-14 * np.max(np.abs(want.coeffs)), (src, value, order)
@@ -323,7 +337,7 @@ def test_univariate_eval_jet_domain_errors(src, at):
         with pytest.raises(DomainError):
             _trivariate(e, "y", p, order)
         with pytest.raises(DomainError):
-            eval_jet(e, "y", p, order)
+            eval_jet(e, p, order)
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +369,7 @@ def test_memo_answer_equals_fresh_evaluation_bit_for_bit(src, which):
                 got = eval_series(e, value, order)
                 assert got.tobytes() == fresh.tobytes(), (src, value, order)
                 p = Point(value, value, value)
-                jet = eval_jet(e, which, p, order)
+                jet = eval_jet(e, p, order)
                 assert jet.base == p
                 assert jets.axis_series(jet, which).tobytes() == \
                     fresh.tobytes()
@@ -366,7 +380,7 @@ def test_memo_stays_within_its_bound():
     for k in range(3 * exprdsl.MEMO_SIZE):
         for e in exprs:
             eval_series(e, 0.001 * k, 4)
-            eval_jet(e, "y", Point(0.0, 0.0, 0.001 * k), 3)
+            eval_jet(e, Point(0.0, 0.0, 0.001 * k), 3)
     for e in exprs:
         memo = e.__dict__["_memo"]
         assert len(memo) == exprdsl.MEMO_SIZE
@@ -387,9 +401,9 @@ def test_mutating_an_answer_leaves_the_memo_alone():
     got[:] = 99.0
     assert eval_series(e, 0.6, 5).tobytes() == want.tobytes()
     p = Point(0.6, 0.1, 0.2)
-    jet = eval_jet(e, "t", p, 5)
+    jet = eval_jet(e, p, 5)
     jet.coeffs[:] = -1.0
-    assert jets.axis_series(eval_jet(e, "t", p, 5), "t").tobytes() == \
+    assert jets.axis_series(eval_jet(e, p, 5), "t").tobytes() == \
         want.tobytes()
     assert eval_series(e, 0.6, 5).tobytes() == want.tobytes()
 
@@ -400,7 +414,7 @@ def test_memo_never_keeps_an_error():
         with pytest.raises(DomainError):
             eval_series(e, 1.0, 4)
         with pytest.raises(DomainError):
-            eval_jet(e, "y", Point(0.0, 0.0, 1.0), 4)
+            eval_jet(e, Point(0.0, 0.0, 1.0), 4)
     assert not e.__dict__["_memo"]
     # the memo does not change what trees equal or print as
     assert e == parse("1/(y-1)", "y") and hash(e) == hash(parse("1/(y-1)", "y"))
@@ -533,7 +547,7 @@ def _plain_diff(e, monkeypatch):
     """The derivative of a new copy of ``e``, whose nodes keep no
     derivative yet, by a constructor that folds nothing."""
     with monkeypatch.context() as m:
-        m.setattr(exprdsl, "_mk", lambda op, l, r, v: Bin(op, l, r, v))
+        m.setattr(exprdsl, "_mk", lambda op, l, r: Bin(op, l, r, l.var_name))
         return e.subst(Var(e.var_name)).diff()
 
 

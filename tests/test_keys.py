@@ -124,9 +124,9 @@ def test_keys_are_interned_and_an_uncapped_key_is_an_int():
 @pytest.mark.parametrize("which", "txy")
 def test_eval_jet_keeps_the_full_bits(which, p):
     e = parse(f"exp(0.3*{which})/(2 + sin({which}))", which)
-    full = eval_jet(e, which, p, ORDER)
+    full = eval_jet(e, p, ORDER)
     for key in KEYS:
-        same_bits(eval_jet(e, which, p, key), full)
+        same_bits(eval_jet(e, p, key), full)
     ser = jets.axis_series(full, which)
     same_bits(jets.axis_jet(ser, which, p).truncate(KEYS[0]), full)
 
@@ -258,8 +258,8 @@ def test_negative_orders_raise():
                  lambda: jets.lift_variable("x", SINGLE, -1),
                  lambda: Jet3(SINGLE, -1, np.zeros(0)),
                  lambda: exprdsl.eval_series(e, 0.7, -1),
-                 lambda: eval_jet(e, "t", SINGLE, -1),
-                 lambda: eval_jet(e, "t", LANES, -1),
+                 lambda: eval_jet(e, SINGLE, -1),
+                 lambda: eval_jet(e, LANES, -1),
                  lambda: exprdsl.compose_series(e, np.zeros(0)),
                  lambda: series.univariate(-1)):
         with pytest.raises(ValueError, match="order must be >= 0"):

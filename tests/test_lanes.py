@@ -213,8 +213,8 @@ def test_eval_jet_on_either_axis(text, order):
     e = exprdsl.parse(text, "y")
     for p in (Point(0.4, 0.1, np.linspace(-0.7, 0.9, 6)),   # on its axis
               Point(0.4, np.linspace(-0.7, 0.9, 6), 0.35)):  # across it
-        assert_lanes(exprdsl.eval_jet(e, "y", p, order),
-                     [exprdsl.eval_jet(e, "y", q, order)
+        assert_lanes(exprdsl.eval_jet(e, p, order),
+                     [exprdsl.eval_jet(e, q, order)
                       for q in _singles(p)])
 
 

@@ -329,6 +329,11 @@ def test_subalgebras_from_json(tmp_path):
     assert check_subalgebra(subs2[1]).closed
 
 
+def test_a_generator_refuses_a_coefficient_of_another_variable():
+    with pytest.raises(BadInput):
+        D(parse("y", "y"))
+
+
 @pytest.mark.parametrize("basis,words", [
     ([], "no nonzero basis element"),
     ([{"D": "0"}], "no nonzero basis element"),
@@ -459,8 +464,8 @@ def _plain_constructor(monkeypatch):
     that folds nothing, from fresh parsed trees that keep no derivative
     yet: the reference that ``exprdsl._mk`` is compared with.  The trees
     parsed meanwhile are dropped from the parse cache on the way out."""
-    def plain(op, l, r, v):
-        return exprdsl.Bin(op, l, r, v)
+    def plain(op, l, r):
+        return exprdsl.Bin(op, l, r, l.var_name)
 
     with monkeypatch.context() as m:
         m.setattr(exprdsl, "_mk", plain)

@@ -26,34 +26,32 @@ PTS = liealg.chebyshev_points(7)
 
 
 def _old_p_bracket(g, f):
-    return _mk("-", _mk("*", _mk("*", Num(0.5, "t"), f.diff(), "t"), g, "t"),
-               _mk("*", f, g.diff(), "t"), "t")
+    return _mk("-", _mk("*", _mk("*", Num(0.5, "t"), f.diff()), g),
+               _mk("*", f, g.diff()))
 
 
 def _old_commutator(Q1, Q2):
     out = {}
 
     def put(kind, e):
-        out[kind] = e if kind not in out else _mk("+", out[kind], e,
-                                                  liealg._VAR_OF[kind])
+        out[kind] = e if kind not in out else _mk("+", out[kind], e)
 
     f1, f2 = Q1.coeff("D"), Q2.coeff("D")
     a1, a2 = Q1.coeff("S"), Q2.coeff("S")
     g1, g2 = Q1.coeff("P"), Q2.coeff("P")
     b1, b2 = Q1.coeff("Z"), Q2.coeff("Z")
     if f1 is not None and f2 is not None:
-        put("D", liealg._wronsky(f1, f2, "t"))
+        put("D", liealg._wronsky(f1, f2))
     if a1 is not None and a2 is not None:
-        put("S", liealg._wronsky(a1, a2, "y"))
+        put("S", liealg._wronsky(a1, a2))
     if g1 is not None and f2 is not None:
         put("P", _old_p_bracket(g1, f2))
     if g2 is not None and f1 is not None:
-        put("P", _mk("*", Num(-1.0, "t"), _old_p_bracket(g2, f1), "t"))
+        put("P", _mk("*", Num(-1.0, "t"), _old_p_bracket(g2, f1)))
     if a1 is not None and b2 is not None:
-        put("Z", _mk("*", a1, b2, "y").diff())
+        put("Z", _mk("*", a1, b2).diff())
     if a2 is not None and b1 is not None:
-        put("Z", _mk("*", Num(-1.0, "y"),
-                     _mk("*", a2, b1, "y").diff(), "y"))
+        put("Z", _mk("*", Num(-1.0, "y"), _mk("*", a2, b1).diff()))
     return LieElement(out)
 
 
@@ -75,11 +73,10 @@ def _old_pushforward(kind, param, Q):
             f = out["D"]
             if not isinstance(f, Expr):
                 raise TypeError("pushforward of a numeric closure by P")
-            extra = _mk("-", _mk("*", f, X0.diff(), "t"),
-                        _mk("*", _mk("*", Num(0.5, "t"), f.diff(), "t"),
-                            X0, "t"), "t")
+            extra = _mk("-", _mk("*", f, X0.diff()),
+                        _mk("*", _mk("*", Num(0.5, "t"), f.diff()), X0))
             out["P"] = extra if "P" not in out \
-                else _mk("+", out["P"], extra, "t")
+                else _mk("+", out["P"], extra)
         return LieElement(out)
     if kind == "Z":
         V0 = liealg._coerce(param, "y")
@@ -87,9 +84,9 @@ def _old_pushforward(kind, param, Q):
             a = out["S"]
             if not isinstance(a, Expr):
                 raise TypeError("pushforward of a numeric closure by Z")
-            extra = liealg._wronsky(a, V0, "y")
+            extra = liealg._wronsky(a, V0)
             out["Z"] = extra if "Z" not in out \
-                else _mk("+", out["Z"], extra, "y")
+                else _mk("+", out["Z"], extra)
         return LieElement(out)
 
 
