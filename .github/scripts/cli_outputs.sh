@@ -110,6 +110,7 @@ for config in undeclared grid_empty grid_null tol_string; do
     run "malformed_config_$config" verify --config "$out/$config.json"
 done
 run malformed_config_reduce_span reduce --config "$out/reduce_span.json"
+run malformed_reduce_c1_overflow reduce --id R2_9 --param C1=1e300
 run malformed_perturb_nan verify --family F_UY0_TRIV --perturb nan
 run malformed_tol_not_json verify --family F_UY0_TRIV --tol .5
 run malformed_list_constraint list --constraint bogus

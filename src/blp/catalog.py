@@ -186,11 +186,17 @@ def combine_witnesses(witnesses: Sequence[HeatWitness],
                       coeffs: Sequence[object]) -> HeatWitness:
     """Linear combination with y-dependent coefficients.
 
-    Coefficients may be Expr values, expression strings in y, or numbers.
+    Coefficients may be Expr values, expression strings in y, or numbers;
+    any other is a :class:`BadBinding` naming its position.
     """
     if len(witnesses) != len(coeffs):
         raise BadBinding("one coefficient per witness required")
-    coeffs = [as_expr(c, "y") for c in coeffs]
+    exprs = []
+    for i, c in enumerate(coeffs):
+        try:
+            exprs.append(as_expr(c, "y"))
+        except BadInput as exc:  # a ParseError too
+            raise BadBinding(f"coefficient {i}: {exc}") from exc
     direction = witnesses[0].direction
     if any(w.direction != direction for w in witnesses):
         raise BadBinding("cannot mix forward and backward witnesses")
@@ -199,7 +205,7 @@ def combine_witnesses(witnesses: Sequence[HeatWitness],
 
     def phi(p: Point, n: int) -> Jet3:
         acc = Jet3.constant(0.0, p, n)
-        for w, c in zip(witnesses, coeffs):
+        for w, c in zip(witnesses, exprs):
             acc = acc + eval_jet(c, p, n) * w.Phi(p, n)
         return acc
 

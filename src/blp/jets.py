@@ -80,9 +80,10 @@ lockstep quadrature (:func:`blp.quadrature.adaptive_quadrature`) from
 the abscissae of its round, or the lane whose refinement failed, and
 scalar code run lane by lane (:func:`each_lane`) names the lane that
 raised.  The reduced-profile fields and symmetry images take their lanes
-at once, and are wrapped by :func:`as_batch`, which asks a single point
-as a batch of one lane, so a lane's bits do not depend on the batch it
-comes in.  A grid report
+at once (a symmetry image composes them with one :func:`compose3` call
+over the batch), and are wrapped by :func:`as_batch`, which asks a
+single point as a batch of one lane, so a lane's bits do not depend on
+the batch it comes in.  A grid report
 (:func:`blp.system.residual_report`) asks its whole grid as one batch,
 and again without the lanes each error names, and then each dropped
 point alone, so a point is skipped or named by its own evaluation, and
@@ -967,19 +968,27 @@ def compose3(pt: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
     ``c`` at the old base composed with the map.  Each column is a power
     of g times a power of alpha + beta r, lower-triangular Toeplitz
     products in (s, r), times a power of h (Brent & Kung, JACM 1978).
+
+    The four arguments may carry one leading batch shape, one map per
+    lane, and the result is then ``(*lead, K, K)``, each lane with the
+    bits of its map composed alone.  The result is C-contiguous, so that
+    ``M @ c`` takes the same matrix product in a batch and alone.
     """
-    n = len(alpha) - 1
-    # xi[j, a, b]: coefficient of s^a r^b in (alpha + beta r)^j
-    xi = np.zeros((n + 1, n + 1, n + 1))
-    xi[0, 0, 0] = 1.0
+    n = alpha.shape[-1] - 1
+    lead = alpha.shape[:-1]
+    # xi[..., j, a, b]: coefficient of s^a r^b in (alpha + beta r)^j
+    xi = np.zeros((*lead, n + 1, n + 1, n + 1))
+    xi[..., 0, 0, 0] = 1.0
     ta, tb = series.toeplitz(alpha), series.toeplitz(beta)
     for j in range(1, n + 1):
-        xi[j] = ta @ xi[j - 1]
-        xi[j, :, 1:] += tb @ xi[j - 1, :, :-1]
-    # txi[i, j, a, b]: coefficient of s^a r^b in g^i (alpha + beta r)^j
-    txi = series.toeplitz(pt)[:, None] @ xi
+        xi[..., j, :, :] = ta @ xi[..., j - 1, :, :]
+        xi[..., j, :, 1:] += tb @ xi[..., j - 1, :, :-1]
+    # txi[..., i, j, a, b]: coefficient of s^a r^b in g^i (alpha + beta r)^j
+    txi = series.toeplitz(pt)[..., :, None, :, :] @ xi[..., None, :, :, :]
     at_txi, at_py = _compose_index(n)
-    return np.take(txi, at_txi) * np.take(py, at_py)
+    return np.ascontiguousarray(
+        np.take(txi.reshape(*lead, -1), at_txi, axis=-1)
+        * np.take(py.reshape(*lead, -1), at_py, axis=-1))
 
 
 @functools.lru_cache(maxsize=None)

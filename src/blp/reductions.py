@@ -295,8 +295,11 @@ def integrate_painleve2(spec: ReductionSpec, span=(-3.0, 0.0),
     om0 = w0 / s - spec.C0 / spec.C1
     phi0, phip0 = s * f0, s * s * d0
     inner0 = phi0 * phi0 + spec.C1 * om0 + spec.C0
-    psi0 = (phip0 ** 2 - inner0 ** 2 - 4.0 * spec.delta * phi0 - spec.C2) \
-        / (4.0 * spec.C1)
+    psi0 = (phip0 * phip0 - inner0 * inner0 - 4.0 * spec.delta * phi0
+            - spec.C2) / (4.0 * spec.C1)
+    if math.isnan(psi0):  # inf - inf; one infinite term blows up at once
+        raise BadSpec(f"C1 = {spec.C1!r} with init = {list(spec.init)!r} "
+                      f"gives an undefined psi seed")
     meta = {"id": spec.id, "C0": spec.C0, "C1": spec.C1, "C2": spec.C2,
             "delta": spec.delta, "nu": nu}
     traj = _integrate_profile(series_fn, psi_rate, None, w0,

@@ -14,8 +14,8 @@ series from Taylor-series reversion.  The inverse map is triangular (t
 from t~, y from y~, x affine in x~ with coefficients in t~), so T is
 inverted once per t~ and Y once per y~, what else depends on t~ alone is
 built once per t~ and order, what depends on y~ alone once per y~ and
-order, and one composition matrix per point and order
-(:func:`jets.compose3`) carries both u and v.
+order, and the composition matrices of a batch's points are built at
+one order in one call (:func:`jets.compose3`), which u and v share.
 
 Every field carries w, the second component of the (u,w) form: v_x in
 (u,v), q_y in (u,q) (:class:`system.SolutionField`).  On (u,w) the
@@ -108,8 +108,8 @@ class CoveringViolation(jets.BadInput):
 
 #: the window of t and of y on which T and Y are checked and inverted
 WINDOW = (-6.0, 6.0)
-#: t values, y values and points whose share of the inverse map a
-#: symmetry image keeps: more than the points of a 5^3 grid
+#: t values and y values whose share of the inverse map a symmetry image
+#: keeps, per order: more than the axis values of a 5^3 grid
 _POINTS_KEPT = 256
 
 
@@ -234,13 +234,15 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
     The inverse map is triangular, so the inverse of T is found once per
     t, and what else depends on t alone (the power table of its reverted
     series and the coefficient functions of u~) once per t and order;
-    likewise for Y and v~ per y; the rest (the old point, the composition
-    matrix of :func:`jets.compose3` and the jet of the old x) is built
-    once per point and order; each is kept for the last
+    likewise for Y and v~ per y; each is kept for the last
     ``_POINTS_KEPT``.  A batch reads them lane by lane
-    (:func:`jets.each_lane`), then asks the base field once, at its old
-    points.  A point with no inverse on ``WINDOW``
-    raises :class:`InverseMapError`, an :class:`UndefinedTransform`.
+    (:func:`jets.each_lane`), then builds the rest over all its lanes at
+    once: the old points, the composition matrices of the inverse map in
+    one :func:`jets.compose3` call and the jets of the old x, which u and
+    v at the same batch and order share (the last batch is kept); the
+    base field is asked once, at the old points.  A point with no
+    inverse on ``WINDOW`` raises :class:`InverseMapError`, an
+    :class:`UndefinedTransform`.
     """
     if s.coords != "UV":
         raise ValueError("apply_symmetry expects (u,v) coordinates")
@@ -276,34 +278,47 @@ def apply_symmetry(g: PointSymmetry, s: SolutionField) -> SolutionField:
         v_scale = jets.elementary("recip", d(yser) @ py, series.univariate(n))
         return y_old, py, (v_scale, eval_series(g.V0, y_old, n) @ py)
 
-    @lru_cache(maxsize=_POINTS_KEPT)
-    def inner(pn: Point, n: int):
-        t_old, x0, x_scale, pt, shift, beta, cx, c0 = t_part(pn.t, n)
-        y_old, py, v_terms = y_part(pn.y, n)
-        po = Point(t_old, (pn.x - x0) / x_scale, y_old)
-        shift = shift.copy()
-        shift[0] += pn.x
-        alpha = series.univariate(n).mul(shift, beta)
-        alpha[0] = 0.0
-        M = jets.compose3(pt, alpha, beta, py)
-        jx = M @ jets.lift_variable("x", po, n).coeffs
-        return po, M, (beta, cx, c0, jx), v_terms
+    last = None  # (batch, order, inverse map): the last batch's
+
+    def inverse_map(p: Point, order: int):
+        # the old points, the composition matrices and the terms of u~ and
+        # of v~ over the lanes of p, built once per batch and order, for u
+        # and v alike; t and y are each inverted once (t_part, y_part)
+        nonlocal last
+        if last is not None and last[1] == order and \
+                jets._same_point(last[0], p):
+            return last[2]
+
+        def parts(i: int):
+            pn = jets.lane(p, i)
+            return t_part(pn.t, order), y_part(pn.y, order)
+
+        t_terms, y_terms = zip(*jets.each_lane(parts, jets.lanes(p)))
+        t_old, x0, x_scale, pt, shift, beta, cx, c0 = map(np.array,
+                                                           zip(*t_terms))
+        y_old, py, v_terms = zip(*y_terms)
+        po = Point(t_old, (p.x - x0) / x_scale, np.array(y_old))
+        shift[:, 0] += p.x
+        alpha = series.univariate(order).mul(shift, beta)
+        alpha[:, 0] = 0.0
+        M = jets.compose3(pt, alpha, beta, np.array(py))
+        x_old = jets.lift_variable("x", po, order).coeffs
+        found = (po, M, (beta, cx, c0, (M @ x_old[..., None])[..., 0]),
+                 tuple(map(np.array, zip(*v_terms))))
+        last = p, order, found
+        return found
 
     def composed(comp: JetMap, p: Point, n: int):
         # comp composed with the inverse map at each lane of p, and the
-        # terms of u~ and of v~, stacked over the lanes as they are read.
-        # The base field is asked without the cap on x, as x_old =
-        # alpha(s) + beta(s) r lowers the power of x; the t and y caps
-        # pass, and the composition runs at the full order
-        order = int(n)
-        po, M, u_terms, v_terms = zip(*jets.each_lane(
-            lambda i: inner(jets.lane(p, i), order), jets.lanes(p)))
+        # terms of u~ and of v~.  The base field is asked once, at the
+        # batch of old points, without the cap on x, as x_old = alpha(s) +
+        # beta(s) r lowers the power of x; the t and y caps pass, and the
+        # composition runs at the full order
+        po, M, u_terms, v_terms = inverse_map(p, int(n))
         base_n = jets.uncap(n, "x")
-        c = jets.widen(comp(Point(*map(np.array, zip(*po))), base_n)
-                       .truncate(base_n).coeffs, base_n)
-        return (Jet3(p, order, (np.stack(M) @ c[..., None])[..., 0])
-                .truncate(n),
-                *(map(np.stack, zip(*terms)) for terms in (u_terms, v_terms)))
+        c = jets.widen(comp(po, base_n).truncate(base_n).coeffs, base_n)
+        return (Jet3(p, int(n), (M @ c[..., None])[..., 0]).truncate(n),
+                u_terms, v_terms)
 
     # u~ = U beta - (cx x_old + c0) and v~ = V v_scale + v_shift, where
     # U and V are u and v composed with the inverse map

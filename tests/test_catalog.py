@@ -74,6 +74,17 @@ def test_an_expression_of_another_variable_is_a_bad_binding():
         instantiate("F_VXXX_4", {"alpha": parse("sin(t)", "t")})
 
 
+@pytest.mark.parametrize("coeff, error", [
+    (parse("t", "t"), "expected an expression of y, got Expr('t', var='t')"),
+    (True, "expected an expression of y, got True"),
+    ("sin(t)", "parse error at offset 4: unknown identifier 't'")])
+def test_a_bad_witness_coefficient_is_named_by_its_position(coeff, error):
+    w = heat_witness_library("plane_exp", k=1.0)
+    with pytest.raises(BadBinding) as exc:
+        combine_witnesses([w, w], [parse("1+y", "y"), coeff])
+    assert str(exc.value) == f"coefficient 1: {error}"
+
+
 def test_every_kind_has_a_rule():
     desc = catalog.FamilyDescriptor("F_X", "UV", (("c", "bogus"),), "", "",
                                     defaults={"c": 1.0})

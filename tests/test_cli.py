@@ -781,6 +781,24 @@ def test_an_overflow_is_a_nonfinite_value(args, code, want, capsys):
         assert err == ""
 
 
+@pytest.mark.parametrize("param, want", [
+    ("C1=1e300", "C1 = 1e+300 with init = [-2.0, 0.5, 0.25] gives an "
+                 "undefined psi seed"),
+    ("C1=-1e300", "C1 = -1e+300 with init = [-2.0, 0.5, 0.25] gives an "
+                  "undefined psi seed"),
+    ("init=[-2, 1e200, 1e200]", "C1 = 2.0 with init = [-2, 1e+200, 1e+200] "
+                                "gives an undefined psi seed")])
+def test_an_undefined_psi_seed_is_a_bad_spec(param, want, capsys):
+    # the second Painleve profile's psi seed is phi'^2 - inner^2 over 4 C1:
+    # where both squares overflow it is inf - inf, and the input is
+    # refused, never a traceback (one infinite square blows up at once,
+    # test_reduce_pole_is_a_verdict)
+    code, out, err = run_cli(["reduce", "--id", "R2_9", "--param", param],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": want}
+
+
 def test_every_toolkit_error_is_a_blp_error():
     from blp import jets, liealg, quadrature, reductions, specfun, transforms
     errors = {

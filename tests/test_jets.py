@@ -268,6 +268,25 @@ def test_compose3_recovers_affine_substitution():
             central_diff(f, base, m), rel=1e-6, abs=1e-7)
 
 
+@pytest.mark.parametrize("order", [0, 1, 3, 5])
+@pytest.mark.parametrize("lead", [(4,), (2, 3)])
+def test_compose3_of_stacked_maps_has_the_bits_of_each_map(order, lead):
+    # one composition matrix per lane, each with the bits of its map
+    # composed alone, and C-contiguous, so M @ c is one matrix product
+    rng = np.random.default_rng(order)
+    n = order + 1
+    pt, py = rng.normal(size=(*lead, n, n)), rng.normal(size=(*lead, n, n))
+    alpha, beta = rng.normal(size=(*lead, n)), rng.normal(size=(*lead, n))
+    alpha[..., 0] = 0.0
+    M = jets.compose3(pt, alpha, beta, py)
+    size = len(jets._tables(order).exps)
+    assert M.shape == (*lead, size, size) and M.flags.c_contiguous
+    for i in np.ndindex(lead):
+        alone = jets.compose3(pt[i], alpha[i], beta[i], py[i])
+        assert alone.flags.c_contiguous
+        assert np.array_equal(M[i], alone)
+
+
 def test_last_point_truncates_evicts_and_never_keeps_errors():
     calls = []
 

@@ -192,6 +192,33 @@ def test_symmetry_image_asks_its_base_field_once_per_batch():
     assert asked == {"u": [len(grid)], "v": [len(grid)]}
 
 
+def test_symmetry_image_composes_once_per_batch(monkeypatch):
+    # the composition matrices of a batch are built in one compose3 call,
+    # which u and v share; a new batch or order builds them again
+    shapes = []
+    compose3 = jets.compose3
+
+    def counted(pt, alpha, beta, py):
+        shapes.append(alpha.shape)
+        return compose3(pt, alpha, beta, py)
+
+    monkeypatch.setattr(jets, "compose3", counted)
+    g = d_transform("t + 0.3*sin(t)").compose(s_transform("y + 0.5*sin(y)"))
+    field = apply_symmetry(g, catalog.instantiate(
+        "F_VXXX_4", {"alpha": "sin(y)", "gamma": "y"}))
+    grid = [Point(t, x, y) for t in (0.6, 1.4) for x in (0.3, 1.3)
+            for y in (0.2, 1.2)]
+    rep = residual_report(field, grid)
+    assert rep.skipped == 0 and max(rep.r1_max, rep.r2_max) < 1e-7
+    assert shapes == [(len(grid), 4)]
+    p = Point(0.9, 0.7, 0.5)
+    field.u(p, 3)
+    field.v(p, 3)
+    assert shapes == [(len(grid), 4), (1, 4)]
+    field.u(p, 4)
+    assert shapes == [(len(grid), 4), (1, 4), (1, 5)]
+
+
 #: (first, second) elementary kinds, 0..4 = D, S, P, Z, I, as the
 #: composite symmetries of the profiles_symmetry benchmark
 _SYM_KIND_PAIRS = [(i % 5, (i + 1 + i // 5) % 5) for i in range(12)]
