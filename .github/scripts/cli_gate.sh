@@ -4,6 +4,9 @@
 # traceback (an uncaught exception exits 1 with one on stderr), and each
 # has the rule of the first name pattern it matches:
 #
+#   list_json          blp list --json: exit 0, with all 30 families in
+#                      one JSON array;
+#   list_*             the other blp lists: exit 0;
 #   verify_*           blp verify on a family's default grid, on a grid
 #                      inside a profile's window, or (verify_wide_*) on the
 #                      wide grid, which crosses the domain edges of many
@@ -36,8 +39,8 @@
 set -u
 out=$1
 fail=0
-for set in verify_ verify_wide_ transform_ darboux_ reduce_ algebra chain_ \
-        malformed_ nonfinite_; do
+for set in list_ verify_ verify_wide_ transform_ darboux_ reduce_ algebra \
+        chain_ malformed_ nonfinite_; do
     if ! ls "$out/$set"*.code > /dev/null 2>&1; then
         echo "no outputs of $set* in $out"; fail=1
     fi
@@ -54,6 +57,10 @@ for code_file in "$out"/*.code; do
     name=$(basename "$code_file" .code)
     code=$(cat "$code_file")
     case $name in
+        list_json)
+            ok=$(( code == 0 ))
+            holds "$out/$name.out" 'len(r) == 30' || ok=0 ;;
+        list_*) ok=$(( code == 0 )) ;;
         verify_*) ok=$(( code == 0 )) ;;
         transform_*) ok=$(( code <= 2 )) ;;
         darboux_*_dt2) ok=$(( code <= 1 )) ;;

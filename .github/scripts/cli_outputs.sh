@@ -6,6 +6,7 @@
 # commits, compare with diff -rq; .github/scripts/cli_gate.sh checks the
 # exit codes and stderr of one.
 #
+#   blp list, as text, as JSON and filtered by a constraint;
 #   blp verify --csv for every family, on its default grid and on a wide
 #   grid that crosses the domain edges of many families;
 #   blp reduce --csv for R2_4 and R2_9;
@@ -30,6 +31,10 @@ run() {
     python -W error::RuntimeWarning -m blp.cli "$@" > "$out/$name.out" 2> "$out/$name.err"
     echo $? > "$out/$name.code"
 }
+
+run list_text list
+run list_json list --json
+run list_constraint_u_y0 list --constraint u_y=0
 
 wide='{"t": [0.1, 1.0, 3], "x": [-2.0, 2.0, 9], "y": [-2.0, 2.0, 9]}'
 families=$(python -c "from blp import catalog; print(' '.join(d.id for d in catalog.list_families()))")

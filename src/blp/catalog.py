@@ -6,11 +6,11 @@ checker can differentiate them exactly.  Families parameterized by
 solutions of the (1+1)-dimensional heat equation consume a
 :class:`HeatWitness`, which carries its own verification probe.
 
-Each family declares a parameter once, in its :class:`FamilyDescriptor`:
-``required_params`` gives its kind and ``defaults`` its default, a value
-a caller could pass.  :func:`resolve` alone turns a binding, or the
-default of a parameter left unbound or bound to None, into the value the
-constructor reads, by kind: ``expr_of_t``, ``expr_of_x`` and
+Each family declares a parameter once, as one ``(name, kind, default)``
+entry of its :class:`FamilyDescriptor`'s ``params``; the default is a
+value a caller could pass.  :func:`resolve` alone turns a binding, or
+the default of a parameter left unbound or bound to None, into the value
+the constructor reads, by kind: ``expr_of_t``, ``expr_of_x`` and
 ``expr_of_y`` take an ``Expr``, expression text or a finite number (not
 a bool), read by ``exprdsl.as_expr``; ``real`` takes a finite number,
 ``sign`` ±1 and ``flag01`` 0 or 1, each read as a float; ``degree``
@@ -112,14 +112,13 @@ _PROBE_GRID = [Point(0.2 + 0.3 * i, -0.4 + 0.37 * j, 0.1 + 0.45 * k)
                for i in range(3) for j in range(3) for k in range(2)]
 
 
-#: each witness kind's parameters, as (name, kind) pairs, and their
-#: defaults; every kind also takes a direction, forward by default
+#: each witness kind's parameters, as (name, kind, default) entries;
+#: every kind also takes a direction, forward by default
 _WITNESS_PARAMS = {
-    "plane_exp": ((("k", "real"),), {"k": 1.0}),
-    "heat_polynomial": ((("n", "degree"),), {"n": 2}),
-    "gaussian": ((("t0", "real"), ("x0", "real")), {"t0": 0.0, "x0": 0.0}),
-    "separable_trig": ((("k", "real"), ("trig", "sin|cos")),
-                       {"k": 1.0, "trig": "sin"}),
+    "plane_exp": (("k", "real", 1.0),),
+    "heat_polynomial": (("n", "degree", 2),),
+    "gaussian": (("t0", "real", 0.0), ("x0", "real", 0.0)),
+    "separable_trig": (("k", "real", 1.0), ("trig", "sin|cos", "sin")),
 }
 
 
@@ -132,10 +131,8 @@ def heat_witness_library(kind: str, **params) -> HeatWitness:
     """
     if not (isinstance(kind, str) and kind in _WITNESS_PARAMS):
         raise BadBinding(f"unknown witness kind {kind!r}")
-    declared, defaults = _WITNESS_PARAMS[kind]
-    b = resolve(f"witness {kind}",
-                declared + (("direction", "forward|backward"),),
-                {**defaults, "direction": "forward"}, params)
+    b = resolve(f"witness {kind}", _WITNESS_PARAMS[kind]
+                + (("direction", "forward|backward", "forward"),), params)
     sign = 1.0 if b["direction"] == "forward" else -1.0
     k = b.get("k")
 
@@ -234,21 +231,18 @@ def _no_bindings(rng) -> dict:
 class FamilyDescriptor:
     """Metadata of one family, declared next to its constructor.
 
-    ``required_params`` gives each parameter's (name, kind) and
-    ``defaults`` its default, stored as a caller would pass it;
-    ``box`` is a (t, x, y) sampling box on which the family's charts are
-    healthy; ``sampler(rng)`` draws random but chart-safe bindings for
-    randomized residual sweeps.
+    ``params`` gives each parameter's (name, kind, default), the default
+    stored as a caller would pass it; ``box`` is a (t, x, y) sampling box
+    on which the family's charts are healthy; ``sampler(rng)`` draws
+    random but chart-safe bindings for randomized residual sweeps.
     """
     id: str
     coords: str
-    required_params: tuple
+    params: tuple = field(hash=False)  # a default may be a dict
     constraint_tag: str
     notes: str
     box: tuple = _COMMON_BOX
     sampler: Callable = field(default=_no_bindings, repr=False,
-                              compare=False)
-    defaults: Mapping = field(default_factory=dict, repr=False,
                               compare=False)
 
 
@@ -279,10 +273,8 @@ _FAMILIES: dict[str, tuple] = {}
 
 
 def _register(desc: FamilyDescriptor):
-    for _, kind in desc.required_params:
+    for _, kind, _ in desc.params:
         _resolver(kind)
-    if set(desc.defaults) != {name for name, _ in desc.required_params}:
-        raise ValueError(f"{desc.id}: one default per parameter")
 
     def deco(fn):
         _FAMILIES[desc.id] = (fn, desc)
@@ -403,10 +395,10 @@ def _resolver(kind: str) -> Callable:
     return rule
 
 
-def resolve(owner: str, declared: Sequence[tuple[str, str]],
-            defaults: Mapping, bindings) -> dict:
-    """Each declared (name, kind) of ``owner`` resolved by its kind, from
-    its binding or, where that is missing or None, from its default.
+def resolve(owner: str, entries: Sequence[tuple[str, str, object]],
+            bindings) -> dict:
+    """Each (name, kind, default) entry of ``owner`` resolved by its kind,
+    from its binding or, where that is missing or None, from its default.
 
     ``bindings`` must be a mapping with no undeclared name; the declared
     names are resolved first, so a rejected value is reported before an
@@ -418,10 +410,10 @@ def resolve(owner: str, declared: Sequence[tuple[str, str]],
         raise BadBinding(f"the parameters of {owner} must be an object, "
                          f"got {bindings!r}")
     resolved = {}
-    for name, kind in declared:
+    for name, kind, default in entries:
         value = bindings.get(name)
         if value is None:
-            value = defaults[name]
+            value = default
         if value is not None:
             try:
                 value = _resolver(kind)(value)
@@ -430,7 +422,7 @@ def resolve(owner: str, declared: Sequence[tuple[str, str]],
                     if isinstance(exc, WitnessViolation) else BadBinding
                 raise error(f"{name}: {exc}") from exc
         resolved[name] = value
-    extra = set(bindings) - set(defaults)
+    extra = set(bindings) - {name for name, _, _ in entries}
     if extra:
         raise BadBinding(f"unknown parameters {sorted(extra)} for {owner}")
     return resolved
@@ -443,8 +435,7 @@ def instantiate(family_id: str, bindings: dict) -> SolutionField:
         ctor, desc = _FAMILIES[family_id]
     except KeyError:
         raise UnknownFamily(family_id) from None
-    return ctor(family_id, resolve(family_id, desc.required_params,
-                                   desc.defaults, bindings))
+    return ctor(family_id, resolve(family_id, desc.params, bindings))
 
 
 def _field(fid, bindings, u, v) -> SolutionField:
@@ -487,11 +478,11 @@ def _witness_off_zero(w: HeatWitness) -> JetMap:
 # -- v_x = 0: backward-heat Hopf-Cole --------------------------------------
 
 @_register(FamilyDescriptor(
-    "F_VX0", "UV", (("Phi", "heat_witness_backward"),),
+    "F_VX0", "UV",
+    (("Phi", "heat_witness_backward", {"kind": "plane_exp", "k": 1.0}),),
     "v_x=0", "u=-Phi_x/Phi, v=0 with Phi_t+Phi_xx-H*Phi=0",
     sampler=lambda rng: {"Phi": heat_witness_library(
-        "plane_exp", k=float(rng.uniform(0.5, 1.5)), direction="backward")},
-    defaults={"Phi": {"kind": "plane_exp", "k": 1.0}}))
+        "plane_exp", k=float(rng.uniform(0.5, 1.5)), direction="backward")}))
 def _f_vx0(fid, b):
     phi = _witness_off_zero(b["Phi"])
 
@@ -515,11 +506,11 @@ def _hopfcole_sample(rng) -> dict:
 
 
 @_register(FamilyDescriptor(
-    "F_HOPFCOLE2D", "UV", (("Phi", "heat_witness_forward"),),
+    "F_HOPFCOLE2D", "UV",
+    (("Phi", "heat_witness_forward", combine_witnesses(
+        [heat_witness_library("plane_exp", k=1.0)], ["1+y^2"])),),
     "u_y=v_x", "u=Phi_x/Phi, v=Phi_y/Phi with Phi_t-Phi_xx+H*Phi=0",
-    sampler=_hopfcole_sample,
-    defaults={"Phi": combine_witnesses(
-        [heat_witness_library("plane_exp", k=1.0)], ["1+y^2"])}))
+    sampler=_hopfcole_sample))
 def _f_hopfcole(fid, b):
     phi = jets.last_point(_witness_off_zero(b["Phi"]))
 
@@ -536,12 +527,11 @@ def _f_hopfcole(fid, b):
 # -- stationary solutions with u_y = v_x, v != 0 ---------------------------
 
 @_register(FamilyDescriptor(
-    "F_STATLIOUVILLE", "UV", (("zeta", "expr_of_x"),),
+    "F_STATLIOUVILLE", "UV", (("zeta", "expr_of_x", "exp(x)"),),
     "u_y=v_x stationary",
     "u=-zeta_xx/(2 zeta_x)+zeta_x/(y+zeta), v=1/(y+zeta)",
     sampler=lambda rng: {"zeta": _pick(rng, [
-        "exp(x)", "exp(0.7*x)", "x+0.2*x^3+4", "2*x+sin(x)+5"])},
-    defaults={"zeta": "exp(x)"}))
+        "exp(x)", "exp(0.7*x)", "x+0.2*x^3+4", "2*x+sin(x)+5"])}))
 def _f_statliouville(fid, b):
     ze = b["zeta"]
 
@@ -578,9 +568,9 @@ def _f_uy0_triv(fid, b):
 
 
 @_register(FamilyDescriptor(
-    "F_UY0_QA", "UV", (("zeta", "expr_of_y"),),
+    "F_UY0_QA", "UV", (("zeta", "expr_of_y", "sin(y)"),),
     "u_y=0", "u=0, v=x^2+zeta(y)*x+2t",
-    sampler=lambda rng: {"zeta": _ypick(rng)}, defaults={"zeta": "sin(y)"}))
+    sampler=lambda rng: {"zeta": _ypick(rng)}))
 def _f_uy0_qa(fid, b):
     ze = b["zeta"]
 
@@ -594,10 +584,10 @@ def _f_uy0_qa(fid, b):
 
 
 @_register(FamilyDescriptor(
-    "F_UY0_QB", "UV", (("theta", "expr_of_t"),),
+    "F_UY0_QB", "UV", (("theta", "expr_of_t", "t^2"),),
     "u_y=0", "u=(theta_t-1)/(2x), v=x^2+2*theta(t)",
     box=((0.2, 1.2), (0.6, 1.6), (0.1, 1.0)),
-    sampler=lambda rng: {"theta": _tpick(rng)}, defaults={"theta": "t^2"}))
+    sampler=lambda rng: {"theta": _tpick(rng)}))
 def _f_uy0_qb(fid, b):
     th = b["theta"]
     dth = th.diff()
@@ -650,14 +640,12 @@ def _alpha_beta_gamma(rng) -> dict:
 
 @_register(FamilyDescriptor(
     "F_VXXX_1", "UV",
-    (("alpha", "expr_of_y"), ("beta", "expr_of_y"), ("gamma", "expr_of_y"),
-     ("delta", "flag01")),
+    (("alpha", "expr_of_y", "sin(y)"), ("beta", "expr_of_y", "2+cos(y)"),
+     ("gamma", "expr_of_y", "y"), ("delta", "flag01", 1)),
     "v_xxx=0",
     "u=-(x+alpha)/(2(t+beta)), v=delta*r^2+gamma*r-2delta/(t+beta)",
     sampler=lambda rng: {**_alpha_beta_gamma(rng),
-                         "delta": int(rng.integers(0, 2))},
-    defaults={"alpha": "sin(y)", "beta": "2+cos(y)", "gamma": "y",
-              "delta": 1}))
+                         "delta": int(rng.integers(0, 2))}))
 def _f_vxxx1(fid, b):
     al, be, ga, de = b["alpha"], b["beta"], b["gamma"], b["delta"]
 
@@ -674,13 +662,13 @@ def _f_vxxx1(fid, b):
 
 @_register(FamilyDescriptor(
     "F_VXXX_2", "UV",
-    (("beta", "expr_of_y"), ("theta", "expr_of_t"), ("t0", "real")),
+    (("beta", "expr_of_y", "2+cos(y)"), ("theta", "expr_of_t", "t"),
+     ("t0", "real", 1.0)),
     "v_xxx=0",
     "u=-x/(2(t+beta))+theta/x, v=x^2/(t+beta)^2+2*int((2theta+1)/(t'+beta)^2)",
     box=((0.8, 1.4), (0.6, 1.6), (0.1, 1.0)),
     sampler=lambda rng: {"beta": "2+" + _ypick(rng), "theta": _tpick(rng),
-                         "t0": 1.0},
-    defaults={"beta": "2+cos(y)", "theta": "t", "t0": 1.0}))
+                         "t0": 1.0}))
 def _f_vxxx2(fid, b):
     be, th, t0 = b["beta"], b["theta"], b["t0"]
 
@@ -713,12 +701,12 @@ def _f_vxxx2(fid, b):
 
 @_register(FamilyDescriptor(
     "F_VXXX_3", "UV",
-    (("alpha", "expr_of_y"), ("beta", "expr_of_y"), ("gamma", "expr_of_y")),
+    (("alpha", "expr_of_y", "sin(y)"), ("beta", "expr_of_y", "2+cos(y)"),
+     ("gamma", "expr_of_y", "y")),
     "v_xxx=0",
     "u=-(x+alpha)/(2(t+beta))-1/(x+alpha+gamma(t+beta)), "
     "v=(r+gamma)^2+2/(t+beta)",
-    sampler=_alpha_beta_gamma,
-    defaults={"alpha": "sin(y)", "beta": "2+cos(y)", "gamma": "y"}))
+    sampler=_alpha_beta_gamma))
 def _f_vxxx3(fid, b):
     al, be, ga = b["alpha"], b["beta"], b["gamma"]
     parts = partial(_vx3_parts, al, be, ga, pole="pole line")
@@ -735,11 +723,11 @@ def _f_vxxx3(fid, b):
 
 
 @_register(FamilyDescriptor(
-    "F_VXXX_4", "UV", (("alpha", "expr_of_y"), ("gamma", "expr_of_y")),
+    "F_VXXX_4", "UV", (("alpha", "expr_of_y", "sin(y)"),
+                       ("gamma", "expr_of_y", "y")),
     "v_xxx=0",
     "u=alpha, v=alpha*(x+2 alpha t)^2+gamma*(x+2 alpha t)-x",
-    sampler=lambda rng: {"alpha": _ypick(rng), "gamma": _ypick(rng)},
-    defaults={"alpha": "sin(y)", "gamma": "y"}))
+    sampler=lambda rng: {"alpha": _ypick(rng), "gamma": _ypick(rng)}))
 def _f_vxxx4(fid, b):
     al, ga = b["alpha"], b["gamma"]
 
@@ -755,11 +743,11 @@ def _f_vxxx4(fid, b):
 
 
 @_register(FamilyDescriptor(
-    "F_VXXX_5", "UV", (("alpha", "expr_of_y"), ("beta", "expr_of_y")),
+    "F_VXXX_5", "UV", (("alpha", "expr_of_y", "sin(y)"),
+                       ("beta", "expr_of_y", "2+cos(y)")),
     "v_xxx=0",
     "u=alpha-1/(x+2 alpha t+beta), v=(x+2 alpha t+beta)^2-2t",
-    sampler=lambda rng: {"alpha": _ypick(rng), "beta": "3+" + _ypick(rng)},
-    defaults={"alpha": "sin(y)", "beta": "2+cos(y)"}))
+    sampler=lambda rng: {"alpha": _ypick(rng), "beta": "3+" + _ypick(rng)}))
 def _f_vxxx5(fid, b):
     parts = partial(_vx5_parts, b["alpha"], b["beta"], pole="pole line")
 
@@ -777,12 +765,12 @@ def _f_vxxx5(fid, b):
 
 @_register(FamilyDescriptor(
     "F_UXXV4X_A", "UV",
-    (("alpha", "expr_of_y"), ("beta", "expr_of_y"), ("gamma", "expr_of_y")),
+    (("alpha", "expr_of_y", "sin(y)"), ("beta", "expr_of_y", "y"),
+     ("gamma", "expr_of_y", "cos(y)")),
     "u_xx=0, v_4x=0",
     "u=12ty+alpha, v=E^3+(6t+gamma)E, E=x+12t^2 y+2t alpha+beta",
     sampler=lambda rng: {"alpha": _ypick(rng), "beta": _ypick(rng),
-                         "gamma": _ypick(rng)},
-    defaults={"alpha": "sin(y)", "beta": "y", "gamma": "cos(y)"}))
+                         "gamma": _ypick(rng)}))
 def _f_uxxv4x_a(fid, b):
     al, be, ga = b["alpha"], b["beta"], b["gamma"]
 
@@ -800,14 +788,12 @@ def _f_uxxv4x_a(fid, b):
 
 @_register(FamilyDescriptor(
     "F_UXXV4X_B", "UV",
-    (("alpha", "expr_of_y"), ("beta", "expr_of_y"), ("gamma", "expr_of_y"),
-     ("lam", "expr_of_y")),
+    (("alpha", "expr_of_y", "sin(y)"), ("beta", "expr_of_y", "2+cos(y)"),
+     ("gamma", "expr_of_y", "y"), ("lam", "expr_of_y", "y^2")),
     "u_xx=0, v_4x=0",
     "u=-w/2+6/(t+beta), v=beta_y w^3+gamma w^2+lam w-6 beta_y w/(t+beta)"
     "-2 gamma/(t+beta); w=(x+alpha)/(t+beta)+12 ln|t+beta|/(t+beta)",
-    sampler=lambda rng: {**_alpha_beta_gamma(rng), "lam": _ypick(rng)},
-    defaults={"alpha": "sin(y)", "beta": "2+cos(y)", "gamma": "y",
-              "lam": "y^2"}))
+    sampler=lambda rng: {**_alpha_beta_gamma(rng), "lam": _ypick(rng)}))
 def _f_uxxv4x_b(fid, b):
     al, be, ga, la = b["alpha"], b["beta"], b["gamma"], b["lam"]
     dbe = be.diff()
@@ -837,8 +823,9 @@ def _f_uxxv4x_b(fid, b):
 
 @_register(FamilyDescriptor(
     "F_UXX_BERNOULLI", "UV",
-    (("beta", "expr_of_y"), ("alpha2", "expr_of_y"), ("alpha1", "expr_of_y"),
-     ("lam1", "expr_of_y"), ("lam0", "expr_of_y"), ("y0", "real")),
+    (("beta", "expr_of_y", "-y"), ("alpha2", "expr_of_y", "0"),
+     ("alpha1", "expr_of_y", "0"), ("lam1", "expr_of_y", "1"),
+     ("lam0", "expr_of_y", "0"), ("y0", "real", -2.0)),
     "u_xx=0",
     "chi=(1/8)sqrt(beta_y/(t-beta)); w=(x+psi)sqrt(chi_t); "
     "u=w_t/(2 sqrt(chi_t)); v=w^4+(12chi+alpha2)w^2+alpha1 w"
@@ -847,9 +834,7 @@ def _f_uxxv4x_b(fid, b):
     sampler=lambda rng: {
         "beta": _pick(rng, ["-y", "-y-0.1*y^2", "-1.2*y"]),
         "alpha2": _ypick(rng), "alpha1": _ypick(rng),
-        "lam1": _ypick(rng), "lam0": _ypick(rng), "y0": -2.0},
-    defaults={"beta": "-y", "alpha2": "0", "alpha1": "0", "lam1": "1",
-              "lam0": "0", "y0": -2.0}))
+        "lam1": _ypick(rng), "lam0": _ypick(rng), "y0": -2.0}))
 def _f_uxx_bernoulli(fid, b):
     be, a2, a1 = b["beta"], b["alpha2"], b["alpha1"]
     l1, l0, y0 = b["lam1"], b["lam0"], b["y0"]
@@ -902,11 +887,10 @@ def _f_uxx_bernoulli(fid, b):
 # -- u = v -------------------------------------------------------------------
 
 @_register(FamilyDescriptor(
-    "F_UEQV", "UV", (("alpha", "expr_of_y"),),
+    "F_UEQV", "UV", (("alpha", "expr_of_y", "sin(y)"),),
     "u=v", "u=v=1/(x+y)+(x+y)/(-2t+alpha)",
     box=((0.8, 1.6), (0.4, 1.2), (0.3, 1.1)),
-    sampler=lambda rng: {"alpha": "4+" + _ypick(rng)},
-    defaults={"alpha": "sin(y)"}))
+    sampler=lambda rng: {"alpha": "4+" + _ypick(rng)}))
 def _f_ueqv(fid, b):
     al = b["alpha"]
 
@@ -931,15 +915,13 @@ def _r29_elliptic_sample(rng) -> dict:
 
 @_register(FamilyDescriptor(
     "F_R29_ELLIPTIC", "UV",
-    (("C0", "real"), ("delta", "real"), ("C2", "real"), ("a", "real"),
-     ("omega0", "real")),
+    (("C0", "real", 1.0), ("delta", "real", 1.0), ("C2", "real", 3.0),
+     ("a", "real", None), ("omega0", "real", 1.0)),
     "codim-2 reduction, omega=x+y",
     "u=phi(omega) with phi'^2=phi^4+2C0 phi^2+4 delta phi+C2; "
     "v=-int(phi^2)/2+phi/2-C0 omega/2+delta t",
     box=((0.1, 1.0), (0.25, 0.55), (0.3, 0.6)),
-    sampler=_r29_elliptic_sample,
-    defaults={"C0": 1.0, "delta": 1.0, "C2": 3.0, "a": None,
-              "omega0": 1.0}))
+    sampler=_r29_elliptic_sample))
 def _f_r29_elliptic(fid, b):
     C0, delta, C2, omega0 = (b[k] for k in ("C0", "delta", "C2", "omega0"))
     q, a = reductions._r29_quartic(C0, delta, C2, b["a"])
@@ -970,13 +952,12 @@ def _f_r29_elem1(fid, b):
 
 
 @_register(FamilyDescriptor(
-    "F_R29_ELEM_2", "UV", (("kappa", "real"),),
+    "F_R29_ELEM_2", "UV", (("kappa", "real", 0.7),),
     "codim-2 reduction, omega=x+y",
     "u=4e^w/(4(e^w+kappa)^2-1)-kappa, "
     "v=-(2kappa-1)/(2e^w+2kappa-1)+((4kappa^2-1)/4)(w-2kappa t)",
     box=((0.1, 1.0), (0.2, 1.0), (0.3, 1.2)),
-    sampler=lambda rng: {"kappa": float(rng.uniform(0.4, 1.0))},
-    defaults={"kappa": 0.7}))
+    sampler=lambda rng: {"kappa": float(rng.uniform(0.4, 1.0))}))
 def _f_r29_elem2(fid, b):
     ka = b["kappa"]
 
@@ -1002,13 +983,12 @@ def _f_r29_elem2(fid, b):
 
 
 @_register(FamilyDescriptor(
-    "F_R29_ELEM_3", "UV", (("nu", "real"),),
+    "F_R29_ELEM_3", "UV", (("nu", "real", 0.9),),
     "codim-2 reduction, omega=x+y",
     "u=sin(nu)/(sin w+cos nu)+cot(nu)/2, "
     "v=(1-sin(w-nu))/(2cos(w-nu))+(w+t cot nu)/(4 sin^2 nu)",
     box=((0.1, 1.0), (0.2, 0.8), (0.3, 0.9)),
-    sampler=lambda rng: {"nu": float(rng.uniform(0.6, 1.2))},
-    defaults={"nu": 0.9}))
+    sampler=lambda rng: {"nu": float(rng.uniform(0.6, 1.2))}))
 def _f_r29_elem3(fid, b):
     nu = b["nu"]
     if abs(math.sin(nu)) < 1e-9:
@@ -1054,11 +1034,10 @@ def _eps1(rng) -> int:
 
 
 @_register(FamilyDescriptor(
-    "F_R22_ELEM_1", "UV", (("eps1", "sign"),),
+    "F_R22_ELEM_1", "UV", (("eps1", "sign", -1),),
     "codim-2 reduction, tau=ln|x|+ln|y|/2",
     "u=-e1/(x tau)-e1/(2x), v=(1-e1)/(4y tau)+(1-2e1)/(16y)",
-    box=_R22_BOX, sampler=lambda rng: {"eps1": _eps1(rng)},
-    defaults={"eps1": -1}))
+    box=_R22_BOX, sampler=lambda rng: {"eps1": _eps1(rng)}))
 def _f_r22_elem1(fid, b):
     e1 = b["eps1"]
 
@@ -1078,14 +1057,13 @@ def _f_r22_elem1(fid, b):
 
 
 @_register(FamilyDescriptor(
-    "F_R22_ELEM_2", "UV", (("eps1", "sign"), ("kappa", "real")),
+    "F_R22_ELEM_2", "UV", (("eps1", "sign", -1), ("kappa", "real", 0.7)),
     "codim-2 reduction, tau=ln|x|+ln|y|/2",
     "u=e1 kappa tan(kappa tau)/x-e1/(2x), "
     "v=-(1-e1)kappa tan(kappa tau)/(4y)+(1-2e1-4kappa^2)/(16y)",
     box=_R22_BOX,
     sampler=lambda rng: {"eps1": _eps1(rng),
-                         "kappa": float(rng.uniform(0.3, 0.8))},
-    defaults={"eps1": -1, "kappa": 0.7}))
+                         "kappa": float(rng.uniform(0.3, 0.8))}))
 def _f_r22_elem2(fid, b):
     e1, ka = b["eps1"], b["kappa"]
 
@@ -1108,16 +1086,15 @@ def _f_r22_elem2(fid, b):
 
 
 @_register(FamilyDescriptor(
-    "F_R22_ELEM_3", "UV", (("eps1", "sign"), ("kappa", "real"),
-                           ("nu", "real")),
+    "F_R22_ELEM_3", "UV", (("eps1", "sign", -1), ("kappa", "real", 0.7),
+                           ("nu", "real", 0.9)),
     "codim-2 reduction, tau=ln|x|+ln|y|/2",
     "u=-e1 kappa (E-nu)/(x(E+nu))-e1/(2x), E=e^(2 kappa tau); "
     "v=-(1-e1)kappa nu/(2y(E+nu))+(1-2e1+4kappa(kappa+1-e1))/(16y)",
     box=_R22_BOX,
     sampler=lambda rng: {"eps1": _eps1(rng),
                          "kappa": float(rng.uniform(0.3, 0.8)),
-                         "nu": float(rng.uniform(0.5, 1.3))},
-    defaults={"eps1": -1, "kappa": 0.7, "nu": 0.9}))
+                         "nu": float(rng.uniform(0.5, 1.3))}))
 def _f_r22_elem3(fid, b):
     e1, ka, nu = b["eps1"], b["kappa"], b["nu"]
 
@@ -1149,13 +1126,11 @@ def _r24_sample(rng) -> dict:
 
 @_register(FamilyDescriptor(
     "F_R24_PAINLEVE4", "UV",
-    (("C0", "real"), ("C1", "real"), ("eps", "sign"), ("init", "triple"),
-     ("span", "pair")),
+    (("C0", "real", 0.125), ("C1", "real", 1.0), ("eps", "sign", 1),
+     ("init", "triple", (0.0, 1.0, 0.0)), ("span", "pair", (-1.2, 1.2))),
     "codim-2 reduction, w=(x+y)/(2 sqrt|t|)",
     "u=-eps phi(w)/(2 sqrt|t|)-(x+y)/(2t), v=psi(w)/sqrt|t|",
-    box=((0.5, 1.2), (-0.4, 0.4), (-0.4, 0.4)), sampler=_r24_sample,
-    defaults={"C0": 0.125, "C1": 1.0, "eps": 1, "init": (0.0, 1.0, 0.0),
-              "span": (-1.2, 1.2)}))
+    box=((0.5, 1.2), (-0.4, 0.4), (-0.4, 0.4)), sampler=_r24_sample))
 def _f_r24(fid, b):
     spec = reductions.ReductionSpec(
         id="R2_4", C0=b["C0"], C1=b["C1"], C2=0.0, delta=0.0,
@@ -1166,16 +1141,15 @@ def _f_r24(fid, b):
 
 @_register(FamilyDescriptor(
     "F_R29_PAINLEVE2", "UV",
-    (("C0", "real"), ("C1", "real"), ("C2", "real"), ("delta", "real"),
-     ("init", "triple"), ("span", "pair")),
+    (("C0", "real", 0.0), ("C1", "real", 2.0), ("C2", "real", 0.0),
+     ("delta", "real", 1), ("init", "triple", (-2.0, 0.5, 0.25)),
+     ("span", "pair", (-2.4, -0.6))),
     "codim-2 reduction, omega=x+y",
     "u=phi(omega) via the second Painleve transcendent; "
     "v=(phi_w^2-(phi^2+C1 w+C0)^2-4 delta phi-C2)/(4C1)+delta t",
     box=((0.1, 1.0), (-0.75, -0.45), (-0.35, 0.0)),
     sampler=lambda rng: {"C0": 0.0, "C1": 2.0, "delta": 1, "C2": 0.0,
-                         "init": (-2.0, 0.5, 0.25), "span": (-2.5, -0.5)},
-    defaults={"C0": 0.0, "C1": 2.0, "C2": 0.0, "delta": 1,
-              "init": (-2.0, 0.5, 0.25), "span": (-2.4, -0.6)}))
+                         "init": (-2.0, 0.5, 0.25), "span": (-2.5, -0.5)}))
 def _f_r29p2(fid, b):
     spec = reductions.ReductionSpec(
         id="R2_9", C0=b["C0"], C1=b["C1"], C2=b["C2"], delta=b["delta"],
@@ -1202,14 +1176,14 @@ def sinh_gordon_kink(a: float = 2.0) -> JetMap:
 
 @_register(FamilyDescriptor(
     "F_SINHGORDON", "UV",
-    (("theta", "jet_map"), ("variant", "sinh|cosh"), ("x0", "real")),
+    (("theta", "jet_map", sinh_gordon_kink()),
+     ("variant", "sinh|cosh", "sinh"), ("x0", "real", -1.0)),
     "stationary, u_y=v_x",
     "u=-theta_x/2, v=int_x0^x exp(theta) dx'; theta_xy=-4 sinh/cosh theta",
     box=((0.1, 1.0), (-1.6, -0.9), (0.2, 1.0)),
     sampler=lambda rng: {
         "theta": sinh_gordon_kink(float(rng.uniform(1.5, 2.5))),
-        "variant": "sinh", "x0": -1.8},
-    defaults={"theta": sinh_gordon_kink(), "variant": "sinh", "x0": -1.0}))
+        "variant": "sinh", "x0": -1.8}))
 def _f_sinhgordon(fid, b):
     theta, x0 = b["theta"], b["x0"]
     fn = np.sinh if b["variant"] == "sinh" else np.cosh
@@ -1244,11 +1218,11 @@ def _f_sinhgordon(fid, b):
 
 @_register(FamilyDescriptor(
     "F_LAPLACE_IMG_FWD1", "UV",
-    (("alpha", "expr_of_y"), ("beta", "expr_of_y"), ("gamma", "expr_of_y")),
+    (("alpha", "expr_of_y", "sin(y)"), ("beta", "expr_of_y", "2+cos(y)"),
+     ("gamma", "expr_of_y", "y")),
     "forward Laplace image of F_VXXX_1 (delta=1)",
     "u=-xi/(2T)+2/(2xi+gamma T); v has leading (beta_y+4)/4 (xi/T)^2",
-    sampler=_alpha_beta_gamma,
-    defaults={"alpha": "sin(y)", "beta": "2+cos(y)", "gamma": "y"}))
+    sampler=_alpha_beta_gamma))
 def _f_img_fwd1(fid, b):
     al, be, ga = b["alpha"], b["beta"], b["gamma"]
     dal, dbe, dga = al.diff(), be.diff(), ga.diff()
@@ -1278,12 +1252,11 @@ def _f_img_fwd1(fid, b):
 
 @_register(FamilyDescriptor(
     "F_LAPLACE_IMG_FWD4", "UV",
-    (("alpha", "expr_of_y"), ("gamma", "expr_of_y")),
+    (("alpha", "expr_of_y", "sin(y)"), ("gamma", "expr_of_y", "y/2")),
     "forward Laplace image of F_VXXX_4",
     "u=alpha+2 alpha/(2 alpha E+gamma-1)",
     sampler=lambda rng: {"alpha": "1+0.3*" + _ypick(rng),
-                         "gamma": _ypick(rng)},
-    defaults={"alpha": "sin(y)", "gamma": "y/2"}))
+                         "gamma": _ypick(rng)}))
 def _f_img_fwd4(fid, b):
     al, ga = b["alpha"], b["gamma"]
     dal, dga = al.diff(), ga.diff()
@@ -1314,12 +1287,12 @@ def _f_img_fwd4(fid, b):
 
 @_register(FamilyDescriptor(
     "F_LAPLACE_IMG_INV3", "UV",
-    (("alpha", "expr_of_y"), ("beta", "expr_of_y"), ("gamma", "expr_of_y")),
+    (("alpha", "expr_of_y", "sin(y)"), ("beta", "expr_of_y", "2+cos(y)"),
+     ("gamma", "expr_of_y", "y")),
     "inverse Laplace image of F_VXXX_3",
     "rational in omega=x+alpha+gamma(t+beta) with cubic denominators",
     sampler=lambda rng: {"alpha": _ypick(rng), "beta": "2+" + _ypick(rng),
-                         "gamma": "1+0.2*" + _ypick(rng)},
-    defaults={"alpha": "sin(y)", "beta": "2+cos(y)", "gamma": "y"}))
+                         "gamma": "1+0.2*" + _ypick(rng)}))
 def _f_img_inv3(fid, b):
     al, be, ga = b["alpha"], b["beta"], b["gamma"]
     dal, dbe, dga = al.diff(), be.diff(), ga.diff()
@@ -1376,13 +1349,12 @@ def _f_img_inv3x(fid, b):
 
 @_register(FamilyDescriptor(
     "F_LAPLACE_IMG_INV5", "UV",
-    (("alpha", "expr_of_y"), ("beta", "expr_of_y")),
+    (("alpha", "expr_of_y", "sin(y)"), ("beta", "expr_of_y", "2+cos(y)")),
     "inverse Laplace image of F_VXXX_5",
     "u=alpha+(4w^3-alpha_y w^2+2 alpha_y t+beta_y)"
     "/(w(alpha_y w^2-2w^3+2 alpha_y t+beta_y)); "
     "v=w^2-alpha_y(x+2 alpha t)-6t+(2 alpha_y t+beta_y)/w",
-    sampler=lambda rng: {"alpha": _ypick(rng), "beta": "4+" + _ypick(rng)},
-    defaults={"alpha": "sin(y)", "beta": "2+cos(y)"}))
+    sampler=lambda rng: {"alpha": _ypick(rng), "beta": "4+" + _ypick(rng)}))
 def _f_img_inv5(fid, b):
     al, be = b["alpha"], b["beta"]
     dal, dbe = al.diff(), be.diff()

@@ -19,39 +19,21 @@ round-trip repr, non-finite floats as the strings "NaN", "Infinity" and
 non-finite ones are counted under ``nonfinite``.  A grid is asked as
 one batch; BLP_THREADS is accepted and ignored.
 
-Every input, parameter and spec that the commands read is declared as
-a (name, kind) pair with a default and resolved as family parameters
-are, by ``catalog.resolve``: an undeclared key is rejected, a missing
-value takes the default, and a value that its kind rejects exits 2
-naming the key.  A command input is read from its flag, else from the
-config key of that name, else from its default; a flag's text, as a
-``--param`` value, is JSON if it parses.  A null command input exits 2;
-a null parameter takes its default.  A config file is a JSON object,
-and its ``params`` an object.  The inputs (key kind = default):
-
-  verify        family text, required;  grid grid = 4 points per axis
-                over the family's box;  tol tolerance = 1e-6;
-                perturb real = 0.0
-  transform     family text (a family or a seed), chain nonempty_list,
-                both required;  grid, tol as for verify;  base triple =
-                [1, 0, 0]
-  reduce        id R2_4|R2_9, required
-  list          constraint constraint_tag = none (no config file)
-  seeds         zero_uq: none.  seed_qy0: Phi heat_witness_backward,
-                seed_uyqy: Phi heat_witness_forward, = plane_exp(k=1)
-  chain step    op, and phi on dt1 and dt2
-  phi           constraint q_y=0|u_y=q_y = q_y=0;  zeta expr_of_y = none
-                (1 under q_y=0, 0 under u_y=q_y);  theta
-                heat_witness_backward = none;  witness
-                heat_witness_backward under q_y=0, heat_witness_forward
-                under u_y=q_y, = plane_exp(k=1);  base triple = [1, 0, 0]
-  reduce params C0, C1, C2, delta real; eps sign; init triple; span pair;
-                R2_4 = 0, 1, 0, 0, 1, [0, 1, 0], [-1.2, 1.2];
-                R2_9 = 0, 2, 0, 1, 1, [-2, 0.5, 0.25], [-2.4, -0.6]
-  witness spec  plane_exp: k real = 1;  heat_polynomial: n degree = 2;
-                gaussian: t0, x0 real = 0;  separable_trig: k real = 1,
-                trig sin|cos = sin;  every kind: direction
-                forward|backward = that of the parameter it is given for
+Every input, parameter and spec that the commands read is declared
+once, as a (name, kind, default) entry of a table, and resolved as
+family parameters are, by ``catalog.resolve``: an undeclared key is
+rejected, a missing value takes the default, and a value that its kind
+rejects exits 2 naming the key.  A command input is read from its flag,
+else from the config key of that name, else from its default; one whose
+default is :data:`REQUIRED` exits 2 without a value.  A flag's text, as
+a ``--param`` value, is JSON if it parses.  A null command input exits
+2; a null parameter takes its default.  A config file is a JSON object,
+and its ``params`` an object.  The tables are ``_INPUTS`` (each
+command's inputs), ``_SEEDS`` (the seeds of ``blp transform`` that are
+not families), :func:`_phi_entries` (a dt step's ``phi`` object),
+``_REDUCE_PARAMS`` (the parameters of ``blp reduce``, a default per id)
+and ``catalog._WITNESS_PARAMS`` (a witness spec); README's "Inputs,
+their kinds and defaults" prints them.
 """
 
 from __future__ import annotations
@@ -96,22 +78,25 @@ def _json_or_text(text: str):
         return text
 
 
-#: each command's inputs, as (name, kind) pairs, and their defaults; a
-#: None default is filled in by the command: the grid covers the
-#: family's sampling box, and no constraint filters the list
+#: the default of a command input that has none: the command exits 2
+#: without it
+REQUIRED = object()
+#: the ids of ``blp reduce``, in the order of the defaults of _REDUCE_PARAMS
+_REDUCE_IDS = ("R2_4", "R2_9")
+
+#: each command's inputs, as (name, kind, default) entries; a None
+#: default is filled in by the command: the grid covers the family's
+#: sampling box, and no constraint filters the list
 _INPUTS = {
-    "list": ((("constraint", "constraint_tag"),), {"constraint": None}),
-    "verify": ((("family", "text"), ("grid", "grid"), ("tol", "tolerance"),
-                ("perturb", "real")),
-               {"family": None, "grid": None, "tol": 1e-6, "perturb": 0.0}),
-    "transform": ((("family", "text"), ("grid", "grid"),
-                   ("tol", "tolerance"), ("chain", "nonempty_list"),
-                   ("base", "triple")),
-                  {"family": None, "grid": None, "tol": 1e-6, "chain": None,
-                   "base": (1.0, 0.0, 0.0)}),
-    "reduce": ((("id", "R2_4|R2_9"),), {"id": None}),
+    "list": (("constraint", "constraint_tag", None),),
+    "verify": (("family", "text", REQUIRED), ("grid", "grid", None),
+               ("tol", "tolerance", 1e-6), ("perturb", "real", 0.0)),
+    "transform": (("family", "text", REQUIRED), ("grid", "grid", None),
+                  ("tol", "tolerance", 1e-6),
+                  ("chain", "nonempty_list", REQUIRED),
+                  ("base", "triple", (1.0, 0.0, 0.0))),
+    "reduce": (("id", "|".join(_REDUCE_IDS), REQUIRED),),
 }
-_REQUIRED = ("family", "chain", "id")
 
 
 def _read(args) -> tuple[dict, dict]:
@@ -133,16 +118,16 @@ def _read(args) -> tuple[dict, dict]:
     if not isinstance(params, dict):
         raise ConfigError(f"the config's params must be a JSON object, "
                           f"got {params!r}")
-    declared, defaults = _INPUTS[args.command]
-    for name, kind in declared:
+    entries = _INPUTS[args.command]
+    for name, kind, default in entries:
         flag = getattr(args, name)
         if flag is not None:
             cfg[name] = _json_or_text(flag)
         if name in cfg and cfg[name] is None:  # resolve reads it as missing
             raise ConfigError(f"{name}: expected {kind}, got null")
-        if name in _REQUIRED and name not in cfg:
+        if default is REQUIRED and name not in cfg:
             raise ConfigError(f"{name} is required")
-    inputs = catalog.resolve(f"blp {args.command}", declared, defaults, cfg)
+    inputs = catalog.resolve(f"blp {args.command}", entries, cfg)
     return inputs, {**params, **_parse_params(getattr(args, "param", None))}
 
 
@@ -196,7 +181,7 @@ def cmd_list(args) -> int:
     if args.json:
         payload = [{"id": d.id, "coords": d.coords,
                     "constraint": d.constraint_tag,
-                    "params": [list(pp) for pp in d.required_params],
+                    "params": [[name, kind] for name, kind, _ in d.params],
                     "notes": d.notes} for d in rows]
         print(json.dumps(payload, sort_keys=True))
         return EXIT_OK
@@ -221,21 +206,23 @@ _CHAIN_OPS = ("laplace_fwd_uv", "laplace_inv_uv", "laplace_fwd_uq",
               "laplace_inv_uq", "dt1", "dt2")
 
 
-#: the seeds of ``blp transform`` that are not families: their parameters'
-#: (name, kind) pairs and defaults, resolved as family parameters are
+#: the witness that a seed and a dt step's eigenfunction default to
+_PLANE_EXP = {"kind": "plane_exp", "k": 1.0}
+
+#: the seeds of ``blp transform`` that are not families: their
+#: parameters' (name, kind, default) entries, resolved as family
+#: parameters are
 _SEEDS = {
-    "zero_uq": ((), {}),
-    "seed_qy0": ((("Phi", "heat_witness_backward"),),
-                 {"Phi": {"kind": "plane_exp", "k": 1.0}}),
-    "seed_uyqy": ((("Phi", "heat_witness_forward"),),
-                  {"Phi": {"kind": "plane_exp", "k": 1.0}}),
+    "zero_uq": (),
+    "seed_qy0": (("Phi", "heat_witness_backward", _PLANE_EXP),),
+    "seed_uyqy": (("Phi", "heat_witness_forward", _PLANE_EXP),),
 }
 
 
 def _seed_field(name: str, params: dict):
     if name not in _SEEDS:
         return catalog.instantiate(name, params)
-    bound = catalog.resolve(name, *_SEEDS[name], params)
+    bound = catalog.resolve(name, _SEEDS[name], params)
     if name == "zero_uq":
         return system.SolutionField(
             u=lambda p, n: Jet3.constant(0.0, p, n),
@@ -245,21 +232,22 @@ def _seed_field(name: str, params: dict):
         bound["Phi"], constraint="q_y=0" if name == "seed_qy0" else "u_y=q_y")
 
 
-_PHI_DEFAULTS = {"constraint": "q_y=0", "zeta": None, "theta": None,
-                 "witness": {"kind": "plane_exp", "k": 1.0},
-                 "base": (1.0, 0.0, 0.0)}
+def _phi_entries(constraint) -> tuple:
+    """The (name, kind, default) entries of a dt step's ``phi`` object that
+    names ``constraint``; its witness is backward under q_y=0 and forward
+    under u_y=q_y, as the seed's."""
+    witness = "forward" if constraint == "u_y=q_y" else "backward"
+    return (("constraint", "q_y=0|u_y=q_y", "q_y=0"),
+            ("zeta", "expr_of_y", None),
+            ("theta", "heat_witness_backward", None),
+            ("witness", f"heat_witness_{witness}", _PLANE_EXP),
+            ("base", "triple", (1.0, 0.0, 0.0)))
 
 
 def _build_phi(field, spec):
-    """The eigenfunction of a dt step's ``phi`` object; its witness is
-    backward under q_y=0 and forward under u_y=q_y, as the seed's."""
+    """The eigenfunction of a dt step's ``phi`` object."""
     constraint = spec.get("constraint") if isinstance(spec, dict) else None
-    witness = "heat_witness_" + \
-        ("forward" if constraint == "u_y=q_y" else "backward")
-    bound = catalog.resolve(
-        "phi", (("constraint", "q_y=0|u_y=q_y"), ("zeta", "expr_of_y"),
-                ("theta", "heat_witness_backward"), ("witness", witness),
-                ("base", "triple")), _PHI_DEFAULTS, spec)
+    bound = catalog.resolve("phi", _phi_entries(constraint), spec)
     theta = bound["theta"]
     try:
         return transforms.covering_solutions_for_constraint(
@@ -313,23 +301,30 @@ def _chain_step(field, step, base: Point):
     return transforms.darboux("DT1" if op == "dt1" else "DT2", field, phi)
 
 
-#: the parameters of ``blp reduce``, by kind, and their defaults per id
-_REDUCE_PARAMS = (("C0", "real"), ("C1", "real"), ("C2", "real"),
-                  ("delta", "real"), ("eps", "sign"), ("init", "triple"),
-                  ("span", "pair"))
-_REDUCE_DEFAULTS = {
-    "R2_4": {"C0": 0.0, "C1": 1.0, "C2": 0.0, "delta": 0.0, "eps": 1,
-             "init": (0.0, 1.0, 0.0), "span": (-1.2, 1.2)},
-    "R2_9": {"C0": 0.0, "C1": 2.0, "C2": 0.0, "delta": 1.0, "eps": 1,
-             "init": (-2.0, 0.5, 0.25), "span": (-2.4, -0.6)},
-}
+#: the parameters of ``blp reduce``, one row per name: its kind, then its
+#: default for each of _REDUCE_IDS
+_REDUCE_PARAMS = (
+    ("C0", "real", 0.0, 0.0),
+    ("C1", "real", 1.0, 2.0),
+    ("C2", "real", 0.0, 0.0),
+    ("delta", "real", 0.0, 1.0),
+    ("eps", "sign", 1, 1),
+    ("init", "triple", (0.0, 1.0, 0.0), (-2.0, 0.5, 0.25)),
+    ("span", "pair", (-1.2, 1.2), (-2.4, -0.6)),
+)
+
+
+def _reduce_entries(rid: str) -> tuple:
+    """The (name, kind, default) entries of ``blp reduce --id rid``."""
+    column = _REDUCE_IDS.index(rid)
+    return tuple((name, kind, defaults[column])
+                 for name, kind, *defaults in _REDUCE_PARAMS)
 
 
 def cmd_reduce(args) -> int:
     inputs, params = _read(args)
     rid = inputs["id"]
-    bound = catalog.resolve(rid, _REDUCE_PARAMS, _REDUCE_DEFAULTS[rid],
-                            params)
+    bound = catalog.resolve(rid, _reduce_entries(rid), params)
     span = bound.pop("span")
     bound["eps"] = int(bound["eps"])  # the CSV sidecar shows it as an int
     spec = reductions.ReductionSpec(id=rid, **bound)
@@ -390,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, fn in (("list", cmd_list), ("verify", cmd_verify),
                         ("transform", cmd_transform), ("reduce", cmd_reduce)):
         cp = sub.add_parser(command)
-        for name, kind in _INPUTS[command][0]:
+        for name, kind, _ in _INPUTS[command]:
             cp.add_argument(f"--{name}", help=f"kind {kind}")
         if command == "list":
             cp.add_argument("--json", action="store_true")

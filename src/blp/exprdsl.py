@@ -43,7 +43,12 @@ __all__ = ["Expr", "ParseError", "parse", "as_expr", "sample", "eval_jet",
            "eval_series", "compose_series", "Num", "Var", "Bin", "Neg",
            "Call"]
 
-_FUNCTIONS = ("exp", "ln", "sin", "cos", "tan", "sinh", "cosh", "sqrt", "abs")
+#: each function of the language, and the name of the :mod:`blp.jets`
+#: function that evaluates it
+_CALL_JET = {
+    "exp": "exp", "ln": "ln", "sin": "sin", "cos": "cos", "tan": "tan",
+    "sinh": "sinh", "cosh": "cosh", "sqrt": "sqrt", "abs": "abs_signed",
+}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
@@ -220,7 +225,7 @@ class _Parser:
             return node
         if tok.kind == "ident":
             if self.peek().kind == "lparen":
-                if tok.text not in _FUNCTIONS:
+                if tok.text not in _CALL_JET:
                     raise ParseError(tok.pos, f"unknown function {tok.text!r}")
                 self.next()
                 arg = self.expr()
@@ -272,12 +277,6 @@ def as_expr(value, var_name: str) -> Expr:
 # ----------------------------------------------------------------------
 # evaluation (floats and series), printing, differentiation
 # ----------------------------------------------------------------------
-
-_CALL_JET = {
-    "exp": "exp", "ln": "ln", "sin": "sin", "cos": "cos", "tan": "tan",
-    "sinh": "sinh", "cosh": "cosh", "sqrt": "sqrt", "abs": "abs_signed",
-}
-
 
 def _divide(a: float, b: float) -> float:
     jets.check_denominator(b, a, "division by (near-)zero value")

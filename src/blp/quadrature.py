@@ -49,7 +49,7 @@ from functools import partial
 import numpy as np
 
 from .jets import (BLPError, Jet3, JetMap, Point, cap, lanes, name_lanes,
-                   narrow, restrict, _caps, _tables)
+                   narrow, restrict, _AXES, _caps, _tables)
 
 __all__ = ["QuadratureError", "gauss_kronrod_15", "adaptive_quadrature",
            "integrate_field_along", "line_integral", "xt_path"]
@@ -243,9 +243,6 @@ def _refine(a: float, b: float, tol: float):
     return result
 
 
-_AXIS_NUM = {"t": 0, "x": 1, "y": 2}
-
-
 def integrate_field_along(field: JetMap, axis: str, lower: float,
                           p: Point, order: int) -> Jet3:
     """Jet of ``F(p) = integral of field along one axis from lower to p.axis``,
@@ -265,7 +262,7 @@ def integrate_field_along(field: JetMap, axis: str, lower: float,
     each with its lane's other coordinates, a coordinate that every lane
     of the round shares as a float.
     """
-    ax = _AXIS_NUM[axis]
+    ax = _AXES[axis]
     tab = _tables(order)
     g_at_p = field(p, order)
     free_key = cap(order, axis, 0)
@@ -335,7 +332,7 @@ def line_integral(integrand: JetMap, axis: str, lower: float,
     one jet.  A single point and a batch keep their lines apart, so a row
     does not depend on which path asked its line first.
     """
-    skip = _AXIS_NUM[constant_along]
+    skip = _AXES[constant_along]
     known: dict = {}  # line -> (key, coefficients)
 
     def integral(p: Point, n: int) -> Jet3:

@@ -363,7 +363,8 @@ def residual_report(s: SolutionField, grid: list[Point]) -> ResidualReport:
 
     The points are evaluated as one batch (:mod:`blp.jets`); a batch
     that raises either error is asked again without the lanes the error
-    names, and each dropped point alone, so a point is skipped, or
+    names (and the lanes past the first a :class:`QuadratureError`
+    names), and each dropped point alone, so a point is skipped, or
     named, only by its own evaluation, and its row is that evaluation's
     bits however the grid was split.
     """
@@ -393,8 +394,11 @@ def _rows(row: Callable[[Point], tuple], points: list[Point]):
     defined, in order, and the number skipped: the one evaluator of a
     check over a list of points.  While a batch raises, the lanes its
     error names (every lane, if it names none) are dropped and the rest
-    asked again; then each dropped point is asked alone, in order.  An
-    overflow gives the non-finite value it makes, never a warning."""
+    asked again, and after a :class:`QuadratureError` also every lane
+    past the first it names, since that lane ends the report unless an
+    earlier point does; then each dropped point is asked alone, in
+    order.  An overflow gives the non-finite value it makes, never a
+    warning."""
     def batch(at: list[Point]) -> list:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             values = row(Point(*(np.array(c, dtype=float) for c in zip(*at))))
@@ -409,8 +413,14 @@ def _rows(row: Callable[[Point], tuple], points: list[Point]):
             break
         except (UndefinedHere, QuadratureError) as exc:
             named = exc.lanes
-            kept = kept[~named] if named is not None and \
-                named.shape == kept.shape and named.any() else kept[:0]
+            if named is None or named.shape != kept.shape or not named.any():
+                kept = kept[:0]
+            elif isinstance(exc, QuadratureError):
+                # the first lane it names fails alone too: only the
+                # points before it can end the report elsewhere
+                kept = kept[:named.argmax()]
+            else:
+                kept = kept[~named]
     rows, skipped = [], 0
     for i, p in enumerate(points):
         try:

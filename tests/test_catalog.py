@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -44,9 +45,16 @@ def test_listing_contains_required_ids():
 
 def test_descriptor_params():
     desc = {d.id: d for d in list_families()}
-    assert desc["F_HOPFCOLE2D"].required_params == (
-        ("Phi", "heat_witness_forward"),)
-    assert desc["F_VXXX_1"].required_params[-1] == ("delta", "flag01")
+    assert [p[:2] for p in desc["F_HOPFCOLE2D"].params] == [
+        ("Phi", "heat_witness_forward")]
+    assert desc["F_VXXX_1"].params[-1] == ("delta", "flag01", 1)
+
+
+def test_every_descriptor_hashes_and_equals_its_copy():
+    # a default may be a dict (F_VX0's witness spec), which has no hash
+    for d in list_families():
+        assert hash(d) == hash(dataclasses.replace(d))
+        assert d == dataclasses.replace(d)
 
 
 def test_unknown_family_and_bad_binding():
@@ -86,8 +94,8 @@ def test_a_bad_witness_coefficient_is_named_by_its_position(coeff, error):
 
 
 def test_every_kind_has_a_rule():
-    desc = catalog.FamilyDescriptor("F_X", "UV", (("c", "bogus"),), "", "",
-                                    defaults={"c": 1.0})
+    desc = catalog.FamilyDescriptor("F_X", "UV", (("c", "bogus", 1.0),),
+                                    "", "")
     with pytest.raises(ValueError, match="bogus"):
         catalog._register(desc)
 

@@ -521,16 +521,16 @@ def _declared_inputs():
     every witness kind (through a family's Phi)."""
     from blp import cli
     cases = []
-    for seed, (declared, _) in cli._SEEDS.items():
-        for key, _ in declared:
+    for seed, entries in cli._SEEDS.items():
+        for key, _, _ in entries:
             cases.append((f"seed:{seed}", key))
-    for key in cli._PHI_DEFAULTS:
+    for key, _, _ in cli._phi_entries("q_y=0"):
         cases.append(("phi", key))
-    for rid in cli._REDUCE_DEFAULTS:
-        for key, _ in cli._REDUCE_PARAMS:
+    for rid in cli._REDUCE_IDS:
+        for key, _, _ in cli._reduce_entries(rid):
             cases.append((f"reduce:{rid}", key))
-    for kind, (declared, _) in catalog._WITNESS_PARAMS.items():
-        for key, _ in declared + (("direction", ""),):
+    for kind, entries in catalog._WITNESS_PARAMS.items():
+        for key, _, _ in entries + (("direction", "", ""),):
             cases.append((f"witness:{kind}", key))
     return cases
 
@@ -711,7 +711,7 @@ def test_domain_edges_are_skipped_points(case, capsys):
 
 @pytest.mark.parametrize("fid,name", [
     (d.id, name) for d in catalog.list_families()
-    for name, _ in d.required_params])
+    for name, _, _ in d.params])
 def test_every_parameter_rejects_a_malformed_value(fid, name, capsys):
     code, out, err = run_cli(["verify", "--family", fid,
                               "--param", f"{name}=@"], capsys)
@@ -881,8 +881,38 @@ def test_a_flag_beats_the_config_value(command, name, tmp_path, capsys):
 def test_every_declared_input_has_a_precedence_case():
     from blp import cli
     assert set(_PRECEDENCE) == {
-        (command, name) for command, (declared, _) in cli._INPUTS.items()
-        if command != "list" for name, _ in declared}
+        (command, name) for command, entries in cli._INPUTS.items()
+        if command != "list" for name, _, _ in entries}
+
+
+def _input_tables() -> dict:
+    """Every table of (name, kind, default) entries, by its owner: the
+    families, the witness kinds, the seeds, the phi object under each
+    constraint, the commands and both reduce ids."""
+    from blp import cli
+    return {
+        **{d.id: d.params for d in catalog.list_families()},
+        **{f"witness {kind}": entries
+           for kind, entries in catalog._WITNESS_PARAMS.items()},
+        **{f"seed {seed}": entries for seed, entries in cli._SEEDS.items()},
+        **{f"phi {c}": cli._phi_entries(c) for c in ("q_y=0", "u_y=q_y")},
+        **{f"blp {command}": entries
+           for command, entries in cli._INPUTS.items()},
+        **{f"reduce {rid}": cli._reduce_entries(rid)
+           for rid in cli._REDUCE_IDS},
+    }
+
+
+@pytest.mark.parametrize("owner", sorted(_input_tables()))
+def test_every_default_resolves_under_its_kind(owner):
+    from blp import cli
+    entries = _input_tables()[owner]
+    names = [name for name, _, _ in entries]
+    assert len(set(names)) == len(names)
+    given = [e for e in entries
+             if e[2] is not None and e[2] is not cli.REQUIRED]
+    resolved = catalog.resolve(owner, given, {})
+    assert list(resolved) == [name for name, _, _ in given]
 
 
 def test_every_flag_is_a_declared_input():
@@ -894,7 +924,7 @@ def test_every_flag_is_a_declared_input():
     other = {"--config", "--param", "--report", "--csv"}
     for command, parser in commands.choices.items():
         declared = {f"--{name}"
-                    for name, _ in cli._INPUTS.get(command, ((), {}))[0]}
+                    for name, _, _ in cli._INPUTS.get(command, ())}
         flags = {s for a in parser._actions for s in a.option_strings
                  if s.startswith("--") and s != "--help"}
         assert flags - declared - other \
@@ -939,7 +969,7 @@ def _cli_call(draw):
     command = draw(st.sampled_from(["verify", "transform", "reduce",
                                     "list"]))
     flags, cfg = [], {}
-    for name, _ in cli._INPUTS[command][0]:
+    for name, _, _ in cli._INPUTS[command]:
         # mostly valid, so that some examples get past their inputs
         value = draw(_VALID[name] if draw(st.integers(0, 7)) else _JSON)
         where = draw(st.sampled_from(

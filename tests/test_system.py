@@ -206,6 +206,27 @@ def test_report_names_the_point_where_quadrature_failed():
         "refinement stalled at grid point (t, x, y) = (1.0, 0.2, 0.4)"
 
 
+def test_a_stalled_grid_is_asked_no_lane_past_the_first_it_names():
+    # every point stalls, and a batch names its first lane, as a lockstep
+    # quadrature of identical lanes does: only the points before that lane
+    # are asked again as a batch, here none
+    from blp.quadrature import QuadratureError
+    batches = []
+
+    def row(p):
+        batches.append(jets.lanes(p))
+        jets.raise_where(np.arange(jets.lanes(p)) == 0, None,
+                         "refinement stalled",
+                         lambda message: QuadratureError(message, "stall"))
+
+    grid = [Point(1.0, 0.1 * i, 0.4) for i in range(1, 9)]
+    with pytest.raises(QuadratureError) as info:
+        system._rows(row, grid)
+    assert batches == [8, 1]
+    assert str(info.value) == \
+        "refinement stalled at grid point (t, x, y) = (1.0, 0.1, 0.4)"
+
+
 def test_report_skips_the_points_where_a_path_failed():
     # the y-path of q from y0 = 0 crosses alpha = 0 of the image family
     field = transforms.laplace_forward_uq(convert(
